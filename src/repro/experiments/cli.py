@@ -18,11 +18,10 @@ Subcommands:
   ``--screen-analytic K`` the full grid is first triaged by the
   analytic reuse-profile engine and only each workload's top-K
   designs re-simulate exactly. Parallel runs use
-  the supervised worker pool by default — dead workers respawn up to
+  the supervised worker pool — dead workers respawn up to
   ``--max-worker-restarts``, cells that kill ``--poison-threshold``
   successive workers are quarantined as ``poisoned``, and SIGINT or
-  SIGTERM drains gracefully to an exact-resume journal
-  (``--no-supervise`` restores the legacy shard pool).
+  SIGTERM drains gracefully to an exact-resume journal.
 
 - ``telemetry report DIR`` — summarize a telemetry directory written
   by a previous ``--telemetry DIR`` run (span digests, window files,
@@ -205,7 +204,6 @@ def _screen_designs(args, runner: Runner, designs, workloads, top_k: int):
         resume=args.resume,
         progress=ProgressReporter(len(designs) * len(workloads)),
         workers=args.workers,
-        supervise=args.supervise,
     )
     print(f"analytic screen: {len(designs)} design(s) x "
           f"{len(workloads)} workload(s), keeping top {top_k} per workload")
@@ -275,7 +273,6 @@ def _run_resilient_sweep(args, runner: Runner, workloads) -> int:
         resume=args.resume,
         progress=ProgressReporter(len(designs) * len(workloads)),
         workers=args.workers,
-        supervise=args.supervise,
         max_worker_restarts=args.max_worker_restarts,
         poison_threshold=args.poison_threshold,
         share_prefixes=not args.no_share_prefixes,
@@ -540,14 +537,8 @@ def main(argv: list[str] | None = None) -> int:
     sweep.add_argument(
         "--workers", type=int, default=1,
         help="worker processes evaluating cells (default 1: in-process; "
-        "pair with --trace-cache so workers share traced streams)",
-    )
-    sweep.add_argument(
-        "--supervise", action=argparse.BooleanOptionalAction,
-        default=True,
-        help="with --workers N, run the supervised worker pool (crash "
-        "recovery, work stealing, graceful drain; default). "
-        "--no-supervise falls back to the legacy shard pool",
+        "N > 1 runs the supervised worker pool: crash recovery, work "
+        "stealing, graceful drain)",
     )
     sweep.add_argument(
         "--max-worker-restarts", type=int, default=3,

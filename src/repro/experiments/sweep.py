@@ -55,7 +55,6 @@ def run_sweep(
     workloads: Sequence[Workload],
     *,
     workers: int = 1,
-    supervise: bool = True,
 ) -> list[SweepRecord]:
     """Evaluate every design on every workload.
 
@@ -63,10 +62,9 @@ def run_sweep(
     :class:`repro.resilience.executor.SweepExecutor` (shared-prefix
     batching included): the first cell failure re-raises its original
     exception. ``workers > 1`` runs the grid on the supervised worker
-    pool (``supervise=False`` falls back to the legacy shard pool);
-    the live exception object then cannot cross the process boundary,
-    so failures re-raise as :class:`~repro.errors.SweepError` carrying
-    the formatted chain. For journalling, retries, deadlines, and
+    pool; the live exception object then cannot cross the process
+    boundary, so failures re-raise as :class:`~repro.errors.SweepError`
+    carrying the formatted chain. For journalling, retries, deadlines, and
     keep-going semantics, use the executor directly.
     """
     designs = list(designs)
@@ -78,7 +76,7 @@ def run_sweep(
     from repro.resilience.executor import SweepExecutor
 
     result = SweepExecutor(
-        runner, keep_going=False, workers=workers, supervise=supervise
+        runner, keep_going=False, workers=workers
     ).run(designs, workloads)
     for outcome in result.outcomes:
         if outcome.exception is not None:

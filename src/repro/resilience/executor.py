@@ -19,49 +19,43 @@ executor runs that grid so one bad cell can't sink the campaign:
   succeeded, which needed retries, which were abandoned, and the
   (seed, cell key) pair that reproduces each failure.
 
-With ``workers=N`` the grid runs on the **supervised worker pool**
-(:mod:`repro.resilience.pool`, the default): workers pull individual
-cells from the parent (work stealing), every result is journalled on
-arrival, and the supervisor survives worker *process* deaths —
-respawning killed workers up to a budget, requeueing their in-flight
-cells, quarantining "poison" cells that kill ``poison_threshold``
-successive workers (recorded as ``poisoned``), escalating hung workers
-soft-cancel → SIGTERM → SIGKILL past the cell deadline, and draining
-gracefully on SIGINT/SIGTERM with an exact-resume journal.
-``supervise=False`` falls back to the legacy workload-affine shard
-pool (one :class:`~concurrent.futures.ProcessPoolExecutor` future per
-shard); there, workers journal each cell to a per-worker sidecar so a
-mid-shard crash no longer discards the shard's finished cells. In both
-modes results flow back through the same journal and telemetry paths —
-resume, fault isolation, and the degradation report are unchanged;
-only live exception objects cannot cross the process boundary (the
-formatted error chains still do).
+Every cell goes through one path: the same per-cell evaluation (cell
+scope, ``sweep.cell`` span, retries, deadline) runs in-process for
+``workers=1`` and inside each worker of the **supervised worker pool**
+(:mod:`repro.resilience.pool`) for ``workers=N``, and every finished
+cell is journalled, counted and reported by the parent as it arrives.
+The pool pulls individual cells from the parent (work stealing) and
+survives worker *process* deaths — respawning killed workers up to a
+budget, requeueing their in-flight cells, quarantining "poison" cells
+that kill ``poison_threshold`` successive workers (recorded as
+``poisoned``), escalating hung workers soft-cancel → SIGTERM → SIGKILL
+past the cell deadline, and draining gracefully on SIGINT/SIGTERM with
+an exact-resume journal. Resume, fault isolation and the degradation
+report are the same for any worker count; only live exception objects
+cannot cross the process boundary (the formatted error chains still
+do).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import logging
-import random
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from repro.errors import ConfigError, SweepError
+from repro.errors import ConfigError
 from repro.model.evaluate import Evaluation
 from repro.resilience.journal import Journal, JournalEntry, cell_key_for
 from repro.resilience.retry import NO_RETRY, RetryPolicy
 from repro.telemetry.core import (
-    NULL_TELEMETRY,
     NullTelemetry,
     RunContext,
     Telemetry,
     get_active,
     new_run_id,
-    set_active,
 )
 from repro.telemetry.progress import ProgressReporter
 
@@ -257,13 +251,11 @@ class SweepExecutor:
             live per-cell lines, ETA, and the resume summary.
         workers: processes evaluating cells. 1 (default) runs the grid
             serially in-process; N > 1 runs it on the supervised
-            worker pool (give the runner a ``trace_cache_dir`` so
-            workers share traced streams).
-        supervise: with ``workers > 1``, True (default) uses the
-            supervised persistent pool (crash recovery, work stealing,
-            graceful drain — see :mod:`repro.resilience.pool`); False
-            falls back to the legacy workload-affine shard pool.
-        max_worker_restarts: supervised mode's total respawn budget for
+            worker pool (crash recovery, work stealing, graceful
+            drain — see :mod:`repro.resilience.pool`), which first
+            publishes each workload's trace to a shared arena that
+            every worker attaches.
+        max_worker_restarts: the pool's total respawn budget for
             dead workers; past it the pool degrades (remaining cells
             fail with a pool-exhausted error) instead of raising.
         poison_threshold: successive worker deaths one cell may cause
@@ -299,13 +291,11 @@ class SweepExecutor:
         telemetry: Telemetry | NullTelemetry | None = None,
         progress: ProgressReporter | None = None,
         workers: int = 1,
-        supervise: bool = True,
         max_worker_restarts: int = 3,
         poison_threshold: int = 2,
         worker_faults=None,
         pool_tuning=None,
         share_prefixes: bool = True,
-        share_traces: bool = True,
         profile_hz: float | None = None,
         profile_memory: bool = False,
     ) -> None:
@@ -343,13 +333,11 @@ class SweepExecutor:
         self.telemetry = telemetry
         self.progress = progress
         self.workers = workers
-        self.supervise = supervise
         self.max_worker_restarts = max_worker_restarts
         self.poison_threshold = poison_threshold
         self.worker_faults = worker_faults
         self.pool_tuning = pool_tuning
         self.share_prefixes = share_prefixes
-        self.share_traces = share_traces
         self.profile_hz = profile_hz
         self.profile_memory = profile_memory
         # Populated (and torn down) per run() by _publish_traces: the
@@ -390,10 +378,12 @@ class SweepExecutor:
         and sampled results with different specs are likewise mutually
         unsatisfiable.
         """
-        return _engine_class_for(
-            getattr(self.runner, "engine", "auto"),
-            getattr(self.runner, "sample", None),
-        )
+        if getattr(self.runner, "engine", "auto") == "analytic":
+            return "analytic"
+        sample = getattr(self.runner, "sample", None)
+        if sample is not None:
+            return f"sampled:{sample.key}"
+        return "exact"
 
     # -- single-attempt plumbing ----------------------------------------
 
@@ -501,6 +491,20 @@ class SweepExecutor:
             exception=last_error,
         )
 
+    def _evaluate_cell(
+        self, design: MemoryDesign, workload: Workload, key: str
+    ) -> CellOutcome:
+        """Evaluate one cell inside its telemetry cell scope and span.
+
+        The one per-cell path: the serial loop calls it in-process and
+        every pool worker calls it on its own executor.
+        """
+        tel = self._telemetry()
+        with tel.cell_scope(key), tel.span(
+            "sweep.cell", design=design.name, workload=workload.name
+        ):
+            return self._run_cell(design, workload, key)
+
     # -- campaign -------------------------------------------------------
 
     def run(
@@ -509,6 +513,8 @@ class SweepExecutor:
         workloads: Sequence[Workload],
     ) -> CampaignResult:
         """Run the full grid; never raises for per-cell failures."""
+        from repro.resilience.pool import PoolStats
+
         designs = list(designs)
         if not workloads:
             raise ConfigError("a sweep needs at least one workload")
@@ -517,7 +523,6 @@ class SweepExecutor:
 
         journalled: dict[str, JournalEntry] = {}
         if self.journal is not None and self.resume:
-            self._absorb_sidecars()
             journalled = self.journal.load()
 
         tel = self._telemetry()
@@ -545,23 +550,17 @@ class SweepExecutor:
             for workload in workloads
         ]
         total = len(grid)
-        reused = sum(
-            1 for _, _, key in grid
-            if key in journalled and journalled[key].status == STATUS_OK
-        )
-        abandoned = sum(
-            1 for _, _, key in grid
-            if key in journalled and journalled[key].status != STATUS_OK
-        )
+        to_run = [cell for cell in grid if not _reusable(journalled, cell[2])]
+        reused = total - len(to_run)
         if journalled:
+            abandoned = sum(1 for _, _, key in to_run if key in journalled)
             if progress is not None:
                 progress.resume_summary(
-                    reused=reused, to_run=total - reused,
-                    abandoned=abandoned,
+                    reused=reused, to_run=len(to_run), abandoned=abandoned,
                 )
             tel.event(
                 "sweep_resume", cells=total, reused=reused,
-                to_run=total - reused, abandoned=abandoned,
+                to_run=len(to_run), abandoned=abandoned,
             )
         tel.event(
             "sweep_started", designs=len(designs),
@@ -570,80 +569,57 @@ class SweepExecutor:
         pending = tel.gauge("repro_sweep_cells_pending")
         pending.set(total)
 
-        if self.workers > 1:
-            arena = self._publish_traces(grid, journalled, tel)
-            try:
-                if self.supervise:
-                    result = self._run_supervised(
-                        grid, journalled, tel, progress, pending, run_id
-                    )
-                else:
-                    result = self._run_parallel(
-                        grid, journalled, tel, progress, pending, run_id
-                    )
-            finally:
-                self._arena_handles = None
-                if arena is not None:
-                    arena.close()
-            tel.event("sweep_finished", cells=total, **result.counts())
-            tel.flush()
-            return result
+        results: dict[str, CellOutcome] = {}
 
-        self._presim_workloads(grid, journalled, tel)
+        def deliver(outcome: CellOutcome) -> None:
+            """Journal, count and report one cell's final outcome."""
+            results[outcome.key] = outcome
+            self._record_outcome(tel, progress, pending, outcome)
+            if (
+                self.journal is not None
+                and not outcome.from_journal
+                and outcome.status != STATUS_SKIPPED
+            ):
+                self.journal.append(self._journal_entry(outcome, run_id))
+
+        for design, workload, key in grid:
+            if _reusable(journalled, key):
+                deliver(CellOutcome(
+                    key=key, design=design.name, workload=workload.name,
+                    status=STATUS_OK, attempts=0, duration_s=0.0,
+                    evaluation=journalled[key].load_evaluation(),
+                    from_journal=True,
+                ))
+
+        if self.workers > 1:
+            stats = self._run_supervised(
+                grid, journalled, to_run, deliver, tel, run_id
+            )
+        else:
+            stats = PoolStats()
+            self._presim_workloads(grid, journalled, tel)
+            for design, workload, key in to_run:
+                if progress is not None:
+                    progress.cell_started(design.name, workload.name)
+                outcome = self._evaluate_cell(design, workload, key)
+                deliver(outcome)
+                if not outcome.ok and not self.keep_going:
+                    break
 
         outcomes: list[CellOutcome] = []
-        abort = False
         for design, workload, key in grid:
-            if abort:
-                outcome = CellOutcome(
+            if key not in results:
+                deliver(CellOutcome(
                     key=key, design=design.name, workload=workload.name,
                     status=STATUS_SKIPPED, attempts=0, duration_s=0.0,
-                    error="skipped: an earlier cell failed and "
-                          "keep_going is off",
-                )
-                outcomes.append(outcome)
-                self._record_outcome(tel, progress, pending, outcome)
-                continue
-            prior = journalled.get(key)
-            if prior is not None and prior.status == STATUS_OK:
-                outcome = CellOutcome(
-                    key=key, design=design.name,
-                    workload=workload.name, status=STATUS_OK,
-                    attempts=0, duration_s=0.0,
-                    evaluation=prior.load_evaluation(),
-                    from_journal=True,
-                )
-                outcomes.append(outcome)
-                self._record_outcome(tel, progress, pending, outcome)
-                continue
-            if progress is not None:
-                progress.cell_started(design.name, workload.name)
-            with tel.cell_scope(key), tel.span(
-                "sweep.cell", design=design.name, workload=workload.name
-            ):
-                outcome = self._run_cell(design, workload, key)
-            outcomes.append(outcome)
-            self._record_outcome(tel, progress, pending, outcome)
-            if self.journal is not None:
-                self.journal.append(
-                    JournalEntry(
-                        key=key, design=design.name,
-                        workload=workload.name,
-                        scale=self.runner.scale, seed=self.runner.seed,
-                        status=outcome.status, attempts=outcome.attempts,
-                        duration_s=outcome.duration_s,
-                        error=outcome.error,
-                        evaluation=(
-                            None if outcome.evaluation is None
-                            else dataclasses.asdict(outcome.evaluation)
-                        ),
-                        run_id=run_id,
-                        engine_class=self.engine_class,
-                    )
-                )
-            if not outcome.ok and not self.keep_going:
-                abort = True
-        result = CampaignResult(outcomes=outcomes, seed=self.retry.seed)
+                    error=_skip_error(stats),
+                ))
+            outcomes.append(results[key])
+        result = CampaignResult(
+            outcomes=outcomes, seed=self.retry.seed,
+            restarts=stats.respawns, requeues=stats.requeues,
+            drained=stats.drained,
+        )
         tel.event("sweep_finished", cells=total, **result.counts())
         tel.flush()
         return result
@@ -679,8 +655,7 @@ class SweepExecutor:
             )
 
     def _journal_entry(
-        self, outcome: CellOutcome, evaluation: dict | None,
-        run_id: str | None,
+        self, outcome: CellOutcome, run_id: str | None
     ) -> JournalEntry:
         """The journal line for one finished cell."""
         return JournalEntry(
@@ -689,83 +664,38 @@ class SweepExecutor:
             scale=self.runner.scale, seed=self.runner.seed,
             status=outcome.status, attempts=outcome.attempts,
             duration_s=outcome.duration_s, error=outcome.error,
-            evaluation=evaluation, run_id=run_id,
+            evaluation=(
+                None if outcome.evaluation is None
+                else dataclasses.asdict(outcome.evaluation)
+            ),
+            run_id=run_id,
             engine_class=self.engine_class,
         )
-
-    def _absorb_sidecars(self) -> None:
-        """Fold stale worker sidecar journals into the main journal.
-
-        Legacy shard workers journal per cell to
-        ``<journal>.worker-K`` sidecars. Normally the parent merges
-        them in-line and deletes them; sidecars still on disk mean the
-        *parent* died mid-campaign, and the cells they hold must not
-        re-run on resume.
-        """
-        if self.journal is None:
-            return
-        pattern = f"{self.journal.path.name}.worker-*"
-        for path in sorted(self.journal.path.parent.glob(pattern)):
-            try:
-                entries = Journal(path).entries()
-            except SweepError:
-                logger.warning(
-                    "ignoring unreadable sidecar journal %s", path
-                )
-                entries = []
-            for entry in entries:
-                self.journal.append(entry)
-            path.unlink(missing_ok=True)
 
     # -- supervised campaign --------------------------------------------
 
     def _run_supervised(
-        self, grid, journalled, tel, progress, pending, run_id=None
-    ) -> CampaignResult:
-        """Run the grid on the supervised persistent worker pool.
+        self, grid, journalled, cells, deliver, tel, run_id
+    ):
+        """Run ``cells`` on the supervised persistent worker pool.
 
-        Cells are dispatched individually (work stealing); every result
-        is journalled in the parent as it arrives — before the next
-        cell is dispatched to that worker — so a crash at any point
+        Cells are dispatched individually (work stealing); ``deliver``
+        journals every result in the parent as it arrives — before the
+        next cell is dispatched to that worker — so a crash at any point
         leaves an exact-resume journal. Worker deaths degrade the
         campaign (requeue / poison / pool-exhausted failures) but never
-        abort it.
+        abort it. Returns the pool's
+        :class:`~repro.resilience.pool.PoolStats`.
         """
         from repro.resilience.pool import SupervisedPool
 
-        results: dict[str, CellOutcome] = {}
-        run_cells = []
-        for design, workload, key in grid:
-            prior = journalled.get(key)
-            if prior is not None and prior.status == STATUS_OK:
-                outcome = CellOutcome(
-                    key=key, design=design.name, workload=workload.name,
-                    status=STATUS_OK, attempts=0, duration_s=0.0,
-                    evaluation=prior.load_evaluation(), from_journal=True,
-                )
-                results[key] = outcome
-                self._record_outcome(tel, progress, pending, outcome)
-            else:
-                run_cells.append((design, workload, key))
-
+        arena = self._publish_traces(grid, journalled, tel)
         tel.event(
             "sweep_supervised", workers=self.workers,
-            cells=len(run_cells),
+            cells=len(cells),
             max_worker_restarts=self.max_worker_restarts,
             poison_threshold=self.poison_threshold,
         )
-
-        def deliver(record: dict) -> None:
-            outcome = _outcome_from_record(record)
-            results[outcome.key] = outcome
-            self._record_outcome(tel, progress, pending, outcome)
-            if self.journal is not None:
-                self.journal.append(
-                    self._journal_entry(
-                        outcome, record.get("evaluation"), run_id
-                    )
-                )
-
         pool = SupervisedPool(
             workers=self.workers,
             runner_args=self._runner_args(),
@@ -785,48 +715,25 @@ class SweepExecutor:
         )
         self._active_pool = pool
         try:
-            stats, leftover = pool.run(
-                run_cells, keep_going=self.keep_going, on_result=deliver
+            stats, _ = pool.run(
+                cells, keep_going=self.keep_going,
+                on_result=lambda record: deliver(
+                    _outcome_from_record(record)
+                ),
             )
         finally:
             self._active_pool = None
-
-        outcomes: list[CellOutcome] = []
-        for design, workload, key in grid:
-            outcome = results.get(key)
-            if outcome is None:
-                if stats.drained:
-                    error = (
-                        "skipped: campaign drained by signal before "
-                        "this cell ran (resume with the journal)"
-                    )
-                elif stats.exhausted:
-                    error = (
-                        f"skipped: worker pool exhausted after "
-                        f"{stats.respawns} respawn(s)"
-                    )
-                else:
-                    error = ("skipped: an earlier cell failed and "
-                             "keep_going is off")
-                outcome = CellOutcome(
-                    key=key, design=design.name, workload=workload.name,
-                    status=STATUS_SKIPPED, attempts=0, duration_s=0.0,
-                    error=error,
-                )
-                self._record_outcome(tel, progress, pending, outcome)
-            outcomes.append(outcome)
-        return CampaignResult(
-            outcomes=outcomes, seed=self.retry.seed,
-            restarts=stats.respawns, requeues=stats.requeues,
-            drained=stats.drained,
-        )
+            self._arena_handles = None
+            if arena is not None:
+                arena.close()
+        return stats
 
     def _runner_args(self) -> dict:
         """The picklable kwargs rebuilding the runner in a worker.
 
-        Includes the published trace-arena handles when a parallel run
-        has them: workers attach each workload's single shared trace
-        copy instead of re-tracing or re-loading privately.
+        Includes the published trace-arena handles: workers attach each
+        workload's single shared trace copy instead of re-tracing or
+        re-loading privately.
         """
         return {
             "scale": self.runner.scale,
@@ -849,20 +756,18 @@ class SweepExecutor:
 
         Returns the owning :class:`~repro.trace.arena.TraceArena` (the
         caller must close it after the campaign drains) or ``None``
-        when sharing is off or nothing was published. Best effort: a
-        failure to trace or publish any workload abandons the arena and
-        the campaign falls back to per-worker tracing — the arena is an
-        optimization, never a correctness dependency.
+        when nothing was published. Best effort: a failure to trace or
+        publish any workload abandons the arena and the campaign falls
+        back to per-worker tracing — the arena is an optimization,
+        never a correctness dependency.
         """
         self._arena_handles = None
-        if not (self.share_traces and hasattr(self.runner, "trace_only")):
+        if not hasattr(self.runner, "trace_only"):
             return None
         todo: dict[str, Workload] = {}
         for design, workload, key in grid:
-            prior = journalled.get(key)
-            if prior is not None and prior.status == STATUS_OK:
-                continue
-            todo.setdefault(workload.name, workload)
+            if not _reusable(journalled, key):
+                todo.setdefault(workload.name, workload)
         if not todo:
             return None
         from repro.trace.arena import TraceArena
@@ -875,11 +780,11 @@ class SweepExecutor:
                 ):
                     result, cached = self.runner.trace_only(workload)
                     handle = arena.publish(
-                        workload.name, result.stream, result.regions
+                        workload.name, result.stream, result.tracer.regions
                     )
                 tel.event(
                     "trace_published", workload=workload.name,
-                    kind=handle.kind, events=handle.events,
+                    medium=handle.kind, events=handle.events,
                     cached=cached,
                 )
         except Exception as exc:
@@ -915,8 +820,7 @@ class SweepExecutor:
             return
         by_workload: dict[str, tuple] = {}
         for design, workload, key in grid:
-            prior = journalled.get(key)
-            if prior is not None and prior.status == STATUS_OK:
+            if _reusable(journalled, key):
                 continue
             entry = by_workload.setdefault(workload.name, (workload, []))
             entry[1].append(design)
@@ -940,224 +844,22 @@ class SweepExecutor:
                     workload.name, format_exception_chain(exc),
                 )
 
-    # -- parallel campaign ----------------------------------------------
 
-    def _shards(self, cells: list) -> list[tuple]:
-        """Workload-affine shards in deterministic seeded order.
-
-        Cells group by workload so each worker traces and prepares a
-        workload at most once (and shared-prefix batching stays intact
-        within the shard). When there are fewer workloads than workers,
-        the largest shards split — duplicated workload preparation in
-        exchange for occupancy, a good trade once the trace cache is
-        shared on disk.
-        """
-        if not cells:
-            return []
-        by_workload: dict[str, list] = {}
-        order: list[str] = []
-        for cell in cells:
-            name = cell[1].name
-            if name not in by_workload:
-                by_workload[name] = []
-                order.append(name)
-            by_workload[name].append(cell)
-        shards = [by_workload[name] for name in order]
-        while len(shards) < self.workers:
-            largest = max(shards, key=len)
-            if len(largest) < 2:
-                break
-            shards.remove(largest)
-            half = len(largest) // 2
-            shards.extend([largest[:half], largest[half:]])
-        rng = random.Random(self.retry.seed)
-        rng.shuffle(shards)
-        return shards
-
-    def _recover_shard_records(
-        self, payload: dict, exc: BaseException
-    ) -> list[dict]:
-        """Salvage a crashed shard from its per-cell sidecar journal.
-
-        The worker journals each finished cell to its sidecar before
-        moving on, so a mid-shard crash (e.g. SIGKILL raising
-        ``BrokenProcessPool``) loses only the in-flight cell; every
-        completed cell's record is rebuilt from the sidecar and only
-        the rest are marked failed.
-        """
-        recovered: dict[str, JournalEntry] = {}
-        sidecar = payload.get("journal_sidecar")
-        if sidecar and Path(sidecar).exists():
-            try:
-                recovered = Journal(sidecar).load()
-            except SweepError:
-                logger.warning(
-                    "ignoring unreadable sidecar journal %s", sidecar
-                )
-        records = []
-        for design, key in payload["cells"]:
-            entry = recovered.get(key)
-            if entry is not None:
-                records.append({
-                    "key": entry.key, "design": entry.design,
-                    "workload": entry.workload, "status": entry.status,
-                    "attempts": entry.attempts,
-                    "duration_s": entry.duration_s,
-                    "error": entry.error,
-                    "evaluation": entry.evaluation,
-                })
-            else:
-                records.append({
-                    "key": key, "design": design.name,
-                    "workload": payload["workload"].name,
-                    "status": STATUS_FAILED, "attempts": 1,
-                    "duration_s": 0.0,
-                    "error": "worker process failed: "
-                    + format_exception_chain(exc),
-                    "evaluation": None,
-                })
-        return records
-
-    def _run_parallel(
-        self, grid, journalled, tel, progress, pending, run_id=None
-    ) -> CampaignResult:
-        """Fan the grid out over a process pool, shard by shard."""
-        results: dict[str, CellOutcome] = {}
-        run_cells = []
-        for design, workload, key in grid:
-            prior = journalled.get(key)
-            if prior is not None and prior.status == STATUS_OK:
-                outcome = CellOutcome(
-                    key=key, design=design.name, workload=workload.name,
-                    status=STATUS_OK, attempts=0, duration_s=0.0,
-                    evaluation=prior.load_evaluation(), from_journal=True,
-                )
-                results[key] = outcome
-                self._record_outcome(tel, progress, pending, outcome)
-            else:
-                run_cells.append((design, workload, key))
-
-        shards = self._shards(run_cells)
-        telemetry_root = (
-            tel.directory if isinstance(tel, Telemetry) else None
-        )
-        payloads = []
-        for index, shard in enumerate(shards):
-            workload = shard[0][1]
-            worker_dir = (
-                str(telemetry_root / f"worker-{index}")
-                if telemetry_root is not None
-                else None
-            )
-            payloads.append({
-                "worker_index": index,
-                "run_id": run_id,
-                "runner_args": self._runner_args(),
-                "retry": self.retry,
-                "cell_timeout_s": self.cell_timeout_s,
-                "share_prefixes": self.share_prefixes,
-                "telemetry_dir": worker_dir,
-                "workload": workload,
-                "cells": [(design, key) for design, _, key in shard],
-                "journal_sidecar": (
-                    f"{self.journal.path}.worker-{index}"
-                    if self.journal is not None
-                    else None
-                ),
-                "worker_faults": self.worker_faults,
-                "profile_hz": self.profile_hz,
-                "profile_memory": self.profile_memory,
-            })
-        tel.event(
-            "sweep_parallel", workers=self.workers, shards=len(payloads),
-            cells=len(run_cells),
-        )
-
-        abort = False
-        if not payloads:
-            return CampaignResult(
-                outcomes=[results[key] for _, _, key in grid],
-                seed=self.retry.seed,
-            )
-        with ProcessPoolExecutor(max_workers=self.workers) as pool:
-            futures = {
-                pool.submit(_run_shard, payload): payload
-                for payload in payloads
-            }
-            for future in as_completed(futures):
-                payload = futures[future]
-                if future.cancelled():
-                    continue
-                error: BaseException | None = None
-                try:
-                    records = future.result()
-                except Exception as exc:
-                    error = exc
-                    records = self._recover_shard_records(payload, exc)
-                shard_failed = False
-                for record in records:
-                    outcome = _outcome_from_record(record)
-                    results[outcome.key] = outcome
-                    self._record_outcome(tel, progress, pending, outcome)
-                    if self.journal is not None:
-                        self.journal.append(
-                            JournalEntry(
-                                key=outcome.key, design=outcome.design,
-                                workload=outcome.workload,
-                                scale=self.runner.scale,
-                                seed=self.runner.seed,
-                                status=outcome.status,
-                                attempts=outcome.attempts,
-                                duration_s=outcome.duration_s,
-                                error=outcome.error,
-                                evaluation=record["evaluation"],
-                                run_id=run_id,
-                                engine_class=self.engine_class,
-                            )
-                        )
-                    if not outcome.ok:
-                        shard_failed = True
-                tel.event(
-                    "worker_finished",
-                    worker=payload["worker_index"],
-                    workload=payload["workload"].name,
-                    cells=len(records), crashed=error is not None,
-                )
-                if shard_failed and not self.keep_going and not abort:
-                    abort = True
-                    for other in futures:
-                        other.cancel()
-
-        # Every shard's results are now merged into the main journal;
-        # the worker sidecars are redundant (stale ones left by a dead
-        # *parent* are absorbed at the next run's start instead).
-        for payload in payloads:
-            sidecar = payload.get("journal_sidecar")
-            if sidecar:
-                Path(sidecar).unlink(missing_ok=True)
-
-        outcomes: list[CellOutcome] = []
-        for design, workload, key in grid:
-            outcome = results.get(key)
-            if outcome is None:
-                outcome = CellOutcome(
-                    key=key, design=design.name, workload=workload.name,
-                    status=STATUS_SKIPPED, attempts=0, duration_s=0.0,
-                    error="skipped: an earlier cell failed and "
-                          "keep_going is off",
-                )
-                self._record_outcome(tel, progress, pending, outcome)
-            outcomes.append(outcome)
-        return CampaignResult(outcomes=outcomes, seed=self.retry.seed)
+def _reusable(journalled: dict[str, JournalEntry], key: str) -> bool:
+    """Whether a resume journal already holds this cell's ok result."""
+    prior = journalled.get(key)
+    return prior is not None and prior.status == STATUS_OK
 
 
-def _engine_class_for(engine: str, sample) -> str:
-    """The journal engine class for an engine/sample combination."""
-    if engine == "analytic":
-        return "analytic"
-    if sample is not None:
-        return f"sampled:{sample.key}"
-    return "exact"
+def _skip_error(stats) -> str:
+    """Why a campaign stopped before some cells ran."""
+    if stats.drained:
+        return ("skipped: campaign drained by signal before this cell "
+                "ran (resume with the journal)")
+    if stats.exhausted:
+        return (f"skipped: worker pool exhausted after {stats.respawns} "
+                f"respawn(s)")
+    return "skipped: an earlier cell failed and keep_going is off"
 
 
 def _outcome_from_record(record: dict) -> CellOutcome:
@@ -1171,118 +873,3 @@ def _outcome_from_record(record: dict) -> CellOutcome:
         attempts=record["attempts"], duration_s=record["duration_s"],
         error=record.get("error"), evaluation=evaluation,
     )
-
-
-def _run_shard(payload: dict) -> list[dict]:
-    """Evaluate one workload-affine shard in a worker process.
-
-    Builds a fresh :class:`~repro.experiments.runner.Runner` from the
-    parent's parameters (workers share the on-disk trace cache, not
-    in-memory state), batch-simulates the shard's designs with shared
-    prefixes, then runs each cell under the parent's retry policy and
-    deadline with full fault isolation. Returns JSON-serializable
-    records; live exception objects stay in the worker.
-    """
-    from repro.experiments.runner import Runner
-
-    worker_context = (
-        RunContext(payload["run_id"], f"worker-{payload['worker_index']}")
-        if payload.get("run_id")
-        else None
-    )
-    telemetry: Telemetry | NullTelemetry = (
-        Telemetry(payload["telemetry_dir"], run_context=worker_context)
-        if payload["telemetry_dir"]
-        else NULL_TELEMETRY
-    )
-    # The fork start method inherits the parent's active telemetry,
-    # which must not be shared across processes (torn event lines,
-    # clobbered snapshots); each worker writes its own directory or
-    # nothing.
-    set_active(telemetry)
-    if payload.get("profile_hz") and payload["telemetry_dir"]:
-        telemetry.enable_profiling(
-            payload["profile_hz"],
-            memory=bool(payload.get("profile_memory")),
-        )
-    try:
-        runner = Runner(telemetry=telemetry, **payload["runner_args"])
-        evaluate = None
-        faults = payload.get("worker_faults")
-        if faults is not None:
-            evaluate = faults.wrap(runner.evaluate)
-        child = SweepExecutor(
-            runner,
-            retry=payload["retry"],
-            cell_timeout_s=payload["cell_timeout_s"],
-            keep_going=True,
-            journal=None,
-            resume=False,
-            evaluate=evaluate,
-            telemetry=telemetry,
-            share_prefixes=payload["share_prefixes"],
-        )
-        sidecar = (
-            Journal(payload["journal_sidecar"])
-            if payload.get("journal_sidecar")
-            else None
-        )
-        engine_class = _engine_class_for(
-            payload["runner_args"].get("engine", "auto"),
-            payload["runner_args"].get("sample"),
-        )
-        workload = payload["workload"]
-        cells = payload["cells"]
-        if payload["share_prefixes"] and payload["cell_timeout_s"] is None:
-            try:
-                runner.simulate_designs(
-                    [design for design, _ in cells], workload
-                )
-            except Exception:
-                # Cells fall back to per-cell simulation below, where
-                # failures are retried and recorded properly.
-                pass
-        records = []
-        for design, key in cells:
-            with telemetry.cell_scope(key), telemetry.span(
-                "sweep.cell", design=design.name, workload=workload.name
-            ):
-                outcome = child._run_cell(design, workload, key)
-            evaluation = (
-                None if outcome.evaluation is None
-                else dataclasses.asdict(outcome.evaluation)
-            )
-            if sidecar is not None:
-                # Journalled before the next cell starts: a mid-shard
-                # crash then loses only the in-flight cell, and the
-                # parent (or a resumed campaign) recovers the rest.
-                sidecar.append(
-                    JournalEntry(
-                        key=outcome.key, design=outcome.design,
-                        workload=outcome.workload,
-                        scale=payload["runner_args"]["scale"],
-                        seed=payload["runner_args"]["seed"],
-                        status=outcome.status,
-                        attempts=outcome.attempts,
-                        duration_s=outcome.duration_s,
-                        error=outcome.error,
-                        evaluation=evaluation,
-                        run_id=payload.get("run_id"),
-                        engine_class=engine_class,
-                    )
-                )
-                telemetry.flush()
-            records.append({
-                "key": outcome.key,
-                "design": outcome.design,
-                "workload": outcome.workload,
-                "status": outcome.status,
-                "attempts": outcome.attempts,
-                "duration_s": outcome.duration_s,
-                "error": outcome.error,
-                "evaluation": evaluation,
-            })
-        return records
-    finally:
-        set_active(None)
-        telemetry.close()

@@ -203,7 +203,7 @@ class FaultInjector:
     Use :meth:`wrap` to decorate ``runner.evaluate`` and hand the
     result to :class:`~repro.resilience.executor.SweepExecutor` via its
     ``evaluate`` argument (in-process), or pass the injector itself as
-    ``worker_faults=`` so every pool/shard worker wraps its own
+    ``worker_faults=`` so every pool worker wraps its own
     evaluate with a private copy. Calls are numbered from 1 in
     execution order per process, which is deterministic (design-major,
     workload-minor in a serial sweep; dispatch order per worker in a

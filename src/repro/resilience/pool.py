@@ -1,14 +1,13 @@
 """Supervised persistent worker pool with work stealing.
 
-The shard-based pool in :mod:`repro.resilience.executor` has one blind
-spot: a worker *process* dying (OOM killer, scheduler SIGKILL) used to
-surface as ``BrokenProcessPool`` and abort the whole campaign — the
-one failure mode per-cell fault isolation cannot catch from inside the
-process. This module supervises the processes themselves:
+Every ``workers > 1`` sweep runs on this pool. Per-cell fault isolation
+catches exceptions inside a process, but not a worker *process* dying
+(OOM killer, scheduler SIGKILL). This module supervises the processes
+themselves:
 
 - **work stealing** — workers pull *individual cells* from the
   parent's dispatch queue over per-worker pipes, so a fast worker
-  drains the tail instead of idling behind a static shard split;
+  drains the tail instead of idling behind a static split;
 - **heartbeats** — each worker emits a heartbeat from a dedicated
   thread; silence past a timeout marks the process wedged even when
   the OS still reports it alive;
@@ -259,14 +258,9 @@ def _pool_worker(conn, cancel_event, payload: dict) -> None:
 
             def work() -> None:
                 try:
-                    with telemetry.cell_scope(key), telemetry.span(
-                        "sweep.cell",
-                        design=design.name,
-                        workload=workload.name,
-                    ):
-                        box["outcome"] = executor._run_cell(
-                            design, workload, key
-                        )
+                    box["outcome"] = executor._evaluate_cell(
+                        design, workload, key
+                    )
                 except BaseException as exc:  # CampaignKill & friends
                     box["error"] = exc
 

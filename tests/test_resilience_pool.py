@@ -374,67 +374,6 @@ class TestPoolExhaustion:
         assert "pool_exhausted" in event_kinds(tmp_path / "tel")
 
 
-class TestLegacyShardRecovery:
-    def test_mid_shard_crash_keeps_finished_cells(
-        self, trace_cache, workloads, tmp_path
-    ):
-        """supervise=False: a worker SIGKILL mid-shard recovers the
-        shard's finished cells from the per-cell sidecar journal."""
-        runner = make_runner(trace_cache)
-        designs = make_designs(runner.reference)
-        # Each shard worker dies on its second cell, after journalling
-        # its first to the sidecar.
-        faults = FaultInjector().worker_kill(2)
-        journal = Journal(tmp_path / "j.jsonl")
-        result = SweepExecutor(
-            runner, journal=journal, workers=2, supervise=False,
-            worker_faults=faults,
-        ).run(designs, workloads)
-
-        ok = [o for o in result.outcomes if o.ok]
-        failed = [o for o in result.outcomes if o.status == "failed"]
-        assert ok, "sidecar recovery produced no finished cells"
-        assert failed
-        assert all("worker process failed" in o.error for o in failed)
-        assert not list(tmp_path.glob("j.jsonl.worker-*"))
-        recovered = journal.load()
-        for outcome in ok:
-            assert recovered[outcome.key].status == "ok"
-
-        # Resume completes the crashed cells and reuses the rest.
-        again = SweepExecutor(
-            make_runner(trace_cache), journal=journal, workers=2,
-            supervise=False,
-        ).run(designs, workloads)
-        assert all(o.ok for o in again.outcomes), again.report()
-        assert sum(1 for o in again.outcomes if o.from_journal) == len(ok)
-
-    def test_stale_sidecars_absorbed_on_resume(self, trace_cache,
-                                               workloads, tmp_path):
-        """A dead *parent* leaves sidecars behind; the next campaign
-        folds them into the main journal before resuming."""
-        runner = make_runner(trace_cache)
-        designs = make_designs(runner.reference)
-        journal = Journal(tmp_path / "j.jsonl")
-        done = SweepExecutor(
-            runner, journal=Journal(tmp_path / "donor.jsonl")
-        ).run(designs, workloads[:1])
-        # Fabricate the post-crash state: results only in a sidecar.
-        donor = Journal(tmp_path / "donor.jsonl")
-        sidecar = Journal(f"{journal.path}.worker-0")
-        for entry in donor.entries():
-            sidecar.append(entry)
-
-        result = SweepExecutor(
-            make_runner(trace_cache), journal=journal, workers=2,
-            pool_tuning=FAST_TUNING,
-        ).run(designs, workloads)
-        assert all(o.ok for o in result.outcomes)
-        reused = [o for o in result.outcomes if o.from_journal]
-        assert len(reused) == len(done.outcomes)
-        assert not list(tmp_path.glob("j.jsonl.worker-*"))
-
-
 class TestLiveObservability:
     def test_sse_client_sees_chaos_exactly_once_across_reconnect(
         self, trace_cache, workloads, tmp_path
@@ -559,10 +498,10 @@ class TestLiveObservability:
         ), "no snapshot showed a ready 2-worker pool"
 
     def test_exhausted_pool_flips_readiness(
-        self, trace_cache, workloads, tmp_path
+        self, trace_cache, workloads, tmp_path, monkeypatch
     ):
-        """While every worker dies and the restart budget burns down,
-        the readiness probe must observe a not-ready pool."""
+        """Once every worker has died and the restart budget is spent,
+        the readiness probe must report the pool not ready."""
         from repro.telemetry.live import pool_readiness
 
         runner = make_runner(trace_cache)
@@ -574,28 +513,23 @@ class TestLiveObservability:
             pool_tuning=FAST_TUNING,
         )
         verdicts: list[tuple[bool, dict]] = []
-        stop = threading.Event()
+        exhaust = SupervisedPool._exhaust
 
-        def probe() -> None:
-            while not stop.is_set():
-                snapshot = executor.pool_snapshot()
-                if snapshot is not None:
-                    verdicts.append(pool_readiness(snapshot))
-                time.sleep(0.001)
+        def probed_exhaust(pool) -> None:
+            exhaust(pool)
+            # Probe from inside the campaign, right after exhaustion:
+            # the pool is still the executor's active pool here.
+            verdicts.append(pool_readiness(executor.pool_snapshot()))
 
-        prober = threading.Thread(target=probe, daemon=True)
-        prober.start()
+        monkeypatch.setattr(SupervisedPool, "_exhaust", probed_exhaust)
         result = executor.run(designs, workloads)
-        stop.set()
-        prober.join(timeout=10.0)
 
         assert {o.status for o in result.outcomes} <= {
             "failed", "poisoned"
         }
-        assert verdicts, "probe never saw the pool"
-        assert any(not ready for ready, _ in verdicts), (
-            "readiness never flipped while the pool was dying"
-        )
+        assert len(verdicts) == 1, "the pool never exhausted"
+        assert verdicts[0] == (False, {"state": "exhausted"})
+        assert executor.pool_snapshot() is None  # idle after
 
 
 class TestFaultPicklability:

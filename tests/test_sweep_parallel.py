@@ -5,6 +5,10 @@ isolation is defined at module level (it must pickle by reference).
 """
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -62,6 +66,14 @@ def make_designs(reference):
     ]
 
 
+def journalled_sweep(trace_cache, journal, workers):
+    """Run the standard grid over CG and SP into ``journal``."""
+    runner = make_runner(trace_cache)
+    SweepExecutor(runner, journal=Journal(journal), workers=workers).run(
+        make_designs(runner.reference), [get_workload("CG"), get_workload("SP")]
+    )
+
+
 class TestParallelEquivalence:
     def test_workers_two_equals_workers_one(self, trace_cache, workloads,
                                             tmp_path):
@@ -92,6 +104,40 @@ class TestParallelEquivalence:
             assert (entry.status, entry.evaluation) == (
                 other.status, other.evaluation
             )
+
+    def test_spawn_start_method_equals_workers_one(self, trace_cache,
+                                                  tmp_path):
+        """The pool needs nothing that only ``fork`` provides: a 2-worker
+        campaign in a process whose start method is ``spawn`` journals
+        the same records as an in-process ``workers=1`` run."""
+        serial = tmp_path / "serial.jsonl"
+        journalled_sweep(trace_cache, serial, workers=1)
+        spawned = tmp_path / "spawn.jsonl"
+        code = (
+            "import multiprocessing, sys\n"
+            "multiprocessing.set_start_method('spawn', force=True)\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import test_sweep_parallel as t\n"
+            "t.journalled_sweep(sys.argv[2], sys.argv[3], workers=2)\n"
+            "print(multiprocessing.get_start_method())\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(Path(__file__).parent),
+             trace_cache, str(spawned)],
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["spawn"]
+
+        def records(path):
+            return sorted(
+                (e.key, e.status, e.evaluation)
+                for e in Journal(path).load().values()
+            )
+
+        assert records(spawned) == records(serial)
+        assert len(records(serial)) == 6
 
     def test_run_sweep_workers_kwarg(self, trace_cache, workloads):
         seq_runner = make_runner(trace_cache)

@@ -1,5 +1,6 @@
 """v2 trace store and shared trace arena tests."""
 
+import json
 import pickle
 
 import numpy as np
@@ -309,23 +310,40 @@ class TestArena:
             handle.attach()
 
 
+def _event_kinds(directory):
+    """Event kinds of a telemetry directory's parent run log."""
+    path = directory / "events.jsonl"
+    return [
+        json.loads(line).get("kind")
+        for line in path.read_text().splitlines()
+        if line.strip()
+    ]
+
+
 @pytest.mark.resilience
 class TestExecutorArena:
     def test_workers_share_published_traces(self, tmp_path):
         from repro.designs.reference import ReferenceDesign
         from repro.experiments.runner import Runner
         from repro.resilience import SweepExecutor
+        from repro.telemetry.core import Telemetry
         from repro.workloads.registry import get_workload
 
         scale = 1.0 / 8192
         runner = Runner(scale=scale, seed=4, trace_cache_dir=str(tmp_path))
+        tel = Telemetry(tmp_path / "tel")
         executor = SweepExecutor(
-            runner, workers=2, journal=tmp_path / "j.jsonl"
+            runner, workers=2, journal=tmp_path / "j.jsonl", telemetry=tel,
         )
-        result = executor.run(
-            [ReferenceDesign(scale=scale)], [get_workload("CG")]
-        )
+        workloads = [get_workload("CG"), get_workload("SP")]
+        result = executor.run([ReferenceDesign(scale=scale)], workloads)
+        tel.close()
         assert all(o.ok for o in result.outcomes)
+        # Every to-run workload is published exactly once, and nothing
+        # falls back to private per-worker loading.
+        kinds = _event_kinds(tmp_path / "tel")
+        assert kinds.count("trace_published") == len(workloads)
+        assert "trace_publish_failed" not in kinds
         # The arena is torn down after the campaign drains.
         assert executor._arena_handles is None
         # Parity: a serial run of the same cell is bit-identical.
@@ -336,19 +354,32 @@ class TestExecutorArena:
         assert parallel_ev.time_norm == serial.time_norm
         assert parallel_ev.energy_j == serial.energy_j
 
-    def test_share_traces_off_still_runs(self, tmp_path):
+    def test_publish_failure_falls_back_to_private_loading(
+        self, tmp_path, monkeypatch
+    ):
         from repro.designs.reference import ReferenceDesign
         from repro.experiments.runner import Runner
         from repro.resilience import SweepExecutor
+        from repro.telemetry.core import Telemetry
         from repro.workloads.registry import get_workload
 
+        def broken_publish(self, *args, **kwargs):
+            raise OSError("no shared memory today")
+
+        monkeypatch.setattr(TraceArena, "publish", broken_publish)
         scale = 1.0 / 8192
         runner = Runner(scale=scale, seed=4, trace_cache_dir=str(tmp_path))
-        executor = SweepExecutor(runner, workers=2, share_traces=False)
+        tel = Telemetry(tmp_path / "tel")
+        executor = SweepExecutor(runner, workers=2, telemetry=tel)
         result = executor.run(
             [ReferenceDesign(scale=scale)], [get_workload("CG")]
         )
+        tel.close()
         assert all(o.ok for o in result.outcomes)
+        kinds = _event_kinds(tmp_path / "tel")
+        assert "trace_publish_failed" in kinds
+        assert "trace_published" not in kinds
+        assert executor._arena_handles is None
 
     def test_runner_prefers_arena_handle(self, tmp_path, chunky_stream):
         from repro.experiments.runner import Runner
