@@ -417,7 +417,7 @@ def main(argv: list[str] | None = None) -> int:
         type=str,
         default=None,
         help="directory for persistent trace caching (repeat runs skip "
-        "workload re-execution)",
+        "workload re-execution and the L1–L3 replay)",
     )
     parser.add_argument(
         "--engine",

@@ -11,6 +11,10 @@ reference — can run once per workload. The runner:
 3. evaluates each design configuration by running only its lower
    levels (L4 cache and/or memory devices) on that captured stream.
 
+With a trace cache, step 2's result is persisted next to the trace as
+an *upper record*, so later runners — in this process, a pool worker
+or a later run — load it instead of replaying L1–L3 again.
+
 Results are exact: a design's full hierarchy run would produce the same
 statistics, because the upper levels' behaviour does not depend on what
 sits below them (caches are inclusive-of-nothing here — no back
@@ -19,8 +23,11 @@ invalidations, as in the paper's simulator).
 
 from __future__ import annotations
 
+import hashlib
+import json
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from pathlib import Path
 
 from repro.cache.hierarchy import Hierarchy, drain_chain, run_chain
 from repro.cache.mainmem import MainMemory
@@ -93,6 +100,11 @@ class WorkloadTrace:
             captured post-L3 requests it produced and whether it was
             measured; lower-level replays use this to re-align their
             own measurement windows. ``None`` for exact runs.
+        upper_key: content key of the L1–L3 replay (see
+            :meth:`Runner.upper_key`); names every trace-cache artifact
+            derived from ``post_l3``. ``None`` without a trace cache.
+        upper_cached: whether the L1–L3 replay was loaded from the
+            trace cache instead of simulated.
     """
 
     workload: Workload
@@ -105,6 +117,86 @@ class WorkloadTrace:
     sample_factor: float = 1.0
     sample_fidelity: float = 1.0
     post_l3_segments: list[tuple[int, bool]] | None = None
+    upper_key: str | None = None
+    upper_cached: bool = False
+
+
+@dataclass
+class UpperReplay:
+    """The shared L1–L3 replay of one trace, before local references.
+
+    What :meth:`Runner.prepare` simulates once per workload, and what
+    the trace cache persists as the upper record.
+
+    Attributes:
+        post_l3: the captured request stream leaving L3.
+        stats: raw L1/L2/L3 statistics (extrapolated when sampling).
+        references: raw program reference count (extrapolated when
+            sampling).
+        factor / fidelity / segments: the sampling extrapolation
+            factor, measured fraction and recorded post-L3 segments
+            (1.0, 1.0 and ``None`` for exact runs).
+    """
+
+    post_l3: AddressStream
+    stats: list[LevelStats]
+    references: int
+    factor: float = 1.0
+    fidelity: float = 1.0
+    segments: list[tuple[int, bool]] | None = None
+
+    def to_json(self, post_l3_sha256: str) -> bytes:
+        """The record's JSON half; ``post_l3_sha256`` is the header
+        digest of the ``.rts`` store holding :attr:`post_l3`."""
+        sampled = self.segments is not None
+        return json.dumps({
+            "version": _UPPER_RECORD_VERSION,
+            "stats": [level.as_dict() for level in self.stats],
+            "references": self.references,
+            "factor": self.factor if sampled else None,
+            "fidelity": self.fidelity if sampled else None,
+            "segments": self.segments,
+            "post_l3_sha256": post_l3_sha256,
+        }, sort_keys=True).encode()
+
+    @classmethod
+    def from_json(
+        cls, payload: bytes, post_l3: AddressStream, post_l3_sha256: str
+    ) -> "UpperReplay":
+        """Parse :meth:`to_json` output around an opened ``post_l3``
+        whose store has header digest ``post_l3_sha256``.
+
+        Raises:
+            TraceIntegrityError: malformed or foreign-version JSON, or a
+                JSON written for a different ``.rts`` store.
+        """
+        from repro.errors import TraceIntegrityError
+
+        try:
+            record = json.loads(payload)
+            if record["version"] != _UPPER_RECORD_VERSION:
+                raise ValueError(f"unsupported version {record['version']!r}")
+            if record["post_l3_sha256"] != post_l3_sha256:
+                raise ValueError("the .rts store belongs to a different record")
+            segments = record["segments"]
+            return cls(
+                post_l3=post_l3,
+                stats=[LevelStats(**level) for level in record["stats"]],
+                references=int(record["references"]),
+                factor=1.0 if segments is None else float(record["factor"]),
+                fidelity=1.0 if segments is None else float(record["fidelity"]),
+                segments=None if segments is None else [
+                    (int(n), bool(measured)) for n, measured in segments
+                ],
+            )
+        except (ValueError, KeyError, TypeError) as exc:
+            raise TraceIntegrityError(
+                f"malformed upper record ({type(exc).__name__}: {exc})"
+            ) from exc
+
+
+#: Format marker of the upper record's JSON half.
+_UPPER_RECORD_VERSION = 1
 
 
 #: Default ratio of local (stack/temporary) references to traced data
@@ -239,7 +331,8 @@ class Runner:
         #: first run and reloaded (bit-exact) instead of re-executing
         #: the workload. Keyed by (workload, scale, seed); the
         #: algorithm-check dict is not persisted (reloaded runs report
-        #: ``{"cached": True}``).
+        #: ``{"cached": True}``). The L1–L3 replay (upper record) and
+        #: analytic profiles persist here too (see :meth:`upper_key`).
         self.trace_cache_dir = trace_cache_dir
         self._traces: dict[str, WorkloadTrace] = {}
         self._design_stats: dict[tuple[str, str], HierarchyStats] = {}
@@ -276,8 +369,6 @@ class Runner:
                 )
         if not self.trace_cache_dir:
             return None
-        from pathlib import Path
-
         from repro.errors import TraceIntegrityError
         from repro.trace.io import discard_trace, load_trace
 
@@ -378,7 +469,14 @@ class Runner:
         return result, cached
 
     def prepare(self, workload: Workload) -> WorkloadTrace:
-        """Trace a workload and simulate the shared SRAM prefix (cached)."""
+        """Trace a workload and replay the shared SRAM prefix (cached).
+
+        The L1–L3 replay is loaded from the trace cache's upper record
+        when one matches (see :meth:`upper_key`), else simulated — and
+        then persisted when a trace cache is configured. Everything
+        after it (local-reference injection, the REF DRAM replay) runs
+        the same either way.
+        """
         key = workload.name
         if key in self._traces:
             return self._traces[key]
@@ -386,41 +484,17 @@ class Runner:
         prepare_span = telemetry.span("runner.prepare", workload=key)
         with prepare_span:
             result, cached = self.trace_only(workload)
-            upper = self.reference.build_caches(self.scale, engine=self._sim_engine)
-            capture = CapturingMemory()
-            hierarchy = Hierarchy(upper, capture)
-            factor, fidelity, segments = 1.0, 1.0, None
-            if self.sample is None:
-                collector = None
-                if telemetry.enabled:
-                    collector = telemetry.window_collector(
-                        f"upper-{key}", lambda: hierarchy.stats().levels
-                    )
-                    hierarchy.observer = collector
-                with telemetry.span("runner.upper_sim", workload=key):
-                    # drain=True flushes L1-L3 at end of stream; the flush
-                    # traffic lands in the captured post-L3 stream *in
-                    # hierarchy drain order*, so suffix replays stay
-                    # bit-exact against a full Hierarchy.run(drain=True).
-                    hierarchy.run(result.stream, drain=self.drain)
-                if collector is not None:
-                    telemetry.finish_collector(collector)
-                upper_raw = [cache.stats for cache in upper]
-                references_raw = hierarchy.references
-            else:
-                with telemetry.span(
-                    "runner.upper_sim", workload=key, sampled=True
-                ):
-                    upper_raw, references_raw, factor, fidelity, segments = (
-                        self._run_upper_sampled(
-                            hierarchy, upper, capture, result.stream
-                        )
-                    )
-            telemetry.counter("repro_references_simulated_total").inc(
-                hierarchy.references
-            )
+            upper_key = self.upper_key(workload)
+            replay = self._load_upper_record(workload, upper_key)
+            upper_cached = replay is not None
+            if replay is None:
+                replay = self._simulate_upper(key, result.stream, telemetry)
+                if upper_key is not None:
+                    self._save_upper_record(workload, upper_key, replay)
+            post_l3, segments = replay.post_l3, replay.segments
+            factor, fidelity = replay.factor, replay.fidelity
             upper_stats, references = self._inject_locals(
-                upper_raw, references_raw
+                replay.stats, replay.references
             )
 
             # The reference design's DRAM sees exactly the post-L3 stream.
@@ -429,7 +503,7 @@ class Runner:
             )
             dram = ref_design.memory()
             if segments is None:
-                for chunk in capture.captured.chunks():
+                for chunk in post_l3.chunks():
                     dram.process(chunk)
                 dram_stats = [dram.stats]
             else:
@@ -443,7 +517,7 @@ class Runner:
 
                 acc = None
                 for batch, measured in iter_recorded_segments(
-                    capture.captured, segments
+                    post_l3, segments
                 ):
                     if measured:
                         before = snapshot_levels([dram.stats])
@@ -469,38 +543,180 @@ class Runner:
                 result=result,
                 upper_stats=upper_stats,
                 references=references,
-                post_l3=capture.captured,
+                post_l3=post_l3,
                 ref_raw=ref_raw,
                 traced_footprint_bytes=result.stream.stats().footprint_bytes,
                 sample_factor=factor,
                 sample_fidelity=fidelity,
                 post_l3_segments=segments,
+                upper_key=upper_key,
+                upper_cached=upper_cached,
             )
             self._traces[key] = trace
             self._design_stats[("REF", key)] = ref_stats
             telemetry.gauge(
                 "repro_captured_stream_requests", stage="post_l3", workload=key
-            ).set(len(capture.captured))
+            ).set(len(post_l3))
             telemetry.gauge(
                 "repro_captured_stream_nbytes", stage="post_l3", workload=key
-            ).set(capture.captured.nbytes)
+            ).set(post_l3.nbytes)
         logger.info(
             "prepared %s: %s post-L3 requests, AMAT_ref %.2f ns (%.1fs)",
-            workload.name, f"{len(capture.captured):,}",
+            workload.name, f"{len(post_l3):,}",
             ref_raw.amat_ns, prepare_span.duration_s,
         )
         telemetry.event(
             "workload_prepared",
             workload=key,
             events=len(result.stream),
-            post_l3_requests=len(capture.captured),
-            post_l3_nbytes=capture.captured.nbytes,
+            post_l3_requests=len(post_l3),
+            post_l3_nbytes=post_l3.nbytes,
             references=references,
             trace_cached=cached,
+            upper_cached=upper_cached,
             sample_fidelity=round(trace.sample_fidelity, 6),
             duration_s=round(prepare_span.duration_s, 6),
         )
         return trace
+
+    def _simulate_upper(
+        self,
+        key: str,
+        stream: AddressStream,
+        telemetry: Telemetry | NullTelemetry,
+    ) -> UpperReplay:
+        """Replay a trace through a fresh L1–L3 pyramid, capturing the
+        post-L3 stream (exactly, or in sampled windows)."""
+        upper = self.reference.build_caches(self.scale, engine=self._sim_engine)
+        capture = CapturingMemory()
+        hierarchy = Hierarchy(upper, capture)
+        if self.sample is None:
+            collector = None
+            if telemetry.enabled:
+                collector = telemetry.window_collector(
+                    f"upper-{key}", lambda: hierarchy.stats().levels
+                )
+                hierarchy.observer = collector
+            with telemetry.span("runner.upper_sim", workload=key):
+                # drain=True flushes L1-L3 at end of stream; the flush
+                # traffic lands in the captured post-L3 stream *in
+                # hierarchy drain order*, so suffix replays stay
+                # bit-exact against a full Hierarchy.run(drain=True).
+                hierarchy.run(stream, drain=self.drain)
+            if collector is not None:
+                telemetry.finish_collector(collector)
+            stats, references = [cache.stats for cache in upper], hierarchy.references
+            factor, fidelity, segments = 1.0, 1.0, None
+        else:
+            with telemetry.span("runner.upper_sim", workload=key, sampled=True):
+                stats, references, factor, fidelity, segments = (
+                    self._run_upper_sampled(hierarchy, upper, capture, stream)
+                )
+        telemetry.counter("repro_references_simulated_total").inc(
+            hierarchy.references
+        )
+        return UpperReplay(
+            capture.captured, stats, references, factor, fidelity, segments
+        )
+
+    # ------------------------------------------------------------------
+    # The persisted upper record
+    # ------------------------------------------------------------------
+
+    def upper_key(self, workload: Workload) -> str | None:
+        """Content key of a workload's L1–L3 replay in the trace cache.
+
+        Hashes everything the captured post-L3 stream and the raw upper
+        statistics depend on: the cached trace's store digest (one
+        prelude read), the scaled SRAM pyramid, ``drain`` and the
+        sample spec. The engine is left out — scalar, setpar, auto and
+        analytic runners replay L1–L3 bit-identically, so they share a
+        record. ``None`` when there is no trace cache or no cached
+        trace store to key on.
+        """
+        if not self.trace_cache_dir:
+            return None
+        from repro.errors import TraceError
+        from repro.trace.store import store_digest
+
+        name = self._cache_name(workload)
+        try:
+            digest = store_digest(Path(self.trace_cache_dir) / f"{name}.stream.rts")
+        except TraceError:
+            return None
+        configs = []
+        for config in self.reference.scaled_configs(self.scale):
+            fields = asdict(config)
+            del fields["engine"]
+            configs.append(fields)
+        canonical = json.dumps({
+            "trace": digest,
+            "upper": configs,
+            "drain": self.drain,
+            "sample": self.sample.key if self.sample is not None else None,
+        }, sort_keys=True)
+        return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+
+    def _upper_paths(self, workload: Workload, upper_key: str) -> tuple[Path, Path]:
+        """The ``(.json, .rts)`` pair of one upper record."""
+        directory = Path(self.trace_cache_dir)
+        stem = f"{self._cache_name(workload)}.upper-{upper_key}"
+        return directory / f"{stem}.json", directory / f"{stem}.rts"
+
+    def _load_upper_record(
+        self, workload: Workload, upper_key: str | None
+    ) -> UpperReplay | None:
+        """The persisted L1–L3 replay, or None to simulate it.
+
+        The JSON half is checked against its sidecar and the ``.rts``
+        half is fully verified; a corrupt, truncated or mismatched pair
+        is discarded (the caller re-simulates and rewrites it).
+        """
+        if upper_key is None:
+            return None
+        json_path, rts_path = self._upper_paths(workload, upper_key)
+        if not json_path.exists():
+            return None
+        from repro.errors import TraceError, TraceIntegrityError
+        from repro.trace.io import checksum_path, verify_artifact
+        from repro.trace.store import MappedStream, store_digest
+
+        try:
+            verify_artifact(json_path)
+            payload = json_path.read_bytes()
+            if not rts_path.exists():
+                raise TraceIntegrityError(f"no {rts_path.name} beside it")
+            post_l3 = MappedStream.open(rts_path)
+            replay = UpperReplay.from_json(
+                payload, post_l3, store_digest(rts_path)
+            )
+            post_l3.verify()
+        except TraceError as exc:
+            removed = 0
+            for artifact in (json_path, rts_path):
+                for path in (artifact, checksum_path(artifact)):
+                    if path.exists():
+                        path.unlink()
+                        removed += 1
+            logger.warning(
+                "discarded corrupt upper record %s (%s; removed %d files), "
+                "re-simulating L1-L3", json_path.name, exc, removed,
+            )
+            return None
+        logger.info("loaded cached L1-L3 replay for %s", workload.name)
+        return replay
+
+    def _save_upper_record(
+        self, workload: Workload, upper_key: str, replay: UpperReplay
+    ) -> None:
+        """Persist a replay: the post-L3 ``.rts`` store first, then the
+        JSON naming its header digest (both atomic, with sidecars)."""
+        from repro.trace.io import _write_artifact
+        from repro.trace.store import store_digest, write_store
+
+        json_path, rts_path = self._upper_paths(workload, upper_key)
+        write_store(replay.post_l3, rts_path)
+        _write_artifact(json_path, replay.to_json(store_digest(rts_path)))
 
     def _run_upper_sampled(
         self,
@@ -574,23 +790,22 @@ class Runner:
     # Analytic fast path
     # ------------------------------------------------------------------
 
-    def _profile_path(self, workload: Workload, g: int, cg: int):
-        if not self.trace_cache_dir:
+    def _profile_path(self, workload: Workload, g: int, cg: int) -> Path | None:
+        upper_key = self.prepare(workload).upper_key
+        if upper_key is None:
             return None
-        from pathlib import Path
-
         name = self._cache_name(workload)
         return Path(self.trace_cache_dir) / (
-            f"{name}.profile-d{int(self.drain)}-g{g}-c{cg}.npz"
+            f"{name}.profile-{upper_key}-g{g}-c{cg}.npz"
         )
 
     def _profile_for(self, workload: Workload, g: int, cg: int):
         """One reuse profile of the captured post-L3 stream (cached).
 
         Memoized in-process and persisted next to the trace cache when
-        one is configured. The drain flag is part of the disk key
-        because drained upper levels append their flush traffic to the
-        captured stream — a different stream, a different profile.
+        one is configured, under the upper record's key: everything
+        that changes the captured stream (trace, SRAM pyramid, drain,
+        sampling) changes the profile's file name too.
         """
         mem_key = (workload.name, g, cg)
         if mem_key in self._profiles:

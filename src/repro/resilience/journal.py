@@ -1,9 +1,12 @@
 """On-disk result journal for resumable sweep campaigns.
 
-One JSON object per line, one line per finished cell, appended
-atomically (the whole file is rewritten to a temp file and swapped in
-with ``os.replace``, so a crash mid-append leaves the previous journal
-intact — at worst one torn trailing line, which loading tolerates).
+One JSON object per line, one line per finished cell. Each append
+writes its one line through an ``O_APPEND`` descriptor and fsyncs it,
+so an entry is durable once ``append`` returns and the cost does not
+grow with the journal. A crash mid-append leaves at worst one torn
+trailing line: loading skips it, and the next handle to append first
+truncates the file back to its valid lines, so the torn bytes never
+end up in the middle of the journal.
 
 Cells are keyed by a SHA-256 content hash of (design name, design
 simulation key, workload name, scale, seed): if any of those change,
@@ -19,7 +22,6 @@ import dataclasses
 import hashlib
 import json
 import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -175,36 +177,46 @@ class Journal:
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self._lines: list[str] | None = None
+        # Set by the first append of this handle, after it has cut any
+        # torn tail off the file.
+        self._tail_checked = False
 
     def exists(self) -> bool:
         """Whether the journal file is already on disk."""
         return self.path.exists()
 
-    def _read_lines(self) -> list[str]:
-        if self._lines is not None:
-            return self._lines
+    def _scan(self) -> tuple[list[str], int, bool]:
+        """Parse the file: ``(valid lines, byte length of the prefix
+        holding them, whether that prefix ends in a newline)``."""
         if not self.path.exists():
-            self._lines = []
-            return self._lines
-        raw = self.path.read_text().splitlines()
+            return [], 0, True
+        data = self.path.read_bytes()
+        raw = data.splitlines(keepends=True)
         lines: list[str] = []
-        for index, line in enumerate(raw):
-            if not line.strip():
-                continue
-            try:
-                JournalEntry.from_json(line)
-            except SweepError:
-                if index == len(raw) - 1:
-                    # Torn trailing line from an interrupted append:
-                    # drop it; the cell simply re-runs on resume.
-                    continue
-                raise SweepError(
-                    f"corrupt journal {self.path} at line {index + 1}; "
-                    f"delete it to restart the campaign"
-                )
-            lines.append(line)
-        self._lines = lines
-        return lines
+        offset = valid = 0
+        for index, part in enumerate(raw):
+            offset += len(part)
+            line = part.decode(errors="replace").rstrip("\r\n")
+            if line.strip():
+                try:
+                    JournalEntry.from_json(line)
+                except SweepError:
+                    if index == len(raw) - 1:
+                        # Torn trailing line from an interrupted append:
+                        # drop it; the cell simply re-runs on resume.
+                        break
+                    raise SweepError(
+                        f"corrupt journal {self.path} at line {index + 1}; "
+                        f"delete it to restart the campaign"
+                    )
+                lines.append(line)
+            valid = offset
+        return lines, valid, valid == 0 or data[valid - 1:valid] in (b"\n", b"\r")
+
+    def _read_lines(self) -> list[str]:
+        if self._lines is None:
+            self._lines = self._scan()[0]
+        return self._lines
 
     def entries(self) -> list[JournalEntry]:
         """Every valid entry, in append order."""
@@ -215,23 +227,28 @@ class Journal:
         return {entry.key: entry for entry in self.entries()}
 
     def append(self, entry: JournalEntry) -> None:
-        """Durably append one entry (atomic whole-file swap)."""
-        lines = self._read_lines() + [entry.to_json()]
-        payload = "".join(line + "\n" for line in lines).encode()
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=self.path.parent, prefix=f".{self.path.name}.", suffix=".tmp"
-        )
+        """Durably append one entry: one line, ``O_APPEND``, fsync.
+
+        The first append of a handle re-reads the file and truncates a
+        torn tail (left by a killed run) back to the valid lines, so
+        the new entry starts on a line of its own.
+        """
+        line = entry.to_json()
+        payload = (line + "\n").encode()
+        if not self._tail_checked:
+            self._lines, valid, terminated = self._scan()
+            if not terminated:
+                payload = b"\n" + payload
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
         try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(payload)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_name, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        self._lines = lines
+            if not self._tail_checked and os.fstat(fd).st_size > valid:
+                os.ftruncate(fd, valid)
+            view = memoryview(payload)
+            while view:
+                view = view[os.write(fd, view):]
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+        self._tail_checked = True
+        self._read_lines().append(line)

@@ -289,6 +289,31 @@ def verify_store_header(path: str | Path) -> int:
     return int(header["events"])
 
 
+def store_digest(path: str | Path) -> str:
+    """The header SHA-256 a store's prelude records, as hex.
+
+    One fixed-size read: the header holds every chunk's digest, so this
+    names the store's content without touching (or verifying) it. Two
+    stores with the same events in the same chunks share a digest.
+
+    Raises:
+        TraceError: not a v2 store.
+        TraceIntegrityError: missing, unreadable or truncated prelude.
+    """
+    path = Path(path)
+    try:
+        with open(path, "rb") as handle:
+            raw = handle.read(_PRELUDE.size)
+    except OSError as exc:
+        raise TraceIntegrityError(f"unreadable trace store {path} ({exc})") from exc
+    if len(raw) < _PRELUDE.size:
+        raise TraceIntegrityError(f"truncated trace store {path}")
+    magic, _version, _flags, _offset, _length, digest = _PRELUDE.unpack(raw)
+    if magic != STORE_MAGIC:
+        raise TraceError(f"{path} is not a v2 trace store")
+    return digest.hex()
+
+
 class MappedStream(AddressStream):
     """A read-only :class:`AddressStream` backed by an mmap'd v2 store.
 

@@ -108,6 +108,25 @@ class TestHierarchyStatsIdentical:
             }
             assert stats["scalar"] == stats["setpar"]
 
+    @pytest.mark.parametrize("drain", [False, True])
+    def test_upper_replay_on_real_traces(self, workloads, drain):
+        """The runners above share one persisted L1–L3 replay, so the
+        upper pyramid is compared here on runners without a trace
+        cache: each simulates L1–L3 itself."""
+        for workload in workloads:
+            traces = {
+                eng: Runner(scale=SCALE, seed=5, drain=drain,
+                            engine=eng).prepare(workload)
+                for eng in ENGINES
+            }
+            scalar, setpar = traces["scalar"], traces["setpar"]
+            assert scalar.upper_stats == setpar.upper_stats
+            assert scalar.references == setpar.references
+            for a, b in zip(scalar.post_l3.chunks(), setpar.post_l3.chunks(),
+                            strict=True):
+                assert np.array_equal(a.addresses, b.addresses)
+                assert np.array_equal(a.is_store, b.is_store)
+
 
 class TestEmissionOrderIdentical:
     def test_post_hierarchy_stream_identical(self, workloads):

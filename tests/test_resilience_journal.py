@@ -125,3 +125,29 @@ class TestJournalFile:
         other = Journal(path)  # fresh handle, as on resume
         other.append(make_entry("b"))
         assert set(Journal(path).load()) == {"a", "b"}
+
+    def test_append_after_torn_tail_truncates_it(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        Journal(path).append(make_entry("a"))
+        with open(path, "a") as handle:
+            handle.write('{"schema": 1, "key": "tor')  # killed mid-append
+        Journal(path).append(make_entry("b"))  # fresh handle, as on resume
+        assert set(Journal(path).load()) == {"a", "b"}
+        assert len(path.read_text().splitlines()) == 2
+
+    def test_append_after_unterminated_last_line(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        path.write_text(make_entry("a").to_json())  # no trailing newline
+        Journal(path).append(make_entry("b"))
+        assert set(Journal(path).load()) == {"a", "b"}
+
+    def test_append_extends_the_file_in_place(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        journal = Journal(path)
+        journal.append(make_entry("a"))
+        before = path.stat()
+        journal.append(make_entry("b"))
+        after = path.stat()
+        assert after.st_ino == before.st_ino  # not rewritten and swapped
+        assert after.st_size == before.st_size + len(make_entry("b").to_json()) + 1
+        assert [e.key for e in journal.entries()] == ["a", "b"]

@@ -1,14 +1,82 @@
-"""Runner on-disk trace cache tests."""
+"""Runner on-disk trace cache tests: traces, upper records, profiles."""
+
+import dataclasses
+import json
 
 import pytest
 
-from repro.designs.configs import N_CONFIGS
+from repro.cache.config import CacheConfig
+from repro.cache.hierarchy import Hierarchy
+from repro.designs.base import ReferenceSystem
+from repro.designs.configs import EH_CONFIGS, N_CONFIGS
+from repro.designs.deephybrid import DeepHybridDesign
+from repro.designs.fourlc import FourLCDesign
+from repro.designs.fourlcnvm import FourLCNVMDesign
+from repro.designs.ndm import NDMDesign
 from repro.designs.nmm import NMMDesign
+from repro.designs.reference import ReferenceDesign
 from repro.experiments.runner import Runner
-from repro.tech.params import PCM
+from repro.partition.ranges import AddressRange
+from repro.tech.params import EDRAM, PCM
+from repro.telemetry.core import Telemetry
+from repro.units import MiB
 from repro.workloads.registry import get_workload
 
 SCALE = 1.0 / 8192
+
+#: Runner options of the three upper-record flavours: exact, drained
+#: and sampled.
+MODES = {
+    "exact": {},
+    "drain": {"drain": True},
+    "sample": {"sample": "500:2000:5000"},
+}
+
+
+def family_designs(reference):
+    """One member of every built-in design family."""
+    return [
+        ReferenceDesign(scale=SCALE, reference=reference),
+        NMMDesign(PCM, N_CONFIGS["N6"], scale=SCALE, reference=reference),
+        FourLCDesign(EDRAM, EH_CONFIGS["EH4"], scale=SCALE, reference=reference),
+        FourLCNVMDesign(EDRAM, PCM, EH_CONFIGS["EH4"], scale=SCALE,
+                        reference=reference),
+        DeepHybridDesign(EDRAM, PCM, EH_CONFIGS["EH1"], N_CONFIGS["N6"],
+                         scale=SCALE, reference=reference),
+        NDMDesign(PCM, [AddressRange(0x1000_0000, 0x2000_0000, "hot")],
+                  scale=SCALE, reference=reference),
+    ]
+
+
+def small_l3_reference():
+    """A pyramid whose (scaled) L3 differs from the default one."""
+    return dataclasses.replace(
+        ReferenceSystem.sandy_bridge(),
+        l3=CacheConfig("L3", 20 * MiB // ReferenceSystem.CORES_SHARING_L3, 10, 64),
+    )
+
+
+def results(runner, workload):
+    """Everything a design evaluation reads off the prepared workload."""
+    trace = runner.prepare(workload)
+    stats = [
+        runner.stats_for(design, workload).as_dict()
+        for design in family_designs(runner.reference)
+    ]
+    return stats, trace.ref_raw, trace.post_l3_segments, trace.sample_factor
+
+
+def forbid_upper_replay(monkeypatch):
+    """Make any L1–L3 simulation fail the test."""
+    def replayed(*args, **kwargs):
+        raise AssertionError("L1-L3 replayed although an upper record exists")
+
+    monkeypatch.setattr(Hierarchy, "run", replayed)
+    monkeypatch.setattr(Hierarchy, "process_batch", replayed)
+
+
+def upper_files(directory, suffix="json"):
+    return sorted(directory.glob(f"CG-*.upper-*.{suffix}"))
 
 
 class TestTraceCache:
@@ -95,9 +163,159 @@ class TestCorruptCacheSelfHeal:
         from repro.trace.io import discard_trace
 
         runner = Runner(scale=SCALE, seed=4, trace_cache_dir=str(tmp_path))
-        runner.prepare(get_workload("CG"))
+        runner.trace_only(get_workload("CG"))  # the pair, no upper record
         name = next(iter(tmp_path.glob("CG-*.stream.rts"))).name
         name = name.removesuffix(".stream.rts")
         removed = discard_trace(tmp_path, name)
         assert len(removed) == 4  # two artifacts + two sidecars
         assert not list(tmp_path.iterdir())
+
+
+class TestUpperRecordWarmEqualsCold:
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_second_runner_loads_instead_of_replaying(
+        self, tmp_path, monkeypatch, mode
+    ):
+        workload = get_workload("CG")
+        cold = Runner(scale=SCALE, seed=4, trace_cache_dir=str(tmp_path),
+                      **MODES[mode])
+        expected = results(cold, workload)
+        assert not cold.prepare(workload).upper_cached
+        assert len(upper_files(tmp_path)) == 1
+        assert len(upper_files(tmp_path, "rts")) == 1
+
+        forbid_upper_replay(monkeypatch)
+        warm = Runner(scale=SCALE, seed=4, trace_cache_dir=str(tmp_path),
+                      **MODES[mode])
+        assert warm.prepare(workload).upper_cached
+        assert results(warm, workload) == expected
+
+
+class TestUpperRecordKeys:
+    def test_drain_sample_and_reference_get_their_own_records(self, tmp_path):
+        workload = get_workload("CG")
+        keys = set()
+        for options in (*MODES.values(), {"reference": small_l3_reference()}):
+            runner = Runner(scale=SCALE, seed=4,
+                            trace_cache_dir=str(tmp_path), **options)
+            trace = runner.prepare(workload)
+            assert not trace.upper_cached, options
+            keys.add(trace.upper_key)
+        assert len(keys) == 4
+        assert len(upper_files(tmp_path)) == 4
+
+    def test_exact_engines_and_analytic_share_one_record(
+        self, tmp_path, monkeypatch
+    ):
+        workload = get_workload("CG")
+        first = Runner(scale=SCALE, seed=4, trace_cache_dir=str(tmp_path),
+                       engine="scalar")
+        first.prepare(workload)
+        forbid_upper_replay(monkeypatch)
+        for engine in ("setpar", "auto", "analytic"):
+            trace = Runner(scale=SCALE, seed=4, trace_cache_dir=str(tmp_path),
+                           engine=engine).prepare(workload)
+            assert trace.upper_cached, engine
+            assert trace.upper_key == first.prepare(workload).upper_key
+        assert len(upper_files(tmp_path)) == 1
+
+    def test_no_record_without_a_trace_cache(self):
+        trace = Runner(scale=SCALE, seed=4).prepare(get_workload("CG"))
+        assert trace.upper_key is None and not trace.upper_cached
+
+    def test_profiles_follow_the_runners_own_stream(self, tmp_path):
+        """Two pyramids share one trace cache; each analytic runner must
+        profile its own post-L3 stream, not load the other's."""
+        workload = get_workload("CG")
+        for reference in (ReferenceSystem.sandy_bridge(), small_l3_reference()):
+            runner = Runner(scale=SCALE, seed=4, trace_cache_dir=str(tmp_path),
+                            reference=reference, engine="analytic")
+            runner.stats_for(family_designs(reference)[1], workload)
+            post_l3 = runner.prepare(workload).post_l3
+            assert runner._profiles
+            for profile in runner._profiles.values():
+                assert profile.references == len(post_l3)
+        assert len({p.name for p in tmp_path.glob("CG-*.profile-*.npz")}) >= 2
+
+
+class TestUpperRecordSelfHeal:
+    def _corrupt_flipped_chunk(self, tmp_path):
+        rts = upper_files(tmp_path, "rts")[0]
+        data = bytearray(rts.read_bytes())
+        data[4096 + 10] ^= 0xFF  # inside the first chunk's payload
+        rts.write_bytes(bytes(data))
+
+    def _corrupt_truncated_json(self, tmp_path):
+        path = upper_files(tmp_path)[0]
+        path.write_bytes(path.read_bytes()[:40])
+
+    def _corrupt_missing_rts(self, tmp_path):
+        upper_files(tmp_path, "rts")[0].unlink()
+
+    def _corrupt_foreign_rts(self, tmp_path):
+        """Swap in the ``.rts`` of a drained record: a valid store, but
+        not the one this JSON was written with."""
+        Runner(scale=SCALE, seed=4, trace_cache_dir=str(tmp_path),
+               drain=True).prepare(get_workload("CG"))
+        exact = Runner(scale=SCALE, seed=4, trace_cache_dir=str(tmp_path))
+        key = exact.upper_key(get_workload("CG"))
+        (rts,) = tmp_path.glob(f"CG-*.upper-{key}.rts")
+        (other,) = [p for p in upper_files(tmp_path, "rts") if p != rts]
+        rts.write_bytes(other.read_bytes())
+
+    @pytest.mark.parametrize(
+        "corruption",
+        ["flipped_chunk", "truncated_json", "missing_rts", "foreign_rts"],
+    )
+    def test_corrupt_record_is_rebuilt_with_identical_results(
+        self, tmp_path, corruption
+    ):
+        workload = get_workload("CG")
+        cold = Runner(scale=SCALE, seed=4, trace_cache_dir=str(tmp_path))
+        expected = results(cold, workload)
+        getattr(self, f"_corrupt_{corruption}")(tmp_path)
+
+        healed = Runner(scale=SCALE, seed=4, trace_cache_dir=str(tmp_path))
+        assert not healed.prepare(workload).upper_cached
+        assert results(healed, workload) == expected
+        again = Runner(scale=SCALE, seed=4, trace_cache_dir=str(tmp_path))
+        assert again.prepare(workload).upper_cached
+        assert results(again, workload) == expected
+
+
+class TestUpperRecordTelemetry:
+    def _prepare(self, tmp_path, label):
+        out = tmp_path / label
+        telemetry = Telemetry(out)
+        Runner(scale=SCALE, seed=4, trace_cache_dir=str(tmp_path / "cache"),
+               telemetry=telemetry).prepare(get_workload("CG"))
+        simulated = telemetry.counter("repro_references_simulated_total").value
+        telemetry.close()
+        events = [
+            json.loads(line)
+            for line in (out / "events.jsonl").read_text().splitlines()
+        ]
+        return out, simulated, events
+
+    def test_record_hit_simulates_and_reports_nothing_upper(self, tmp_path):
+        cold_dir, cold_refs, cold_events = self._prepare(tmp_path, "cold")
+        warm_dir, warm_refs, warm_events = self._prepare(tmp_path, "warm")
+
+        def spans(events):
+            return {e["name"] for e in events if e["kind"] == "span"}
+
+        def prepared(events):
+            (event,) = [e for e in events if e["kind"] == "workload_prepared"]
+            return event
+
+        assert "runner.upper_sim" in spans(cold_events)
+        assert "runner.upper_sim" not in spans(warm_events)
+        assert (cold_dir / "windows_upper-CG.csv").exists()
+        assert not (warm_dir / "windows_upper-CG.csv").exists()
+        assert cold_refs > 0 and warm_refs == 0
+        assert prepared(cold_events)["upper_cached"] is False
+        assert prepared(warm_events)["upper_cached"] is True
+        assert (
+            prepared(warm_events)["post_l3_requests"]
+            == prepared(cold_events)["post_l3_requests"]
+        )
