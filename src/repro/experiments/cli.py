@@ -13,8 +13,8 @@ Subcommands:
   result journal (``--journal``), exact resume (``--resume``), bounded
   retries (``--max-retries``), per-cell deadlines (``--cell-timeout``),
   keep-going semantics (``--keep-going``), and process-parallel
-  execution (``--workers N``; shared lower-level prefixes simulate
-  once per workload unless ``--no-share-prefixes``). With
+  execution (``--workers N``; serial runs simulate shared lower-level
+  prefixes once per workload). With
   ``--screen-analytic K`` the full grid is first triaged by the
   analytic reuse-profile engine and only each workload's top-K
   designs re-simulate exactly. Parallel runs use
@@ -109,11 +109,9 @@ def _parse_designs(spec: str, scale: float, reference, engine: str = "auto"):
 
     Grammar per item: ``REF`` | ``NMM:<TECH>:<N#>`` |
     ``4LC:<TECH>:<EH#>`` | ``4LCNVM:<CACHE>:<NVM>:<EH#>``.
+    ``engine`` is a cache simulation engine — the runner's
+    :attr:`~repro.experiments.runner.Runner.sim_engine`.
     """
-    if engine == "analytic":
-        # 'analytic' is a runner-level evaluation mode; the design
-        # objects themselves only carry exact simulation engines.
-        engine = "auto"
     from repro.designs.configs import EH_CONFIGS, N_CONFIGS
     from repro.designs.fourlc import FourLCDesign
     from repro.designs.fourlcnvm import FourLCNVMDesign
@@ -246,7 +244,7 @@ def _run_resilient_sweep(args, runner: Runner, workloads) -> int:
                 f"--resume to continue that campaign or delete the file"
             )
     designs = _parse_designs(
-        args.designs, args.scale, runner.reference, engine=args.engine
+        args.designs, args.scale, runner.reference, engine=runner.sim_engine
     )
     if workloads is None:
         workloads = [get_workload(name) for name in suite_names]
@@ -275,7 +273,6 @@ def _run_resilient_sweep(args, runner: Runner, workloads) -> int:
         workers=args.workers,
         max_worker_restarts=args.max_worker_restarts,
         poison_threshold=args.poison_threshold,
-        share_prefixes=not args.no_share_prefixes,
         profile_hz=args.profile,
         profile_memory=args.profile_memory,
     )
@@ -557,11 +554,6 @@ def main(argv: list[str] | None = None) -> int:
         "re-simulate exactly only the union of each workload's top-K "
         "designs by EDP. Screening cells journal to "
         "<journal>.analytic; requires an exact --engine",
-    )
-    sweep.add_argument(
-        "--no-share-prefixes", action="store_true",
-        help="disable shared lower-level prefix simulation (designs "
-        "with config-identical L4 chains then simulate independently)",
     )
     sweep.add_argument(
         "--serve", type=int, nargs="?", const=0, default=None,

@@ -340,14 +340,28 @@ class Runner:
         self._profiles: dict[tuple[str, int, int], "GranularityProfile"] = {}
 
     @property
-    def _sim_engine(self) -> str:
+    def sim_engine(self) -> str:
         """The exact engine used for simulated caches.
 
         ``analytic`` only affects lower-level *evaluation*; every cache
         that is actually simulated (the shared upper pyramid, REF/NDM
-        replays, screen-confirm re-simulations) uses ``auto``.
+        replays, screen-confirm re-simulations) uses ``auto``. Design
+        objects built for this runner take this engine.
         """
         return "auto" if self.engine == "analytic" else self.engine
+
+    @property
+    def engine_class(self) -> str:
+        """The result class of every design this runner evaluates:
+        ``"exact"`` (scalar/setpar/auto), ``"analytic"`` or
+        ``"sampled:<warmup>:<window>:<stride>"``. It enters each sweep
+        cell's journal key, so results of different classes never
+        satisfy each other's resume."""
+        if self.engine == "analytic":
+            return "analytic"
+        if self.sample is not None:
+            return f"sampled:{self.sample.key}"
+        return "exact"
 
     def _telemetry(self) -> Telemetry | NullTelemetry:
         """The telemetry to instrument with (explicit, else active)."""
@@ -499,37 +513,11 @@ class Runner:
 
             # The reference design's DRAM sees exactly the post-L3 stream.
             ref_design = ReferenceDesign(
-                scale=self.scale, reference=self.reference, engine=self._sim_engine
+                scale=self.scale, reference=self.reference, engine=self.sim_engine
             )
-            dram = ref_design.memory()
-            if segments is None:
-                for chunk in post_l3.chunks():
-                    dram.process(chunk)
-                dram_stats = [dram.stats]
-            else:
-                from repro.experiments.sampling import (
-                    add_levels,
-                    delta_levels,
-                    iter_recorded_segments,
-                    scale_levels,
-                    snapshot_levels,
-                )
-
-                acc = None
-                for batch, measured in iter_recorded_segments(
-                    post_l3, segments
-                ):
-                    if measured:
-                        before = snapshot_levels([dram.stats])
-                    dram.process(batch)
-                    if measured:
-                        acc = add_levels(
-                            acc, delta_levels([dram.stats], before)
-                        )
-                dram_stats = scale_levels(
-                    acc if acc is not None else snapshot_levels([dram.stats]),
-                    factor,
-                )
+            dram_stats = self._replay_lower(
+                post_l3, segments, factor, [], ref_design.memory()
+            )
             ref_stats = HierarchyStats(
                 levels=upper_stats + dram_stats, references=references
             )
@@ -587,7 +575,7 @@ class Runner:
     ) -> UpperReplay:
         """Replay a trace through a fresh L1–L3 pyramid, capturing the
         post-L3 stream (exactly, or in sampled windows)."""
-        upper = self.reference.build_caches(self.scale, engine=self._sim_engine)
+        upper = self.reference.build_caches(self.scale, engine=self.sim_engine)
         capture = CapturingMemory()
         hierarchy = Hierarchy(upper, capture)
         if self.sample is None:
@@ -870,109 +858,61 @@ class Runner:
 
     def _analytic_stats_for(
         self, design: MemoryDesign, workload: Workload
-    ) -> HierarchyStats:
-        key = (design.sim_key(), workload.name)
-        trace = self.prepare(workload)
-        if key in self._design_stats:
-            return self._design_stats[key]
+    ) -> list[LevelStats]:
+        """A design's lower-level statistics from the analytic engine."""
         engine = self._analytic_for(workload)
-        telemetry = self._telemetry()
-        with telemetry.span(
+        with self._telemetry().span(
             "runner.analytic_eval", design=design.sim_key(),
             workload=workload.name,
         ):
-            lower_stats = engine.lower_stats(design, drain=self.drain)
-        stats = HierarchyStats(
-            levels=trace.upper_stats + lower_stats,
-            references=trace.references,
-        )
-        self._design_stats[key] = stats
-        logger.debug(
-            "analytically evaluated %s on %s", design.sim_key(), workload.name
-        )
-        return stats
+            return engine.lower_stats(design, drain=self.drain)
 
     # ------------------------------------------------------------------
     # Design evaluation
     # ------------------------------------------------------------------
 
-    def stats_for(self, design: MemoryDesign, workload: Workload) -> HierarchyStats:
-        """Full hierarchy statistics for a design on a workload (cached).
+    def _replay_lower(
+        self,
+        post_l3: AddressStream,
+        segments: list[tuple[int, bool]] | None,
+        factor: float,
+        lower: list,
+        memory: MainMemory | PartitionedMemory,
+        window: str | None = None,
+    ) -> list[LevelStats]:
+        """Replay the captured post-L3 stream through a lower chain.
 
-        Runs only the design's lower levels on the cached post-L3
-        stream; the shared upper-level stats are prepended. The replay
-        routes every batch through
-        :func:`~repro.cache.hierarchy.run_chain`, so the same
-        ``check_request_sizes`` guard as ``Hierarchy.process_batch``
-        applies — a design whose lower chain shrinks block sizes
-        downward raises :class:`~repro.errors.SimulationError` here
-        instead of silently corrupting statistics. When the runner was
-        built with ``drain=True`` the lower levels are flushed at end
-        of stream (matching the drained upper-level capture); the
-        default leaves residual dirty lines unflushed — the steady-
-        state accounting choice documented on :class:`Runner`.
+        The one lower-level replay, for every design and for the REF
+        DRAM (``lower=[]``). Batches go through
+        :func:`~repro.cache.hierarchy.run_chain` and its block-size
+        guard. With ``segments`` None every chunk is replayed, then the
+        chain is flushed if the runner drains; ``window`` names the
+        telemetry window series of such an exact replay. Otherwise the
+        recorded sampled windows are replayed and the measured windows'
+        counter deltas are scaled by ``factor``.
+
+        Returns the chain's statistics: caches, then memory level(s).
         """
-        if self.engine == "analytic":
-            return self._analytic_stats_for(design, workload)
-        if self.sample is not None:
-            return self._sampled_stats_for(design, workload)
-        key = (design.sim_key(), workload.name)
-        if key in self._design_stats:
-            return self._design_stats[key]
-        trace = self.prepare(workload)
-        telemetry = self._telemetry()
-        lower = design.lower_caches()
-        memory = design.memory()
 
-        def lower_levels():
+        def levels() -> list[LevelStats]:
             if isinstance(memory, PartitionedMemory):
                 return [cache.stats for cache in lower] + memory.stats_list
             return [cache.stats for cache in lower] + [memory.stats]
 
-        collector = None
-        if telemetry.enabled:
-            collector = telemetry.window_collector(
-                f"design-{design.sim_key()}-{workload.name}", lower_levels
-            )
-        with telemetry.span(
-            "runner.design_sim", design=design.sim_key(),
-            workload=workload.name,
-        ):
-            for chunk in trace.post_l3.chunks():
+        if segments is None:
+            telemetry = self._telemetry()
+            collector = None
+            if window is not None and telemetry.enabled:
+                collector = telemetry.window_collector(window, levels)
+            for chunk in post_l3.chunks():
                 run_chain(chunk, lower, memory)
                 if collector is not None:
                     collector.on_refs(len(chunk))
             if self.drain:
                 drain_chain(lower, memory)
-        if collector is not None:
-            telemetry.finish_collector(collector)
-        lower_stats = [cache.stats for cache in lower]
-        if isinstance(memory, PartitionedMemory):
-            memory_stats = memory.stats_list
-        else:
-            memory_stats = [memory.stats]
-        stats = HierarchyStats(
-            levels=trace.upper_stats + lower_stats + memory_stats,
-            references=trace.references,
-        )
-        self._design_stats[key] = stats
-        logger.debug("simulated %s on %s", design.sim_key(), workload.name)
-        return stats
-
-    def _sampled_stats_for(
-        self, design: MemoryDesign, workload: Workload
-    ) -> HierarchyStats:
-        """Sampled lower-level replay with extrapolated statistics.
-
-        Replays the captured (warmup + window) post-L3 segments through
-        the design's lower levels — warmup segments warm cache state,
-        measured segments' counter deltas are scaled by the trace's
-        extrapolation factor — and prepends the (already extrapolated)
-        shared upper stats.
-        """
-        key = (design.sim_key(), workload.name)
-        if key in self._design_stats:
-            return self._design_stats[key]
+            if collector is not None:
+                telemetry.finish_collector(collector)
+            return levels()
         from repro.experiments.sampling import (
             add_levels,
             delta_levels,
@@ -981,43 +921,49 @@ class Runner:
             snapshot_levels,
         )
 
-        trace = self.prepare(workload)
-        telemetry = self._telemetry()
-        lower = design.lower_caches()
-        memory = design.memory()
-
-        def live_levels() -> list[LevelStats]:
-            if isinstance(memory, PartitionedMemory):
-                return [cache.stats for cache in lower] + memory.stats_list
-            return [cache.stats for cache in lower] + [memory.stats]
-
         acc = None
-        with telemetry.span(
-            "runner.design_sim", design=design.sim_key(),
-            workload=workload.name, sampled=True,
-        ):
-            for batch, measured in iter_recorded_segments(
-                trace.post_l3, trace.post_l3_segments
-            ):
-                if measured:
-                    before = snapshot_levels(live_levels())
-                run_chain(batch, lower, memory)
-                if measured:
-                    acc = add_levels(
-                        acc, delta_levels(live_levels(), before)
-                    )
-        lower_stats = scale_levels(
-            acc if acc is not None else snapshot_levels(live_levels()),
-            trace.sample_factor,
+        for batch, measured in iter_recorded_segments(post_l3, segments):
+            if measured:
+                before = snapshot_levels(levels())
+            run_chain(batch, lower, memory)
+            if measured:
+                acc = add_levels(acc, delta_levels(levels(), before))
+        return scale_levels(
+            acc if acc is not None else snapshot_levels(levels()), factor
         )
+
+    def stats_for(self, design: MemoryDesign, workload: Workload) -> HierarchyStats:
+        """Full hierarchy statistics for a design on a workload (cached).
+
+        Evaluates only the design's lower levels — analytically, or by
+        replaying the cached post-L3 stream (exactly or in its sampled
+        windows, see :meth:`_replay_lower`) — and prepends the shared
+        upper-level stats.
+        """
+        key = (design.sim_key(), workload.name)
+        if key in self._design_stats:
+            return self._design_stats[key]
+        trace = self.prepare(workload)
+        if self.engine == "analytic":
+            lower_stats = self._analytic_stats_for(design, workload)
+        else:
+            lower, memory = design.lower_caches(), design.memory()
+            sampled = {} if trace.post_l3_segments is None else {"sampled": True}
+            with self._telemetry().span(
+                "runner.design_sim", design=key[0], workload=workload.name,
+                **sampled,
+            ):
+                lower_stats = self._replay_lower(
+                    trace.post_l3, trace.post_l3_segments, trace.sample_factor,
+                    lower, memory, window=f"design-{key[0]}-{workload.name}",
+                )
         stats = HierarchyStats(
             levels=trace.upper_stats + lower_stats,
             references=trace.references,
         )
         self._design_stats[key] = stats
         logger.debug(
-            "sampled-simulated %s on %s (fidelity %.3f)",
-            design.sim_key(), workload.name, trace.sample_fidelity,
+            "evaluated %s on %s (%s)", key[0], workload.name, self.engine_class
         )
         return stats
 
@@ -1037,16 +983,12 @@ class Runner:
         (see :mod:`repro.experiments.simplan` for the exactness
         argument).
         """
-        if self.engine == "analytic":
-            # No streams to share — each design is already O(1) passes.
+        if self.engine_class != "exact":
+            # Analytic designs are already O(1) passes each, and sampled
+            # snapshot/delta windows are per-chain state: evaluate each
+            # design on its own.
             for design in designs:
-                self._analytic_stats_for(design, workload)
-            return
-        if self.sample is not None:
-            # Snapshot/delta windows are per-chain state; replay each
-            # design's (short, sampled) stream independently.
-            for design in designs:
-                self._sampled_stats_for(design, workload)
+                self.stats_for(design, workload)
             return
         from repro.experiments.simplan import SimPlan
 

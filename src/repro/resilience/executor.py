@@ -268,13 +268,6 @@ class SweepExecutor:
         pool_tuning: supervision timing knobs
             (:class:`~repro.resilience.pool.PoolTuning`); None uses
             production defaults.
-        share_prefixes: batch-simulate each workload's designs through
-            :meth:`Runner.simulate_designs` before evaluating cells,
-            so config-identical lower-level prefixes run once. Applied
-            whenever the default evaluation path is in use and no
-            per-cell deadline is set (a batched simulation cannot be
-            attributed to one cell's deadline); failures fall back to
-            per-cell simulation with full fault isolation.
     """
 
     def __init__(
@@ -295,7 +288,6 @@ class SweepExecutor:
         poison_threshold: int = 2,
         worker_faults=None,
         pool_tuning=None,
-        share_prefixes: bool = True,
         profile_hz: float | None = None,
         profile_memory: bool = False,
     ) -> None:
@@ -337,7 +329,6 @@ class SweepExecutor:
         self.poison_threshold = poison_threshold
         self.worker_faults = worker_faults
         self.pool_tuning = pool_tuning
-        self.share_prefixes = share_prefixes
         self.profile_hz = profile_hz
         self.profile_memory = profile_memory
         # Populated (and torn down) per run() by _publish_traces: the
@@ -368,22 +359,10 @@ class SweepExecutor:
 
     @property
     def engine_class(self) -> str:
-        """The result class of every cell in this campaign.
-
-        ``"exact"`` (bit-identical scalar/setpar/auto engines),
-        ``"analytic"`` (reuse-profile model), or
-        ``"sampled:<warmup>:<window>:<stride>"`` (periodic measured
-        windows). Enters each cell's journal key: approximate results
-        must never satisfy an exact campaign's resume (or vice versa),
-        and sampled results with different specs are likewise mutually
-        unsatisfiable.
-        """
-        if getattr(self.runner, "engine", "auto") == "analytic":
-            return "analytic"
-        sample = getattr(self.runner, "sample", None)
-        if sample is not None:
-            return f"sampled:{sample.key}"
-        return "exact"
+        """The runner's :attr:`~repro.experiments.runner.Runner.engine_class`
+        (``"exact"`` for runners that do not name one); it enters every
+        cell's journal key."""
+        return getattr(self.runner, "engine_class", "exact")
 
     # -- single-attempt plumbing ----------------------------------------
 
@@ -807,13 +786,16 @@ class SweepExecutor:
     def _presim_workloads(self, grid, journalled, tel) -> None:
         """Batch-simulate each workload's to-run designs (best effort).
 
+        Runs :meth:`Runner.simulate_designs`, so config-identical
+        lower-level prefixes simulate once, whenever the default
+        evaluation path is in use and no per-cell deadline is set (a
+        batched simulation cannot be attributed to one cell's deadline).
         A failure here is swallowed: the affected cells simply simulate
         individually inside their own fault-isolated evaluation, where
         errors are retried, journalled, and reported as usual.
         """
         if not (
-            self.share_prefixes
-            and self._default_evaluate
+            self._default_evaluate
             and self.cell_timeout_s is None
             and hasattr(self.runner, "simulate_designs")
         ):

@@ -242,7 +242,6 @@ def _pool_worker(conn, cancel_event, payload: dict) -> None:
             resume=False,
             evaluate=evaluate,
             telemetry=telemetry,
-            share_prefixes=False,
         )
         while True:
             try:
