@@ -13,6 +13,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.errors import SimulationError
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.trace.events import AccessBatch
 
@@ -173,6 +175,65 @@ class HierarchyStats:
     def level_names(self) -> list[str]:
         """Names of the levels, top to bottom."""
         return [s.name for s in self.levels]
+
+    def check_conservation(self, n_caches: int, *, rounded: bool = False) -> None:
+        """Assert that one request stream flowed down these levels.
+
+        The first ``n_caches`` levels are caches; the rest are the
+        terminal memory device(s), which together receive what the last
+        cache sends down. Three identities must hold:
+
+        - L1 sees every program reference: ``loads + stores ==
+          references``;
+        - no level hits more often than it is accessed, for loads and
+          for stores;
+        - what leaves cache level *n* (fills plus writebacks) is exactly
+          what arrives at level *n + 1* (its loads plus stores), with a
+          partitioned memory's devices summed.
+
+        Fills, not misses, are what leave a level: extrapolated sampled
+        counters are rounded field by field, so misses plus writebacks
+        can be off by one where fills plus writebacks are not.
+
+        Args:
+            n_caches: how many leading levels are caches.
+            rounded: the counters were extrapolated and rounded one by
+                one (sampled statistics). Each side of an identity is
+                then a sum of rounded counters, and may be off by half
+                a request per counter involved; an exact identity
+                holds to that slack.
+
+        Raises:
+            SimulationError: naming the first identity that fails (for
+                the third, the level pair).
+        """
+
+        def check(sent: int, arrived: int, counters: int, where: str) -> None:
+            slack = counters // 2 if rounded else 0
+            if abs(sent - arrived) > slack:
+                raise SimulationError(
+                    f"conservation violated {where}: {sent} requests sent, "
+                    f"{arrived} arrived"
+                )
+
+        l1 = self.levels[0]
+        check(self.references, l1.accesses, 3, f"at {l1.name}")
+        for level in self.levels:
+            if level.load_hits > level.loads or level.store_hits > level.stores:
+                raise SimulationError(
+                    f"conservation violated at {level.name}: more hits "
+                    f"than accesses"
+                )
+        caches, memory = self.levels[:n_caches], self.levels[n_caches:]
+        receivers = [[level] for level in caches[1:]] + [memory]
+        for level, below in zip(caches, receivers):
+            check(
+                level.fills + level.writebacks,
+                sum(receiver.accesses for receiver in below),
+                2 + 2 * len(below),
+                f"between {level.name} and "
+                + "+".join(receiver.name for receiver in below),
+            )
 
     def merge(self, other: "HierarchyStats") -> "HierarchyStats":
         """Combine two runs of the same hierarchy."""

@@ -196,6 +196,12 @@ class MemoryDesign(ABC):
         the terminal technology changes only the model bindings, not
         the data movement). The experiment runner uses this to share
         simulations across the technology axis of a sweep.
+
+        It is also the design's identity in a sweep journal's cell key,
+        so it stays as it is even where the runner shares more: designs
+        with different sim keys but config-identical lower chains
+        (4LC-EH4 and 4LCNVM-EH4) are priced once per workload, keyed by
+        :func:`~repro.experiments.simplan.chain_key`.
         """
         return self.name
 

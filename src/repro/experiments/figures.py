@@ -84,9 +84,9 @@ def _sweep(
         out.series[label] = {}
         out.per_workload[label] = {}
         for category in categories:
+            design = make_design(label_obj, category)
             values: dict[str, float] = {}
             for workload in suite:
-                design = make_design(label_obj, category)
                 evaluation = runner.evaluate(design, workload)
                 values[workload.name] = getattr(evaluation, metric)
             out.per_workload[label][category] = values

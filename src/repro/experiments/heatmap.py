@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from repro.designs.configs import N_CONFIGS
 from repro.designs.nmm import NMMDesign
 from repro.experiments.runner import Runner
-from repro.model.evaluate import finalize
+from repro.model.evaluate import evaluate_stats, finalize
 from repro.tech.params import DRAM
 from repro.tech.scaling import scaled_technology
 from repro.workloads.base import Workload
@@ -89,10 +89,10 @@ def _heatmap(
     )
 
     # One simulation per workload: stats are shared across the sweep.
+    profile = NMMDesign(DRAM, config, scale=runner.scale, reference=runner.reference)
     traces = []
     for workload in suite:
-        design = NMMDesign(DRAM, config, scale=runner.scale, reference=runner.reference)
-        stats = runner.stats_for(design, workload)
+        stats = runner.stats_for(profile, workload)
         trace = runner.prepare(workload)
         traces.append((workload, stats, trace))
 
@@ -115,13 +115,11 @@ def _heatmap(
                     static_x=0.0,
                     name="NVMx",
                 )
+            design = NMMDesign(
+                tech, config, scale=runner.scale, reference=runner.reference
+            )
             total = 0.0
             for workload, stats, trace in traces:
-                design = NMMDesign(
-                    tech, config, scale=runner.scale, reference=runner.reference
-                )
-                from repro.model.evaluate import evaluate_stats
-
                 raw = evaluate_stats(
                     design.name,
                     stats,

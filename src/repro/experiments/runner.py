@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from repro.cache.hierarchy import Hierarchy, drain_chain, run_chain
@@ -37,6 +37,7 @@ from repro.designs.base import MemoryDesign, ReferenceSystem
 from repro.designs.configs import DEFAULT_SCALE, NDM_DRAM_CAPACITY
 from repro.designs.ndm import NDMDesign
 from repro.designs.reference import ReferenceDesign
+from repro.experiments.simplan import SimPlan, chain_key
 from repro.model.evaluate import (
     Evaluation,
     RawEvaluation,
@@ -195,6 +196,14 @@ class UpperReplay:
             ) from exc
 
 
+def _renamed(levels: list[LevelStats], memory_name: str) -> list[LevelStats]:
+    """Fresh copies of a plain chain's lower stats, the last (memory)
+    level renamed to ``memory_name``."""
+    copies = [replace(level) for level in levels]
+    copies[-1].name = memory_name
+    return copies
+
+
 #: Format marker of the upper record's JSON half.
 _UPPER_RECORD_VERSION = 1
 
@@ -336,6 +345,10 @@ class Runner:
         self.trace_cache_dir = trace_cache_dir
         self._traces: dict[str, WorkloadTrace] = {}
         self._design_stats: dict[tuple[str, str], HierarchyStats] = {}
+        #: Lower-level stats per (chain key, workload), shared by every
+        #: design whose plain lower chain is config-identical (see
+        #: :meth:`stats_for`).
+        self._chain_stats: dict[tuple[tuple, str], list[LevelStats]] = {}
         self._analytic_engines: dict[str, "AnalyticEngine"] = {}
         self._profiles: dict[tuple[str, int, int], "GranularityProfile"] = {}
 
@@ -520,6 +533,9 @@ class Runner:
             )
             ref_stats = HierarchyStats(
                 levels=upper_stats + dram_stats, references=references
+            )
+            ref_stats.check_conservation(
+                len(upper_stats), rounded=segments is not None
             )
             ref_raw = evaluate_stats(
                 ref_design.name,
@@ -939,15 +955,33 @@ class Runner:
         replaying the cached post-L3 stream (exactly or in its sampled
         windows, see :meth:`_replay_lower`) — and prepends the shared
         upper-level stats.
+
+        Each distinct lower chain is priced once per workload: a design
+        whose :func:`~repro.experiments.simplan.chain_key` was already
+        priced (4LCNVM-EHi after 4LC-EHi, whose L4 is the same) gets
+        copies of those lower stats with the memory level renamed. This
+        is exact — a :class:`~repro.cache.mainmem.MainMemory` counts
+        only what arrives, whatever its name or technology — and it
+        holds for every engine class, since a runner prices every
+        design with one.
+
+        Raises:
+            SimulationError: the statistics break request conservation
+                (see :meth:`HierarchyStats.check_conservation`); nothing
+                is memoized.
         """
         key = (design.sim_key(), workload.name)
         if key in self._design_stats:
             return self._design_stats[key]
         trace = self.prepare(workload)
-        if self.engine == "analytic":
+        lower, memory = design.lower_caches(), design.memory()
+        chain = chain_key(lower, memory)
+        shared = self._chain_stats.get((chain, workload.name))
+        if shared is not None:
+            lower_stats = _renamed(shared, memory.name)
+        elif self.engine == "analytic":
             lower_stats = self._analytic_stats_for(design, workload)
         else:
-            lower, memory = design.lower_caches(), design.memory()
             sampled = {} if trace.post_l3_segments is None else {"sampled": True}
             with self._telemetry().span(
                 "runner.design_sim", design=key[0], workload=workload.name,
@@ -957,14 +991,37 @@ class Runner:
                     trace.post_l3, trace.post_l3_segments, trace.sample_factor,
                     lower, memory, window=f"design-{key[0]}-{workload.name}",
                 )
+        stats = self._memoize(key, trace, lower_stats, len(lower), chain)
+        logger.debug(
+            "evaluated %s on %s (%s%s)", key[0], workload.name,
+            self.engine_class, ", chain-shared" if shared is not None else "",
+        )
+        return stats
+
+    def _memoize(
+        self,
+        key: tuple[str, str],
+        trace: WorkloadTrace,
+        lower_stats: list[LevelStats],
+        n_lower: int,
+        chain: tuple | None,
+    ) -> HierarchyStats:
+        """Check and record one design's statistics: under its
+        ``(sim_key, workload)`` and, for a plain chain, a private copy
+        of its lower stats under ``(chain, workload)``."""
         stats = HierarchyStats(
             levels=trace.upper_stats + lower_stats,
             references=trace.references,
         )
-        self._design_stats[key] = stats
-        logger.debug(
-            "evaluated %s on %s (%s)", key[0], workload.name, self.engine_class
+        stats.check_conservation(
+            len(trace.upper_stats) + n_lower,
+            rounded=trace.post_l3_segments is not None,
         )
+        self._design_stats[key] = stats
+        if chain is not None:
+            self._chain_stats.setdefault(
+                (chain, key[1]), _renamed(lower_stats, lower_stats[-1].name)
+            )
         return stats
 
     def simulate_designs(
@@ -973,12 +1030,13 @@ class Runner:
         """Batch-simulate designs on one workload with prefix sharing.
 
         Builds a :class:`~repro.experiments.simplan.SimPlan` over the
-        designs that still need simulating and executes it on the
-        cached post-L3 stream: lower-level chains that start with
+        designs whose lower chain is not priced yet and executes it on
+        the cached post-L3 stream: lower-level chains that start with
         config-identical levels (every 4LC/4LC-NVM point shares the
         same L4) simulate that prefix once. Results land in the same
-        per-``sim_key`` statistics cache that :meth:`stats_for` reads,
-        so subsequent per-design calls are hits — the statistics are
+        statistics caches that :meth:`stats_for` reads, and designs
+        whose chain was already priced are filled from them, so
+        subsequent per-design calls are hits — the statistics are
         bit-identical to what :meth:`stats_for` would have produced
         (see :mod:`repro.experiments.simplan` for the exactness
         argument).
@@ -990,38 +1048,50 @@ class Runner:
             for design in designs:
                 self.stats_for(design, workload)
             return
-        from repro.experiments.simplan import SimPlan
-
-        todo = []
+        trace = self.prepare(workload)
+        todo, twins = [], []
         seen: set[str] = set()
+        planned: dict[str, tuple[int, tuple | None]] = {}
+        planned_chains: set[tuple] = set()
         for design in designs:
             sim_key = design.sim_key()
             if sim_key in seen or (sim_key, workload.name) in self._design_stats:
                 continue
             seen.add(sim_key)
+            lower = design.lower_caches()
+            chain = chain_key(lower, design.memory())
+            if chain is not None and (
+                chain in planned_chains
+                or (chain, workload.name) in self._chain_stats
+            ):
+                twins.append(design)
+                continue
+            if chain is not None:
+                planned_chains.add(chain)
+            planned[sim_key] = (len(lower), chain)
             todo.append(design)
-        if not todo:
-            return
-        trace = self.prepare(workload)
-        telemetry = self._telemetry()
-        plan = SimPlan(todo)
-        with telemetry.span(
-            "runner.plan_sim", workload=workload.name,
-            designs=len(todo), shared_levels=plan.shared_levels,
-        ):
-            results = plan.execute(
-                trace.post_l3, drain=self.drain,
-                telemetry=telemetry, workload=workload.name,
+        if todo:
+            telemetry = self._telemetry()
+            plan = SimPlan(todo)
+            with telemetry.span(
+                "runner.plan_sim", workload=workload.name,
+                designs=len(todo), shared_levels=plan.shared_levels,
+            ):
+                results = plan.execute(
+                    trace.post_l3, drain=self.drain,
+                    telemetry=telemetry, workload=workload.name,
+                )
+            for sim_key, lower_stats in results.items():
+                self._memoize(
+                    (sim_key, workload.name), trace, lower_stats,
+                    *planned[sim_key],
+                )
+            logger.info(
+                "plan-simulated %d design(s) on %s (%d shared level(s))",
+                len(todo), workload.name, plan.shared_levels,
             )
-        for sim_key, lower_stats in results.items():
-            self._design_stats[(sim_key, workload.name)] = HierarchyStats(
-                levels=trace.upper_stats + lower_stats,
-                references=trace.references,
-            )
-        logger.info(
-            "plan-simulated %d design(s) on %s (%d shared level(s))",
-            len(todo), workload.name, plan.shared_levels,
-        )
+        for design in twins:
+            self.stats_for(design, workload)
 
     def raw_for(self, design: MemoryDesign, workload: Workload) -> RawEvaluation:
         """Stage-1 model outputs for a design on a workload."""

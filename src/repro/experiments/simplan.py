@@ -39,6 +39,7 @@ from typing import TYPE_CHECKING, Iterable
 
 from repro.cache.config import CacheConfig
 from repro.cache.hierarchy import drain_chain, run_chain
+from repro.cache.mainmem import MainMemory
 from repro.cache.partition import PartitionedMemory
 from repro.cache.setassoc import SetAssociativeCache
 from repro.cache.stats import LevelStats
@@ -62,6 +63,25 @@ def config_key(config: CacheConfig) -> tuple:
     with whichever engine the first-attached design requested).
     """
     return dataclasses.astuple(dataclasses.replace(config, engine="auto"))
+
+
+def chain_key(lower: list, memory) -> tuple | None:
+    """Canonical identity of a plain lower chain's simulation behaviour.
+
+    The tuple of :func:`config_key` over the chain's caches, or ``None``
+    unless every cache is exactly a :class:`SetAssociativeCache` and the
+    memory exactly a :class:`MainMemory`: only such chains are fully
+    described by their configs. Designs with equal chain keys drive
+    identical data movement; their statistics differ only in the
+    memory level's name, since a :class:`MainMemory` counts what
+    arrives whatever its name or technology. ``SimPlan`` regroups and
+    ``Runner.stats_for`` shares exactly the chains with a key.
+    """
+    if type(memory) is not MainMemory or any(
+        type(cache) is not SetAssociativeCache for cache in lower
+    ):
+        return None
+    return tuple(config_key(cache.config) for cache in lower)
 
 
 class CapturingCache(SetAssociativeCache):
@@ -129,10 +149,10 @@ class SimPlan:
     Args:
         designs: the designs to simulate together. Designs sharing a
             ``sim_key()`` are simulation-identical and collapse to one
-            representative; designs whose lower chains contain
-            non-standard cache types (anything that is not exactly a
-            :class:`SetAssociativeCache`) cannot be regrouped safely
-            and run *direct* — their own instances, no sharing.
+            representative; designs without a :func:`chain_key`
+            (a non-standard cache type or a partitioned memory) cannot
+            be regrouped safely and run *direct* — their own
+            instances, no sharing.
 
     Attributes:
         designs: the input designs, in order.
@@ -149,12 +169,12 @@ class SimPlan:
                 continue
             seen.add(sim_key)
             lower = design.lower_caches()
-            if any(type(cache) is not SetAssociativeCache for cache in lower):
+            keys = chain_key(lower, design.memory())
+            if keys is None:
                 self._direct.append(design)
                 continue
             node = self._root
-            for cache in lower:
-                key = config_key(cache.config)
+            for cache, key in zip(lower, keys):
                 child = node.children.get(key)
                 if child is None:
                     child = node.children[key] = _PlanNode(cache.config)

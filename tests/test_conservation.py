@@ -8,9 +8,9 @@ flowing down one chain of levels, so three identities must hold:
 - what leaves level *n* (fills plus writebacks) is exactly what
   arrives at level *n + 1* (its loads plus stores).
 
-Fills, not misses, are what leave a level: extrapolated sampled
-counters are rounded field by field, so misses plus writebacks can be
-off by one where fills plus writebacks are not.
+They live in :meth:`HierarchyStats.check_conservation`, which the
+runner calls on every statistics it memoizes; a violation fails the
+sweep cell instead of journalling a bad number.
 
 The reference design's statistics, which :meth:`Runner.prepare`
 computes alongside the L1-L3 replay, must also equal a plain
@@ -27,7 +27,9 @@ from repro.designs.ndm import NDMDesign
 from repro.designs.nmm import NMMDesign
 from repro.designs.reference import ReferenceDesign
 from repro.experiments.runner import Runner
+from repro.experiments.simplan import SimPlan
 from repro.partition.ranges import AddressRange
+from repro.resilience import Journal, SweepExecutor
 from repro.tech.params import EDRAM, PCM
 from repro.workloads.registry import get_workload
 
@@ -77,22 +79,9 @@ def test_every_family_conserves_requests(runner, workload_name):
     workload = get_workload(workload_name)
     for design in family_designs(runner):
         stats = runner.stats_for(design, workload)
-        label = f"{design.name} on {workload_name} ({runner.engine_class})"
-        l1 = stats.levels[0]
-        assert l1.loads + l1.stores == stats.references, label
-        for level in stats.levels:
-            assert level.load_hits <= level.loads, f"{label}: {level.name}"
-            assert level.store_hits <= level.stores, f"{label}: {level.name}"
-        # L1-L3 and the design's caches, then its memory level(s), which
-        # together receive what the last cache sends down.
-        n_caches = 3 + len(design.lower_caches())
-        caches, memory = stats.levels[:n_caches], stats.levels[n_caches:]
-        arrivals = [level.loads + level.stores for level in caches[1:]]
-        arrivals.append(sum(level.loads + level.stores for level in memory))
-        for level, arrived in zip(caches, arrivals):
-            assert level.fills + level.writebacks == arrived, (
-                f"{label}: below {level.name}"
-            )
+        # L1-L3 and the design's caches, then its memory level(s). The
+        # identities hold exactly here, sampled setup included.
+        stats.check_conservation(3 + len(design.lower_caches()))
 
 
 @pytest.mark.parametrize("setup", ["auto", "drain", "sample"])
@@ -107,3 +96,43 @@ def test_prepared_ref_equals_ref_replay(trace_cache, setup, workload_name):
     replayed = runner.stats_for(ref, workload)
     assert replayed is not prepared
     assert replayed == prepared
+
+
+def test_corrupt_lower_replay_fails_its_cell(trace_cache, tmp_path,
+                                            monkeypatch):
+    """A lower replay that loses one memory load fails its sweep cell,
+    on the batched SimPlan path and the per-cell path alike, and is
+    journalled as failed; REF, priced by prepare, stays ok."""
+    real_replay, real_execute = Runner._replay_lower, SimPlan.execute
+
+    def lose_a_load(levels):
+        levels[-1].loads -= 1
+        levels[-1].load_hits -= 1
+        return levels
+
+    def corrupt_replay(self, post_l3, segments, factor, lower, memory,
+                       window=None):
+        levels = real_replay(self, post_l3, segments, factor, lower, memory,
+                             window)
+        return lose_a_load(levels) if lower else levels
+
+    def corrupt_execute(self, *args, **kwargs):
+        results = real_execute(self, *args, **kwargs)
+        return {key: lose_a_load(levels) for key, levels in results.items()}
+
+    monkeypatch.setattr(Runner, "_replay_lower", corrupt_replay)
+    monkeypatch.setattr(SimPlan, "execute", corrupt_execute)
+    runner = Runner(scale=SCALE, seed=0, trace_cache_dir=trace_cache)
+    designs = family_designs(runner)[:3]  # REF, NMM-N6, 4LC-EH4
+    journal = Journal(tmp_path / "campaign.jsonl")
+    result = SweepExecutor(runner, journal=journal).run(
+        designs, [get_workload("CG")]
+    )
+    statuses = {outcome.design: outcome.status for outcome in result.outcomes}
+    assert statuses == {designs[0].name: "ok", designs[1].name: "failed",
+                        designs[2].name: "failed"}
+    for entry in journal.load().values():
+        if entry.design != designs[0].name:
+            assert entry.status == "failed"
+            assert entry.evaluation is None
+            assert "conservation violated between" in entry.error
