@@ -736,37 +736,24 @@ def _telemetry_command(args) -> int:
 
     from repro.errors import TelemetryError
     from repro.telemetry import observatory
-    from repro.telemetry.report import (
-        render_summary,
-        summarize_directory,
-        summary_to_dict,
-    )
+    from repro.telemetry.report import render_summary, summary_to_dict
 
     try:
         if args.action == "report":
             import json as json_mod
 
-            root = Path(args.dir)
+            aggregate = observatory.aggregate_run(args.dir)
+            summary = observatory.summary_from_aggregate(aggregate)
+            if args.json:
+                print(json_mod.dumps(summary_to_dict(summary), indent=2))
+                return 0
             if any(
-                observatory.worker_index(child) is not None
-                for child in root.iterdir() if child.is_dir()
+                observatory.worker_index(source) is not None
+                for source in aggregate.sources
             ):
-                aggregate = observatory.aggregate_run(root)
-                summary = observatory.summary_from_aggregate(aggregate)
-                if args.json:
-                    print(json_mod.dumps(
-                        summary_to_dict(summary), indent=2))
-                else:
-                    print(observatory.render_run_overview(aggregate))
-                    print()
-                    print(render_summary(summary))
-            else:
-                summary = summarize_directory(root)
-                if args.json:
-                    print(json_mod.dumps(
-                        summary_to_dict(summary), indent=2))
-                else:
-                    print(render_summary(summary))
+                print(observatory.render_run_overview(aggregate))
+                print()
+            print(render_summary(summary))
             return 0
 
         if args.action == "serve":

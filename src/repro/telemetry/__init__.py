@@ -18,8 +18,8 @@ progress while running. This package is that layer:
   writers and their readers.
 - :mod:`repro.telemetry.progress` — live per-cell sweep progress with
   ETA and the ``--resume`` startup summary.
-- :mod:`repro.telemetry.report` — ``telemetry report`` directory
-  summaries.
+- :mod:`repro.telemetry.report` — the ``telemetry report`` summary
+  and its text / JSON renderers.
 - :mod:`repro.telemetry.profiling` — continuous profiling: a sampled
   wall-clock stack profiler attributed to spans/cells (``flame.folded``
   flamegraphs) and tracemalloc memory watermarks.
@@ -120,7 +120,6 @@ from repro.telemetry.registry import (
 from repro.telemetry.report import (
     TelemetrySummary,
     render_summary,
-    summarize_directory,
     summary_to_dict,
 )
 from repro.telemetry.windows import (
@@ -203,7 +202,6 @@ __all__ = [
     "escape_label_value",
     "unescape_label_value",
     "TelemetrySummary",
-    "summarize_directory",
     "render_summary",
     "summary_to_dict",
     "DirectoryFollower",

@@ -62,14 +62,18 @@ from repro.telemetry.profiling import (
     read_profile,
     total_samples,
 )
-from repro.telemetry.registry import _escape, _render_value
+from repro.telemetry.registry import (
+    _escape,
+    _render_value,
+    unescape_label_value,
+)
 from repro.telemetry.report import (
+    HOTSPOT_TOP,
+    EngineDigest,
     LevelDigest,
     SpanDigest,
     TelemetrySummary,
-    _digest_engines,
     _digest_windows,
-    _parse_prom_line,
     supervision_digest,
 )
 from repro.telemetry.windows import WINDOW_FIELDS, WindowRecord
@@ -177,35 +181,50 @@ class RunAggregate:
 
     def level_digests(self) -> list[LevelDigest]:
         """Per-level window sums across every stage and worker."""
-        by_level: dict[str, LevelDigest] = {}
-        for row in self.windows:
-            digest = by_level.setdefault(
-                row.record.level, LevelDigest(row.record.level)
-            )
-            digest.accesses += row.record.accesses
-            digest.hits += row.record.hits
-            digest.bytes_moved += row.record.bytes_moved
-            digest.writebacks += row.record.writebacks
+        merged = _digest_windows("", [row.record for row in self.windows])
+        return sorted(merged.levels, key=lambda d: d.level)
+
+    def engine_digests(self) -> list[EngineDigest]:
+        """Per-level cache-engine digests, by level name.
+
+        The resolved engine and policy come from the last
+        ``engine_selected`` event per level; rounds, runs and occupancy
+        from the merged ``repro_engine_*`` samples.
+        """
+        by_level: dict[str, EngineDigest] = {}
+
+        def digest(level: str) -> EngineDigest:
+            return by_level.setdefault(level, EngineDigest(level))
+
+        for event in self.events:
+            if event.get("kind") == "engine_selected":
+                d = digest(str(event.get("level", "?")))
+                d.engine = str(event.get("engine", "?"))
+                d.policy = str(event.get("policy", ""))
+        for name in ("repro_engine_rounds", "repro_engine_runs",
+                     "repro_engine_occupancy"):
+            for key, value in self.metrics.get(name, {}).items():
+                labels = dict(key)
+                if "level" not in labels:
+                    continue
+                d = digest(labels["level"])
+                if name == "repro_engine_rounds":
+                    d.rounds = int(value)
+                elif name == "repro_engine_occupancy":
+                    d.occupancy = value
+                elif labels.get("path") == "vector":
+                    d.runs_vector = int(value)
+                else:
+                    d.runs_scalar = int(value)
         return sorted(by_level.values(), key=lambda d: d.level)
 
     def vector_fractions(self) -> dict[str, float]:
-        """Per-level engine vector fraction from the merged metrics."""
-        runs: dict[str, dict[str, float]] = {}
-        for key, value in self.metrics.get("repro_engine_runs", {}).items():
-            labels = dict(key)
-            level = labels.get("level")
-            if level is None:
-                continue
-            path = "vector" if labels.get("path") == "vector" else "scalar"
-            runs.setdefault(level, {})[path] = (
-                runs.setdefault(level, {}).get(path, 0.0) + value
-            )
-        fractions = {}
-        for level, paths in runs.items():
-            total = paths.get("vector", 0.0) + paths.get("scalar", 0.0)
-            if total:
-                fractions[level] = paths.get("vector", 0.0) / total
-        return fractions
+        """Per-level engine vector fraction (levels that ran any runs)."""
+        return {
+            d.level: d.vector_fraction
+            for d in self.engine_digests()
+            if d.runs_vector + d.runs_scalar
+        }
 
     def cell_status_counts(self) -> dict[str, float]:
         """Finished-cell counts by status from the merged metrics."""
@@ -339,6 +358,31 @@ def _merge_events(per_source: Iterable[list[dict]]) -> list[dict]:
         )
     )
     return merged
+
+
+#: ``name{label="a",other="b"} value`` — the exposition-format shape
+#: :meth:`MetricsRegistry.render_prometheus` writes for scalars. The
+#: label body is matched greedily up to the *last* ``}`` so escaped
+#: values containing ``}`` cannot truncate the match.
+_PROM_LINE = re.compile(r"^(\w+)(?:\{(.*)\})?\s+(\S+)$")
+_PROM_LABEL = re.compile(r'(\w+)="((?:[^"\\]|\\.)*)"')
+
+
+def _parse_prom_line(line: str) -> tuple[str, dict[str, str], float] | None:
+    """``(name, labels, value)`` of one exposition line, else None."""
+    match = _PROM_LINE.match(line.strip())
+    if not match:
+        return None
+    name, label_body, raw = match.groups()
+    try:
+        value = float(raw)
+    except ValueError:
+        return None
+    labels = {
+        k: unescape_label_value(v)
+        for k, v in _PROM_LABEL.findall(label_body or "")
+    }
+    return name, labels, value
 
 
 def _read_metrics(path: Path) -> tuple[dict[str, str], list[tuple]]:
@@ -586,18 +630,16 @@ def write_merged(
 
 
 def summary_from_aggregate(aggregate: RunAggregate) -> TelemetrySummary:
-    """A merged-view :class:`TelemetrySummary` (for ``telemetry report``).
+    """The :class:`TelemetrySummary` behind ``telemetry report``.
 
-    Window stages merge by context across workers; engine digests come
-    from the merged metrics and ``engine_selected`` events.
+    Every report — plain directory, multi-worker root or merged
+    directory — is this view over :func:`aggregate_run`. Window stages
+    merge by context across workers.
     """
     summary = TelemetrySummary(directory=aggregate.root)
-    engine_events: list[dict] = []
     for event in aggregate.events:
         kind = str(event.get("kind", "event"))
         summary.events_by_kind[kind] = summary.events_by_kind.get(kind, 0) + 1
-        if kind == "engine_selected":
-            engine_events.append(event)
     summary.spans = aggregate.span_digests()
 
     by_context: dict[str, list[WindowRecord]] = {}
@@ -608,16 +650,14 @@ def summary_from_aggregate(aggregate: RunAggregate) -> TelemetrySummary:
         for context, records in sorted(by_context.items())
     ]
 
-    metrics_text = _render_merged_metrics(
-        aggregate.metric_kinds, aggregate.metrics
+    # The merged snapshot holds one TYPE line per metric, one per sample.
+    summary.metrics_lines = len(aggregate.metric_kinds) + sum(
+        len(samples) for samples in aggregate.metrics.values()
     )
-    summary.metrics_lines = len(
-        [line for line in metrics_text.splitlines() if line.strip()]
-    )
-    summary.engines = _digest_engines(engine_events, metrics_text)
+    summary.engines = aggregate.engine_digests()
     summary.supervision = supervision_digest(summary.events_by_kind)
     summary.profile_samples = aggregate.profile_samples()
-    summary.hotspots = aggregate.hotspots()
+    summary.hotspots = aggregate.hotspots(top=HOTSPOT_TOP)
     return summary
 
 

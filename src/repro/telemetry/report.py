@@ -1,29 +1,24 @@
-"""Summarize a telemetry directory into a human-readable report.
+"""Summarize a run's telemetry into a human-readable or JSON report.
 
-``python -m repro.experiments telemetry report DIR`` reads what a run
-wrote — ``events.jsonl``, ``windows_*.csv``, ``metrics.prom`` — and
-renders: event counts by kind, per-span duration statistics, and a
-per-stage window digest (windows, references, per-level hit rate and
-demanded bandwidth). Pure reader: it never mutates the directory.
+``python -m repro.experiments telemetry report DIR`` reads DIR through
+:func:`~repro.telemetry.observatory.aggregate_run` (a plain directory,
+a multi-worker run root and a ``telemetry merge`` output alike) and
+builds its :class:`TelemetrySummary` from that one read model with
+:func:`~repro.telemetry.observatory.summary_from_aggregate`. This
+module holds the summary's digests and renders them: event counts by
+kind, per-span duration statistics, a per-stage window digest
+(windows, references, per-level hit rate and demanded bandwidth),
+cache-engine activity, profiler hotspots and pool supervision. It
+reads no file itself.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.errors import TelemetryError
-from repro.telemetry.core import EVENTS_FILE, METRICS_FILE
-from repro.telemetry.exporters import read_jsonl, read_windows_csv
-from repro.telemetry.profiling import (
-    PROFILE_FILE,
-    HotspotDigest,
-    hotspot_digests,
-    read_profile,
-    total_samples,
-)
-from repro.telemetry.registry import unescape_label_value
+from repro.telemetry.core import METRICS_FILE
+from repro.telemetry.profiling import HotspotDigest
 from repro.telemetry.windows import WindowRecord
 
 #: Functions listed per stage in the report's hotspots section.
@@ -94,9 +89,10 @@ class EngineDigest:
     """Per-level cache-engine activity digest.
 
     Built from ``engine_selected`` events (which engine each level
-    resolved to) joined with the ``repro_engine_*`` counters/gauges in
-    the Prometheus snapshot (how much work the set-parallel fast path
-    actually absorbed).
+    resolved to) joined with the merged ``repro_engine_*`` counters and
+    gauges (how much work the set-parallel fast path actually
+    absorbed); see :meth:`RunAggregate.engine_digests
+    <repro.telemetry.observatory.RunAggregate.engine_digests>`.
 
     Attributes:
         level: hierarchy level name.
@@ -183,16 +179,17 @@ def supervision_digest(events_by_kind: dict[str, int]) -> SupervisionDigest:
 
 @dataclass
 class TelemetrySummary:
-    """Everything :func:`summarize_directory` extracts.
+    """Everything ``telemetry report`` prints about one run.
 
     Attributes:
         directory: the summarized path.
-        events_by_kind: event counts from ``events.jsonl``.
+        events_by_kind: event counts from the (deduplicated) run log.
         spans: per-name span digests, by descending total time.
         stages: per-stage window digests, by context.
         engines: per-level cache-engine digests, by level name.
         supervision: worker-pool supervision digest.
-        metrics_lines: number of lines in the Prometheus snapshot.
+        metrics_lines: lines of the merged Prometheus snapshot (one
+            ``# TYPE`` line per metric plus one line per sample).
         hotspots: sampled-profiler top functions per stage (empty when
             the run was not profiled).
         profile_samples: total profiler samples behind the hotspots.
@@ -227,120 +224,6 @@ def _digest_windows(context: str, records: list[WindowRecord]) -> StageWindows:
         context=context, windows=windows, refs=refs,
         levels=list(by_level.values()),
     )
-
-
-#: ``name{label="a",other="b"} value`` — the exposition-format shape
-#: :meth:`MetricsRegistry.render_prometheus` writes for scalars. The
-#: label body is matched greedily up to the *last* ``}`` so escaped
-#: values containing ``}`` cannot truncate the match.
-_PROM_LINE = re.compile(r"^(\w+)(?:\{(.*)\})?\s+(\S+)$")
-_PROM_LABEL = re.compile(r'(\w+)="((?:[^"\\]|\\.)*)"')
-
-
-def _parse_prom_line(line: str) -> tuple[str, dict[str, str], float] | None:
-    """``(name, labels, value)`` of one exposition line, else None."""
-    match = _PROM_LINE.match(line.strip())
-    if not match:
-        return None
-    name, label_body, raw = match.groups()
-    try:
-        value = float(raw)
-    except ValueError:
-        return None
-    labels = {
-        k: unescape_label_value(v)
-        for k, v in _PROM_LABEL.findall(label_body or "")
-    }
-    return name, labels, value
-
-
-def _digest_engines(
-    events: list[dict], metrics_text: str
-) -> list[EngineDigest]:
-    by_level: dict[str, EngineDigest] = {}
-
-    def digest(level: str) -> EngineDigest:
-        return by_level.setdefault(level, EngineDigest(level))
-
-    for event in events:
-        d = digest(str(event.get("level", "?")))
-        d.engine = str(event.get("engine", "?"))
-        d.policy = str(event.get("policy", ""))
-
-    for line in metrics_text.splitlines():
-        parsed = _parse_prom_line(line)
-        if parsed is None:
-            continue
-        name, labels, value = parsed
-        if not name.startswith("repro_engine_") or "level" not in labels:
-            continue
-        d = digest(labels["level"])
-        if name == "repro_engine_rounds":
-            d.rounds = int(value)
-        elif name == "repro_engine_occupancy":
-            d.occupancy = value
-        elif name == "repro_engine_runs":
-            if labels.get("path") == "vector":
-                d.runs_vector = int(value)
-            else:
-                d.runs_scalar = int(value)
-    return sorted(by_level.values(), key=lambda d: d.level)
-
-
-def summarize_directory(directory: str | Path) -> TelemetrySummary:
-    """Read a telemetry directory into a :class:`TelemetrySummary`.
-
-    Raises:
-        TelemetryError: when the directory does not exist.
-    """
-    directory = Path(directory)
-    if not directory.is_dir():
-        raise TelemetryError(f"no telemetry directory at {directory}")
-    summary = TelemetrySummary(directory=directory)
-
-    events_path = directory / EVENTS_FILE
-    spans: dict[str, SpanDigest] = {}
-    engine_events: list[dict] = []
-    if events_path.exists():
-        for event in read_jsonl(events_path):
-            kind = str(event.get("kind", "event"))
-            summary.events_by_kind[kind] = (
-                summary.events_by_kind.get(kind, 0) + 1
-            )
-            if kind == "span" and "name" in event:
-                digest = spans.setdefault(
-                    event["name"], SpanDigest(event["name"])
-                )
-                duration = float(event.get("duration_s", 0.0))
-                digest.count += 1
-                digest.total_s += duration
-                digest.max_s = max(digest.max_s, duration)
-            elif kind == "engine_selected":
-                engine_events.append(event)
-    summary.spans = sorted(
-        spans.values(), key=lambda d: d.total_s, reverse=True
-    )
-
-    for csv_path in sorted(directory.glob("windows_*.csv")):
-        context = csv_path.stem[len("windows_"):]
-        summary.stages.append(
-            _digest_windows(context, read_windows_csv(csv_path))
-        )
-
-    metrics_text = ""
-    metrics_path = directory / METRICS_FILE
-    if metrics_path.exists():
-        metrics_text = metrics_path.read_text()
-        summary.metrics_lines = len(
-            [l for l in metrics_text.splitlines() if l.strip()]
-        )
-    summary.engines = _digest_engines(engine_events, metrics_text)
-    summary.supervision = supervision_digest(summary.events_by_kind)
-
-    profile_records = read_profile(directory / PROFILE_FILE)
-    summary.profile_samples = total_samples(profile_records)
-    summary.hotspots = hotspot_digests(profile_records, top=HOTSPOT_TOP)
-    return summary
 
 
 def summary_to_dict(summary: TelemetrySummary) -> dict:

@@ -23,12 +23,12 @@ from repro.telemetry.live import (
     render_dashboard,
     watch,
 )
+from repro.telemetry.observatory import _parse_prom_line
 from repro.telemetry.registry import (
     MetricsRegistry,
     escape_label_value,
     unescape_label_value,
 )
-from repro.telemetry.report import _parse_prom_line
 
 pytestmark = pytest.mark.telemetry
 

@@ -22,6 +22,7 @@ from repro.telemetry.observatory import (
     diff_runs,
     render_diff,
     render_run_overview,
+    summary_from_aggregate,
     write_merged,
 )
 from repro.telemetry.profiling import (
@@ -49,7 +50,7 @@ from repro.telemetry.registry import (
     MetricsRegistry,
     _NULL_INSTRUMENT,
 )
-from repro.telemetry.report import render_summary, summarize_directory
+from repro.telemetry.report import render_summary
 
 pytestmark = pytest.mark.telemetry
 
@@ -604,14 +605,14 @@ class TestObservatory:
 
     def test_report_renders_hotspots_section(self, tmp_path):
         make_profiled_run(tmp_path)
-        summary = summarize_directory(tmp_path)
+        summary = summary_from_aggregate(aggregate_run(tmp_path))
         text = render_summary(summary)
         assert "hotspots" in text
         assert "mod:loop" in text
 
     def test_unprofiled_run_renders_without_hotspots(self, tmp_path):
         (tmp_path / "events.jsonl").write_text("")
-        text = render_summary(summarize_directory(tmp_path))
+        text = render_summary(summary_from_aggregate(aggregate_run(tmp_path)))
         assert "hotspots" not in text
 
 
