@@ -19,7 +19,7 @@ from repro.cache.stats import LevelStats, HierarchyStats
 from repro.cache.setassoc import SetAssociativeCache
 from repro.cache.mainmem import MainMemory
 from repro.cache.partition import PartitionedMemory
-from repro.cache.hierarchy import Hierarchy, drain_chain, run_chain
+from repro.cache.hierarchy import Hierarchy, drain_chain, replay_chain, run_chain
 from repro.cache.prefetch import PrefetchingCache, PrefetchStats
 from repro.cache.replacement import (
     FIFOPolicy,
@@ -39,6 +39,7 @@ __all__ = [
     "Hierarchy",
     "run_chain",
     "drain_chain",
+    "replay_chain",
     "PrefetchingCache",
     "PrefetchStats",
     "ReplacementPolicy",

@@ -76,6 +76,55 @@ def drain_chain(
             memory.process(writebacks)
 
 
+def replay_chain(
+    stream: AddressStream,
+    caches: list[SetAssociativeCache],
+    memory: MainMemory | PartitionedMemory,
+    *,
+    drain: bool,
+    observer=None,
+) -> None:
+    """Run a whole request stream through a cache chain.
+
+    Every chunk goes through :func:`run_chain` (``observer.on_refs``
+    hears each chunk's length), then :func:`drain_chain` flushes the
+    chain if ``drain``. A chain of one cold LRU
+    :class:`SetAssociativeCache` above a plain :class:`MainMemory`,
+    not forced onto the scalar engine and not observed, is priced by
+    :meth:`SetAssociativeCache.count_lru` instead: the same statistics
+    from whole-stream passes, without the per-run loop. The scalar
+    engine always takes the loop, which stays the oracle.
+    """
+    if observer is None and _counts_only(caches, memory):
+        cache = caches[0]
+        batch = stream.as_batch()
+        check_request_sizes(batch, cache.block_size, cache.name)
+        fills, writebacks = cache.count_lru(batch, drain=drain)
+        memory.absorb_counts(
+            fills, cache.block_size, writebacks, cache.writeback_size
+        )
+        return
+    for chunk in stream.chunks():
+        run_chain(chunk, caches, memory)
+        if observer is not None:
+            observer.on_refs(len(chunk))
+    if drain:
+        drain_chain(caches, memory)
+
+
+def _counts_only(caches: list, memory) -> bool:
+    """Whether :func:`replay_chain` may price the chain by counts."""
+    if len(caches) != 1 or type(memory) is not MainMemory:
+        return False
+    cache = caches[0]
+    return (
+        type(cache) is SetAssociativeCache
+        and cache.config.policy == "lru"
+        and cache.config.engine != "scalar"
+        and cache.resident_blocks() == 0
+    )
+
+
 def to_block_requests(batch: AccessBatch, block_size: int) -> AccessBatch:
     """Convert raw byte accesses into top-level cache requests.
 

@@ -35,6 +35,19 @@ class MainMemory:
         stats.store_hits += n_stores
         return AccessBatch.empty()
 
+    def absorb_counts(
+        self, loads: int, load_size: int, stores: int, store_size: int
+    ) -> None:
+        """Count what :meth:`process` would for ``loads`` requests of
+        ``load_size`` bytes and ``stores`` of ``store_size`` bytes."""
+        stats = self.stats
+        stats.loads += loads
+        stats.load_hits += loads
+        stats.load_bits += 8 * load_size * loads
+        stats.stores += stores
+        stats.store_hits += stores
+        stats.store_bits += 8 * store_size * stores
+
     def reset(self) -> None:
         """Zero the counters."""
         self.stats = LevelStats(name=self.stats.name)

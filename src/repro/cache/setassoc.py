@@ -35,7 +35,22 @@ Design notes (performance):
   to the scalar loop — statistics, emitted batches, and end state.
   Rounds with fewer than ``SETPAR_MIN_LANES`` active sets (skewed
   tails, tiny scaled caches) are handed back to the scalar loop, which
-  is faster at low lane counts.
+  is faster at low lane counts. Sectored levels always take the
+  scalar loop in :meth:`~SetAssociativeCache.process`.
+- The last cache above a memory that only counts needs no emitted
+  batch, only how many fills and writebacks it sends.
+  :meth:`~SetAssociativeCache.count_lru` prices a whole stream on a
+  cold LRU level, sectored or not, from counts: consecutive same-block
+  requests collapse into runs, the run heads are stable-sorted by set,
+  and :func:`~repro.trace.reuse.lru_hits` decides each head's hit by
+  LRU stack inclusion (fewer than ``ways`` distinct blocks since its
+  previous access). Each miss opens a *residency* of its block;
+  writebacks are the distinct ``(residency, sector)`` pairs of the
+  stores, of evicted residencies only unless the stream is drained.
+  A block's last residency is evicted iff ``ways`` blocks of its set
+  are last touched after it. The statistics equal the loop's exactly;
+  :func:`~repro.cache.hierarchy.replay_chain` decides when this path
+  applies, and never under the ``scalar`` engine.
 
 Semantics: write-back, write-allocate. A store to an absent block
 fills it (counted as a miss of store kind) and marks it dirty; evicting
@@ -55,6 +70,7 @@ from repro.cache.stats import LevelStats
 from repro.errors import SimulationError
 from repro.telemetry.core import get_active
 from repro.trace.events import ADDR_DTYPE, KIND_DTYPE, SIZE_DTYPE, AccessBatch
+from repro.trace.reuse import lru_hits
 from repro.units import log2_int
 
 #: Minimum active sets per round for the vectorized step to beat the
@@ -142,6 +158,11 @@ class SetAssociativeCache:
         return self.config.block_size
 
     @property
+    def writeback_size(self) -> int:
+        """Bytes of one writeback request (the sector, or the block)."""
+        return 1 << self._sector_bits
+
+    @property
     def engine(self) -> str:
         """Resolved simulation engine ("scalar" or "setpar")."""
         return self._engine
@@ -159,6 +180,19 @@ class SetAssociativeCache:
                 ((block * 2654435761) & 0xFFFFFFFFFFFFFFFF) >> 15
             ) & self._set_mask
         return block & self._set_mask
+
+    def _set_indices(self, blocks: np.ndarray) -> np.ndarray:
+        """:meth:`_set_index` of a uint64 block array, vectorized.
+
+        The hash product exceeds 64 bits, but uint64 wrap-around keeps
+        its low 64 bits exact and the masked bits (15 .. 15 + set bits)
+        all live there, so the mapping is bit-identical.
+        """
+        if self._hashed:
+            return (
+                (blocks * np.uint64(2654435761)) >> np.uint64(15)
+            ) & np.uint64(self._set_mask)
+        return blocks & np.uint64(self._set_mask)
 
     def resident_blocks(self) -> int:
         """Number of blocks currently cached (diagnostics/tests)."""
@@ -200,6 +234,19 @@ class SetAssociativeCache:
     # Simulation
     # ------------------------------------------------------------------
 
+    def _announce(self, tel, engine: str) -> None:
+        """Emit this level's ``engine_selected`` event, once."""
+        if tel.enabled and not self._engine_announced:
+            self._engine_announced = True
+            tel.event(
+                "engine_selected",
+                level=self.config.name,
+                engine=engine,
+                policy=self.config.policy,
+                sets=self.config.num_sets,
+                ways=self.config.associativity,
+            )
+
     def process(self, batch: AccessBatch) -> AccessBatch:
         """Run a request batch through the cache.
 
@@ -219,16 +266,7 @@ class SetAssociativeCache:
             return AccessBatch.empty()
 
         tel = get_active()
-        if tel.enabled and not self._engine_announced:
-            self._engine_announced = True
-            tel.event(
-                "engine_selected",
-                level=self.config.name,
-                engine=self._engine,
-                policy=self.config.policy,
-                sets=self.config.num_sets,
-                ways=self.config.associativity,
-            )
+        self._announce(tel, self._engine)
 
         stats = self.stats
         is_store = batch.is_store
@@ -271,23 +309,12 @@ class SetAssociativeCache:
             first_store = is_store[starts]
             run_loads = counts - run_stores
 
-        # Set indices, vectorized. The serial loops used to evaluate
-        # ``(blk * 2654435761) >> 15 & mask`` per run in Python — the
-        # product exceeds 64 bits, so every probe paid for big-int
-        # allocation. uint64 wrap-around keeps the low 64 bits exact,
-        # and the masked bits (15 .. 15 + set bits) all live there, so
-        # the mapping is bit-identical.
         run_blocks = (
             run_units >> np.uint64(self._block_bits - self._sector_bits)
             if self._sectored
             else run_units
         )
-        if self._hashed:
-            run_sets = (
-                (run_blocks * np.uint64(2654435761)) >> np.uint64(15)
-            ) & np.uint64(self._set_mask)
-        else:
-            run_sets = run_blocks & np.uint64(self._set_mask)
+        run_sets = self._set_indices(run_blocks)
 
         if self._sectored:
             out_units, out_kinds, out_sizes = self._process_runs_sectored(
@@ -1020,6 +1047,87 @@ class SetAssociativeCache:
         stats.writebacks += wb
         stats.fills += fills
         return out_blocks, out_kinds
+
+    def count_lru(self, batch: AccessBatch, *, drain: bool) -> tuple[int, int]:
+        """Price a whole request stream on this cold LRU cache, counts only.
+
+        Adds to :attr:`stats` exactly what :meth:`process` on every
+        chunk (then :meth:`flush_dirty` if ``drain``) would add, but
+        from whole-stream numpy passes (see the module docstring). It
+        emits no request batch and leaves the replacement and dirty
+        state cold, so it suits the last cache before a memory that
+        only counts what arrives.
+
+        Returns:
+            ``(fills, writebacks)``: the block-sized loads and the
+            sector-sized stores the level below receives.
+        """
+        if not len(batch):
+            return 0, 0
+        self._announce(get_active(), "lru-counts")
+        n_loads, n_stores = self.stats.account_batch(batch)
+        # Block runs in time order; a run's later accesses always hit.
+        blocks = batch.addresses >> np.uint64(self._block_bits)
+        head = np.empty(len(blocks), dtype=bool)
+        head[0] = True
+        np.not_equal(blocks[1:], blocks[:-1], out=head[1:])
+        heads = np.flatnonzero(head)
+        run_blocks = blocks[heads]
+        # Each set's runs, in time order, one set after another: every
+        # LRU stack window then stays inside its set.
+        narrow = self.config.num_sets <= (1 << 15)  # radix-sortable keys
+        sets = self._set_indices(run_blocks).astype(
+            np.int16 if narrow else np.int64
+        )
+        order = np.argsort(sets, kind="stable")
+        seq = run_blocks[order]
+        ways = self.config.associativity
+        by_block = np.argsort(seq, kind="stable")
+        miss = ~lru_hits(seq, ways, by_block)
+        misses = int(np.count_nonzero(miss))
+        store_misses = int(
+            np.count_nonzero(batch.is_store[heads[order[miss]]])
+        )
+        # Residencies: a block's runs from one miss up to the next. The
+        # final residency of a block is evicted iff ``ways`` blocks of
+        # its set are last touched after it.
+        residency = np.empty(len(seq), dtype=np.int64)
+        residency[by_block] = np.cumsum(miss[by_block]) - 1
+        last = np.ones(len(seq), dtype=bool)
+        grouped = seq[by_block]
+        last[:-1] = grouped[1:] != grouped[:-1]
+        last_pos = np.sort(by_block[last])
+        last_sets = sets[order[last_pos]]
+        later = np.searchsorted(last_sets, last_sets, side="right")
+        later -= np.arange(1, len(last_pos) + 1)
+        evicted = np.ones(misses, dtype=bool)
+        evicted[residency[last_pos]] = later >= ways
+        # Writebacks: the distinct (residency, sector) pairs of stores,
+        # of evicted residencies only unless the drain flushes the rest.
+        # A pair packs into one uint64, the residency above the sector's
+        # index in its block (``sub`` bits; residencies < 2**(64 - sub)).
+        run_residency = np.empty(len(seq), dtype=np.int64)
+        run_residency[order] = residency
+        stores = np.flatnonzero(batch.is_store)
+        store_residency = run_residency[np.cumsum(head)[stores] - 1]
+        sub = np.uint64(self._block_bits - self._sector_bits)
+        sector = batch.addresses[stores] >> np.uint64(self._sector_bits)
+        pairs = np.unique(
+            (store_residency.astype(np.uint64) << sub)
+            | (sector & ((np.uint64(1) << sub) - np.uint64(1)))
+        )
+        dirty = (pairs >> sub).astype(np.int64)
+        writebacks = (
+            len(dirty) if drain else int(np.count_nonzero(evicted[dirty]))
+        )
+        stats = self.stats
+        stats.load_misses += misses - store_misses
+        stats.load_hits += n_loads - (misses - store_misses)
+        stats.store_misses += store_misses
+        stats.store_hits += n_stores - store_misses
+        stats.fills += misses
+        stats.writebacks += writebacks
+        return misses, writebacks
 
     def insert_block(self, block: int) -> AccessBatch:
         """Install a block without demand accounting (prefetch fills).

@@ -29,7 +29,7 @@ import logging
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
-from repro.cache.hierarchy import Hierarchy, drain_chain, run_chain
+from repro.cache.hierarchy import Hierarchy, replay_chain, run_chain
 from repro.cache.mainmem import MainMemory
 from repro.cache.partition import PartitionedMemory
 from repro.cache.stats import HierarchyStats, LevelStats
@@ -899,13 +899,14 @@ class Runner:
         """Replay the captured post-L3 stream through a lower chain.
 
         The one lower-level replay, for every design and for the REF
-        DRAM (``lower=[]``). Batches go through
-        :func:`~repro.cache.hierarchy.run_chain` and its block-size
-        guard. With ``segments`` None every chunk is replayed, then the
-        chain is flushed if the runner drains; ``window`` names the
-        telemetry window series of such an exact replay. Otherwise the
-        recorded sampled windows are replayed and the measured windows'
-        counter deltas are scaled by ``factor``.
+        DRAM (``lower=[]``). With ``segments`` None the whole stream
+        goes through :func:`~repro.cache.hierarchy.replay_chain`, which
+        flushes the chain if the runner drains and may price it by
+        counts; ``window`` names the telemetry window series of such an
+        exact replay, which then always takes the per-chunk loop.
+        Otherwise the recorded sampled windows go batch by batch
+        through :func:`~repro.cache.hierarchy.run_chain` and the
+        measured windows' counter deltas are scaled by ``factor``.
 
         Returns the chain's statistics: caches, then memory level(s).
         """
@@ -920,12 +921,9 @@ class Runner:
             collector = None
             if window is not None and telemetry.enabled:
                 collector = telemetry.window_collector(window, levels)
-            for chunk in post_l3.chunks():
-                run_chain(chunk, lower, memory)
-                if collector is not None:
-                    collector.on_refs(len(chunk))
-            if self.drain:
-                drain_chain(lower, memory)
+            replay_chain(
+                post_l3, lower, memory, drain=self.drain, observer=collector
+            )
             if collector is not None:
                 telemetry.finish_collector(collector)
             return levels()

@@ -38,7 +38,7 @@ from dataclasses import replace
 from typing import TYPE_CHECKING, Iterable
 
 from repro.cache.config import CacheConfig
-from repro.cache.hierarchy import drain_chain, run_chain
+from repro.cache.hierarchy import replay_chain
 from repro.cache.mainmem import MainMemory
 from repro.cache.partition import PartitionedMemory
 from repro.cache.setassoc import SetAssociativeCache
@@ -253,10 +253,7 @@ class SimPlan:
         for design in self._direct:
             caches = design.lower_caches()
             memory = design.memory()
-            for chunk in stream.chunks():
-                run_chain(chunk, caches, memory)
-            if drain:
-                drain_chain(caches, memory)
+            replay_chain(stream, caches, memory, drain=drain)
             results[design.sim_key()] = [
                 replace(c.stats) for c in caches
             ] + _memory_stats(memory)
@@ -276,8 +273,7 @@ class SimPlan:
         # terminal memory consumes the (already captured) stream.
         for design in node.designs:
             memory = design.memory()
-            for chunk in stream.chunks():
-                memory.process(chunk)
+            replay_chain(stream, [], memory, drain=drain)
             results[design.sim_key()] = [
                 replace(s) for s in prefix_stats
             ] + _memory_stats(memory)
@@ -292,10 +288,7 @@ class SimPlan:
                 "simplan.prefix", level=child.config.name,
                 workload=workload, designs=shared_by,
             ):
-                for chunk in stream.chunks():
-                    run_chain(chunk, [cache], sink)
-                if drain:
-                    drain_chain([cache], sink)
+                replay_chain(stream, [cache], sink, drain=drain)
             stage = f"post_{child.config.name.lower()}"
             tel.gauge(
                 "repro_captured_stream_requests", stage=stage,
@@ -334,10 +327,7 @@ class SimPlan:
             current = next(iter(current.children.values()))
         caches = [SetAssociativeCache(c) for c in configs]
         memory = design.memory()
-        for chunk in stream.chunks():
-            run_chain(chunk, caches, memory)
-        if drain:
-            drain_chain(caches, memory)
+        replay_chain(stream, caches, memory, drain=drain)
         results[design.sim_key()] = (
             [replace(s) for s in prefix_stats]
             + [c.stats for c in caches]

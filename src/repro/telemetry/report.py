@@ -96,7 +96,9 @@ class EngineDigest:
 
     Attributes:
         level: hierarchy level name.
-        engine: resolved engine (``"scalar"`` or ``"setpar"``).
+        engine: resolved engine: ``"scalar"``, ``"setpar"``,
+            ``"lru-counts"`` (a last LRU cache priced from whole-stream
+            counts, with no rounds or runs) or ``"analytic"``.
         policy: the level's replacement policy.
         rounds: total vectorized rounds executed.
         runs_vector / runs_scalar: collapsed runs taken by the

@@ -18,6 +18,11 @@ Two implementations are provided:
 - :func:`reuse_distances_fenwick` — the original Bennett–Kruskal
   Fenwick-tree loop, kept as the bit-exact reference for differential
   tests and the `bench_reuse_profile` microbenchmark.
+
+:func:`lru_hits` answers only "is the distance below ``ways``?",
+which bounded forward scans decide faster than the full distance
+pass. Its consumer is the exact counts-only pricing of a last-level
+LRU cache, :meth:`repro.cache.setassoc.SetAssociativeCache.count_lru`.
 """
 
 from __future__ import annotations
@@ -30,18 +35,22 @@ from repro.trace.stream import AddressStream
 COLD_DISTANCE: int = -1
 
 
-def previous_occurrences(lines: np.ndarray) -> np.ndarray:
+def previous_occurrences(
+    lines: np.ndarray, order: np.ndarray | None = None
+) -> np.ndarray:
     """Index of the previous access to the same line, -1 for first touch.
 
     The backbone of the vectorized distance pass: one stable argsort
     groups accesses by line in time order, so each access's predecessor
-    is simply its left neighbour within the group.
+    is simply its left neighbour within the group. A caller that
+    already holds that argsort passes it as ``order``.
     """
     n = len(lines)
     prev = np.full(n, -1, dtype=np.int64)
     if n < 2:
         return prev
-    order = np.argsort(lines, kind="stable")
+    if order is None:
+        order = np.argsort(lines, kind="stable")
     grouped = lines[order]
     same = grouped[1:] == grouped[:-1]
     prev[order[1:][same]] = order[:-1][same]
@@ -143,6 +152,83 @@ def distances_for_lines(lines: np.ndarray) -> np.ndarray:
     idx = np.flatnonzero(head)
     distances[idx] = _distances_run_heads(lines[idx])
     return distances
+
+
+#: Window positions :func:`lru_hits` scans per access, ``ways`` per
+#: vectorized pass, before it counts the still-undecided accesses one
+#: by one. A speed knob only: every value gives the same result.
+LRU_SCAN_POSITIONS = 64
+
+
+def lru_hits(
+    lines: np.ndarray, ways: int, order: np.ndarray | None = None
+) -> np.ndarray:
+    """Which accesses hit a ``ways``-entry LRU stack, given line ids.
+
+    Equal to ``(d >= 0) & (d < ways)`` for ``d =
+    distances_for_lines(lines)``, without computing the distances:
+    access ``i`` with previous occurrence ``p`` hits iff fewer than
+    ``ways`` positions ``j`` in ``(p, i)`` have ``prev[j] <= p`` (see
+    :func:`distances_for_lines`). A window shorter than ``ways`` is a
+    hit outright. Longer windows are scanned forward for all
+    undecided accesses at once, ``ways`` positions per pass; a scan
+    stops once it has counted ``ways`` first touches (a miss) or
+    reached ``i`` (a hit). What the first
+    :data:`LRU_SCAN_POSITIONS` positions leave undecided is counted
+    exactly, one window at a time.
+
+    The exact counts-only pricing of a one-cache LRU chain
+    (:meth:`repro.cache.setassoc.SetAssociativeCache.count_lru`) calls
+    this on its set-sorted block stream, where every window stays
+    inside one set, passing the stable argsort of ``lines`` it already
+    holds as ``order``.
+    """
+    n = len(lines)
+    hits = np.ones(n, dtype=bool)  # immediate repeats hit
+    if n == 0:
+        return hits
+    head = np.empty(n, dtype=bool)
+    head[0] = True
+    np.not_equal(lines[1:], lines[:-1], out=head[1:])
+    idx = np.flatnonzero(head)
+    if order is not None and len(idx) < n:
+        # The run heads keep their relative order within each line.
+        order = (np.cumsum(head) - 1)[order[head[order]]]
+    hits[idx] = _lru_hits_run_heads(lines[idx], ways, order)
+    return hits
+
+
+def _lru_hits_run_heads(
+    lines: np.ndarray, ways: int, order: np.ndarray | None
+) -> np.ndarray:
+    """:func:`lru_hits` for a stream with no immediate repeats."""
+    prev = previous_occurrences(lines, order)
+    hits = np.zeros(len(lines), dtype=bool)
+    warm = np.flatnonzero(prev >= 0)
+    p = prev[warm]
+    short = warm - p - 1 < ways
+    hits[warm[short]] = True
+    query, p = warm[~short], p[~short]
+    seen = np.zeros(len(query), dtype=np.int64)
+    scanned = 0
+    while len(query) and scanned < LRU_SCAN_POSITIONS:
+        # One pass scans the next ``ways`` positions of every window;
+        # positions at or past ``i`` are masked out (and clamped to it).
+        for _ in range(min(ways, LRU_SCAN_POSITIONS - scanned)):
+            scanned += 1
+            j = p + scanned
+            inside = j < query
+            np.minimum(j, query, out=j)
+            inside &= prev[j] <= p
+            seen += inside
+        below = seen < ways
+        ended = query - p - 1 <= scanned
+        hits[query[ended & below]] = True
+        undecided = below & ~ended
+        query, p, seen = query[undecided], p[undecided], seen[undecided]
+    for i, start in zip(query.tolist(), p.tolist()):
+        hits[i] = np.count_nonzero(prev[start + 1:i] <= start) < ways
+    return hits
 
 
 def _line_shift(line_size: int) -> np.uint64:

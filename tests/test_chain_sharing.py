@@ -166,6 +166,28 @@ def test_unshareable_chains_are_priced_alone(trace_cache, monkeypatch, setup,
         assert len(pricings) == count, design.sim_key()
 
 
+def test_odd_cache_keeps_the_loop(trace_cache, monkeypatch):
+    """Only exactly ``SetAssociativeCache`` is priced by counts: a
+    subclass L4 takes the per-chunk loop, with the same result."""
+    calls = []
+    real = SetAssociativeCache.count_lru
+
+    def counted(self, *args, **kwargs):
+        calls.append(type(self).__name__)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(SetAssociativeCache, "count_lru", counted)
+    workload = get_workload("CG")
+    stats = {}
+    for odd in (True, False):
+        runner = make_runner(trace_cache, "auto")
+        design = VariantL4(None, None, odd=odd, scale=SCALE,
+                           reference=runner.reference)
+        stats[odd] = runner.stats_for(design, workload).as_dict()
+    assert calls == ["SetAssociativeCache"]
+    assert stats[True] == stats[False]
+
+
 def test_prefetching_chain_is_priced_alone_and_checked(trace_cache,
                                                        monkeypatch):
     """A PrefetchingCache has no chain key, so it is replayed even after

@@ -26,6 +26,7 @@ from repro.errors import ConfigError
 from repro.experiments.runner import CapturingMemory, Runner
 from repro.experiments.sweep import run_sweep
 from repro.cache.hierarchy import Hierarchy
+from repro.cache.setassoc import SetAssociativeCache
 from repro.partition.ranges import AddressRange
 from repro.resilience import Journal, SweepExecutor
 from repro.tech.params import EDRAM, PCM
@@ -88,29 +89,51 @@ class TestEngineValidation:
                 assert cache.engine == "scalar"
 
 
+def spy_counts(monkeypatch):
+    """Record the level name of every counts-only chain pricing."""
+    calls = []
+    real = SetAssociativeCache.count_lru
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.name)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(SetAssociativeCache, "count_lru", counted)
+    return calls
+
+
 class TestHierarchyStatsIdentical:
     @pytest.mark.parametrize("drain", [False, True])
     def test_every_family_both_drain_modes(self, trace_cache, workloads,
-                                           drain):
+                                           drain, monkeypatch):
         """Every design family, two workloads, both drain modes:
         HierarchyStats must match field-for-field.
 
         Each design is priced on its own runner: on a shared one,
         4LCNVM-EH4 would reuse 4LC-EH4's lower chain, and neither
-        engine would simulate its L4."""
+        engine would simulate its L4. The setpar side prices the NMM,
+        4LC and 4LCNVM L4s by counts, so this compares that path with
+        the scalar loop; DeepHybrid (two caches) and NDM (a partitioned
+        memory) keep the loop under both engines."""
+        counted = spy_counts(monkeypatch)
 
         def priced_alone(engine, workload):
-            stats = []
+            stats, by_counts = [], []
             for index in range(len(all_designs(None, engine))):
                 runner = make_runner(trace_cache, engine, drain=drain)
                 design = all_designs(runner.reference, engine)[index]
+                before = len(counted)
                 stats.append(runner.stats_for(design, workload).as_dict())
-            return stats
+                by_counts.append(counted[before:])
+            return stats, by_counts
 
         for workload in workloads:
-            assert priced_alone("scalar", workload) == priced_alone(
-                "setpar", workload
-            )
+            scalar, scalar_counts = priced_alone("scalar", workload)
+            setpar, setpar_counts = priced_alone("setpar", workload)
+            assert scalar == setpar
+            assert scalar_counts == [[]] * 6
+            # REF, NMM, 4LC, 4LCNVM, DeepHybrid, NDM
+            assert setpar_counts == [[], ["DRAM$"], ["L4"], ["L4"], [], []]
 
     @pytest.mark.parametrize("drain", [False, True])
     def test_upper_replay_on_real_traces(self, workloads, drain):
@@ -179,6 +202,76 @@ class TestSimPlanIdentical:
                 scalar.stats_for(d_sc, workload).as_dict()
                 == setpar.stats_for(d_sp, workload).as_dict()
             )
+
+
+class PolicyL4(FourLCDesign):
+    """4LC-EH4 with another replacement policy in its L4."""
+
+    def __init__(self, policy, **kwargs):
+        super().__init__(EDRAM, EH_CONFIGS["EH4"], **kwargs)
+        self.policy = policy
+
+    def sim_key(self):
+        return f"{super().sim_key()}-{self.policy}"
+
+    def l4_config(self):
+        return dataclasses.replace(super().l4_config(), policy=self.policy)
+
+
+class TestCountsPathScope:
+    """Replays the counts-only path must leave to the loop: each is
+    priced without it under setpar and still equals the scalar engine.
+    (DeepHybrid and NDM are covered by the family test above.)"""
+
+    @staticmethod
+    def priced(engine, runner_options, workload, make_design):
+        runner = Runner(scale=SCALE, seed=5, engine=engine, **runner_options)
+        design = make_design(
+            scale=SCALE, reference=runner.reference, engine=engine
+        )
+        return runner.stats_for(design, workload).as_dict()
+
+    def assert_loop_equals_scalar(self, monkeypatch, workload, make_design,
+                                  **runner_options):
+        counted = spy_counts(monkeypatch)
+        setpar = self.priced("setpar", runner_options, workload, make_design)
+        assert counted == []
+        assert setpar == self.priced(
+            "scalar", runner_options, workload, make_design
+        )
+
+    @staticmethod
+    def nmm(**kwargs):
+        return NMMDesign(PCM, N_CONFIGS["N6"], **kwargs)
+
+    def test_window_collectors_keep_the_loop(self, trace_cache, workloads,
+                                             monkeypatch, tmp_path):
+        from repro.telemetry.core import Telemetry
+
+        telemetry = Telemetry(tmp_path / "telemetry")
+        try:
+            self.assert_loop_equals_scalar(
+                monkeypatch, workloads[0], self.nmm,
+                trace_cache_dir=trace_cache, telemetry=telemetry,
+            )
+        finally:
+            telemetry.close()
+
+    def test_sampled_windows_keep_the_loop(self, trace_cache, workloads,
+                                           monkeypatch):
+        self.assert_loop_equals_scalar(
+            monkeypatch, workloads[0], self.nmm,
+            trace_cache_dir=trace_cache, sample="500:2000:5000",
+        )
+
+    @pytest.mark.parametrize("policy", ["fifo", "random"])
+    def test_other_policies_keep_the_loop(self, trace_cache, workloads,
+                                          monkeypatch, policy):
+        self.assert_loop_equals_scalar(
+            monkeypatch, workloads[0],
+            lambda **kwargs: PolicyL4(policy, **kwargs),
+            trace_cache_dir=trace_cache,
+        )
 
 
 class TestFIFOSetpar:

@@ -1,6 +1,7 @@
 """SimPlan tests: prefix-tree structure and bit-exact shared simulation."""
 
 import dataclasses
+import json
 
 import pytest
 
@@ -182,3 +183,48 @@ class TestExactness:
             a = batch.stats_for(design, workload)
             b = solo.stats_for(design, workload)
             assert dataclasses.asdict(a) == dataclasses.asdict(b), design.name
+
+
+def test_sweep_telemetry_names_the_counts_engine(tmp_path, monkeypatch):
+    """A telemetry sweep plans its designs through SimPlan, which prices
+    each private one-cache L4 chain by counts. Those levels never run
+    ``process``, yet each still announces its engine once, as
+    ``lru-counts``, and ``telemetry report``'s engine digest shows it."""
+    from repro.experiments.cli import main
+    from repro.telemetry.observatory import aggregate_run
+
+    planned = []
+    real = SimPlan.execute
+
+    def recording(plan, *args, **kwargs):
+        planned.extend(design.sim_key() for design in plan.designs)
+        return real(plan, *args, **kwargs)
+
+    monkeypatch.setattr(SimPlan, "execute", recording)
+    out = tmp_path / "telemetry"
+    code = main([
+        "--scale", str(SCALE), "--seed", "5", "--workloads", "CG",
+        "--telemetry", str(out),
+        "sweep", "--designs", "REF,NMM:PCM:N6,4LC:EDRAM:EH4",
+        "--journal", str(tmp_path / "campaign.jsonl"),
+    ])
+    assert code == 0
+    assert sorted(planned) == ["4LC-EH4", "NMM-N6"]
+    events = [
+        json.loads(line)
+        for line in (out / "events.jsonl").read_text().splitlines()
+    ]
+    counts = [
+        event for event in events
+        if event.get("kind") == "engine_selected"
+        and event.get("engine") == "lru-counts"
+    ]
+    assert sorted(event["level"] for event in counts) == ["DRAM$", "L4"]
+    for event in counts:
+        assert event["policy"] == "lru"
+        assert event["sets"] >= 1 and event["ways"] == 8
+    engines = {
+        digest.level: digest.engine
+        for digest in aggregate_run(out).engine_digests()
+    }
+    assert engines["DRAM$"] == engines["L4"] == "lru-counts"

@@ -1,11 +1,15 @@
 """Reuse-distance and working-set analysis tests."""
 
 import numpy as np
+import pytest
 
+import repro.trace.reuse as reuse
 from repro.trace.reuse import (
     COLD_DISTANCE,
+    distances_for_lines,
     footprint_lines,
     hit_rate_at_capacity,
+    lru_hits,
     reuse_distances,
     working_set_curve,
 )
@@ -41,6 +45,36 @@ class TestReuseDistances:
     def test_length_matches_stream(self):
         stream = random_stream(500, footprint_bytes=4096, seed=0)
         assert len(reuse_distances(stream)) == 500
+
+
+class TestLruHits:
+    """``lru_hits`` decides ``0 <= distance < ways`` without distances."""
+
+    @pytest.mark.parametrize("limit", [1, 4, 64])
+    def test_matches_distances(self, monkeypatch, limit):
+        monkeypatch.setattr(reuse, "LRU_SCAN_POSITIONS", limit)
+        rng = np.random.default_rng(limit)
+        for _ in range(30):
+            n = int(rng.integers(1, 3000))
+            span = int(rng.choice([2, 9, 64, 1000]))
+            lines = (rng.zipf(1.2, size=n) % span).astype(np.int64)
+            d = distances_for_lines(lines)
+            order = np.argsort(lines, kind="stable")
+            for w in (1, 2, 8, 16):
+                expected = (d >= 0) & (d < w)
+                assert np.array_equal(lru_hits(lines, w), expected)
+                assert np.array_equal(lru_hits(lines, w, order), expected)
+
+    def test_small_cases(self):
+        lines = np.array([0, 0, 1, 2, 0, 1, 3, 3, 0])
+        # distances: cold, 0, cold, cold, 2, 2, cold, 0, 2
+        assert lru_hits(lines, 3).tolist() == [
+            False, True, False, False, True, True, False, True, True,
+        ]
+        assert lru_hits(lines, 2).tolist() == [
+            False, True, False, False, False, False, False, True, False,
+        ]
+        assert lru_hits(lines[:0], 8).tolist() == []
 
 
 class TestHitRatePrediction:
