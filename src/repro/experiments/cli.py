@@ -893,6 +893,14 @@ def _dispatch(args, workloads) -> int:
         )
     except ConfigError as exc:
         raise SystemExit(f"error: {exc}") from None
+    try:
+        return _run_command(args, runner, workloads)
+    finally:
+        runner.save_lower_records()
+
+
+def _run_command(args, runner: Runner, workloads) -> int:
+    """Run a subcommand that evaluates designs with ``runner``."""
     if args.command == "figure":
         _print_figure(args.number, runner, workloads,
                       per_workload=args.per_workload, svg=args.svg)

@@ -13,7 +13,12 @@ reference — can run once per workload. The runner:
 
 With a trace cache, step 2's result is persisted next to the trace as
 an *upper record*, so later runners — in this process, a pool worker
-or a later run — load it instead of replaying L1–L3 again.
+or a later run — load it instead of replaying L1–L3 again. Step 3's
+results persist one level down: a runner that calls
+:meth:`Runner.save_lower_records` writes each workload's priced lower
+chains as one *lower record* beside the upper record, keyed by chain
+content, and later runners of the same engine re-price designs from
+those counters instead of replaying the chains.
 
 Results are exact: a design's full hierarchy run would produce the same
 statistics, because the upper levels' behaviour does not depend on what
@@ -26,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from repro.cache.hierarchy import Hierarchy, replay_chain, run_chain
@@ -207,6 +212,97 @@ def _renamed(levels: list[LevelStats], memory_name: str) -> list[LevelStats]:
 #: Format marker of the upper record's JSON half.
 _UPPER_RECORD_VERSION = 1
 
+#: Format marker of the lower record. Bump it whenever a change alters
+#: lower-level statistics, so records written before it become misses.
+_LOWER_RECORD_VERSION = 1
+
+
+def _chain_digest(chain: tuple) -> str:
+    """A lower record's key for one chain: a digest of its canonical
+    :func:`~repro.experiments.simplan.chain_key`."""
+    return hashlib.sha256(json.dumps(chain).encode()).hexdigest()[:16]
+
+
+def _level_from_dict(entry: dict) -> LevelStats:
+    """One level of a lower record, with every counter an integer."""
+    from repro.experiments.sampling import _COUNTER_FIELDS
+
+    level = LevelStats(**entry)
+    if not isinstance(level.name, str) or any(
+        type(getattr(level, counter)) is not int for counter in _COUNTER_FIELDS
+    ):
+        raise ValueError(f"non-integer counter in {entry!r}")
+    return level
+
+
+def _read_lower_record(path: Path) -> dict[str, list[LevelStats]]:
+    """The chains of a lower record, checked against its sidecar.
+
+    Raises:
+        TraceIntegrityError: sidecar mismatch, or malformed or
+            foreign-version JSON.
+    """
+    from repro.errors import TraceIntegrityError
+    from repro.trace.io import verify_artifact
+
+    verify_artifact(path)
+    try:
+        record = json.loads(path.read_bytes())
+        if record["version"] != _LOWER_RECORD_VERSION:
+            raise ValueError(f"unsupported version {record['version']!r}")
+        chains = {}
+        for digest, levels in record["chains"].items():
+            if not isinstance(levels, list) or not levels:
+                raise ValueError(f"chain {digest} has no levels")
+            chains[digest] = [_level_from_dict(level) for level in levels]
+        return chains
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise TraceIntegrityError(
+            f"malformed lower record ({type(exc).__name__}: {exc})"
+        ) from exc
+
+
+def _discard_artifacts(*artifacts: Path) -> int:
+    """Remove trace-cache artifacts and their sidecars; returns how
+    many files existed."""
+    from repro.trace.io import checksum_path
+
+    removed = 0
+    for artifact in artifacts:
+        for path in (artifact, checksum_path(artifact)):
+            if path.exists():
+                path.unlink()
+                removed += 1
+    return removed
+
+
+def _discard_lower_record(path: Path, reason: Exception | str) -> None:
+    """Remove a lower record and its sidecar, with a warning."""
+    logger.warning(
+        "discarded lower record %s (%s; removed %d files), re-simulating "
+        "its chains", path.name, reason, _discard_artifacts(path),
+    )
+
+
+@dataclass
+class _LowerRecord:
+    """One workload's persisted lower chains, by chain digest.
+
+    ``loaded`` is what the trace cache held when the workload was
+    prepared (the only chains served as hits); ``gained`` is what this
+    runner priced since, which :meth:`Runner.save_lower_records`
+    writes.
+    """
+
+    path: Path
+    loaded: dict[str, list[LevelStats]]
+    gained: dict[str, list[LevelStats]] = field(default_factory=dict)
+
+    def keep(self, chain: tuple, levels: list[LevelStats]) -> None:
+        digest = _chain_digest(chain)
+        if digest not in self.loaded:
+            self.gained.setdefault(digest, levels)
+
 
 #: Default ratio of local (stack/temporary) references to traced data
 #: references. PEBIL instruments *every* memory-referencing instruction,
@@ -340,8 +436,9 @@ class Runner:
         #: first run and reloaded (bit-exact) instead of re-executing
         #: the workload. Keyed by (workload, scale, seed); the
         #: algorithm-check dict is not persisted (reloaded runs report
-        #: ``{"cached": True}``). The L1–L3 replay (upper record) and
-        #: analytic profiles persist here too (see :meth:`upper_key`).
+        #: ``{"cached": True}``). The L1–L3 replay (upper record),
+        #: analytic profiles and priced lower chains (lower record, see
+        #: :meth:`save_lower_records`) persist here too.
         self.trace_cache_dir = trace_cache_dir
         self._traces: dict[str, WorkloadTrace] = {}
         self._design_stats: dict[tuple[str, str], HierarchyStats] = {}
@@ -349,6 +446,8 @@ class Runner:
         #: design whose plain lower chain is config-identical (see
         #: :meth:`stats_for`).
         self._chain_stats: dict[tuple[tuple, str], list[LevelStats]] = {}
+        #: Lower record per workload, for runners that keep them.
+        self._lower_records: dict[str, _LowerRecord] = {}
         self._analytic_engines: dict[str, "AnalyticEngine"] = {}
         self._profiles: dict[tuple[str, int, int], "GranularityProfile"] = {}
 
@@ -502,7 +601,13 @@ class Runner:
         when one matches (see :meth:`upper_key`), else simulated — and
         then persisted when a trace cache is configured. Everything
         after it (local-reference injection, the REF DRAM replay) runs
-        the same either way.
+        the same either way. The workload's lower record is loaded
+        next, and the REF DRAM is priced from it when it holds the
+        plain memory chain.
+
+        Raises:
+            SimulationError: the REF statistics break request
+                conservation.
         """
         key = workload.name
         if key in self._traces:
@@ -524,19 +629,32 @@ class Runner:
                 replay.stats, replay.references
             )
 
+            records = self._load_lower_records(workload, upper_key)
+            lower_records = len(records.loaded) if records is not None else 0
+
             # The reference design's DRAM sees exactly the post-L3 stream.
             ref_design = ReferenceDesign(
                 scale=self.scale, reference=self.reference, engine=self.sim_engine
             )
-            dram_stats = self._replay_lower(
-                post_l3, segments, factor, [], ref_design.memory()
-            )
+            ref_memory = ref_design.memory()
+            ref_chain = chain_key([], ref_memory)
+            recorded = self._recorded(ref_chain, key)
+            if recorded is not None:
+                dram_stats = _renamed(recorded, ref_memory.name)
+            else:
+                dram_stats = self._replay_lower(
+                    post_l3, segments, factor, [], ref_memory
+                )
             ref_stats = HierarchyStats(
                 levels=upper_stats + dram_stats, references=references
             )
-            ref_stats.check_conservation(
-                len(upper_stats), rounded=segments is not None
+            self._check_conservation(
+                ref_stats, len(upper_stats), (ref_design.sim_key(), key),
+                ref_chain, rounded=segments is not None,
+                recorded=recorded is not None,
             )
+            if records is not None:
+                records.keep(ref_chain, _renamed(dram_stats, ref_memory.name))
             ref_raw = evaluate_stats(
                 ref_design.name,
                 ref_stats,
@@ -578,6 +696,7 @@ class Runner:
             references=references,
             trace_cached=cached,
             upper_cached=upper_cached,
+            lower_records=lower_records,
             sample_fidelity=round(trace.sample_fidelity, 6),
             duration_s=round(prepare_span.duration_s, 6),
         )
@@ -682,7 +801,7 @@ class Runner:
         if not json_path.exists():
             return None
         from repro.errors import TraceError, TraceIntegrityError
-        from repro.trace.io import checksum_path, verify_artifact
+        from repro.trace.io import verify_artifact
         from repro.trace.store import MappedStream, store_digest
 
         try:
@@ -696,15 +815,10 @@ class Runner:
             )
             post_l3.verify()
         except TraceError as exc:
-            removed = 0
-            for artifact in (json_path, rts_path):
-                for path in (artifact, checksum_path(artifact)):
-                    if path.exists():
-                        path.unlink()
-                        removed += 1
             logger.warning(
                 "discarded corrupt upper record %s (%s; removed %d files), "
-                "re-simulating L1-L3", json_path.name, exc, removed,
+                "re-simulating L1-L3", json_path.name, exc,
+                _discard_artifacts(json_path, rts_path),
             )
             return None
         logger.info("loaded cached L1-L3 replay for %s", workload.name)
@@ -721,6 +835,94 @@ class Runner:
         json_path, rts_path = self._upper_paths(workload, upper_key)
         write_store(replay.post_l3, rts_path)
         _write_artifact(json_path, replay.to_json(store_digest(rts_path)))
+
+    # ------------------------------------------------------------------
+    # The persisted lower record
+    # ------------------------------------------------------------------
+
+    def _load_lower_records(
+        self, workload: Workload, upper_key: str | None
+    ) -> _LowerRecord | None:
+        """Open a workload's lower record, or None when it keeps none.
+
+        Records live under the upper record's key and the exact engine,
+        so a ``scalar`` runner never reads an ``auto`` runner's records;
+        analytic runners keep none. A corrupt, truncated or
+        foreign-version record is discarded: its chains re-simulate and
+        the next save rewrites it.
+        """
+        if upper_key is None or self.engine == "analytic":
+            return None
+        from repro.errors import TraceError
+
+        path = Path(self.trace_cache_dir) / (
+            f"{self._cache_name(workload)}.lower-{upper_key}-"
+            f"{self.sim_engine}.json"
+        )
+        loaded = {}
+        if path.exists():
+            try:
+                loaded = _read_lower_record(path)
+            except TraceError as exc:
+                _discard_lower_record(path, exc)
+            else:
+                logger.info(
+                    "loaded %d priced lower chain(s) for %s",
+                    len(loaded), workload.name,
+                )
+        records = self._lower_records[workload.name] = _LowerRecord(path, loaded)
+        return records
+
+    def _is_recorded(self, chain: tuple | None, workload: str) -> bool:
+        """Whether the workload's loaded lower record holds ``chain``."""
+        records = self._lower_records.get(workload)
+        return (
+            chain is not None and records is not None
+            and _chain_digest(chain) in records.loaded
+        )
+
+    def _recorded(
+        self, chain: tuple | None, workload: str
+    ) -> list[LevelStats] | None:
+        """A chain's loaded lower stats (counted as a record hit), or
+        None to price it."""
+        if not self._is_recorded(chain, workload):
+            return None
+        self._telemetry().counter(
+            "repro_lower_record_hits_total", workload=workload
+        ).inc()
+        return self._lower_records[workload].loaded[_chain_digest(chain)]
+
+    def save_lower_records(self) -> None:
+        """Persist the lower chains each workload gained.
+
+        Writes one lower record per workload that priced a chain it did
+        not load, merged with the record now on disk, so runners that
+        priced different chains of a workload add up. Atomic, with a
+        SHA-256 sidecar. A runner that never calls this — pool workers,
+        in-process tests — writes nothing.
+        """
+        from repro.errors import TraceError
+        from repro.trace.io import _write_artifact
+
+        for records in self._lower_records.values():
+            if not records.gained:
+                continue
+            chains = {}
+            if records.path.exists():
+                try:
+                    chains = _read_lower_record(records.path)
+                except TraceError:
+                    pass
+            chains.update(records.loaded)
+            chains.update(records.gained)
+            _write_artifact(records.path, json.dumps({
+                "version": _LOWER_RECORD_VERSION,
+                "chains": {
+                    digest: [level.as_dict() for level in levels]
+                    for digest, levels in chains.items()
+                },
+            }, sort_keys=True).encode())
 
     def _run_upper_sampled(
         self,
@@ -824,10 +1026,7 @@ class Runner:
             try:
                 profile = load_profile(path)
             except TraceIntegrityError as exc:
-                from repro.trace.io import checksum_path
-
-                path.unlink(missing_ok=True)
-                checksum_path(path).unlink(missing_ok=True)
+                _discard_artifacts(path)
                 logger.warning(
                     "discarded corrupt cached profile %s (%s), re-profiling",
                     path.name, exc,
@@ -961,20 +1160,25 @@ class Runner:
         is exact — a :class:`~repro.cache.mainmem.MainMemory` counts
         only what arrives, whatever its name or technology — and it
         holds for every engine class, since a runner prices every
-        design with one.
+        design with one. A chain the workload's loaded lower record
+        holds is shared the same way, without simulating it.
 
         Raises:
             SimulationError: the statistics break request conservation
                 (see :meth:`HierarchyStats.check_conservation`); nothing
                 is memoized.
         """
+        # Prepare first: it prices the REF design along the way.
+        trace = self.prepare(workload)
         key = (design.sim_key(), workload.name)
         if key in self._design_stats:
             return self._design_stats[key]
-        trace = self.prepare(workload)
         lower, memory = design.lower_caches(), design.memory()
         chain = chain_key(lower, memory)
+        recorded = None
         shared = self._chain_stats.get((chain, workload.name))
+        if shared is None:
+            shared = recorded = self._recorded(chain, workload.name)
         if shared is not None:
             lower_stats = _renamed(shared, memory.name)
         elif self.engine == "analytic":
@@ -989,10 +1193,15 @@ class Runner:
                     trace.post_l3, trace.post_l3_segments, trace.sample_factor,
                     lower, memory, window=f"design-{key[0]}-{workload.name}",
                 )
-        stats = self._memoize(key, trace, lower_stats, len(lower), chain)
+        stats = self._memoize(
+            key, trace, lower_stats, len(lower), chain,
+            recorded=recorded is not None,
+        )
         logger.debug(
             "evaluated %s on %s (%s%s)", key[0], workload.name,
-            self.engine_class, ", chain-shared" if shared is not None else "",
+            self.engine_class,
+            ", recorded" if recorded is not None
+            else ", chain-shared" if shared is not None else "",
         )
         return stats
 
@@ -1003,24 +1212,66 @@ class Runner:
         lower_stats: list[LevelStats],
         n_lower: int,
         chain: tuple | None,
+        recorded: bool = False,
     ) -> HierarchyStats:
         """Check and record one design's statistics: under its
         ``(sim_key, workload)`` and, for a plain chain, a private copy
-        of its lower stats under ``(chain, workload)``."""
+        of its lower stats under ``(chain, workload)`` and in the
+        workload's lower record."""
         stats = HierarchyStats(
             levels=trace.upper_stats + lower_stats,
             references=trace.references,
         )
-        stats.check_conservation(
-            len(trace.upper_stats) + n_lower,
-            rounded=trace.post_l3_segments is not None,
+        self._check_conservation(
+            stats, len(trace.upper_stats) + n_lower, key, chain,
+            rounded=trace.post_l3_segments is not None, recorded=recorded,
         )
         self._design_stats[key] = stats
         if chain is not None:
-            self._chain_stats.setdefault(
+            levels = self._chain_stats.setdefault(
                 (chain, key[1]), _renamed(lower_stats, lower_stats[-1].name)
             )
+            records = self._lower_records.get(key[1])
+            if records is not None:
+                records.keep(chain, levels)
         return stats
+
+    def _check_conservation(
+        self,
+        stats: HierarchyStats,
+        n_caches: int,
+        key: tuple[str, str],
+        chain: tuple | None,
+        *,
+        rounded: bool,
+        recorded: bool,
+    ) -> None:
+        """:meth:`HierarchyStats.check_conservation`, announcing a
+        violation as a ``conservation_violated`` event first. A
+        violating loaded record is discarded whole: the chain, and
+        every other the record held, re-simulates on the next call.
+
+        Raises:
+            SimulationError: the violation.
+        """
+        from repro.errors import SimulationError
+
+        try:
+            stats.check_conservation(n_caches, rounded=rounded)
+        except SimulationError:
+            self._telemetry().event(
+                "conservation_violated", workload=key[1], design=key[0],
+                engine_class=self.engine_class,
+                source="record" if recorded else "simulated",
+            )
+            if recorded:
+                records = self._lower_records[key[1]]
+                records.loaded.clear()
+                _discard_lower_record(
+                    records.path, f"chain {_chain_digest(chain)} breaks "
+                    f"conservation",
+                )
+            raise
 
     def simulate_designs(
         self, designs: list[MemoryDesign], workload: Workload
@@ -1033,7 +1284,8 @@ class Runner:
         config-identical levels (every 4LC/4LC-NVM point shares the
         same L4) simulate that prefix once. Results land in the same
         statistics caches that :meth:`stats_for` reads, and designs
-        whose chain was already priced are filled from them, so
+        whose chain was already priced — in this runner or in the
+        workload's loaded lower record — are filled from them, so
         subsequent per-design calls are hits — the statistics are
         bit-identical to what :meth:`stats_for` would have produced
         (see :mod:`repro.experiments.simplan` for the exactness
@@ -1061,6 +1313,7 @@ class Runner:
             if chain is not None and (
                 chain in planned_chains
                 or (chain, workload.name) in self._chain_stats
+                or self._is_recorded(chain, workload.name)
             ):
                 twins.append(design)
                 continue

@@ -17,6 +17,8 @@ computes alongside the L1-L3 replay, must also equal a plain
 :meth:`Runner.stats_for` evaluation of the REF design.
 """
 
+import json
+
 import pytest
 
 from repro.designs.configs import EH_CONFIGS, N_CONFIGS
@@ -31,6 +33,7 @@ from repro.experiments.simplan import SimPlan
 from repro.partition.ranges import AddressRange
 from repro.resilience import Journal, SweepExecutor
 from repro.tech.params import EDRAM, PCM
+from repro.telemetry.core import Telemetry
 from repro.workloads.registry import get_workload
 
 SCALE = 1.0 / 8192
@@ -102,7 +105,8 @@ def test_corrupt_lower_replay_fails_its_cell(trace_cache, tmp_path,
                                             monkeypatch):
     """A lower replay that loses one memory load fails its sweep cell,
     on the batched SimPlan path and the per-cell path alike, and is
-    journalled as failed; REF, priced by prepare, stays ok."""
+    journalled as failed and announced as a ``conservation_violated``
+    event; REF, priced by prepare, stays ok."""
     real_replay, real_execute = Runner._replay_lower, SimPlan.execute
 
     def lose_a_load(levels):
@@ -122,12 +126,15 @@ def test_corrupt_lower_replay_fails_its_cell(trace_cache, tmp_path,
 
     monkeypatch.setattr(Runner, "_replay_lower", corrupt_replay)
     monkeypatch.setattr(SimPlan, "execute", corrupt_execute)
-    runner = Runner(scale=SCALE, seed=0, trace_cache_dir=trace_cache)
+    telemetry = Telemetry(tmp_path / "telemetry")
+    runner = Runner(scale=SCALE, seed=0, trace_cache_dir=trace_cache,
+                    telemetry=telemetry)
     designs = family_designs(runner)[:3]  # REF, NMM-N6, 4LC-EH4
     journal = Journal(tmp_path / "campaign.jsonl")
     result = SweepExecutor(runner, journal=journal).run(
         designs, [get_workload("CG")]
     )
+    telemetry.close()
     statuses = {outcome.design: outcome.status for outcome in result.outcomes}
     assert statuses == {designs[0].name: "ok", designs[1].name: "failed",
                         designs[2].name: "failed"}
@@ -136,3 +143,15 @@ def test_corrupt_lower_replay_fails_its_cell(trace_cache, tmp_path,
             assert entry.status == "failed"
             assert entry.evaluation is None
             assert "conservation violated between" in entry.error
+    events = [
+        json.loads(line) for line in
+        (tmp_path / "telemetry" / "events.jsonl").read_text().splitlines()
+    ]
+    violations = [e for e in events if e["kind"] == "conservation_violated"]
+    assert {e["design"] for e in violations} == {
+        designs[1].sim_key(), designs[2].sim_key()
+    }
+    for event in violations:
+        assert event["workload"] == "CG"
+        assert event["engine_class"] == "exact"
+        assert event["source"] == "simulated"

@@ -1,0 +1,352 @@
+"""Lower records: each workload's priced lower chains, persisted.
+
+With a trace cache, a runner that calls ``save_lower_records`` writes
+one ``<trace>.lower-<upper key>-<engine>.json`` per workload, mapping a
+digest of each plain chain's ``chain_key`` to its lower statistics.
+Later runners of the same exact engine price those chains — and the REF
+DRAM — from the record instead of replaying them. These tests pin that
+warm results equal cold ones field for field, that recorded chains are
+never replayed, that a bad record is discarded and rebuilt, and which
+runners never read or write records.
+"""
+
+import json
+import logging
+
+import pytest
+
+from repro.designs.configs import EH_CONFIGS, N_CONFIGS
+from repro.designs.deephybrid import DeepHybridDesign
+from repro.designs.fourlc import FourLCDesign
+from repro.designs.fourlcnvm import FourLCNVMDesign
+from repro.designs.ndm import NDMDesign
+from repro.designs.nmm import NMMDesign
+from repro.designs.reference import ReferenceDesign
+from repro.errors import SimulationError
+from repro.experiments.runner import _LOWER_RECORD_VERSION, Runner
+from repro.experiments.simplan import SimPlan, chain_key
+from repro.partition.ranges import AddressRange
+from repro.resilience import NO_RETRY, Journal, RetryPolicy, SweepExecutor
+from repro.tech.params import EDRAM, PCM
+from repro.telemetry.core import Telemetry
+from repro.trace.io import _write_artifact, checksum_path
+from repro.workloads.registry import get_workload
+
+SCALE = 1.0 / 8192
+
+#: Runner options of the three record flavours: exact, drained and
+#: sampled (each has its own upper key, so its own lower records).
+MODES = {
+    "exact": {},
+    "drain": {"drain": True},
+    "sample": {"sample": "500:2000:5000"},
+}
+
+
+def recordable(runner):
+    """Designs whose lower chain has a ``chain_key``: REF, NMM, 4LC,
+    4LCNVM (which shares 4LC's chain) and DeepHybrid."""
+    common = {"scale": SCALE, "reference": runner.reference,
+              "engine": runner.sim_engine}
+    return [
+        ReferenceDesign(**common),
+        NMMDesign(PCM, N_CONFIGS["N6"], **common),
+        FourLCDesign(EDRAM, EH_CONFIGS["EH4"], **common),
+        FourLCNVMDesign(EDRAM, PCM, EH_CONFIGS["EH4"], **common),
+        DeepHybridDesign(EDRAM, PCM, EH_CONFIGS["EH1"], N_CONFIGS["N6"],
+                         **common),
+    ]
+
+
+def ndm(runner):
+    """A design without a ``chain_key``: it always simulates."""
+    return NDMDesign(PCM, [AddressRange(0x1000_0000, 0x2000_0000, "hot")],
+                     scale=SCALE, reference=runner.reference,
+                     engine=runner.sim_engine)
+
+
+def make_runner(cache, **options):
+    return Runner(scale=SCALE, seed=4, trace_cache_dir=str(cache), **options)
+
+
+def priced(runner, designs, workload, path="stats_for"):
+    """Every design's statistics as plain dicts, priced along ``path``."""
+    if path == "simulate_designs":
+        runner.simulate_designs(designs, workload)
+    return [runner.stats_for(design, workload).as_dict() for design in designs]
+
+
+def spy_pricing(monkeypatch):
+    """Record every lower replay and plan execution."""
+    calls = []
+    real_replay, real_execute = Runner._replay_lower, SimPlan.execute
+
+    def replay(self, post_l3, segments, factor, lower, memory, window=None):
+        calls.append(("replay", type(memory).__name__))
+        return real_replay(self, post_l3, segments, factor, lower, memory,
+                           window)
+
+    def execute(self, *args, **kwargs):
+        calls.append(("plan", sorted(d.sim_key() for d in self.designs)))
+        return real_execute(self, *args, **kwargs)
+
+    monkeypatch.setattr(Runner, "_replay_lower", replay)
+    monkeypatch.setattr(SimPlan, "execute", execute)
+    return calls
+
+
+def lower_files(cache, engine="*"):
+    return sorted(cache.glob(f"CG-*.lower-*-{engine}.json"))
+
+
+def cold_record(cache, **options):
+    """Price every recordable design on CG cold, save, and return the
+    cold results and REF evaluation."""
+    workload = get_workload("CG")
+    cold = make_runner(cache, **options)
+    expected = priced(cold, recordable(cold), workload)
+    cold.save_lower_records()
+    return expected, cold.prepare(workload).ref_raw
+
+
+class TestWarmEqualsCold:
+    @pytest.mark.parametrize("path", ["stats_for", "simulate_designs"])
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_warm_runner_prices_from_the_record(
+        self, tmp_path, monkeypatch, mode, path
+    ):
+        expected, ref_raw = cold_record(tmp_path, **MODES[mode])
+        (record,) = lower_files(tmp_path)
+        assert record.name.endswith("-auto.json")
+        assert checksum_path(record).exists()
+
+        calls = spy_pricing(monkeypatch)
+        warm = make_runner(tmp_path, **MODES[mode])
+        workload = get_workload("CG")
+        trace = warm.prepare(workload)
+        assert trace.upper_cached
+        assert trace.ref_raw == ref_raw  # REF DRAM from the record
+        assert priced(warm, recordable(warm), workload, path) == expected
+        assert calls == []
+
+    def test_chains_without_a_key_still_simulate(self, tmp_path, monkeypatch):
+        workload = get_workload("CG")
+        cold = make_runner(tmp_path)
+        expected = priced(cold, [ndm(cold)], workload)
+        cold.save_lower_records()
+        calls = spy_pricing(monkeypatch)
+        warm = make_runner(tmp_path)
+        assert priced(warm, [ndm(warm)], workload) == expected
+        assert calls == [("replay", "PartitionedMemory")]
+
+    def test_record_hits_are_counted_and_add_no_windows(self, tmp_path):
+        cold_record(tmp_path / "cache")
+        telemetry = Telemetry(tmp_path / "telemetry")
+        warm = make_runner(tmp_path / "cache", telemetry=telemetry)
+        workload = get_workload("CG")
+        priced(warm, recordable(warm), workload)
+        # REF in prepare, then NMM, 4LC and DeepHybrid (4LCNVM shares
+        # 4LC's chain in-process, REF's stats_for is memoized).
+        hits = telemetry.counter(
+            "repro_lower_record_hits_total", workload="CG"
+        ).value
+        telemetry.close()
+        assert hits == 4
+        assert not list((tmp_path / "telemetry").glob("windows_design-*"))
+        events = [
+            json.loads(line) for line in
+            (tmp_path / "telemetry" / "events.jsonl").read_text().splitlines()
+        ]
+        (prepared,) = [e for e in events if e["kind"] == "workload_prepared"]
+        assert prepared["lower_records"] == 4
+
+
+class TestSelfHeal:
+    def _truncated(self, path):
+        path.write_bytes(path.read_bytes()[:40])
+
+    def _sidecar_mismatch(self, path):
+        checksum_path(path).write_text(f"{'0' * 64}  {path.name}\n")
+
+    def _foreign_version(self, path):
+        record = json.loads(path.read_bytes())
+        record["version"] = _LOWER_RECORD_VERSION + 1
+        _write_artifact(path, json.dumps(record).encode())
+
+    def _garbled_entry(self, path):
+        record = json.loads(path.read_bytes())
+        digest = next(iter(record["chains"]))
+        record["chains"][digest][0]["loads"] = "many"
+        _write_artifact(path, json.dumps(record).encode())
+
+    @pytest.mark.parametrize(
+        "corruption",
+        ["truncated", "sidecar_mismatch", "foreign_version", "garbled_entry"],
+    )
+    def test_bad_record_is_discarded_resimulated_and_rewritten(
+        self, tmp_path, monkeypatch, caplog, corruption
+    ):
+        expected, _ = cold_record(tmp_path)
+        (record,) = lower_files(tmp_path)
+        getattr(self, f"_{corruption}")(record)
+
+        workload = get_workload("CG")
+        healed = make_runner(tmp_path)
+        with caplog.at_level(logging.WARNING, logger="repro"):
+            healed.prepare(workload)
+        assert "discarded lower record" in caplog.text
+        assert not record.exists()
+        assert priced(healed, recordable(healed), workload) == expected
+        healed.save_lower_records()
+        assert lower_files(tmp_path) == [record]
+
+        calls = spy_pricing(monkeypatch)
+        again = make_runner(tmp_path)
+        assert priced(again, recordable(again), workload) == expected
+        assert calls == []
+
+
+class TestWhoReadsAndWrites:
+    def test_scalar_never_reads_auto_records(self, tmp_path, monkeypatch):
+        expected, _ = cold_record(tmp_path)
+        (auto_record,) = lower_files(tmp_path, "auto")
+        before = auto_record.read_bytes()
+        calls = spy_pricing(monkeypatch)
+        scalar = make_runner(tmp_path, engine="scalar")
+        assert priced(scalar, recordable(scalar), get_workload("CG")) == expected
+        assert ("replay", "MainMemory") in calls  # REF DRAM, at least
+        scalar.save_lower_records()
+        assert auto_record.read_bytes() == before
+        assert len(lower_files(tmp_path, "scalar")) == 1
+
+    def test_analytic_runner_keeps_no_records(self, tmp_path):
+        cold_record(tmp_path)
+        (record,) = lower_files(tmp_path)
+        before = record.read_bytes()
+        analytic = make_runner(tmp_path, engine="analytic")
+        workload = get_workload("CG")
+        priced(analytic, recordable(analytic), workload)
+        assert analytic.prepare(workload).upper_cached
+        analytic.save_lower_records()
+        assert lower_files(tmp_path) == [record]
+        assert record.read_bytes() == before
+
+    def test_analytic_runner_writes_none(self, tmp_path):
+        analytic = make_runner(tmp_path, engine="analytic")
+        priced(analytic, recordable(analytic), get_workload("CG"))
+        analytic.save_lower_records()
+        assert not list(tmp_path.glob("*.lower-*"))
+
+    def test_a_runner_that_never_saves_writes_nothing(self, tmp_path):
+        runner = make_runner(tmp_path)
+        priced(runner, recordable(runner), get_workload("CG"))
+        assert not list(tmp_path.glob("*.lower-*"))
+
+    def test_no_records_without_a_trace_cache(self):
+        runner = Runner(scale=SCALE, seed=4)
+        priced(runner, recordable(runner)[:2], get_workload("CG"))
+        runner.save_lower_records()
+        assert runner._lower_records == {}
+
+    def test_two_savers_merge(self, tmp_path, monkeypatch):
+        workload = get_workload("CG")
+        first, second = make_runner(tmp_path), make_runner(tmp_path)
+        nmm, fourlc = recordable(first)[1], recordable(second)[2]
+        first.prepare(workload)
+        second.prepare(workload)  # loads nothing: first has not saved
+        expected = priced(first, [nmm], workload) + priced(
+            second, [fourlc], workload
+        )
+        first.save_lower_records()
+        second.save_lower_records()
+
+        calls = spy_pricing(monkeypatch)
+        merged = make_runner(tmp_path)
+        assert priced(merged, [nmm, fourlc], workload) == expected
+        assert calls == []
+        (record,) = lower_files(tmp_path)
+        chains = json.loads(record.read_bytes())["chains"]
+        assert len(chains) == 3  # REF DRAM, NMM and 4LC
+
+
+class TestConservation:
+    def _lose_a_load(self, tmp_path, design):
+        """Rewrite ``design``'s recorded chain with one memory load
+        fewer (a well-formed record with a valid sidecar)."""
+        from repro.experiments.runner import _chain_digest
+
+        (record,) = lower_files(tmp_path)
+        payload = json.loads(record.read_bytes())
+        digest = _chain_digest(
+            chain_key(design.lower_caches(), design.memory())
+        )
+        memory = payload["chains"][digest][-1]
+        memory["loads"] -= 1
+        memory["load_hits"] -= 1
+        _write_artifact(record, json.dumps(payload).encode())
+        return record
+
+    def test_violating_record_fails_its_cell_memoizing_nothing(
+        self, tmp_path
+    ):
+        expected, _ = cold_record(tmp_path / "cache")
+        cache = tmp_path / "cache"
+        telemetry = Telemetry(tmp_path / "telemetry")
+        runner = make_runner(cache, telemetry=telemetry)
+        workload = get_workload("CG")
+        nmm = recordable(runner)[1]
+        record = self._lose_a_load(cache, nmm)
+        chain = chain_key(nmm.lower_caches(), nmm.memory())
+
+        with pytest.raises(SimulationError, match="conservation violated"):
+            runner.stats_for(nmm, workload)
+        assert (nmm.sim_key(), "CG") not in runner._design_stats
+        assert (chain, "CG") not in runner._chain_stats
+        assert not record.exists()  # the whole record is suspect
+        # The retry re-simulates and prices the design correctly.
+        assert runner.stats_for(nmm, workload).as_dict() == expected[1]
+        telemetry.close()
+        events = [
+            json.loads(line) for line in
+            (tmp_path / "telemetry" / "events.jsonl").read_text().splitlines()
+        ]
+        (violation,) = [
+            e for e in events if e["kind"] == "conservation_violated"
+        ]
+        assert violation["workload"] == "CG"
+        assert violation["design"] == nmm.sim_key()
+        assert violation["engine_class"] == "exact"
+        assert violation["source"] == "record"
+
+    @pytest.mark.parametrize(
+        "retry", [NO_RETRY, RetryPolicy(max_retries=1, backoff_base_s=0.0)]
+    )
+    def test_violating_record_fails_its_sweep_cell(self, tmp_path, retry):
+        """Without retries the cell fails; a retry re-simulates, since
+        the violating record was discarded."""
+        cold_record(tmp_path)
+        runner = make_runner(tmp_path)
+        nmm = recordable(runner)[1]
+        self._lose_a_load(tmp_path, nmm)
+        journal = Journal(tmp_path / "campaign.jsonl")
+        result = SweepExecutor(runner, retry=retry, journal=journal).run(
+            [nmm], [get_workload("CG")]
+        )
+        ((design, status),) = [(o.design, o.status) for o in result.outcomes]
+        assert design == nmm.name
+        assert status == ("failed" if retry is NO_RETRY else "ok")
+        (entry,) = journal.load().values()
+        if retry is NO_RETRY:
+            assert entry.evaluation is None
+            assert "conservation violated" in entry.error
+
+    def test_violating_ref_record_fails_prepare(self, tmp_path):
+        cold_record(tmp_path)
+        runner = make_runner(tmp_path)
+        self._lose_a_load(tmp_path, recordable(runner)[0])
+        workload = get_workload("CG")
+        with pytest.raises(SimulationError, match="conservation violated"):
+            runner.prepare(workload)
+        assert ("REF", "CG") not in runner._design_stats
+        assert not lower_files(tmp_path)
+        runner.prepare(workload)  # re-simulates the REF DRAM
