@@ -2,12 +2,14 @@
 
 Three measurements, one committed baseline (``BENCH_trace.json``):
 
-1. **Load throughput** — reading a cached trace back, v1 vs v2. The v1
-   path hashes the whole ``.npz`` against its sidecar and decompresses
-   every event into private memory; the v2 path opens the mmap store
-   lazily (prelude + header digest only). The committed floor asserts
-   the lazy open is >= 5x faster than the v1 load; the CI gate also
-   re-measures the v2 *verified scan* (every chunk digest checked,
+1. **Load throughput** — reading a cached trace back, an eager load
+   (``v1``) vs the store (``v2``). The eager baseline, built here with
+   plain numpy, hashes a whole compressed ``.npz`` against its SHA-256
+   and decompresses every event into private memory; the store opens
+   its mmap lazily (prelude + header digest only). The committed floor
+   asserts the lazy open is >= 5x faster than the eager load; the CI
+   gate also re-measures the store's *verified scan* (every chunk
+   digest checked,
    every byte mapped) and fails on a >15% normalized regression
    against the baseline, after dividing out machine speed with a
    fixed SHA-256 calibration loop.
@@ -16,7 +18,7 @@ Three measurements, one committed baseline (``BENCH_trace.json``):
    the Pss growth from ``/proc/self/smaps_rollup``. Shared pages split
    their cost across attachers, so the summed growth of an
    arena-backed sweep stays at ~1 single copy (committed floor:
-   <= 1.2x) where per-worker v1 loads pay ~1 copy *each* (recorded
+   <= 1.2x) where per-worker eager loads pay ~1 copy *each* (recorded
    alongside, ~4x). Hosts without ``smaps_rollup`` record an honest
    skip reason instead of a number.
 3. **Sampled fidelity** — per design family (NMM, 4LC, 4LC-NVM), the
@@ -78,8 +80,8 @@ def bench_reps() -> int:
 
 def calibrate() -> float:
     """Machine-speed score for the load path: SHA-256 bytes/s over a
-    fixed buffer. Hashing dominates both the v1 sidecar check and the
-    v2 chunk verification, so normalizing by this keeps the regression
+    fixed buffer. Hashing dominates both the eager load's file hash and
+    the store's chunk verification, so normalizing by this keeps the regression
     gate about the *code*, not the host."""
     payload = np.random.RandomState(0).bytes(32 * 1024 * 1024)
     best = float("inf")
@@ -95,10 +97,37 @@ def calibrate() -> float:
 # ----------------------------------------------------------------------
 
 
+def _save_npz(stream, path: Path) -> None:
+    """Write the eager-load baseline: a compressed ``.npz`` of the
+    stream and the file's SHA-256 next to it."""
+    from repro.trace.io import compute_checksum
+
+    batch = stream.as_batch()
+    np.savez_compressed(
+        path, addresses=batch.addresses, sizes=batch.sizes,
+        is_store=batch.is_store,
+    )
+    Path(f"{path}.sha256").write_text(compute_checksum(path))
+
+
+def _load_npz(path: Path):
+    """Eager load: hash the whole file against its SHA-256, then
+    decompress every event into a private in-memory stream."""
+    from repro.trace.io import compute_checksum
+    from repro.trace.stream import AddressStream
+
+    if compute_checksum(path) != Path(f"{path}.sha256").read_text():
+        raise RuntimeError(f"checksum mismatch for {path}")
+    with np.load(path) as data:
+        return AddressStream.from_arrays(
+            data["addresses"], data["sizes"], data["is_store"]
+        )
+
+
 def measure_load(scale: float, reps: int) -> dict:
-    """v1 full load vs v2 lazy open vs v2 verified scan, best-of-reps."""
+    """Eager load vs lazy store open vs verified scan, best-of-reps."""
     from repro.experiments.runner import Runner
-    from repro.trace.io import load_stream, save_stream
+    from repro.trace.store import MappedStream, write_store
     from repro.workloads.registry import get_workload
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -109,26 +138,26 @@ def measure_load(scale: float, reps: int) -> dict:
         nbytes = stream.nbytes
         v1_path = Path(tmp) / "bench.stream.npz"
         v2_path = Path(tmp) / "bench.stream.rts"
-        save_stream(stream, v1_path, version=1)
-        save_stream(stream, v2_path, version=2)
+        _save_npz(stream, v1_path)
+        write_store(stream, v2_path)
 
         v1_load = float("inf")
         for _ in range(reps):
             start = time.perf_counter()
-            loaded = load_stream(v1_path)
+            loaded = _load_npz(v1_path)
             v1_load = min(v1_load, time.perf_counter() - start)
         v1_events = len(loaded)
 
         v2_open = float("inf")
         for _ in range(reps):
             start = time.perf_counter()
-            mapped = load_stream(v2_path)
+            mapped = MappedStream.open(v2_path)
             v2_open = min(v2_open, time.perf_counter() - start)
             mapped.close()
 
         v2_scan = float("inf")
         for _ in range(reps):
-            mapped = load_stream(v2_path)
+            mapped = MappedStream.open(v2_path)
             start = time.perf_counter()
             mapped.verify()
             v2_scan = min(v2_scan, time.perf_counter() - start)
@@ -188,10 +217,8 @@ def _arena_child(handle, ready, done, queue) -> None:
 
 
 def _private_child(npz_path, ready, done, queue) -> None:
-    from repro.trace.io import load_stream
-
     before = _pss_kb()
-    stream = load_stream(npz_path)
+    stream = _load_npz(npz_path)
     _touch(stream)
     ready.wait()
     after = _pss_kb()
@@ -238,7 +265,6 @@ def measure_arena() -> dict:
                        "Pss cannot be measured on this host",
         }
     from repro.trace.arena import TraceArena
-    from repro.trace.io import save_stream
     from repro.trace.synthetic import random_stream
 
     stream = random_stream(
@@ -247,7 +273,7 @@ def measure_arena() -> dict:
     nbytes = stream.nbytes
     with tempfile.TemporaryDirectory() as tmp:
         npz_path = Path(tmp) / "arena.stream.npz"
-        save_stream(stream, npz_path, version=1)
+        _save_npz(stream, npz_path)
         with TraceArena() as arena:
             handle = arena.publish("ARENA", stream, ())
             arena_kb = _fan_out(_arena_child, handle)
@@ -259,7 +285,7 @@ def measure_arena() -> dict:
         "workers": ARENA_WORKERS,
         "events": ARENA_EVENTS,
         "single_copy_bytes": nbytes,
-        "handle_kind": handle.kind,
+        "handle_kind": "file",  # the arena's one medium
         "arena_worker_pss_kb": arena_kb,
         "private_worker_pss_kb": private_kb,
         "arena_total_bytes": arena_bytes,

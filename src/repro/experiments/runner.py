@@ -500,13 +500,11 @@ class Runner:
 
         name = self._cache_name(workload)
         directory = Path(self.trace_cache_dir)
-        if not (directory / f"{name}.stream.rts").exists() and not (
-            directory / f"{name}.stream.npz"
-        ).exists():
+        if not (directory / f"{name}.stream.rts").exists():
             return None
         try:
-            stream, regions = load_trace(directory, name, migrate=True)
-            # A v2 store verifies chunks lazily as they are read; force
+            stream, regions = load_trace(directory, name)
+            # The store verifies chunks lazily as they are read; force
             # the pass here so a corrupt entry self-heals (below)
             # instead of failing mid-simulation. This is the *only*
             # full read — the data stays mmap'd, not copied.
@@ -526,16 +524,20 @@ class Runner:
         return TraceResult(stream=stream, tracer=tracer, checks={"cached": True})
 
     def _store_cached_trace(self, workload: Workload, result: TraceResult) -> None:
+        """Save a fresh trace and switch ``result`` to the saved store, so
+        a cold run replays (and a sweep publishes) the cache's own file."""
         if not self.trace_cache_dir:
             return
         from repro.trace.io import save_trace
+        from repro.trace.store import MappedStream
 
-        save_trace(
+        stream_path, _ = save_trace(
             result.stream,
             result.tracer,
             self.trace_cache_dir,
             self._cache_name(workload),
         )
+        result.stream = result.tracer.stream = MappedStream.open(stream_path)
 
     def _inject_locals(
         self, upper_stats: list[LevelStats], references: int

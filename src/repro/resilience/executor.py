@@ -763,7 +763,7 @@ class SweepExecutor:
                     )
                 tel.event(
                     "trace_published", workload=workload.name,
-                    medium=handle.kind, events=handle.events,
+                    medium="file", events=handle.events,
                     cached=cached,
                 )
         except Exception as exc:

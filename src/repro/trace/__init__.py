@@ -14,10 +14,10 @@ same role is played by:
 Synthetic stream generators (:mod:`repro.trace.synthetic`) and reuse
 distance analysis (:mod:`repro.trace.reuse`) support testing and the
 generalization study. For scale-out, :mod:`repro.trace.store` persists
-streams in a chunked mmap-ready on-disk format read back zero-copy as
-:class:`~repro.trace.store.MappedStream`, and
-:mod:`repro.trace.arena` shares one physical trace copy across all
-workers of a parallel sweep.
+streams in the one chunked mmap-ready on-disk format, read back
+zero-copy as :class:`~repro.trace.store.MappedStream`, and
+:mod:`repro.trace.arena` shares one physical copy of that file across
+all workers of a parallel sweep.
 """
 
 from repro.trace.events import LOAD, STORE, AccessBatch
@@ -41,14 +41,13 @@ from repro.trace.filters import (
 )
 from repro.trace.io import discard_trace, load_trace, save_trace, verify_artifact
 from repro.trace.store import MappedStream, write_store
-from repro.trace.arena import SharedStream, TraceArena, TraceHandle
+from repro.trace.arena import TraceArena, TraceHandle
 
 __all__ = [
     "MappedStream",
     "write_store",
     "TraceArena",
     "TraceHandle",
-    "SharedStream",
     "split_windows",
     "sample_stream",
     "filter_range",

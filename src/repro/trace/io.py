@@ -1,29 +1,23 @@
-"""Stream and region-map serialization with integrity protection.
+"""Trace and region-map persistence with integrity protection.
 
 Traces are expensive to produce (the workload actually runs), so the
-runner can persist them. Two stream formats coexist:
-
-- **v1** — compressed ``.npz`` (struct-of-arrays, loads back
-  bit-exact). Compact, but every load decompresses the whole stream
-  into private memory and integrity means a second full read to hash
-  the file.
-- **v2** — the chunked, page-aligned store of
-  :mod:`repro.trace.store` (``.rts``). :func:`load_stream` detects it
-  by magic and returns a lazy, mmap-backed
-  :class:`~repro.trace.store.MappedStream` whose chunks are zero-copy
-  views verified incrementally (per-chunk SHA-256 from the header) as
-  they are first read.
+runner can persist them. There is one stream format: the chunked,
+page-aligned store of :mod:`repro.trace.store` (``.rts``), read back
+as a lazy, mmap-backed :class:`~repro.trace.store.MappedStream` whose
+chunks are zero-copy views verified incrementally (per-chunk SHA-256
+from the header) as they are first read.
 
 The tracer's region map is JSON next to the stream. A saved pair is
 enough to re-run every design evaluation and the NDM oracle without
-re-executing the workload; :func:`load_trace` transparently migrates
-v1 cache entries to v2 when asked.
+re-executing the workload. The trace directory is a cache: anything
+else in it (such as a compressed ``.npz`` stream of an older release)
+is ignored, so its workload is re-traced.
 
 Because long campaigns lean on these artifacts, writes are **atomic**
 (temp file in the destination directory + ``os.replace``) and every
 artifact gets a SHA-256 sidecar (``<artifact>.sha256``, ``sha256sum``
-format). Loading verifies integrity (sidecar for v1, embedded chunk
-digests for v2) and re-raises any parse failure as
+format). Loading verifies integrity (sidecar for JSON, embedded chunk
+digests for the store) and re-raises any parse failure as
 :class:`~repro.errors.TraceIntegrityError` naming the offending file,
 so a half-written or bit-flipped cache entry is detected instead of
 silently corrupting an evaluation.
@@ -32,20 +26,17 @@ silently corrupting an evaluation.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import os
 import tempfile
-import zipfile
 from pathlib import Path
 
-import numpy as np
-
 from repro.errors import TraceError, TraceIntegrityError
+from repro.trace.store import MappedStream, write_store
 from repro.trace.stream import AddressStream
 from repro.trace.tracer import Region, Tracer
 
-#: Format marker stored in every stream file.
+#: Format marker stored in every region map.
 _FORMAT_VERSION = 1
 
 
@@ -102,39 +93,16 @@ def _write_artifact(path: Path, payload: bytes) -> None:
     )
 
 
-def verify_artifact(path: str | Path, max_bytes: int | None = None) -> None:
+def verify_artifact(path: str | Path) -> None:
     """Check an artifact against its SHA-256 sidecar.
 
     Artifacts written before sidecars existed (no ``.sha256`` next to
     them) pass unverified, for backward compatibility.
 
-    Args:
-        path: the artifact to verify.
-        max_bytes: fast-path knob for callers about to *stream* the
-            artifact anyway. Files at or under the limit get the full
-            hash as before. Above it, a v2 trace store gets its
-            prelude + header digests checked (the chunk payloads then
-            verify incrementally as they are read — see
-            :class:`~repro.trace.store.MappedStream`), and any other
-            format is skipped: the caller accepts deferred detection
-            in exchange for not reading a large file twice. ``None``
-            (the default) always hashes in full.
-
     Raises:
         TraceIntegrityError: on digest mismatch or unreadable sidecar.
     """
     path = Path(path)
-    if max_bytes is not None:
-        try:
-            size = path.stat().st_size
-        except OSError:
-            size = 0
-        if size > max_bytes:
-            from repro.trace.store import is_store_file, verify_store_header
-
-            if is_store_file(path):
-                verify_store_header(path)
-            return
     sidecar = checksum_path(path)
     if not sidecar.exists():
         return
@@ -152,87 +120,6 @@ def verify_artifact(path: str | Path, max_bytes: int | None = None) -> None:
             f"got {actual[:12]}…); delete this file and its .sha256 "
             f"sidecar and re-trace the workload"
         )
-
-
-# ----------------------------------------------------------------------
-# Streams
-# ----------------------------------------------------------------------
-
-
-def save_stream(
-    stream: AddressStream, path: str | Path, version: int = _FORMAT_VERSION
-) -> None:
-    """Write a stream to ``path``.
-
-    ``version=1`` (the default, for backward compatibility) writes the
-    compressed ``.npz``; ``version=2`` writes the chunked mmap-ready
-    store of :mod:`repro.trace.store`. Either way the write is atomic
-    (temp file + rename), parent directories are created, and a
-    ``.sha256`` sidecar is written alongside.
-    """
-    if version == 2:
-        from repro.trace.store import write_store
-
-        write_store(stream, path)
-        return
-    if version != _FORMAT_VERSION:
-        raise TraceError(f"unsupported stream format version {version}")
-    batch = stream.as_batch()
-    buffer = io.BytesIO()
-    np.savez_compressed(
-        buffer,
-        version=np.int64(_FORMAT_VERSION),
-        addresses=batch.addresses,
-        sizes=batch.sizes,
-        is_store=batch.is_store,
-    )
-    _write_artifact(Path(path), buffer.getvalue())
-
-
-def load_stream(
-    path: str | Path, max_verify_bytes: int | None = None
-) -> AddressStream:
-    """Read a stream written by :func:`save_stream`.
-
-    The format is sniffed from the file's magic, not its name. A v2
-    store comes back as a lazy, mmap-backed
-    :class:`~repro.trace.store.MappedStream` — zero-copy chunk views,
-    per-chunk digests checked as data is first touched (call its
-    ``verify()`` to force a full pass up front). A v1 ``.npz`` is
-    decompressed into a plain in-memory stream after sidecar
-    verification, which ``max_verify_bytes`` can cap (see
-    :func:`verify_artifact`).
-
-    Raises:
-        TraceError: for missing files or unknown formats.
-        TraceIntegrityError: for truncated, bit-flipped, or otherwise
-            unparseable files.
-    """
-    path = Path(path)
-    if not path.exists():
-        raise TraceError(f"no stream file at {path}")
-    from repro.trace.store import MappedStream, is_store_file
-
-    if is_store_file(path):
-        return MappedStream.open(path)
-    verify_artifact(path, max_bytes=max_verify_bytes)
-    try:
-        with np.load(path) as data:
-            version = int(data["version"])
-            if version != _FORMAT_VERSION:
-                raise TraceError(
-                    f"unsupported stream format version {version} in {path}"
-                )
-            return AddressStream.from_arrays(
-                data["addresses"], data["sizes"], data["is_store"]
-            )
-    except TraceError:
-        raise
-    except (zipfile.BadZipFile, KeyError, ValueError, OSError, EOFError) as exc:
-        raise TraceIntegrityError(
-            f"corrupt stream file {path} ({type(exc).__name__}: {exc}); "
-            f"delete it and re-trace the workload"
-        ) from exc
 
 
 # ----------------------------------------------------------------------
@@ -290,80 +177,52 @@ def load_regions(path: str | Path) -> list[Region]:
 # ----------------------------------------------------------------------
 
 
-#: Suffix of v2 stream artifacts in a trace pair.
-_STREAM_V2 = ".stream.rts"
-#: Suffix of v1 stream artifacts in a trace pair.
-_STREAM_V1 = ".stream.npz"
+#: Suffix of the stream artifact in a trace pair.
+_STREAM = ".stream.rts"
 
 
 def save_trace(stream: AddressStream, tracer: Tracer, directory: str | Path,
-               name: str, version: int = 2) -> tuple[Path, Path]:
+               name: str) -> tuple[Path, Path]:
     """Persist a (stream, regions) pair under ``directory/name.*``.
 
-    Streams default to the v2 mmap-ready store
-    (``<name>.stream.rts``); pass ``version=1`` for the legacy
-    compressed ``.npz``. A stale stream artifact of the other version
-    (and its sidecar) is removed so the pair never becomes ambiguous.
-
-    Returns the two paths written.
+    The stream becomes ``<name>.stream.rts`` (see
+    :func:`~repro.trace.store.write_store`), the regions
+    ``<name>.regions.json``. Returns the two paths written.
     """
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    if version == 2:
-        stream_path = directory / f"{name}{_STREAM_V2}"
-        stale = directory / f"{name}{_STREAM_V1}"
-    else:
-        stream_path = directory / f"{name}{_STREAM_V1}"
-        stale = directory / f"{name}{_STREAM_V2}"
+    stream_path = write_store(stream, directory / f"{name}{_STREAM}")
     regions_path = directory / f"{name}.regions.json"
-    save_stream(stream, stream_path, version=version)
     save_regions(tracer, regions_path)
-    for path in (stale, checksum_path(stale)):
-        if path.exists():
-            path.unlink()
     return stream_path, regions_path
 
 
 def load_trace(
-    directory: str | Path, name: str, migrate: bool = False
-) -> tuple[AddressStream, list[Region]]:
+    directory: str | Path, name: str
+) -> tuple[MappedStream, list[Region]]:
     """Load a pair written by :func:`save_trace`.
 
-    Prefers the v2 store when both stream versions exist. With
-    ``migrate=True`` a v1-only entry is rewritten as a v2 store on the
-    way through (bit-exact event content) and the ``.npz`` plus its
-    sidecar are removed, so old caches upgrade themselves the first
-    time they are touched.
+    Raises:
+        TraceError: no stream or region file.
+        TraceIntegrityError: a corrupt store header or region map
+            (store chunks verify as they are first read).
     """
-    directory = Path(directory)
-    v2_path = directory / f"{name}{_STREAM_V2}"
-    v1_path = directory / f"{name}{_STREAM_V1}"
-    stream_path = v2_path if v2_path.exists() else v1_path
-    stream = load_stream(stream_path)
-    regions = load_regions(directory / f"{name}.regions.json")
-    if migrate and stream_path == v1_path:
-        from repro.trace.store import MappedStream, write_store
-
-        write_store(stream, v2_path)
-        for path in (v1_path, checksum_path(v1_path)):
-            if path.exists():
-                path.unlink()
-        stream = MappedStream.open(v2_path)
-    return stream, regions
+    stream_path = Path(directory) / f"{name}{_STREAM}"
+    if not stream_path.exists():
+        raise TraceError(f"no stream file at {stream_path}")
+    stream = MappedStream.open(stream_path)
+    return stream, load_regions(Path(directory) / f"{name}.regions.json")
 
 
 def discard_trace(directory: str | Path, name: str) -> list[Path]:
     """Delete a saved (stream, regions) pair and sidecars if present.
 
-    Covers both stream versions (``.stream.rts`` and ``.stream.npz``).
     The remediation step for a :class:`TraceIntegrityError`; returns
     the paths actually removed.
     """
     directory = Path(directory)
     removed = []
     for artifact in (
-        directory / f"{name}{_STREAM_V2}",
-        directory / f"{name}{_STREAM_V1}",
+        directory / f"{name}{_STREAM}",
         directory / f"{name}.regions.json",
     ):
         for path in (artifact, checksum_path(artifact)):

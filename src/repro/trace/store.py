@@ -1,14 +1,9 @@
-"""The v2 chunked on-disk trace store: mmap-backed, zero-copy reads.
+"""The chunked on-disk trace store: mmap-backed, zero-copy reads.
 
-The v1 format (``save_stream``'s compressed ``.npz``) pays for its
-compactness three times on every cache hit: the whole file is
-decompressed, the decompressed arrays are materialized in private
-heap memory, and the integrity sidecar forces a *second* full read
-just to hash the bytes. At full-scale (NPB class C/D footprint) trace
-lengths that makes the trace layer — not the simulator — the
-bottleneck of a sweep campaign.
-
-The v2 store trades disk bytes for time and sharing:
+This is the one format a saved or shared trace takes: the trace cache
+(:mod:`repro.trace.io`) and the sweep's trace arena
+(:mod:`repro.trace.arena`) both hold these files. It trades disk
+bytes for time and sharing:
 
 - **Chunked struct-of-arrays layout, uncompressed and page-aligned.**
   Each chunk of the source :class:`~repro.trace.stream.AddressStream`
@@ -18,16 +13,14 @@ The v2 store trades disk bytes for time and sharing:
 - **Lazy mmap-backed reads.** :meth:`MappedStream.open` maps the file
   and yields zero-copy NumPy views per chunk; nothing is decompressed
   and no private copy is made. N processes mapping the same store
-  share one physical copy through the page cache — the degenerate
-  "trace arena" that makes ``--workers N`` sweeps stop paying N× the
-  trace footprint (see :mod:`repro.trace.arena`).
+  share one physical copy through the page cache, which is what lets
+  ``--workers N`` sweeps stop paying N× the trace footprint.
 - **Incremental integrity.** The header records a SHA-256 per chunk
-  (and is itself covered by a digest in the fixed prelude), so
-  verification happens chunk-by-chunk as data is first touched — one
-  pass over bytes the reader was loading anyway, instead of the
-  separate full-file hash ``verify_artifact`` performs on v1
-  artifacts. A corrupt chunk raises
-  :class:`~repro.errors.TraceIntegrityError` naming the chunk.
+  (and is itself covered by a digest in the fixed prelude, checked on
+  open), so verification happens chunk-by-chunk as data is first
+  touched: one pass over bytes the reader was loading anyway. A
+  corrupt chunk raises :class:`~repro.errors.TraceIntegrityError`
+  naming the chunk.
 
 File layout::
 
@@ -63,16 +56,13 @@ from repro.errors import TraceError, TraceIntegrityError
 from repro.trace.events import ADDR_DTYPE, KIND_DTYPE, SIZE_DTYPE, AccessBatch
 from repro.trace.stream import DEFAULT_CHUNK_EVENTS, AddressStream
 
-#: Magic bytes opening every v2 store file.
+#: Magic bytes opening every store file.
 STORE_MAGIC: bytes = b"REPROTRC"
 #: On-disk format version written by :func:`write_store`.
 STORE_VERSION: int = 2
 #: Chunk sections start on this boundary (one OS page) so mmap views
 #: are page-aligned.
 PAGE: int = 4096
-#: Conventional file suffix for v2 stores (detection is by magic, not
-#: by name).
-STORE_SUFFIX: str = ".rts"
 
 #: Prelude: magic, version, flags, header_offset, header_len,
 #: header_sha256 (raw digest).
@@ -112,18 +102,8 @@ class ChunkRecord:
         return self.events * _EVENT_BYTES
 
 
-def is_store_file(path: str | Path) -> bool:
-    """True when ``path`` exists and starts with the v2 store magic."""
-    path = Path(path)
-    try:
-        with open(path, "rb") as handle:
-            return handle.read(len(STORE_MAGIC)) == STORE_MAGIC
-    except OSError:
-        return False
-
-
 def write_store(stream: AddressStream, path: str | Path) -> Path:
-    """Write ``stream`` to ``path`` in the v2 chunked store format.
+    """Write ``stream`` to ``path`` in the chunked store format.
 
     Atomic (temp file in the destination directory + ``os.replace``)
     and bit-exact: the source stream's chunk boundaries are preserved,
@@ -219,7 +199,7 @@ def _read_header(path: Path) -> tuple[dict, list[ChunkRecord]]:
     """Parse and integrity-check a store's prelude + header.
 
     Raises:
-        TraceError: not a v2 store / unsupported version.
+        TraceError: not a trace store / unsupported version.
         TraceIntegrityError: truncated or corrupt prelude/header.
     """
     try:
@@ -235,7 +215,7 @@ def _read_header(path: Path) -> tuple[dict, list[ChunkRecord]]:
                 _PRELUDE.unpack(raw)
             )
             if magic != STORE_MAGIC:
-                raise TraceError(f"{path} is not a v2 trace store")
+                raise TraceError(f"{path} is not a trace store")
             if version != STORE_VERSION:
                 raise TraceError(
                     f"unsupported trace store version {version} in {path}"
@@ -278,17 +258,6 @@ def _read_header(path: Path) -> tuple[dict, list[ChunkRecord]]:
     return header, records
 
 
-def verify_store_header(path: str | Path) -> int:
-    """Check a store's prelude + header digests without touching data.
-
-    The cheap half of incremental verification: chunk payloads verify
-    lazily as they are first read. Returns the event count recorded in
-    the header.
-    """
-    header, _records = _read_header(Path(path))
-    return int(header["events"])
-
-
 def store_digest(path: str | Path) -> str:
     """The header SHA-256 a store's prelude records, as hex.
 
@@ -297,7 +266,7 @@ def store_digest(path: str | Path) -> str:
     stores with the same events in the same chunks share a digest.
 
     Raises:
-        TraceError: not a v2 store.
+        TraceError: not a trace store.
         TraceIntegrityError: missing, unreadable or truncated prelude.
     """
     path = Path(path)
@@ -310,12 +279,12 @@ def store_digest(path: str | Path) -> str:
         raise TraceIntegrityError(f"truncated trace store {path}")
     magic, _version, _flags, _offset, _length, digest = _PRELUDE.unpack(raw)
     if magic != STORE_MAGIC:
-        raise TraceError(f"{path} is not a v2 trace store")
+        raise TraceError(f"{path} is not a trace store")
     return digest.hex()
 
 
 class MappedStream(AddressStream):
-    """A read-only :class:`AddressStream` backed by an mmap'd v2 store.
+    """A read-only :class:`AddressStream` backed by an mmap'd store.
 
     :meth:`chunks` yields zero-copy NumPy views over the mapped file;
     each chunk's SHA-256 is checked once, on first touch, against the

@@ -130,6 +130,34 @@ class TestTraceCache:
         placements = reloaded.ndm_oracle(get_workload("CG"), PCM)
         assert placements
 
+    def test_legacy_npz_cache_is_a_miss(self, tmp_path):
+        # A cache from before the store format holds a compressed
+        # ``.npz`` stream, its sidecar and the region map, no ``.rts``.
+        import numpy as np
+
+        from repro.trace.io import checksum_path, compute_checksum, save_regions
+
+        workload = get_workload("CG")
+        legacy = tmp_path / "legacy"
+        runner = Runner(scale=SCALE, seed=4, trace_cache_dir=str(legacy))
+        name = runner._cache_name(workload)
+        traced = workload.trace(scale=SCALE, seed=4)
+        batch = traced.stream.as_batch()
+        npz = legacy / f"{name}.stream.npz"
+        legacy.mkdir()
+        np.savez_compressed(
+            npz, version=np.int64(1), addresses=batch.addresses,
+            sizes=batch.sizes, is_store=batch.is_store,
+        )
+        checksum_path(npz).write_text(f"{compute_checksum(npz)}  {npz.name}\n")
+        save_regions(traced.tracer, legacy / f"{name}.regions.json")
+
+        got = results(runner, workload)
+        assert runner.prepare(workload).result.checks != {"cached": True}
+        assert (legacy / f"{name}.stream.rts").exists()
+        empty = Runner(scale=SCALE, seed=4, trace_cache_dir=str(tmp_path / "new"))
+        assert got == results(empty, workload)
+
     def test_no_cache_dir_no_files(self, tmp_path):
         runner = Runner(scale=SCALE, seed=4)
         runner.prepare(get_workload("CG"))

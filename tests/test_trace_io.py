@@ -8,13 +8,13 @@ from repro.trace.io import (
     checksum_path,
     compute_checksum,
     load_regions,
-    load_stream,
     load_trace,
     save_regions,
-    save_stream,
     save_trace,
     verify_artifact,
 )
+from repro.trace.store import MappedStream, write_store
+from repro.trace.stream import AddressStream
 from repro.trace.synthetic import random_stream
 from repro.trace.tracer import Tracer
 
@@ -24,31 +24,31 @@ class TestStreamRoundtrip:
         stream = random_stream(
             5000, footprint_bytes=1 << 20, store_fraction=0.3, seed=2
         )
-        path = tmp_path / "s.npz"
-        save_stream(stream, path)
-        loaded = load_stream(path)
+        path = tmp_path / "s.rts"
+        write_store(stream, path)
+        loaded = MappedStream.open(path)
         a, b = stream.as_batch(), loaded.as_batch()
         assert np.array_equal(a.addresses, b.addresses)
         assert np.array_equal(a.sizes, b.sizes)
         assert np.array_equal(a.is_store, b.is_store)
 
     def test_empty_stream(self, tmp_path):
-        from repro.trace.stream import AddressStream
-
-        path = tmp_path / "e.npz"
-        save_stream(AddressStream(), path)
-        assert len(load_stream(path)) == 0
+        path = tmp_path / "e.rts"
+        write_store(AddressStream(), path)
+        assert len(MappedStream.open(path)) == 0
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(TraceError):
-            load_stream(tmp_path / "nope.npz")
+        with pytest.raises(TraceError, match="no stream file"):
+            load_trace(tmp_path, "nope")
 
     def test_bad_version(self, tmp_path):
-        path = tmp_path / "bad.npz"
-        np.savez(path, version=np.int64(99), addresses=np.empty(0),
-                 sizes=np.empty(0), is_store=np.empty(0))
-        with pytest.raises(TraceError):
-            load_stream(path)
+        path = tmp_path / "bad.rts"
+        write_store(AddressStream(), path)
+        data = bytearray(path.read_bytes())
+        data[8] = 99  # the prelude's version field follows the magic
+        path.write_bytes(bytes(data))
+        with pytest.raises(TraceError, match="unsupported trace store version"):
+            MappedStream.open(path)
 
 
 class TestRegionRoundtrip:
@@ -70,9 +70,9 @@ class TestRegionRoundtrip:
 
 class TestDirectoryCreation:
     def test_save_stream_creates_parents(self, tmp_path):
-        path = tmp_path / "deep" / "nested" / "s.npz"
-        save_stream(random_stream(100, footprint_bytes=1 << 12, seed=1), path)
-        assert len(load_stream(path)) == 100
+        path = tmp_path / "deep" / "nested" / "s.rts"
+        write_store(random_stream(100, footprint_bytes=1 << 12, seed=1), path)
+        assert len(MappedStream.open(path)) == 100
 
     def test_save_regions_creates_parents(self, tmp_path):
         tracer = Tracer()
@@ -90,14 +90,6 @@ class TestIntegrity:
         _ = a[:]
         return save_trace(tracer.stream, tracer, tmp_path, "run")
 
-    @pytest.fixture
-    def saved_v1(self, tmp_path):
-        tracer = Tracer()
-        a = tracer.array("data", (512,))
-        _ = a[:]
-        return save_trace(tracer.stream, tracer, tmp_path, "run",
-                          version=1)
-
     def test_sidecars_written(self, saved):
         for path in saved:
             sidecar = checksum_path(path)
@@ -113,7 +105,7 @@ class TestIntegrity:
         stream_path, _ = saved
         truncate_file(stream_path, keep_fraction=0.4)
         with pytest.raises(TraceIntegrityError, match=str(stream_path)):
-            load_stream(stream_path)
+            MappedStream.open(stream_path)
 
     def test_bitflipped_stream_detected(self, saved):
         # A v2 store verifies chunk digests as data is read; corrupt a
@@ -124,15 +116,7 @@ class TestIntegrity:
         data[4096 + 10] ^= 0xFF
         stream_path.write_bytes(bytes(data))
         with pytest.raises(TraceIntegrityError, match="re-trace"):
-            load_stream(stream_path).verify()
-
-    def test_bitflipped_v1_stream_detected(self, saved_v1):
-        from repro.resilience import bitflip_file
-
-        stream_path, _ = saved_v1
-        bitflip_file(stream_path, seed=5)
-        with pytest.raises(TraceIntegrityError, match="re-trace"):
-            load_stream(stream_path)
+            MappedStream.open(stream_path).verify()
 
     def test_truncated_regions_detected(self, saved):
         from repro.resilience import truncate_file
@@ -152,7 +136,7 @@ class TestIntegrity:
 
     def test_parse_failure_without_sidecar_still_integrity_error(self, saved):
         # Pre-sidecar artifacts: no checksum to verify, but corruption
-        # must still surface as TraceIntegrityError, not zipfile/json.
+        # must still surface as TraceIntegrityError, not struct/json.
         from repro.resilience import truncate_file
 
         stream_path, regions_path = saved
@@ -160,15 +144,15 @@ class TestIntegrity:
             checksum_path(path).unlink()
             truncate_file(path, keep_fraction=0.3)
         with pytest.raises(TraceIntegrityError):
-            load_stream(stream_path)
+            MappedStream.open(stream_path)
         with pytest.raises(TraceIntegrityError):
             load_regions(regions_path)
 
-    def test_unreadable_sidecar_detected(self, saved_v1):
-        stream_path, _ = saved_v1
-        checksum_path(stream_path).write_text("")
+    def test_unreadable_sidecar_detected(self, saved):
+        _, regions_path = saved
+        checksum_path(regions_path).write_text("")
         with pytest.raises(TraceIntegrityError, match="sidecar"):
-            load_stream(stream_path)
+            load_regions(regions_path)
 
     def test_verify_artifact_passes_clean_files(self, saved):
         for path in saved:
@@ -186,13 +170,13 @@ class TestIntegrity:
         with pytest.raises(TraceIntegrityError):
             load_trace(tmp_path, "run")[0].verify()
 
-    def test_corrupt_v1_pair_detected_via_load_trace(
-        self, saved_v1, tmp_path
-    ):
-        from repro.resilience import bitflip_file
-
-        bitflip_file(saved_v1[0], seed=9)
-        with pytest.raises(TraceIntegrityError):
+    def test_corrupt_header_detected_via_load_trace(self, saved, tmp_path):
+        # The store's header digest is checked on open, so a flipped
+        # header byte fails load_trace itself, before any chunk is read.
+        data = bytearray(saved[0].read_bytes())
+        data[-2] ^= 0xFF  # the JSON header is the file's tail
+        saved[0].write_bytes(bytes(data))
+        with pytest.raises(TraceIntegrityError, match="header"):
             load_trace(tmp_path, "run")
 
 

@@ -1,28 +1,16 @@
-"""v2 trace store and shared trace arena tests."""
+"""Trace store and shared trace arena tests."""
 
 import json
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.errors import TraceError, TraceIntegrityError
-from repro.trace.arena import SharedStream, TraceArena, TraceHandle
-from repro.trace.io import (
-    checksum_path,
-    load_stream,
-    load_trace,
-    save_stream,
-    save_trace,
-    verify_artifact,
-)
-from repro.trace.store import (
-    PAGE,
-    MappedStream,
-    is_store_file,
-    verify_store_header,
-    write_store,
-)
+from repro.trace.arena import TraceArena
+from repro.trace.io import save_trace
+from repro.trace.store import PAGE, MappedStream, write_store
 from repro.trace.stream import AddressStream
 from repro.trace.synthetic import random_stream
 from repro.trace.tracer import Tracer
@@ -56,7 +44,7 @@ class TestStoreFormat:
     def test_round_trip_bit_exact(self, tmp_path, stream):
         path = tmp_path / "s.rts"
         write_store(stream, path)
-        loaded = load_stream(path)
+        loaded = MappedStream.open(path)
         assert isinstance(loaded, MappedStream)
         assert len(loaded) == len(stream)
         _assert_streams_equal(stream, loaded)
@@ -64,7 +52,7 @@ class TestStoreFormat:
     def test_chunk_boundaries_preserved(self, tmp_path, chunky_stream):
         path = tmp_path / "c.rts"
         write_store(chunky_stream, path)
-        loaded = load_stream(path)
+        loaded = MappedStream.open(path)
         assert [len(c) for c in loaded.chunks()] == [
             len(c) for c in chunky_stream.chunks()
         ]
@@ -72,7 +60,7 @@ class TestStoreFormat:
     def test_chunks_are_zero_copy_read_only(self, tmp_path, stream):
         path = tmp_path / "s.rts"
         write_store(stream, path)
-        loaded = load_stream(path)
+        loaded = MappedStream.open(path)
         chunk = next(loaded.chunks())
         assert not chunk.addresses.flags.writeable
         assert not chunk.addresses.flags.owndata
@@ -84,17 +72,15 @@ class TestStoreFormat:
             assert record.offset % PAGE == 0
 
     def test_magic_sniff(self, tmp_path, stream):
-        v2 = tmp_path / "s.rts"
-        write_store(stream, v2)
-        assert is_store_file(v2)
-        v1 = tmp_path / "s.npz"
-        save_stream(stream, v1)
-        assert not is_store_file(v1)
+        other = tmp_path / "s.npz"
+        np.savez_compressed(other, addresses=stream.as_batch().addresses)
+        with pytest.raises(TraceError, match="not a trace store"):
+            MappedStream.open(other)
 
     def test_append_rejected(self, tmp_path, stream):
         path = tmp_path / "s.rts"
         write_store(stream, path)
-        loaded = load_stream(path)
+        loaded = MappedStream.open(path)
         with pytest.raises(TraceError, match="read-only"):
             loaded.append(
                 np.zeros(1, dtype=np.uint64),
@@ -105,7 +91,7 @@ class TestStoreFormat:
     def test_materialize_appendable_copy(self, tmp_path, stream):
         path = tmp_path / "s.rts"
         write_store(stream, path)
-        copy = load_stream(path).materialize()
+        copy = MappedStream.open(path).materialize()
         copy.append(
             np.zeros(1, dtype=np.uint64),
             np.full(1, 8, dtype=np.uint32),
@@ -116,7 +102,7 @@ class TestStoreFormat:
     def test_empty_stream(self, tmp_path):
         path = tmp_path / "e.rts"
         write_store(AddressStream(), path)
-        loaded = load_stream(path)
+        loaded = MappedStream.open(path)
         assert len(loaded) == 0
         assert list(loaded.chunks()) == []
         loaded.verify()
@@ -124,12 +110,12 @@ class TestStoreFormat:
     def test_stats_match_in_memory(self, tmp_path, chunky_stream):
         path = tmp_path / "c.rts"
         write_store(chunky_stream, path)
-        assert load_stream(path).stats() == chunky_stream.stats()
+        assert MappedStream.open(path).stats() == chunky_stream.stats()
 
     def test_pickle_reopens_by_path(self, tmp_path, stream):
         path = tmp_path / "s.rts"
         write_store(stream, path)
-        loaded = load_stream(path)
+        loaded = MappedStream.open(path)
         clone = pickle.loads(pickle.dumps(loaded))
         assert isinstance(clone, MappedStream)
         _assert_streams_equal(loaded, clone)
@@ -151,7 +137,7 @@ class TestStoreIntegrity:
         data = bytearray(path.read_bytes())
         data[target.offset + 5] ^= 0xFF
         path.write_bytes(bytes(data))
-        loaded = load_stream(path)
+        loaded = MappedStream.open(path)
         with pytest.raises(TraceIntegrityError, match="chunk 2"):
             loaded.verify()
 
@@ -161,83 +147,33 @@ class TestStoreIntegrity:
         data = bytearray(path.read_bytes())
         data[PAGE + 3] ^= 0xFF  # first chunk's payload
         path.write_bytes(bytes(data))
-        loaded = load_stream(path)  # lazy: open succeeds
+        loaded = MappedStream.open(path)  # lazy: open succeeds
         with pytest.raises(TraceIntegrityError, match="chunk 0"):
             next(loaded.chunks())
 
     def test_header_verify_detects_truncation(self, tmp_path, stream):
         path = tmp_path / "s.rts"
         write_store(stream, path)
-        events = verify_store_header(path)
-        assert events == len(stream)
+        assert len(MappedStream.open(path)) == len(stream)
         with open(path, "r+b") as handle:
             handle.truncate(path.stat().st_size // 2)
         with pytest.raises(TraceIntegrityError):
-            verify_store_header(path)
-
-    def test_verify_artifact_fast_path(self, tmp_path, stream):
-        path = tmp_path / "s.rts"
-        write_store(stream, path)
-        # Small file (under the cap): full sidecar hash as before.
-        verify_artifact(path, max_bytes=1 << 30)
-        # Over the cap: only prelude + header digests are checked.
-        verify_artifact(path, max_bytes=1)
-        # Over the cap with a corrupt header: still detected.
-        data = bytearray(path.read_bytes())
-        data[-2] ^= 0xFF  # header JSON lives at the end of the file
-        path.write_bytes(bytes(data))
-        with pytest.raises(TraceIntegrityError):
-            verify_artifact(path, max_bytes=1)
-
-    def test_verify_artifact_fast_path_skips_non_store(self, tmp_path):
-        path = tmp_path / "big.bin"
-        path.write_bytes(b"x" * 4096)
-        checksum_path(path).write_text("0" * 64 + "  big.bin\n")
-        # Under the cap: the (wrong) sidecar is checked and fails.
-        with pytest.raises(TraceIntegrityError):
-            verify_artifact(path, max_bytes=1 << 20)
-        # Over the cap and not a v2 store: deferred, no error.
-        verify_artifact(path, max_bytes=1)
+            MappedStream.open(path)
 
 
 class TestMigration:
-    def _traced(self, tmp_path, version):
+    def _traced(self, tmp_path):
         tracer = Tracer()
         a = tracer.array("data", (700,))
         _ = a[:]
         _ = a[:350]
-        paths = save_trace(tracer.stream, tracer, tmp_path, "mig",
-                           version=version)
+        paths = save_trace(tracer.stream, tracer, tmp_path, "mig")
         return tracer, paths
-
-    def test_v1_to_v2_migration_bit_exact(self, tmp_path):
-        tracer, (v1_path, _) = self._traced(tmp_path, version=1)
-        assert v1_path.suffix == ".npz"
-        stream, regions = load_trace(tmp_path, "mig", migrate=True)
-        assert isinstance(stream, MappedStream)
-        _assert_streams_equal(tracer.stream, stream)
-        assert [r.name for r in regions] == ["data"]
-        # The npz and its sidecar are gone; the store replaced them.
-        assert not v1_path.exists()
-        assert not checksum_path(v1_path).exists()
-        assert (tmp_path / "mig.stream.rts").exists()
-
-    def test_no_migration_without_flag(self, tmp_path):
-        _, (v1_path, _) = self._traced(tmp_path, version=1)
-        stream, _ = load_trace(tmp_path, "mig")
-        assert not isinstance(stream, MappedStream)
-        assert v1_path.exists()
-
-    def test_save_trace_removes_stale_other_version(self, tmp_path):
-        self._traced(tmp_path, version=1)
-        tracer, (v2_path, _) = self._traced(tmp_path, version=2)
-        assert v2_path.suffix == ".rts"
-        assert not (tmp_path / "mig.stream.npz").exists()
 
     def test_discard_trace_removes_v2_artifacts(self, tmp_path):
         from repro.trace.io import discard_trace
 
-        self._traced(tmp_path, version=2)
+        self._traced(tmp_path)
         removed = discard_trace(tmp_path, "mig")
         assert len(removed) == 4  # stream + regions + two sidecars
         assert not list(tmp_path.iterdir())
@@ -252,23 +188,24 @@ class TestArena:
     def test_file_handle_round_trip(self, tmp_path, chunky_stream):
         path = tmp_path / "c.rts"
         write_store(chunky_stream, path)
-        mapped = load_stream(path)
+        mapped = MappedStream.open(path)
         with TraceArena() as arena:
             handle = arena.publish("W", mapped, self._regions())
-            assert handle.kind == "file"
+            assert handle.locator == str(path)  # published in place
             assert handle.events == len(chunky_stream)
             clone = pickle.loads(pickle.dumps(handle))
             attached, regions = clone.attach()
             _assert_streams_equal(chunky_stream, attached)
             assert [r.name for r in regions] == ["a"]
 
-    def test_shm_handle_round_trip(self, chunky_stream):
-        arena = TraceArena(prefer="shm")
+    def test_in_memory_stream_spools_to_file(self, chunky_stream):
+        arena = TraceArena()
         try:
-            handle = arena.publish("W", chunky_stream, self._regions())
-            assert handle.kind == "shm"
+            handle = arena.publish("W", chunky_stream, ())
+            spool = Path(handle.locator)
+            assert spool.parent.name.startswith("repro-arena-")
+            assert spool.parent == Path(arena._tempdir)
             attached, _ = handle.attach()
-            assert isinstance(attached, SharedStream)
             assert [len(c) for c in attached.chunks()] == [
                 len(c) for c in chunky_stream.chunks()
             ]
@@ -281,43 +218,39 @@ class TestArena:
                 )
         finally:
             arena.close()
-
-    def test_in_memory_stream_spools_to_file(self, chunky_stream):
-        arena = TraceArena(prefer="file")
-        try:
-            handle = arena.publish("W", chunky_stream, ())
-            assert handle.kind == "file"
-            attached, _ = handle.attach()
-            _assert_streams_equal(chunky_stream, attached)
-        finally:
-            arena.close()
-        from pathlib import Path
-
-        assert not Path(handle.locator).exists()  # spool cleaned up
+        assert not spool.parent.exists()  # spool dir cleaned up
 
     def test_publish_idempotent(self, chunky_stream):
-        with TraceArena(prefer="shm") as arena:
+        with TraceArena() as arena:
             first = arena.publish("W", chunky_stream, ())
             second = arena.publish("W", chunky_stream, ())
             assert first is second
 
-    def test_unknown_kind_rejected(self):
-        handle = TraceHandle(
-            workload="W", kind="carrier-pigeon", locator="x",
-            chunk_lengths=(), chunk_events=1, regions=(),
-        )
-        with pytest.raises(TraceError):
-            handle.attach()
+
+def _events(directory):
+    """Events of a telemetry directory's parent run log."""
+    path = directory / "events.jsonl"
+    return [
+        json.loads(line)
+        for line in path.read_text().splitlines()
+        if line.strip()
+    ]
 
 
 def _event_kinds(directory):
     """Event kinds of a telemetry directory's parent run log."""
-    path = directory / "events.jsonl"
-    return [
-        json.loads(line).get("kind")
-        for line in path.read_text().splitlines()
-        if line.strip()
-    ]
+    return [event.get("kind") for event in _events(directory)]
+
+
+@pytest.fixture
+def private_tmp(tmp_path, monkeypatch):
+    """A private ``tempfile`` directory, to spot leaked arena dirs."""
+    import tempfile
+
+    directory = tmp_path / "tmp"
+    directory.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(directory))
+    return directory
 
 
 @pytest.mark.resilience
@@ -354,8 +287,8 @@ class TestExecutorArena:
         assert parallel_ev.time_norm == serial.time_norm
         assert parallel_ev.energy_j == serial.energy_j
 
-    def test_publish_failure_falls_back_to_private_loading(
-        self, tmp_path, monkeypatch
+    def test_cold_cache_publishes_its_own_store(
+        self, tmp_path, monkeypatch, private_tmp
     ):
         from repro.designs.reference import ReferenceDesign
         from repro.experiments.runner import Runner
@@ -363,12 +296,57 @@ class TestExecutorArena:
         from repro.telemetry.core import Telemetry
         from repro.workloads.registry import get_workload
 
-        def broken_publish(self, *args, **kwargs):
-            raise OSError("no shared memory today")
+        published = []
+        publish = TraceArena.publish
 
-        monkeypatch.setattr(TraceArena, "publish", broken_publish)
+        def spy(self, *args, **kwargs):
+            published.append(publish(self, *args, **kwargs))
+            return published[-1]
+
+        def no_spool(self, *args, **kwargs):
+            raise AssertionError("a cold cached trace was spooled")
+
+        monkeypatch.setattr(TraceArena, "publish", spy)
+        monkeypatch.setattr(TraceArena, "_publish_file", no_spool)
         scale = 1.0 / 8192
-        runner = Runner(scale=scale, seed=4, trace_cache_dir=str(tmp_path))
+        cache = tmp_path / "cache"
+        runner = Runner(scale=scale, seed=4, trace_cache_dir=str(cache))
+        tel = Telemetry(tmp_path / "tel")
+        executor = SweepExecutor(runner, workers=2, telemetry=tel)
+        result = executor.run(
+            [ReferenceDesign(scale=scale)], [get_workload("CG")]
+        )
+        tel.close()
+        assert all(o.ok for o in result.outcomes)
+        [handle] = published
+        assert handle.locator == str(
+            cache / f"{runner._cache_name(get_workload('CG'))}.stream.rts"
+        )
+        [event] = [
+            e for e in _events(tmp_path / "tel")
+            if e.get("kind") == "trace_published"
+        ]
+        assert event["medium"] == "file"
+        assert event["cached"] is False
+        assert not list(private_tmp.glob("repro-arena-*"))
+
+    def test_publish_failure_falls_back_to_private_loading(
+        self, tmp_path, monkeypatch, private_tmp
+    ):
+        from repro.designs.reference import ReferenceDesign
+        from repro.experiments.runner import Runner
+        from repro.resilience import SweepExecutor
+        from repro.telemetry.core import Telemetry
+        from repro.workloads.registry import get_workload
+
+        def broken_spool(*args, **kwargs):
+            raise OSError("no space left for the arena")
+
+        # Without a trace cache the trace is in memory, so publishing
+        # spools it, and the spool write fails.
+        monkeypatch.setattr("repro.trace.arena.write_store", broken_spool)
+        scale = 1.0 / 8192
+        runner = Runner(scale=scale, seed=4)
         tel = Telemetry(tmp_path / "tel")
         executor = SweepExecutor(runner, workers=2, telemetry=tel)
         result = executor.run(
@@ -380,11 +358,12 @@ class TestExecutorArena:
         assert "trace_publish_failed" in kinds
         assert "trace_published" not in kinds
         assert executor._arena_handles is None
+        assert not list(private_tmp.glob("repro-arena-*"))
 
     def test_runner_prefers_arena_handle(self, tmp_path, chunky_stream):
         from repro.experiments.runner import Runner
 
-        with TraceArena(prefer="shm") as arena:
+        with TraceArena() as arena:
             handle = arena.publish("CG", chunky_stream, ())
             runner = Runner(
                 scale=1.0 / 8192, seed=4,
