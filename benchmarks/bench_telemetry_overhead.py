@@ -314,7 +314,7 @@ def measure_profiling(scale: float, reps: int) -> dict:
 
     Times one NMM/CG cell end to end (trace generation included) with
     file-backed telemetry, profiler off vs profiler on at
-    :data:`~repro.telemetry.profiling.DEFAULT_HZ`, ABBA-paired as in
+    :data:`~repro.telemetry.core.DEFAULT_HZ`, ABBA-paired as in
     :func:`measure_overhead`. The profiler adds a sampler thread plus
     a record drain at span/cell boundaries; the gate keeps the
     end-to-end cost under 10%. There is no profiler-disabled gate here
@@ -324,7 +324,7 @@ def measure_profiling(scale: float, reps: int) -> dict:
     import shutil
     import tempfile
 
-    from repro.telemetry.profiling import DEFAULT_HZ
+    from repro.telemetry.core import DEFAULT_HZ
 
     workload = get_workload(WORKLOAD)
     samples = 0

@@ -71,13 +71,13 @@ from repro.experiments import tables as tables_mod
 from repro.experiments.render import ascii_table, render_figure, render_heatmap
 from repro.experiments.runner import Runner
 from repro.telemetry.core import (
+    DEFAULT_HZ,
     RunContext,
     Telemetry,
     get_active,
     new_run_id,
     set_active,
 )
-from repro.telemetry.profiling import DEFAULT_HZ as PROFILE_DEFAULT_HZ
 from repro.workloads.registry import SUITE, get_workload
 
 
@@ -446,11 +446,11 @@ def main(argv: list[str] | None = None) -> int:
         "windows_*.csv) into DIR for this invocation",
     )
     parser.add_argument(
-        "--profile", type=float, nargs="?", const=PROFILE_DEFAULT_HZ,
+        "--profile", type=float, nargs="?", const=DEFAULT_HZ,
         default=None, metavar="HZ",
         help="with --telemetry: continuously profile this invocation — "
         "sample wall-clock stacks at HZ samples/s (default "
-        f"{PROFILE_DEFAULT_HZ:g}) attributed to spans/cells "
+        f"{DEFAULT_HZ:g}) attributed to spans/cells "
         "(profile.jsonl + flame.folded); sweep workers profile too",
     )
     parser.add_argument(

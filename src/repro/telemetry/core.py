@@ -42,14 +42,13 @@ import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from repro.telemetry.exporters import (
     JsonlEventLog,
     write_prometheus,
     write_windows_csv,
 )
-from repro.telemetry.profiling import DEFAULT_HZ, ProfilingSession
 from repro.telemetry.registry import (
     NULL_REGISTRY,
     MetricsRegistry,
@@ -59,6 +58,14 @@ from repro.telemetry.windows import (
     WindowedCollector,
     WindowRecord,
 )
+
+if TYPE_CHECKING:
+    from repro.telemetry.profiling import ProfilingSession
+
+#: Default profiler sampling rate (samples per second). Prime-ish on
+#: purpose: a rate that divides common loop periods would alias with
+#: them and systematically over- or under-sample a phase.
+DEFAULT_HZ = 97.0
 
 #: Bucket bounds for span/cell duration histograms (seconds).
 SPAN_SECONDS_BUCKETS: tuple[float, ...] = (
@@ -481,11 +488,11 @@ class Telemetry:
         """Start continuous profiling on this telemetry (idempotent).
 
         Spawns the sampling thread (``hz`` samples/s, default
-        :data:`~repro.telemetry.profiling.DEFAULT_HZ`) and, with
-        ``memory=True``, the tracemalloc watermark tracker. Sampling
-        is nearly free (a wait-then-walk thread); tracemalloc hooks
-        every allocation and slows allocation-heavy simulation by an
-        order of magnitude, so memory watermarks are strictly opt-in.
+        :data:`DEFAULT_HZ`) and, with ``memory=True``, the tracemalloc
+        watermark tracker. Sampling is nearly free (a wait-then-walk
+        thread); tracemalloc hooks every allocation and slows
+        allocation-heavy simulation by an order of magnitude, so memory
+        watermarks are strictly opt-in.
         Samples drain to ``profile.jsonl`` on every :meth:`flush`;
         ``flame.folded`` and ``memory_watermarks.csv`` are written on
         :meth:`close`. ``session`` overrides the constructed session
@@ -494,6 +501,8 @@ class Telemetry:
         if self._profile is not None:
             return self._profile
         if session is None:
+            from repro.telemetry.profiling import ProfilingSession
+
             session = ProfilingSession(
                 self, hz if hz is not None else DEFAULT_HZ, memory=memory
             )

@@ -45,7 +45,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.errors import TelemetryError
-from repro.telemetry.core import EVENTS_FILE, METRICS_FILE
+from repro.telemetry.core import DEFAULT_HZ, EVENTS_FILE, METRICS_FILE
 from repro.telemetry.exporters import (
     CSV_COLUMNS,
     atomic_write_text,
@@ -53,7 +53,6 @@ from repro.telemetry.exporters import (
     read_windows_csv,
 )
 from repro.telemetry.profiling import (
-    DEFAULT_HZ,
     PROFILE_FILE,
     HotspotDigest,
     function_shares,

@@ -4,9 +4,10 @@ Two low-overhead observers that ride along with a live
 :class:`~repro.telemetry.core.Telemetry`:
 
 - :class:`SamplingProfiler` — a daemon thread wakes at a configurable
-  rate (default :data:`DEFAULT_HZ`), walks ``sys._current_frames()``
-  and attributes each thread's stack to that thread's active span
-  stack (``runner.prepare`` → ``hierarchy.run`` → …) and sweep cell.
+  rate (default :data:`~repro.telemetry.core.DEFAULT_HZ`), walks
+  ``sys._current_frames()`` and attributes each thread's stack to that
+  thread's active span stack (``runner.prepare`` → ``hierarchy.run`` →
+  …) and sweep cell.
   Aggregated counts are drained to an append-only ``profile.jsonl``
   (same torn-tail discipline as ``events.jsonl``) at every telemetry
   flush, and collapsed to a flamegraph-ready ``flame.folded`` on
@@ -43,16 +44,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
+from repro.telemetry.core import DEFAULT_HZ
 from repro.telemetry.exporters import (
     JsonlEventLog,
     atomic_write_text,
     read_jsonl,
 )
-
-#: Default sampling rate (samples per second). Prime-ish on purpose:
-#: a rate that divides common loop periods would alias with them and
-#: systematically over- or under-sample a phase.
-DEFAULT_HZ = 97.0
 
 #: Deepest stack recorded per sample; frames below are dropped.
 DEFAULT_MAX_DEPTH = 64

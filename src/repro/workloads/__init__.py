@@ -1,8 +1,9 @@
 """HPC and data-intensive workload kernels (the paper's Table 4).
 
 Every workload is a real, tested implementation of its benchmark's core
-algorithm, instrumented with :class:`~repro.trace.TracedArray` so its
-execution emits the address stream the simulator consumes:
+algorithm, instrumented with
+:class:`~repro.trace.traced_array.TracedArray` so its execution emits
+the address stream the simulator consumes:
 
 - NPB: :mod:`~repro.workloads.cg` (conjugate gradient),
   :mod:`~repro.workloads.bt` (block tridiagonal),

@@ -1,0 +1,127 @@
+"""A command imports only the modules it runs.
+
+The ``repro.experiments``, ``repro.telemetry`` and ``repro.trace``
+package ``__init__`` files re-export nothing, so rendering the paper's
+tables loads neither the sweep and resilience machinery nor the live
+server, observatory and profiler. Each check runs in a fresh
+interpreter, since this test session has long since imported them all.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: Modules (with their submodules) that ``tables`` must not load.
+NOT_LOADED = (
+    "repro.resilience",
+    "repro.telemetry.live",
+    "repro.telemetry.observatory",
+    "repro.telemetry.profiling",
+    "repro.telemetry.report",
+    "repro.telemetry.progress",
+    "repro.trace.arena",
+    "repro.experiments.sweep",
+    "repro.experiments.compare",
+    "repro.experiments.validate",
+    "repro.experiments.characterize",
+    "repro.experiments.checkpoint",
+    "repro.experiments.report",
+    "repro.experiments.calibrate",
+    "repro.experiments.plot",
+    "repro.experiments.sampling",
+    "repro.profile",
+    "http.server",
+    "email",
+    "tracemalloc",
+)
+
+TABLES = """
+import contextlib, io, json, sys
+import repro.experiments.cli as cli
+with contextlib.redirect_stdout(io.StringIO()):
+    status = cli.main(["tables"])
+print(json.dumps({"status": status, "modules": sorted(sys.modules)}))
+"""
+
+#: Snapshots ``sys.modules`` in the parent at its first fork and in
+#: each pool worker after its first cell, then runs the CLI.
+POOL_PROBE = """
+import json, os, sys
+import repro.experiments.cli as cli
+from repro.resilience.executor import SweepExecutor
+
+out = sys.argv[1]
+root = os.getpid()
+
+def dump(name):
+    path = os.path.join(out, name)
+    if not os.path.exists(path):
+        with open(path, "w") as f:
+            json.dump(sorted(sys.modules), f)
+
+os.register_at_fork(before=lambda: dump("parent.json"))
+evaluate_cell = SweepExecutor._evaluate_cell
+
+def first_cell(self, *args, **kwargs):
+    result = evaluate_cell(self, *args, **kwargs)
+    if os.getpid() != root:
+        dump(f"worker-{os.getpid()}.json")
+    return result
+
+SweepExecutor._evaluate_cell = first_cell
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+def run_python(code: str, *args: str, cwd: Path) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
+    )
+
+
+def test_tables_loads_no_sweep_or_observability_module(tmp_path):
+    proc = run_python(TABLES, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["status"] == 0
+    loaded = set(result["modules"])
+    assert "repro.experiments.runner" in loaded  # the probe ran the CLI
+    leaked = sorted(
+        name for name in loaded
+        if name in NOT_LOADED
+        or name.startswith(tuple(f"{n}." for n in NOT_LOADED))
+    )
+    assert not leaked, f"`tables` imported modules it never runs: {leaked}"
+
+
+def test_pool_workers_import_no_repro_module_the_parent_skipped(tmp_path):
+    """A module a cell needs but the parent deferred would be compiled
+    once per forked worker instead of once before the fork."""
+    out = tmp_path / "modules"
+    out.mkdir()
+    proc = run_python(
+        POOL_PROBE, str(out),
+        "--scale", "0.0002", "--workloads", "CG",
+        "--telemetry", str(tmp_path / "telemetry"),
+        "sweep", "--designs", "REF,NMM:PCM:N6,4LC:EDRAM:EH4",
+        "--workers", "2", "--journal", str(tmp_path / "campaign.jsonl"),
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    parent = set(json.loads((out / "parent.json").read_text()))
+    workers = sorted(out.glob("worker-*.json"))
+    assert workers, "no pool worker finished a cell"
+    for path in workers:
+        extra = sorted(
+            name for name in set(json.loads(path.read_text())) - parent
+            if name == "repro" or name.startswith("repro.")
+        )
+        assert not extra, f"{path.stem} imported after the fork: {extra}"
