@@ -8,7 +8,7 @@ per-bit dynamic energy model (Eq. 3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -142,6 +142,10 @@ class LevelStats:
             "writebacks": self.writebacks,
             "fills": self.fills,
         }
+
+
+#: Integer counter fields of :class:`LevelStats` (everything but name).
+COUNTER_FIELDS = tuple(f.name for f in fields(LevelStats) if f.name != "name")
 
 
 @dataclass

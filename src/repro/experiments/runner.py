@@ -37,7 +37,7 @@ from pathlib import Path
 from repro.cache.hierarchy import Hierarchy, replay_chain, run_chain
 from repro.cache.mainmem import MainMemory
 from repro.cache.partition import PartitionedMemory
-from repro.cache.stats import HierarchyStats, LevelStats
+from repro.cache.stats import COUNTER_FIELDS, HierarchyStats, LevelStats
 from repro.designs.base import MemoryDesign, ReferenceSystem
 from repro.designs.configs import DEFAULT_SCALE, NDM_DRAM_CAPACITY
 from repro.designs.ndm import NDMDesign
@@ -225,11 +225,9 @@ def _chain_digest(chain: tuple) -> str:
 
 def _level_from_dict(entry: dict) -> LevelStats:
     """One level of a lower record, with every counter an integer."""
-    from repro.experiments.sampling import _COUNTER_FIELDS
-
     level = LevelStats(**entry)
     if not isinstance(level.name, str) or any(
-        type(getattr(level, counter)) is not int for counter in _COUNTER_FIELDS
+        type(getattr(level, counter)) is not int for counter in COUNTER_FIELDS
     ):
         raise ValueError(f"non-integer counter in {entry!r}")
     return level
@@ -290,13 +288,15 @@ class _LowerRecord:
 
     ``loaded`` is what the trace cache held when the workload was
     prepared (the only chains served as hits); ``gained`` is what this
-    runner priced since, which :meth:`Runner.save_lower_records`
-    writes.
+    runner priced since — or a pool worker priced and acked to it —
+    which :meth:`Runner.save_lower_records` writes. The first ``sent``
+    gained chains already went out with a pool worker's ack.
     """
 
     path: Path
     loaded: dict[str, list[LevelStats]]
     gained: dict[str, list[LevelStats]] = field(default_factory=dict)
+    sent: int = 0
 
     def keep(self, chain: tuple, levels: list[LevelStats]) -> None:
         digest = _chain_digest(chain)
@@ -404,9 +404,9 @@ class Runner:
                 f"unknown engine {engine!r}; expected 'auto', 'scalar', "
                 f"'setpar' or 'analytic'"
             )
-        from repro.experiments.sampling import SampleSpec
-
         if isinstance(sample, str):
+            from repro.experiments.sampling import SampleSpec
+
             sample = SampleSpec.parse(sample)
         if sample is not None:
             from repro.errors import ConfigError
@@ -845,7 +845,8 @@ class Runner:
     def _load_lower_records(
         self, workload: Workload, upper_key: str | None
     ) -> _LowerRecord | None:
-        """Open a workload's lower record, or None when it keeps none.
+        """Open a workload's lower record (once), or None when it keeps
+        none.
 
         Records live under the upper record's key and the exact engine,
         so a ``scalar`` runner never reads an ``auto`` runner's records;
@@ -855,6 +856,8 @@ class Runner:
         """
         if upper_key is None or self.engine == "analytic":
             return None
+        if workload.name in self._lower_records:
+            return self._lower_records[workload.name]
         from repro.errors import TraceError
 
         path = Path(self.trace_cache_dir) / (
@@ -895,14 +898,48 @@ class Runner:
         ).inc()
         return self._lower_records[workload].loaded[_chain_digest(chain)]
 
+    def unsent_lower_chains(self, workload: str) -> dict[str, list[dict]]:
+        """The chains ``workload`` gained since the last call, as level
+        dicts by chain digest: what a pool worker's ``cell_finished``
+        ack carries to the parent's :meth:`absorb_lower_chains`."""
+        records = self._lower_records.get(workload)
+        if records is None:
+            return {}
+        unsent = list(records.gained.items())[records.sent:]
+        records.sent = len(records.gained)
+        return {
+            digest: [level.as_dict() for level in levels]
+            for digest, levels in unsent
+        }
+
+    def absorb_lower_chains(
+        self, workload: Workload, chains: dict[str, list[dict]]
+    ) -> None:
+        """Add chains a pool worker priced to ``workload``'s lower
+        record, skipping those the record already held, so that
+        :meth:`save_lower_records` writes them."""
+        records = self._lower_records.get(
+            workload.name
+        ) or self._load_lower_records(workload, self.upper_key(workload))
+        if records is None:
+            return
+        for digest, levels in chains.items():
+            if digest not in records.loaded:
+                records.gained.setdefault(
+                    digest, [_level_from_dict(level) for level in levels]
+                )
+
     def save_lower_records(self) -> None:
         """Persist the lower chains each workload gained.
 
         Writes one lower record per workload that priced a chain it did
         not load, merged with the record now on disk, so runners that
         priced different chains of a workload add up. Atomic, with a
-        SHA-256 sidecar. A runner that never calls this — pool workers,
-        in-process tests — writes nothing.
+        SHA-256 sidecar. A pool sweep's workers write nothing: each ack
+        carries the chains its cell priced to the parent runner, whose
+        save writes them. A runner that never calls this — in-process
+        tests, a bare :class:`~repro.resilience.SweepExecutor` — writes
+        nothing.
         """
         from repro.errors import TraceError
         from repro.trace.io import _write_artifact

@@ -32,10 +32,10 @@ makes a short stream *less* exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator
 
-from repro.cache.stats import LevelStats
+from repro.cache.stats import COUNTER_FIELDS, LevelStats
 from repro.errors import ConfigError
 from repro.trace.events import AccessBatch
 from repro.trace.stream import AddressStream
@@ -203,12 +203,6 @@ def iter_recorded_segments(
 # Counter snapshot/delta/scale arithmetic for extrapolation
 # ----------------------------------------------------------------------
 
-#: Integer counter fields of :class:`LevelStats` (everything but name).
-_COUNTER_FIELDS = tuple(
-    f.name for f in fields(LevelStats) if f.name != "name"
-)
-
-
 def snapshot_levels(levels: Iterable[LevelStats]) -> list[LevelStats]:
     """Value copies of live counter objects (cheap: a few ints each)."""
     return [replace(level) for level in levels]
@@ -222,7 +216,7 @@ def delta_levels(
     for a, b in zip(after, before):
         out.append(LevelStats(name=a.name, **{
             name: getattr(a, name) - getattr(b, name)
-            for name in _COUNTER_FIELDS
+            for name in COUNTER_FIELDS
         }))
     return out
 
@@ -249,7 +243,7 @@ def scale_levels(levels: Iterable[LevelStats], factor: float) -> list[LevelStats
     return [
         LevelStats(name=level.name, **{
             name: int(round(getattr(level, name) * factor))
-            for name in _COUNTER_FIELDS
+            for name in COUNTER_FIELDS
         })
         for level in levels
     ]

@@ -661,9 +661,12 @@ class SweepExecutor:
         Cells are dispatched individually (work stealing); ``deliver``
         journals every result in the parent as it arrives — before the
         next cell is dispatched to that worker — so a crash at any point
-        leaves an exact-resume journal. Worker deaths degrade the
-        campaign (requeue / poison / pool-exhausted failures) but never
-        abort it. Returns the pool's
+        leaves an exact-resume journal. The lower chains an ack carries
+        go to the runner's lower record (see
+        :meth:`~repro.experiments.runner.Runner.absorb_lower_chains`),
+        for its ``save_lower_records`` to write. Worker deaths degrade
+        the campaign (requeue / poison / pool-exhausted failures) but
+        never abort it. Returns the pool's
         :class:`~repro.resilience.pool.PoolStats`.
         """
         from repro.resilience.pool import SupervisedPool
@@ -692,13 +695,19 @@ class SweepExecutor:
             profile_hz=self.profile_hz,
             profile_memory=self.profile_memory,
         )
+        workloads = {workload.name: workload for _, workload, _ in grid}
+
+        def on_result(record: dict) -> None:
+            if record.get("chains"):
+                self.runner.absorb_lower_chains(
+                    workloads[record["workload"]], record["chains"]
+                )
+            deliver(_outcome_from_record(record))
+
         self._active_pool = pool
         try:
             stats, _ = pool.run(
-                cells, keep_going=self.keep_going,
-                on_result=lambda record: deliver(
-                    _outcome_from_record(record)
-                ),
+                cells, keep_going=self.keep_going, on_result=on_result
             )
         finally:
             self._active_pool = None

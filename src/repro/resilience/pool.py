@@ -177,6 +177,13 @@ def _pool_worker(conn, cancel_event, payload: dict) -> None:
     ``("cell_started", key, ts)``, ``("cell_finished", record)``,
     ``("cell_abandoned", key)``, ``("drained",)``. Parent -> worker:
     a ``(design, workload, key)`` cell, or ``None`` to drain.
+
+    A ``cell_finished`` record's ``chains`` are the lower chains the
+    worker's runner priced since its previous ack, for the cell's
+    workload (REF DRAM included): chain digest -> level dicts, see
+    :meth:`~repro.experiments.runner.Runner.unsent_lower_chains`. The
+    parent adds them to its runner's lower record, so only acked cells
+    persist chains, through one writer.
     """
     # Forked workers inherit the parent's drain handlers; reset them so
     # Ctrl-C to the process group cannot kill workers mid-drain and the
@@ -299,6 +306,7 @@ def _pool_worker(conn, cancel_event, payload: dict) -> None:
                     if outcome.evaluation is None
                     else dataclasses.asdict(outcome.evaluation)
                 ),
+                "chains": runner.unsent_lower_chains(workload.name),
             }
             send(("cell_finished", record))
             # Flush after every ack: a later SIGKILL must not cost this

@@ -79,6 +79,36 @@ sys.exit(cli.main(sys.argv[2:]))
 """
 
 
+#: Prices REF and one NMM design on CG, from the trace cache in
+#: ``sys.argv[1]`` with ``sys.argv[2]`` set to "save" (cold: simulate,
+#: then save the lower record) or "load" (warm: prepare, then one
+#: record-priced ``stats_for``).
+EXACT_RUNNER = """
+import json, sys
+from repro.designs.configs import N_CONFIGS
+from repro.designs.nmm import NMMDesign
+from repro.experiments.runner import Runner
+from repro.tech.params import PCM
+from repro.workloads.registry import get_workload
+
+scale = 1.0 / 8192
+runner = Runner(scale=scale, seed=4, trace_cache_dir=sys.argv[1])
+workload = get_workload("CG")
+trace = runner.prepare(workload)
+runner.stats_for(NMMDesign(PCM, N_CONFIGS["N6"], scale=scale,
+                           reference=runner.reference), workload)
+if sys.argv[2] == "save":
+    runner.save_lower_records()
+record = runner._lower_records["CG"]
+print(json.dumps({
+    "upper_cached": trace.upper_cached,
+    "loaded": len(record.loaded),
+    "gained": len(record.gained),
+    "modules": sorted(sys.modules),
+}))
+"""
+
+
 def run_python(code: str, *args: str, cwd: Path) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(SRC))
     return subprocess.run(
@@ -125,3 +155,24 @@ def test_pool_workers_import_no_repro_module_the_parent_skipped(tmp_path):
             if name == "repro" or name.startswith("repro.")
         )
         assert not extra, f"{path.stem} imported after the fork: {extra}"
+
+
+def test_exact_runner_on_a_warm_cache_loads_no_sampling(tmp_path):
+    """Neither the runner nor a lower-record read needs the sampled
+    engine's module when no sample spec is given."""
+    cache = tmp_path / "cache"
+    results = {}
+    for mode in ("save", "load"):
+        proc = run_python(EXACT_RUNNER, str(cache), mode, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        results[mode] = json.loads(proc.stdout.splitlines()[-1])
+    cold, warm = results["save"], results["load"]
+    assert (cold["upper_cached"], cold["loaded"], cold["gained"]) == (
+        False, 0, 2,
+    )
+    # Warm: REF DRAM and NMM both priced from the record.
+    assert (warm["upper_cached"], warm["loaded"], warm["gained"]) == (
+        True, 2, 0,
+    )
+    for result in (cold, warm):
+        assert "repro.experiments.sampling" not in result["modules"]

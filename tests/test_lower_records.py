@@ -10,11 +10,14 @@ never replayed, that a bad record is discarded and rebuilt, and which
 runners never read or write records.
 """
 
+import contextlib
+import io
 import json
 import logging
 
 import pytest
 
+from repro.cache.stats import HierarchyStats
 from repro.designs.configs import EH_CONFIGS, N_CONFIGS
 from repro.designs.deephybrid import DeepHybridDesign
 from repro.designs.fourlc import FourLCDesign
@@ -23,13 +26,27 @@ from repro.designs.ndm import NDMDesign
 from repro.designs.nmm import NMMDesign
 from repro.designs.reference import ReferenceDesign
 from repro.errors import SimulationError
-from repro.experiments.runner import _LOWER_RECORD_VERSION, Runner
+from repro.experiments import cli
+from repro.experiments.runner import (
+    _LOWER_RECORD_VERSION,
+    Runner,
+    _chain_digest,
+    _read_lower_record,
+)
 from repro.experiments.simplan import SimPlan, chain_key
 from repro.partition.ranges import AddressRange
-from repro.resilience import NO_RETRY, Journal, RetryPolicy, SweepExecutor
+from repro.resilience import (
+    NO_RETRY,
+    FaultInjector,
+    Journal,
+    PoolTuning,
+    RetryPolicy,
+    SweepExecutor,
+)
 from repro.tech.params import EDRAM, PCM
 from repro.telemetry.core import Telemetry
-from repro.trace.io import _write_artifact, checksum_path
+from repro.telemetry.observatory import aggregate_run
+from repro.trace.io import _write_artifact, checksum_path, verify_artifact
 from repro.workloads.registry import get_workload
 
 SCALE = 1.0 / 8192
@@ -268,13 +285,32 @@ class TestWhoReadsAndWrites:
         chains = json.loads(record.read_bytes())["chains"]
         assert len(chains) == 3  # REF DRAM, NMM and 4LC
 
+    def test_acked_chains_saved_by_another_runner(
+        self, tmp_path, monkeypatch
+    ):
+        """A pool worker's acks, replayed in-process: each chain goes
+        out once, and the absorbing runner keeps it across its own
+        ``prepare``."""
+        workload = get_workload("CG")
+        worker, parent = make_runner(tmp_path), make_runner(tmp_path)
+        expected = priced(worker, recordable(worker), workload)
+        chains = worker.unsent_lower_chains("CG")
+        assert len(chains) == 4  # REF DRAM, NMM, 4LC (= 4LCNVM), DeepHybrid
+        assert worker.unsent_lower_chains("CG") == {}
+        parent.absorb_lower_chains(workload, chains)
+        parent.prepare(workload)
+        parent.save_lower_records()
+
+        calls = spy_pricing(monkeypatch)
+        warm = make_runner(tmp_path)
+        assert priced(warm, recordable(warm), workload) == expected
+        assert calls == []
+
 
 class TestConservation:
     def _lose_a_load(self, tmp_path, design):
         """Rewrite ``design``'s recorded chain with one memory load
         fewer (a well-formed record with a valid sidecar)."""
-        from repro.experiments.runner import _chain_digest
-
         (record,) = lower_files(tmp_path)
         payload = json.loads(record.read_bytes())
         digest = _chain_digest(
@@ -350,3 +386,168 @@ class TestConservation:
         assert ("REF", "CG") not in runner._design_stats
         assert not lower_files(tmp_path)
         runner.prepare(workload)  # re-simulates the REF DRAM
+
+
+#: The pool sweeps' grid: REF, one NMM and one 4LC design (three
+#: distinct lower chains per workload, the REF DRAM among them).
+POOL_DESIGNS = "REF,NMM:PCM:N6,4LC:EDRAM:EH4"
+POOL_WORKLOADS = ("CG", "Hashing")
+
+
+def cli_sweep(journal, *, cache=None, workers=2, telemetry=None):
+    """The CLI's ``sweep`` of ``POOL_DESIGNS`` on CG and Hashing."""
+    argv = ["--scale", repr(SCALE), "--seed", "4",
+            "--workloads", ",".join(POOL_WORKLOADS)]
+    if cache is not None:
+        argv += ["--trace-cache", str(cache)]
+    if telemetry is not None:
+        argv += ["--telemetry", str(telemetry)]
+    argv += ["sweep", "--designs", POOL_DESIGNS, "--workers", str(workers),
+             "--journal", str(journal)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+
+
+def journal_cells(path):
+    """A journal's cells, without run ids and timings."""
+    return sorted(
+        json.dumps([r["key"], r["status"], r.get("engine_class", "exact"),
+                    r.get("evaluation")], sort_keys=True)
+        for r in map(json.loads, path.read_text().splitlines())
+    )
+
+
+def records_by_workload(cache):
+    """``{workload: chains}`` of every auto lower record in ``cache``."""
+    records = {}
+    for path in sorted(cache.glob("*.lower-*-auto.json")):
+        verify_artifact(path)  # the sidecar matches
+        workload = path.name.split("-")[0]
+        assert workload not in records, f"two records for {workload}"
+        records[workload] = _read_lower_record(path)
+    return records
+
+
+class TestPoolSweeps:
+    def test_pool_writes_one_record_per_workload_and_hits_it_warm(
+        self, tmp_path
+    ):
+        cache = tmp_path / "cache"
+        cli_sweep(tmp_path / "cold.jsonl", cache=cache)
+        records = records_by_workload(cache)
+        assert sorted(records) == sorted(POOL_WORKLOADS)
+        assert all(len(chains) == 3 for chains in records.values())
+
+        telemetry = tmp_path / "telemetry"
+        cli_sweep(tmp_path / "warm.jsonl", cache=cache, telemetry=telemetry)
+        assert records_by_workload(cache) == records  # nothing new
+        cli_sweep(tmp_path / "serial.jsonl", workers=1)
+        cold = journal_cells(tmp_path / "cold.jsonl")
+        assert journal_cells(tmp_path / "warm.jsonl") == cold
+        assert journal_cells(tmp_path / "serial.jsonl") == cold
+
+        run = aggregate_run(telemetry)
+        assert any(source.startswith("worker-") for source in run.sources)
+        hits = run.metrics["repro_lower_record_hits_total"]
+        for workload in POOL_WORKLOADS:
+            prepared = [
+                e for e in run.events
+                if e["kind"] == "workload_prepared"
+                and e["workload"] == workload
+            ]
+            assert prepared
+            assert all(e["lower_records"] == 3 for e in prepared)
+            # Each worker that prepared the workload priced its REF
+            # DRAM from the record, then each NMM and 4LC cell its
+            # chain: every priced chain is a hit.
+            counted = sum(
+                value for labels, value in hits.items()
+                if dict(labels).get("workload") == workload
+            )
+            assert counted == len(prepared) + 2
+        spans = {e["name"] for e in run.events if e["kind"] == "span"}
+        assert "runner.design_sim" not in spans
+        assert not list(telemetry.rglob("windows_design-*"))
+
+
+#: Fast supervision for the killed-worker campaigns.
+FAST_TUNING = PoolTuning(
+    heartbeat_interval_s=0.05, heartbeat_timeout_s=10.0,
+    soft_grace_s=0.3, term_grace_s=0.5, tick_s=0.02, cancel_poll_s=0.01,
+    shutdown_grace_s=5.0,
+)
+
+
+@pytest.mark.resilience
+class TestKilledWorkers:
+    """Only acked cells reach the record: a SIGKILLed worker's ack
+    never arrives, and the parent saves what the acks carried."""
+
+    def _campaign(self, cache, journal, faults=None, **options):
+        """A pool sweep through :class:`SweepExecutor`, saved the way
+        the CLI saves; returns its result and designs."""
+        runner = make_runner(cache)
+        designs = recordable(runner)[:3]
+        result = SweepExecutor(
+            runner, journal=Journal(journal), workers=2,
+            worker_faults=faults, pool_tuning=FAST_TUNING, **options,
+        ).run(designs, [get_workload(name) for name in POOL_WORKLOADS])
+        runner.save_lower_records()
+        return result, designs
+
+    @pytest.mark.parametrize("latch", [True, False],
+                             ids=["requeued", "poisoned"])
+    def test_record_holds_acked_chains_and_warm_equals_cold(
+        self, tmp_path, latch
+    ):
+        cache = tmp_path / "cache"
+        killed = "NMM-PCM-N6"  # on CG
+        if latch:
+            # One SIGKILL; the requeued cell completes on the respawn.
+            faults = FaultInjector().worker_kill_cell(
+                killed, "CG", latch=tmp_path / "kill.latch"
+            )
+            options = {}
+        else:
+            # The cell kills every worker it lands on and is quarantined.
+            faults = FaultInjector().worker_kill_cell(killed, "CG")
+            options = {"poison_threshold": 2, "max_worker_restarts": 4}
+        result, designs = self._campaign(
+            cache, tmp_path / "faulted.jsonl", faults, **options
+        )
+        assert result.restarts >= 1
+        statuses = {(o.design, o.workload): o.status for o in result.outcomes}
+        assert statuses.pop((killed, "CG")) == ("ok" if latch else "poisoned")
+        assert set(statuses.values()) == {"ok"}
+
+        digest_of = {
+            d.name: _chain_digest(chain_key(d.lower_caches(), d.memory()))
+            for d in designs
+        }
+        n_lower = {digest_of[d.name]: len(d.lower_caches()) for d in designs}
+        records = records_by_workload(cache)
+        assert {
+            (workload, digest)
+            for workload, chains in records.items() for digest in chains
+        } == {
+            (o.workload, digest_of[o.design])
+            for o in result.outcomes if o.status == "ok"
+        }
+
+        checker = make_runner(cache)
+        for workload, chains in records.items():
+            trace = checker.prepare(get_workload(workload))
+            for digest, levels in chains.items():
+                HierarchyStats(
+                    levels=trace.upper_stats + levels,
+                    references=trace.references,
+                ).check_conservation(len(trace.upper_stats) + n_lower[digest])
+
+        warm, _ = self._campaign(cache, tmp_path / "warm.jsonl")
+        unfaulted, _ = self._campaign(
+            tmp_path / "fresh", tmp_path / "unfaulted.jsonl"
+        )
+        assert all(o.ok for o in warm.outcomes + unfaulted.outcomes)
+        assert journal_cells(tmp_path / "warm.jsonl") == journal_cells(
+            tmp_path / "unfaulted.jsonl"
+        )
