@@ -82,20 +82,18 @@ def replay_chain(
     memory: MainMemory | PartitionedMemory,
     *,
     drain: bool,
-    observer=None,
 ) -> None:
     """Run a whole request stream through a cache chain.
 
-    Every chunk goes through :func:`run_chain` (``observer.on_refs``
-    hears each chunk's length), then :func:`drain_chain` flushes the
-    chain if ``drain``. A chain of one cold LRU
-    :class:`SetAssociativeCache` above a plain :class:`MainMemory`,
-    not forced onto the scalar engine and not observed, is priced by
-    :meth:`SetAssociativeCache.count_lru` instead: the same statistics
-    from whole-stream passes, without the per-run loop. The scalar
-    engine always takes the loop, which stays the oracle.
+    Every chunk goes through :func:`run_chain`, then
+    :func:`drain_chain` flushes the chain if ``drain``. A chain of one
+    cold LRU :class:`SetAssociativeCache` above a plain
+    :class:`MainMemory`, not forced onto the scalar engine, is priced
+    by :meth:`SetAssociativeCache.count_lru` instead: the same
+    statistics from whole-stream passes, without the per-run loop. The
+    scalar engine always takes the loop, which stays the oracle.
     """
-    if observer is None and _counts_only(caches, memory):
+    if _counts_only(caches, memory):
         cache = caches[0]
         batch = stream.as_batch()
         check_request_sizes(batch, cache.block_size, cache.name)
@@ -106,8 +104,6 @@ def replay_chain(
         return
     for chunk in stream.chunks():
         run_chain(chunk, caches, memory)
-        if observer is not None:
-            observer.on_refs(len(chunk))
     if drain:
         drain_chain(caches, memory)
 

@@ -12,6 +12,9 @@ Semantics: on every demand miss of block b, blocks b+1..b+degree are
 installed (if absent), each fetching one block from the level below.
 Prefetch traffic is accounted separately (:class:`PrefetchStats`) and
 is forwarded downstream, so lower levels and the energy model see it.
+The wrapped cache's ``fills`` and ``writebacks`` count it too, so what
+leaves the level is what arrives below (request conservation); its
+hit/miss counters stay demand-only.
 Accuracy is measured as the fraction of prefetched blocks that receive
 a demand access before eviction-or-end.
 
@@ -167,10 +170,12 @@ class PrefetchingCache:
                 address = target << self._block_bits
                 if self.cache.contains(address):
                     continue
+                # insert_block counts the writebacks it displaces.
                 writebacks = self.cache.insert_block(target)
                 self.prefetch_stats.issued += 1
                 self._pending.add(target)
                 # The prefetch fill itself is a load from below.
+                self.cache.stats.fills += 1
                 out_addrs.append(address)
                 out_kinds.append(0)
                 out_sizes.append(block_size)

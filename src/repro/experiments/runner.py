@@ -1132,7 +1132,6 @@ class Runner:
         factor: float,
         lower: list,
         memory: MainMemory | PartitionedMemory,
-        window: str | None = None,
     ) -> list[LevelStats]:
         """Replay the captured post-L3 stream through a lower chain.
 
@@ -1140,8 +1139,8 @@ class Runner:
         DRAM (``lower=[]``). With ``segments`` None the whole stream
         goes through :func:`~repro.cache.hierarchy.replay_chain`, which
         flushes the chain if the runner drains and may price it by
-        counts; ``window`` names the telemetry window series of such an
-        exact replay, which then always takes the per-chunk loop.
+        counts; telemetry attaches no window collector to it, so it
+        never steers that choice.
         Otherwise the recorded sampled windows go batch by batch
         through :func:`~repro.cache.hierarchy.run_chain` and the
         measured windows' counter deltas are scaled by ``factor``.
@@ -1155,15 +1154,7 @@ class Runner:
             return [cache.stats for cache in lower] + [memory.stats]
 
         if segments is None:
-            telemetry = self._telemetry()
-            collector = None
-            if window is not None and telemetry.enabled:
-                collector = telemetry.window_collector(window, levels)
-            replay_chain(
-                post_l3, lower, memory, drain=self.drain, observer=collector
-            )
-            if collector is not None:
-                telemetry.finish_collector(collector)
+            replay_chain(post_l3, lower, memory, drain=self.drain)
             return levels()
         from repro.experiments.sampling import (
             add_levels,
@@ -1230,7 +1221,7 @@ class Runner:
             ):
                 lower_stats = self._replay_lower(
                     trace.post_l3, trace.post_l3_segments, trace.sample_factor,
-                    lower, memory, window=f"design-{key[0]}-{workload.name}",
+                    lower, memory,
                 )
         stats = self._memoize(
             key, trace, lower_stats, len(lower), chain,

@@ -39,6 +39,13 @@ directory:
   per-workload progress bars, rolling hit-rate gauges from the window
   events, worker liveness, and the last N supervision events.
 
+**Progress is a view over the merged run log.** ``/runs``,
+``/runs/ID/progress`` and ``watch DIR`` re-read the run's merged,
+deduplicated event log (:func:`~repro.telemetry.observatory.run_events`,
+the event half of ``aggregate_run``) on every request and fold it with
+:func:`run_progress`, so a run root and its ``telemetry merge`` output
+answer the same documents. Only ``/events`` tails incrementally.
+
 **SSE resume semantics.** Event identity is the existing
 ``(run, worker, seq)`` triple; per-worker ``seq`` is monotone (it
 continues across resumes). A single scalar cannot resume N interleaved
@@ -65,14 +72,14 @@ import time
 from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Callable, TextIO
+from typing import Callable, Iterable, TextIO
 from urllib.parse import parse_qs, urlsplit
 
-from repro.errors import TelemetryError
+from repro.errors import SweepError, TelemetryError
 from repro.telemetry.core import EVENTS_FILE, METRICS_FILE
 from repro.telemetry.exporters import JsonlTailer
-from repro.telemetry.observatory import ROOT_WORKER, worker_index
-from repro.telemetry.progress import format_duration, price_eta
+from repro.telemetry.observatory import ROOT_WORKER, run_events, worker_dirs
+from repro.telemetry.progress import CellTally, format_duration
 from repro.telemetry.report import _SUPERVISION_EVENTS
 
 #: Default bind address: localhost only (see the security note above).
@@ -89,6 +96,9 @@ HIT_RATE_SAMPLES = 24
 
 #: Run id bucket for events recorded without a RunContext.
 UNKNOWN_RUN = "unidentified"
+
+#: The keys of a progress document that make up its ``/runs`` row.
+RUN_ROW_KEYS = ("run", "total", "done", "finished", "by_status", "last_ts")
 
 
 # ----------------------------------------------------------------------
@@ -151,41 +161,30 @@ class DirectoryFollower:
     """Tail every ``events.jsonl`` under a telemetry run directory.
 
     Follows the root log plus each ``worker-K/`` subdirectory's log,
-    discovering new worker directories on every poll (the pool creates
-    them as it spawns workers mid-run). Yields ``(source, event)``
-    pairs where ``source`` is the directory-derived worker label —
-    stable across reconnects, which is what the SSE cursor keys on.
+    re-listing the worker directories
+    (:func:`~repro.telemetry.observatory.worker_dirs`) on every poll —
+    the pool creates them as it spawns workers mid-run. Yields
+    ``(source, event)`` pairs where ``source`` is the directory-derived
+    worker label — stable across reconnects, which is what the SSE
+    cursor keys on.
     """
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
-        self._tailers: dict[str, JsonlTailer] = {
-            ROOT_WORKER: JsonlTailer(self.root / EVENTS_FILE)
-        }
-
-    def _discover(self) -> None:
-        try:
-            children = list(self.root.iterdir())
-        except (FileNotFoundError, NotADirectoryError):
-            return
-        for child in children:
-            if not child.is_dir() or worker_index(child) is None:
-                continue
-            if child.name not in self._tailers:
-                self._tailers[child.name] = JsonlTailer(child / EVENTS_FILE)
-
-    @staticmethod
-    def _order(source: str) -> tuple[int, int | None, str]:
-        index = worker_index(Path(source))
-        return (0, 0, "") if source == ROOT_WORKER else (1, index, source)
+        self._tailers: dict[str, JsonlTailer] = {}
 
     def poll(self) -> list[tuple[str, dict]]:
         """New complete events since the last poll, per-source ordered."""
-        self._discover()
         fresh: list[tuple[str, dict]] = []
-        for source in sorted(self._tailers, key=self._order):
-            for event in self._tailers[source].poll():
-                fresh.append((source, event))
+        for source, directory in [
+            (ROOT_WORKER, self.root), *worker_dirs(self.root)
+        ]:
+            tailer = self._tailers.get(source)
+            if tailer is None:
+                tailer = self._tailers[source] = JsonlTailer(
+                    directory / EVENTS_FILE
+                )
+            fresh.extend((source, event) for event in tailer.poll())
         return fresh
 
 
@@ -201,250 +200,149 @@ def event_source(source: str, event: dict) -> str:
 # ----------------------------------------------------------------------
 
 
-class ProgressTracker:
-    """Fold one run's event stream into a progress snapshot.
+def run_progress(events: Iterable[dict]) -> dict[str, dict]:
+    """Each run's ``/runs/ID/progress`` document, keyed by run id.
 
-    Consumes the same events the sweep executor emits
-    (``sweep_started`` / ``sweep_resume`` / ``cell_finished`` /
-    ``window`` / supervision kinds) and answers the ``/runs/ID/progress``
-    endpoint: counts by status, per-workload progress, worker liveness,
-    rolling hit rates, and an ETA priced by the exact formula
-    :class:`~repro.telemetry.progress.ProgressReporter` prints.
+    Folds a merged run log
+    (:func:`~repro.telemetry.observatory.run_events`), in its order,
+    grouped by ``run`` (:data:`UNKNOWN_RUN` when absent): the sweep
+    executor's ``sweep_started`` / ``sweep_resume`` / ``cell_finished``
+    / ``sweep_finished`` events, ``window`` hit rates and the
+    supervision kinds. Cells are counted by
+    :class:`~repro.telemetry.progress.CellTally`, the rule
+    :class:`~repro.telemetry.progress.ProgressReporter` prints by. A run's ``/runs`` row is its document's :data:`RUN_ROW_KEYS`.
     """
-
-    def __init__(self, run_id: str) -> None:
-        self.run_id = run_id
-        self.total = 0
-        self.designs = 0
-        self.done = 0
-        self.evaluated = 0
-        self.evaluated_s = 0.0
-        self.expected_reused = 0
-        self.reused_done = 0
-        self.by_status: dict[str, int] = {}
-        self.workloads: dict[str, dict] = {}
-        self.workers: dict[str, str] = {}
-        self.supervision: deque = deque(maxlen=RECENT_SUPERVISION)
-        self.hit_rates: dict[str, deque] = {}
-        self.first_ts: float | None = None
-        self.last_ts: float | None = None
-        self.finished = False
-
-    def consume(self, event: dict) -> None:
-        """Fold one event into the running counters."""
+    folds: dict[str, dict] = {}
+    for event in events:
+        run_id = str(event.get("run") or UNKNOWN_RUN)
+        fold = folds.get(run_id)
+        if fold is None:
+            fold = folds[run_id] = {
+                "tally": CellTally(), "designs": 0, "finished": False,
+                "by_status": {}, "workloads": {}, "workers": {},
+                "supervision": deque(maxlen=RECENT_SUPERVISION),
+                "hit_rates": {}, "first_ts": None, "last_ts": None,
+            }
+        tally = fold["tally"]
         ts = event.get("ts")
         if isinstance(ts, (int, float)):
-            if self.first_ts is None or ts < self.first_ts:
-                self.first_ts = ts
-            if self.last_ts is None or ts > self.last_ts:
-                self.last_ts = ts
+            if fold["first_ts"] is None or ts < fold["first_ts"]:
+                fold["first_ts"] = ts
+            if fold["last_ts"] is None or ts > fold["last_ts"]:
+                fold["last_ts"] = ts
         kind = str(event.get("kind", "event"))
         if kind == "sweep_started":
-            self.total = int(event.get("cells", 0))
-            self.designs = int(event.get("designs", 0))
+            tally.total = int(event.get("cells", 0))
+            fold["designs"] = int(event.get("designs", 0))
         elif kind == "sweep_resume":
-            self.expected_reused = int(event.get("reused", 0))
+            tally.expected_reused = int(event.get("reused", 0))
         elif kind == "sweep_finished":
-            self.finished = True
+            fold["finished"] = True
         elif kind == "cell_finished":
-            self._cell_finished(event)
-        elif kind == "window":
-            self._window(event)
+            status = str(event.get("status", "?"))
+            tally.add(
+                status, float(event.get("duration_s", 0.0) or 0.0),
+                bool(event.get("from_journal")),
+            )
+            _count(fold["by_status"], status)
+            per = fold["workloads"].setdefault(
+                str(event.get("workload", "?")), {"done": 0, "by_status": {}}
+            )
+            per["done"] += 1
+            _count(per["by_status"], status)
+        elif kind == "window" and isinstance(event.get("levels"), dict):
+            for level, values in event["levels"].items():
+                if not isinstance(values, dict):
+                    continue
+                rate = values.get("hit_rate")
+                if isinstance(rate, (int, float)):
+                    fold["hit_rates"].setdefault(
+                        str(level), deque(maxlen=HIT_RATE_SAMPLES)
+                    ).append(float(rate))
         if kind in _SUPERVISION_EVENTS:
-            self._supervision(kind, event)
-
-    def _cell_finished(self, event: dict) -> None:
-        self.done += 1
-        status = str(event.get("status", "?"))
-        self.by_status[status] = self.by_status.get(status, 0) + 1
-        duration = float(event.get("duration_s", 0.0) or 0.0)
-        if event.get("from_journal"):
-            self.reused_done += 1
-        elif status != "skipped":
-            self.evaluated += 1
-            self.evaluated_s += duration
-        workload = str(event.get("workload", "?"))
-        per = self.workloads.setdefault(
-            workload, {"done": 0, "by_status": {}}
-        )
-        per["done"] += 1
-        per["by_status"][status] = per["by_status"].get(status, 0) + 1
-
-    def _window(self, event: dict) -> None:
-        levels = event.get("levels")
-        if not isinstance(levels, dict):
-            return
-        for level, values in levels.items():
-            if not isinstance(values, dict):
-                continue
-            rate = values.get("hit_rate")
-            if isinstance(rate, (int, float)):
-                self.hit_rates.setdefault(
-                    str(level), deque(maxlen=HIT_RATE_SAMPLES)
-                ).append(float(rate))
-
-    def _supervision(self, kind: str, event: dict) -> None:
-        entry = {"kind": kind}
-        for field in ("pool_worker", "cell", "stage", "reason",
-                      "exitcode", "pending"):
-            if event.get(field) is not None:
-                entry[field] = event[field]
-        if isinstance(event.get("ts"), (int, float)):
-            entry["ts"] = event["ts"]
-        self.supervision.append(entry)
-        worker = event.get("pool_worker")
-        if worker:
-            if kind in ("worker_spawned", "worker_respawned"):
-                self.workers[str(worker)] = "alive"
-            elif kind == "worker_died":
-                self.workers[str(worker)] = "dead"
-
-    def eta_s(self) -> float | None:
-        """Remaining seconds via the shared reporter pricing."""
-        if not self.total:
-            return None
-        return price_eta(
-            total=self.total,
-            done=self.done,
-            evaluated=self.evaluated,
-            evaluated_s=self.evaluated_s,
-            expected_reused=self.expected_reused,
-            reused_done=self.reused_done,
-        )
-
-    def brief(self) -> dict:
-        """The ``/runs`` row for this run."""
-        return {
-            "run": self.run_id,
-            "total": self.total,
-            "done": self.done,
-            "finished": self.finished,
-            "by_status": dict(self.by_status),
-            "last_ts": self.last_ts,
-        }
-
-    def snapshot(self) -> dict:
-        """The full ``/runs/ID/progress`` document."""
-        per_workload_total = self.designs or None
-        return {
-            "run": self.run_id,
-            "total": self.total,
-            "done": self.done,
-            "finished": self.finished,
-            "by_status": dict(self.by_status),
-            "reused": self.reused_done,
-            "failed": self.by_status.get("failed", 0),
-            "poisoned": self.by_status.get("poisoned", 0),
-            "evaluated": self.evaluated,
-            "evaluated_s": self.evaluated_s,
-            "eta_s": self.eta_s(),
-            "workloads": {
-                name: {
-                    "total": per_workload_total,
-                    "done": per["done"],
-                    "by_status": dict(per["by_status"]),
-                }
-                for name, per in sorted(self.workloads.items())
-            },
-            "workers": dict(sorted(self.workers.items())),
-            "supervision": list(self.supervision),
-            "hit_rates": {
-                level: list(rates)
-                for level, rates in sorted(self.hit_rates.items())
-            },
-            "first_ts": self.first_ts,
-            "last_ts": self.last_ts,
-        }
+            entry = {"kind": kind}
+            for field in ("pool_worker", "cell", "stage", "reason",
+                          "exitcode", "pending"):
+                if event.get(field) is not None:
+                    entry[field] = event[field]
+            if isinstance(ts, (int, float)):
+                entry["ts"] = ts
+            fold["supervision"].append(entry)
+            worker = event.get("pool_worker")
+            if worker and kind in ("worker_spawned", "worker_respawned"):
+                fold["workers"][str(worker)] = "alive"
+            elif worker and kind == "worker_died":
+                fold["workers"][str(worker)] = "dead"
+    return {
+        run_id: _progress_document(run_id, folds[run_id])
+        for run_id in sorted(folds)
+    }
 
 
-def read_journal_progress(path: str | Path) -> dict[str, dict]:
-    """Per-run cell counts straight from a campaign journal.
+def _count(counts: dict[str, int], status: str) -> None:
+    counts[status] = counts.get(status, 0) + 1
 
-    Tolerant reader (torn tails and foreign lines are skipped): the
-    journal is the authoritative per-cell record, so ``/runs/ID/progress``
-    carries its counts alongside the event-derived ones when a journal
-    lives in (or is pointed at from) the telemetry directory.
+
+def _progress_document(run_id: str, fold: dict) -> dict:
+    """One run's folded state as its ``/runs/ID/progress`` document."""
+    tally = fold["tally"]
+    by_status = fold["by_status"]
+    return {
+        "run": run_id,
+        "total": tally.total,
+        "done": tally.done,
+        "finished": fold["finished"],
+        "by_status": dict(by_status),
+        "reused": tally.reused_done,
+        "failed": by_status.get("failed", 0),
+        "poisoned": by_status.get("poisoned", 0),
+        "evaluated": tally.evaluated,
+        "evaluated_s": tally.evaluated_s,
+        "eta_s": tally.eta_s() if tally.total else None,
+        "workloads": {
+            name: {
+                "total": fold["designs"] or None,
+                "done": per["done"],
+                "by_status": dict(per["by_status"]),
+            }
+            for name, per in sorted(fold["workloads"].items())
+        },
+        "workers": dict(sorted(fold["workers"].items())),
+        "supervision": list(fold["supervision"]),
+        "hit_rates": {
+            level: list(rates)
+            for level, rates in sorted(fold["hit_rates"].items())
+        },
+        "first_ts": fold["first_ts"],
+        "last_ts": fold["last_ts"],
+    }
+
+
+def journal_counts(path: str | Path) -> dict[str, dict] | None:
+    """Per-run cell counts of a campaign journal, by ``run_id``.
+
+    The journal is the authoritative per-cell record, so
+    ``/runs/ID/progress`` carries its counts under ``journal``. It is
+    read by :class:`~repro.resilience.journal.Journal`; a journal that
+    refuses to load (corrupt before its last line, foreign schema,
+    unreadable) yields None and the section is left out.
     """
-    path = Path(path)
-    runs: dict[str, dict] = {}
+    # Imported here: serving a directory without a journal, or
+    # watching one, loads no resilience module.
+    from repro.resilience.journal import Journal
+
     try:
-        raw = path.read_text()
-    except (FileNotFoundError, NotADirectoryError, OSError):
-        return runs
-    for line in raw.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            entry = json.loads(line)
-        except ValueError:
-            continue
-        if not isinstance(entry, dict) or "status" not in entry:
-            continue
-        run_id = str(entry.get("run_id") or UNKNOWN_RUN)
-        per = runs.setdefault(run_id, {"entries": 0, "by_status": {}})
+        entries = Journal(path).entries()
+    except (SweepError, OSError):
+        return None
+    runs: dict[str, dict] = {}
+    for entry in entries:
+        per = runs.setdefault(
+            entry.run_id or UNKNOWN_RUN, {"entries": 0, "by_status": {}}
+        )
         per["entries"] += 1
-        status = str(entry["status"])
-        per["by_status"][status] = per["by_status"].get(status, 0) + 1
+        _count(per["by_status"], entry.status)
     return runs
-
-
-class RunIndex:
-    """Thread-safe per-run progress over a followed directory tree.
-
-    The server refreshes it lazily on each ``/runs`` request (events
-    are routed to a :class:`ProgressTracker` per run id); ``watch``
-    uses it directly in DIR mode, so URL and DIR dashboards render the
-    same structure.
-    """
-
-    def __init__(
-        self, root: str | Path, *, journal: str | Path | None = None
-    ) -> None:
-        self.root = Path(root)
-        self.journal = Path(journal) if journal is not None else None
-        self._follower = DirectoryFollower(self.root)
-        self._runs: dict[str, ProgressTracker] = {}
-        self._lock = threading.Lock()
-
-    def refresh(self) -> None:
-        """Consume everything appended since the previous refresh."""
-        with self._lock:
-            for _, event in self._follower.poll():
-                run_id = str(event.get("run") or UNKNOWN_RUN)
-                tracker = self._runs.get(run_id)
-                if tracker is None:
-                    tracker = self._runs[run_id] = ProgressTracker(run_id)
-                tracker.consume(event)
-
-    def runs(self) -> list[dict]:
-        """Brief rows for ``/runs``, most recent run id last."""
-        self.refresh()
-        with self._lock:
-            return [
-                self._runs[run_id].brief()
-                for run_id in sorted(self._runs)
-            ]
-
-    def latest_run_id(self) -> str | None:
-        """The lexicographically last run id (ids sort by timestamp)."""
-        self.refresh()
-        with self._lock:
-            return max(self._runs) if self._runs else None
-
-    def progress(self, run_id: str) -> dict | None:
-        """The full progress document for one run, or None."""
-        self.refresh()
-        with self._lock:
-            tracker = self._runs.get(run_id)
-            if tracker is None:
-                return None
-            snapshot = tracker.snapshot()
-        if self.journal is not None:
-            snapshot["journal"] = read_journal_progress(
-                self.journal
-            ).get(run_id)
-        return snapshot
 
 
 # ----------------------------------------------------------------------
@@ -528,7 +426,7 @@ class _LiveHandler(BaseHTTPRequestHandler):
             elif segments == ["metrics"]:
                 self._serve_metrics()
             elif segments == ["runs"]:
-                self._send_json(200, self.live.index.runs())
+                self._send_json(200, self.live.runs())
             elif len(segments) == 3 and segments[0] == "runs" \
                     and segments[2] == "progress":
                 self._serve_progress(segments[1])
@@ -545,6 +443,8 @@ class _LiveHandler(BaseHTTPRequestHandler):
                 })
             else:
                 self._send_json(404, {"error": f"no route {parts.path}"})
+        except TelemetryError as exc:  # an event log corrupt mid-file
+            self._send_json(500, {"error": str(exc)})
         except (BrokenPipeError, ConnectionResetError):
             pass  # client went away mid-response
 
@@ -576,7 +476,7 @@ class _LiveHandler(BaseHTTPRequestHandler):
         self._send_body(200, body, PROM_CONTENT_TYPE)
 
     def _serve_progress(self, run_id: str) -> None:
-        snapshot = self.live.index.progress(run_id)
+        snapshot = self.live.progress(run_id)
         if snapshot is None:
             self._send_json(404, {"error": f"unknown run {run_id!r}"})
             return
@@ -671,7 +571,7 @@ class TelemetryServer:
         self.readiness = readiness
         self.poll_interval_s = float(poll_interval_s)
         self.keepalive_s = float(keepalive_s)
-        self.index = RunIndex(self.directory, journal=journal)
+        self.journal = Path(journal) if journal is not None else None
         self.stopping = threading.Event()
         self._httpd: ThreadingHTTPServer | None = None
         self._thread: threading.Thread | None = None
@@ -728,6 +628,29 @@ class TelemetryServer:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.stop()
+
+    # -- progress -------------------------------------------------------
+
+    def runs(self) -> list[dict]:
+        """The ``/runs`` rows, in run-id order (the latest run last)."""
+        return [
+            {key: document[key] for key in RUN_ROW_KEYS}
+            for document in run_progress(run_events(self.directory)).values()
+        ]
+
+    def progress(self, run_id: str) -> dict | None:
+        """One run's ``/runs/ID/progress`` document, or None.
+
+        Re-folded from the merged run log on every request; with a
+        journal, its :func:`journal_counts` for the run ride along
+        under ``journal`` unless the journal refuses to load.
+        """
+        document = run_progress(run_events(self.directory)).get(run_id)
+        if document is not None and self.journal is not None:
+            counts = journal_counts(self.journal)
+            if counts is not None:
+                document["journal"] = counts.get(run_id)
+        return document
 
 
 # ----------------------------------------------------------------------
@@ -875,15 +798,12 @@ def _http_json(url: str, timeout: float = 5.0):
 
 
 def _watch_state(
-    target: str, index: RunIndex | None
+    target: str, directory: Path | None
 ) -> tuple[dict | None, dict | None]:
     """(progress, ready) for one dashboard frame, URL or DIR mode."""
-    if index is not None:
-        run_id = index.latest_run_id()
-        return (
-            index.progress(run_id) if run_id is not None else None,
-            None,
-        )
+    if directory is not None:
+        runs = run_progress(run_events(directory))
+        return (runs[max(runs)] if runs else None), None
     base = target.rstrip("/")
     runs = _http_json(f"{base}/runs")
     progress = None
@@ -912,19 +832,17 @@ def watch(
     every ``interval_s`` seconds until interrupted.
     """
     out = out if out is not None else sys.stdout
-    is_url = target.startswith(("http://", "https://"))
-    index = None
-    if not is_url:
+    directory = None
+    if not target.startswith(("http://", "https://")):
         directory = Path(target)
         if not directory.is_dir():
             raise TelemetryError(
                 f"no telemetry directory at {directory} (pass a "
                 f"--telemetry DIR or a telemetry serve URL)"
             )
-        index = RunIndex(directory)
     try:
         while True:
-            progress, ready = _watch_state(target, index)
+            progress, ready = _watch_state(target, directory)
             frame = render_dashboard(progress, ready, source=target)
             if once:
                 out.write(frame)

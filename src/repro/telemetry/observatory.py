@@ -8,10 +8,11 @@ into one coherent story:
 
 - :func:`aggregate_run` discovers a run's sources and merges them in
   memory: ``events.jsonl`` streams become a single ordered run log
-  (torn-tolerant, deduplicated by the ``(run, worker, seq)``
-  correlation triple), Prometheus snapshots are summed sample-by-
-  sample with the per-worker ``run``/``worker`` labels stripped, and
-  window CSVs are concatenated with provenance.
+  (:func:`run_events`: torn-tolerant, deduplicated by the
+  ``(run, worker, seq)`` correlation triple), Prometheus snapshots are
+  summed sample-by-sample with the per-worker ``run``/``worker``
+  labels stripped, and window CSVs are concatenated with provenance.
+  The live progress API folds the same run log.
 - :func:`write_merged` persists that view as a directory that is
   itself readable by every telemetry tool (``events.jsonl``,
   ``metrics.prom``, plus ``run_windows.csv`` with ``run`` / ``worker``
@@ -38,6 +39,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import re
 from collections import Counter as _TallyCounter
 from dataclasses import dataclass, field
@@ -274,10 +276,29 @@ class RunAggregate:
         }
 
 
+def worker_dirs(root: str | Path) -> list[tuple[str, Path]]:
+    """A run root's ``worker-K/`` directories as ``(label, path)``.
+
+    Sorted numerically (worker-2 before worker-10). A missing root, or
+    one the pool has not spawned workers into yet, has none. The one
+    listing of a run's worker directories: aggregation, the live
+    progress fold and the SSE follower all read it.
+    """
+    workers = []
+    try:
+        with os.scandir(root) as entries:
+            for entry in entries:
+                match = _WORKER_DIR.match(entry.name)
+                if match and entry.is_dir():
+                    workers.append((int(match.group(1)), entry.name))
+    except (FileNotFoundError, NotADirectoryError):
+        return []
+    root = Path(root)
+    return [(name, root / name) for _, name in sorted(workers)]
+
+
 def discover_sources(root: str | Path) -> list[tuple[str, Path]]:
     """A run's telemetry sources: the root itself plus ``worker-K/``.
-
-    Worker directories sort numerically (worker-2 before worker-10).
 
     Raises:
         TelemetryError: when ``root`` is not a directory or holds no
@@ -296,13 +317,7 @@ def discover_sources(root: str | Path) -> list[tuple[str, Path]]:
     )
     if root_has_artifacts:
         sources.append((ROOT_WORKER, root))
-    workers = []
-    for child in root.iterdir():
-        match = _WORKER_DIR.match(child.name)
-        if match and child.is_dir():
-            workers.append((int(match.group(1)), child))
-    for _, directory in sorted(workers):
-        sources.append((directory.name, directory))
+    sources.extend(worker_dirs(root))
     if not sources:
         raise TelemetryError(
             f"no telemetry artifacts under {root} (expected "
@@ -357,6 +372,24 @@ def _merge_events(per_source: Iterable[list[dict]]) -> list[dict]:
         )
     )
     return merged
+
+
+def run_events(root: str | Path) -> list[dict]:
+    """A run's merged event log: the root's and every worker's
+    ``events.jsonl``, deduplicated and ordered by :func:`_merge_events`.
+
+    The event half of :func:`aggregate_run`, and all the live progress
+    API reads. A root that does not exist yet, or holds no log yet,
+    has an empty log.
+
+    Raises:
+        TelemetryError: a log is corrupt before its last line.
+    """
+    root = Path(root)
+    sources = [(ROOT_WORKER, root), *worker_dirs(root)]
+    return _merge_events(
+        _source_events(label, directory) for label, directory in sources
+    )
 
 
 #: ``name{label="a",other="b"} value`` — the exposition-format shape
@@ -491,10 +524,7 @@ def aggregate_run(root: str | Path) -> RunAggregate:
     sources = discover_sources(root)
     aggregate = RunAggregate(root=root, sources=[s for s, _ in sources])
 
-    per_source = [
-        _source_events(label, directory) for label, directory in sources
-    ]
-    aggregate.events = _merge_events(per_source)
+    aggregate.events = run_events(root)
     for event in aggregate.events:
         run = event.get("run")
         if run is not None and run not in aggregate.run_ids:

@@ -6,12 +6,14 @@ cell. :class:`ProgressReporter` prints one line per finished cell —
 extrapolated from the mean wall time of the cells evaluated *this*
 run (journal-reused cells are free, so they are excluded from the
 estimate), plus a one-line resume summary at startup so ``--resume``
-says up front how much work remains.
+says up front how much work remains. The counting rule is
+:class:`CellTally`; the live progress API prices its ETA with it too.
 """
 
 from __future__ import annotations
 
 import sys
+from dataclasses import dataclass
 from typing import TextIO
 
 
@@ -30,34 +32,59 @@ def format_duration(seconds: float) -> str:
     return f"{hours}h{minutes:02d}m"
 
 
-def price_eta(
-    *,
-    total: int,
-    done: int,
-    evaluated: int,
-    evaluated_s: float,
-    expected_reused: int = 0,
-    reused_done: int = 0,
-) -> float | None:
-    """Remaining campaign seconds, priced the way the reporter prints.
+@dataclass
+class CellTally:
+    """The per-cell counting rule behind every progress ETA.
 
-    Journal replays cost ~nothing, so pending reuses (announced but
-    not yet replayed) are subtracted from the remaining count before
-    multiplying by the mean seconds per *evaluated* cell. Returns
-    ``None`` while no cell has been evaluated yet (unknown rate,
-    unless nothing priced remains — then 0.0) and ``0.0`` once the
-    campaign is done. Shared by :class:`ProgressReporter` and the live
-    progress API (``telemetry serve`` / ``watch``), so both quote the
+    Journal-reused cells count free, skipped cells are not priced, and
+    the rest add to the mean seconds per evaluated cell. Shared by
+    :class:`ProgressReporter` and the live progress fold
+    (``/runs/ID/progress`` and ``telemetry watch``), so both quote the
     same number.
+
+    Attributes:
+        total: grid cells in the campaign.
+        done: cells finished so far, whatever their status.
+        evaluated / evaluated_s: cells priced this run and their wall
+            time.
+        expected_reused: cells a resume announced it will replay from
+            the journal.
+        reused_done: journal replays finished so far.
     """
-    remaining = max(0, total - done)
-    if remaining == 0:
-        return 0.0
-    pending_reused = max(0, expected_reused - reused_done)
-    to_evaluate = max(0, remaining - pending_reused)
-    if evaluated:
-        return to_evaluate * (evaluated_s / evaluated)
-    return 0.0 if to_evaluate == 0 else None
+
+    total: int = 0
+    done: int = 0
+    evaluated: int = 0
+    evaluated_s: float = 0.0
+    expected_reused: int = 0
+    reused_done: int = 0
+
+    def add(self, status: str, duration_s: float, from_journal: bool) -> None:
+        """Count one finished cell."""
+        self.done += 1
+        if from_journal:
+            self.reused_done += 1
+        elif status != "skipped":
+            self.evaluated += 1
+            self.evaluated_s += duration_s
+
+    def eta_s(self) -> float | None:
+        """Remaining campaign seconds.
+
+        Pending reuses (announced but not yet replayed) are subtracted
+        from the remaining count before multiplying by the mean.
+        ``None`` while no cell has been evaluated yet (unknown rate,
+        unless nothing priced remains — then 0.0); ``0.0`` once the
+        campaign is done.
+        """
+        remaining = max(0, self.total - self.done)
+        if remaining == 0:
+            return 0.0
+        pending_reused = max(0, self.expected_reused - self.reused_done)
+        to_evaluate = max(0, remaining - pending_reused)
+        if self.evaluated:
+            return to_evaluate * (self.evaluated_s / self.evaluated)
+        return 0.0 if to_evaluate == 0 else None
 
 
 class ProgressReporter:
@@ -70,13 +97,8 @@ class ProgressReporter:
     """
 
     def __init__(self, total: int, *, out: TextIO | None = None) -> None:
-        self.total = int(total)
+        self.tally = CellTally(total=int(total))
         self.out = out if out is not None else sys.stderr
-        self._done = 0
-        self._evaluated = 0
-        self._evaluated_s = 0.0
-        self._expected_reused = 0
-        self._reused_done = 0
 
     def _print(self, line: str) -> None:
         print(line, file=self.out, flush=True)
@@ -92,7 +114,7 @@ class ProgressReporter:
         the journal at effectively zero cost, so the estimate must not
         price them like fresh evaluations.
         """
-        self._expected_reused = int(reused)
+        self.tally.expected_reused = int(reused)
         line = (
             f"resume: {reused} cell(s) reused from journal, "
             f"{to_run} to run"
@@ -103,8 +125,9 @@ class ProgressReporter:
 
     def cell_started(self, design: str, workload: str) -> None:
         """Announce the cell about to be evaluated."""
+        tally = self.tally
         self._print(
-            f"[{self._done + 1}/{self.total}] {design}/{workload} ..."
+            f"[{tally.done + 1}/{tally.total}] {design}/{workload} ..."
         )
 
     def cell_finished(
@@ -116,54 +139,21 @@ class ProgressReporter:
         *,
         from_journal: bool = False,
     ) -> None:
-        """Record and print one finished cell with the updated ETA.
-
-        Journal-reused cells cost ~nothing, so the ETA prices only the
-        cells that still need evaluation: pending reuses (announced by
-        :meth:`resume_summary` but not yet replayed) are subtracted
-        from the remaining count before multiplying by the mean.
-        """
-        self._done += 1
-        if from_journal:
-            self._reused_done += 1
-        elif status != "skipped":
-            self._evaluated += 1
-            self._evaluated_s += duration_s
-        eta_s = self.eta_s()
-        if self._done >= self.total:
+        """Record and print one finished cell with the updated ETA
+        (priced by :class:`CellTally`)."""
+        tally = self.tally
+        tally.add(status, duration_s, from_journal)
+        eta_s = tally.eta_s()
+        if tally.done >= tally.total:
             eta = "done"
         elif eta_s is not None:
             eta = f"ETA {format_duration(eta_s)}"
         else:
             eta = "ETA ?"
-        if self._reused_done:
-            eta += f", {self._reused_done} reused"
+        if tally.reused_done:
+            eta += f", {tally.reused_done} reused"
         source = " (journal)" if from_journal else ""
         self._print(
-            f"[{self._done}/{self.total}] {design}/{workload}: "
+            f"[{tally.done}/{tally.total}] {design}/{workload}: "
             f"{status}{source} in {format_duration(duration_s)} ({eta})"
         )
-
-    # ------------------------------------------------------------------
-
-    def eta_s(self) -> float | None:
-        """Remaining seconds via :func:`price_eta` (None = unknown)."""
-        return price_eta(
-            total=self.total,
-            done=self._done,
-            evaluated=self._evaluated,
-            evaluated_s=self._evaluated_s,
-            expected_reused=self._expected_reused,
-            reused_done=self._reused_done,
-        )
-
-    def snapshot(self) -> dict:
-        """The reporter's counters + ETA as a JSON-friendly dict."""
-        return {
-            "total": self.total,
-            "done": self._done,
-            "evaluated": self._evaluated,
-            "evaluated_s": self._evaluated_s,
-            "reused": self._reused_done,
-            "eta_s": self.eta_s(),
-        }

@@ -20,7 +20,6 @@ from repro.designs.fourlc import FourLCDesign
 from repro.designs.fourlcnvm import FourLCNVMDesign
 from repro.designs.ndm import NDMDesign
 from repro.designs.nmm import NMMDesign
-from repro.errors import SimulationError
 from repro.experiments.runner import Runner
 from repro.experiments.simplan import SimPlan
 from repro.partition.ranges import AddressRange
@@ -191,9 +190,10 @@ def test_odd_cache_keeps_the_loop(trace_cache, monkeypatch):
 def test_prefetching_chain_is_priced_alone_and_checked(trace_cache,
                                                        monkeypatch):
     """A PrefetchingCache has no chain key, so it is replayed even after
-    its plain twin. Its level stats count demand traffic only, so the
-    prefetch fills reaching memory break conservation: the default-on
-    check rejects the result and nothing is memoized."""
+    its plain twin and never shared. Its level counts the prefetch
+    fills it sends down, so the checked result conserves requests and
+    is memoized: memory receives more loads than under the plain
+    twin."""
 
     class Prefetching(FourLCDesign):
         def sim_key(self):
@@ -206,15 +206,16 @@ def test_prefetching_chain_is_priced_alone_and_checked(trace_cache,
     runner = make_runner(trace_cache, "auto")
     workload = get_workload("CG")
     plain = FourLCDesign(EDRAM, EH_CONFIGS["EH4"], scale=SCALE)
-    runner.stats_for(plain, workload)
+    plain_stats = runner.stats_for(plain, workload)
     pricings = count_pricings(monkeypatch)
     chains = dict(runner._chain_stats)
     prefetching = Prefetching(EDRAM, EH_CONFIGS["EH4"], scale=SCALE)
-    with pytest.raises(SimulationError, match="between L4 and DRAM"):
-        runner.stats_for(prefetching, workload)
+    stats = runner.stats_for(prefetching, workload)
     assert pricings == ["_replay_lower"]
-    assert (prefetching.sim_key(), "CG") not in runner._design_stats
+    assert runner._design_stats[(prefetching.sim_key(), "CG")] is stats
     assert runner._chain_stats == chains
+    assert stats.level("L4").fills > plain_stats.level("L4").fills
+    assert stats.level("DRAM").loads > plain_stats.level("DRAM").loads
 
 
 def test_twins_do_not_alias(trace_cache):

@@ -114,10 +114,8 @@ def test_corrupt_lower_replay_fails_its_cell(trace_cache, tmp_path,
         levels[-1].load_hits -= 1
         return levels
 
-    def corrupt_replay(self, post_l3, segments, factor, lower, memory,
-                       window=None):
-        levels = real_replay(self, post_l3, segments, factor, lower, memory,
-                             window)
+    def corrupt_replay(self, post_l3, segments, factor, lower, memory):
+        levels = real_replay(self, post_l3, segments, factor, lower, memory)
         return lose_a_load(levels) if lower else levels
 
     def corrupt_execute(self, *args, **kwargs):
@@ -155,3 +153,28 @@ def test_corrupt_lower_replay_fails_its_cell(trace_cache, tmp_path,
         assert event["workload"] == "CG"
         assert event["engine_class"] == "exact"
         assert event["source"] == "simulated"
+
+
+def test_prefetching_level_conserves_requests():
+    """A prefetching L2 counts its prefetch fills and the writebacks
+    they displace, so what leaves it is what memory receives."""
+    from repro.cache.config import CacheConfig
+    from repro.cache.hierarchy import Hierarchy
+    from repro.cache.mainmem import MainMemory
+    from repro.cache.prefetch import PrefetchingCache
+    from repro.cache.setassoc import SetAssociativeCache
+    from repro.trace.synthetic import random_stream
+    from repro.units import KiB, MiB
+
+    l2 = PrefetchingCache(
+        SetAssociativeCache(CacheConfig("L2", 8 * KiB, 4, 64)), degree=2
+    )
+    hierarchy = Hierarchy(
+        [SetAssociativeCache(CacheConfig("L1", 1 * KiB, 2, 64)), l2],
+        MainMemory("MEM"),
+    )
+    stats = hierarchy.run(
+        random_stream(20_000, footprint_bytes=1 * MiB, seed=5), drain=True
+    )
+    assert l2.prefetch_stats.issued > 0
+    stats.check_conservation(2)

@@ -244,19 +244,6 @@ class TestCountsPathScope:
     def nmm(**kwargs):
         return NMMDesign(PCM, N_CONFIGS["N6"], **kwargs)
 
-    def test_window_collectors_keep_the_loop(self, trace_cache, workloads,
-                                             monkeypatch, tmp_path):
-        from repro.telemetry.core import Telemetry
-
-        telemetry = Telemetry(tmp_path / "telemetry")
-        try:
-            self.assert_loop_equals_scalar(
-                monkeypatch, workloads[0], self.nmm,
-                trace_cache_dir=trace_cache, telemetry=telemetry,
-            )
-        finally:
-            telemetry.close()
-
     def test_sampled_windows_keep_the_loop(self, trace_cache, workloads,
                                            monkeypatch):
         self.assert_loop_equals_scalar(

@@ -98,10 +98,9 @@ def spy_pricing(monkeypatch):
     calls = []
     real_replay, real_execute = Runner._replay_lower, SimPlan.execute
 
-    def replay(self, post_l3, segments, factor, lower, memory, window=None):
+    def replay(self, post_l3, segments, factor, lower, memory):
         calls.append(("replay", type(memory).__name__))
-        return real_replay(self, post_l3, segments, factor, lower, memory,
-                           window)
+        return real_replay(self, post_l3, segments, factor, lower, memory)
 
     def execute(self, *args, **kwargs):
         calls.append(("plan", sorted(d.sim_key() for d in self.designs)))

@@ -10,20 +10,25 @@ import urllib.request
 import pytest
 
 from repro.errors import TelemetryError
+from repro.resilience.journal import JournalEntry
 from repro.telemetry.core import Telemetry
 from repro.telemetry.exporters import JsonlTailer
 from repro.telemetry.live import (
     DirectoryFollower,
     EventCursor,
-    ProgressTracker,
-    RunIndex,
     TelemetryServer,
+    journal_counts,
     pool_readiness,
-    read_journal_progress,
     render_dashboard,
+    run_progress,
     watch,
 )
-from repro.telemetry.observatory import _parse_prom_line
+from repro.telemetry.observatory import (
+    _parse_prom_line,
+    aggregate_run,
+    run_events,
+    write_merged,
+)
 from repro.telemetry.registry import (
     MetricsRegistry,
     escape_label_value,
@@ -70,6 +75,18 @@ def make_run(tmp_path, run="r1"):
         "# TYPE repro_cells counter\nrepro_cells 2\n"
     )
     return tmp_path
+
+
+def progress_of(directory, run="r1"):
+    """One run's progress document, folded from the directory's log."""
+    return run_progress(run_events(directory))[run]
+
+
+def journal_line(run_id, status, key="k"):
+    return JournalEntry(
+        key=key, design="REF", workload="CG", scale=1.0, seed=0,
+        status=status, attempts=1, duration_s=1.0, run_id=run_id,
+    ).to_json() + "\n"
 
 
 def http_get(url, timeout=5.0, headers=None):
@@ -199,7 +216,7 @@ class TestEventLogFlush:
 
 
 # ----------------------------------------------------------------------
-# DirectoryFollower / ProgressTracker / RunIndex
+# DirectoryFollower / progress fold / journal counts
 # ----------------------------------------------------------------------
 
 
@@ -227,10 +244,11 @@ class TestDirectoryFollower:
 
 
 class TestProgressTracker:
+    """Per-run progress folded from the merged run log."""
+
     def test_counts_and_eta(self, tmp_path):
         make_run(tmp_path)
-        index = RunIndex(tmp_path)
-        progress = index.progress("r1")
+        progress = progress_of(tmp_path)
         assert progress["total"] == 4
         assert progress["done"] == 2
         assert progress["by_status"] == {"ok": 1, "failed": 1}
@@ -243,62 +261,93 @@ class TestProgressTracker:
         assert progress["hit_rates"]["L1"] == [0.9]
 
     def test_reused_cells_priced_free(self):
-        tracker = ProgressTracker("r1")
-        tracker.consume({"kind": "sweep_started", "cells": 4, "designs": 2})
-        tracker.consume({"kind": "sweep_resume", "reused": 2})
-        tracker.consume({"kind": "cell_finished", "workload": "CG",
-                         "status": "ok", "duration_s": 2.0})
-        tracker.consume({"kind": "cell_finished", "workload": "CG",
-                         "status": "ok", "duration_s": 0.0,
-                         "from_journal": True})
+        progress = run_progress([
+            {"kind": "sweep_started", "cells": 4, "designs": 2},
+            {"kind": "sweep_resume", "reused": 2},
+            {"kind": "cell_finished", "workload": "CG",
+             "status": "ok", "duration_s": 2.0},
+            {"kind": "cell_finished", "workload": "CG",
+             "status": "ok", "duration_s": 0.0, "from_journal": True},
+        ])["unidentified"]
         # 2 remaining, 1 pending reuse -> one evaluation at 2.0s
-        assert tracker.eta_s() == pytest.approx(2.0)
-        assert tracker.snapshot()["reused"] == 1
+        assert progress["eta_s"] == pytest.approx(2.0)
+        assert progress["reused"] == 1
 
     def test_supervision_events_update_liveness(self):
-        tracker = ProgressTracker("r1")
-        tracker.consume({"kind": "worker_spawned", "pool_worker": "worker-0"})
-        tracker.consume({"kind": "worker_died", "pool_worker": "worker-0",
-                         "cell": "a"})
-        tracker.consume({"kind": "cell_requeued", "cell": "a"})
-        tracker.consume({"kind": "worker_respawned",
-                         "pool_worker": "worker-0"})
-        snapshot = tracker.snapshot()
-        assert snapshot["workers"] == {"worker-0": "alive"}
-        kinds = [e["kind"] for e in snapshot["supervision"]]
+        progress = run_progress([
+            {"kind": "worker_spawned", "pool_worker": "worker-0"},
+            {"kind": "worker_died", "pool_worker": "worker-0",
+             "cell": "a"},
+            {"kind": "cell_requeued", "cell": "a"},
+            {"kind": "worker_respawned", "pool_worker": "worker-0"},
+        ])["unidentified"]
+        assert progress["workers"] == {"worker-0": "alive"}
+        kinds = [e["kind"] for e in progress["supervision"]]
         assert kinds == ["worker_spawned", "worker_died", "cell_requeued",
                         "worker_respawned"]
 
     def test_unknown_run_bucket(self, tmp_path):
         append_events(tmp_path / "events.jsonl",
                       [{"kind": "span", "seq": 0}])
-        index = RunIndex(tmp_path)
-        assert index.runs()[0]["run"] == "unidentified"
+        assert TelemetryServer(tmp_path).runs()[0]["run"] == "unidentified"
+
+    def test_run_root_equals_its_merge(self, tmp_path):
+        root = make_run(tmp_path / "run")
+        # A root window between worker-0's: the rolling hit rates must
+        # follow the run log's time order, wherever the events landed.
+        append_events(root / "events.jsonl", [
+            {"kind": "window", "context": "CG", "window": 1,
+             "levels": {"L1": {"accesses": 100, "hit_rate": 0.5,
+                               "bytes": 64}},
+             "run": "r1", "worker": "root", "seq": 3, "ts": 11.5},
+        ])
+        merged = tmp_path / "merged"
+        write_merged(aggregate_run(root), merged)
+        progress = progress_of(root)
+        assert progress == progress_of(merged)
+        assert progress["hit_rates"]["L1"] == [0.9, 0.5]
+        assert (TelemetryServer(root).progress("r1")
+                == TelemetryServer(merged).progress("r1"))
+        assert TelemetryServer(root).runs() == TelemetryServer(merged).runs()
 
 
 class TestJournalProgress:
     def test_counts_by_run(self, tmp_path):
         journal = tmp_path / "campaign.jsonl"
         journal.write_text(
-            '{"status": "ok", "run_id": "r1"}\n'
-            '{"status": "failed", "run_id": "r1"}\n'
-            'torn{\n'
-            '{"status": "ok", "run_id": "r2"}\n'
+            journal_line("r1", "ok", "a")
+            + journal_line("r1", "failed", "b")
+            + journal_line("r2", "ok", "c")
+            + '{"torn'  # an interrupted append
         )
-        runs = read_journal_progress(journal)
+        runs = journal_counts(journal)
         assert runs["r1"] == {"entries": 2,
                               "by_status": {"ok": 1, "failed": 1}}
         assert runs["r2"]["entries"] == 1
 
     def test_missing_file_is_empty(self, tmp_path):
-        assert read_journal_progress(tmp_path / "nope.jsonl") == {}
+        assert journal_counts(tmp_path / "nope.jsonl") == {}
 
     def test_merged_into_progress(self, tmp_path):
         make_run(tmp_path)
         journal = tmp_path / "campaign.jsonl"
-        journal.write_text('{"status": "ok", "run_id": "r1"}\n')
-        index = RunIndex(tmp_path, journal=journal)
-        assert index.progress("r1")["journal"]["entries"] == 1
+        journal.write_text(journal_line("r1", "ok"))
+        server = TelemetryServer(tmp_path, journal=journal)
+        assert server.progress("r1")["journal"]["entries"] == 1
+
+    def test_corrupt_journal_drops_the_section(self, tmp_path):
+        make_run(tmp_path)
+        journal = tmp_path / "campaign.jsonl"
+        journal.write_text(
+            journal_line("r1", "ok", "a") + "torn{\n"
+            + journal_line("r1", "ok", "b")
+        )
+        assert journal_counts(journal) is None
+        with TelemetryServer(tmp_path, journal=journal) as server:
+            status, body = http_get(server.url + "/runs/r1/progress")
+        progress = json.loads(body)
+        assert status == 200 and progress["done"] == 2
+        assert "journal" not in progress
 
 
 # ----------------------------------------------------------------------
@@ -520,7 +569,7 @@ class TestDashboard:
 
     def test_full_frame(self, tmp_path):
         make_run(tmp_path)
-        progress = RunIndex(tmp_path).progress("r1")
+        progress = progress_of(tmp_path)
         frame = render_dashboard(
             progress, {"ready": True, "state": "serving"}, source="x"
         )

@@ -10,7 +10,7 @@ from repro.cache.hierarchy import Hierarchy
 from repro.cache.mainmem import MainMemory
 from repro.cache.setassoc import SetAssociativeCache
 from repro.errors import TelemetryError
-from repro.telemetry.core import Telemetry
+from repro.telemetry.core import Telemetry, activate
 from repro.telemetry.exporters import read_windows_csv
 from repro.telemetry.windows import (
     WINDOW_FIELDS,
@@ -211,37 +211,48 @@ class TestValidation:
 class TestRunnerIntegration:
     """The acceptance property: CSV sums equal final HierarchyStats."""
 
-    def test_design_windows_match_design_stats(self, tmp_path):
+    def test_lower_replay_is_priced_by_counts_without_windows(
+        self, tmp_path
+    ):
+        """Telemetry watches a design's lower replay without steering
+        it: the one-cache LRU chain takes the same counts-only path as
+        an untelemetered runner, and writes no design window series."""
+        import json
+
         from repro.designs.configs import N_CONFIGS
         from repro.designs.nmm import NMMDesign
         from repro.experiments.runner import Runner
         from repro.tech.params import get_technology
         from repro.workloads.registry import get_workload
 
-        telemetry = Telemetry(tmp_path, window_refs=1 << 14)
-        runner = Runner(scale=TINY_SCALE, seed=7, telemetry=telemetry)
         workload = get_workload("Hashing")
-        design = NMMDesign(
-            get_technology("PCM"), N_CONFIGS["N6"],
-            scale=TINY_SCALE, reference=runner.reference,
-        )
-        stats = runner.stats_for(design, workload)
+
+        def priced(telemetry):
+            runner = Runner(scale=TINY_SCALE, seed=7, telemetry=telemetry)
+            design = NMMDesign(
+                get_technology("PCM"), N_CONFIGS["N6"],
+                scale=TINY_SCALE, reference=runner.reference,
+            )
+            return design, runner.stats_for(design, workload)
+
+        telemetry = Telemetry(tmp_path, window_refs=1 << 14)
+        with activate(telemetry):  # levels announce to the active one
+            design, stats = priced(telemetry)
         telemetry.close()
 
-        csv_path = (
-            tmp_path / f"windows_design-{design.sim_key()}-Hashing.csv"
-        )
-        totals = sum_windows(read_windows_csv(csv_path))
-        # The design sim covers only the lower (post-L3) levels; the
-        # upper levels carry the analytic local-reference injection and
-        # are covered by the upper-stage collector instead.
-        lower = stats.levels[3:]
-        assert set(totals) == {level.name for level in lower}
-        for level in lower:
-            for field in WINDOW_FIELDS:
-                assert totals[level.name][field] == getattr(level, field), (
-                    f"{level.name}.{field} not conserved through the CSV"
-                )
+        (l4,) = design.lower_caches()
+        events = [
+            json.loads(line)
+            for line in (tmp_path / "events.jsonl").read_text().splitlines()
+        ]
+        engines = {
+            e["level"]: e["engine"]
+            for e in events if e["kind"] == "engine_selected"
+        }
+        assert engines[l4.name] == "lru-counts"
+        assert stats == priced(None)[1]
+        assert not list(tmp_path.glob("windows_design-*"))
+        assert (tmp_path / "windows_upper-Hashing.csv").exists()
 
     def test_upper_windows_match_shared_sram_stats(self, tmp_path):
         from repro.experiments.runner import Runner
