@@ -34,9 +34,28 @@ Design notes (performance):
   order via the runs' source indices, so the engine is bit-identical
   to the scalar loop — statistics, emitted batches, and end state.
   Rounds with fewer than ``SETPAR_MIN_LANES`` active sets (skewed
-  tails, tiny scaled caches) are handed back to the scalar loop, which
-  is faster at low lane counts. Sectored levels always take the
-  scalar loop in :meth:`~SetAssociativeCache.process`.
+  tails) go to an inline scalar loop, which is faster at low lane
+  counts. A batch that cannot fill one such round (tiny scaled caches
+  have fewer sets than that) is handed whole to the LRU step below,
+  or to the scalar loop under FIFO or below ``LRU_STEP_MIN_RUNS``
+  runs. Sectored levels always take the scalar loop in
+  :meth:`~SetAssociativeCache.process`.
+- The LRU step (``_process_runs_lru_step``) replays a whole batch on
+  a warm, non-sectored LRU level without a per-run loop. Each touched
+  set's residents open its sequence as a synthetic prefix, LRU first
+  and with their dirty bits, which stats and output leave out. The
+  runs are stable-sorted by set, :func:`~repro.trace.reuse.lru_hits`
+  decides each hit, and each miss opens a residency. Victims need no
+  forward scan: LRU evicts residencies in last-touch order (a resident
+  touched later than the victim is still resident when it goes),
+  every miss past a set's first ``ways`` evicts exactly one, and the
+  evicted ones are all but each set's ``ways`` last touched. So a
+  set's k-th evicting miss displaces its k-th evicted residency in
+  last-touch order, and pairing the two sorted lists names every
+  victim; its writeback follows the fill iff any store touched the
+  residency. The ``ways`` last-touched residencies are the end state,
+  MRU first. Below ``LRU_STEP_MIN_RUNS`` runs the loop stays, as it
+  beats the step's fixed cost there.
 - The last cache above a memory that only counts needs no emitted
   batch, only how many fills and writebacks it sends.
   :meth:`~SetAssociativeCache.count_lru` prices a whole stream on a
@@ -48,7 +67,9 @@ Design notes (performance):
   writebacks are the distinct ``(residency, sector)`` pairs of the
   stores, of evicted residencies only unless the stream is drained.
   A block's last residency is evicted iff ``ways`` blocks of its set
-  are last touched after it. The statistics equal the loop's exactly;
+  are last touched after it. The set sort, hits and residency ids are
+  the LRU step's (``_lru_residencies``). The statistics equal the
+  loop's exactly;
   :func:`~repro.cache.hierarchy.replay_chain` decides when this path
   applies, and never under the ``scalar`` engine.
 
@@ -79,6 +100,12 @@ from repro.units import log2_int
 #: caches with fewer sets — fall back to the scalar loop. Module-level
 #: so tests can force the vector path on tiny caches.
 SETPAR_MIN_LANES = 32
+
+#: Fewest collapsed runs a whole-batch fallback of an LRU level needs
+#: for the vectorized LRU step (``_process_runs_lru_step``); smaller
+#: batches take the scalar loop, which beats the step's fixed cost
+#: there. A speed knob only: every value gives the same result.
+LRU_STEP_MIN_RUNS = 1024
 
 #: Empty-way marker in the packed tag matrix (``block << 1 | dirty``).
 #: Unambiguous as long as every block number stays below
@@ -582,9 +609,23 @@ class SetAssociativeCache:
         return out_blocks, out_kinds
 
     def _setpar_fallback(self, run_blocks, run_sets, run_loads, run_stores,
-                         first_store):
-        """Whole-batch scalar fallback for the setpar engine (list args
-        converted once; stats handled by the scalar loop)."""
+                         first_store, n_loads, n_stores, tel):
+        """Whole-batch fallback of the setpar engine: the vectorized LRU
+        step for LRU batches of at least ``LRU_STEP_MIN_RUNS`` runs,
+        else the scalar loop (list args converted once)."""
+        n = len(run_blocks)
+        step = self._is_lru and n >= LRU_STEP_MIN_RUNS
+        if tel.enabled:
+            tel.counter(
+                "repro_engine_runs",
+                level=self.config.name,
+                path="vector" if step else "scalar",
+            ).inc(n)
+        if step:
+            return self._process_runs_lru_step(
+                run_blocks, run_sets, run_stores, first_store,
+                n_loads, n_stores,
+            )
         scalar_loop = (
             self._process_runs_lru if self._is_lru else self._process_runs_fifo
         )
@@ -599,6 +640,98 @@ class SetAssociativeCache:
             np.asarray(out_blocks, dtype=ADDR_DTYPE),
             np.asarray(out_kinds, dtype=KIND_DTYPE),
         )
+
+    def _process_runs_lru_step(
+        self, run_blocks, run_sets, run_stores, first_store, n_loads,
+        n_stores,
+    ):
+        """Vectorized LRU step over a whole batch (see the module
+        docstring): the scalar loop's statistics, emissions and end
+        state, decided per residency instead of per run.
+
+        Arguments arrive as the vectorized arrays from :meth:`process`.
+        Returns ``(blocks, kinds)`` arrays in the scalar loop's order.
+        """
+        sets = self._sets
+        dirty = self._dirty
+        ways = self.config.associativity
+        touched = np.flatnonzero(np.bincount(run_sets.astype(np.intp)))
+        # Warm start: each touched set's residents, LRU first, open the
+        # set's sequence as a synthetic prefix carrying their dirty bits.
+        pre_blocks: list[int] = []
+        pre_sets: list[int] = []
+        for sidx in touched.tolist():
+            row = sets[sidx]
+            pre_blocks.extend(reversed(row))
+            pre_sets.extend([sidx] * len(row))
+        n_pre = len(pre_blocks)
+        blocks = np.concatenate(
+            [np.array(pre_blocks, dtype=np.uint64), run_blocks]
+        )
+        stored = np.concatenate([
+            np.array([b in dirty for b in pre_blocks], dtype=bool),
+            run_stores != 0,
+        ])
+        set_keys, order, seq, by_block, miss, residency = _lru_residencies(
+            blocks,
+            np.concatenate([np.array(pre_sets, dtype=np.uint64), run_sets]),
+            ways,
+            self.config.num_sets,
+        )
+        # Each residency's dirty bit (any of its runs stored) and last
+        # touch (its last position in block order).
+        mpos = np.flatnonzero(miss)
+        res_dirty = np.zeros(len(mpos), dtype=bool)
+        res_dirty[residency[stored[order]]] = True
+        ends = np.empty(len(seq), dtype=bool)
+        ends[:-1] = miss[by_block[1:]]
+        ends[-1] = True
+        is_last = np.zeros(len(seq), dtype=bool)
+        is_last[by_block[ends]] = True
+        last_pos = np.flatnonzero(is_last)
+        # Misses in position order and residencies in last-touch order
+        # both run set by set, with as many entries per set. Each miss
+        # past a set's first ``ways`` evicts one residency, in last-touch
+        # order, and the evicted ones are all but the ``ways`` last
+        # touched: pairing the two lists names every victim.
+        res_sets = set_keys[order[mpos]]
+        per_set = np.bincount(res_sets)
+        rank = np.arange(len(mpos), dtype=np.int64)
+        rank -= (np.cumsum(per_set) - per_set)[res_sets]
+        evicting = rank >= ways
+        evicted = rank < per_set[res_sets] - ways
+        victim_pos = last_pos[evicted]
+        wb = res_dirty[residency[victim_pos]]
+        wb_j = order[mpos[evicting][wb]] - n_pre
+        wb_blocks = seq[victim_pos[wb]]
+        fill_j = order[mpos] - n_pre
+        fill_j = fill_j[fill_j >= 0]
+        n_fill = len(fill_j)
+        n_sm = int(np.count_nonzero(first_store[fill_j]))
+        stats = self.stats
+        stats.load_hits += n_loads - (n_fill - n_sm)
+        stats.load_misses += n_fill - n_sm
+        stats.store_hits += n_stores - n_sm
+        stats.store_misses += n_sm
+        stats.writebacks += len(wb_j)
+        stats.fills += n_fill
+
+        # End state: each touched set keeps its ``ways`` last-touched
+        # residencies, MRU first, and only their dirty bits.
+        kept_pos = last_pos[~evicted]
+        kept_blocks = seq[kept_pos]
+        rows = kept_blocks[::-1].tolist()
+        at = 0
+        for sidx, k in zip(
+            touched[::-1].tolist(),
+            np.minimum(per_set[touched[::-1]], ways).tolist(),
+        ):
+            sets[sidx] = rows[at:at + k]
+            at += k
+        if dirty:
+            dirty.difference_update(pre_blocks)
+        dirty.update(kept_blocks[res_dirty[residency[kept_pos]]].tolist())
+        return _emit_in_order(run_blocks, fill_j, wb_j, wb_blocks)
 
     def _process_runs_setpar(
         self, run_blocks, run_sets, run_loads, run_stores, first_store,
@@ -627,12 +760,9 @@ class SetAssociativeCache:
             or self.config.num_sets < min_lanes
             or n < min_lanes
         ):
-            if tel.enabled:
-                tel.counter(
-                    "repro_engine_runs", level=self.config.name, path="scalar"
-                ).inc(n)
             return self._setpar_fallback(
-                run_blocks, run_sets, run_loads, run_stores, first_store
+                run_blocks, run_sets, run_loads, run_stores, first_store,
+                n_loads, n_stores, tel,
             )
 
         # Group runs by set. Double stable argsort — by set, then by
@@ -659,12 +789,9 @@ class SetAssociativeCache:
         # profitable prefix of rounds is a binary search away.
         vec_rounds = int(np.searchsorted(-lanes, -min_lanes, side="right"))
         if vec_rounds == 0:
-            if tel.enabled:
-                tel.counter(
-                    "repro_engine_runs", level=self.config.name, path="scalar"
-                ).inc(n)
             return self._setpar_fallback(
-                run_blocks, run_sets, run_loads, run_stores, first_store
+                run_blocks, run_sets, run_loads, run_stores, first_store,
+                n_loads, n_stores, tel,
             )
 
         orig = order[np.argsort(ranks, kind="stable")]
@@ -967,40 +1094,7 @@ class SetAssociativeCache:
                 n_vec / vec_rounds
             )
 
-        # Scatter emissions back into occurrence order. Every writeback
-        # rides on a fill of the same run, so an exclusive cumsum of
-        # per-run emission counts (0, 1, or 2) hands each run its first
-        # output slot: the fill lands there, the writeback right after.
-        # When emissions are dense (miss-heavy batches) this O(n)
-        # counting scatter beats the argsort; when they are sparse the
-        # argsort over just the emissions wins.
-        if (n_fill + n_wb) * 4 > n:
-            cnt = np.zeros(n, dtype=np.int8)
-            cnt[fill_j] = 1
-            cnt[wb_j] = 2
-            base = np.empty(n, dtype=np.int64)
-            base[0] = 0
-            np.cumsum(cnt[:-1], dtype=np.int64, out=base[1:])
-            out_blocks = np.empty(n_fill + n_wb, dtype=ADDR_DTYPE)
-            out_kinds = np.zeros(n_fill + n_wb, dtype=KIND_DTYPE)
-            fpos = base.take(fill_j)
-            wpos = base.take(wb_j) + 1
-            out_blocks[fpos] = run_blocks.take(fill_j)
-            out_blocks[wpos] = wb_blocks
-            out_kinds[wpos] = 1
-            return out_blocks, out_kinds
-        pos = np.concatenate([2 * fill_j, 2 * wb_j + 1])
-        emit_order = np.argsort(pos)
-        out_blocks = np.concatenate(
-            [run_blocks[fill_j].astype(ADDR_DTYPE, copy=False), wb_blocks]
-        )[emit_order]
-        out_kinds = np.concatenate(
-            [
-                np.zeros(n_fill, dtype=KIND_DTYPE),
-                np.ones(n_wb, dtype=KIND_DTYPE),
-            ]
-        )[emit_order]
-        return out_blocks, out_kinds
+        return _emit_in_order(run_blocks, fill_j, wb_j, wb_blocks)
 
     def _process_runs_generic(
         self, run_blocks, run_sets, run_loads, run_stores, first_store
@@ -1073,26 +1167,17 @@ class SetAssociativeCache:
         np.not_equal(blocks[1:], blocks[:-1], out=head[1:])
         heads = np.flatnonzero(head)
         run_blocks = blocks[heads]
-        # Each set's runs, in time order, one set after another: every
-        # LRU stack window then stays inside its set.
-        narrow = self.config.num_sets <= (1 << 15)  # radix-sortable keys
-        sets = self._set_indices(run_blocks).astype(
-            np.int16 if narrow else np.int64
-        )
-        order = np.argsort(sets, kind="stable")
-        seq = run_blocks[order]
         ways = self.config.associativity
-        by_block = np.argsort(seq, kind="stable")
-        miss = ~lru_hits(seq, ways, by_block)
+        sets, order, seq, by_block, miss, residency = _lru_residencies(
+            run_blocks, self._set_indices(run_blocks), ways,
+            self.config.num_sets,
+        )
         misses = int(np.count_nonzero(miss))
         store_misses = int(
             np.count_nonzero(batch.is_store[heads[order[miss]]])
         )
-        # Residencies: a block's runs from one miss up to the next. The
-        # final residency of a block is evicted iff ``ways`` blocks of
-        # its set are last touched after it.
-        residency = np.empty(len(seq), dtype=np.int64)
-        residency[by_block] = np.cumsum(miss[by_block]) - 1
+        # The final residency of a block is evicted iff ``ways`` blocks
+        # of its set are last touched after it.
         last = np.ones(len(seq), dtype=bool)
         grouped = seq[by_block]
         last[:-1] = grouped[1:] != grouped[:-1]
@@ -1221,3 +1306,78 @@ def check_request_sizes(batch: AccessBatch, block_size: int, name: str) -> None:
             f"request of {int(batch.sizes.max())} B exceeds {name} block size "
             f"{block_size} B — hierarchy granularities must be non-decreasing"
         )
+
+
+def _lru_residencies(blocks, sets, ways, num_sets):
+    """LRU hits and residencies of a run stream, one set after another.
+
+    ``blocks`` and ``sets`` are per-run block numbers and set indices in
+    time order. The runs are stable-sorted by set, so every LRU stack
+    window stays inside its set, and
+    :func:`~repro.trace.reuse.lru_hits` decides each run's hit. Each
+    miss opens a *residency* of its block: the block's runs from that
+    miss up to its next one. Residency ids count up in block order,
+    then time order.
+
+    Returns:
+        ``(sets, order, seq, by_block, miss, residency)``: the set keys
+        (narrowed to a radix-sortable dtype), the stable set sort,
+        ``blocks[order]``, its stable argsort, and per sorted position
+        the miss flag and residency id.
+    """
+    narrow = num_sets <= (1 << 15)  # radix-sortable keys
+    sets = sets.astype(np.int16 if narrow else np.int64)
+    order = np.argsort(sets, kind="stable")
+    seq = blocks[order]
+    by_block = np.argsort(seq, kind="stable")
+    miss = ~lru_hits(seq, ways, by_block)
+    residency = np.empty(len(seq), dtype=np.int64)
+    residency[by_block] = np.cumsum(miss[by_block]) - 1
+    return sets, order, seq, by_block, miss, residency
+
+
+def _emit_in_order(run_blocks, fill_j, wb_j, wb_blocks):
+    """The ``(blocks, kinds)`` a batch emits, in the scalar loop's order.
+
+    ``fill_j`` holds the runs that missed (in any order), ``wb_j`` the
+    runs whose fill displaced a dirty victim and ``wb_blocks`` those
+    victims. Runs emit in occurrence order, each fill before the
+    writeback of the victim it displaced.
+    """
+    n = len(run_blocks)
+    n_fill = len(fill_j)
+    n_wb = len(wb_j)
+    # Scatter emissions back into occurrence order. Every writeback
+    # rides on a fill of the same run, so an exclusive cumsum of
+    # per-run emission counts (0, 1, or 2) hands each run its first
+    # output slot: the fill lands there, the writeback right after.
+    # When emissions are dense (miss-heavy batches) this O(n)
+    # counting scatter beats the argsort; when they are sparse the
+    # argsort over just the emissions wins.
+    if (n_fill + n_wb) * 4 > n:
+        cnt = np.zeros(n, dtype=np.int8)
+        cnt[fill_j] = 1
+        cnt[wb_j] = 2
+        base = np.empty(n, dtype=np.int64)
+        base[0] = 0
+        np.cumsum(cnt[:-1], dtype=np.int64, out=base[1:])
+        out_blocks = np.empty(n_fill + n_wb, dtype=ADDR_DTYPE)
+        out_kinds = np.zeros(n_fill + n_wb, dtype=KIND_DTYPE)
+        fpos = base.take(fill_j)
+        wpos = base.take(wb_j) + 1
+        out_blocks[fpos] = run_blocks.take(fill_j)
+        out_blocks[wpos] = wb_blocks
+        out_kinds[wpos] = 1
+        return out_blocks, out_kinds
+    pos = np.concatenate([2 * fill_j, 2 * wb_j + 1])
+    emit_order = np.argsort(pos)
+    out_blocks = np.concatenate(
+        [run_blocks[fill_j].astype(ADDR_DTYPE, copy=False), wb_blocks]
+    )[emit_order]
+    out_kinds = np.concatenate(
+        [
+            np.zeros(n_fill, dtype=KIND_DTYPE),
+            np.ones(n_wb, dtype=KIND_DTYPE),
+        ]
+    )[emit_order]
+    return out_blocks, out_kinds

@@ -102,7 +102,8 @@ class EngineDigest:
         policy: the level's replacement policy.
         rounds: total vectorized rounds executed.
         runs_vector / runs_scalar: collapsed runs taken by the
-            vectorized rounds vs the scalar loop (fallbacks + tails).
+            vectorized paths (setpar rounds and the LRU step) vs the
+            scalar loop (small fallbacks + tails).
         occupancy: mean active lanes per round of the last batch
             (0.0 when the level never went vectorized).
     """
@@ -117,7 +118,7 @@ class EngineDigest:
 
     @property
     def vector_fraction(self) -> float:
-        """Fraction of collapsed runs handled by vectorized rounds."""
+        """Fraction of collapsed runs handled by the vectorized paths."""
         total = self.runs_vector + self.runs_scalar
         return self.runs_vector / total if total else 0.0
 
