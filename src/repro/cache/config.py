@@ -34,11 +34,10 @@ class CacheConfig:
         policy: replacement policy name ("lru", "fifo", "random").
         engine: simulation engine for this level. ``"auto"`` (the
             default) picks the set-parallel vectorized engine for
-            non-sectored LRU/FIFO levels and the scalar loop otherwise;
-            ``"scalar"`` forces the reference Python loop; ``"setpar"``
-            asserts the vectorized engine (invalid for levels it cannot
-            simulate). Engines are bit-identical — the knob only affects
-            speed, never statistics or emitted requests.
+            non-sectored LRU levels and the scalar loop otherwise;
+            ``"scalar"`` forces the reference Python loop. Engines are
+            bit-identical — the knob only affects speed, never
+            statistics or emitted requests.
     """
 
     name: str
@@ -81,16 +80,10 @@ class CacheConfig:
             )
         if self.policy not in ("lru", "fifo", "random"):
             raise ConfigError(f"{self.name}: unknown replacement policy {self.policy!r}")
-        if self.engine not in ("auto", "scalar", "setpar"):
+        if self.engine not in ("auto", "scalar"):
             raise ConfigError(
                 f"{self.name}: unknown engine {self.engine!r} "
-                "(expected 'auto', 'scalar' or 'setpar')"
-            )
-        if self.engine == "setpar" and not supports_setpar(self):
-            raise ConfigError(
-                f"{self.name}: engine='setpar' requires a non-sectored LRU "
-                "or FIFO level (use engine='auto' to fall back where "
-                "unsupported)"
+                "(expected 'auto' or 'scalar')"
             )
 
     @property
@@ -134,30 +127,12 @@ class CacheConfig:
 def supports_setpar(config: CacheConfig) -> bool:
     """True iff the set-parallel engine can simulate this level.
 
-    The vectorized rounds keep replacement order as per-way timestamps
-    over whole-block dirty state: LRU stamps on every touch, FIFO
-    stamps on insertion only, so both qualify when non-sectored.
-    Random victims are draws from a serial RNG stream and sectored
-    levels track per-sector dirty state — both stay on the scalar loop.
+    The vectorized rounds keep LRU order as per-way timestamps over
+    whole-block dirty state, so only non-sectored LRU levels qualify.
+    FIFO and Random levels and sectored levels run the per-sector loop.
     """
     sectored = (
         config.sector_size is not None
         and config.sector_size < config.block_size
     )
-    return config.policy in ("lru", "fifo") and not sectored
-
-
-def with_engine(config: CacheConfig, engine: str) -> CacheConfig:
-    """``config`` with the engine knob applied where the level supports it.
-
-    Forcing ``"setpar"`` on a level the vectorized engine cannot simulate
-    (sectored or random-policy) keeps that level on ``"auto"`` — which resolves
-    to the scalar loop there — instead of raising, so a design- or
-    sweep-wide ``--engine setpar`` remains usable on hierarchies that mix
-    SRAM levels with sectored page caches.
-    """
-    if engine == "setpar" and not supports_setpar(config):
-        engine = "auto"
-    if engine == config.engine:
-        return config
-    return replace(config, engine=engine)
+    return config.policy == "lru" and not sectored

@@ -14,32 +14,31 @@ Design notes (performance):
   consecutive 8-byte element accesses per 64-byte line in a unit-stride
   sweep), which typically shrinks the loop by 3–8x.
 - LRU (the paper's policy) is specialized inline with per-set Python
-  lists; other policies go through the pluggable
-  :mod:`~repro.cache.replacement` engines.
+  lists. FIFO and Random exist for the replacement-policy ablation;
+  they go through the pluggable :mod:`~repro.cache.replacement`
+  engines in the one per-sector loop, which sectored levels of any
+  policy share (an unsectored level runs it with the sector equal to
+  the block).
 - The serial dependence exists only *within* a set, which the
-  set-parallel engine (``engine="setpar"``, picked automatically for
-  non-sectored LRU and FIFO levels) exploits: runs are stable-sorted
-  by set index and simulated in *rounds* — round ``r`` takes the
-  ``r``-th run of every active set and advances all of them at once
-  against a ``(touched_sets x ways)`` matrix of packed tags
-  (``block << 1 | dirty``) plus a timestamp matrix. Replacement order
-  is kept as timestamps (pre-batch residents carry their list position
-  as a negative stamp, empty ways even more negative ones), so a
-  broadcast tag compare yields hits, ``argmin`` over the stamps yields
-  the exact victim, and the order update is a single stamp scatter
-  instead of a permutation: under LRU every touched way is stamped
-  with its round number (promotion), under FIFO only filled ways are
-  (insertion order is the only order, so hits leave stamps alone).
-  Emitted fills/writebacks are scattered back into original occurrence
-  order via the runs' source indices, so the engine is bit-identical
-  to the scalar loop — statistics, emitted batches, and end state.
-  Rounds with fewer than ``SETPAR_MIN_LANES`` active sets (skewed
-  tails) go to an inline scalar loop, which is faster at low lane
-  counts. A batch that cannot fill one such round (tiny scaled caches
-  have fewer sets than that) is handed whole to the LRU step below,
-  or to the scalar loop under FIFO or below ``LRU_STEP_MIN_RUNS``
-  runs. Sectored levels always take the scalar loop in
-  :meth:`~SetAssociativeCache.process`.
+  set-parallel engine (``"setpar"``, picked by ``engine="auto"`` for
+  non-sectored LRU levels) exploits: runs are stable-sorted by set
+  index and simulated in *rounds* — round ``r`` takes the ``r``-th
+  run of every active set and advances all of them at once against a
+  ``(touched_sets x ways)`` matrix of packed tags
+  (``block << 1 | dirty``) plus a timestamp matrix. LRU order is kept
+  as timestamps (pre-batch residents carry their list position as a
+  negative stamp, empty ways even more negative ones), so a broadcast
+  tag compare yields hits, ``argmin`` over the stamps yields the exact
+  victim, and promotion is a single stamp scatter of the round number
+  instead of a permutation. Emitted fills/writebacks are scattered
+  back into original occurrence order via the runs' source indices,
+  so the engine is bit-identical to the scalar loop — statistics,
+  emitted batches, and end state. Rounds with fewer than
+  ``SETPAR_MIN_LANES`` active sets (skewed tails) go to an inline
+  scalar loop, which is faster at low lane counts. A batch that
+  cannot fill one such round (tiny scaled caches have fewer sets than
+  that) is handed whole to the LRU step below, or to the scalar loop
+  below ``LRU_STEP_MIN_RUNS`` runs.
 - The LRU step (``_process_runs_lru_step``) replays a whole batch on
   a warm, non-sectored LRU level without a per-run loop. Each touched
   set's residents open its sequence as a synthetic prefix, LRU first
@@ -128,35 +127,31 @@ class SetAssociativeCache:
         self._block_bits = log2_int(config.block_size)
         self._set_mask = config.num_sets - 1
         self._hashed = config.hashed_sets
-        self._sectored = (
+        sectored = (
             config.sector_size is not None
             and config.sector_size < config.block_size
         )
-        if self._sectored:
-            self._sector_bits = log2_int(config.sector_size)
-            #: block number -> set of dirty global sector numbers.
-            self._dirty_sectors: dict[int, set[int]] = {}
-            self._dirty: set[int] = set()
-        else:
-            self._sector_bits = self._block_bits
-            self._dirty_sectors = {}
-            self._dirty = set()
-        self._is_lru = config.policy == "lru"
-        if config.engine == "scalar":
-            self._engine = "scalar"
-        else:
-            # "setpar" is validated against the config; "auto" picks it
-            # wherever it is supported (it degrades to the scalar loop
-            # per batch when set-parallelism cannot pay off).
-            self._engine = "setpar" if supports_setpar(config) else "scalar"
-        # Inline per-set lists carry the state for LRU always and for
-        # FIFO under the set-parallel engine (whose round matrices and
-        # scalar fallbacks share them); scalar FIFO and Random go
-        # through the pluggable policy objects.
-        self._inline = self._is_lru or (
-            config.policy == "fifo" and self._engine == "setpar"
+        self._sector_bits = (
+            log2_int(config.sector_size) if sectored else self._block_bits
         )
-        if self._inline:
+        self._is_lru = config.policy == "lru"
+        # Sectored and non-LRU levels run the per-sector loop (an
+        # unsectored FIFO or Random level with the sector equal to the
+        # block), so they keep dirty state per sector.
+        self._per_sector = sectored or not self._is_lru
+        #: block number -> set of dirty global sector numbers.
+        self._dirty_sectors: dict[int, set[int]] = {}
+        self._dirty: set[int] = set()
+        # "auto" vectorizes wherever setpar is supported; it degrades to
+        # the scalar loop per batch when set-parallelism cannot pay off.
+        self._engine = (
+            "setpar"
+            if config.engine == "auto" and supports_setpar(config)
+            else "scalar"
+        )
+        # LRU keeps inline per-set lists (MRU first); FIFO and Random go
+        # through the pluggable policy objects.
+        if self._is_lru:
             self._sets: list[list[int]] = [[] for _ in range(config.num_sets)]
             self._policy = None
         else:
@@ -223,7 +218,7 @@ class SetAssociativeCache:
 
     def resident_blocks(self) -> int:
         """Number of blocks currently cached (diagnostics/tests)."""
-        if self._inline:
+        if self._is_lru:
             return sum(len(s) for s in self._sets)
         return sum(
             len(self._policy.contents(i)) for i in range(self.config.num_sets)
@@ -233,14 +228,14 @@ class SetAssociativeCache:
         """True iff the block holding byte ``address`` is resident."""
         block = address >> self._block_bits
         set_index = self._set_index(block)
-        if self._inline:
+        if self._is_lru:
             return block in self._sets[set_index]
         return block in self._policy.contents(set_index)
 
     def is_dirty(self, address: int) -> bool:
         """True iff the block (sectored: the sector) holding byte
         ``address`` is dirty."""
-        if self._sectored:
+        if self._per_sector:
             block = address >> self._block_bits
             sector = address >> self._sector_bits
             return sector in self._dirty_sectors.get(block, ())
@@ -252,7 +247,7 @@ class SetAssociativeCache:
         self._dirty.clear()
         self._dirty_sectors.clear()
         self._setpar_unsafe = False
-        if self._inline:
+        if self._is_lru:
             self._sets = [[] for _ in range(self.config.num_sets)]
         else:
             self._policy.reset()
@@ -300,10 +295,9 @@ class SetAssociativeCache:
         n_loads, n_stores = stats.account_batch(batch)
 
         # Run-length collapse: one probe per run of equal units. The
-        # unit is the block, or the sector for sectored caches (so the
-        # loop can mark per-sector dirty state exactly in access order).
-        unit_bits = self._sector_bits if self._sectored else self._block_bits
-        units = batch.addresses >> np.uint64(unit_bits)
+        # unit is the sector (the block unless sectored), so the loop
+        # can mark per-sector dirty state exactly in access order.
+        units = batch.addresses >> np.uint64(self._sector_bits)
         change = np.empty(n, dtype=bool)
         change[0] = True
         np.not_equal(units[1:], units[:-1], out=change[1:])
@@ -336,15 +330,15 @@ class SetAssociativeCache:
             first_store = is_store[starts]
             run_loads = counts - run_stores
 
-        run_blocks = (
-            run_units >> np.uint64(self._block_bits - self._sector_bits)
-            if self._sectored
-            else run_units
-        )
+        run_blocks = run_units
+        if self._sector_bits < self._block_bits:
+            run_blocks = run_units >> np.uint64(
+                self._block_bits - self._sector_bits
+            )
         run_sets = self._set_indices(run_blocks)
 
-        if self._sectored:
-            out_units, out_kinds, out_sizes = self._process_runs_sectored(
+        if self._per_sector:
+            out_addrs, out_kinds = self._process_runs_sectored(
                 run_units.tolist(),
                 run_blocks.tolist(),
                 run_sets.tolist(),
@@ -352,12 +346,16 @@ class SetAssociativeCache:
                 run_stores.tolist(),
                 first_store.tolist(),
             )
-            if not out_units:
+            if not out_addrs:
                 return AccessBatch.empty()
+            kinds = np.asarray(out_kinds, dtype=KIND_DTYPE)
+            # Fills are whole blocks, writebacks single sectors.
             return AccessBatch(
-                np.asarray(out_units, dtype=ADDR_DTYPE),
-                np.asarray(out_sizes, dtype=SIZE_DTYPE),
-                np.asarray(out_kinds, dtype=KIND_DTYPE),
+                np.asarray(out_addrs, dtype=ADDR_DTYPE),
+                np.where(
+                    kinds != 0, self.writeback_size, self.config.block_size
+                ).astype(SIZE_DTYPE),
+                kinds,
             )
 
         if self._engine == "setpar":
@@ -377,22 +375,13 @@ class SetAssociativeCache:
                 out_kinds_arr,
             )
 
-        if self._is_lru:
-            out_blocks, out_kinds = self._process_runs_lru(
-                run_units.tolist(),
-                run_sets.tolist(),
-                run_loads.tolist(),
-                run_stores.tolist(),
-                first_store.tolist(),
-            )
-        else:
-            out_blocks, out_kinds = self._process_runs_generic(
-                run_units.tolist(),
-                run_sets.tolist(),
-                run_loads.tolist(),
-                run_stores.tolist(),
-                first_store.tolist(),
-            )
+        out_blocks, out_kinds = self._process_runs_lru(
+            run_units.tolist(),
+            run_sets.tolist(),
+            run_loads.tolist(),
+            run_stores.tolist(),
+            first_store.tolist(),
+        )
 
         if not out_blocks:
             return AccessBatch.empty()
@@ -409,8 +398,10 @@ class SetAssociativeCache:
         self, run_sectors, run_blocks, run_sets, run_loads, run_stores,
         first_store,
     ):
-        """Sectored hot loop: page-granularity allocation, sector-
-        granularity dirty tracking (LRU or pluggable policy).
+        """Per-sector hot loop: block-granularity allocation, sector-
+        granularity dirty tracking. It serves sectored levels (LRU or
+        pluggable policy) and every FIFO or Random level, whose sector
+        is the block unless sectored.
 
         Fill requests are full blocks (the page is the allocation
         unit); dirty-eviction writebacks are one request per dirty
@@ -418,19 +409,23 @@ class SetAssociativeCache:
         numbers, set indices, and per-run load counts arrive
         precomputed (vectorized in :meth:`process`).
         """
-        sector_bytes = 1 << self._sector_bits
-        block_bytes = self.config.block_size
-        sector_to_addr = self._sector_bits
+        block_bits = self._block_bits
+        sector_bits = self._sector_bits
         dirty = self._dirty_sectors
+        dirty_get = dirty.get
+        dirty_pop = dirty.pop
         stats = self.stats
         is_lru = self._is_lru
-        sets = self._sets if is_lru else None
-        policy = self._policy
+        sets = self._sets
+        if not is_lru:
+            lookup = self._policy.lookup
+            insert = self._policy.insert
         ways = self.config.associativity
         lh = lm = sh = sm = wb = fills = 0
         out_addrs: list[int] = []
         out_kinds: list[int] = []
-        out_sizes: list[int] = []
+        append_a = out_addrs.append
+        append_k = out_kinds.append
 
         for sec, blk, sidx, nld, nst, fst in zip(
             run_sectors, run_blocks, run_sets, run_loads, run_stores,
@@ -446,7 +441,7 @@ class SetAssociativeCache:
                 else:
                     hit = False
             else:
-                hit = policy.lookup(sidx, blk)
+                hit = lookup(sidx, blk)
             if hit:
                 lh += nld
                 sh += nst
@@ -460,24 +455,22 @@ class SetAssociativeCache:
                     lh += nld - 1
                     sh += nst
                 fills += 1
-                out_addrs.append(blk << self._block_bits)
-                out_kinds.append(0)
-                out_sizes.append(block_bytes)
+                append_a(blk << block_bits)
+                append_k(0)
                 if is_lru:
                     s.insert(0, blk)
                     victim = s.pop() if len(s) > ways else None
                 else:
-                    victim = policy.insert(sidx, blk)
+                    victim = insert(sidx, blk)
                 if victim is not None:
-                    victim_sectors = dirty.pop(victim, None)
+                    victim_sectors = dirty_pop(victim, None)
                     if victim_sectors:
                         wb += len(victim_sectors)
                         for vsec in sorted(victim_sectors):
-                            out_addrs.append(vsec << sector_to_addr)
-                            out_kinds.append(1)
-                            out_sizes.append(sector_bytes)
+                            append_a(vsec << sector_bits)
+                            append_k(1)
             if nst:
-                entry = dirty.get(blk)
+                entry = dirty_get(blk)
                 if entry is None:
                     dirty[blk] = {sec}
                 else:
@@ -489,7 +482,7 @@ class SetAssociativeCache:
         stats.store_misses += sm
         stats.writebacks += wb
         stats.fills += fills
-        return out_addrs, out_kinds, out_sizes
+        return out_addrs, out_kinds
 
     def _process_runs_lru(
         self, run_blocks, run_sets, run_loads, run_stores, first_store
@@ -550,71 +543,13 @@ class SetAssociativeCache:
         stats.fills += fills
         return out_blocks, out_kinds
 
-    def _process_runs_fifo(
-        self, run_blocks, run_sets, run_loads, run_stores, first_store
-    ):
-        """Inline-FIFO hot loop: the LRU loop minus hit promotion.
-
-        Used only by the set-parallel engine's scalar fallbacks (the
-        ``scalar`` engine keeps FIFO on the pluggable policy object so
-        the two implementations stay independently testable).
-        """
-        sets = self._sets
-        dirty = self._dirty
-        ways = self.config.associativity
-        stats = self.stats
-        lh = lm = sh = sm = wb = fills = 0
-        out_blocks: list[int] = []
-        out_kinds: list[int] = []
-        append_b = out_blocks.append
-        append_k = out_kinds.append
-        dirty_add = dirty.add
-
-        for blk, sidx, nld, nst, fst in zip(
-            run_blocks, run_sets, run_loads, run_stores, first_store
-        ):
-            s = sets[sidx]
-            if blk in s:
-                lh += nld
-                sh += nst
-            else:
-                if fst:
-                    sm += 1
-                    sh += nst - 1
-                    lh += nld
-                else:
-                    lm += 1
-                    lh += nld - 1
-                    sh += nst
-                fills += 1
-                append_b(blk)
-                append_k(0)
-                s.insert(0, blk)
-                if len(s) > ways:
-                    victim = s.pop()
-                    if victim in dirty:
-                        dirty.discard(victim)
-                        wb += 1
-                        append_b(victim)
-                        append_k(1)
-            if nst:
-                dirty_add(blk)
-
-        stats.load_hits += lh
-        stats.load_misses += lm
-        stats.store_hits += sh
-        stats.store_misses += sm
-        stats.writebacks += wb
-        stats.fills += fills
-        return out_blocks, out_kinds
-
     def _setpar_fallback(self, run_blocks, run_sets, run_loads, run_stores,
                          first_store, n_loads, n_stores, tel):
         """Whole-batch fallback of the setpar engine: the vectorized LRU
-        step for LRU batches of at least ``LRU_STEP_MIN_RUNS`` runs,
-        else the scalar loop (list args converted once)."""
+        step for batches of at least ``LRU_STEP_MIN_RUNS`` runs, else
+        the scalar loop (list args converted once)."""
         n = len(run_blocks)
-        step = self._is_lru and n >= LRU_STEP_MIN_RUNS
+        step = n >= LRU_STEP_MIN_RUNS
         if tel.enabled:
             tel.counter(
                 "repro_engine_runs",
@@ -626,10 +561,7 @@ class SetAssociativeCache:
                 run_blocks, run_sets, run_stores, first_store,
                 n_loads, n_stores,
             )
-        scalar_loop = (
-            self._process_runs_lru if self._is_lru else self._process_runs_fifo
-        )
-        out_blocks, out_kinds = scalar_loop(
+        out_blocks, out_kinds = self._process_runs_lru(
             run_blocks.tolist(),
             run_sets.tolist(),
             run_loads.tolist(),
@@ -737,7 +669,7 @@ class SetAssociativeCache:
         self, run_blocks, run_sets, run_loads, run_stores, first_store,
         n_loads, n_stores, tel,
     ):
-        """Set-parallel LRU/FIFO rounds (see the module docstring).
+        """Set-parallel LRU rounds (see the module docstring).
 
         Arguments arrive as the vectorized arrays from :meth:`process`.
         Returns ``(blocks, kinds)`` arrays in the exact emission order
@@ -904,10 +836,13 @@ class SetAssociativeCache:
         copyto = np.copyto
         bor = np.bitwise_or
         take_t = tags_f.take
-        is_lru = self._is_lru
         if full_rounds:
             nf = full_rounds
-            rounds_iter = zip(
+            # The poison below lands only on the matched way of hit
+            # lanes — exactly the way argmin then chooses — so the
+            # end-of-round stamp scatter heals every poisoned entry and
+            # the persistent stamp matrix needs no scratch copy.
+            for b2d, b2sv, hsv, bhv, msv, vvv, rv in zip(
                 b2s[:p0].reshape(nf, m, 1),
                 b2s[:p0].reshape(nf, m),
                 hs[:p0].reshape(nf, m),
@@ -915,49 +850,19 @@ class SetAssociativeCache:
                 miss_all[:p0].reshape(nf, m),
                 victims_all[:p0].reshape(nf, m),
                 np.arange(nf, dtype=np.int32).reshape(nf, 1),
-            )
-            if is_lru:
-                # The poison below lands only on the matched way of hit
-                # lanes — exactly the way argmin then chooses — so the
-                # end-of-round stamp scatter heals every poisoned entry
-                # and the persistent stamp matrix needs no scratch copy.
-                for b2d, b2sv, hsv, bhv, msv, vvv, rv in rounds_iter:
-                    xor(tags, b2d, out=xm)
-                    less_equal(xm, one_u, out=eq)
-                    copyto(stamp, neg_big, where=eq)
-                    stamp.argmin(axis=1, out=cw)
-                    add(cw, localoff, out=gi)
-                    take_t(gi, out=vvv)
-                    xor(vvv, b2sv, out=tq)
-                    greater(tq, ones_v, out=msv)
-                    bor(vvv, hsv, out=pv)
-                    copyto(pv, bhv, where=msv)
-                    tags_f[gi] = pv
-                    stamp_f[gi] = rv
-            else:
-                # FIFO: hits must NOT refresh their stamps (insertion
-                # order is the only order), so hit lanes' old stamps
-                # must survive the round — poison a scratch copy for
-                # the argmin instead of the persistent matrix, and
-                # scatter the round stamp into miss lanes only. The
-                # argmin still lands on the matched (poisoned) way of a
-                # hit lane, so the tag scatter keeps folding the dirty
-                # bit into the resident tag.
-                scr = np.empty((m, ways), dtype=np.int32)
-                for b2d, b2sv, hsv, bhv, msv, vvv, rv in rounds_iter:
-                    xor(tags, b2d, out=xm)
-                    less_equal(xm, one_u, out=eq)
-                    copyto(scr, stamp)
-                    copyto(scr, neg_big, where=eq)
-                    scr.argmin(axis=1, out=cw)
-                    add(cw, localoff, out=gi)
-                    take_t(gi, out=vvv)
-                    xor(vvv, b2sv, out=tq)
-                    greater(tq, ones_v, out=msv)
-                    bor(vvv, hsv, out=pv)
-                    copyto(pv, bhv, where=msv)
-                    tags_f[gi] = pv
-                    stamp_f[gi[msv]] = rv
+            ):
+                xor(tags, b2d, out=xm)
+                less_equal(xm, one_u, out=eq)
+                copyto(stamp, neg_big, where=eq)
+                stamp.argmin(axis=1, out=cw)
+                add(cw, localoff, out=gi)
+                take_t(gi, out=vvv)
+                xor(vvv, b2sv, out=tq)
+                greater(tq, ones_v, out=msv)
+                bor(vvv, hsv, out=pv)
+                copyto(pv, bhv, where=msv)
+                tags_f[gi] = pv
+                stamp_f[gi] = rv
         b2s2d = b2s[:, None]
         seg_l = seg.tolist()
         for r in range(full_rounds, vec_rounds):
@@ -988,10 +893,7 @@ class SetAssociativeCache:
             bor(vvv, hs[lo:hi], out=pvv)
             copyto(pvv, b2h[lo:hi], where=msv)
             tags_f[giv] = pvv
-            if is_lru:
-                stamp_f[giv] = r
-            else:
-                stamp_f[giv[msv]] = r
+            stamp_f[giv] = r
 
         one = np.uint64(1)
         # Index-based compaction: flatnonzero + take walk the mask once,
@@ -1014,8 +916,8 @@ class SetAssociativeCache:
         # before the scalar tail resumes mutating them in place. Stamps
         # are unique per row (each round touches a set at most once and
         # stamps at most one of its ways), so descending-stamp order is
-        # the exact newest-to-oldest list — MRU-to-LRU, or FIFO
-        # insertion order — with empty ways (most negative) at the end.
+        # the exact MRU-to-LRU list, with empty ways (most negative) at
+        # the end.
         ordw = np.argsort(stamp, axis=1)[:, ::-1]
         t_sorted = np.take_along_axis(tags, ordw, axis=1)
         occ = (t_sorted != _SENTINEL).sum(axis=1)
@@ -1047,7 +949,7 @@ class SetAssociativeCache:
             ):
                 s = sets[sidx]
                 if blk in s:
-                    if is_lru and s[0] != blk:
+                    if s[0] != blk:
                         s.remove(blk)
                         s.insert(0, blk)
                 else:
@@ -1095,52 +997,6 @@ class SetAssociativeCache:
             )
 
         return _emit_in_order(run_blocks, fill_j, wb_j, wb_blocks)
-
-    def _process_runs_generic(
-        self, run_blocks, run_sets, run_loads, run_stores, first_store
-    ):
-        """Policy-object loop (FIFO/Random studies)."""
-        policy = self._policy
-        dirty = self._dirty
-        stats = self.stats
-        lh = lm = sh = sm = wb = fills = 0
-        out_blocks: list[int] = []
-        out_kinds: list[int] = []
-
-        for blk, set_idx, nld, nst, fst in zip(
-            run_blocks, run_sets, run_loads, run_stores, first_store
-        ):
-            if policy.lookup(set_idx, blk):
-                lh += nld
-                sh += nst
-            else:
-                if fst:
-                    sm += 1
-                    sh += nst - 1
-                    lh += nld
-                else:
-                    lm += 1
-                    lh += nld - 1
-                    sh += nst
-                fills += 1
-                out_blocks.append(blk)
-                out_kinds.append(0)
-                victim = policy.insert(set_idx, blk)
-                if victim is not None and victim in dirty:
-                    dirty.discard(victim)
-                    wb += 1
-                    out_blocks.append(victim)
-                    out_kinds.append(1)
-            if nst:
-                dirty.add(blk)
-
-        stats.load_hits += lh
-        stats.load_misses += lm
-        stats.store_hits += sh
-        stats.store_misses += sm
-        stats.writebacks += wb
-        stats.fills += fills
-        return out_blocks, out_kinds
 
     def count_lru(self, batch: AccessBatch, *, drain: bool) -> tuple[int, int]:
         """Price a whole request stream on this cold LRU cache, counts only.
@@ -1228,7 +1084,7 @@ class SetAssociativeCache:
             empty. Inserting a resident block is a no-op.
         """
         set_index = self._set_index(block)
-        if self._inline:
+        if self._is_lru:
             s = self._sets[set_index]
             if block in s:
                 return AccessBatch.empty()
@@ -1240,7 +1096,7 @@ class SetAssociativeCache:
             victim = self._policy.insert(set_index, block)
         if victim is None:
             return AccessBatch.empty()
-        if self._sectored:
+        if self._per_sector:
             sectors = self._dirty_sectors.pop(victim, None)
             if not sectors:
                 return AccessBatch.empty()
@@ -1269,7 +1125,7 @@ class SetAssociativeCache:
         their way to the main memory"). The blocks remain resident but
         clean.
         """
-        if self._sectored:
+        if self._per_sector:
             if not self._dirty_sectors:
                 return AccessBatch.empty()
             sectors = sorted(

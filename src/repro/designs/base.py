@@ -12,9 +12,9 @@ the whole configuration space.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from repro.cache.config import CacheConfig, with_engine
+from repro.cache.config import CacheConfig
 from repro.cache.hierarchy import Hierarchy
 from repro.cache.mainmem import MainMemory
 from repro.cache.partition import PartitionedMemory
@@ -95,13 +95,12 @@ class ReferenceSystem:
 
         Args:
             scale: capacity scale (see :meth:`scaled_configs`).
-            engine: simulation engine request applied to every level
-                (``"setpar"`` degrades to ``"auto"`` where unsupported;
-                both engines are bit-identical, so this never changes
-                results — only speed).
+            engine: simulation engine applied to every level
+                (``"auto"`` or ``"scalar"``; both are bit-identical, so
+                this never changes results — only speed).
         """
         return [
-            SetAssociativeCache(with_engine(c, engine))
+            SetAssociativeCache(replace(c, engine=engine))
             for c in self.scaled_configs(scale)
         ]
 
@@ -143,11 +142,11 @@ class MemoryDesign(ABC):
         scale: capacity scale applied to every simulated cache (see
             DESIGN.md §4); bindings always use full-size capacities.
         reference: the SRAM pyramid (defaults to Sandy Bridge).
-        engine: cache simulation engine request (``"auto"``,
-            ``"scalar"`` or ``"setpar"``), applied to every level the
-            design builds. Engines are bit-identical — this knob only
-            affects simulation speed, never statistics — so it is
-            deliberately *not* part of :meth:`sim_key`.
+        engine: cache simulation engine (``"auto"`` or ``"scalar"``),
+            applied to every level the design builds. Engines are
+            bit-identical — this knob only affects simulation speed,
+            never statistics — so it is deliberately *not* part of
+            :meth:`sim_key`.
     """
 
     def __init__(
@@ -159,10 +158,9 @@ class MemoryDesign(ABC):
     ) -> None:
         if scale <= 0 or scale > 1:
             raise ConfigError(f"scale must be in (0, 1], got {scale}")
-        if engine not in ("auto", "scalar", "setpar"):
+        if engine not in ("auto", "scalar"):
             raise ConfigError(
-                f"unknown engine {engine!r}; expected 'auto', 'scalar' "
-                f"or 'setpar'"
+                f"unknown engine {engine!r}; expected 'auto' or 'scalar'"
             )
         self.name = name
         self.scale = scale
@@ -208,13 +206,8 @@ class MemoryDesign(ABC):
     # -- common machinery -------------------------------------------------
 
     def make_cache(self, config: CacheConfig) -> SetAssociativeCache:
-        """A fresh cache for ``config`` honouring the design's engine.
-
-        ``with_engine`` downgrades an unsupported ``"setpar"`` request
-        (sectored or non-LRU levels) back to ``"auto"`` so sectored L4
-        page caches keep their scalar loop without the caller caring.
-        """
-        return SetAssociativeCache(with_engine(config, self.engine))
+        """A fresh cache for ``config`` honouring the design's engine."""
+        return SetAssociativeCache(replace(config, engine=self.engine))
 
     def build(self) -> Hierarchy:
         """A fresh, cold, fully-assembled scaled hierarchy."""

@@ -258,7 +258,7 @@ def _run_resilient_sweep(args, runner: Runner, workloads) -> int:
             raise SystemExit(
                 "error: --screen-analytic confirms the screened top-K "
                 "with exact simulation; pick an exact --engine "
-                "(auto/scalar/setpar)"
+                "(auto/scalar)"
             )
         designs = _screen_designs(args, runner, designs, workloads, screen_k)
 
@@ -418,11 +418,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--engine",
-        choices=("auto", "scalar", "setpar", "analytic"),
+        choices=("auto", "scalar", "analytic"),
         default="auto",
-        help="cache simulation engine: 'setpar' is the set-parallel "
-        "vectorized LRU fast path, 'scalar' the per-request loop, "
-        "'auto' (default) picks setpar where supported — those three "
+        help="cache simulation engine: 'auto' (default) vectorizes "
+        "non-sectored LRU levels and prices one-cache LRU lower chains "
+        "from counts, 'scalar' keeps the per-request loop — the two "
         "are bit-identical; 'analytic' replaces each design's "
         "lower-level simulation with the one-pass reuse-profile model "
         "(exact for fully-associative LRU levels, approximate for "

@@ -333,11 +333,11 @@ class Runner:
         reference: the SRAM pyramid (defaults to Sandy Bridge).
         local_factor: L1-hitting local references injected per traced
             data reference (see :data:`DEFAULT_LOCAL_FACTOR`).
-        engine: cache simulation engine (``"auto"``, ``"scalar"``,
-            ``"setpar"`` or ``"analytic"``) applied to every cache the
-            runner builds — the shared upper pyramid and each design's
-            lower levels. ``auto``/``scalar``/``setpar`` are
-            bit-identical and only change speed. ``analytic`` replaces
+        engine: cache simulation engine (``"auto"``, ``"scalar"`` or
+            ``"analytic"``) applied to every cache the runner builds —
+            the shared upper pyramid and each design's lower levels.
+            ``auto`` and ``scalar`` are bit-identical and only change
+            speed. ``analytic`` replaces
             each design's *lower-level* simulation with the reuse-
             profile model of :mod:`repro.profile` — the shared upper
             pyramid still simulates exactly (with ``auto``), profiles
@@ -399,10 +399,12 @@ class Runner:
     ) -> None:
         if local_factor < 0:
             raise ValueError("local_factor must be non-negative")
-        if engine not in ("auto", "scalar", "setpar", "analytic"):
-            raise ValueError(
-                f"unknown engine {engine!r}; expected 'auto', 'scalar', "
-                f"'setpar' or 'analytic'"
+        if engine not in ("auto", "scalar", "analytic"):
+            from repro.errors import ConfigError
+
+            raise ConfigError(
+                f"unknown engine {engine!r}; expected 'auto', 'scalar' "
+                f"or 'analytic'"
             )
         if isinstance(sample, str):
             from repro.experiments.sampling import SampleSpec
@@ -465,7 +467,7 @@ class Runner:
     @property
     def engine_class(self) -> str:
         """The result class of every design this runner evaluates:
-        ``"exact"`` (scalar/setpar/auto), ``"analytic"`` or
+        ``"exact"`` (scalar/auto), ``"analytic"`` or
         ``"sampled:<warmup>:<window>:<stride>"``. It enters each sweep
         cell's journal key, so results of different classes never
         satisfy each other's resume."""
@@ -754,7 +756,7 @@ class Runner:
         Hashes everything the captured post-L3 stream and the raw upper
         statistics depend on: the cached trace's store digest (one
         prelude read), the scaled SRAM pyramid, ``drain`` and the
-        sample spec. The engine is left out — scalar, setpar, auto and
+        sample spec. The engine is left out — scalar, auto and
         analytic runners replay L1–L3 bit-identically, so they share a
         record. ``None`` when there is no trace cache or no cached
         trace store to key on.

@@ -50,7 +50,7 @@ def cell_key(
 
     ``drain`` and a non-default ``engine_class`` enter the hash only
     when set, so journals written before those dimensions existed keep
-    their keys and resume cleanly. The *exact* engines (scalar/setpar/
+    their keys and resume cleanly. The *exact* engines (scalar and
     auto) are bit-identical and deliberately share one engine class —
     but ``"analytic"`` results are approximate, so analytic cells hash
     differently and can never satisfy (or be satisfied by) an exact
@@ -104,8 +104,8 @@ class JournalEntry:
             telemetry disabled) — joins the journal to the run's
             telemetry tree. Optional with a default so pre-observatory
             journals keep loading under the same schema version.
-        engine_class: ``"exact"`` (bit-exact simulation — scalar,
-            setpar or auto) or ``"analytic"`` (reuse-profile model).
+        engine_class: ``"exact"`` (bit-exact simulation — scalar
+            or auto) or ``"analytic"`` (reuse-profile model).
             Serialized only when not ``"exact"`` so pre-analytic
             journals keep loading and byte-stable.
     """

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cache.config import CacheConfig, supports_setpar, with_engine
+from repro.cache.config import CacheConfig, supports_setpar
 from repro.errors import ConfigError
 from repro.units import KiB, MiB
 
@@ -89,20 +89,14 @@ class TestEngineField:
             CacheConfig("L1", 32 * KiB, 8, 64, engine="simd")
 
     def test_setpar_on_unsupported_level_rejected(self):
-        # Sectored: per-sector dirty state keeps it on the scalar loop.
-        with pytest.raises(ConfigError):
-            CacheConfig("L4", 256 * KiB, 8, 4096, sector_size=64,
-                        engine="setpar")
-        # Random victims come from a serial RNG stream.
-        with pytest.raises(ConfigError):
-            CacheConfig("L1", 32 * KiB, 8, 64, policy="random",
-                        engine="setpar")
-
-    def test_setpar_accepts_fifo(self):
-        cfg = CacheConfig("L1", 32 * KiB, 8, 64, policy="fifo",
-                          engine="setpar")
-        assert cfg.engine == "setpar"
-        assert supports_setpar(cfg)
+        """``setpar`` is a resolved engine label, not a setting, so it
+        is unsupported everywhere: no level accepts it, not even the
+        plain LRU level it serves."""
+        for block, sector, policy in ((64, None, "lru"), (64, None, "fifo"),
+                                      (64, None, "random"), (4096, 64, "lru")):
+            with pytest.raises(ConfigError):
+                CacheConfig("L", 256 * KiB, 8, block, sector_size=sector,
+                            policy=policy, engine="setpar")
 
     def test_supports_setpar(self):
         assert supports_setpar(CacheConfig("L1", 32 * KiB, 8, 64))
@@ -112,20 +106,15 @@ class TestEngineField:
         assert not supports_setpar(
             CacheConfig("L1", 32 * KiB, 8, 64, policy="random")
         )
+        # FIFO runs the per-sector policy loop.
+        assert not supports_setpar(
+            CacheConfig("L1", 32 * KiB, 8, 64, policy="fifo")
+        )
         # A sector size equal to the block size is not sectoring.
         assert supports_setpar(
             CacheConfig("L1", 32 * KiB, 8, 64, sector_size=64)
         )
 
-    def test_with_engine_applies_and_downgrades(self):
-        plain = CacheConfig("L1", 32 * KiB, 8, 64)
-        assert with_engine(plain, "setpar").engine == "setpar"
-        assert with_engine(plain, "scalar").engine == "scalar"
-        assert with_engine(plain, "auto") is plain
-        sectored = CacheConfig("L4", 256 * KiB, 8, 4096, sector_size=64)
-        assert with_engine(sectored, "setpar").engine == "auto"
-        assert with_engine(sectored, "scalar").engine == "scalar"
-
     def test_scaled_preserves_engine(self):
-        cfg = CacheConfig("L1", 32 * KiB, 8, 64, engine="setpar")
-        assert cfg.scaled(0.5).engine == "setpar"
+        cfg = CacheConfig("L1", 32 * KiB, 8, 64, engine="scalar")
+        assert cfg.scaled(0.5).engine == "scalar"

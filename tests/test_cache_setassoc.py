@@ -1,5 +1,7 @@
 """Set-associative cache engine tests: known-answer behaviours."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -163,6 +165,130 @@ class TestSectoredCache:
         assert not cache.is_dirty(0)  # same page, clean sector
 
 
+def _digest(*arrays):
+    """Short content digest of a few arrays (pins emitted batches)."""
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
+def policy_pin_run(policy, hashed, engine):
+    """Three chunks on a 64-set, 4-way cache, one ``insert_block`` after
+    each, then ``flush_dirty``; returns what :data:`POLICY_PINS` pins."""
+    cache = SetAssociativeCache(CacheConfig(
+        "P", 64 * 4 * 64, 4, 64, hashed_sets=hashed, policy=policy,
+        engine=engine,
+    ))
+    rng = np.random.default_rng(2024)
+    emitted = []
+    for chunk in range(3):
+        blocks = np.repeat(
+            rng.integers(0, 1024, size=1500), rng.integers(1, 4, size=1500)
+        ).astype(np.uint64)
+        kinds = (rng.random(len(blocks)) < 0.3).astype(np.uint8)
+        for out in (
+            cache.process(AccessBatch.from_lists(blocks * 64 + 8, 8, kinds)),
+            cache.insert_block(2048 + chunk),
+        ):
+            emitted.append(
+                (len(out), _digest(out.addresses, out.sizes, out.is_store))
+            )
+    # A FIFO level without a policy object (the FIFO rounds the pins
+    # were generated with) keeps its order in ``_sets``.
+    rows = [
+        cache._policy.contents(s) if cache._policy else cache._sets[s]
+        for s in range(64)
+    ]
+    resident = [b for row in rows for b in row]
+    contents = _digest(
+        np.array([len(row) for row in rows], dtype=np.int64),
+        np.array(resident, dtype=np.int64),
+        np.array([cache.is_dirty(b * 64) for b in resident]),
+    )
+    out = cache.flush_dirty()
+    emitted.append((len(out), _digest(out.addresses, out.sizes, out.is_store)))
+    return cache.stats.as_dict(), emitted, contents
+
+
+#: :func:`policy_pin_run` results, generated by the per-policy loop and
+#: the FIFO setpar rounds that preceded the one policy loop.
+POLICY_PINS = {
+    "fifo-sliced": ("fifo", False, (
+        {
+            "name": "P", "loads": 6342, "stores": 2726,
+            "load_bits": 405888, "store_bits": 174464, "load_hits": 3934,
+            "load_misses": 2408, "store_hits": 1716, "store_misses": 1010,
+            "writebacks": 1919, "fills": 3418,
+        },
+        [
+            (1707, "1057aefdf03d1fe2"),
+            (1, "957030ae832ed093"),
+            (1754, "30b1f763d6f5af21"),
+            (1, "bc1ee39368b39c85"),
+            (1728, "049612f16b501501"),
+            (0, "e3b0c44298fc1c14"),
+            (146, "ea46f59319a60904"),
+        ],
+        "f55bbbd4e5e1d116",
+    )),
+    "fifo-hashed": ("fifo", True, (
+        {
+            "name": "P", "loads": 6342, "stores": 2726,
+            "load_bits": 405888, "store_bits": 174464, "load_hits": 3928,
+            "load_misses": 2414, "store_hits": 1708, "store_misses": 1018,
+            "writebacks": 1930, "fills": 3432,
+        },
+        [
+            (1703, "b9df35cd5efc9478"),
+            (1, "31570259c605d177"),
+            (1752, "a5ea788d3e0a31d6"),
+            (0, "e3b0c44298fc1c14"),
+            (1761, "cbdb4caf7128bf98"),
+            (1, "a5b4672835a49d49"),
+            (144, "68e7444680095cf4"),
+        ],
+        "a5b636c0ec9645d2",
+    )),
+    "random-sliced": ("random", False, (
+        {
+            "name": "P", "loads": 6342, "stores": 2726,
+            "load_bits": 405888, "store_bits": 174464, "load_hits": 3964,
+            "load_misses": 2378, "store_hits": 1713, "store_misses": 1013,
+            "writebacks": 1904, "fills": 3391,
+        },
+        [
+            (1691, "a0d2206c3dd380c6"),
+            (1, "4e4d7bc1ba26246b"),
+            (1699, "d67b2f1557a7fce2"),
+            (1, "8cac19bceec4dc8f"),
+            (1753, "6c3c8ef18844832b"),
+            (1, "41478e6ebcdce54d"),
+            (149, "ba11e20f14afe0a7"),
+        ],
+        "8c547de6cec8b389",
+    )),
+    "random-hashed": ("random", True, (
+        {
+            "name": "P", "loads": 6342, "stores": 2726,
+            "load_bits": 405888, "store_bits": 174464, "load_hits": 3957,
+            "load_misses": 2385, "store_hits": 1712, "store_misses": 1014,
+            "writebacks": 1906, "fills": 3399,
+        },
+        [
+            (1659, "8d945d1cfbf5e1c7"),
+            (0, "e3b0c44298fc1c14"),
+            (1733, "f4b7bb3224843904"),
+            (1, "086a87ea5426d6d2"),
+            (1760, "49e1a244b352a951"),
+            (1, "c6bf08dc0a25c22b"),
+            (151, "d79508383fb6a1fd"),
+        ],
+        "52b6e8c70029ca4b",
+    )),
+}
+
+
 class TestPolicyVariants:
     def test_fifo_cache_runs(self):
         cache = SetAssociativeCache(CacheConfig("F", 256, 2, 64, policy="fifo"))
@@ -179,6 +305,17 @@ class TestPolicyVariants:
         cache.process(AccessBatch.from_lists(addrs, 8, 0))
         stats = cache.stats
         assert stats.load_hits + stats.load_misses == stats.loads == 2000
+
+    @pytest.mark.parametrize(
+        "policy, hashed, expected", list(POLICY_PINS.values()),
+        ids=list(POLICY_PINS),
+    )
+    @pytest.mark.parametrize("engine", ["auto", "scalar"])
+    def test_policy_loop_pin(self, policy, hashed, expected, engine):
+        """FIFO and Random levels, unsectored: stats, every emitted
+        batch and the final contents and dirty bits are pinned, so the
+        policy loop's result never moves with the engine or a refactor."""
+        assert policy_pin_run(policy, hashed, engine) == expected
 
 
 class TestHelpers:

@@ -1,10 +1,12 @@
-"""Scalar vs set-parallel engine: full-hierarchy differential tests.
+"""Scalar vs auto engine: full-hierarchy differential tests.
 
-The setpar engine promises bit-identical *hierarchy* behaviour, not
-just per-level agreement: identical :class:`HierarchyStats` for every
-built-in design family, identical downstream request order (so every
-lower level sees the exact same stream), and identical results through
-the SimPlan shared-prefix capture and a process-parallel sweep resume.
+The ``auto`` engine (set-parallel rounds, the LRU step and pricing
+from counts where they apply) promises bit-identical *hierarchy*
+behaviour, not just per-level agreement: identical
+:class:`HierarchyStats` for every built-in design family, identical
+downstream request order (so every lower level sees the exact same
+stream), and identical results through the SimPlan shared-prefix
+capture and a process-parallel sweep resume.
 These tests pin that promise on real traced workloads.
 """
 
@@ -23,8 +25,10 @@ from repro.designs.ndm import NDMDesign
 from repro.designs.nmm import NMMDesign
 from repro.designs.reference import ReferenceDesign
 from repro.errors import ConfigError
+from repro.experiments import cli
 from repro.experiments.runner import CapturingMemory, Runner
 from repro.experiments.sweep import run_sweep
+from repro.cache.config import CacheConfig
 from repro.cache.hierarchy import Hierarchy
 from repro.cache.setassoc import SetAssociativeCache
 from repro.partition.ranges import AddressRange
@@ -35,7 +39,7 @@ from repro.workloads.registry import get_workload
 
 SCALE = 1.0 / 8192
 
-ENGINES = ("scalar", "setpar")
+ENGINES = ("scalar", "auto")
 
 
 def all_designs(reference, engine):
@@ -80,13 +84,27 @@ class TestEngineValidation:
         with pytest.raises(ConfigError):
             ReferenceDesign(scale=SCALE, engine="simd")
 
-    def test_setpar_request_downgrades_on_sectored_lower_levels(self):
-        """Sectored page caches cannot run setpar; a design-level
-        request must quietly fall back instead of raising."""
-        design = NMMDesign(PCM, N_CONFIGS["N6"], engine="setpar")
-        for cache in design.lower_caches():
-            if cache.config.sector_size != cache.config.block_size:
-                assert cache.engine == "scalar"
+    def test_setpar_is_not_a_setting(self, capsys):
+        """``setpar`` is the resolved label of vectorized LRU levels;
+        no constructor or CLI flag accepts it as an engine."""
+        with pytest.raises(ConfigError):
+            NMMDesign(PCM, N_CONFIGS["N6"], engine="setpar")
+        with pytest.raises(ConfigError):
+            Runner(engine="setpar")
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["--engine", "setpar", "tables"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'setpar'" in capsys.readouterr().err
+
+    def test_auto_resolves_fifo_to_scalar(self):
+        """FIFO and Random levels run the one policy loop under every
+        engine; only LRU levels resolve to setpar."""
+        for policy, resolved in (("fifo", "scalar"), ("random", "scalar"),
+                                 ("lru", "setpar")):
+            cache = SetAssociativeCache(CacheConfig(
+                "T", 64 * 8 * 64, 8, 64, policy=policy, engine="auto",
+            ))
+            assert cache.engine == resolved
 
 
 def spy_counts(monkeypatch):
@@ -111,7 +129,7 @@ class TestHierarchyStatsIdentical:
 
         Each design is priced on its own runner: on a shared one,
         4LCNVM-EH4 would reuse 4LC-EH4's lower chain, and neither
-        engine would simulate its L4. The setpar side prices the NMM,
+        engine would simulate its L4. The auto side prices the NMM,
         4LC and 4LCNVM L4s by counts, so this compares that path with
         the scalar loop; DeepHybrid (two caches) and NDM (a partitioned
         memory) keep the loop under both engines."""
@@ -129,11 +147,11 @@ class TestHierarchyStatsIdentical:
 
         for workload in workloads:
             scalar, scalar_counts = priced_alone("scalar", workload)
-            setpar, setpar_counts = priced_alone("setpar", workload)
-            assert scalar == setpar
+            auto, auto_counts = priced_alone("auto", workload)
+            assert scalar == auto
             assert scalar_counts == [[]] * 6
             # REF, NMM, 4LC, 4LCNVM, DeepHybrid, NDM
-            assert setpar_counts == [[], ["DRAM$"], ["L4"], ["L4"], [], []]
+            assert auto_counts == [[], ["DRAM$"], ["L4"], ["L4"], [], []]
 
     @pytest.mark.parametrize("drain", [False, True])
     def test_upper_replay_on_real_traces(self, workloads, drain):
@@ -146,10 +164,10 @@ class TestHierarchyStatsIdentical:
                             engine=eng).prepare(workload)
                 for eng in ENGINES
             }
-            scalar, setpar = traces["scalar"], traces["setpar"]
-            assert scalar.upper_stats == setpar.upper_stats
-            assert scalar.references == setpar.references
-            for a, b in zip(scalar.post_l3.chunks(), setpar.post_l3.chunks(),
+            scalar, auto = traces["scalar"], traces["auto"]
+            assert scalar.upper_stats == auto.upper_stats
+            assert scalar.references == auto.references
+            for a, b in zip(scalar.post_l3.chunks(), auto.post_l3.chunks(),
                             strict=True):
                 assert np.array_equal(a.addresses, b.addresses)
                 assert np.array_equal(a.is_store, b.is_store)
@@ -178,8 +196,8 @@ class TestEmissionOrderIdentical:
             hierarchy.run(stream, drain=True)
             captured[eng] = list(memory.captured.chunks())
 
-        assert len(captured["scalar"]) == len(captured["setpar"])
-        for a, b in zip(captured["scalar"], captured["setpar"]):
+        assert len(captured["scalar"]) == len(captured["auto"])
+        for a, b in zip(captured["scalar"], captured["auto"]):
             assert np.array_equal(a.addresses, b.addresses)
             assert np.array_equal(a.sizes, b.sizes)
             assert np.array_equal(a.is_store, b.is_store)
@@ -189,18 +207,18 @@ class TestSimPlanIdentical:
     def test_plan_prefix_capture_matches_scalar(self, trace_cache,
                                                 workloads):
         """simulate_designs (shared-prefix SimPlan execution) under
-        setpar equals per-design scalar simulation."""
+        auto equals per-design scalar simulation."""
         workload = workloads[0]
         scalar = make_runner(trace_cache, "scalar")
-        setpar = make_runner(trace_cache, "setpar")
-        designs_sp = all_designs(setpar.reference, "setpar")
-        setpar.simulate_designs(designs_sp, workload)
-        for d_sc, d_sp in zip(
-            all_designs(scalar.reference, "scalar"), designs_sp
+        auto = make_runner(trace_cache, "auto")
+        designs_auto = all_designs(auto.reference, "auto")
+        auto.simulate_designs(designs_auto, workload)
+        for d_sc, d_auto in zip(
+            all_designs(scalar.reference, "scalar"), designs_auto
         ):
             assert (
                 scalar.stats_for(d_sc, workload).as_dict()
-                == setpar.stats_for(d_sp, workload).as_dict()
+                == auto.stats_for(d_auto, workload).as_dict()
             )
 
 
@@ -220,7 +238,7 @@ class PolicyL4(FourLCDesign):
 
 class TestCountsPathScope:
     """Replays the counts-only path must leave to the loop: each is
-    priced without it under setpar and still equals the scalar engine.
+    priced without it under auto and still equals the scalar engine.
     (DeepHybrid and NDM are covered by the family test above.)"""
 
     @staticmethod
@@ -234,9 +252,9 @@ class TestCountsPathScope:
     def assert_loop_equals_scalar(self, monkeypatch, workload, make_design,
                                   **runner_options):
         counted = spy_counts(monkeypatch)
-        setpar = self.priced("setpar", runner_options, workload, make_design)
+        auto = self.priced("auto", runner_options, workload, make_design)
         assert counted == []
-        assert setpar == self.priced(
+        assert auto == self.priced(
             "scalar", runner_options, workload, make_design
         )
 
@@ -261,105 +279,12 @@ class TestCountsPathScope:
         )
 
 
-class TestFIFOSetpar:
-    """FIFO joined the set-parallel engine: same bit-identical promise
-    as LRU, against the independent policy-object implementation."""
-
-    @staticmethod
-    def _make(policy_engine, sets, ways, hashed):
-        from repro.cache.config import CacheConfig
-        from repro.cache.setassoc import SetAssociativeCache
-
-        return SetAssociativeCache(CacheConfig(
-            "T", sets * ways * 64, ways, 64, hashed_sets=hashed,
-            policy="fifo", engine=policy_engine,
-        ))
-
-    def test_auto_resolves_fifo_to_setpar(self):
-        assert self._make("auto", 64, 8, False).engine == "setpar"
-
-    def test_fifo_differential_vs_policy_loop(self, monkeypatch):
-        """Stats, emitted request stream, resident state, and dirty
-        state must match the scalar policy loop exactly — vector
-        rounds forced even on tiny caches."""
-        import repro.cache.setassoc as setassoc_mod
-        from repro.trace.events import AccessBatch
-
-        monkeypatch.setattr(setassoc_mod, "SETPAR_MIN_LANES", 2)
-        rng = np.random.default_rng(7)
-        for trial in range(40):
-            sets = int(rng.choice([4, 16, 64]))
-            ways = int(rng.choice([1, 2, 4, 8]))
-            hashed = bool(rng.integers(0, 2))
-            n = int(rng.integers(64, 4000))
-            span = int(rng.choice([64, 512, 4096]))
-            blocks = rng.zipf(1.2, size=n) % span
-            addrs = blocks.astype(np.uint64) * 64
-            kinds = (rng.random(n) < 0.4).astype(np.uint8)
-
-            scalar = self._make("scalar", sets, ways, hashed)
-            setpar = self._make("setpar", sets, ways, hashed)
-            cut = int(rng.integers(1, n))
-            for lo, hi in ((0, cut), (cut, n)):
-                batch = AccessBatch.from_lists(
-                    addrs[lo:hi], 8, kinds[lo:hi]
-                )
-                out_sc = scalar.process(batch)
-                out_sp = setpar.process(batch)
-                assert np.array_equal(
-                    out_sc.addresses, out_sp.addresses
-                ), f"trial {trial}"
-                assert np.array_equal(out_sc.is_store, out_sp.is_store)
-            assert vars(scalar.stats) == vars(setpar.stats), f"trial {trial}"
-            for si in range(sets):
-                assert scalar._policy.contents(si) == setpar._sets[si]
-            assert np.array_equal(
-                scalar.flush_dirty().addresses,
-                setpar.flush_dirty().addresses,
-            )
-
-    def test_fifo_hierarchy_identical(self):
-        """A two-level FIFO hierarchy agrees across engines — stats and
-        the terminal request stream both."""
-        rng = np.random.default_rng(13)
-        n = 30_000
-        addrs = rng.integers(0, 1 << 13, size=n).astype(np.uint64) * 64
-        kinds = (rng.random(n) < 0.3).astype(np.uint8)
-        stream = AddressStream.from_arrays(addrs, 8, kinds)
-
-        from repro.cache.config import CacheConfig
-        from repro.cache.setassoc import SetAssociativeCache
-
-        captured = {}
-        stats = {}
-        for eng in ENGINES:
-            levels = [
-                SetAssociativeCache(CacheConfig(
-                    "C1", 64 * 1024, 8, 64, policy="fifo", engine=eng,
-                )),
-                SetAssociativeCache(CacheConfig(
-                    "C2", 256 * 1024, 8, 64, hashed_sets=True,
-                    policy="fifo", engine=eng,
-                )),
-            ]
-            memory = CapturingMemory()
-            Hierarchy(levels, memory).run(stream, drain=True)
-            captured[eng] = list(memory.captured.chunks())
-            stats[eng] = [vars(level.stats) for level in levels]
-
-        assert stats["scalar"] == stats["setpar"]
-        assert len(captured["scalar"]) == len(captured["setpar"])
-        for a, b in zip(captured["scalar"], captured["setpar"]):
-            assert np.array_equal(a.addresses, b.addresses)
-            assert np.array_equal(a.is_store, b.is_store)
-
-
 @pytest.mark.resilience
 class TestSweepResumeAcrossEngines:
     def test_parallel_sweep_and_cross_engine_resume(self, trace_cache,
                                                     workloads, tmp_path):
-        """A --workers sweep run with setpar matches scalar, and a
-        journal written by a scalar run resumes cleanly under a setpar
+        """A --workers sweep run with auto matches scalar, and a
+        journal written by a scalar run resumes cleanly under an auto
         runner (engine choice is deliberately not part of the cell
         key — the engines are bit-identical)."""
         designs = lambda runner, eng: [
@@ -375,9 +300,9 @@ class TestSweepResumeAcrossEngines:
         )
         assert all(o.ok for o in sc.outcomes)
 
-        sp_runner = make_runner(trace_cache, "setpar")
-        resumed = SweepExecutor(sp_runner, journal=journal, workers=2).run(
-            designs(sp_runner, "setpar"), workloads
+        auto_runner = make_runner(trace_cache, "auto")
+        resumed = SweepExecutor(auto_runner, journal=journal, workers=2).run(
+            designs(auto_runner, "auto"), workloads
         )
         assert all(o.from_journal for o in resumed.outcomes)
         assert [o.key for o in resumed.outcomes] == [
@@ -385,8 +310,8 @@ class TestSweepResumeAcrossEngines:
         ]
 
         fresh = run_sweep(
-            make_runner(trace_cache, "setpar"),
-            designs(sp_runner, "setpar"), workloads, workers=2,
+            make_runner(trace_cache, "auto"),
+            designs(auto_runner, "auto"), workloads, workers=2,
         )
         sc_fresh = run_sweep(
             make_runner(trace_cache, "scalar"),

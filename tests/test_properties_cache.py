@@ -246,11 +246,12 @@ def test_fifo_engine_matches_fifo_oracle(pattern):
 # Scalar vs set-parallel engine differential
 # ----------------------------------------------------------------------
 #
-# The setpar engine's contract is bit-identical behaviour, not
-# approximate agreement: same LevelStats, same emitted requests in the
-# same order, same resident/dirty end state. These tests drive random
-# mixes of streaming runs and random addresses through both engines and
-# compare everything observable.
+# The setpar engine (what ``engine="auto"`` resolves to on these plain
+# LRU levels) promises bit-identical behaviour, not approximate
+# agreement: same LevelStats, same emitted requests in the same order,
+# same resident/dirty end state. These tests drive random mixes of
+# streaming runs and random addresses through both engines and compare
+# everything observable.
 
 import pytest
 
@@ -275,7 +276,7 @@ def _engine_pair(ways, nsets, block, hashed):
     )
     setpar = SetAssociativeCache(
         CacheConfig("D", cap, ways, block, hashed_sets=hashed,
-                    engine="setpar")
+                    engine="auto")
     )
     return scalar, setpar
 

@@ -240,7 +240,7 @@ class TestUpperRecordKeys:
                        engine="scalar")
         first.prepare(workload)
         forbid_upper_replay(monkeypatch)
-        for engine in ("setpar", "auto", "analytic"):
+        for engine in ("auto", "analytic"):
             trace = Runner(scale=SCALE, seed=4, trace_cache_dir=str(tmp_path),
                            engine=engine).prepare(workload)
             assert trace.upper_cached, engine
