@@ -34,6 +34,8 @@ import logging
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
+import numpy as np
+
 from repro.cache.hierarchy import Hierarchy, replay_chain, run_chain
 from repro.cache.mainmem import MainMemory
 from repro.cache.partition import PartitionedMemory
@@ -50,7 +52,12 @@ from repro.model.evaluate import (
     finalize,
 )
 from repro.partition.oracle import PlacementResult, enumerate_placements
-from repro.partition.profiler import profile_ranges
+from repro.partition.profiler import (
+    TRAFFIC_COLUMNS,
+    region_intervals,
+    region_traffic,
+    select_ranges,
+)
 from repro.partition.ranges import AddressRange
 from repro.tech.params import MemoryTechnology
 from repro.telemetry.core import NullTelemetry, Telemetry, get_active
@@ -97,6 +104,10 @@ class WorkloadTrace:
             measured) segments' capture.
         ref_raw: the reference design's raw evaluation on this trace.
         traced_footprint_bytes: footprint of the traced (scaled) run.
+        region_traffic: the traced run's reference counters per
+            interval between its region edges
+            (:func:`~repro.partition.profiler.region_traffic`), from
+            which the NDM oracle selects its candidate ranges.
         sample_factor: extrapolation multiplier applied to measured
             counters (1.0 for exact runs).
         sample_fidelity: fraction of the trace actually measured (1.0
@@ -120,6 +131,7 @@ class WorkloadTrace:
     post_l3: AddressStream
     ref_raw: RawEvaluation
     traced_footprint_bytes: int
+    region_traffic: np.ndarray
     sample_factor: float = 1.0
     sample_fidelity: float = 1.0
     post_l3_segments: list[tuple[int, bool]] | None = None
@@ -139,6 +151,10 @@ class UpperReplay:
         stats: raw L1/L2/L3 statistics (extrapolated when sampling).
         references: raw program reference count (extrapolated when
             sampling).
+        footprint_bytes: the trace's footprint
+            (:attr:`WorkloadTrace.traced_footprint_bytes`).
+        region_traffic: the trace's per-interval counters
+            (:attr:`WorkloadTrace.region_traffic`).
         factor / fidelity / segments: the sampling extrapolation
             factor, measured fraction and recorded post-L3 segments
             (1.0, 1.0 and ``None`` for exact runs).
@@ -147,6 +163,8 @@ class UpperReplay:
     post_l3: AddressStream
     stats: list[LevelStats]
     references: int
+    footprint_bytes: int
+    region_traffic: np.ndarray
     factor: float = 1.0
     fidelity: float = 1.0
     segments: list[tuple[int, bool]] | None = None
@@ -159,6 +177,8 @@ class UpperReplay:
             "version": _UPPER_RECORD_VERSION,
             "stats": [level.as_dict() for level in self.stats],
             "references": self.references,
+            "footprint_bytes": self.footprint_bytes,
+            "region_traffic": self.region_traffic.tolist(),
             "factor": self.factor if sampled else None,
             "fidelity": self.fidelity if sampled else None,
             "segments": self.segments,
@@ -167,14 +187,20 @@ class UpperReplay:
 
     @classmethod
     def from_json(
-        cls, payload: bytes, post_l3: AddressStream, post_l3_sha256: str
+        cls,
+        payload: bytes,
+        post_l3: AddressStream,
+        post_l3_sha256: str,
+        intervals: int,
     ) -> "UpperReplay":
         """Parse :meth:`to_json` output around an opened ``post_l3``
-        whose store has header digest ``post_l3_sha256``.
+        whose store has header digest ``post_l3_sha256``, for a trace
+        whose region edges bound ``intervals`` intervals.
 
         Raises:
-            TraceIntegrityError: malformed or foreign-version JSON, or a
-                JSON written for a different ``.rts`` store.
+            TraceIntegrityError: malformed or foreign-version JSON, a
+                JSON written for a different ``.rts`` store, or region
+                traffic of another shape than ``(intervals, 4)``.
         """
         from repro.errors import TraceIntegrityError
 
@@ -184,11 +210,28 @@ class UpperReplay:
                 raise ValueError(f"unsupported version {record['version']!r}")
             if record["post_l3_sha256"] != post_l3_sha256:
                 raise ValueError("the .rts store belongs to a different record")
+            rows = record["region_traffic"]
+            if len(rows) != intervals or any(
+                len(row) != len(TRAFFIC_COLUMNS)
+                or any(type(value) is not int or value < 0 for value in row)
+                for row in rows
+            ):
+                raise ValueError(
+                    f"region traffic is not {intervals} rows of "
+                    f"{len(TRAFFIC_COLUMNS)} counters"
+                )
+            footprint = record["footprint_bytes"]
+            if type(footprint) is not int or footprint < 0:
+                raise ValueError(f"footprint {footprint!r} is not a size")
             segments = record["segments"]
             return cls(
                 post_l3=post_l3,
                 stats=[LevelStats(**level) for level in record["stats"]],
                 references=int(record["references"]),
+                footprint_bytes=footprint,
+                region_traffic=np.array(
+                    rows, dtype=np.int64
+                ).reshape(intervals, len(TRAFFIC_COLUMNS)),
                 factor=1.0 if segments is None else float(record["factor"]),
                 fidelity=1.0 if segments is None else float(record["fidelity"]),
                 segments=None if segments is None else [
@@ -201,16 +244,24 @@ class UpperReplay:
             ) from exc
 
 
-def _renamed(levels: list[LevelStats], memory_name: str) -> list[LevelStats]:
-    """Fresh copies of a plain chain's lower stats, the last (memory)
-    level renamed to ``memory_name``."""
+def _renamed(
+    levels: list[LevelStats], memory: MainMemory | PartitionedMemory
+) -> list[LevelStats]:
+    """Fresh copies of a keyed chain's lower stats, the memory level(s)
+    named after ``memory``'s device(s) (a plain chain's key leaves its
+    memory's name out)."""
     copies = [replace(level) for level in levels]
-    copies[-1].name = memory_name
+    devices = (
+        memory.devices if isinstance(memory, PartitionedMemory) else [memory]
+    )
+    for level, device in zip(copies[-len(devices):], devices):
+        level.name = device.name
     return copies
 
 
-#: Format marker of the upper record's JSON half.
-_UPPER_RECORD_VERSION = 1
+#: Format marker of the upper record's JSON half. Version 2 added the
+#: trace's footprint and region traffic.
+_UPPER_RECORD_VERSION = 2
 
 #: Format marker of the lower record. Bump it whenever a change alters
 #: lower-level statistics, so records written before it become misses.
@@ -621,10 +672,10 @@ class Runner:
         with prepare_span:
             result, cached = self.trace_only(workload)
             upper_key = self.upper_key(workload)
-            replay = self._load_upper_record(workload, upper_key)
+            replay = self._load_upper_record(workload, upper_key, result.tracer)
             upper_cached = replay is not None
             if replay is None:
-                replay = self._simulate_upper(key, result.stream, telemetry)
+                replay = self._simulate_upper(key, result, telemetry)
                 if upper_key is not None:
                     self._save_upper_record(workload, upper_key, replay)
             post_l3, segments = replay.post_l3, replay.segments
@@ -644,7 +695,7 @@ class Runner:
             ref_chain = chain_key([], ref_memory)
             recorded = self._recorded(ref_chain, key)
             if recorded is not None:
-                dram_stats = _renamed(recorded, ref_memory.name)
+                dram_stats = _renamed(recorded, ref_memory)
             else:
                 dram_stats = self._replay_lower(
                     post_l3, segments, factor, [], ref_memory
@@ -658,7 +709,7 @@ class Runner:
                 recorded=recorded is not None,
             )
             if records is not None:
-                records.keep(ref_chain, _renamed(dram_stats, ref_memory.name))
+                records.keep(ref_chain, _renamed(dram_stats, ref_memory))
             ref_raw = evaluate_stats(
                 ref_design.name,
                 ref_stats,
@@ -671,7 +722,8 @@ class Runner:
                 references=references,
                 post_l3=post_l3,
                 ref_raw=ref_raw,
-                traced_footprint_bytes=result.stream.stats().footprint_bytes,
+                traced_footprint_bytes=replay.footprint_bytes,
+                region_traffic=replay.region_traffic,
                 sample_factor=factor,
                 sample_fidelity=fidelity,
                 post_l3_segments=segments,
@@ -709,11 +761,15 @@ class Runner:
     def _simulate_upper(
         self,
         key: str,
-        stream: AddressStream,
+        result: TraceResult,
         telemetry: Telemetry | NullTelemetry,
     ) -> UpperReplay:
         """Replay a trace through a fresh L1–L3 pyramid, capturing the
-        post-L3 stream (exactly, or in sampled windows)."""
+        post-L3 stream (exactly, or in sampled windows), and summarize
+        the trace itself for the NDM oracle: its footprint and region
+        traffic, what the upper record keeps so warm runs never scan
+        the trace again."""
+        stream = result.stream
         upper = self.reference.build_caches(self.scale, engine=self.sim_engine)
         capture = CapturingMemory()
         hierarchy = Hierarchy(upper, capture)
@@ -743,7 +799,10 @@ class Runner:
             hierarchy.references
         )
         return UpperReplay(
-            capture.captured, stats, references, factor, fidelity, segments
+            capture.captured, stats, references,
+            stream.stats().footprint_bytes,
+            region_traffic(stream, result.tracer),
+            factor, fidelity, segments,
         )
 
     # ------------------------------------------------------------------
@@ -791,13 +850,15 @@ class Runner:
         return directory / f"{stem}.json", directory / f"{stem}.rts"
 
     def _load_upper_record(
-        self, workload: Workload, upper_key: str | None
+        self, workload: Workload, upper_key: str | None, tracer: Tracer
     ) -> UpperReplay | None:
         """The persisted L1–L3 replay, or None to simulate it.
 
         The JSON half is checked against its sidecar and the ``.rts``
-        half is fully verified; a corrupt, truncated or mismatched pair
-        is discarded (the caller re-simulates and rewrites it).
+        half is fully verified; a corrupt, truncated, foreign-version or
+        mismatched pair — region traffic that does not fit ``tracer``'s
+        regions included — is discarded (the caller re-simulates and
+        rewrites it).
         """
         if upper_key is None:
             return None
@@ -815,7 +876,8 @@ class Runner:
                 raise TraceIntegrityError(f"no {rts_path.name} beside it")
             post_l3 = MappedStream.open(rts_path)
             replay = UpperReplay.from_json(
-                payload, post_l3, store_digest(rts_path)
+                payload, post_l3, store_digest(rts_path),
+                region_intervals(tracer),
             )
             post_l3.verify()
         except TraceError as exc:
@@ -1212,7 +1274,7 @@ class Runner:
         if shared is None:
             shared = recorded = self._recorded(chain, workload.name)
         if shared is not None:
-            lower_stats = _renamed(shared, memory.name)
+            lower_stats = _renamed(shared, memory)
         elif self.engine == "analytic":
             lower_stats = self._analytic_stats_for(design, workload)
         else:
@@ -1261,7 +1323,7 @@ class Runner:
         self._design_stats[key] = stats
         if chain is not None:
             levels = self._chain_stats.setdefault(
-                (chain, key[1]), _renamed(lower_stats, lower_stats[-1].name)
+                (chain, key[1]), [replace(level) for level in lower_stats]
             )
             records = self._lower_records.get(key[1])
             if records is not None:
@@ -1404,13 +1466,14 @@ class Runner:
     ) -> list[PlacementResult]:
         """Run the paper's NDM placement oracle for one workload.
 
-        Profiles the traced run's hot address ranges, then enumerates
-        single-range-to-NVM placements (plus the all-candidates
-        placement), evaluating each with the full model.
+        Selects the traced run's hot address ranges from its region
+        traffic (counted once per trace, and kept in the upper record),
+        then enumerates single-range-to-NVM placements (plus the
+        all-candidates placement), evaluating each with the full model.
         """
         trace = self.prepare(workload)
-        candidates = profile_ranges(
-            trace.result.stream, trace.result.tracer, coverage=coverage
+        candidates = select_ranges(
+            trace.result.tracer, trace.region_traffic, coverage=coverage
         )
 
         def evaluate_placement(ranges: list[AddressRange]) -> Evaluation:

@@ -66,22 +66,39 @@ def config_key(config: CacheConfig) -> tuple:
 
 
 def chain_key(lower: list, memory) -> tuple | None:
-    """Canonical identity of a plain lower chain's simulation behaviour.
+    """Canonical identity of a lower chain's simulation behaviour.
 
-    The tuple of :func:`config_key` over the chain's caches, or ``None``
-    unless every cache is exactly a :class:`SetAssociativeCache` and the
-    memory exactly a :class:`MainMemory`: only such chains are fully
-    described by their configs. Designs with equal chain keys drive
-    identical data movement; their statistics differ only in the
-    memory level's name, since a :class:`MainMemory` counts what
-    arrives whatever its name or technology. ``SimPlan`` regroups and
-    ``Runner.stats_for`` shares exactly the chains with a key.
+    The tuple of :func:`config_key` over the chain's caches — followed,
+    for a :class:`PartitionedMemory` of :class:`MainMemory` devices, by
+    its device names, its routing rules in order and its default
+    device. ``None`` unless every cache is exactly a
+    :class:`SetAssociativeCache` and the memory exactly a
+    :class:`MainMemory` or such a partitioned memory: only those chains
+    are fully described by their configs. Designs with equal chain keys
+    drive identical data movement; their statistics differ at most in
+    a plain memory level's name, since a :class:`MainMemory` counts
+    what arrives whatever its name or technology (so two NDM designs
+    with equal ranges and different NVM technologies share a key).
+    ``SimPlan`` regroups and ``Runner.stats_for`` shares exactly the
+    chains with a key.
     """
-    if type(memory) is not MainMemory or any(
-        type(cache) is not SetAssociativeCache for cache in lower
-    ):
+    if any(type(cache) is not SetAssociativeCache for cache in lower):
         return None
-    return tuple(config_key(cache.config) for cache in lower)
+    caches = tuple(config_key(cache.config) for cache in lower)
+    if type(memory) is MainMemory:
+        return caches
+    if type(memory) is PartitionedMemory and all(
+        type(device) is MainMemory for device in memory.devices
+    ):
+        rules = tuple(
+            (int(rule.start), int(rule.end), int(rule.device_index))
+            for rule in memory.rules
+        )
+        devices = tuple(device.name for device in memory.devices)
+        return caches + (
+            ("partitioned", devices, rules, int(memory.default_device)),
+        )
+    return None
 
 
 class CapturingCache(SetAssociativeCache):
@@ -150,9 +167,9 @@ class SimPlan:
         designs: the designs to simulate together. Designs sharing a
             ``sim_key()`` are simulation-identical and collapse to one
             representative; designs without a :func:`chain_key`
-            (a non-standard cache type or a partitioned memory) cannot
-            be regrouped safely and run *direct* — their own
-            instances, no sharing.
+            (a non-standard cache type or memory device) cannot be
+            regrouped safely and run *direct* — their own instances,
+            no sharing.
 
     Attributes:
         designs: the input designs, in order.

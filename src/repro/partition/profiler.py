@@ -6,6 +6,12 @@ referenced by different basic blocks". The profiler measures each
 region's share of the memory references, keeps the ranges that together
 account for the bulk of them, and merges ranges that are close in the
 address space.
+
+The counting is one pass: every access is binned into the intervals
+between the regions' edges (:func:`region_traffic`), and any range whose
+edges are region edges — a region, or a merge of close regions — sums
+its intervals. So a trace is scanned once, however many selections
+(:func:`select_ranges`) are made from its counts.
 """
 
 from __future__ import annotations
@@ -50,41 +56,145 @@ class RangeProfile:
         return self.stores / self.references if self.references else 0.0
 
 
+#: Per-interval counter columns of :func:`region_traffic`, in order.
+TRAFFIC_COLUMNS: tuple[str, ...] = (
+    "loads", "stores", "load_bytes", "store_bytes",
+)
+
+
+def _interval_edges(ranges: list[AddressRange]) -> np.ndarray:
+    """The sorted, unique start and end addresses of ``ranges``.
+
+    Each gap between two neighbouring edges is one *interval*; every
+    range is exactly the union of the intervals between its own edges.
+    """
+    bounds = [r.start for r in ranges] + [r.end for r in ranges]
+    return np.unique(np.array(bounds, dtype=np.uint64))
+
+
+def _count_intervals(stream: AddressStream, edges: np.ndarray) -> np.ndarray:
+    """Reference counters of every interval between ``edges``.
+
+    One pass over the stream: a ``searchsorted`` of each chunk's
+    addresses over the edges, then integer bin counts of loads, stores
+    and their byte volumes (int64 throughout, so the sums are exact).
+
+    Returns:
+        An int64 array of shape ``(len(edges) - 1, 4)`` whose columns
+        are :data:`TRAFFIC_COLUMNS`; row ``i`` counts the accesses in
+        ``[edges[i], edges[i + 1])``.
+    """
+    if len(edges) < 2:
+        return np.zeros((0, len(TRAFFIC_COLUMNS)), dtype=np.int64)
+    # Bin k holds the addresses with exactly k edges at or below them:
+    # bin 0 lies below every edge, bin len(edges) at or above the last.
+    n_bins = len(edges) + 1
+    counts = np.zeros(2 * n_bins, dtype=np.int64)
+    volumes = np.zeros(2 * n_bins, dtype=np.int64)
+    for chunk in stream.chunks():
+        bins = 2 * np.searchsorted(edges, chunk.addresses, side="right")
+        bins += chunk.is_store != 0
+        counts += np.bincount(bins, minlength=2 * n_bins)
+        np.add.at(volumes, bins, chunk.sizes.astype(np.int64))
+    # Columns per bin: (loads, stores) then (load bytes, store bytes).
+    traffic = np.hstack([counts.reshape(n_bins, 2), volumes.reshape(n_bins, 2)])
+    return traffic[1:-1]
+
+
+def _range_profiles(
+    ranges: list[AddressRange], edges: np.ndarray, traffic: np.ndarray
+) -> list[RangeProfile]:
+    """Each range's counters: the sum of its intervals' rows of
+    ``traffic`` (see :func:`_count_intervals`). Every range's start and
+    end must be among ``edges``."""
+    totals = np.zeros((len(traffic) + 1, len(TRAFFIC_COLUMNS)), dtype=np.int64)
+    np.cumsum(traffic, axis=0, out=totals[1:])
+    lo = np.searchsorted(edges, np.array([r.start for r in ranges], dtype=np.uint64))
+    hi = np.searchsorted(edges, np.array([r.end for r in ranges], dtype=np.uint64))
+    sums = (totals[hi] - totals[lo]).tolist()
+    return [
+        RangeProfile(r, *(int(value) for value in row))
+        for r, row in zip(ranges, sums)
+    ]
+
+
 def _count_range_traffic(
     stream: AddressStream, ranges: list[AddressRange]
 ) -> list[RangeProfile]:
-    """One pass over the stream accumulating per-range counters."""
-    n = len(ranges)
-    loads = np.zeros(n, dtype=np.int64)
-    stores = np.zeros(n, dtype=np.int64)
-    load_bytes = np.zeros(n, dtype=np.int64)
-    store_bytes = np.zeros(n, dtype=np.int64)
-    starts = np.array([r.start for r in ranges], dtype=np.uint64)
-    ends = np.array([r.end for r in ranges], dtype=np.uint64)
-    for chunk in stream.chunks():
-        addr = chunk.addresses
-        is_store = chunk.is_store != 0
-        sizes = chunk.sizes.astype(np.int64)
-        for i in range(n):
-            mask = (addr >= starts[i]) & (addr < ends[i])
-            if not mask.any():
-                continue
-            sm = mask & is_store
-            lm = mask & ~is_store
-            loads[i] += int(np.count_nonzero(lm))
-            stores[i] += int(np.count_nonzero(sm))
-            load_bytes[i] += int(sizes[lm].sum())
-            store_bytes[i] += int(sizes[sm].sum())
+    """One pass over the stream accumulating per-range counters.
+
+    Exact for unsorted, adjacent and overlapping ranges alike: each
+    range sums the counters of the intervals it spans.
+    """
+    edges = _interval_edges(ranges)
+    return _range_profiles(ranges, edges, _count_intervals(stream, edges))
+
+
+def _region_ranges(tracer: Tracer) -> list[AddressRange]:
     return [
-        RangeProfile(
-            range=ranges[i],
-            loads=int(loads[i]),
-            stores=int(stores[i]),
-            load_bytes=int(load_bytes[i]),
-            store_bytes=int(store_bytes[i]),
-        )
-        for i in range(n)
+        AddressRange(region.base, region.end, region.name)
+        for region in tracer.regions
     ]
+
+
+def region_traffic(stream: AddressStream, tracer: Tracer) -> np.ndarray:
+    """:func:`_count_intervals` over the edges of the tracer's regions.
+
+    Independent of every :func:`profile_ranges` setting, so a trace's
+    candidate ranges can be selected from it any number of times
+    without another pass (see :func:`select_ranges`).
+    """
+    return _count_intervals(stream, _interval_edges(_region_ranges(tracer)))
+
+
+def region_intervals(tracer: Tracer) -> int:
+    """How many rows :func:`region_traffic` has for ``tracer``."""
+    return max(0, len(_interval_edges(_region_ranges(tracer))) - 1)
+
+
+def select_ranges(
+    tracer: Tracer,
+    traffic: np.ndarray,
+    *,
+    coverage: float = 0.95,
+    merge_gap: int = REGION_GUARD_GAP - 1,
+    max_ranges: int = 8,
+) -> list[RangeProfile]:
+    """:func:`profile_ranges` from the trace's :func:`region_traffic`.
+
+    Both of its passes — over the regions, then over the merged ranges
+    — read ``traffic``: a merged range's edges are region edges.
+    """
+    if not 0 < coverage <= 1:
+        raise ConfigError("coverage must be in (0, 1]")
+    if max_ranges < 1:
+        raise ConfigError("max_ranges must be at least 1")
+    if not tracer.regions:
+        return []
+    region_ranges = _region_ranges(tracer)
+    edges = _interval_edges(region_ranges)
+    profiles = _range_profiles(region_ranges, edges, traffic)
+    total = sum(p.references for p in profiles)
+    if total == 0:
+        return []
+    # Keep the hottest regions until the coverage target is met.
+    profiles.sort(key=lambda p: p.references, reverse=True)
+    kept: list[RangeProfile] = []
+    covered = 0
+    for profile in profiles:
+        if covered >= coverage * total and kept:
+            break
+        if profile.references == 0:
+            break
+        kept.append(profile)
+        covered += profile.references
+    # Merge close ranges, then re-profile the merged ranges so their
+    # traffic counters include everything the merged span covers.
+    merged = merge_close_ranges([p.range for p in kept], merge_gap)
+    merged = merged[:max_ranges]
+    result = _range_profiles(merged, edges, traffic)
+    result.sort(key=lambda p: p.references, reverse=True)
+    return result
 
 
 def profile_ranges(
@@ -114,35 +224,7 @@ def profile_ranges(
     Returns:
         Profiles of the merged candidate ranges, hottest first.
     """
-    if not 0 < coverage <= 1:
-        raise ConfigError("coverage must be in (0, 1]")
-    if max_ranges < 1:
-        raise ConfigError("max_ranges must be at least 1")
-    if not tracer.regions:
-        return []
-    region_ranges = [
-        AddressRange(region.base, region.end, region.name)
-        for region in tracer.regions
-    ]
-    profiles = _count_range_traffic(stream, region_ranges)
-    total = sum(p.references for p in profiles)
-    if total == 0:
-        return []
-    # Keep the hottest regions until the coverage target is met.
-    profiles.sort(key=lambda p: p.references, reverse=True)
-    kept: list[RangeProfile] = []
-    covered = 0
-    for profile in profiles:
-        if covered >= coverage * total and kept:
-            break
-        if profile.references == 0:
-            break
-        kept.append(profile)
-        covered += profile.references
-    # Merge close ranges, then re-profile the merged ranges so their
-    # traffic counters include everything the merged span covers.
-    merged = merge_close_ranges([p.range for p in kept], merge_gap)
-    merged = merged[:max_ranges]
-    result = _count_range_traffic(stream, merged)
-    result.sort(key=lambda p: p.references, reverse=True)
-    return result
+    return select_ranges(
+        tracer, region_traffic(stream, tracer), coverage=coverage,
+        merge_gap=merge_gap, max_ranges=max_ranges,
+    )

@@ -22,6 +22,7 @@ the classic pyramid emerges (32 KB L1 ≈ 1 ns, 256 KB L2 ≈ 2–3 ns,
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -57,6 +58,7 @@ class CactiEstimate:
     leakage_w: float
 
 
+@functools.lru_cache(maxsize=None)
 def estimate_sram_cache(
     capacity_bytes: int,
     associativity: int,
@@ -71,7 +73,9 @@ def estimate_sram_cache(
             energy formulation already normalizes transfer width).
 
     Returns:
-        A :class:`CactiEstimate`.
+        A :class:`CactiEstimate`. Memoized: the estimate is a pure
+        function of the arguments, and design bindings ask for the
+        same few SRAM arrays thousands of times per run.
     """
     if capacity_bytes <= 0:
         raise ConfigError("capacity must be positive")

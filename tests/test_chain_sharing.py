@@ -149,8 +149,8 @@ def test_unshareable_chains_are_priced_alone(trace_cache, monkeypatch, setup,
     common = {"scale": SCALE, "reference": runner.reference,
               "engine": runner.sim_engine}
     designs = [
-        # Partitioned memories never share, not even with REF or each
-        # other's empty cache chain.
+        # Partitioned memories with different rules share nothing, not
+        # even with REF's or each other's empty cache chain.
         NDMDesign(PCM, [AddressRange(0x1000_0000, 0x2000_0000, "hot")],
                   **common),
         NDMDesign(PCM, [AddressRange(0x2000_0000, 0x3000_0000, "warm")],

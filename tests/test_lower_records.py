@@ -2,7 +2,8 @@
 
 With a trace cache, a runner that calls ``save_lower_records`` writes
 one ``<trace>.lower-<upper key>-<engine>.json`` per workload, mapping a
-digest of each plain chain's ``chain_key`` to its lower statistics.
+digest of each keyed chain's ``chain_key`` (plain chains and NDM's
+partitioned memories) to its lower statistics.
 Later runners of the same exact engine price those chains — and the REF
 DRAM — from the record instead of replaying them. These tests pin that
 warm results equal cold ones field for field, that recorded chains are
@@ -17,6 +18,8 @@ import logging
 
 import pytest
 
+from repro.cache.mainmem import MainMemory
+from repro.cache.partition import PartitionedMemory, RoutingRule
 from repro.cache.stats import HierarchyStats
 from repro.designs.configs import EH_CONFIGS, N_CONFIGS
 from repro.designs.deephybrid import DeepHybridDesign
@@ -34,6 +37,7 @@ from repro.experiments.runner import (
     _read_lower_record,
 )
 from repro.experiments.simplan import SimPlan, chain_key
+from repro.partition.profiler import select_ranges
 from repro.partition.ranges import AddressRange
 from repro.resilience import (
     NO_RETRY,
@@ -43,7 +47,7 @@ from repro.resilience import (
     RetryPolicy,
     SweepExecutor,
 )
-from repro.tech.params import EDRAM, PCM
+from repro.tech.params import EDRAM, FERAM, PCM, STTRAM
 from repro.telemetry.core import Telemetry
 from repro.telemetry.observatory import aggregate_run
 from repro.trace.io import _write_artifact, checksum_path, verify_artifact
@@ -75,11 +79,27 @@ def recordable(runner):
     ]
 
 
-def ndm(runner):
+class OddDevice(MainMemory):
+    """A memory device type the chain key does not vouch for."""
+
+
+class OddNDM(NDMDesign):
+    """NDM whose NVM partition is an :class:`OddDevice`."""
+
+    def sim_key(self):
+        return f"odd-{super().sim_key()}"
+
+    def memory(self):
+        memory = super().memory()
+        memory.devices[1] = OddDevice(memory.devices[1].name)
+        return memory
+
+
+def keyless(runner):
     """A design without a ``chain_key``: it always simulates."""
-    return NDMDesign(PCM, [AddressRange(0x1000_0000, 0x2000_0000, "hot")],
-                     scale=SCALE, reference=runner.reference,
-                     engine=runner.sim_engine)
+    return OddNDM(PCM, [AddressRange(0x1000_0000, 0x2000_0000, "hot")],
+                  scale=SCALE, reference=runner.reference,
+                  engine=runner.sim_engine)
 
 
 def make_runner(cache, **options):
@@ -148,11 +168,11 @@ class TestWarmEqualsCold:
     def test_chains_without_a_key_still_simulate(self, tmp_path, monkeypatch):
         workload = get_workload("CG")
         cold = make_runner(tmp_path)
-        expected = priced(cold, [ndm(cold)], workload)
+        expected = priced(cold, [keyless(cold)], workload)
         cold.save_lower_records()
         calls = spy_pricing(monkeypatch)
         warm = make_runner(tmp_path)
-        assert priced(warm, [ndm(warm)], workload) == expected
+        assert priced(warm, [keyless(warm)], workload) == expected
         assert calls == [("replay", "PartitionedMemory")]
 
     def test_record_hits_are_counted_and_add_no_windows(self, tmp_path):
@@ -385,6 +405,103 @@ class TestConservation:
         assert ("REF", "CG") not in runner._design_stats
         assert not lower_files(tmp_path)
         runner.prepare(workload)  # re-simulates the REF DRAM
+
+
+def ndm_designs(runner, tech=PCM):
+    """NDM designs placing each of CG's candidate ranges in NVM, then
+    all of them, as the oracle does."""
+    trace = runner.prepare(get_workload("CG"))
+    candidates = [
+        p.range
+        for p in select_ranges(trace.result.tracer, trace.region_traffic)
+    ]
+    placements = [[r] for r in candidates] + [candidates]
+    return [
+        NDMDesign(tech, ranges, scale=SCALE, reference=runner.reference,
+                  engine=runner.sim_engine)
+        for ranges in placements
+    ]
+
+
+def partitioned(rules, default=0, names=("DRAMpart", "NVMpart")):
+    return PartitionedMemory(
+        [MainMemory(name) for name in names],
+        [RoutingRule(*rule) for rule in rules],
+        default_device=default,
+    )
+
+
+class TestPartitionedChains:
+    """NDM's partitioned memories have a content chain key — device
+    names, routing rules in order, default device — so NDM chains are
+    shared and recorded like plain ones."""
+
+    def test_nvm_technology_is_not_in_the_key(self):
+        ranges = [AddressRange(0x1000, 0x2000, "hot"),
+                  AddressRange(0x8000, 0x9000, "warm")]
+        keys = {
+            chain_key([], NDMDesign(tech, ranges, scale=SCALE).memory())
+            for tech in (PCM, STTRAM, FERAM)
+        }
+        assert len(keys) == 1
+        assert keys != {chain_key([], MainMemory("DRAMpart"))}
+
+    def test_every_rule_field_order_and_default_enter_the_key(self):
+        rules = [(0x1000, 0x2000, 1), (0x1800, 0x3000, 0)]
+        base = chain_key([], partitioned(rules))
+        variants = [
+            partitioned([(0x1001, 0x2000, 1), rules[1]]),
+            partitioned([(0x1000, 0x2001, 1), rules[1]]),
+            partitioned([(0x1000, 0x2000, 0), rules[1]]),
+            partitioned(rules[::-1]),  # first match wins: order matters
+            partitioned(rules[:1]),
+            partitioned(rules, default=1),
+            partitioned(rules, names=("DRAMpart", "NVM")),
+        ]
+        keys = [chain_key([], memory) for memory in variants]
+        assert base == chain_key([], partitioned(rules))
+        assert base not in keys
+        assert len(set(keys)) == len(keys)
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_warm_runner_prices_every_ndm_design_from_the_record(
+        self, tmp_path, monkeypatch, mode
+    ):
+        workload = get_workload("CG")
+        cold = make_runner(tmp_path / "cache", **MODES[mode])
+        expected = priced(cold, ndm_designs(cold), workload)
+        cold.save_lower_records()
+
+        calls = spy_pricing(monkeypatch)
+        telemetry = Telemetry(tmp_path / "telemetry")
+        warm = make_runner(tmp_path / "cache", telemetry=telemetry,
+                           **MODES[mode])
+        designs = ndm_designs(warm) + ndm_designs(warm, STTRAM)
+        assert priced(warm, designs, workload) == expected * 2
+        hits = telemetry.counter(
+            "repro_lower_record_hits_total", workload="CG"
+        ).value
+        telemetry.close()
+        assert calls == []
+        # The REF DRAM, then each placement once: the STTRAM designs
+        # share the PCM ones' sim keys.
+        assert hits == 1 + len(expected)
+
+    def test_violating_ndm_record_discards_the_whole_record(self, tmp_path):
+        workload = get_workload("CG")
+        cold = make_runner(tmp_path)
+        hot = ndm_designs(cold)[0]
+        expected = priced(cold, [hot, recordable(cold)[1]], workload)
+        cold.save_lower_records()
+        record = TestConservation()._lose_a_load(tmp_path, hot)
+
+        runner = make_runner(tmp_path)
+        with pytest.raises(SimulationError, match="conservation violated"):
+            runner.stats_for(ndm_designs(runner)[0], workload)
+        assert not record.exists()
+        assert priced(
+            runner, [ndm_designs(runner)[0], recordable(runner)[1]], workload
+        ) == expected
 
 
 #: The pool sweeps' grid: REF, one NMM and one 4LC design (three

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from repro.cache.config import CacheConfig
@@ -15,10 +16,15 @@ from repro.designs.fourlcnvm import FourLCNVMDesign
 from repro.designs.ndm import NDMDesign
 from repro.designs.nmm import NMMDesign
 from repro.designs.reference import ReferenceDesign
+from repro.experiments.figures import figure7, figure8
 from repro.experiments.runner import Runner
+from repro.partition.profiler import region_traffic
 from repro.partition.ranges import AddressRange
-from repro.tech.params import EDRAM, PCM
+from repro.tech.params import EDRAM, FERAM, PCM, STTRAM
 from repro.telemetry.core import Telemetry
+from repro.trace.io import _write_artifact
+from repro.trace.store import MappedStream
+from repro.trace.stream import AddressStream
 from repro.units import MiB
 from repro.workloads.registry import get_workload
 
@@ -280,6 +286,35 @@ class TestUpperRecordSelfHeal:
     def _corrupt_missing_rts(self, tmp_path):
         upper_files(tmp_path, "rts")[0].unlink()
 
+    def _rewrite_json(self, tmp_path, edit):
+        """Rewrite the record's JSON through ``edit``, with a matching
+        sidecar (well-formed on disk, wrong in content)."""
+        path = upper_files(tmp_path)[0]
+        record = json.loads(path.read_bytes())
+        edit(record)
+        _write_artifact(path, json.dumps(record).encode())
+
+    def _corrupt_version_1(self, tmp_path):
+        """A record as version 1 wrote it: no footprint, no traffic."""
+        def edit(record):
+            record["version"] = 1
+            del record["footprint_bytes"], record["region_traffic"]
+
+        self._rewrite_json(tmp_path, edit)
+
+    def _corrupt_short_traffic(self, tmp_path):
+        """Region traffic one interval short of the trace's regions."""
+        self._rewrite_json(
+            tmp_path, lambda record: record["region_traffic"].pop()
+        )
+
+    def _corrupt_negative_traffic(self, tmp_path):
+        """A counter no pass over a trace can produce."""
+        def edit(record):
+            record["region_traffic"][0][0] = -1
+
+        self._rewrite_json(tmp_path, edit)
+
     def _corrupt_foreign_rts(self, tmp_path):
         """Swap in the ``.rts`` of a drained record: a valid store, but
         not the one this JSON was written with."""
@@ -293,7 +328,8 @@ class TestUpperRecordSelfHeal:
 
     @pytest.mark.parametrize(
         "corruption",
-        ["flipped_chunk", "truncated_json", "missing_rts", "foreign_rts"],
+        ["flipped_chunk", "truncated_json", "missing_rts", "foreign_rts",
+         "version_1", "short_traffic", "negative_traffic"],
     )
     def test_corrupt_record_is_rebuilt_with_identical_results(
         self, tmp_path, corruption
@@ -309,6 +345,83 @@ class TestUpperRecordSelfHeal:
         again = Runner(scale=SCALE, seed=4, trace_cache_dir=str(tmp_path))
         assert again.prepare(workload).upper_cached
         assert results(again, workload) == expected
+
+
+class TestUpperRecordTraceSummary:
+    """The upper record keeps the trace's footprint and region traffic,
+    so a warm run never scans the trace for the NDM oracle."""
+
+    def test_footprint_and_region_traffic_round_trip(self, tmp_path):
+        workload = get_workload("CG")
+        cold = Runner(scale=SCALE, seed=4, trace_cache_dir=str(tmp_path))
+        built = cold.prepare(workload)
+        stream, tracer = built.result.stream, built.result.tracer
+        assert built.traced_footprint_bytes == stream.stats().footprint_bytes
+        assert np.array_equal(built.region_traffic, region_traffic(stream, tracer))
+        record = json.loads(upper_files(tmp_path)[0].read_bytes())
+        assert record["version"] == 2
+        assert record["footprint_bytes"] == built.traced_footprint_bytes
+        assert record["region_traffic"] == built.region_traffic.tolist()
+
+        warm = Runner(scale=SCALE, seed=4, trace_cache_dir=str(tmp_path)).prepare(
+            workload
+        )
+        assert warm.upper_cached
+        assert warm.traced_footprint_bytes == built.traced_footprint_bytes
+        assert warm.region_traffic.dtype == np.int64
+        assert np.array_equal(warm.region_traffic, built.region_traffic)
+
+    def test_without_a_trace_cache_prepare_summarizes_the_trace(self):
+        trace = Runner(scale=SCALE, seed=4).prepare(get_workload("CG"))
+        stream, tracer = trace.result.stream, trace.result.tracer
+        assert trace.traced_footprint_bytes == stream.stats().footprint_bytes
+        assert np.array_equal(trace.region_traffic, region_traffic(stream, tracer))
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_warm_oracle_never_scans_the_trace(
+        self, tmp_path, monkeypatch, mode
+    ):
+        workload = get_workload("CG")
+        cold = Runner(scale=SCALE, seed=4, trace_cache_dir=str(tmp_path),
+                      **MODES[mode])
+        expected = [cold.ndm_oracle(workload, tech) for tech in (PCM, STTRAM)]
+        cold.save_lower_records()
+
+        scans = []
+        for cls in (AddressStream, MappedStream):
+            for name in ("stats", "chunks"):
+                real = cls.__dict__.get(name)
+                if real is None:
+                    continue
+
+                def counted(self, *args, _real=real, _name=name, **kwargs):
+                    scans.append(_name)
+                    return _real(self, *args, **kwargs)
+
+                monkeypatch.setattr(cls, name, counted)
+        warm = Runner(scale=SCALE, seed=4, trace_cache_dir=str(tmp_path),
+                      **MODES[mode])
+        assert warm.prepare(workload).upper_cached
+        assert [warm.ndm_oracle(workload, tech) for tech in (PCM, STTRAM)] == (
+            expected
+        )
+        assert scans == []
+
+    def test_ndm_figures_equal_cold_and_warm(self, tmp_path):
+        workloads = [get_workload("CG"), get_workload("Hashing")]
+        techs = [PCM, STTRAM, FERAM]
+
+        def figures():
+            runner = Runner(scale=SCALE, seed=4, trace_cache_dir=str(tmp_path))
+            out = [
+                dataclasses.asdict(figure(runner, workloads, techs))
+                for figure in (figure7, figure8)
+            ]
+            runner.save_lower_records()
+            return out
+
+        cold = figures()
+        assert figures() == cold
 
 
 class TestUpperRecordTelemetry:
