@@ -159,7 +159,7 @@ def measure_sequential(runner: Runner, reps: int) -> dict:
     trace = runner.prepare(workload)
     best = float("inf")
     for _ in range(reps):
-        caches = design.lower_caches()
+        caches = design.lower_caches(runner.sim_engine)
         memory = design.memory()
         start = time.perf_counter()
         for chunk in trace.post_l3.chunks():
@@ -185,7 +185,7 @@ def measure_prefix_sharing(runner: Runner, reps: int) -> dict:
     for _ in range(reps):
         start = time.perf_counter()
         for design in designs:
-            caches = design.lower_caches()
+            caches = design.lower_caches(runner.sim_engine)
             memory = design.memory()
             for chunk in trace.post_l3.chunks():
                 run_chain(chunk, caches, memory)
@@ -193,12 +193,12 @@ def measure_prefix_sharing(runner: Runner, reps: int) -> dict:
 
     shared = float("inf")
     for _ in range(reps):
-        plan = SimPlan(designs)
+        plan = SimPlan(designs, runner.sim_engine)
         start = time.perf_counter()
         plan.execute(trace.post_l3)
         shared = min(shared, time.perf_counter() - start)
 
-    plan = SimPlan(designs)
+    plan = SimPlan(designs, runner.sim_engine)
     return {
         "workload": SEQUENTIAL_WORKLOAD,
         "designs": [d.name for d in designs],
@@ -251,15 +251,13 @@ def measure_engines(trials: int = ENGINE_TRIALS) -> dict:
     Statistics equality across engines is asserted as a sanity check
     (the real bit-exactness proof lives in the test suite).
     """
-    from dataclasses import replace
-
     rows = []
     for label, config, batch in engine_workloads():
         best = {"scalar": float("inf"), "setpar": float("inf")}
         stats = {}
         for _ in range(trials):
             for eng, engine in (("scalar", "scalar"), ("setpar", "auto")):
-                cache = SetAssociativeCache(replace(config, engine=engine))
+                cache = SetAssociativeCache(config, engine)
                 start = time.perf_counter()
                 cache.process(batch)
                 best[eng] = min(best[eng], time.perf_counter() - start)
@@ -335,7 +333,7 @@ def measure_analytic(scale: float, reps: int) -> dict:
         for _ in range(reps):
             start = time.perf_counter()
             for design in designs:
-                caches = design.lower_caches()
+                caches = design.lower_caches(exact_runner.sim_engine)
                 memory = design.memory()
                 for chunk in trace.post_l3.chunks():
                     run_chain(chunk, caches, memory)
@@ -360,7 +358,7 @@ def measure_analytic(scale: float, reps: int) -> dict:
         # contract — a mismatch here means the engines drifted apart
         # and the timing comparison is meaningless.
         exact_stats = exact_runner.stats_for(designs[-1], workload)
-        first = len(exact_stats.levels) - len(designs[-1].lower_caches()) - 1
+        first = len(exact_stats.levels) - len(designs[-1].lower_caches("auto")) - 1
         if (
             last_stats.levels[first].loads != exact_stats.levels[first].loads
             or last_stats.levels[first].stores

@@ -135,7 +135,7 @@ def measure_overhead(stream, reference: ReferenceSystem, scale: float,
     from repro.cache.mainmem import MainMemory
 
     def timed(fn) -> float:
-        caches = reference.build_caches(scale)
+        caches = reference.build_caches(scale, "auto")
         memory = MainMemory("MEM")
         start = time.perf_counter()
         fn(caches, memory)

@@ -23,7 +23,7 @@ def test_endurance_startgap_leveling(benchmark, runner, workloads):
                            reference=runner.reference)
         for workload in workloads:
             trace = runner.prepare(workload)
-            dram_cache = design.lower_caches()[0]
+            dram_cache = design.lower_caches(runner.sim_engine)[0]
             lines = max(1024, trace.traced_footprint_bytes // 64)
             base = trace.result.stream.stats().min_address
             plain = WriteTracker(lines, base_address=base)

@@ -35,7 +35,7 @@ def main() -> None:
 
     # Rebuild the design's lower hierarchy, capturing NVM-bound requests.
     trace = runner.prepare(workload)
-    dram_cache = design.lower_caches()[0]
+    dram_cache = design.lower_caches(runner.sim_engine)[0]
     device_lines = max(
         1024, trace.traced_footprint_bytes // 64
     )

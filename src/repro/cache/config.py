@@ -32,12 +32,6 @@ class CacheConfig:
             behaviour faithful when capacity scaling collapses the set
             count.
         policy: replacement policy name ("lru", "fifo", "random").
-        engine: simulation engine for this level. ``"auto"`` (the
-            default) picks the set-parallel vectorized engine for
-            non-sectored LRU levels and the scalar loop otherwise;
-            ``"scalar"`` forces the reference Python loop. Engines are
-            bit-identical — the knob only affects speed, never
-            statistics or emitted requests.
     """
 
     name: str
@@ -47,7 +41,6 @@ class CacheConfig:
     sector_size: int | None = None
     hashed_sets: bool = False
     policy: str = "lru"
-    engine: str = "auto"
 
     def __post_init__(self) -> None:
         if self.capacity <= 0:
@@ -80,11 +73,6 @@ class CacheConfig:
             )
         if self.policy not in ("lru", "fifo", "random"):
             raise ConfigError(f"{self.name}: unknown replacement policy {self.policy!r}")
-        if self.engine not in ("auto", "scalar"):
-            raise ConfigError(
-                f"{self.name}: unknown engine {self.engine!r} "
-                "(expected 'auto' or 'scalar')"
-            )
 
     @property
     def num_blocks(self) -> int:

@@ -116,7 +116,7 @@ def _counts_only(caches: list, memory) -> bool:
     return (
         type(cache) is SetAssociativeCache
         and cache.config.policy == "lru"
-        and cache.config.engine != "scalar"
+        and not cache.scalar_only
         and cache.resident_blocks() == 0
     )
 

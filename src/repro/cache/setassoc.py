@@ -20,7 +20,7 @@ Design notes (performance):
   policy share (an unsectored level runs it with the sector equal to
   the block).
 - The serial dependence exists only *within* a set, which the
-  set-parallel engine (``"setpar"``, picked by ``engine="auto"`` for
+  set-parallel engine (``"setpar"``, picked by the ``auto`` engine for
   non-sectored LRU levels) exploits: runs are stable-sorted by set
   index and simulated in *rounds* — round ``r`` takes the ``r``-th
   run of every active set and advances all of them at once against a
@@ -87,7 +87,7 @@ import numpy as np
 from repro.cache.config import CacheConfig, supports_setpar
 from repro.cache.replacement import make_policy
 from repro.cache.stats import LevelStats
-from repro.errors import SimulationError
+from repro.errors import ConfigError, SimulationError
 from repro.telemetry.core import get_active
 from repro.trace.events import ADDR_DTYPE, KIND_DTYPE, SIZE_DTYPE, AccessBatch
 from repro.trace.reuse import lru_hits
@@ -119,10 +119,28 @@ _MAX_PACKABLE = np.uint64(0x7FFFFFFFFFFFFFFE)
 
 
 class SetAssociativeCache:
-    """One write-back, write-allocate set-associative cache level."""
+    """One write-back, write-allocate set-associative cache level.
 
-    def __init__(self, config: CacheConfig) -> None:
+    Args:
+        config: the level's geometry and policy.
+        engine: how to simulate it. ``"auto"`` (the default) picks the
+            set-parallel vectorized engine for non-sectored LRU levels
+            and lets a lone cold LRU level above a counting memory be
+            priced by :meth:`count_lru`; ``"scalar"`` forces the
+            reference Python loop. Engines are bit-identical — the
+            choice only affects speed, never statistics or emitted
+            requests.
+    """
+
+    def __init__(self, config: CacheConfig, engine: str = "auto") -> None:
+        if engine not in ("auto", "scalar"):
+            raise ConfigError(
+                f"{config.name}: unknown engine {engine!r} "
+                "(expected 'auto' or 'scalar')"
+            )
         self.config = config
+        #: Whether the ``scalar`` engine forces the reference loop.
+        self.scalar_only = engine == "scalar"
         self.stats = LevelStats(name=config.name)
         self._block_bits = log2_int(config.block_size)
         self._set_mask = config.num_sets - 1
@@ -146,7 +164,7 @@ class SetAssociativeCache:
         # the scalar loop per batch when set-parallelism cannot pay off.
         self._engine = (
             "setpar"
-            if config.engine == "auto" and supports_setpar(config)
+            if engine == "auto" and supports_setpar(config)
             else "scalar"
         )
         # LRU keeps inline per-set lists (MRU first); FIFO and Random go

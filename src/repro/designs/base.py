@@ -12,7 +12,7 @@ the whole configuration space.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.cache.config import CacheConfig
 from repro.cache.hierarchy import Hierarchy
@@ -89,19 +89,17 @@ class ReferenceSystem:
         return [l1c, l2c, l3c]
 
     def build_caches(
-        self, scale: float, engine: str = "auto"
+        self, scale: float, engine: str
     ) -> list[SetAssociativeCache]:
         """Fresh (cold) scaled SRAM cache instances.
 
         Args:
             scale: capacity scale (see :meth:`scaled_configs`).
-            engine: simulation engine applied to every level
-                (``"auto"`` or ``"scalar"``; both are bit-identical, so
-                this never changes results — only speed).
+            engine: the run's simulation engine (see
+                :class:`~repro.cache.setassoc.SetAssociativeCache`).
         """
         return [
-            SetAssociativeCache(replace(c, engine=engine))
-            for c in self.scaled_configs(scale)
+            SetAssociativeCache(c, engine) for c in self.scaled_configs(scale)
         ]
 
     def bindings(self) -> dict[str, LevelBinding]:
@@ -142,11 +140,9 @@ class MemoryDesign(ABC):
         scale: capacity scale applied to every simulated cache (see
             DESIGN.md §4); bindings always use full-size capacities.
         reference: the SRAM pyramid (defaults to Sandy Bridge).
-        engine: cache simulation engine (``"auto"`` or ``"scalar"``),
-            applied to every level the design builds. Engines are
-            bit-identical — this knob only affects simulation speed,
-            never statistics — so it is deliberately *not* part of
-            :meth:`sim_key`.
+
+    A design describes *what* is simulated, never *how*: whoever
+    builds its caches passes the run's simulation engine in.
     """
 
     def __init__(
@@ -154,24 +150,19 @@ class MemoryDesign(ABC):
         name: str,
         scale: float = 1.0,
         reference: ReferenceSystem | None = None,
-        engine: str = "auto",
     ) -> None:
         if scale <= 0 or scale > 1:
             raise ConfigError(f"scale must be in (0, 1], got {scale}")
-        if engine not in ("auto", "scalar"):
-            raise ConfigError(
-                f"unknown engine {engine!r}; expected 'auto' or 'scalar'"
-            )
         self.name = name
         self.scale = scale
         self.reference = reference or ReferenceSystem.sandy_bridge()
-        self.engine = engine
 
     # -- design-specific pieces -----------------------------------------
 
     @abstractmethod
-    def lower_caches(self) -> list[SetAssociativeCache]:
-        """Fresh scaled cache instances below L3 (may be empty)."""
+    def lower_caches(self, engine: str) -> list[SetAssociativeCache]:
+        """Fresh scaled cache instances below L3 (may be empty), each
+        simulated by ``engine``."""
 
     @abstractmethod
     def memory(self) -> MainMemory | PartitionedMemory:
@@ -205,15 +196,12 @@ class MemoryDesign(ABC):
 
     # -- common machinery -------------------------------------------------
 
-    def make_cache(self, config: CacheConfig) -> SetAssociativeCache:
-        """A fresh cache for ``config`` honouring the design's engine."""
-        return SetAssociativeCache(replace(config, engine=self.engine))
-
-    def build(self) -> Hierarchy:
-        """A fresh, cold, fully-assembled scaled hierarchy."""
+    def build(self, engine: str) -> Hierarchy:
+        """A fresh, cold, fully-assembled scaled hierarchy whose caches
+        ``engine`` simulates."""
         return Hierarchy(
-            self.reference.build_caches(self.scale, engine=self.engine)
-            + self.lower_caches(),
+            self.reference.build_caches(self.scale, engine)
+            + self.lower_caches(engine),
             self.memory(),
         )
 

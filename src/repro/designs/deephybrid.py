@@ -52,14 +52,12 @@ class DeepHybridDesign(MemoryDesign):
         dram_config: NConfig,
         scale: float = 1.0,
         reference: ReferenceSystem | None = None,
-        engine: str = "auto",
     ) -> None:
         super().__init__(
             f"DEEP-{cache_tech.name}-{nvm_tech.name}-"
             f"{l4_config.name}-{dram_config.name}",
             scale=scale,
             reference=reference,
-            engine=engine,
         )
         if not cache_tech.volatile:
             raise ConfigError(
@@ -80,7 +78,7 @@ class DeepHybridDesign(MemoryDesign):
     def sim_key(self) -> str:
         return f"DEEP-{self.l4_config_row.name}-{self.dram_config_row.name}"
 
-    def lower_caches(self) -> list[SetAssociativeCache]:
+    def lower_caches(self, engine: str) -> list[SetAssociativeCache]:
         l4 = CacheConfig(
             self.L4_LEVEL,
             self.l4_config_row.capacity,
@@ -100,8 +98,8 @@ class DeepHybridDesign(MemoryDesign):
             hashed_sets=True,
         )
         return [
-            self.make_cache(l4.scaled(self.scale)),
-            self.make_cache(dram_cache.scaled(self.scale)),
+            SetAssociativeCache(l4.scaled(self.scale), engine),
+            SetAssociativeCache(dram_cache.scaled(self.scale), engine),
         ]
 
     def memory(self) -> MainMemory:

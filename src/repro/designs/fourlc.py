@@ -35,13 +35,11 @@ class FourLCDesign(MemoryDesign):
         config: EHConfig,
         scale: float = 1.0,
         reference: ReferenceSystem | None = None,
-        engine: str = "auto",
     ) -> None:
         super().__init__(
             f"4LC-{cache_tech.name}-{config.name}",
             scale=scale,
             reference=reference,
-            engine=engine,
         )
         if not cache_tech.volatile:
             raise ConfigError(
@@ -67,8 +65,10 @@ class FourLCDesign(MemoryDesign):
             hashed_sets=True,
         )
 
-    def lower_caches(self) -> list[SetAssociativeCache]:
-        return [self.make_cache(self.l4_config().scaled(self.scale))]
+    def lower_caches(self, engine: str) -> list[SetAssociativeCache]:
+        return [
+            SetAssociativeCache(self.l4_config().scaled(self.scale), engine)
+        ]
 
     def memory(self) -> MainMemory:
         return MainMemory(self.MEMORY_LEVEL)

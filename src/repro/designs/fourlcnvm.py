@@ -38,13 +38,11 @@ class FourLCNVMDesign(MemoryDesign):
         config: EHConfig,
         scale: float = 1.0,
         reference: ReferenceSystem | None = None,
-        engine: str = "auto",
     ) -> None:
         super().__init__(
             f"4LCNVM-{cache_tech.name}-{nvm_tech.name}-{config.name}",
             scale=scale,
             reference=reference,
-            engine=engine,
         )
         if not cache_tech.volatile:
             raise ConfigError(
@@ -71,8 +69,10 @@ class FourLCNVMDesign(MemoryDesign):
             hashed_sets=True,
         )
 
-    def lower_caches(self) -> list[SetAssociativeCache]:
-        return [self.make_cache(self.l4_config().scaled(self.scale))]
+    def lower_caches(self, engine: str) -> list[SetAssociativeCache]:
+        return [
+            SetAssociativeCache(self.l4_config().scaled(self.scale), engine)
+        ]
 
     def memory(self) -> MainMemory:
         return MainMemory(self.MEMORY_LEVEL)

@@ -43,13 +43,11 @@ class NDMDesign(MemoryDesign):
         scale: float = 1.0,
         reference: ReferenceSystem | None = None,
         name: str | None = None,
-        engine: str = "auto",
     ) -> None:
         super().__init__(
             name or f"NDM-{nvm_tech.name}",
             scale=scale,
             reference=reference,
-            engine=engine,
         )
         self.nvm_tech = nvm_tech
         self.nvm_ranges = list(nvm_ranges)
@@ -59,7 +57,7 @@ class NDMDesign(MemoryDesign):
         ranges = ",".join(f"{r.start:#x}-{r.end:#x}" for r in self.nvm_ranges)
         return f"NDM[{ranges}]"
 
-    def lower_caches(self) -> list[SetAssociativeCache]:
+    def lower_caches(self, engine: str) -> list[SetAssociativeCache]:
         return []
 
     def memory(self) -> PartitionedMemory:

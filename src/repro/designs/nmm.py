@@ -38,13 +38,11 @@ class NMMDesign(MemoryDesign):
         config: NConfig,
         scale: float = 1.0,
         reference: ReferenceSystem | None = None,
-        engine: str = "auto",
     ) -> None:
         super().__init__(
             f"NMM-{nvm_tech.name}-{config.name}",
             scale=scale,
             reference=reference,
-            engine=engine,
         )
         if config.page_size < self.reference.line_size:
             raise ConfigError("DRAM cache page size must be >= the SRAM line size")
@@ -70,8 +68,10 @@ class NMMDesign(MemoryDesign):
             hashed_sets=True,
         )
 
-    def lower_caches(self) -> list[SetAssociativeCache]:
-        return [self.make_cache(self.dram_cache_config().scaled(self.scale))]
+    def lower_caches(self, engine: str) -> list[SetAssociativeCache]:
+        return [
+            SetAssociativeCache(self.dram_cache_config().scaled(self.scale), engine)
+        ]
 
     def memory(self) -> MainMemory:
         return MainMemory(self.MEMORY_LEVEL)

@@ -24,11 +24,10 @@ class ReferenceDesign(MemoryDesign):
         self,
         scale: float = 1.0,
         reference: ReferenceSystem | None = None,
-        engine: str = "auto",
     ) -> None:
-        super().__init__("REF", scale=scale, reference=reference, engine=engine)
+        super().__init__("REF", scale=scale, reference=reference)
 
-    def lower_caches(self) -> list[SetAssociativeCache]:
+    def lower_caches(self, engine: str) -> list[SetAssociativeCache]:
         return []
 
     def memory(self) -> MainMemory:

@@ -124,7 +124,8 @@ def characterize(runner: Runner, workload: Workload) -> WorkloadProfile:
     page_cache = SetAssociativeCache(
         CacheConfig(
             "PROF", sets * 4096 * 8, 8, 4096, sector_size=64, hashed_sets=True
-        )
+        ),
+        runner.sim_engine,
     )
     for chunk in trace.post_l3.chunks():
         page_cache.process(chunk)

@@ -104,13 +104,11 @@ def _parse_workloads(spec: str | None):
 DEFAULT_SWEEP_DESIGNS = "REF,NMM:PCM:N6,NMM:STTRAM:N6,4LC:EDRAM:EH4"
 
 
-def _parse_designs(spec: str, scale: float, reference, engine: str = "auto"):
+def _parse_designs(spec: str, scale: float, reference):
     """Build designs from a comma-separated spec.
 
     Grammar per item: ``REF`` | ``NMM:<TECH>:<N#>`` |
     ``4LC:<TECH>:<EH#>`` | ``4LCNVM:<CACHE>:<NVM>:<EH#>``.
-    ``engine`` is a cache simulation engine — the runner's
-    :attr:`~repro.experiments.runner.Runner.sim_engine`.
     """
     from repro.designs.configs import EH_CONFIGS, N_CONFIGS
     from repro.designs.fourlc import FourLCDesign
@@ -142,24 +140,24 @@ def _parse_designs(spec: str, scale: float, reference, engine: str = "auto"):
         kind = parts[0].upper()
         try:
             if kind == "REF" and len(parts) == 1:
-                designs.append(ReferenceDesign(
-                    scale=scale, reference=reference, engine=engine,
-                ))
+                designs.append(
+                    ReferenceDesign(scale=scale, reference=reference)
+                )
             elif kind == "NMM" and len(parts) == 3:
                 designs.append(NMMDesign(
                     tech(parts[1]), config(N_CONFIGS, parts[2].upper(), "N"),
-                    scale=scale, reference=reference, engine=engine,
+                    scale=scale, reference=reference,
                 ))
             elif kind == "4LC" and len(parts) == 3:
                 designs.append(FourLCDesign(
                     tech(parts[1]), config(EH_CONFIGS, parts[2].upper(), "EH"),
-                    scale=scale, reference=reference, engine=engine,
+                    scale=scale, reference=reference,
                 ))
             elif kind == "4LCNVM" and len(parts) == 4:
                 designs.append(FourLCNVMDesign(
                     tech(parts[1]), tech(parts[2]),
                     config(EH_CONFIGS, parts[3].upper(), "EH"),
-                    scale=scale, reference=reference, engine=engine,
+                    scale=scale, reference=reference,
                 ))
             else:
                 raise SystemExit(
@@ -243,9 +241,7 @@ def _run_resilient_sweep(args, runner: Runner, workloads) -> int:
                 f"error: journal {args.journal} already exists; pass "
                 f"--resume to continue that campaign or delete the file"
             )
-    designs = _parse_designs(
-        args.designs, args.scale, runner.reference, engine=runner.sim_engine
-    )
+    designs = _parse_designs(args.designs, args.scale, runner.reference)
     if workloads is None:
         workloads = [get_workload(name) for name in suite_names]
     from repro.telemetry.progress import ProgressReporter
@@ -422,9 +418,10 @@ def main(argv: list[str] | None = None) -> int:
         default="auto",
         help="cache simulation engine: 'auto' (default) vectorizes "
         "non-sectored LRU levels and prices one-cache LRU lower chains "
-        "from counts, 'scalar' keeps the per-request loop — the two "
-        "are bit-identical; 'analytic' replaces each design's "
-        "lower-level simulation with the one-pass reuse-profile model "
+        "from counts, 'scalar' keeps the per-request loop on every "
+        "level — the two are bit-identical; 'analytic' replaces each "
+        "design's lower-level simulation with the one-pass reuse-profile "
+        "model "
         "(exact for fully-associative LRU levels, approximate for "
         "set-associative ones — see docs/performance.md)",
     )

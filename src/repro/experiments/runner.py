@@ -264,8 +264,10 @@ def _renamed(
 _UPPER_RECORD_VERSION = 2
 
 #: Format marker of the lower record. Bump it whenever a change alters
-#: lower-level statistics, so records written before it become misses.
-_LOWER_RECORD_VERSION = 1
+#: lower-level statistics or chain digests, so records written before
+#: it become misses. Version 2: cache configs no longer carry an engine,
+#: which changed every chain digest.
+_LOWER_RECORD_VERSION = 2
 
 
 def _chain_digest(chain: tuple) -> str:
@@ -510,8 +512,8 @@ class Runner:
 
         ``analytic`` only affects lower-level *evaluation*; every cache
         that is actually simulated (the shared upper pyramid, REF/NDM
-        replays, screen-confirm re-simulations) uses ``auto``. Design
-        objects built for this runner take this engine.
+        replays, screen-confirm re-simulations) uses ``auto``. The
+        runner builds every cache it simulates with this engine.
         """
         return "auto" if self.engine == "analytic" else self.engine
 
@@ -688,9 +690,7 @@ class Runner:
             lower_records = len(records.loaded) if records is not None else 0
 
             # The reference design's DRAM sees exactly the post-L3 stream.
-            ref_design = ReferenceDesign(
-                scale=self.scale, reference=self.reference, engine=self.sim_engine
-            )
+            ref_design = ReferenceDesign(scale=self.scale, reference=self.reference)
             ref_memory = ref_design.memory()
             ref_chain = chain_key([], ref_memory)
             recorded = self._recorded(ref_chain, key)
@@ -770,7 +770,7 @@ class Runner:
         traffic, what the upper record keeps so warm runs never scan
         the trace again."""
         stream = result.stream
-        upper = self.reference.build_caches(self.scale, engine=self.sim_engine)
+        upper = self.reference.build_caches(self.scale, self.sim_engine)
         capture = CapturingMemory()
         hierarchy = Hierarchy(upper, capture)
         if self.sample is None:
@@ -815,7 +815,7 @@ class Runner:
         Hashes everything the captured post-L3 stream and the raw upper
         statistics depend on: the cached trace's store digest (one
         prelude read), the scaled SRAM pyramid, ``drain`` and the
-        sample spec. The engine is left out — scalar, auto and
+        sample spec. The engine is not part of it — scalar, auto and
         analytic runners replay L1–L3 bit-identically, so they share a
         record. ``None`` when there is no trace cache or no cached
         trace store to key on.
@@ -830,14 +830,12 @@ class Runner:
             digest = store_digest(Path(self.trace_cache_dir) / f"{name}.stream.rts")
         except TraceError:
             return None
-        configs = []
-        for config in self.reference.scaled_configs(self.scale):
-            fields = asdict(config)
-            del fields["engine"]
-            configs.append(fields)
         canonical = json.dumps({
             "trace": digest,
-            "upper": configs,
+            "upper": [
+                asdict(config)
+                for config in self.reference.scaled_configs(self.scale)
+            ],
             "drain": self.drain,
             "sample": self.sample.key if self.sample is not None else None,
         }, sort_keys=True)
@@ -1183,7 +1181,9 @@ class Runner:
             "runner.analytic_eval", design=design.sim_key(),
             workload=workload.name,
         ):
-            return engine.lower_stats(design, drain=self.drain)
+            return engine.lower_stats(
+                design, self.sim_engine, drain=self.drain
+            )
 
     # ------------------------------------------------------------------
     # Design evaluation
@@ -1267,7 +1267,7 @@ class Runner:
         key = (design.sim_key(), workload.name)
         if key in self._design_stats:
             return self._design_stats[key]
-        lower, memory = design.lower_caches(), design.memory()
+        lower, memory = design.lower_caches(self.sim_engine), design.memory()
         chain = chain_key(lower, memory)
         recorded = None
         shared = self._chain_stats.get((chain, workload.name))
@@ -1402,7 +1402,7 @@ class Runner:
             if sim_key in seen or (sim_key, workload.name) in self._design_stats:
                 continue
             seen.add(sim_key)
-            lower = design.lower_caches()
+            lower = design.lower_caches(self.sim_engine)
             chain = chain_key(lower, design.memory())
             if chain is not None and (
                 chain in planned_chains
@@ -1417,7 +1417,7 @@ class Runner:
             todo.append(design)
         if todo:
             telemetry = self._telemetry()
-            plan = SimPlan(todo)
+            plan = SimPlan(todo, self.sim_engine)
             with telemetry.span(
                 "runner.plan_sim", workload=workload.name,
                 designs=len(todo), shared_levels=plan.shared_levels,

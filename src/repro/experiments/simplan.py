@@ -57,12 +57,9 @@ def config_key(config: CacheConfig) -> tuple:
     Two levels with equal keys produce identical statistics and emit
     identical downstream batches on identical input streams (the config
     fully determines geometry, sectoring, set hashing, and replacement
-    policy). The ``engine`` field is deliberately normalized out: the
-    scalar and set-parallel engines are bit-identical, so designs that
-    differ only in engine choice share a simulation node (the node runs
-    with whichever engine the first-attached design requested).
+    policy).
     """
-    return dataclasses.astuple(dataclasses.replace(config, engine="auto"))
+    return dataclasses.astuple(config)
 
 
 def chain_key(lower: list, memory) -> tuple | None:
@@ -111,8 +108,8 @@ class CapturingCache(SetAssociativeCache):
     hierarchy run, drain traffic included.
     """
 
-    def __init__(self, config: CacheConfig) -> None:
-        super().__init__(config)
+    def __init__(self, config: CacheConfig, engine: str) -> None:
+        super().__init__(config, engine)
         self.captured = AddressStream()
 
     def process(self, batch: AccessBatch) -> AccessBatch:
@@ -170,13 +167,18 @@ class SimPlan:
             (a non-standard cache type or memory device) cannot be
             regrouped safely and run *direct* — their own instances,
             no sharing.
+        engine: the run's simulation engine, which every cache the
+            plan builds takes (see
+            :class:`~repro.cache.setassoc.SetAssociativeCache`).
 
     Attributes:
         designs: the input designs, in order.
+        engine: the simulation engine of every cache the plan builds.
     """
 
-    def __init__(self, designs: Iterable["MemoryDesign"]) -> None:
+    def __init__(self, designs: Iterable["MemoryDesign"], engine: str) -> None:
         self.designs = list(designs)
+        self.engine = engine
         self._root = _PlanNode()
         self._direct: list["MemoryDesign"] = []
         seen: set[str] = set()
@@ -185,7 +187,7 @@ class SimPlan:
             if sim_key in seen:
                 continue
             seen.add(sim_key)
-            lower = design.lower_caches()
+            lower = design.lower_caches(engine)
             keys = chain_key(lower, design.memory())
             if keys is None:
                 self._direct.append(design)
@@ -268,7 +270,7 @@ class SimPlan:
         results: dict[str, list[LevelStats]] = {}
         self._walk(self._root, stream, [], results, drain, tel, workload)
         for design in self._direct:
-            caches = design.lower_caches()
+            caches = design.lower_caches(self.engine)
             memory = design.memory()
             replay_chain(stream, caches, memory, drain=drain)
             results[design.sim_key()] = [
@@ -299,7 +301,7 @@ class SimPlan:
             if shared_by == 1:
                 self._run_private(child, stream, prefix_stats, results, drain)
                 continue
-            cache = CapturingCache(child.config)
+            cache = CapturingCache(child.config, self.engine)
             sink = _Sink()
             with tel.span(
                 "simplan.prefix", level=child.config.name,
@@ -342,7 +344,7 @@ class SimPlan:
                 design = current.designs[0]
                 break
             current = next(iter(current.children.values()))
-        caches = [SetAssociativeCache(c) for c in configs]
+        caches = [SetAssociativeCache(c, self.engine) for c in configs]
         memory = design.memory()
         replay_chain(stream, caches, memory, drain=drain)
         results[design.sim_key()] = (

@@ -12,26 +12,10 @@ an address range to NVM at a time, and the rest to DRAM."
   ranges) with close-range merging.
 - :mod:`repro.partition.oracle` — enumerates single-range-to-NVM
   placements, models each, and returns them ranked (the oracle).
+- :mod:`repro.partition.dynamic` — phase-wise (dynamic) placement
+  plans.
+
+The package re-exports nothing: import names from their submodules
+(``from repro.partition.ranges import AddressRange``), so the runner
+never loads the dynamic planner or the trace filters it uses.
 """
-
-from repro.partition.ranges import AddressRange, merge_close_ranges, total_span
-from repro.partition.profiler import RangeProfile, profile_ranges
-from repro.partition.oracle import PlacementResult, enumerate_placements
-from repro.partition.dynamic import (
-    DynamicPlan,
-    PhasePlacement,
-    plan_dynamic_partition,
-)
-
-__all__ = [
-    "AddressRange",
-    "merge_close_ranges",
-    "total_span",
-    "RangeProfile",
-    "profile_ranges",
-    "PlacementResult",
-    "enumerate_placements",
-    "DynamicPlan",
-    "PhasePlacement",
-    "plan_dynamic_partition",
-]

@@ -177,15 +177,19 @@ class AnalyticEngine:
             ways=config.associativity,
         )
 
-    def lower_stats(self, design: "MemoryDesign", drain: bool = False) -> list[LevelStats]:
+    def lower_stats(
+        self, design: "MemoryDesign", engine: str, drain: bool = False
+    ) -> list[LevelStats]:
         """Per-level stats for a design's lower caches + terminal memory.
 
         The returned list appends directly onto the exact upper-level
         (L1–L3) stats to form a
         :class:`~repro.cache.stats.HierarchyStats` indistinguishable in
-        shape from an exact replay.
+        shape from an exact replay. ``engine`` is the run's exact
+        simulation engine, which builds the design's caches; only their
+        configs are read.
         """
-        lower = design.lower_caches()
+        lower = design.lower_caches(engine)
         memory = design.memory()
         if not lower:
             # REF / NDM: stateless terminal memories — exact.

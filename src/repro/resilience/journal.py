@@ -18,7 +18,6 @@ rejected loudly rather than misread.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -124,9 +123,10 @@ class JournalEntry:
     engine_class: str = "exact"
 
     def to_json(self) -> str:
-        """The journal line (no trailing newline)."""
-        payload = {"schema": SCHEMA_VERSION, **dataclasses.asdict(self)}
-        if payload.get("engine_class") == "exact":
+        """The journal line (no trailing newline). The fields are
+        already plain values, so they serialize as they are."""
+        payload = {"schema": SCHEMA_VERSION, **vars(self)}
+        if payload["engine_class"] == "exact":
             del payload["engine_class"]
         return json.dumps(payload, sort_keys=True)
 
@@ -176,7 +176,7 @@ class Journal:
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        self._lines: list[str] | None = None
+        self._entries: list[JournalEntry] | None = None
         # Set by the first append of this handle, after it has cut any
         # torn tail off the file.
         self._tail_checked = False
@@ -185,21 +185,21 @@ class Journal:
         """Whether the journal file is already on disk."""
         return self.path.exists()
 
-    def _scan(self) -> tuple[list[str], int, bool]:
-        """Parse the file: ``(valid lines, byte length of the prefix
-        holding them, whether that prefix ends in a newline)``."""
+    def _scan(self) -> tuple[list[JournalEntry], int, bool]:
+        """Parse the file once: ``(valid entries, byte length of the
+        prefix holding them, whether that prefix ends in a newline)``."""
         if not self.path.exists():
             return [], 0, True
         data = self.path.read_bytes()
         raw = data.splitlines(keepends=True)
-        lines: list[str] = []
+        entries: list[JournalEntry] = []
         offset = valid = 0
         for index, part in enumerate(raw):
             offset += len(part)
             line = part.decode(errors="replace").rstrip("\r\n")
             if line.strip():
                 try:
-                    JournalEntry.from_json(line)
+                    entries.append(JournalEntry.from_json(line))
                 except SweepError:
                     if index == len(raw) - 1:
                         # Torn trailing line from an interrupted append:
@@ -209,18 +209,17 @@ class Journal:
                         f"corrupt journal {self.path} at line {index + 1}; "
                         f"delete it to restart the campaign"
                     )
-                lines.append(line)
             valid = offset
-        return lines, valid, valid == 0 or data[valid - 1:valid] in (b"\n", b"\r")
+        return entries, valid, valid == 0 or data[valid - 1:valid] in (b"\n", b"\r")
 
-    def _read_lines(self) -> list[str]:
-        if self._lines is None:
-            self._lines = self._scan()[0]
-        return self._lines
+    def _read_entries(self) -> list[JournalEntry]:
+        if self._entries is None:
+            self._entries = self._scan()[0]
+        return self._entries
 
     def entries(self) -> list[JournalEntry]:
         """Every valid entry, in append order."""
-        return [JournalEntry.from_json(line) for line in self._read_lines()]
+        return list(self._read_entries())
 
     def load(self) -> dict[str, JournalEntry]:
         """Latest entry per cell key (later lines win)."""
@@ -233,10 +232,9 @@ class Journal:
         torn tail (left by a killed run) back to the valid lines, so
         the new entry starts on a line of its own.
         """
-        line = entry.to_json()
-        payload = (line + "\n").encode()
+        payload = (entry.to_json() + "\n").encode()
         if not self._tail_checked:
-            self._lines, valid, terminated = self._scan()
+            self._entries, valid, terminated = self._scan()
             if not terminated:
                 payload = b"\n" + payload
             self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -251,4 +249,4 @@ class Journal:
         finally:
             os.close(fd)
         self._tail_checked = True
-        self._read_lines().append(line)
+        self._read_entries().append(entry)

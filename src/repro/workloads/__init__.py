@@ -17,6 +17,9 @@ the address stream the simulator consumes:
 Workloads are scale-aware: ``trace(scale)`` shrinks the problem so the
 traced footprint is ``scale`` × the Table 4 footprint, matching the
 capacity scaling of the hierarchy configs (DESIGN.md §4).
+
+Multiprogrammed mixes live in :mod:`repro.workloads.mixes`, which is
+not re-exported, so loading the suite never loads the stream filters.
 """
 
 from repro.workloads.base import TraceResult, Workload, WorkloadInfo
@@ -25,7 +28,6 @@ from repro.workloads.registry import (
     get_workload,
     workload_names,
 )
-from repro.workloads.mixes import MixedWorkload
 from repro.workloads.npb_classes import at_npb_class
 from repro.workloads.synthetic import SyntheticWorkload
 
@@ -36,7 +38,6 @@ __all__ = [
     "SUITE",
     "get_workload",
     "workload_names",
-    "MixedWorkload",
     "SyntheticWorkload",
     "at_npb_class",
 ]

@@ -1,8 +1,11 @@
 """CacheConfig validation and scaling tests."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.cache.config import CacheConfig, supports_setpar
+from repro.cache.setassoc import SetAssociativeCache
 from repro.errors import ConfigError
 from repro.units import KiB, MiB
 
@@ -81,12 +84,18 @@ class TestScaling:
 
 
 class TestEngineField:
+    """The engine is an argument of the simulated cache, not a field
+    of the config it simulates."""
+
     def test_default_engine_is_auto(self):
-        assert CacheConfig("L1", 32 * KiB, 8, 64).engine == "auto"
+        cfg = CacheConfig("L1", 32 * KiB, 8, 64)
+        assert "engine" not in {f.name for f in fields(cfg)}
+        assert SetAssociativeCache(cfg).engine == "setpar"
+        assert not SetAssociativeCache(cfg).scalar_only
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ConfigError):
-            CacheConfig("L1", 32 * KiB, 8, 64, engine="simd")
+            SetAssociativeCache(CacheConfig("L1", 32 * KiB, 8, 64), "simd")
 
     def test_setpar_on_unsupported_level_rejected(self):
         """``setpar`` is a resolved engine label, not a setting, so it
@@ -94,9 +103,10 @@ class TestEngineField:
         plain LRU level it serves."""
         for block, sector, policy in ((64, None, "lru"), (64, None, "fifo"),
                                       (64, None, "random"), (4096, 64, "lru")):
+            config = CacheConfig("L", 256 * KiB, 8, block, sector_size=sector,
+                                 policy=policy)
             with pytest.raises(ConfigError):
-                CacheConfig("L", 256 * KiB, 8, block, sector_size=sector,
-                            policy=policy, engine="setpar")
+                SetAssociativeCache(config, "setpar")
 
     def test_supports_setpar(self):
         assert supports_setpar(CacheConfig("L1", 32 * KiB, 8, 64))
@@ -114,7 +124,3 @@ class TestEngineField:
         assert supports_setpar(
             CacheConfig("L1", 32 * KiB, 8, 64, sector_size=64)
         )
-
-    def test_scaled_preserves_engine(self):
-        cfg = CacheConfig("L1", 32 * KiB, 8, 64, engine="scalar")
-        assert cfg.scaled(0.5).engine == "scalar"

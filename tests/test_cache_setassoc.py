@@ -178,8 +178,7 @@ def policy_pin_run(policy, hashed, engine):
     each, then ``flush_dirty``; returns what :data:`POLICY_PINS` pins."""
     cache = SetAssociativeCache(CacheConfig(
         "P", 64 * 4 * 64, 4, 64, hashed_sets=hashed, policy=policy,
-        engine=engine,
-    ))
+    ), engine)
     rng = np.random.default_rng(2024)
     emitted = []
     for chunk in range(3):

@@ -69,8 +69,7 @@ def twin_pairs(runner):
     """(first, twin) designs whose lower chains are config-identical at
     1/8192: 4LCNVM's L4 is 4LC's at every scale, N1/N2 and EH6-EH8
     coincide only at this one."""
-    common = {"scale": SCALE, "reference": runner.reference,
-              "engine": runner.sim_engine}
+    common = {"scale": SCALE, "reference": runner.reference}
 
     def four_lc(config):
         return FourLCDesign(EDRAM, EH_CONFIGS[config], **common)
@@ -131,10 +130,10 @@ class VariantL4(FourLCDesign):
             config = replace(config, **{self.field: self.value})
         return config
 
-    def lower_caches(self):
-        caches = super().lower_caches()
+    def lower_caches(self, engine):
+        caches = super().lower_caches(engine)
         if self.odd:
-            caches = [OddCache(cache.config) for cache in caches]
+            caches = [OddCache(cache.config, engine) for cache in caches]
         return caches
 
 
@@ -146,8 +145,7 @@ def test_unshareable_chains_are_priced_alone(trace_cache, monkeypatch, setup,
     workload = get_workload(workload_name)
     runner.prepare(workload)  # REF: a plain chain of no caches
     pricings = count_pricings(monkeypatch)
-    common = {"scale": SCALE, "reference": runner.reference,
-              "engine": runner.sim_engine}
+    common = {"scale": SCALE, "reference": runner.reference}
     designs = [
         # Partitioned memories with different rules share nothing, not
         # even with REF's or each other's empty cache chain.
@@ -199,9 +197,9 @@ def test_prefetching_chain_is_priced_alone_and_checked(trace_cache,
         def sim_key(self):
             return "PF-" + super().sim_key()
 
-        def lower_caches(self):
+        def lower_caches(self, engine):
             return [PrefetchingCache(cache, degree=1)
-                    for cache in super().lower_caches()]
+                    for cache in super().lower_caches(engine)]
 
     runner = make_runner(trace_cache, "auto")
     workload = get_workload("CG")

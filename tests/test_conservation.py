@@ -51,8 +51,7 @@ SETUPS = {
 
 def family_designs(runner):
     """One member of every built-in design family, for ``runner``."""
-    common = {"scale": SCALE, "reference": runner.reference,
-              "engine": runner.sim_engine}
+    common = {"scale": SCALE, "reference": runner.reference}
     return [
         ReferenceDesign(**common),
         NMMDesign(PCM, N_CONFIGS["N6"], **common),
@@ -84,7 +83,9 @@ def test_every_family_conserves_requests(runner, workload_name):
         stats = runner.stats_for(design, workload)
         # L1-L3 and the design's caches, then its memory level(s). The
         # identities hold exactly here, sampled setup included.
-        stats.check_conservation(3 + len(design.lower_caches()))
+        stats.check_conservation(
+            3 + len(design.lower_caches(runner.sim_engine))
+        )
 
 
 @pytest.mark.parametrize("setup", ["auto", "drain", "sample"])

@@ -88,7 +88,7 @@ class TestConfigTables:
 
 class TestReferenceDesign:
     def test_hierarchy_shape(self):
-        h = ReferenceDesign(scale=SCALE).build()
+        h = ReferenceDesign(scale=SCALE).build("auto")
         assert h.level_names == ["L1", "L2", "L3", "DRAM"]
 
     def test_dram_sized_to_footprint(self):
@@ -108,7 +108,7 @@ class TestReferenceDesign:
 class TestFourLC:
     def test_shape(self):
         d = FourLCDesign(EDRAM, EH_CONFIGS["EH1"], scale=SCALE)
-        assert d.build().level_names == ["L1", "L2", "L3", "L4", "DRAM"]
+        assert d.build("auto").level_names == ["L1", "L2", "L3", "L4", "DRAM"]
 
     def test_bindings(self):
         d = FourLCDesign(HMC, EH_CONFIGS["EH2"], scale=SCALE)
@@ -139,7 +139,7 @@ class TestFourLC:
 class TestNMM:
     def test_shape(self):
         d = NMMDesign(PCM, N_CONFIGS["N6"], scale=SCALE)
-        assert d.build().level_names == ["L1", "L2", "L3", "DRAM$", "NVM"]
+        assert d.build("auto").level_names == ["L1", "L2", "L3", "DRAM$", "NVM"]
 
     def test_bindings(self):
         d = NMMDesign(PCM, N_CONFIGS["N3"], scale=SCALE)
@@ -163,7 +163,7 @@ class TestNMM:
 class TestFourLCNVM:
     def test_shape_has_no_dram(self):
         d = FourLCNVMDesign(EDRAM, PCM, EH_CONFIGS["EH1"], scale=SCALE)
-        names = d.build().level_names
+        names = d.build("auto").level_names
         assert names == ["L1", "L2", "L3", "L4", "NVM"]
         assert "DRAM" not in names
 
@@ -188,7 +188,9 @@ class TestNDM:
 
     def test_shape(self):
         d = NDMDesign(PCM, self.ranges(), scale=SCALE)
-        assert d.build().level_names == ["L1", "L2", "L3", "DRAMpart", "NVMpart"]
+        assert d.build("auto").level_names == [
+            "L1", "L2", "L3", "DRAMpart", "NVMpart"
+        ]
 
     def test_memory_is_partitioned(self):
         d = NDMDesign(PCM, self.ranges(), scale=SCALE)

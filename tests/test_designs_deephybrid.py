@@ -24,7 +24,7 @@ def make(scale=SCALE, reference=None, l4="EH1", dram="N6"):
 
 class TestConstruction:
     def test_six_levels(self):
-        assert make().build().level_names == [
+        assert make().build("auto").level_names == [
             "L1", "L2", "L3", "L4", "DRAM$", "NVM",
         ]
 

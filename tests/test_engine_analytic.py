@@ -44,25 +44,24 @@ SCALE = 1.0 / 8192
 SET_ASSOC_HIT_RATE_BOUND = 0.15
 
 
-def all_designs(reference, engine):
+def all_designs(reference):
     return [
-        ReferenceDesign(scale=SCALE, reference=reference, engine=engine),
-        NMMDesign(PCM, N_CONFIGS["N6"], scale=SCALE, reference=reference,
-                  engine=engine),
+        ReferenceDesign(scale=SCALE, reference=reference),
+        NMMDesign(PCM, N_CONFIGS["N6"], scale=SCALE, reference=reference),
         FourLCDesign(EDRAM, EH_CONFIGS["EH4"], scale=SCALE,
-                     reference=reference, engine=engine),
+                     reference=reference),
         FourLCNVMDesign(EDRAM, PCM, EH_CONFIGS["EH4"], scale=SCALE,
-                        reference=reference, engine=engine),
+                        reference=reference),
         DeepHybridDesign(EDRAM, PCM, EH_CONFIGS["EH1"], N_CONFIGS["N6"],
-                         scale=SCALE, reference=reference, engine=engine),
+                         scale=SCALE, reference=reference),
         # EH4 and N6 share a 512 B page: both lower levels read the
         # *same* profile, covering the engine's class-decomposed
         # multi-level chain (the mixed-granularity EH1+N6 pair above
         # covers the per-access gather path).
         DeepHybridDesign(EDRAM, PCM, EH_CONFIGS["EH4"], N_CONFIGS["N6"],
-                         scale=SCALE, reference=reference, engine=engine),
+                         scale=SCALE, reference=reference),
         NDMDesign(PCM, [AddressRange(0x1000_0000, 0x2000_0000, "hot")],
-                  scale=SCALE, reference=reference, engine=engine),
+                  scale=SCALE, reference=reference),
     ]
 
 
@@ -89,14 +88,14 @@ class TestAnalyticDifferential:
         analytic = make_runner(trace_cache, "analytic", drain=drain)
         for workload in workloads:
             for d_ex, d_an in zip(
-                all_designs(exact.reference, "auto"),
-                all_designs(analytic.reference, "auto"),
+                all_designs(exact.reference),
+                all_designs(analytic.reference),
             ):
                 se = exact.stats_for(d_ex, workload)
                 sa = analytic.stats_for(d_an, workload)
                 assert sa.references == se.references
                 assert sa.level_names == se.level_names
-                lower = d_ex.lower_caches()
+                lower = d_ex.lower_caches(exact.sim_engine)
                 if not lower or all(
                     c.config.num_sets == 1 for c in lower
                 ):
@@ -127,13 +126,13 @@ class TestAnalyticDifferential:
         analytic = make_runner(trace_cache, "analytic")
         workload = workloads[0]
         for d_ex, d_an in zip(
-            all_designs(exact.reference, "auto"),
-            all_designs(analytic.reference, "auto"),
+            all_designs(exact.reference),
+            all_designs(analytic.reference),
         ):
             ev_ex = exact.evaluate(d_ex, workload)
             ev_an = analytic.evaluate(d_an, workload)
             assert ev_an.edp_norm > 0
-            lower = d_ex.lower_caches()
+            lower = d_ex.lower_caches(exact.sim_engine)
             if not lower or all(c.config.num_sets == 1 for c in lower):
                 assert ev_an.edp_norm == ev_ex.edp_norm, d_ex.name
 
@@ -147,7 +146,7 @@ class TestAnalyticDifferential:
             for engine, runner in (("exact", exact), ("analytic", analytic)):
                 evs = {
                     d.name: runner.evaluate(d, workload).edp_norm
-                    for d in all_designs(runner.reference, "auto")
+                    for d in all_designs(runner.reference)
                 }
                 best[engine] = min(evs, key=evs.get)
             assert best["analytic"] == best["exact"], workload.name
@@ -159,14 +158,14 @@ class TestAnalyticDifferential:
         import pathlib
 
         first = make_runner(trace_cache, "analytic")
-        design = all_designs(first.reference, "auto")[2]
+        design = all_designs(first.reference)[2]
         first.stats_for(design, workloads[0])
         sidecars = list(pathlib.Path(trace_cache).glob("*.profile-*.npz"))
         assert sidecars, "profile cache files missing"
         stamps = {p: p.stat().st_mtime_ns for p in sidecars}
 
         second = make_runner(trace_cache, "analytic")
-        design2 = all_designs(second.reference, "auto")[2]
+        design2 = all_designs(second.reference)[2]
         second.stats_for(design2, workloads[0])
         for p, stamp in stamps.items():
             assert p.stat().st_mtime_ns == stamp  # untouched, reloaded

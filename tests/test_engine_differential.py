@@ -42,20 +42,19 @@ SCALE = 1.0 / 8192
 ENGINES = ("scalar", "auto")
 
 
-def all_designs(reference, engine):
+def all_designs(reference):
     """One member of every built-in design family."""
     return [
-        ReferenceDesign(scale=SCALE, reference=reference, engine=engine),
-        NMMDesign(PCM, N_CONFIGS["N6"], scale=SCALE, reference=reference,
-                  engine=engine),
+        ReferenceDesign(scale=SCALE, reference=reference),
+        NMMDesign(PCM, N_CONFIGS["N6"], scale=SCALE, reference=reference),
         FourLCDesign(EDRAM, EH_CONFIGS["EH4"], scale=SCALE,
-                     reference=reference, engine=engine),
+                     reference=reference),
         FourLCNVMDesign(EDRAM, PCM, EH_CONFIGS["EH4"], scale=SCALE,
-                        reference=reference, engine=engine),
+                        reference=reference),
         DeepHybridDesign(EDRAM, PCM, EH_CONFIGS["EH1"], N_CONFIGS["N6"],
-                         scale=SCALE, reference=reference, engine=engine),
+                         scale=SCALE, reference=reference),
         NDMDesign(PCM, [AddressRange(0x1000_0000, 0x2000_0000, "hot")],
-                  scale=SCALE, reference=reference, engine=engine),
+                  scale=SCALE, reference=reference),
     ]
 
 
@@ -80,15 +79,11 @@ class TestEngineValidation:
         with pytest.raises(ValueError):
             Runner(engine="simd")
 
-    def test_design_rejects_unknown_engine(self):
-        with pytest.raises(ConfigError):
-            ReferenceDesign(scale=SCALE, engine="simd")
-
     def test_setpar_is_not_a_setting(self, capsys):
         """``setpar`` is the resolved label of vectorized LRU levels;
         no constructor or CLI flag accepts it as an engine."""
         with pytest.raises(ConfigError):
-            NMMDesign(PCM, N_CONFIGS["N6"], engine="setpar")
+            SetAssociativeCache(CacheConfig("T", 64 * 8 * 64, 8, 64), "setpar")
         with pytest.raises(ConfigError):
             Runner(engine="setpar")
         with pytest.raises(SystemExit) as exit_info:
@@ -102,8 +97,8 @@ class TestEngineValidation:
         for policy, resolved in (("fifo", "scalar"), ("random", "scalar"),
                                  ("lru", "setpar")):
             cache = SetAssociativeCache(CacheConfig(
-                "T", 64 * 8 * 64, 8, 64, policy=policy, engine="auto",
-            ))
+                "T", 64 * 8 * 64, 8, 64, policy=policy,
+            ), "auto")
             assert cache.engine == resolved
 
 
@@ -137,9 +132,9 @@ class TestHierarchyStatsIdentical:
 
         def priced_alone(engine, workload):
             stats, by_counts = [], []
-            for index in range(len(all_designs(None, engine))):
+            for index in range(len(all_designs(None))):
                 runner = make_runner(trace_cache, engine, drain=drain)
-                design = all_designs(runner.reference, engine)[index]
+                design = all_designs(runner.reference)[index]
                 before = len(counted)
                 stats.append(runner.stats_for(design, workload).as_dict())
                 by_counts.append(counted[before:])
@@ -185,12 +180,11 @@ class TestEmissionOrderIdentical:
 
         captured = {}
         for eng in ENGINES:
-            design = NMMDesign(PCM, N_CONFIGS["N6"], scale=SCALE,
-                               engine=eng)
+            design = NMMDesign(PCM, N_CONFIGS["N6"], scale=SCALE)
             memory = CapturingMemory()
             hierarchy = Hierarchy(
-                design.reference.build_caches(SCALE, engine=eng)
-                + design.lower_caches(),
+                design.reference.build_caches(SCALE, eng)
+                + design.lower_caches(eng),
                 memory,
             )
             hierarchy.run(stream, drain=True)
@@ -211,15 +205,51 @@ class TestSimPlanIdentical:
         workload = workloads[0]
         scalar = make_runner(trace_cache, "scalar")
         auto = make_runner(trace_cache, "auto")
-        designs_auto = all_designs(auto.reference, "auto")
+        designs_auto = all_designs(auto.reference)
         auto.simulate_designs(designs_auto, workload)
-        for d_sc, d_auto in zip(
-            all_designs(scalar.reference, "scalar"), designs_auto
-        ):
+        for d_sc, d_auto in zip(all_designs(scalar.reference), designs_auto):
             assert (
                 scalar.stats_for(d_sc, workload).as_dict()
                 == auto.stats_for(d_auto, workload).as_dict()
             )
+
+
+class TestScalarRunnerIsTheOracle:
+    """A ``scalar`` runner simulates every cache with the reference
+    loop, also those of designs built without naming an engine — the
+    way the figures, the heat map and the NDM oracle build them — and
+    its figures equal the ``auto`` runner's."""
+
+    FAST_PATHS = ("count_lru", "_process_runs_lru_step",
+                  "_process_runs_setpar")
+
+    def test_figures_never_leave_the_loop(self, trace_cache, workloads,
+                                          monkeypatch):
+        from repro.experiments.figures import figure1, figure3, figure7
+        from repro.experiments.heatmap import figure9
+
+        def draw(runner):
+            return [
+                dataclasses.asdict(figure(runner, workloads))
+                for figure in (figure1, figure3)
+            ] + [
+                dataclasses.asdict(figure9(runner, workloads, factors=(1.0,))),
+                dataclasses.asdict(figure7(runner, workloads, [PCM])),
+            ]
+
+        auto = draw(make_runner(trace_cache, "auto"))
+        called = []
+        for name in self.FAST_PATHS:
+            real = getattr(SetAssociativeCache, name)
+
+            def spy(self, *args, _name=name, _real=real, **kwargs):
+                called.append((_name, self.name))
+                return _real(self, *args, **kwargs)
+
+            monkeypatch.setattr(SetAssociativeCache, name, spy)
+        scalar = draw(make_runner(trace_cache, "scalar"))
+        assert called == []
+        assert scalar == auto
 
 
 class PolicyL4(FourLCDesign):
@@ -244,9 +274,7 @@ class TestCountsPathScope:
     @staticmethod
     def priced(engine, runner_options, workload, make_design):
         runner = Runner(scale=SCALE, seed=5, engine=engine, **runner_options)
-        design = make_design(
-            scale=SCALE, reference=runner.reference, engine=engine
-        )
+        design = make_design(scale=SCALE, reference=runner.reference)
         return runner.stats_for(design, workload).as_dict()
 
     def assert_loop_equals_scalar(self, monkeypatch, workload, make_design,
@@ -287,22 +315,22 @@ class TestSweepResumeAcrossEngines:
         journal written by a scalar run resumes cleanly under an auto
         runner (engine choice is deliberately not part of the cell
         key — the engines are bit-identical)."""
-        designs = lambda runner, eng: [
+        designs = lambda runner: [
             NMMDesign(PCM, N_CONFIGS["N6"], scale=SCALE,
-                      reference=runner.reference, engine=eng),
+                      reference=runner.reference),
             FourLCDesign(EDRAM, EH_CONFIGS["EH4"], scale=SCALE,
-                         reference=runner.reference, engine=eng),
+                         reference=runner.reference),
         ]
         journal = Journal(tmp_path / "engines.jsonl")
         sc_runner = make_runner(trace_cache, "scalar")
         sc = SweepExecutor(sc_runner, journal=journal, workers=2).run(
-            designs(sc_runner, "scalar"), workloads
+            designs(sc_runner), workloads
         )
         assert all(o.ok for o in sc.outcomes)
 
         auto_runner = make_runner(trace_cache, "auto")
         resumed = SweepExecutor(auto_runner, journal=journal, workers=2).run(
-            designs(auto_runner, "auto"), workloads
+            designs(auto_runner), workloads
         )
         assert all(o.from_journal for o in resumed.outcomes)
         assert [o.key for o in resumed.outcomes] == [
@@ -311,11 +339,11 @@ class TestSweepResumeAcrossEngines:
 
         fresh = run_sweep(
             make_runner(trace_cache, "auto"),
-            designs(auto_runner, "auto"), workloads, workers=2,
+            designs(auto_runner), workloads, workers=2,
         )
         sc_fresh = run_sweep(
             make_runner(trace_cache, "scalar"),
-            designs(sc_runner, "scalar"), workloads,
+            designs(sc_runner), workloads,
         )
         for a, b in zip(sc_fresh, fresh):
             assert dataclasses.asdict(a.evaluation) == dataclasses.asdict(

@@ -78,7 +78,7 @@ class TestEvaluate:
         )
         split = shared_runner.stats_for(design, cg)
         trace = shared_runner.prepare(cg)
-        full = design.build().run(trace.result.stream)
+        full = design.build("auto").run(trace.result.stream)
         for split_level, full_level in zip(split.levels, full.levels):
             if split_level.name == "L1":
                 continue  # locals injection intentionally differs

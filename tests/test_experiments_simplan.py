@@ -63,7 +63,7 @@ class TestCapturingCache:
     def test_captures_emissions_and_flush(self):
         config = CacheConfig("T", 4 * KiB, 4, 64)
         plain = SetAssociativeCache(config)
-        capture = CapturingCache(config)
+        capture = CapturingCache(config, "auto")
         # Enough conflicting blocks to force evictions and writebacks.
         addrs = [(i * 64) for i in range(512)] * 2
         batch = AccessBatch.from_lists(addrs, 64, [i % 2 for i in range(1024)])
@@ -83,7 +83,7 @@ class TestPlanStructure:
             FourLCDesign(EDRAM, EH_CONFIGS["EH4"], scale=SCALE),
             FourLCNVMDesign(EDRAM, PCM, EH_CONFIGS["EH4"], scale=SCALE),
         ]
-        plan = SimPlan(designs)
+        plan = SimPlan(designs, "auto")
         assert plan.sim_count == 2
         assert plan.shared_levels == 1
         assert "shared x2" in plan.describe()
@@ -93,12 +93,14 @@ class TestPlanStructure:
             FourLCNVMDesign(EDRAM, PCM, EH_CONFIGS["EH4"], scale=SCALE),
             FourLCNVMDesign(EDRAM, STTRAM, EH_CONFIGS["EH4"], scale=SCALE),
         ]
-        plan = SimPlan(designs)
+        plan = SimPlan(designs, "auto")
         assert plan.sim_count == 1
         assert plan.shared_levels == 0
 
     def test_lone_chain_stays_private(self):
-        plan = SimPlan([FourLCDesign(EDRAM, EH_CONFIGS["EH4"], scale=SCALE)])
+        plan = SimPlan(
+            [FourLCDesign(EDRAM, EH_CONFIGS["EH4"], scale=SCALE)], "auto"
+        )
         assert plan.shared_levels == 0
         assert "private x1" in plan.describe()
 
@@ -107,22 +109,22 @@ class TestPlanStructure:
             FourLCDesign(EDRAM, EH_CONFIGS["EH1"], scale=SCALE),
             FourLCDesign(EDRAM, EH_CONFIGS["EH4"], scale=SCALE),
         ]
-        assert SimPlan(designs).shared_levels == 0
+        assert SimPlan(designs, "auto").shared_levels == 0
 
     def test_nonstandard_cache_type_runs_direct(self):
         class OddCache(SetAssociativeCache):
             pass
 
         class OddDesign(FourLCDesign):
-            def lower_caches(self):
-                return [OddCache(cache.config)
-                        for cache in super().lower_caches()]
+            def lower_caches(self, engine):
+                return [OddCache(cache.config, engine)
+                        for cache in super().lower_caches(engine)]
 
         designs = [
             OddDesign(EDRAM, EH_CONFIGS["EH4"], scale=SCALE),
             FourLCNVMDesign(EDRAM, PCM, EH_CONFIGS["EH4"], scale=SCALE),
         ]
-        plan = SimPlan(designs)
+        plan = SimPlan(designs, "auto")
         assert plan.shared_levels == 0  # the odd chain cannot be regrouped
         assert "[direct]" in plan.describe()
         assert plan.sim_count == 2
@@ -149,7 +151,7 @@ class TestExactness:
             # a lookup, not an independent per-design simulation.
             assert (design.sim_key(), workload.name) in plain_runner._design_stats
             shared = plain_runner.stats_for(design, workload)
-            full = design.build().run(trace.result.stream)
+            full = design.build("auto").run(trace.result.stream)
             assert shared.references == full.references
             for shared_level, full_level in zip(shared.levels, full.levels):
                 assert shared_level.as_dict() == full_level.as_dict(), (
@@ -164,7 +166,7 @@ class TestExactness:
         trace = runner.prepare(workload)
         for design in designs:
             shared = runner.stats_for(design, workload)
-            full = design.build().run(trace.result.stream, drain=True)
+            full = design.build("auto").run(trace.result.stream, drain=True)
             for shared_level, full_level in zip(shared.levels, full.levels):
                 assert shared_level.as_dict() == full_level.as_dict(), (
                     f"{design.name}/{shared_level.name}"

@@ -1,9 +1,10 @@
 """A command imports only the modules it runs.
 
-The ``repro.experiments``, ``repro.telemetry`` and ``repro.trace``
-package ``__init__`` files re-export nothing, so rendering the paper's
-tables loads neither the sweep and resilience machinery nor the live
-server, observatory and profiler. Each check runs in a fresh
+The ``repro.experiments``, ``repro.telemetry``, ``repro.trace`` and
+``repro.partition`` package ``__init__`` files re-export nothing, so
+rendering the paper's tables loads neither the sweep and resilience
+machinery nor the live server, observatory and profiler, and no
+command loads the dynamic partition planner or the stream filters. Each check runs in a fresh
 interpreter, since this test session has long since imported them all.
 """
 
@@ -36,16 +37,19 @@ NOT_LOADED = (
     "repro.experiments.plot",
     "repro.experiments.sampling",
     "repro.profile",
+    "repro.partition.dynamic",
+    "repro.trace.filters",
     "http.server",
     "email",
     "tracemalloc",
 )
 
-TABLES = """
+#: Runs the CLI on its arguments and prints the modules it loaded.
+CLI_MODULES = """
 import contextlib, io, json, sys
 import repro.experiments.cli as cli
 with contextlib.redirect_stdout(io.StringIO()):
-    status = cli.main(["tables"])
+    status = cli.main(sys.argv[1:])
 print(json.dumps({"status": status, "modules": sorted(sys.modules)}))
 """
 
@@ -117,19 +121,36 @@ def run_python(code: str, *args: str, cwd: Path) -> subprocess.CompletedProcess:
     )
 
 
-def test_tables_loads_no_sweep_or_observability_module(tmp_path):
-    proc = run_python(TABLES, cwd=tmp_path)
+def cli_modules(*args: str, cwd: Path) -> set[str]:
+    """The modules a fresh CLI run with ``args`` loads."""
+    proc = run_python(CLI_MODULES, *args, cwd=cwd)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["status"] == 0
     loaded = set(result["modules"])
     assert "repro.experiments.runner" in loaded  # the probe ran the CLI
+    return loaded
+
+
+def test_tables_loads_no_sweep_or_observability_module(tmp_path):
+    loaded = cli_modules("tables", cwd=tmp_path)
     leaked = sorted(
         name for name in loaded
         if name in NOT_LOADED
         or name.startswith(tuple(f"{n}." for n in NOT_LOADED))
     )
     assert not leaked, f"`tables` imported modules it never runs: {leaked}"
+
+
+def test_ndm_figure_loads_no_dynamic_planner_or_filters(tmp_path):
+    """Figure 7 runs the NDM oracle, yet needs neither the phase-wise
+    planner nor the stream filters it alone uses."""
+    loaded = cli_modules(
+        "--scale", "0.0001220703125", "--workloads", "CG", "figure", "7",
+        cwd=tmp_path,
+    )
+    assert "repro.partition.oracle" in loaded
+    assert not {"repro.partition.dynamic", "repro.trace.filters"} & loaded
 
 
 def test_pool_workers_import_no_repro_module_the_parent_skipped(tmp_path):

@@ -67,8 +67,7 @@ MODES = {
 def recordable(runner):
     """Designs whose lower chain has a ``chain_key``: REF, NMM, 4LC,
     4LCNVM (which shares 4LC's chain) and DeepHybrid."""
-    common = {"scale": SCALE, "reference": runner.reference,
-              "engine": runner.sim_engine}
+    common = {"scale": SCALE, "reference": runner.reference}
     return [
         ReferenceDesign(**common),
         NMMDesign(PCM, N_CONFIGS["N6"], **common),
@@ -98,8 +97,7 @@ class OddNDM(NDMDesign):
 def keyless(runner):
     """A design without a ``chain_key``: it always simulates."""
     return OddNDM(PCM, [AddressRange(0x1000_0000, 0x2000_0000, "hot")],
-                  scale=SCALE, reference=runner.reference,
-                  engine=runner.sim_engine)
+                  scale=SCALE, reference=runner.reference)
 
 
 def make_runner(cache, **options):
@@ -333,7 +331,7 @@ class TestConservation:
         (record,) = lower_files(tmp_path)
         payload = json.loads(record.read_bytes())
         digest = _chain_digest(
-            chain_key(design.lower_caches(), design.memory())
+            chain_key(design.lower_caches("auto"), design.memory())
         )
         memory = payload["chains"][digest][-1]
         memory["loads"] -= 1
@@ -351,7 +349,7 @@ class TestConservation:
         workload = get_workload("CG")
         nmm = recordable(runner)[1]
         record = self._lose_a_load(cache, nmm)
-        chain = chain_key(nmm.lower_caches(), nmm.memory())
+        chain = chain_key(nmm.lower_caches(runner.sim_engine), nmm.memory())
 
         with pytest.raises(SimulationError, match="conservation violated"):
             runner.stats_for(nmm, workload)
@@ -417,8 +415,7 @@ def ndm_designs(runner, tech=PCM):
     ]
     placements = [[r] for r in candidates] + [candidates]
     return [
-        NDMDesign(tech, ranges, scale=SCALE, reference=runner.reference,
-                  engine=runner.sim_engine)
+        NDMDesign(tech, ranges, scale=SCALE, reference=runner.reference)
         for ranges in placements
     ]
 
@@ -637,10 +634,14 @@ class TestKilledWorkers:
         assert set(statuses.values()) == {"ok"}
 
         digest_of = {
-            d.name: _chain_digest(chain_key(d.lower_caches(), d.memory()))
+            d.name: _chain_digest(
+                chain_key(d.lower_caches("auto"), d.memory())
+            )
             for d in designs
         }
-        n_lower = {digest_of[d.name]: len(d.lower_caches()) for d in designs}
+        n_lower = {
+            digest_of[d.name]: len(d.lower_caches("auto")) for d in designs
+        }
         records = records_by_workload(cache)
         assert {
             (workload, digest)

@@ -34,8 +34,8 @@ def price(stream, geometry, ways, sets, hashed, drain, engine):
     block, sector = geometry
     cache = SetAssociativeCache(CacheConfig(
         "L4", sets * ways * block, ways, block, sector_size=sector,
-        hashed_sets=hashed, engine=engine,
-    ))
+        hashed_sets=hashed,
+    ), engine)
     memory = MainMemory("MEM")
     replay_chain(stream, [cache], memory, drain=drain)
     return (

@@ -3,7 +3,7 @@
 A non-sectored LRU level under the ``auto`` engine hands every batch
 too thin for set-parallel rounds to
 ``SetAssociativeCache._process_runs_lru_step`` once it holds at least
-``LRU_STEP_MIN_RUNS`` runs; ``engine="scalar"`` keeps the per-run
+``LRU_STEP_MIN_RUNS`` runs; the ``scalar`` engine keeps the per-run
 loop. These tests hold the two to identical statistics, emitted
 requests (addresses, sizes and kinds, in order), per-set MRU order and
 dirty sets on warm caches: several batches, prefetch inserts and
@@ -34,8 +34,8 @@ CUTOFFS = [0, setassoc.LRU_STEP_MIN_RUNS, 1 << 62]
 
 def make_cache(engine, sets, ways, hashed, name="L"):
     return SetAssociativeCache(CacheConfig(
-        name, sets * ways * 64, ways, 64, hashed_sets=hashed, engine=engine,
-    ))
+        name, sets * ways * 64, ways, 64, hashed_sets=hashed,
+    ), engine)
 
 
 def emitted(batch):

@@ -54,8 +54,8 @@ def exact_counts(batch, capacity_blocks, block=64, sector=None, drain=False):
     residual-dirty flush volume) for a fully-associative LRU cache."""
     cache = SetAssociativeCache(CacheConfig(
         "ORACLE", capacity_blocks * block, capacity_blocks, block,
-        sector_size=sector, engine="scalar",
-    ))
+        sector_size=sector,
+    ), "scalar")
     cache.process(batch)
     stats = cache.stats
     hits = stats.load_hits + stats.store_hits

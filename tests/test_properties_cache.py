@@ -246,7 +246,7 @@ def test_fifo_engine_matches_fifo_oracle(pattern):
 # Scalar vs set-parallel engine differential
 # ----------------------------------------------------------------------
 #
-# The setpar engine (what ``engine="auto"`` resolves to on these plain
+# The setpar engine (what the ``auto`` engine resolves to on these plain
 # LRU levels) promises bit-identical behaviour, not approximate
 # agreement: same LevelStats, same emitted requests in the same order,
 # same resident/dirty end state. These tests drive random mixes of
@@ -270,14 +270,9 @@ def _random_batch(rng, n_events, block, store_frac):
 
 def _engine_pair(ways, nsets, block, hashed):
     cap = nsets * ways * block
-    scalar = SetAssociativeCache(
-        CacheConfig("D", cap, ways, block, hashed_sets=hashed,
-                    engine="scalar")
-    )
-    setpar = SetAssociativeCache(
-        CacheConfig("D", cap, ways, block, hashed_sets=hashed,
-                    engine="auto")
-    )
+    config = CacheConfig("D", cap, ways, block, hashed_sets=hashed)
+    scalar = SetAssociativeCache(config, "scalar")
+    setpar = SetAssociativeCache(config, "auto")
     return scalar, setpar
 
 

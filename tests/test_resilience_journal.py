@@ -1,5 +1,6 @@
 """Result journal: content-hash keys, atomic append, tolerant resume."""
 
+import dataclasses
 import json
 
 import pytest
@@ -74,6 +75,111 @@ class TestEntryRoundtrip:
 
     def test_no_evaluation_for_failures(self):
         assert make_entry(status="failed").load_evaluation() is None
+
+
+#: One journal line per status, pinned byte for byte: the entry that
+#: makes it, then the line. Serialization may change how it builds a
+#: line, never the line.
+GOLDEN_LINES = [
+    (
+        dict(
+            key=cell_key("NMM-PCM-N6", "NMM-N6", "CG", 1 / 8192, 0),
+            design="NMM-PCM-N6", workload="CG", scale=1 / 8192, seed=0,
+            status="ok", attempts=1, duration_s=0.25, run_id="run-1",
+            evaluation=dataclasses.asdict(Evaluation(
+                "NMM-PCM-N6", "CG", 0.125, 2.5e-3, 1.0 / 3, 0.3358, 0.0419,
+                12.75, 1.0625, 0.875, 0.9, 1.1, 0.93,
+            )),
+        ),
+        '{"attempts": 1, "design": "NMM-PCM-N6", "duration_s": 0.25, '
+        '"error": null, "evaluation": {"amat_ns": 12.75, "design_name": '
+        '"NMM-PCM-N6", "dynamic_j": 0.0025, "dynamic_norm": 0.9, '
+        '"edp_js": 0.0419, "edp_norm": 0.93, "energy_j": 0.3358, '
+        '"energy_norm": 0.875, "static_j": 0.3333333333333333, '
+        '"static_norm": 1.1, "time_norm": 1.0625, "time_s": 0.125, '
+        '"workload": "CG"}, "key": "de518ee46dd9ffb1a6209412", "run_id": '
+        '"run-1", "scale": 0.0001220703125, "schema": 1, "seed": 0, '
+        '"status": "ok", "workload": "CG"}',
+    ),
+    (
+        dict(
+            key=cell_key("4LC-EDRAM-EH4", "4LC-EH4", "SP", 1 / 8192, 0,
+                         True),
+            design="4LC-EDRAM-EH4", workload="SP", scale=1 / 8192, seed=0,
+            status="failed", attempts=3, duration_s=1.5,
+            error="SimulationError: conservation violated\n  at L4",
+        ),
+        '{"attempts": 3, "design": "4LC-EDRAM-EH4", "duration_s": 1.5, '
+        '"error": "SimulationError: conservation violated\\n  at L4", '
+        '"evaluation": null, "key": "f384a16540b38f909ed20e65", "run_id": '
+        'null, "scale": 0.0001220703125, "schema": 1, "seed": 0, '
+        '"status": "failed", "workload": "SP"}',
+    ),
+    (
+        dict(
+            key=cell_key("REF", "REF", "Hashing", 0.5, 7, False, "analytic"),
+            design="REF", workload="Hashing", scale=0.5, seed=7,
+            status="timed_out", attempts=2, duration_s=30.0,
+            error="CellTimeout: deadline 30s", engine_class="analytic",
+        ),
+        '{"attempts": 2, "design": "REF", "duration_s": 30.0, '
+        '"engine_class": "analytic", "error": "CellTimeout: deadline 30s", '
+        '"evaluation": null, "key": "a24cd579c2c413992c487e0e", "run_id": '
+        'null, "scale": 0.5, "schema": 1, "seed": 7, "status": '
+        '"timed_out", "workload": "Hashing"}',
+    ),
+    (
+        dict(
+            key=cell_key("NMM-STTRAM-N1", "NMM-N1", "Velvet", 1 / 1024, 3,
+                         False, "sampled:500:2000:5000"),
+            design="NMM-STTRAM-N1", workload="Velvet", scale=1 / 1024,
+            seed=3, status="poisoned", attempts=4, duration_s=0.0,
+            error="worker died 2 times on this cell", run_id="run-2",
+            engine_class="sampled:500:2000:5000",
+        ),
+        '{"attempts": 4, "design": "NMM-STTRAM-N1", "duration_s": 0.0, '
+        '"engine_class": "sampled:500:2000:5000", "error": "worker died 2 '
+        'times on this cell", "evaluation": null, "key": '
+        '"de214b6fe59280d5c5095fac", "run_id": "run-2", "scale": '
+        '0.0009765625, "schema": 1, "seed": 3, "status": "poisoned", '
+        '"workload": "Velvet"}',
+    ),
+]
+
+
+class TestGoldenLines:
+    @pytest.mark.parametrize(
+        "fields,line", GOLDEN_LINES,
+        ids=[fields["status"] for fields, _ in GOLDEN_LINES],
+    )
+    def test_line_is_pinned(self, fields, line):
+        entry = JournalEntry(**fields)
+        assert entry.to_json() == line
+        assert JournalEntry.from_json(line) == entry
+
+    def test_file_bytes_and_one_parse(self, tmp_path, monkeypatch):
+        """A journal holds exactly the pinned lines, and a fresh handle
+        parses each line once however often it is read."""
+        journal = Journal(tmp_path / "golden.jsonl")
+        entries = [JournalEntry(**fields) for fields, _ in GOLDEN_LINES]
+        for entry in entries:
+            journal.append(entry)
+        assert journal.path.read_text() == "".join(
+            line + "\n" for _, line in GOLDEN_LINES
+        )
+        parsed = []
+        real = JournalEntry.from_json.__func__
+
+        def counted(cls, line):
+            parsed.append(line)
+            return real(cls, line)
+
+        monkeypatch.setattr(JournalEntry, "from_json", classmethod(counted))
+        fresh = Journal(journal.path)
+        assert fresh.entries() == entries
+        assert fresh.entries() == entries
+        assert list(fresh.load().values()) == entries
+        assert len(parsed) == len(entries)
 
 
 class TestJournalFile:

@@ -253,6 +253,54 @@ class TestUpperRecordKeys:
             assert trace.upper_key == first.prepare(workload).upper_key
         assert len(upper_files(tmp_path)) == 1
 
+    def test_keys_are_pinned(self, tmp_path):
+        """Upper keys (which also name profiles and lower records) and
+        sweep cell keys never move with how a cache is simulated: a
+        change that reshapes configs or designs must leave every
+        existing upper record, profile and journal valid."""
+        from repro.experiments.cli import _parse_designs
+        from repro.resilience.journal import cell_key_for
+
+        workload = get_workload("CG")
+        upper = {}
+        for mode, options in MODES.items():
+            runner = Runner(scale=SCALE, seed=4,
+                            trace_cache_dir=str(tmp_path), **options)
+            runner.trace_only(workload)
+            upper[mode] = runner.upper_key(workload)
+        assert upper == {
+            "exact": "cc8052d7e12dbc49",
+            "drain": "ed39be094c1c157d",
+            "sample": "f258255b77dc917a",
+        }
+        designs = _parse_designs(
+            "REF,NMM:PCM:N6,4LC:EDRAM:EH4,4LCNVM:EDRAM:PCM:EH4", SCALE,
+            ReferenceSystem.sandy_bridge(),
+        )
+        cells = {
+            (engine_class, drain): [
+                cell_key_for(d, workload, SCALE, 4, drain, engine_class)
+                for d in designs
+            ]
+            for engine_class, drain in (
+                ("exact", False), ("exact", True), ("analytic", False)
+            )
+        }
+        assert cells == {
+            ("exact", False): [
+                "cb81fc1c4cc481f2c0a4b1af", "e57777d75c093e5547b28583",
+                "2a44909ab5a55453dfcddf64", "90ac4e8bc949fd1080190692",
+            ],
+            ("exact", True): [
+                "5dc897343754adcffdf9e2d1", "30e0b8a8d8ab567ca98db06a",
+                "0433ea0b2157b597a763e355", "000c45fdfaec396eb1621201",
+            ],
+            ("analytic", False): [
+                "c51c00d520406769e2975f51", "55c9ea8a9b37593557db4182",
+                "35495589a196111f59f7f3c1", "051c072858080ee02ff39119",
+            ],
+        }
+
     def test_no_record_without_a_trace_cache(self):
         trace = Runner(scale=SCALE, seed=4).prepare(get_workload("CG"))
         assert trace.upper_key is None and not trace.upper_cached

@@ -37,7 +37,7 @@ class ExplodingDesign(NMMDesign):
         # let the exploding cells ride its cached statistics.
         return "BOOM"
 
-    def lower_caches(self):
+    def lower_caches(self, engine):
         raise RuntimeError("injected lower-cache failure")
 
 

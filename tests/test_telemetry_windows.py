@@ -240,7 +240,7 @@ class TestRunnerIntegration:
             design, stats = priced(telemetry)
         telemetry.close()
 
-        (l4,) = design.lower_caches()
+        (l4,) = design.lower_caches("auto")
         events = [
             json.loads(line)
             for line in (tmp_path / "events.jsonl").read_text().splitlines()
