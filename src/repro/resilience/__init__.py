@@ -8,7 +8,7 @@ artifacts. This package provides the resilience layer:
   seeded backoff jitter (:class:`RetryPolicy`).
 - :mod:`repro.resilience.journal` — on-disk JSON-lines result journal
   keyed by a content hash of (design, workload, scale, seed), one
-  fsynced ``O_APPEND`` line per cell, enabling exact resume
+  ``O_APPEND`` line per cell, fsynced in groups, enabling exact resume
   (:class:`Journal`).
 - :mod:`repro.resilience.executor` — the fault-isolated sweep executor
   with per-cell deadlines and a degradation report

@@ -38,7 +38,6 @@ do).
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 import threading
 import time
@@ -48,7 +47,12 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.errors import ConfigError
 from repro.model.evaluate import Evaluation
-from repro.resilience.journal import Journal, JournalEntry, cell_key_for
+from repro.resilience.journal import (
+    Journal,
+    JournalEntry,
+    cell_key_for,
+    evaluation_record,
+)
 from repro.resilience.retry import NO_RETRY, RetryPolicy
 from repro.telemetry.core import (
     NullTelemetry,
@@ -570,20 +574,26 @@ class SweepExecutor:
                     from_journal=True,
                 ))
 
-        if self.workers > 1:
-            stats = self._run_supervised(
-                grid, journalled, to_run, deliver, tel, run_id
-            )
-        else:
-            stats = PoolStats()
-            self._presim_workloads(grid, journalled, tel)
-            for design, workload, key in to_run:
-                if progress is not None:
-                    progress.cell_started(design.name, workload.name)
-                outcome = self._evaluate_cell(design, workload, key)
-                deliver(outcome)
-                if not outcome.ok and not self.keep_going:
-                    break
+        try:
+            if self.workers > 1:
+                stats = self._run_supervised(
+                    grid, journalled, to_run, deliver, tel, run_id
+                )
+            else:
+                stats = PoolStats()
+                self._presim_workloads(grid, journalled, tel)
+                for design, workload, key in to_run:
+                    if progress is not None:
+                        progress.cell_started(design.name, workload.name)
+                    outcome = self._evaluate_cell(design, workload, key)
+                    deliver(outcome)
+                    if not outcome.ok and not self.keep_going:
+                        break
+        finally:
+            # Appends fsync in groups: every exit, raised or returned,
+            # leaves the journal fully synced.
+            if self.journal is not None:
+                self.journal.sync()
 
         outcomes: list[CellOutcome] = []
         for design, workload, key in grid:
@@ -643,10 +653,7 @@ class SweepExecutor:
             scale=self.runner.scale, seed=self.runner.seed,
             status=outcome.status, attempts=outcome.attempts,
             duration_s=outcome.duration_s, error=outcome.error,
-            evaluation=(
-                None if outcome.evaluation is None
-                else dataclasses.asdict(outcome.evaluation)
-            ),
+            evaluation=evaluation_record(outcome.evaluation),
             run_id=run_id,
             engine_class=self.engine_class,
         )

@@ -1,12 +1,18 @@
 """On-disk result journal for resumable sweep campaigns.
 
 One JSON object per line, one line per finished cell. Each append
-writes its one line through an ``O_APPEND`` descriptor and fsyncs it,
-so an entry is durable once ``append`` returns and the cost does not
-grow with the journal. A crash mid-append leaves at worst one torn
-trailing line: loading skips it, and the next handle to append first
-truncates the file back to its valid lines, so the torn bytes never
-end up in the middle of the journal.
+writes its one line through an ``O_APPEND`` descriptor before it
+returns, so the cost does not grow with the journal and a killed
+process loses nothing it appended: the line is already in the kernel.
+Lines become durable in groups: an append fsyncs only once
+:data:`SYNC_INTERVAL_S` has passed since the handle's last fsync, and
+:meth:`Journal.sync` fsyncs whatever tail is left (the sweep executor
+calls it on every exit path). An OS crash or power loss can therefore
+lose up to :data:`SYNC_INTERVAL_S` of lines; resume re-runs those
+cells. A crash mid-append leaves at worst one torn trailing line:
+loading skips it, and the next handle to append first truncates the
+file back to its valid lines, so the torn bytes never end up in the
+middle of the journal.
 
 Cells are keyed by a SHA-256 content hash of (design name, design
 simulation key, workload name, scale, seed): if any of those change,
@@ -21,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -34,6 +41,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints
 
 #: Journal line schema; bump on incompatible changes.
 SCHEMA_VERSION = 1
+
+#: Longest a written line waits for its fsync while appends continue:
+#: the most an OS crash or power loss can take from the journal.
+SYNC_INTERVAL_S = 0.05
 
 
 def cell_key(
@@ -83,6 +94,13 @@ def cell_key_for(
         design.name, design.sim_key(), workload.name, scale, seed, drain,
         engine_class,
     )
+
+
+def evaluation_record(evaluation: Evaluation | None) -> dict | None:
+    """The plain dict a journal line or a pool ack carries for an
+    :class:`Evaluation`. Its fields are all str or float, so a shallow
+    copy is the whole serialization."""
+    return None if evaluation is None else dict(vars(evaluation))
 
 
 @dataclass(frozen=True)
@@ -180,6 +198,10 @@ class Journal:
         # Set by the first append of this handle, after it has cut any
         # torn tail off the file.
         self._tail_checked = False
+        # Monotonic time of this handle's last fsync, and whether lines
+        # were written since.
+        self._synced_at = float("-inf")
+        self._unsynced = False
 
     def exists(self) -> bool:
         """Whether the journal file is already on disk."""
@@ -226,7 +248,10 @@ class Journal:
         return {entry.key: entry for entry in self.entries()}
 
     def append(self, entry: JournalEntry) -> None:
-        """Durably append one entry: one line, ``O_APPEND``, fsync.
+        """Append one entry: one line, written through ``O_APPEND``
+        before this returns, fsynced once :data:`SYNC_INTERVAL_S` has
+        passed since this handle's last fsync (call :meth:`sync` to
+        make the rest durable).
 
         The first append of a handle re-reads the file and truncates a
         torn tail (left by a killed run) back to the valid lines, so
@@ -245,8 +270,27 @@ class Journal:
             view = memoryview(payload)
             while view:
                 view = view[os.write(fd, view):]
-            os.fsync(fd)
+            now = time.monotonic()
+            if now - self._synced_at >= SYNC_INTERVAL_S:
+                os.fsync(fd)
+                self._synced_at = now
+                self._unsynced = False
+            else:
+                self._unsynced = True
         finally:
             os.close(fd)
         self._tail_checked = True
         self._read_entries().append(entry)
+
+    def sync(self) -> None:
+        """Fsync the lines this handle wrote since its last fsync (a
+        no-op when there are none)."""
+        if not self._unsynced:
+            return
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+        self._synced_at = time.monotonic()
+        self._unsynced = False

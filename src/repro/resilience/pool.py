@@ -34,7 +34,6 @@ supervision story alongside the simulation one.
 
 from __future__ import annotations
 
-import dataclasses
 import multiprocessing
 import signal
 import threading
@@ -54,13 +53,17 @@ from repro.resilience.executor import (
     STATUS_TIMED_OUT,
     SweepExecutor,
 )
+from repro.resilience.journal import evaluation_record
 from repro.telemetry.core import (
+    METRICS_FILE,
     NULL_TELEMETRY,
     NullTelemetry,
     RunContext,
     Telemetry,
     set_active,
 )
+from repro.telemetry.exporters import atomic_write_text
+from repro.telemetry.registry import render_snapshot
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
     from repro.resilience.faults import FaultInjector
@@ -184,6 +187,13 @@ def _pool_worker(conn, cancel_event, payload: dict) -> None:
     :meth:`~repro.experiments.runner.Runner.unsent_lower_chains`. The
     parent adds them to its runner's lower record, so only acked cells
     persist chains, through one writer.
+
+    Its ``metrics`` are the worker registry's full
+    :meth:`~repro.telemetry.registry.MetricsRegistry.snapshot` (None
+    with telemetry off). The worker writes its own ``metrics.prom``
+    only at close; the parent keeps the latest snapshot and writes it
+    for a worker that died by a signal, so no acked cell's metrics are
+    lost to a SIGKILL.
     """
     # Forked workers inherit the parent's drain handlers; reset them so
     # Ctrl-C to the process group cannot kill workers mid-drain and the
@@ -293,6 +303,10 @@ def _pool_worker(conn, cancel_event, payload: dict) -> None:
                 fatal = True
                 break
             outcome = box["outcome"]
+            profile = telemetry.profile
+            if profile is not None:
+                # Samples drain per ack, before the snapshot counts them.
+                profile.flush()
             record = {
                 "key": outcome.key,
                 "design": outcome.design,
@@ -301,17 +315,17 @@ def _pool_worker(conn, cancel_event, payload: dict) -> None:
                 "attempts": outcome.attempts,
                 "duration_s": outcome.duration_s,
                 "error": outcome.error,
-                "evaluation": (
-                    None
-                    if outcome.evaluation is None
-                    else dataclasses.asdict(outcome.evaluation)
-                ),
+                "evaluation": evaluation_record(outcome.evaluation),
                 "chains": runner.unsent_lower_chains(workload.name),
+                # The parent writes these if a signal kills this worker
+                # before its close() does (merge conservation across
+                # restarts).
+                "metrics": (
+                    telemetry.registry.snapshot()
+                    if telemetry.enabled else None
+                ),
             }
             send(("cell_finished", record))
-            # Flush after every ack: a later SIGKILL must not cost this
-            # cell's metrics (merge conservation across restarts).
-            telemetry.flush()
     except BaseException:
         fatal = True
     finally:
@@ -336,7 +350,7 @@ class _WorkerHandle:
     __slots__ = (
         "index", "proc", "conn", "cancel", "inflight", "anchor",
         "last_beat", "stage", "stage_deadline", "abandoned",
-        "sentinel_sent", "drained", "eof", "closed",
+        "sentinel_sent", "drained", "eof", "closed", "metrics",
     )
 
     def __init__(self, index: int, proc, conn, cancel) -> None:
@@ -354,6 +368,9 @@ class _WorkerHandle:
         self.drained = False
         self.eof = False
         self.closed = False
+        #: The metrics snapshot of the worker's latest ack (replaced,
+        #: never merged, so nothing counts twice).
+        self.metrics: list[dict] | None = None
 
     @property
     def label(self) -> str:
@@ -449,7 +466,9 @@ class SupervisedPool:
         ``on_result`` is invoked in the parent, once per finished cell
         (worker results, parent-fabricated ``timed_out`` / ``poisoned``
         / exhaustion ``failed`` records alike), *before* the next cell
-        is dispatched to that worker — journal-before-ack ordering.
+        is dispatched to that worker — journal-before-ack ordering: the
+        journal line is written by then, though its fsync may trail by
+        up to :data:`~repro.resilience.journal.SYNC_INTERVAL_S`.
 
         Returns ``(stats, leftover)``: ``leftover`` holds the cells
         never finished (drain, fail-fast, or exhaustion with
@@ -673,6 +692,7 @@ class SupervisedPool:
                 handle.anchor = time.monotonic()
             elif kind == "cell_finished":
                 handle.inflight = None
+                handle.metrics = message[1].pop("metrics", None)
                 if handle.stage:
                     # The cell finished inside an escalation grace
                     # window: de-escalate and keep the worker.
@@ -733,6 +753,7 @@ class SupervisedPool:
             pass
         if handle.drained:
             return  # clean sentinel exit, not a death
+        self._write_dead_worker_metrics(handle)
         cell = handle.inflight
         handle.inflight = None
         escalated = handle.stage > 0 or handle.abandoned
@@ -763,6 +784,25 @@ class SupervisedPool:
             and self._stats.respawns < self.max_worker_restarts
         ):
             self._spawn(replaces=handle.index)
+
+    def _write_dead_worker_metrics(self, handle: _WorkerHandle) -> None:
+        """Write ``worker-K/metrics.prom`` from the latest acked
+        snapshot of a reaped worker that a signal killed.
+
+        Such a worker never ran its own ``close()``, so the parent is
+        the file's one writer; every other exit writes it in the worker.
+        """
+        exitcode = handle.proc.exitcode
+        if handle.metrics is None or exitcode is None or exitcode >= 0:
+            return
+        labels = (
+            RunContext(self.run_id).child(handle.label).labels()
+            if self.run_id else None
+        )
+        atomic_write_text(
+            self.telemetry_root / handle.label / METRICS_FILE,
+            render_snapshot(handle.metrics, labels),
+        )
 
     def _crash_cell(
         self, cell: tuple, handle: _WorkerHandle, now: float
@@ -899,6 +939,7 @@ class SupervisedPool:
             if handle.proc.is_alive():
                 handle.proc.kill()
                 handle.proc.join(timeout=1.0)
+            self._write_dead_worker_metrics(handle)
             handle.closed = True
             self.tel.gauge("repro_pool_workers_alive").dec()
             try:

@@ -303,45 +303,55 @@ class MetricsRegistry:
     def render_prometheus(
         self, extra_labels: dict[str, str] | None = None
     ) -> str:
-        """The registry in Prometheus text exposition format.
+        """The registry in Prometheus text exposition format (see
+        :func:`render_snapshot`)."""
+        return render_snapshot(self.snapshot(), extra_labels)
 
-        ``extra_labels`` (e.g. a run context's ``run`` / ``worker``
-        pair) are added to every sample at render time without
-        touching the instruments, so the same registry can be
-        snapshotted with or without provenance. An instrument's own
-        label of the same name wins.
-        """
-        lines: list[str] = []
-        seen_types: set[str] = set()
-        for entry in self.snapshot():
-            name, kind = entry["name"], entry["kind"]
-            base_labels = (
-                dict(extra_labels, **entry["labels"])
-                if extra_labels else entry["labels"]
+
+def render_snapshot(
+    snapshot: list[dict], extra_labels: dict[str, str] | None = None
+) -> str:
+    """A :meth:`MetricsRegistry.snapshot` in Prometheus text exposition
+    format: the one renderer for a live registry and for a snapshot
+    that crossed a process boundary.
+
+    ``extra_labels`` (e.g. a run context's ``run`` / ``worker`` pair)
+    are added to every sample at render time without touching the
+    instruments, so the same registry can be snapshotted with or
+    without provenance. An instrument's own label of the same name
+    wins.
+    """
+    lines: list[str] = []
+    seen_types: set[str] = set()
+    for entry in snapshot:
+        name, kind = entry["name"], entry["kind"]
+        base_labels = (
+            dict(extra_labels, **entry["labels"])
+            if extra_labels else entry["labels"]
+        )
+        if name not in seen_types:
+            lines.append(f"# TYPE {name} {kind}")
+            seen_types.add(name)
+        if kind == "histogram":
+            for bound, count in entry["buckets"].items():
+                labels = dict(base_labels, le=bound)
+                lines.append(
+                    f"{name}_bucket{_render_labels(labels)} {count}"
+                )
+            lines.append(
+                f"{name}_sum{_render_labels(base_labels)} "
+                f"{_render_value(entry['sum'])}"
             )
-            if name not in seen_types:
-                lines.append(f"# TYPE {name} {kind}")
-                seen_types.add(name)
-            if kind == "histogram":
-                for bound, count in entry["buckets"].items():
-                    labels = dict(base_labels, le=bound)
-                    lines.append(
-                        f"{name}_bucket{_render_labels(labels)} {count}"
-                    )
-                lines.append(
-                    f"{name}_sum{_render_labels(base_labels)} "
-                    f"{_render_value(entry['sum'])}"
-                )
-                lines.append(
-                    f"{name}_count{_render_labels(base_labels)} "
-                    f"{entry['count']}"
-                )
-            else:
-                lines.append(
-                    f"{name}{_render_labels(base_labels)} "
-                    f"{_render_value(entry['value'])}"
-                )
-        return "\n".join(lines) + ("\n" if lines else "")
+            lines.append(
+                f"{name}_count{_render_labels(base_labels)} "
+                f"{entry['count']}"
+            )
+        else:
+            lines.append(
+                f"{name}{_render_labels(base_labels)} "
+                f"{_render_value(entry['value'])}"
+            )
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def _render_labels(labels: dict[str, str]) -> str:

@@ -6,6 +6,8 @@ fast; the benchmarks exercise the default experiment scale.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -56,3 +58,48 @@ def make_stream(addresses, sizes=8, is_store=0) -> AddressStream:
     return AddressStream.from_arrays(
         np.asarray(addresses, dtype=np.uint64), sizes, is_store
     )
+
+
+class JournalIO:
+    """Stands in for the ``os`` and ``time`` modules of
+    :mod:`repro.resilience.journal`: it records the journal's writes and
+    fsyncs in call order, forwards every other ``os`` name, and runs a
+    ``monotonic`` clock that moves only when a test sets :attr:`now`."""
+
+    def __init__(self) -> None:
+        self.calls: list[str] = []
+        self.now = 0.0
+
+    def __getattr__(self, name):
+        return getattr(os, name)
+
+    def write(self, fd, data):
+        self.calls.append("write")
+        return os.write(fd, data)
+
+    def fsync(self, fd) -> None:
+        self.calls.append("fsync")
+        os.fsync(fd)
+
+    def monotonic(self) -> float:
+        return self.now
+
+    @property
+    def fsyncs(self) -> int:
+        return self.calls.count("fsync")
+
+    @property
+    def synced(self) -> bool:
+        """Whether no journal write is still waiting for an fsync."""
+        return not self.calls or self.calls[-1] == "fsync"
+
+
+@pytest.fixture
+def journal_io(monkeypatch) -> JournalIO:
+    """Journal I/O recorded, under a clock that stands still."""
+    from repro.resilience import journal
+
+    io = JournalIO()
+    monkeypatch.setattr(journal, "os", io)
+    monkeypatch.setattr(journal, "time", io)
+    return io

@@ -5,6 +5,12 @@ machinery is exercised in milliseconds; one integration test runs a
 real (tiny-scale) campaign through a mid-campaign kill and resume.
 """
 
+import json
+import os
+import signal
+import subprocess
+import sys
+
 import pytest
 
 from repro.errors import ConfigError
@@ -257,6 +263,47 @@ class TestJournalResume:
         assert changed.calls == 4
 
 
+class TestJournalDurability:
+    """Appends fsync in groups, and ``run`` leaves nothing unsynced
+    however it ends."""
+
+    def test_normal_end(self, tmp_path, journal_io):
+        path = tmp_path / "j.jsonl"
+        result = SweepExecutor(FakeRunner(), journal=path).run(
+            DESIGNS, WORKLOADS
+        )
+        assert all(o.ok for o in result.outcomes)
+        assert len(Journal(path).load()) == 4
+        # The first append and the final sync; not one per cell.
+        assert journal_io.fsyncs == 2 and journal_io.synced
+
+    def test_fail_fast(self, tmp_path, journal_io):
+        path = tmp_path / "j.jsonl"
+        runner = FakeRunner()
+        injector = FaultInjector().fail_cell("D1", "W2")
+        result = SweepExecutor(
+            runner, evaluate=injector.wrap(runner.evaluate), journal=path,
+            keep_going=False,
+        ).run(DESIGNS, WORKLOADS)
+        assert [o.status for o in result.outcomes] == [
+            "ok", "failed", "skipped", "skipped"
+        ]
+        assert len(Journal(path).load()) == 2
+        assert journal_io.fsyncs == 2 and journal_io.synced
+
+    def test_campaign_kill(self, tmp_path, journal_io):
+        path = tmp_path / "j.jsonl"
+        runner = FakeRunner()
+        injector = FaultInjector().kill_at_call(4)
+        with pytest.raises(CampaignKill):
+            SweepExecutor(
+                runner, evaluate=injector.wrap(runner.evaluate),
+                journal=path,
+            ).run(DESIGNS, WORKLOADS)
+        assert len(Journal(path).load()) == 3
+        assert journal_io.fsyncs == 2 and journal_io.synced
+
+
 class TestDegradationReport:
     def test_report_names_failures_and_reproduction_handle(self):
         runner = FakeRunner()
@@ -331,3 +378,78 @@ class TestRealRunnerIntegration:
         fresh = Runner(scale=self.SCALE, seed=2)
         expected = fresh.evaluate(designs_for(fresh)[0], workloads[0])
         assert result.outcomes[0].evaluation == expected
+
+
+#: A serial ``sweep`` that SIGKILLs itself right after its
+#: ``KILL_AFTER``-th journal append. Only the first line was fsynced
+#: then: the rest were written and still waited for their fsync.
+KILLED_SWEEP = """
+import os, signal, sys
+from repro.resilience import journal
+from repro.experiments.cli import main
+
+journal.SYNC_INTERVAL_S = 3600.0
+append = journal.Journal.append
+appended = 0
+
+def append_then_die(self, entry):
+    global appended
+    append(self, entry)
+    appended += 1
+    if appended == int(os.environ["KILL_AFTER"]):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+journal.Journal.append = append_then_die
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+class TestKilledBeforeFsync:
+    """A process killed between a journal write and its fsync keeps
+    every line it wrote: resume reuses exactly those and re-runs the
+    rest."""
+
+    DESIGNS = "REF,NMM:PCM:N6,NMM:STTRAM:N6,4LC:EDRAM:EH4"
+
+    def sweep(self, journal, *extra, code=None, env=None):
+        args = [
+            "--scale", "0.0001220703125", "--workloads", "CG",
+            "sweep", "--designs", self.DESIGNS, "--journal", str(journal),
+            "--keep-going", *extra,
+        ]
+        command = (
+            [sys.executable, "-c", code, *args] if code is not None
+            else [sys.executable, "-m", "repro.experiments", *args]
+        )
+        return subprocess.run(
+            command, capture_output=True, text=True, timeout=300,
+            env={
+                **os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+                **(env or {}),
+            },
+        )
+
+    def test_resume_reuses_exactly_the_lines_on_disk(self, tmp_path):
+        killed = tmp_path / "killed.jsonl"
+        done = self.sweep(killed, code=KILLED_SWEEP, env={"KILL_AFTER": "3"})
+        assert done.returncode == -signal.SIGKILL, done.stderr
+        on_disk = killed.read_bytes()
+        assert len(on_disk.splitlines()) == 3
+
+        resumed = self.sweep(killed, "--resume")
+        assert resumed.returncode == 0, resumed.stderr
+        after = killed.read_bytes()
+        assert after.startswith(on_disk)  # reused, not rewritten
+        assert len(after[len(on_disk):].splitlines()) == 1  # one re-run
+
+        whole = tmp_path / "whole.jsonl"
+        assert self.sweep(whole).returncode == 0
+
+        def digest(path):
+            return sorted(
+                (e.key, e.status, json.dumps(e.evaluation, sort_keys=True))
+                for e in Journal(path).load().values()
+            )
+
+        assert digest(killed) == digest(whole)
+        assert len(digest(whole)) == 4

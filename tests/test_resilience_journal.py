@@ -13,6 +13,7 @@ from repro.resilience import (
     JournalEntry,
     cell_key,
 )
+from repro.resilience.journal import SYNC_INTERVAL_S
 
 pytestmark = pytest.mark.resilience
 
@@ -257,3 +258,36 @@ class TestJournalFile:
         assert after.st_ino == before.st_ino  # not rewritten and swapped
         assert after.st_size == before.st_size + len(make_entry("b").to_json()) + 1
         assert [e.key for e in journal.entries()] == ["a", "b"]
+
+
+class TestGroupCommit:
+    """Every append writes its line at once; fsyncs come in groups."""
+
+    def test_appends_inside_one_interval_cost_two_fsyncs(
+        self, tmp_path, journal_io
+    ):
+        journal = Journal(tmp_path / "j.jsonl")
+        for index in range(20):
+            journal.append(make_entry(f"k{index}"))
+        # Written, not yet all durable: the first append fsynced.
+        assert len(Journal(journal.path).load()) == 20
+        assert journal_io.fsyncs == 1 and not journal_io.synced
+        journal.sync()
+        assert journal_io.fsyncs == 2 and journal_io.synced
+        journal.sync()  # nothing left to sync
+        assert journal_io.fsyncs == 2
+
+    def test_an_append_past_the_interval_fsyncs(self, tmp_path, journal_io):
+        journal = Journal(tmp_path / "j.jsonl")
+        journal.append(make_entry("a"))
+        journal_io.now = SYNC_INTERVAL_S / 2
+        journal.append(make_entry("b"))
+        assert journal_io.fsyncs == 1
+        journal_io.now = SYNC_INTERVAL_S
+        journal.append(make_entry("c"))
+        assert journal_io.fsyncs == 2 and journal_io.synced
+
+    def test_sync_without_appends_is_a_no_op(self, tmp_path, journal_io):
+        journal = Journal(tmp_path / "absent.jsonl")
+        journal.sync()
+        assert journal_io.calls == [] and not journal.exists()

@@ -32,7 +32,7 @@ from repro.resilience import (
     acquire_latch,
 )
 from repro.telemetry.core import RunContext, Telemetry, new_run_id
-from repro.telemetry.observatory import aggregate_run
+from repro.telemetry.observatory import aggregate_run, summary_from_aggregate
 from repro.tech.params import EDRAM, PCM
 from repro.workloads.registry import get_workload
 
@@ -190,6 +190,49 @@ class TestCrashRecovery:
         ).run(designs, workloads)
         assert all(o.from_journal for o in again.outcomes)
 
+    def test_sigkilled_worker_keeps_the_metrics_of_its_acked_cells(
+        self, trace_cache, workloads, tmp_path
+    ):
+        """A worker SIGKILLed after acking cells loses none of their
+        metrics: its ``metrics.prom`` counts exactly the ``sweep.cell``
+        spans its event log holds, and the merged report conserves
+        spans and cells across the whole tree."""
+        runner = make_runner(trace_cache)
+        designs = make_designs(runner.reference, n=3)
+        # Six cells over two workers: one worker reaches its third
+        # evaluation, and the first to do so dies with two cells acked.
+        faults = FaultInjector().worker_kill(3, latch=tmp_path / "kill.latch")
+        root = tmp_path / "tel"
+        tel = Telemetry(root, run_context=RunContext(new_run_id()))
+        result = SweepExecutor(
+            runner, workers=2, telemetry=tel, worker_faults=faults,
+            pool_tuning=FAST_TUNING,
+        ).run(designs, workloads)
+        tel.close()
+        assert all(o.ok for o in result.outcomes), result.report()
+        assert result.requeues == 1
+
+        died = [e for e in read_events(root) if e.get("kind") == "worker_died"]
+        assert len(died) == 1
+        dead = aggregate_run(root / died[0]["pool_worker"])
+        span_events = {d.name: d.count for d in dead.span_digests()}
+        assert span_events["sweep.cell"] >= 2
+        assert dead.metric_value(
+            "repro_span_seconds_count", name="sweep.cell"
+        ) == span_events["sweep.cell"]
+
+        cells = len(result.outcomes)
+        merged = aggregate_run(root)
+        summary = summary_from_aggregate(merged)
+        assert {d.name: d.count for d in summary.spans}["sweep.cell"] == cells
+        assert merged.metric_value(
+            "repro_span_seconds_count", name="sweep.cell"
+        ) == cells
+        assert merged.metric_value(
+            "repro_spans_total", name="sweep.cell"
+        ) == cells
+        assert merged.cell_status_counts() == {"ok": float(cells)}
+
     def test_supervision_events_do_not_clobber_provenance(
         self, trace_cache, workloads, tmp_path
     ):
@@ -342,6 +385,42 @@ class TestGracefulDrain:
         assert all(o.ok for o in again.outcomes), again.report()
         reused = [o for o in again.outcomes if o.from_journal]
         assert len(reused) == len(entries)
+
+
+    def test_drain_leaves_the_journal_synced(
+        self, trace_cache, workloads, tmp_path, journal_io
+    ):
+        """Under a clock that never reaches the next group fsync, the
+        drained campaign's journal is still fully synced when ``run``
+        returns."""
+        runner = make_runner(trace_cache)
+        designs = make_designs(runner.reference, n=3)
+        faults = FaultInjector()
+        for design in designs:
+            faults.delay_cell(design.name, "SP", 1.0)
+        path = tmp_path / "j.jsonl"
+
+        def send_sigterm_after_two_entries() -> None:
+            deadline = time.monotonic() + 30.0
+            while time.monotonic() < deadline:
+                if path.exists() and len(Journal(path).load()) >= 2:
+                    os.kill(os.getpid(), signal.SIGTERM)
+                    return
+                time.sleep(0.02)
+
+        killer = threading.Thread(
+            target=send_sigterm_after_two_entries, daemon=True
+        )
+        killer.start()
+        result = SweepExecutor(
+            runner, journal=path, workers=2, worker_faults=faults,
+            pool_tuning=FAST_TUNING,
+        ).run(designs, workloads)
+        killer.join(timeout=30.0)
+
+        assert result.drained
+        assert 2 <= len(Journal(path).load()) < len(result.outcomes)
+        assert journal_io.fsyncs == 2 and journal_io.synced
 
 
 class TestPoolExhaustion:
