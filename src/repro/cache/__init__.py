@@ -12,39 +12,8 @@ DRAM-as-cache in front of NVM) are ordinary
 :class:`~repro.cache.setassoc.SetAssociativeCache` instances with a
 larger block size; the partitioned DRAM+NVM main memory of the NDM
 design is :class:`~repro.cache.partition.PartitionedMemory`.
+
+The package re-exports nothing: import names from their submodules
+(``from repro.cache.config import CacheConfig``), so reading a cache
+config or a level's statistics never loads the simulator or numpy.
 """
-
-from repro.cache.config import CacheConfig
-from repro.cache.stats import LevelStats, HierarchyStats
-from repro.cache.setassoc import SetAssociativeCache
-from repro.cache.mainmem import MainMemory
-from repro.cache.partition import PartitionedMemory
-from repro.cache.hierarchy import Hierarchy, drain_chain, replay_chain, run_chain
-from repro.cache.prefetch import PrefetchingCache, PrefetchStats
-from repro.cache.replacement import (
-    FIFOPolicy,
-    LRUPolicy,
-    RandomPolicy,
-    ReplacementPolicy,
-    make_policy,
-)
-
-__all__ = [
-    "CacheConfig",
-    "LevelStats",
-    "HierarchyStats",
-    "SetAssociativeCache",
-    "MainMemory",
-    "PartitionedMemory",
-    "Hierarchy",
-    "run_chain",
-    "drain_chain",
-    "replay_chain",
-    "PrefetchingCache",
-    "PrefetchStats",
-    "ReplacementPolicy",
-    "LRUPolicy",
-    "FIFOPolicy",
-    "RandomPolicy",
-    "make_policy",
-]

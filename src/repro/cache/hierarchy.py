@@ -134,7 +134,7 @@ def to_block_requests(batch: AccessBatch, block_size: int) -> AccessBatch:
         return batch
     shift = np.uint64(log2_int(block_size))
     first = batch.addresses >> shift
-    last = (batch.addresses + batch.sizes.astype(ADDR_DTYPE) - ADDR_DTYPE(1)) >> shift
+    last = (batch.addresses + batch.sizes.astype(ADDR_DTYPE) - np.uint64(1)) >> shift
     spans = (last - first).astype(np.int64)
     capped = np.minimum(batch.sizes, block_size).astype(SIZE_DTYPE)
     if not spans.any():

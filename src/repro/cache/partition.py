@@ -12,13 +12,15 @@ delays/energies to exactly the traffic each received.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.cache.mainmem import MainMemory
 from repro.cache.stats import LevelStats
 from repro.errors import ConfigError
 from repro.trace.events import AccessBatch
+
+if TYPE_CHECKING:  # pragma: no cover - numpy loads where arrays are made
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -73,6 +75,8 @@ class PartitionedMemory:
 
     def route(self, addresses: np.ndarray) -> np.ndarray:
         """Device index for each address (vectorized, first match wins)."""
+        import numpy as np
+
         out = np.full(len(addresses), self.default_device, dtype=np.int64)
         unassigned = np.ones(len(addresses), dtype=bool)
         for rule in self.rules:

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro.errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
@@ -66,18 +64,18 @@ class LevelStats:
             ``(n_loads, n_stores)`` of the batch, for the caller's own
             hit/miss attribution.
         """
+        # is_store is strictly 0/1 (see AccessBatch), so its sum counts
+        # the stores, and sizes * is_store — no larger than sizes, so
+        # within their dtype — is an exact masked sum without the
+        # boolean-index copy.
         is_store = batch.is_store
-        n_stores = int(np.count_nonzero(is_store))
+        n_stores = int(is_store.sum(dtype="int64"))
         n_loads = len(batch) - n_stores
         self.loads += n_loads
         self.stores += n_stores
         sizes = batch.sizes
-        total_bytes = int(sizes.sum(dtype=np.int64))
-        # is_store is strictly 0/1 (see AccessBatch), so a multiply is
-        # an exact masked sum without the boolean-index copy.
-        store_bytes = int(
-            np.multiply(sizes, is_store, dtype=np.int64).sum(dtype=np.int64)
-        )
+        total_bytes = int(sizes.sum(dtype="int64"))
+        store_bytes = int((sizes * is_store).sum(dtype="int64"))
         self.store_bits += 8 * store_bytes
         self.load_bits += 8 * (total_bytes - store_bytes)
         return n_loads, n_stores

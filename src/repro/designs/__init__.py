@@ -15,37 +15,7 @@ Five design families (Section III.A):
 
 :mod:`repro.designs.configs` holds the Table 2 (EH1–EH8) and Table 3
 (N1–N9) configuration constants and the capacity-scaling machinery.
+
+The package re-exports nothing: import names from their submodules
+(``from repro.designs.nmm import NMMDesign``).
 """
-
-from repro.designs.base import MemoryDesign, ReferenceSystem
-from repro.designs.reference import ReferenceDesign
-from repro.designs.fourlc import FourLCDesign
-from repro.designs.nmm import NMMDesign
-from repro.designs.fourlcnvm import FourLCNVMDesign
-from repro.designs.ndm import NDMDesign
-from repro.designs.deephybrid import DeepHybridDesign
-from repro.designs.configs import (
-    DEFAULT_SCALE,
-    EH_CONFIGS,
-    N_CONFIGS,
-    NDM_DRAM_CAPACITY,
-    EHConfig,
-    NConfig,
-)
-
-__all__ = [
-    "MemoryDesign",
-    "ReferenceSystem",
-    "ReferenceDesign",
-    "FourLCDesign",
-    "NMMDesign",
-    "FourLCNVMDesign",
-    "NDMDesign",
-    "DeepHybridDesign",
-    "EHConfig",
-    "NConfig",
-    "EH_CONFIGS",
-    "N_CONFIGS",
-    "NDM_DRAM_CAPACITY",
-    "DEFAULT_SCALE",
-]

@@ -7,22 +7,78 @@ in every design) and the design-specific *lower* levels (L4 and/or
 memory devices) is what lets the experiment runner simulate the upper
 levels once per workload and reuse the post-L3 request stream across
 the whole configuration space.
+
+A design describes its lower chain by :class:`CacheConfig` values
+(:meth:`MemoryDesign.lower_configs`), so the chain's identity
+(:func:`chain_key`) is known without building a cache: pricing a
+design from a recorded chain never loads the cache simulator.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.cache.config import CacheConfig
-from repro.cache.hierarchy import Hierarchy
 from repro.cache.mainmem import MainMemory
 from repro.cache.partition import PartitionedMemory
-from repro.cache.setassoc import SetAssociativeCache
 from repro.errors import ConfigError
 from repro.model.bindings import LevelBinding
 from repro.tech.minicacti import estimate_sram_cache
 from repro.units import KiB, MiB
+
+if TYPE_CHECKING:  # pragma: no cover - the simulator loads where it runs
+    from repro.cache.hierarchy import Hierarchy
+    from repro.cache.setassoc import SetAssociativeCache
+
+
+def config_key(config: CacheConfig) -> tuple:
+    """Canonical identity of a cache level's simulation behaviour.
+
+    Two levels with equal keys produce identical statistics and emit
+    identical downstream batches on identical input streams (the config
+    fully determines geometry, sectoring, set hashing, and replacement
+    policy).
+    """
+    return dataclasses.astuple(config)
+
+
+def chain_key(
+    configs: list[CacheConfig], memory: MainMemory | PartitionedMemory
+) -> tuple | None:
+    """Canonical identity of a lower chain's simulation behaviour.
+
+    The tuple of :func:`config_key` over the configs of the chain's
+    caches — followed, for a :class:`PartitionedMemory` of
+    :class:`MainMemory` devices, by its device names, its routing rules
+    in order and its default device. ``None`` unless the memory is
+    exactly a :class:`MainMemory` or such a partitioned memory: only
+    those chains are fully described by their configs. Designs with
+    equal chain keys drive identical data movement; their statistics
+    differ at most in a plain memory level's name, since a
+    :class:`MainMemory` counts what arrives whatever its name or
+    technology (so two NDM designs with equal ranges and different NVM
+    technologies share a key). ``SimPlan`` regroups and
+    ``Runner.stats_for`` shares exactly the chains with a key (see
+    :meth:`MemoryDesign.chain_key`).
+    """
+    caches = tuple(config_key(config) for config in configs)
+    if type(memory) is MainMemory:
+        return caches
+    if type(memory) is PartitionedMemory and all(
+        type(device) is MainMemory for device in memory.devices
+    ):
+        rules = tuple(
+            (int(rule.start), int(rule.end), int(rule.device_index))
+            for rule in memory.rules
+        )
+        devices = tuple(device.name for device in memory.devices)
+        return caches + (
+            ("partitioned", devices, rules, int(memory.default_device)),
+        )
+    return None
 
 
 @dataclass(frozen=True)
@@ -98,6 +154,8 @@ class ReferenceSystem:
             engine: the run's simulation engine (see
                 :class:`~repro.cache.setassoc.SetAssociativeCache`).
         """
+        from repro.cache.setassoc import SetAssociativeCache
+
         return [
             SetAssociativeCache(c, engine) for c in self.scaled_configs(scale)
         ]
@@ -131,7 +189,7 @@ class ReferenceSystem:
 class MemoryDesign(ABC):
     """One memory-hierarchy design at one configuration point.
 
-    Concrete designs define the levels *below* L3 (``lower_caches`` +
+    Concrete designs define the levels *below* L3 (``lower_configs`` +
     ``memory``) and their technology bindings; the SRAM pyramid and its
     bindings come from the shared :class:`ReferenceSystem`.
 
@@ -160,9 +218,26 @@ class MemoryDesign(ABC):
     # -- design-specific pieces -----------------------------------------
 
     @abstractmethod
+    def lower_configs(self) -> list[CacheConfig]:
+        """Scaled configs of the cache levels below L3, top to bottom
+        (may be empty)."""
+
     def lower_caches(self, engine: str) -> list[SetAssociativeCache]:
         """Fresh scaled cache instances below L3 (may be empty), each
-        simulated by ``engine``."""
+        simulated by ``engine``: one
+        :class:`~repro.cache.setassoc.SetAssociativeCache` per
+        :meth:`lower_configs` entry.
+
+        A design that overrides this (a prefetching or instrumented
+        level, say) has no :meth:`chain_key`: its configs no longer
+        describe what it simulates.
+        """
+        from repro.cache.setassoc import SetAssociativeCache
+
+        return [
+            SetAssociativeCache(config, engine)
+            for config in self.lower_configs()
+        ]
 
     @abstractmethod
     def memory(self) -> MainMemory | PartitionedMemory:
@@ -190,15 +265,28 @@ class MemoryDesign(ABC):
         so it stays as it is even where the runner shares more: designs
         with different sim keys but config-identical lower chains
         (4LC-EH4 and 4LCNVM-EH4) are priced once per workload, keyed by
-        :func:`~repro.experiments.simplan.chain_key`.
+        :meth:`chain_key`.
         """
         return self.name
+
+    def chain_key(self) -> tuple | None:
+        """The :func:`chain_key` of the design's lower chain, from its
+        configs and a fresh :meth:`memory`, without building a cache.
+
+        ``None`` when the design overrides :meth:`lower_caches`, or its
+        memory is not one :func:`chain_key` vouches for.
+        """
+        if type(self).lower_caches is not MemoryDesign.lower_caches:
+            return None
+        return chain_key(self.lower_configs(), self.memory())
 
     # -- common machinery -------------------------------------------------
 
     def build(self, engine: str) -> Hierarchy:
         """A fresh, cold, fully-assembled scaled hierarchy whose caches
         ``engine`` simulates."""
+        from repro.cache.hierarchy import Hierarchy
+
         return Hierarchy(
             self.reference.build_caches(self.scale, engine)
             + self.lower_caches(engine),

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from repro.cache.config import CacheConfig
 from repro.cache.mainmem import MainMemory
-from repro.cache.setassoc import SetAssociativeCache
 from repro.designs.base import MemoryDesign, ReferenceSystem
 from repro.designs.configs import (
     PAGE_CACHE_ASSOCIATIVITY,
@@ -78,7 +77,7 @@ class DeepHybridDesign(MemoryDesign):
     def sim_key(self) -> str:
         return f"DEEP-{self.l4_config_row.name}-{self.dram_config_row.name}"
 
-    def lower_caches(self, engine: str) -> list[SetAssociativeCache]:
+    def lower_configs(self) -> list[CacheConfig]:
         l4 = CacheConfig(
             self.L4_LEVEL,
             self.l4_config_row.capacity,
@@ -97,10 +96,7 @@ class DeepHybridDesign(MemoryDesign):
             ),
             hashed_sets=True,
         )
-        return [
-            SetAssociativeCache(l4.scaled(self.scale), engine),
-            SetAssociativeCache(dram_cache.scaled(self.scale), engine),
-        ]
+        return [l4.scaled(self.scale), dram_cache.scaled(self.scale)]
 
     def memory(self) -> MainMemory:
         return MainMemory(self.MEMORY_LEVEL)

@@ -10,8 +10,8 @@ from :mod:`repro.partition`; this class provides the mechanism.
 from __future__ import annotations
 
 from repro.cache.mainmem import MainMemory
+from repro.cache.config import CacheConfig
 from repro.cache.partition import PartitionedMemory, RoutingRule
-from repro.cache.setassoc import SetAssociativeCache
 from repro.designs.base import MemoryDesign, ReferenceSystem
 from repro.designs.configs import NDM_DRAM_CAPACITY
 from repro.model.bindings import LevelBinding
@@ -57,7 +57,7 @@ class NDMDesign(MemoryDesign):
         ranges = ",".join(f"{r.start:#x}-{r.end:#x}" for r in self.nvm_ranges)
         return f"NDM[{ranges}]"
 
-    def lower_caches(self, engine: str) -> list[SetAssociativeCache]:
+    def lower_configs(self) -> list[CacheConfig]:
         return []
 
     def memory(self) -> PartitionedMemory:

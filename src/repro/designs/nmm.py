@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from repro.cache.config import CacheConfig
 from repro.cache.mainmem import MainMemory
-from repro.cache.setassoc import SetAssociativeCache
 from repro.designs.base import MemoryDesign, ReferenceSystem
 from repro.designs.configs import PAGE_CACHE_ASSOCIATIVITY, NConfig
 from repro.errors import ConfigError
@@ -68,10 +67,8 @@ class NMMDesign(MemoryDesign):
             hashed_sets=True,
         )
 
-    def lower_caches(self, engine: str) -> list[SetAssociativeCache]:
-        return [
-            SetAssociativeCache(self.dram_cache_config().scaled(self.scale), engine)
-        ]
+    def lower_configs(self) -> list[CacheConfig]:
+        return [self.dram_cache_config().scaled(self.scale)]
 
     def memory(self) -> MainMemory:
         return MainMemory(self.MEMORY_LEVEL)

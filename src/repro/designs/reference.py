@@ -7,8 +7,8 @@ paper normalizes against this design.
 
 from __future__ import annotations
 
+from repro.cache.config import CacheConfig
 from repro.cache.mainmem import MainMemory
-from repro.cache.setassoc import SetAssociativeCache
 from repro.designs.base import MemoryDesign, ReferenceSystem
 from repro.model.bindings import LevelBinding
 from repro.tech.params import DRAM
@@ -27,7 +27,7 @@ class ReferenceDesign(MemoryDesign):
     ) -> None:
         super().__init__("REF", scale=scale, reference=reference)
 
-    def lower_caches(self, engine: str) -> list[SetAssociativeCache]:
+    def lower_configs(self) -> list[CacheConfig]:
         return []
 
     def memory(self) -> MainMemory:

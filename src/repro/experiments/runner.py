@@ -33,10 +33,8 @@ import json
 import logging
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from repro.cache.hierarchy import Hierarchy, replay_chain, run_chain
 from repro.cache.mainmem import MainMemory
 from repro.cache.partition import PartitionedMemory
 from repro.cache.stats import COUNTER_FIELDS, HierarchyStats, LevelStats
@@ -44,7 +42,6 @@ from repro.designs.base import MemoryDesign, ReferenceSystem
 from repro.designs.configs import DEFAULT_SCALE, NDM_DRAM_CAPACITY
 from repro.designs.ndm import NDMDesign
 from repro.designs.reference import ReferenceDesign
-from repro.experiments.simplan import SimPlan, chain_key
 from repro.model.evaluate import (
     Evaluation,
     RawEvaluation,
@@ -65,6 +62,9 @@ from repro.trace.events import AccessBatch
 from repro.trace.stream import AddressStream
 from repro.trace.tracer import Tracer
 from repro.workloads.base import TraceResult, Workload
+
+if TYPE_CHECKING:  # pragma: no cover - the simulator loads where it runs
+    from repro.cache.hierarchy import Hierarchy
 
 #: Package logger ("repro" has a NullHandler attached, so the library
 #: is silent by default); enable progress lines on long runs with
@@ -131,7 +131,7 @@ class WorkloadTrace:
     post_l3: AddressStream
     ref_raw: RawEvaluation
     traced_footprint_bytes: int
-    region_traffic: np.ndarray
+    region_traffic: list[list[int]]
     sample_factor: float = 1.0
     sample_fidelity: float = 1.0
     post_l3_segments: list[tuple[int, bool]] | None = None
@@ -164,7 +164,7 @@ class UpperReplay:
     stats: list[LevelStats]
     references: int
     footprint_bytes: int
-    region_traffic: np.ndarray
+    region_traffic: list[list[int]]
     factor: float = 1.0
     fidelity: float = 1.0
     segments: list[tuple[int, bool]] | None = None
@@ -178,7 +178,7 @@ class UpperReplay:
             "stats": [level.as_dict() for level in self.stats],
             "references": self.references,
             "footprint_bytes": self.footprint_bytes,
-            "region_traffic": self.region_traffic.tolist(),
+            "region_traffic": self.region_traffic,
             "factor": self.factor if sampled else None,
             "fidelity": self.fidelity if sampled else None,
             "segments": self.segments,
@@ -229,9 +229,7 @@ class UpperReplay:
                 stats=[LevelStats(**level) for level in record["stats"]],
                 references=int(record["references"]),
                 footprint_bytes=footprint,
-                region_traffic=np.array(
-                    rows, dtype=np.int64
-                ).reshape(intervals, len(TRAFFIC_COLUMNS)),
+                region_traffic=rows,
                 factor=1.0 if segments is None else float(record["factor"]),
                 fidelity=1.0 if segments is None else float(record["fidelity"]),
                 segments=None if segments is None else [
@@ -272,7 +270,7 @@ _LOWER_RECORD_VERSION = 2
 
 def _chain_digest(chain: tuple) -> str:
     """A lower record's key for one chain: a digest of its canonical
-    :func:`~repro.experiments.simplan.chain_key`."""
+    :func:`~repro.designs.base.chain_key`."""
     return hashlib.sha256(json.dumps(chain).encode()).hexdigest()[:16]
 
 
@@ -542,9 +540,7 @@ class Runner:
             handle = self.trace_arena.get(workload.name)
             if handle is not None:
                 stream, regions = handle.attach()
-                tracer = Tracer()
-                tracer.regions.extend(regions)
-                tracer.stream = stream
+                tracer = Tracer(stream=stream, regions=list(regions))
                 return TraceResult(
                     stream=stream, tracer=tracer, checks={"cached": True}
                 )
@@ -573,9 +569,7 @@ class Runner:
                 "files), re-tracing", workload.name, exc, len(removed),
             )
             return None
-        tracer = Tracer()
-        tracer.regions.extend(regions)
-        tracer.stream = stream
+        tracer = Tracer(stream=stream, regions=list(regions))
         return TraceResult(stream=stream, tracer=tracer, checks={"cached": True})
 
     def _store_cached_trace(self, workload: Workload, result: TraceResult) -> None:
@@ -692,7 +686,7 @@ class Runner:
             # The reference design's DRAM sees exactly the post-L3 stream.
             ref_design = ReferenceDesign(scale=self.scale, reference=self.reference)
             ref_memory = ref_design.memory()
-            ref_chain = chain_key([], ref_memory)
+            ref_chain = ref_design.chain_key()
             recorded = self._recorded(ref_chain, key)
             if recorded is not None:
                 dram_stats = _renamed(recorded, ref_memory)
@@ -769,6 +763,8 @@ class Runner:
         the trace itself for the NDM oracle: its footprint and region
         traffic, what the upper record keeps so warm runs never scan
         the trace again."""
+        from repro.cache.hierarchy import Hierarchy
+
         stream = result.stream
         upper = self.reference.build_caches(self.scale, self.sim_engine)
         capture = CapturingMemory()
@@ -1217,6 +1213,8 @@ class Runner:
                 return [cache.stats for cache in lower] + memory.stats_list
             return [cache.stats for cache in lower] + [memory.stats]
 
+        from repro.cache.hierarchy import replay_chain, run_chain
+
         if segments is None:
             replay_chain(post_l3, lower, memory, drain=self.drain)
             return levels()
@@ -1248,7 +1246,7 @@ class Runner:
         upper-level stats.
 
         Each distinct lower chain is priced once per workload: a design
-        whose :func:`~repro.experiments.simplan.chain_key` was already
+        whose :meth:`~repro.designs.base.MemoryDesign.chain_key` was already
         priced (4LCNVM-EHi after 4LC-EHi, whose L4 is the same) gets
         copies of those lower stats with the memory level renamed. This
         is exact — a :class:`~repro.cache.mainmem.MainMemory` counts
@@ -1267,8 +1265,8 @@ class Runner:
         key = (design.sim_key(), workload.name)
         if key in self._design_stats:
             return self._design_stats[key]
-        lower, memory = design.lower_caches(self.sim_engine), design.memory()
-        chain = chain_key(lower, memory)
+        memory, chain = design.memory(), design.chain_key()
+        lower = None
         recorded = None
         shared = self._chain_stats.get((chain, workload.name))
         if shared is None:
@@ -1279,6 +1277,7 @@ class Runner:
             lower_stats = self._analytic_stats_for(design, workload)
         else:
             sampled = {} if trace.post_l3_segments is None else {"sampled": True}
+            lower = design.lower_caches(self.sim_engine)
             with self._telemetry().span(
                 "runner.design_sim", design=key[0], workload=workload.name,
                 **sampled,
@@ -1287,8 +1286,9 @@ class Runner:
                     trace.post_l3, trace.post_l3_segments, trace.sample_factor,
                     lower, memory,
                 )
+        n_lower = len(lower) if lower is not None else len(design.lower_configs())
         stats = self._memoize(
-            key, trace, lower_stats, len(lower), chain,
+            key, trace, lower_stats, n_lower, chain,
             recorded=recorded is not None,
         )
         logger.debug(
@@ -1402,8 +1402,7 @@ class Runner:
             if sim_key in seen or (sim_key, workload.name) in self._design_stats:
                 continue
             seen.add(sim_key)
-            lower = design.lower_caches(self.sim_engine)
-            chain = chain_key(lower, design.memory())
+            chain = design.chain_key()
             if chain is not None and (
                 chain in planned_chains
                 or (chain, workload.name) in self._chain_stats
@@ -1413,9 +1412,14 @@ class Runner:
                 continue
             if chain is not None:
                 planned_chains.add(chain)
-            planned[sim_key] = (len(lower), chain)
+                n_lower = len(design.lower_configs())
+            else:
+                n_lower = len(design.lower_caches(self.sim_engine))
+            planned[sim_key] = (n_lower, chain)
             todo.append(design)
         if todo:
+            from repro.experiments.simplan import SimPlan
+
             telemetry = self._telemetry()
             plan = SimPlan(todo, self.sim_engine)
             with telemetry.span(

@@ -25,7 +25,8 @@ levels above it, which is precisely the top-to-bottom order of
 :class:`~repro.cache.stats.HierarchyStats` for every built-in design.
 
 Plans are trees: each node is one cache level keyed by its canonical
-:func:`config_key`; designs attach at the node where their chain ends.
+:func:`~repro.designs.base.config_key`; designs attach at the node
+where their chain ends.
 Subtrees containing a single design skip capture entirely (there is
 nobody to share with, and capture costs memory), running the remaining
 chain directly.
@@ -33,13 +34,11 @@ chain directly.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import replace
 from typing import TYPE_CHECKING, Iterable
 
 from repro.cache.config import CacheConfig
 from repro.cache.hierarchy import replay_chain
-from repro.cache.mainmem import MainMemory
 from repro.cache.partition import PartitionedMemory
 from repro.cache.setassoc import SetAssociativeCache
 from repro.cache.stats import LevelStats
@@ -49,53 +48,6 @@ from repro.trace.stream import AddressStream
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints
     from repro.designs.base import MemoryDesign
-
-
-def config_key(config: CacheConfig) -> tuple:
-    """Canonical identity of a cache level's simulation behaviour.
-
-    Two levels with equal keys produce identical statistics and emit
-    identical downstream batches on identical input streams (the config
-    fully determines geometry, sectoring, set hashing, and replacement
-    policy).
-    """
-    return dataclasses.astuple(config)
-
-
-def chain_key(lower: list, memory) -> tuple | None:
-    """Canonical identity of a lower chain's simulation behaviour.
-
-    The tuple of :func:`config_key` over the chain's caches — followed,
-    for a :class:`PartitionedMemory` of :class:`MainMemory` devices, by
-    its device names, its routing rules in order and its default
-    device. ``None`` unless every cache is exactly a
-    :class:`SetAssociativeCache` and the memory exactly a
-    :class:`MainMemory` or such a partitioned memory: only those chains
-    are fully described by their configs. Designs with equal chain keys
-    drive identical data movement; their statistics differ at most in
-    a plain memory level's name, since a :class:`MainMemory` counts
-    what arrives whatever its name or technology (so two NDM designs
-    with equal ranges and different NVM technologies share a key).
-    ``SimPlan`` regroups and ``Runner.stats_for`` shares exactly the
-    chains with a key.
-    """
-    if any(type(cache) is not SetAssociativeCache for cache in lower):
-        return None
-    caches = tuple(config_key(cache.config) for cache in lower)
-    if type(memory) is MainMemory:
-        return caches
-    if type(memory) is PartitionedMemory and all(
-        type(device) is MainMemory for device in memory.devices
-    ):
-        rules = tuple(
-            (int(rule.start), int(rule.end), int(rule.device_index))
-            for rule in memory.rules
-        )
-        devices = tuple(device.name for device in memory.devices)
-        return caches + (
-            ("partitioned", devices, rules, int(memory.default_device)),
-        )
-    return None
 
 
 class CapturingCache(SetAssociativeCache):
@@ -163,10 +115,11 @@ class SimPlan:
     Args:
         designs: the designs to simulate together. Designs sharing a
             ``sim_key()`` are simulation-identical and collapse to one
-            representative; designs without a :func:`chain_key`
-            (a non-standard cache type or memory device) cannot be
-            regrouped safely and run *direct* — their own instances,
-            no sharing.
+            representative; designs without a
+            :meth:`~repro.designs.base.MemoryDesign.chain_key` (their
+            own cache instances, or a non-standard memory device)
+            cannot be regrouped safely and run *direct* — their own
+            instances, no sharing.
         engine: the run's simulation engine, which every cache the
             plan builds takes (see
             :class:`~repro.cache.setassoc.SetAssociativeCache`).
@@ -187,16 +140,15 @@ class SimPlan:
             if sim_key in seen:
                 continue
             seen.add(sim_key)
-            lower = design.lower_caches(engine)
-            keys = chain_key(lower, design.memory())
+            keys = design.chain_key()
             if keys is None:
                 self._direct.append(design)
                 continue
             node = self._root
-            for cache, key in zip(lower, keys):
+            for config, key in zip(design.lower_configs(), keys):
                 child = node.children.get(key)
                 if child is None:
-                    child = node.children[key] = _PlanNode(cache.config)
+                    child = node.children[key] = _PlanNode(config)
                 node = child
             node.designs.append(design)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from repro.designs.configs import EH_CONFIGS, N_CONFIGS
 from repro.tech.params import DRAM, EDRAM, FERAM, HMC, PCM, STTRAM
 from repro.units import format_bytes
-from repro.workloads.registry import SUITE, get_workload
+from repro.workloads.registry import SUITE
 
 #: Table 1 row order as published (DRAM is printed as "RAM").
 _TABLE1_ORDER = [DRAM, PCM, STTRAM, FERAM, EDRAM, HMC]
@@ -71,8 +71,7 @@ def table4() -> tuple[list[str], list[list[str]]]:
     """Table 4: characteristics of the benchmarks."""
     headers = ["Suite", "Benchmark", "Footprint/Core (GB)", "Time (s)", "Inputs"]
     rows = []
-    for name in SUITE:
-        info = get_workload(name).info
+    for info in SUITE.values():
         rows.append(
             [
                 info.suite,

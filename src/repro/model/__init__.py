@@ -9,42 +9,7 @@
 - :mod:`repro.model.evaluate` — joins everything into per-design
   :class:`~repro.model.evaluate.Evaluation` records with normalization
   against the reference system.
+
+The package re-exports nothing: import names from their submodules
+(``from repro.model.evaluate import evaluate_stats``).
 """
-
-from repro.model.bindings import LevelBinding
-from repro.model.amat import amat_ns, level_time_breakdown_ns
-from repro.model.runtime import scaled_runtime_s, full_run_references
-from repro.model.energy import (
-    dynamic_energy_pj,
-    dynamic_energy_breakdown_pj,
-    static_energy_j,
-    total_static_power_w,
-)
-from repro.model.edp import energy_delay_product
-from repro.model.evaluate import Evaluation, RawEvaluation, WorkloadMeta, evaluate_stats, finalize
-from repro.model.bandwidth import (
-    BandwidthReport,
-    amat_with_bandwidth_ns,
-    bandwidth_demand,
-)
-
-__all__ = [
-    "BandwidthReport",
-    "amat_with_bandwidth_ns",
-    "bandwidth_demand",
-    "LevelBinding",
-    "amat_ns",
-    "level_time_breakdown_ns",
-    "scaled_runtime_s",
-    "full_run_references",
-    "dynamic_energy_pj",
-    "dynamic_energy_breakdown_pj",
-    "static_energy_j",
-    "total_static_power_w",
-    "energy_delay_product",
-    "WorkloadMeta",
-    "RawEvaluation",
-    "Evaluation",
-    "evaluate_stats",
-    "finalize",
-]

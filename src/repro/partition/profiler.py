@@ -12,13 +12,16 @@ between the regions' edges (:func:`region_traffic`), and any range whose
 edges are region edges — a region, or a merge of close regions — sums
 its intervals. So a trace is scanned once, however many selections
 (:func:`select_ranges`) are made from its counts.
+
+The counts are rows of Python integers, as the trace cache's upper
+record keeps them, and selecting from them is plain Python (``bisect``
+and prefix sums): only the scan of the stream itself uses numpy.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.errors import ConfigError
 from repro.partition.ranges import AddressRange, merge_close_ranges
@@ -62,17 +65,16 @@ TRAFFIC_COLUMNS: tuple[str, ...] = (
 )
 
 
-def _interval_edges(ranges: list[AddressRange]) -> np.ndarray:
+def _interval_edges(ranges: list[AddressRange]) -> list[int]:
     """The sorted, unique start and end addresses of ``ranges``.
 
     Each gap between two neighbouring edges is one *interval*; every
     range is exactly the union of the intervals between its own edges.
     """
-    bounds = [r.start for r in ranges] + [r.end for r in ranges]
-    return np.unique(np.array(bounds, dtype=np.uint64))
+    return sorted({r.start for r in ranges} | {r.end for r in ranges})
 
 
-def _count_intervals(stream: AddressStream, edges: np.ndarray) -> np.ndarray:
+def _count_intervals(stream: AddressStream, edges: list[int]) -> list[list[int]]:
     """Reference counters of every interval between ``edges``.
 
     One pass over the stream: a ``searchsorted`` of each chunk's
@@ -80,12 +82,15 @@ def _count_intervals(stream: AddressStream, edges: np.ndarray) -> np.ndarray:
     and their byte volumes (int64 throughout, so the sums are exact).
 
     Returns:
-        An int64 array of shape ``(len(edges) - 1, 4)`` whose columns
-        are :data:`TRAFFIC_COLUMNS`; row ``i`` counts the accesses in
+        ``len(edges) - 1`` rows of :data:`TRAFFIC_COLUMNS` counters, as
+        Python ints; row ``i`` counts the accesses in
         ``[edges[i], edges[i + 1])``.
     """
     if len(edges) < 2:
-        return np.zeros((0, len(TRAFFIC_COLUMNS)), dtype=np.int64)
+        return []
+    import numpy as np
+
+    edges = np.array(edges, dtype=np.uint64)
     # Bin k holds the addresses with exactly k edges at or below them:
     # bin 0 lies below every edge, bin len(edges) at or above the last.
     n_bins = len(edges) + 1
@@ -98,24 +103,24 @@ def _count_intervals(stream: AddressStream, edges: np.ndarray) -> np.ndarray:
         np.add.at(volumes, bins, chunk.sizes.astype(np.int64))
     # Columns per bin: (loads, stores) then (load bytes, store bytes).
     traffic = np.hstack([counts.reshape(n_bins, 2), volumes.reshape(n_bins, 2)])
-    return traffic[1:-1]
+    return traffic[1:-1].tolist()
 
 
 def _range_profiles(
-    ranges: list[AddressRange], edges: np.ndarray, traffic: np.ndarray
+    ranges: list[AddressRange], edges: list[int], traffic: list[list[int]]
 ) -> list[RangeProfile]:
     """Each range's counters: the sum of its intervals' rows of
     ``traffic`` (see :func:`_count_intervals`). Every range's start and
     end must be among ``edges``."""
-    totals = np.zeros((len(traffic) + 1, len(TRAFFIC_COLUMNS)), dtype=np.int64)
-    np.cumsum(traffic, axis=0, out=totals[1:])
-    lo = np.searchsorted(edges, np.array([r.start for r in ranges], dtype=np.uint64))
-    hi = np.searchsorted(edges, np.array([r.end for r in ranges], dtype=np.uint64))
-    sums = (totals[hi] - totals[lo]).tolist()
-    return [
-        RangeProfile(r, *(int(value) for value in row))
-        for r, row in zip(ranges, sums)
-    ]
+    totals = [[0] * len(TRAFFIC_COLUMNS)]
+    for row in traffic:
+        totals.append([total + value for total, value in zip(totals[-1], row)])
+    profiles = []
+    for r in ranges:
+        lo = totals[bisect_left(edges, r.start)]
+        hi = totals[bisect_left(edges, r.end)]
+        profiles.append(RangeProfile(r, *(b - a for a, b in zip(lo, hi))))
+    return profiles
 
 
 def _count_range_traffic(
@@ -137,7 +142,7 @@ def _region_ranges(tracer: Tracer) -> list[AddressRange]:
     ]
 
 
-def region_traffic(stream: AddressStream, tracer: Tracer) -> np.ndarray:
+def region_traffic(stream: AddressStream, tracer: Tracer) -> list[list[int]]:
     """:func:`_count_intervals` over the edges of the tracer's regions.
 
     Independent of every :func:`profile_ranges` setting, so a trace's
@@ -154,7 +159,7 @@ def region_intervals(tracer: Tracer) -> int:
 
 def select_ranges(
     tracer: Tracer,
-    traffic: np.ndarray,
+    traffic: list[list[int]],
     *,
     coverage: float = 0.95,
     merge_gap: int = REGION_GUARD_GAP - 1,

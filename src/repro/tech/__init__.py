@@ -12,54 +12,7 @@ mirroring the paper's methodology (Section III.A):
 
 :mod:`repro.tech.scaling` derives hypothetical technologies by scaling
 latency/energy, as used by the Figure 9–10 heat maps.
+
+The package re-exports nothing: import names from their submodules
+(``from repro.tech.params import PCM``).
 """
-
-from repro.tech.params import (
-    DRAM,
-    EDRAM,
-    FERAM,
-    HMC,
-    PCM,
-    STTRAM,
-    TECHNOLOGIES,
-    MemoryTechnology,
-    get_technology,
-    nvm_technologies,
-    volatile_cache_technologies,
-)
-from repro.tech.minicacti import CactiEstimate, estimate_sram_cache
-from repro.tech.dram_power import dram_static_power_w, edram_refresh_power_w
-from repro.tech.scaling import scaled_technology
-from repro.tech.ewt import with_early_write_termination
-from repro.tech.cost import (
-    PRICE_PER_GB,
-    CostEstimate,
-    design_capacities_gb,
-    estimate_cost,
-    memory_capital_cost,
-)
-
-__all__ = [
-    "with_early_write_termination",
-    "PRICE_PER_GB",
-    "CostEstimate",
-    "estimate_cost",
-    "memory_capital_cost",
-    "design_capacities_gb",
-    "MemoryTechnology",
-    "TECHNOLOGIES",
-    "DRAM",
-    "PCM",
-    "STTRAM",
-    "FERAM",
-    "EDRAM",
-    "HMC",
-    "get_technology",
-    "nvm_technologies",
-    "volatile_cache_technologies",
-    "CactiEstimate",
-    "estimate_sram_cache",
-    "dram_static_power_w",
-    "edram_refresh_power_w",
-    "scaled_technology",
-]

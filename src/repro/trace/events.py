@@ -9,22 +9,26 @@ performance the stream is stored as a struct-of-arrays
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.errors import TraceError
+
+if TYPE_CHECKING:  # pragma: no cover - numpy loads where arrays are made
+    import numpy as np
 
 #: Kind code for a load (read) access.
 LOAD: int = 0
 #: Kind code for a store (write) access.
 STORE: int = 1
 
-#: dtype used for byte addresses throughout the package.
-ADDR_DTYPE = np.uint64
+#: dtype used for byte addresses throughout the package. The dtypes
+#: are names, which numpy accepts wherever it takes a dtype, so that
+#: importing this module does not import numpy.
+ADDR_DTYPE = "uint64"
 #: dtype used for access sizes in bytes.
-SIZE_DTYPE = np.uint32
+SIZE_DTYPE = "uint32"
 #: dtype used for the load/store flag (0 = load, 1 = store).
-KIND_DTYPE = np.uint8
+KIND_DTYPE = "uint8"
 
 
 @dataclass(frozen=True)
@@ -55,6 +59,8 @@ class AccessBatch:
     @staticmethod
     def empty() -> "AccessBatch":
         """An empty batch."""
+        import numpy as np
+
         return AccessBatch(
             np.empty(0, dtype=ADDR_DTYPE),
             np.empty(0, dtype=SIZE_DTYPE),
@@ -68,6 +74,8 @@ class AccessBatch:
         ``sizes`` and ``is_store`` may be scalars, broadcast over all
         addresses.
         """
+        import numpy as np
+
         addr = np.asarray(addresses, dtype=ADDR_DTYPE)
         size_arr = np.asarray(sizes, dtype=SIZE_DTYPE)
         if size_arr.ndim == 0:
@@ -79,6 +87,8 @@ class AccessBatch:
 
     def concat(self, other: "AccessBatch") -> "AccessBatch":
         """Concatenate two batches preserving order (self first)."""
+        import numpy as np
+
         return AccessBatch(
             np.concatenate([self.addresses, other.addresses]),
             np.concatenate([self.sizes, other.sizes]),
@@ -96,6 +106,8 @@ class AccessBatch:
     @property
     def store_count(self) -> int:
         """Number of store events in the batch."""
+        import numpy as np
+
         return int(np.count_nonzero(self.is_store))
 
     @property
@@ -120,15 +132,17 @@ def expand_to_lines(batch: AccessBatch, line_size: int) -> tuple[np.ndarray, np.
         line index (byte address >> log2(line_size)) of every touched
         line in order.
     """
+    import numpy as np
+
     if len(batch) == 0:
         return (
             np.empty(0, dtype=ADDR_DTYPE),
             np.empty(0, dtype=KIND_DTYPE),
         )
-    shift = ADDR_DTYPE.__call__(int(line_size).bit_length() - 1)
+    shift = np.uint64(int(line_size).bit_length() - 1)
     first = batch.addresses >> shift
     # Last byte touched by each access determines the last line touched.
-    last_byte = batch.addresses + batch.sizes.astype(ADDR_DTYPE) - ADDR_DTYPE(1)
+    last_byte = batch.addresses + batch.sizes.astype(ADDR_DTYPE) - np.uint64(1)
     last = last_byte >> shift
     spans = (last - first).astype(np.int64)
     if not spans.any():

@@ -50,8 +50,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
-import numpy as np
-
 from repro.errors import TraceError, TraceIntegrityError
 from repro.trace.events import ADDR_DTYPE, KIND_DTYPE, SIZE_DTYPE, AccessBatch
 from repro.trace.stream import DEFAULT_CHUNK_EVENTS, AddressStream
@@ -68,12 +66,12 @@ PAGE: int = 4096
 #: header_sha256 (raw digest).
 _PRELUDE = struct.Struct("<8sIIQQ32s")
 
-#: Bytes per event across the three sections (8 + 4 + 1).
-_EVENT_BYTES: int = (
-    np.dtype(ADDR_DTYPE).itemsize
-    + np.dtype(SIZE_DTYPE).itemsize
-    + np.dtype(KIND_DTYPE).itemsize
-)
+#: Item sizes of :data:`~repro.trace.events.ADDR_DTYPE`,
+#: ``SIZE_DTYPE`` and ``KIND_DTYPE``: the three sections' bytes per
+#: event.
+_ADDR_BYTES, _SIZE_BYTES, _KIND_BYTES = 8, 4, 1
+#: Bytes per event across the three sections.
+_EVENT_BYTES: int = _ADDR_BYTES + _SIZE_BYTES + _KIND_BYTES
 
 
 def _page_align(offset: int) -> int:
@@ -115,6 +113,8 @@ def write_store(stream: AddressStream, path: str | Path) -> Path:
 
     Returns the path written.
     """
+    import numpy as np
+
     from repro.trace.io import _atomic_write_bytes, checksum_path
 
     path = Path(path)
@@ -348,25 +348,33 @@ class MappedStream(AddressStream):
         """
         return sum(record.nbytes for record in self._records)
 
+    def _verify_chunk(self, index: int) -> None:
+        """Hash chunk ``index`` against its header record, once."""
+        if self._verified[index]:
+            return
+        record = self._records[index]
+        assert self._mm is not None
+        payload = memoryview(self._mm)[
+            record.offset : record.offset + record.nbytes
+        ]
+        if hashlib.sha256(payload).hexdigest() != record.sha256:
+            raise TraceIntegrityError(
+                f"corrupt trace store chunk {index} (offset "
+                f"{record.offset}) in {self._path}; delete this file "
+                f"and its .sha256 sidecar and re-trace the workload"
+            )
+        self._verified[index] = True
+
     def _chunk_view(self, index: int) -> AccessBatch:
+        import numpy as np
+
+        self._verify_chunk(index)
         record = self._records[index]
         n = record.events
         mm = self._mm
-        assert mm is not None
-        if not self._verified[index]:
-            payload = memoryview(mm)[
-                record.offset : record.offset + record.nbytes
-            ]
-            if hashlib.sha256(payload).hexdigest() != record.sha256:
-                raise TraceIntegrityError(
-                    f"corrupt trace store chunk {index} (offset "
-                    f"{record.offset}) in {self._path}; delete this file "
-                    f"and its .sha256 sidecar and re-trace the workload"
-                )
-            self._verified[index] = True
         addr_off = record.offset
-        size_off = addr_off + n * np.dtype(ADDR_DTYPE).itemsize
-        kind_off = size_off + n * np.dtype(SIZE_DTYPE).itemsize
+        size_off = addr_off + n * _ADDR_BYTES
+        kind_off = size_off + n * _SIZE_BYTES
         return AccessBatch(
             np.frombuffer(mm, dtype=ADDR_DTYPE, count=n, offset=addr_off),
             np.frombuffer(mm, dtype=SIZE_DTYPE, count=n, offset=size_off),
@@ -382,7 +390,7 @@ class MappedStream(AddressStream):
     def verify(self) -> None:
         """Force verification of every chunk (one sequential pass)."""
         for index in range(len(self._records)):
-            self._chunk_view(index)
+            self._verify_chunk(index)
 
     def materialize(self) -> AddressStream:
         """Copy the mapped data into a plain in-memory stream."""

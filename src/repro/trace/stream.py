@@ -11,9 +11,7 @@ for the same reason).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.errors import TraceError
 from repro.trace.events import (
@@ -22,6 +20,9 @@ from repro.trace.events import (
     SIZE_DTYPE,
     AccessBatch,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - numpy loads where arrays are made
+    import numpy as np
 
 #: Default number of events per chunk.
 DEFAULT_CHUNK_EVENTS: int = 1 << 18
@@ -72,6 +73,8 @@ class AddressStream:
     def __init__(self, chunk_events: int = DEFAULT_CHUNK_EVENTS) -> None:
         if chunk_events <= 0:
             raise TraceError(f"chunk_events must be positive, got {chunk_events}")
+        import numpy as np
+
         self._chunk_events = int(chunk_events)
         self._chunks: list[AccessBatch] = []
         # Write buffer for incremental appends.
@@ -98,6 +101,8 @@ class AddressStream:
         ``sizes`` and ``is_store`` may be scalars, in which case they are
         broadcast over all addresses.
         """
+        import numpy as np
+
         addr = np.asarray(addresses, dtype=ADDR_DTYPE)
         n = len(addr)
         if np.isscalar(sizes) or (isinstance(sizes, np.ndarray) and sizes.ndim == 0):
@@ -141,6 +146,8 @@ class AddressStream:
             sizes: per-access sizes, or a scalar broadcast to all.
             is_store: per-access kind flags, or a scalar.
         """
+        import numpy as np
+
         addr = np.asarray(addresses, dtype=ADDR_DTYPE).ravel()
         n = len(addr)
         if n == 0:
@@ -226,6 +233,8 @@ class AddressStream:
             return AccessBatch.empty()
         if len(chunks) == 1:
             return chunks[0]
+        import numpy as np
+
         return AccessBatch(
             np.concatenate([c.addresses for c in chunks]),
             np.concatenate([c.sizes for c in chunks]),
@@ -242,6 +251,8 @@ class AddressStream:
         (bit-identical result, ~20x less per-chunk overhead on long
         streams; see docs/performance.md).
         """
+        import numpy as np
+
         loads = stores = 0
         bytes_read = bytes_written = 0
         min_addr: int | None = None

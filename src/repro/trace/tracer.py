@@ -12,12 +12,14 @@ addresses" granularity at which the paper's NDM partitioning operates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.errors import TraceError
 from repro.telemetry.core import get_active
 from repro.trace.stream import AddressStream
+
+if TYPE_CHECKING:  # pragma: no cover - numpy loads where arrays are made
+    import numpy as np
 
 #: Base of the simulated heap. Nonzero so address 0 stays invalid.
 HEAP_BASE: int = 0x1000_0000
@@ -139,7 +141,7 @@ class Tracer:
     # Convenience
     # ------------------------------------------------------------------
 
-    def array(self, name: str, shape, dtype=np.float64, fill=None) -> "TracedArray":
+    def array(self, name: str, shape, dtype="float64", fill=None) -> "TracedArray":
         """Allocate and return a :class:`TracedArray` in this tracer's
         address space.
 

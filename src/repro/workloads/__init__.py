@@ -18,26 +18,9 @@ Workloads are scale-aware: ``trace(scale)`` shrinks the problem so the
 traced footprint is ``scale`` × the Table 4 footprint, matching the
 capacity scaling of the hierarchy configs (DESIGN.md §4).
 
-Multiprogrammed mixes live in :mod:`repro.workloads.mixes`, which is
-not re-exported, so loading the suite never loads the stream filters.
+:mod:`repro.workloads.registry` holds the Table 4 rows; multiprogrammed
+mixes live in :mod:`repro.workloads.mixes`. The package re-exports
+nothing: import names from their submodules
+(``from repro.workloads.registry import get_workload``), so listing
+the suite loads no kernel and no stream filter.
 """
-
-from repro.workloads.base import TraceResult, Workload, WorkloadInfo
-from repro.workloads.registry import (
-    SUITE,
-    get_workload,
-    workload_names,
-)
-from repro.workloads.npb_classes import at_npb_class
-from repro.workloads.synthetic import SyntheticWorkload
-
-__all__ = [
-    "Workload",
-    "WorkloadInfo",
-    "TraceResult",
-    "SUITE",
-    "get_workload",
-    "workload_names",
-    "SyntheticWorkload",
-    "at_npb_class",
-]

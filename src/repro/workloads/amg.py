@@ -22,7 +22,8 @@ import numpy as np
 
 from repro.trace.tracer import Tracer
 from repro.trace.traced_array import TracedArray
-from repro.workloads.base import TraceResult, Workload, WorkloadInfo, rng_for
+from repro.workloads.base import TraceResult, Workload, rng_for
+from repro.workloads.registry import SUITE
 
 #: Aggregate size of the coarsening (each coarse point absorbs ~4 fine).
 _AGGREGATE: int = 4
@@ -104,14 +105,7 @@ def _galerkin_coarse(rowptr, colidx, values, n, aggregate_of, n_coarse):
 class AMGWorkload(Workload):
     """CORAL AMG2013 analog."""
 
-    info = WorkloadInfo(
-        name="AMG2013",
-        suite="CORAL",
-        footprint_gb=3.0,
-        t_ref_s=156.3,
-        inputs="-r 72 72 72 -P 1 1 1 -pooldist 1",
-        description="algebraic multigrid V-cycle solver",
-    )
+    info = SUITE["AMG2013"]
 
     def __init__(self, cycles: int = 1, row_batch: int = 512) -> None:
         self.cycles = cycles

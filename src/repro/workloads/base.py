@@ -12,14 +12,16 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigError
 from repro.model.evaluate import WorkloadMeta
 from repro.trace.stream import AddressStream
 from repro.trace.tracer import Tracer
 from repro.units import GiB
+
+if TYPE_CHECKING:  # pragma: no cover - numpy loads where arrays are made
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -105,4 +107,6 @@ class Workload(ABC):
 
 def rng_for(seed: int) -> np.random.Generator:
     """Shared deterministic RNG construction for workload inputs."""
+    import numpy as np
+
     return np.random.default_rng(seed)

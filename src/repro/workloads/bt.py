@@ -19,7 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.trace.tracer import Tracer
-from repro.workloads.base import TraceResult, Workload, WorkloadInfo, rng_for
+from repro.workloads.base import TraceResult, Workload, rng_for
+from repro.workloads.registry import SUITE
 
 #: Block rank of the BT systems (5 conserved quantities per cell).
 BLOCK: int = 5
@@ -30,14 +31,7 @@ _BYTES_PER_CELL: int = (3 * BLOCK * BLOCK + 2 * BLOCK) * 8
 class BTWorkload(Workload):
     """NPB BT (class D analog)."""
 
-    info = WorkloadInfo(
-        name="BT",
-        suite="NPB",
-        footprint_gb=1.69,
-        t_ref_s=36.0,
-        inputs="Class: D",
-        description="block tridiagonal ADI solver (5x5 blocks)",
-    )
+    info = SUITE["BT"]
 
     def __init__(
         self,

@@ -17,7 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.trace.tracer import Tracer
-from repro.workloads.base import TraceResult, Workload, WorkloadInfo, rng_for
+from repro.workloads.base import TraceResult, Workload, rng_for
+from repro.workloads.registry import SUITE
 
 #: Average nonzeros per row (NPB class D CG has ~21; we keep the same
 #: order so the gather:vector-op ratio is representative).
@@ -60,14 +61,7 @@ def _build_spd_csr(n: int, rng: np.random.Generator):
 class CGWorkload(Workload):
     """NPB CG (class D analog)."""
 
-    info = WorkloadInfo(
-        name="CG",
-        suite="NPB",
-        footprint_gb=1.5,
-        t_ref_s=54.8,
-        inputs="Class: D",
-        description="conjugate gradient solver with irregular memory access",
-    )
+    info = SUITE["CG"]
 
     def __init__(self, iterations: int = 2, row_batch: int = 256) -> None:
         self.iterations = iterations

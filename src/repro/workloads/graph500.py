@@ -21,7 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.trace.tracer import Tracer
-from repro.workloads.base import TraceResult, Workload, WorkloadInfo, rng_for
+from repro.workloads.base import TraceResult, Workload, rng_for
+from repro.workloads.registry import SUITE
 
 #: R-MAT quadrant probabilities (the Graph500 reference values).
 _RMAT_A, _RMAT_B, _RMAT_C = 0.57, 0.19, 0.19
@@ -76,14 +77,7 @@ def edges_to_csr(edges: np.ndarray, n_vertices: int):
 class Graph500Workload(Workload):
     """CORAL Graph500 analog."""
 
-    info = WorkloadInfo(
-        name="Graph500",
-        suite="CORAL",
-        footprint_gb=4.0,
-        t_ref_s=157.0,
-        inputs="-s 22 -e 4",
-        description="breadth-first search on Kronecker graphs",
-    )
+    info = SUITE["Graph500"]
 
     def __init__(self, n_roots: int = 1) -> None:
         self.n_roots = n_roots

@@ -27,7 +27,8 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.trace.tracer import Tracer
-from repro.workloads.base import TraceResult, Workload, WorkloadInfo, rng_for
+from repro.workloads.base import TraceResult, Workload, rng_for
+from repro.workloads.registry import SUITE
 
 #: Fibonacci multiplicative hashing constant (Knuth).
 _HASH_MULT = np.uint64(11400714819323198485)
@@ -55,14 +56,7 @@ def _hash_slots(keys: np.ndarray, table_bits: int) -> np.ndarray:
 class HashingWorkload(Workload):
     """CORAL Hashing-2 analog."""
 
-    info = WorkloadInfo(
-        name="Hashing",
-        suite="CORAL",
-        footprint_gb=4.0,
-        t_ref_s=389.6,
-        inputs="-m 30M -n 50K",
-        description="integer hashing: random table probes",
-    )
+    info = SUITE["Hashing"]
 
     def __init__(self, ops_per_slot: float = 0.55, probe_batch: int = 16384) -> None:
         #: Total build+probe operations as a fraction of table slots.

@@ -19,7 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.trace.tracer import Tracer
-from repro.workloads.base import TraceResult, Workload, WorkloadInfo, rng_for
+from repro.workloads.base import TraceResult, Workload, rng_for
+from repro.workloads.registry import SUITE
 
 #: Components per grid point (5 conserved quantities, as in NPB LU).
 COMPONENTS: int = 5
@@ -48,14 +49,7 @@ def _apply_operator(u: np.ndarray) -> np.ndarray:
 class LUWorkload(Workload):
     """NPB LU (class C, per Table 4)."""
 
-    info = WorkloadInfo(
-        name="LU",
-        suite="NPB",
-        footprint_gb=0.8,
-        t_ref_s=25.0,
-        inputs="Class: C",
-        description="SSOR solver with plane-wavefront sweeps",
-    )
+    info = SUITE["LU"]
 
     def __init__(self, iterations: int = 1) -> None:
         self.iterations = iterations

@@ -17,7 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.trace.tracer import Tracer
-from repro.workloads.base import TraceResult, Workload, WorkloadInfo, rng_for
+from repro.workloads.base import TraceResult, Workload, rng_for
+from repro.workloads.registry import SUITE
 
 #: Bytes per grid cell: 5 diagonals + rhs + solution, 8 B doubles.
 _BYTES_PER_CELL: int = 7 * 8
@@ -32,14 +33,7 @@ class SPWorkload(Workload):
     reference system, flagged as a documented deviation in DESIGN.md.
     """
 
-    info = WorkloadInfo(
-        name="SP",
-        suite="NPB",
-        footprint_gb=1.3,
-        t_ref_s=30.0,
-        inputs="Class: D",
-        description="scalar pentadiagonal ADI solver",
-    )
+    info = SUITE["SP"]
 
     def __init__(
         self,

@@ -23,7 +23,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.trace.tracer import Tracer
-from repro.workloads.base import TraceResult, Workload, WorkloadInfo, rng_for
+from repro.workloads.base import TraceResult, Workload, rng_for
+from repro.workloads.registry import SUITE
 
 #: k-mer length (Velvet's default hash length is 21; we keep it odd).
 K: int = 21
@@ -71,14 +72,7 @@ def _hash_slots(keys: np.ndarray, table_bits: int) -> np.ndarray:
 class VelvetWorkload(Workload):
     """Velvet de novo assembler analog."""
 
-    info = WorkloadInfo(
-        name="Velvet",
-        suite="Application",
-        footprint_gb=4.0,
-        t_ref_s=116.5,
-        inputs="Default",
-        description="de Bruijn graph short-read assembly",
-    )
+    info = SUITE["Velvet"]
 
     def __init__(self, read_batch: int = 512, error_rate: float = 0.0) -> None:
         self.read_batch = read_batch

@@ -111,7 +111,7 @@ def test_twins_equal_their_own_pricing(trace_cache, monkeypatch, setup,
 
 
 class OddCache(SetAssociativeCache):
-    """A cache type the chain key does not vouch for."""
+    """A cache subclass: a design that builds one has no chain key."""
 
 
 class VariantL4(FourLCDesign):
@@ -130,11 +130,16 @@ class VariantL4(FourLCDesign):
             config = replace(config, **{self.field: self.value})
         return config
 
+
+class OddVariantL4(VariantL4):
+    """A :class:`VariantL4` whose L4 is an :class:`OddCache`: it builds
+    its own caches, so its configs do not describe its chain."""
+
+    def __init__(self, field, value, **kwargs):
+        super().__init__(field, value, odd=True, **kwargs)
+
     def lower_caches(self, engine):
-        caches = super().lower_caches(engine)
-        if self.odd:
-            caches = [OddCache(cache.config, engine) for cache in caches]
-        return caches
+        return [OddCache(config, engine) for config in self.lower_configs()]
 
 
 @pytest.mark.parametrize("setup", list(SETUPS))
@@ -156,7 +161,7 @@ def test_unshareable_chains_are_priced_alone(trace_cache, monkeypatch, setup,
         VariantL4(None, None, **common),
         VariantL4("associativity", 4, **common),
         VariantL4("sector_size", 128, **common),
-        VariantL4(None, None, odd=True, **common),
+        OddVariantL4(None, None, **common),
     ]
     for count, design in enumerate(designs, start=1):
         runner.stats_for(design, workload)
@@ -178,8 +183,9 @@ def test_odd_cache_keeps_the_loop(trace_cache, monkeypatch):
     stats = {}
     for odd in (True, False):
         runner = make_runner(trace_cache, "auto")
-        design = VariantL4(None, None, odd=odd, scale=SCALE,
-                           reference=runner.reference)
+        design = (OddVariantL4 if odd else VariantL4)(
+            None, None, scale=SCALE, reference=runner.reference
+        )
         stats[odd] = runner.stats_for(design, workload).as_dict()
     assert calls == ["SetAssociativeCache"]
     assert stats[True] == stats[False]

@@ -7,6 +7,7 @@ import pytest
 
 from repro.cache.config import CacheConfig
 from repro.cache.setassoc import SetAssociativeCache
+from repro.designs.base import config_key
 from repro.designs.deephybrid import DeepHybridDesign
 from repro.designs.configs import EH_CONFIGS, N_CONFIGS
 from repro.designs.fourlc import FourLCDesign
@@ -15,7 +16,7 @@ from repro.designs.ndm import NDMDesign
 from repro.designs.nmm import NMMDesign
 from repro.designs.reference import ReferenceDesign
 from repro.experiments.runner import Runner
-from repro.experiments.simplan import CapturingCache, SimPlan, config_key
+from repro.experiments.simplan import CapturingCache, SimPlan
 from repro.partition.ranges import AddressRange
 from repro.tech.params import EDRAM, FERAM, PCM, STTRAM
 from repro.trace.events import AccessBatch

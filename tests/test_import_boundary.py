@@ -1,11 +1,12 @@
 """A command imports only the modules it runs.
 
-The ``repro.experiments``, ``repro.telemetry``, ``repro.trace`` and
-``repro.partition`` package ``__init__`` files re-export nothing, so
-rendering the paper's tables loads neither the sweep and resilience
-machinery nor the live server, observatory and profiler, and no
-command loads the dynamic partition planner or the stream filters. Each check runs in a fresh
-interpreter, since this test session has long since imported them all.
+The package ``__init__`` files re-export nothing, so rendering the
+paper's tables loads neither the sweep and resilience machinery nor the
+live server, observatory and profiler, nor numpy, and no command loads
+the dynamic partition planner or the stream filters. A run priced
+wholly from the trace cache's records loads no workload kernel, no
+cache simulator and no numpy. Each check runs in a fresh interpreter,
+since this test session has long since imported them all.
 """
 
 from __future__ import annotations
@@ -16,9 +17,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-#: Modules (with their submodules) that ``tables`` must not load.
+#: Modules (and so their submodules) that ``tables`` must not load.
 NOT_LOADED = (
     "repro.resilience",
     "repro.telemetry.live",
@@ -42,6 +45,22 @@ NOT_LOADED = (
     "http.server",
     "email",
     "tracemalloc",
+    "numpy",
+)
+
+#: Modules (and so their submodules) that a run priced wholly from the
+#: trace cache's upper and lower records must not load: numpy, the
+#: workload kernels and the cache simulator.
+WARM_NOT_LOADED = (
+    "numpy",
+    *(f"repro.workloads.{kernel}" for kernel in (
+        "amg", "bt", "cg", "graph500", "hashing", "lu", "sp", "velvet",
+        "synthetic",
+    )),
+    "repro.cache.setassoc",
+    "repro.cache.hierarchy",
+    "repro.experiments.simplan",
+    "repro.trace.reuse",
 )
 
 #: Runs the CLI on its arguments and prints the modules it loaded.
@@ -121,6 +140,12 @@ def run_python(code: str, *args: str, cwd: Path) -> subprocess.CompletedProcess:
     )
 
 
+def leaked(loaded, names: tuple[str, ...]) -> list[str]:
+    """The ``names`` among the ``loaded`` modules (a loaded submodule
+    implies its package)."""
+    return sorted(set(names) & set(loaded))
+
+
 def cli_modules(*args: str, cwd: Path) -> set[str]:
     """The modules a fresh CLI run with ``args`` loads."""
     proc = run_python(CLI_MODULES, *args, cwd=cwd)
@@ -134,12 +159,26 @@ def cli_modules(*args: str, cwd: Path) -> set[str]:
 
 def test_tables_loads_no_sweep_or_observability_module(tmp_path):
     loaded = cli_modules("tables", cwd=tmp_path)
-    leaked = sorted(
-        name for name in loaded
-        if name in NOT_LOADED
-        or name.startswith(tuple(f"{n}." for n in NOT_LOADED))
-    )
-    assert not leaked, f"`tables` imported modules it never runs: {leaked}"
+    extra = leaked(loaded, NOT_LOADED)
+    assert not extra, f"`tables` imported modules it never runs: {extra}"
+
+
+@pytest.mark.parametrize("engine", [
+    ["--engine", "auto"], ["--sample", "500:2000:5000"],
+], ids=["exact", "sampled"])
+def test_warm_reproduce_all_loads_no_kernel_simulator_or_numpy(
+    tmp_path, engine
+):
+    """Every figure of a warm run is priced from the records the cold
+    run left, so it runs no kernel and no simulation."""
+    args = [
+        "--scale", "0.0001220703125", "--trace-cache", str(tmp_path / "cache"),
+        *engine, "reproduce-all",
+    ]
+    cold = cli_modules(*args, cwd=tmp_path)
+    assert {"numpy", "repro.cache.hierarchy"} <= cold  # it simulated
+    extra = leaked(cli_modules(*args, cwd=tmp_path), WARM_NOT_LOADED)
+    assert not extra, f"a warm `reproduce-all` imported: {extra}"
 
 
 def test_ndm_figure_loads_no_dynamic_planner_or_filters(tmp_path):
@@ -197,3 +236,5 @@ def test_exact_runner_on_a_warm_cache_loads_no_sampling(tmp_path):
     )
     for result in (cold, warm):
         assert "repro.experiments.sampling" not in result["modules"]
+    extra = leaked(warm["modules"], WARM_NOT_LOADED)
+    assert not extra, f"a warm exact runner imported: {extra}"

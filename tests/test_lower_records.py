@@ -12,15 +12,19 @@ runners never read or write records.
 """
 
 import contextlib
+import importlib.util
 import io
 import json
 import logging
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cache.mainmem import MainMemory
 from repro.cache.partition import PartitionedMemory, RoutingRule
 from repro.cache.stats import HierarchyStats
+from repro.designs.base import ReferenceSystem, chain_key
 from repro.designs.configs import EH_CONFIGS, N_CONFIGS
 from repro.designs.deephybrid import DeepHybridDesign
 from repro.designs.fourlc import FourLCDesign
@@ -36,7 +40,7 @@ from repro.experiments.runner import (
     _chain_digest,
     _read_lower_record,
 )
-from repro.experiments.simplan import SimPlan, chain_key
+from repro.experiments.simplan import SimPlan
 from repro.partition.profiler import select_ranges
 from repro.partition.ranges import AddressRange
 from repro.resilience import (
@@ -47,13 +51,16 @@ from repro.resilience import (
     RetryPolicy,
     SweepExecutor,
 )
-from repro.tech.params import EDRAM, FERAM, PCM, STTRAM
+from repro.tech.params import DRAM, EDRAM, FERAM, PCM, STTRAM
+from repro.tech.scaling import scaled_technology
 from repro.telemetry.core import Telemetry
 from repro.telemetry.observatory import aggregate_run
 from repro.trace.io import _write_artifact, checksum_path, verify_artifact
 from repro.workloads.registry import get_workload
 
 SCALE = 1.0 / 8192
+
+ROOT = Path(__file__).resolve().parents[1]
 
 #: Runner options of the three record flavours: exact, drained and
 #: sampled (each has its own upper key, so its own lower records).
@@ -330,9 +337,7 @@ class TestConservation:
         fewer (a well-formed record with a valid sidecar)."""
         (record,) = lower_files(tmp_path)
         payload = json.loads(record.read_bytes())
-        digest = _chain_digest(
-            chain_key(design.lower_caches("auto"), design.memory())
-        )
+        digest = _chain_digest(design.chain_key())
         memory = payload["chains"][digest][-1]
         memory["loads"] -= 1
         memory["load_hits"] -= 1
@@ -349,7 +354,7 @@ class TestConservation:
         workload = get_workload("CG")
         nmm = recordable(runner)[1]
         record = self._lose_a_load(cache, nmm)
-        chain = chain_key(nmm.lower_caches(runner.sim_engine), nmm.memory())
+        chain = nmm.chain_key()
 
         with pytest.raises(SimulationError, match="conservation violated"):
             runner.stats_for(nmm, workload)
@@ -507,6 +512,75 @@ POOL_DESIGNS = "REF,NMM:PCM:N6,4LC:EDRAM:EH4"
 POOL_WORKLOADS = ("CG", "Hashing")
 
 
+#: ``_chain_digest`` of every chain the figures and the benchmark's
+#: sweep grids price at its scale (1/8192), by sim key, taken before
+#: designs described their chains by configs. A changed digest turns
+#: every lower record into misses.
+PINNED_DIGESTS = {
+    "REF": "4f53cda18c2baa0c",
+    "NMM-N1": "31df642c15b5b4f7",
+    "NMM-N2": "31df642c15b5b4f7",
+    "NMM-N3": "1c8c2fe0643a5f5a",
+    "NMM-N4": "0322843d76d91069",
+    "NMM-N5": "d50b13128a267bf8",
+    "NMM-N6": "5f56d0480088d944",
+    "NMM-N7": "79b7558f5199fc38",
+    "NMM-N8": "0c1907b10de2839a",
+    "NMM-N9": "f4481836719f2b83",
+    "4LC-EH1": "3519da71ede98d0d",
+    "4LC-EH2": "81ead3a938efe98e",
+    "4LC-EH3": "b463087e346bd1e1",
+    "4LC-EH4": "637ed02e397f85c7",
+    "4LC-EH5": "d1ff353518857900",
+    "4LC-EH6": "70304dd064c3e4df",
+    "4LC-EH7": "70304dd064c3e4df",
+    "4LC-EH8": "70304dd064c3e4df",
+    "4LCNVM-EH1": "3519da71ede98d0d",
+    "4LCNVM-EH2": "81ead3a938efe98e",
+    "4LCNVM-EH3": "b463087e346bd1e1",
+    "4LCNVM-EH4": "637ed02e397f85c7",
+    "4LCNVM-EH5": "d1ff353518857900",
+    "4LCNVM-EH6": "70304dd064c3e4df",
+    "4LCNVM-EH7": "70304dd064c3e4df",
+    "4LCNVM-EH8": "70304dd064c3e4df",
+    "NDM[0x10000000-0x10040000]": "95d4bb8bddc1d412",
+    "NDM[0x10080000-0x10100000,0x10000000-0x10040000]": "f3f03d83dc090ed6",
+}
+
+
+class TestChainDigestsArePinned:
+    def test_figure_and_benchmark_grid_digests(self):
+        harness_path = ROOT / "benchmarks" / "e2e" / "harness.py"
+        spec = importlib.util.spec_from_file_location("e2e_harness", harness_path)
+        harness = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = harness
+        try:
+            spec.loader.exec_module(harness)
+        finally:
+            del sys.modules[spec.name]
+        scale = harness.SCALE
+        reference = ReferenceSystem.sandy_bridge()
+        designs = cli._parse_designs(
+            ",".join(harness.SCREEN_GRID + harness.POOL_GRID), scale, reference
+        )
+        # Figure 9-10's heat-map points: NMM-N6 over scaled technologies.
+        designs.append(NMMDesign(
+            scaled_technology(DRAM, read_latency_x=5.0, write_latency_x=2.0),
+            N_CONFIGS["N6"], scale=scale,
+        ))
+        hot = AddressRange(0x1000_0000, 0x1004_0000, "a")
+        designs += [
+            NDMDesign(PCM, [hot], scale=scale),
+            NDMDesign(STTRAM, [AddressRange(0x1008_0000, 0x1010_0000, "b"), hot],
+                      scale=scale),
+        ]
+        digests = {}
+        for design in designs:
+            digest = _chain_digest(design.chain_key())
+            assert digests.setdefault(design.sim_key(), digest) == digest
+        assert digests == PINNED_DIGESTS
+
+
 def cli_sweep(journal, *, cache=None, workers=2, telemetry=None):
     """The CLI's ``sweep`` of ``POOL_DESIGNS`` on CG and Hashing."""
     argv = ["--scale", repr(SCALE), "--seed", "4",
@@ -634,13 +708,10 @@ class TestKilledWorkers:
         assert set(statuses.values()) == {"ok"}
 
         digest_of = {
-            d.name: _chain_digest(
-                chain_key(d.lower_caches("auto"), d.memory())
-            )
-            for d in designs
+            d.name: _chain_digest(d.chain_key()) for d in designs
         }
         n_lower = {
-            digest_of[d.name]: len(d.lower_caches("auto")) for d in designs
+            digest_of[d.name]: len(d.lower_configs()) for d in designs
         }
         records = records_by_workload(cache)
         assert {

@@ -15,13 +15,17 @@ from hypothesis import strategies as st
 
 import repro.partition.dynamic as dynamic
 from repro.partition.profiler import (
+    TRAFFIC_COLUMNS,
     RangeProfile,
     _count_range_traffic,
+    _interval_edges,
+    _range_profiles,
     profile_ranges,
+    region_intervals,
     region_traffic,
     select_ranges,
 )
-from repro.partition.ranges import AddressRange
+from repro.partition.ranges import AddressRange, merge_close_ranges
 from repro.tech.params import DRAM, PCM, STTRAM
 from repro.trace.stream import AddressStream
 from repro.trace.tracer import Tracer
@@ -146,6 +150,80 @@ class TestAgainstTheMaskLoop:
         assert profile.store_bytes == n * size > 2**53
 
 
+def numpy_range_profiles(ranges, edges, traffic):
+    """The numpy range selection the plain-Python one replaced: edges
+    by ``np.unique``, prefix sums by ``np.cumsum`` over int64 rows, and
+    each range's rows by ``np.searchsorted``. The oracle for
+    :func:`_interval_edges` and :func:`_range_profiles`."""
+    edges = np.unique(np.array(edges, dtype=np.uint64))
+    traffic = np.array(traffic, dtype=np.int64).reshape(
+        len(traffic), len(TRAFFIC_COLUMNS)
+    )
+    totals = np.zeros((len(traffic) + 1, len(TRAFFIC_COLUMNS)), dtype=np.int64)
+    np.cumsum(traffic, axis=0, out=totals[1:])
+    lo = np.searchsorted(edges, np.array([r.start for r in ranges], dtype=np.uint64))
+    hi = np.searchsorted(edges, np.array([r.end for r in ranges], dtype=np.uint64))
+    sums = (totals[hi] - totals[lo]).tolist()
+    profiles = [
+        RangeProfile(r, *(int(value) for value in row))
+        for r, row in zip(ranges, sums)
+    ]
+    return edges.tolist(), profiles
+
+
+@st.composite
+def ranges_and_traffic(draw):
+    """Ranges in any order — overlapping, adjacent, up to the top of the
+    64-bit address space — with counters of every interval between
+    their edges (some above 2**53, their sums within int64), and the
+    ranges to profile: some of the ranges and their merges."""
+    top = 2**64 - 1
+    ranges = []
+    for _ in range(draw(st.integers(0, 8))):
+        if ranges and draw(st.booleans()):
+            start = draw(st.sampled_from(
+                [r.start for r in ranges] + [r.end for r in ranges if r.end < top]
+            ))
+        else:
+            start = draw(st.one_of(
+                st.integers(0, 4 * SPACE), st.integers(top - 4 * SPACE, top - 1)
+            ))
+        end = min(top, start + draw(st.integers(1, SPACE)))
+        ranges.append(AddressRange(start, end))
+    n_rows = max(0, len({r.start for r in ranges} | {r.end for r in ranges}) - 1)
+    counter = st.one_of(st.integers(0, 1000), st.integers(2**53, 2**59))
+    traffic = draw(st.lists(
+        st.lists(counter, min_size=4, max_size=4),
+        min_size=n_rows, max_size=n_rows,
+    ))
+    picked = [r for r in ranges if draw(st.booleans())]
+    merged = merge_close_ranges(ranges, draw(st.integers(0, 2 * SPACE)))
+    return ranges, traffic, picked + merged
+
+
+class TestSelectionAgainstNumpy:
+    @settings(max_examples=300, deadline=None)
+    @given(ranges_and_traffic())
+    def test_equal_edges_and_profiles(self, case):
+        ranges, traffic, profiled = case
+        edges = _interval_edges(ranges)
+        expected_edges, expected = numpy_range_profiles(
+            profiled, [r.start for r in ranges] + [r.end for r in ranges],
+            traffic,
+        )
+        assert edges == expected_edges
+        assert _range_profiles(profiled, edges, traffic) == expected
+
+    def test_counts_above_float_precision_stay_exact(self):
+        ranges = [AddressRange(0, 64), AddressRange(64, 128)]
+        big = 2**53 + 1
+        traffic = [[big, 1, big, 3], [big, 2, 5, big]]
+        (whole,) = _range_profiles(
+            [AddressRange(0, 128)], _interval_edges(ranges), traffic
+        )
+        assert (whole.loads, whole.store_bytes) == (2 * big, big + 3)
+
+
 def traced_regions():
     """A traced run over five regions of uneven heat."""
     tracer = Tracer()
@@ -164,7 +242,20 @@ class TestSelectionFromRegionTraffic:
     def test_select_ranges_equals_profile_ranges(self, coverage, merge_gap):
         tracer = traced_regions()
         traffic = region_traffic(tracer.stream, tracer)
-        assert traffic.dtype == np.int64
+        assert len(traffic) == region_intervals(tracer)
+        assert all(
+            len(row) == len(TRAFFIC_COLUMNS)
+            and all(type(value) is int for value in row)
+            for row in traffic
+        )
+        edges = _interval_edges(
+            [AddressRange(r.base, r.end) for r in tracer.regions]
+        )
+        intervals = [AddressRange(a, b) for a, b in zip(edges, edges[1:])]
+        assert traffic == [
+            [p.loads, p.stores, p.load_bytes, p.store_bytes]
+            for p in mask_loop(tracer.stream, intervals)
+        ]
         assert select_ranges(
             tracer, traffic, coverage=coverage, merge_gap=merge_gap
         ) == profile_ranges(

@@ -18,7 +18,11 @@ from repro.designs.nmm import NMMDesign
 from repro.designs.reference import ReferenceDesign
 from repro.experiments.figures import figure7, figure8
 from repro.experiments.runner import Runner
-from repro.partition.profiler import region_traffic
+from repro.partition.profiler import (
+    TRAFFIC_COLUMNS,
+    region_intervals,
+    region_traffic,
+)
 from repro.partition.ranges import AddressRange
 from repro.tech.params import EDRAM, FERAM, PCM, STTRAM
 from repro.telemetry.core import Telemetry
@@ -405,25 +409,31 @@ class TestUpperRecordTraceSummary:
         built = cold.prepare(workload)
         stream, tracer = built.result.stream, built.result.tracer
         assert built.traced_footprint_bytes == stream.stats().footprint_bytes
-        assert np.array_equal(built.region_traffic, region_traffic(stream, tracer))
+        assert built.region_traffic == region_traffic(stream, tracer)
         record = json.loads(upper_files(tmp_path)[0].read_bytes())
         assert record["version"] == 2
         assert record["footprint_bytes"] == built.traced_footprint_bytes
-        assert record["region_traffic"] == built.region_traffic.tolist()
+        assert record["region_traffic"] == built.region_traffic
 
         warm = Runner(scale=SCALE, seed=4, trace_cache_dir=str(tmp_path)).prepare(
             workload
         )
         assert warm.upper_cached
         assert warm.traced_footprint_bytes == built.traced_footprint_bytes
-        assert warm.region_traffic.dtype == np.int64
-        assert np.array_equal(warm.region_traffic, built.region_traffic)
+        # Rows of exact Python ints, one per interval, as counted cold.
+        assert len(warm.region_traffic) == region_intervals(tracer)
+        assert all(
+            len(row) == len(TRAFFIC_COLUMNS)
+            and all(type(value) is int for value in row)
+            for row in warm.region_traffic
+        )
+        assert warm.region_traffic == region_traffic(stream, tracer)
 
     def test_without_a_trace_cache_prepare_summarizes_the_trace(self):
         trace = Runner(scale=SCALE, seed=4).prepare(get_workload("CG"))
         stream, tracer = trace.result.stream, trace.result.tracer
         assert trace.traced_footprint_bytes == stream.stats().footprint_bytes
-        assert np.array_equal(trace.region_traffic, region_traffic(stream, tracer))
+        assert trace.region_traffic == region_traffic(stream, tracer)
 
     @pytest.mark.parametrize("mode", sorted(MODES))
     def test_warm_oracle_never_scans_the_trace(

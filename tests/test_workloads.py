@@ -37,6 +37,13 @@ class TestRegistry:
         with pytest.raises(KeyError):
             get_workload("HPL")
 
+    def test_kernels_take_their_row_from_the_registry(self):
+        kernels = [BTWorkload, SPWorkload, LUWorkload, CGWorkload,
+                   AMGWorkload, Graph500Workload, HashingWorkload,
+                   VelvetWorkload]
+        assert [k.info for k in kernels] == list(SUITE.values())
+        assert all(get_workload(k.info.name).info is k.info for k in kernels)
+
     def test_table4_metadata(self):
         graph = get_workload("Graph500").info
         assert graph.footprint_gb == 4.0

@@ -7,6 +7,7 @@ from repro.workloads.cg import CGWorkload
 from repro.workloads.hashing import HashingWorkload
 from repro.workloads.lu import LUWorkload
 from repro.workloads.npb_classes import CLASS_FACTORS, at_npb_class, class_factor
+from repro.workloads.registry import get_workload
 
 
 class TestClassFactor:
@@ -53,6 +54,17 @@ class TestAtNpbClass:
             / big.stream.stats().footprint_bytes
         )
         assert 0.5 < ratio < 2.0
+
+    def test_suite_workload_traces_at_its_class(self):
+        """A registry workload builds its kernel when traced; a re-sized
+        copy traces at its own class, as the kernel itself does."""
+        scale = 1.0 / 8192
+        suite = at_npb_class(get_workload("CG"), "C").trace(scale=scale, seed=1)
+        kernel = at_npb_class(CGWorkload(), "C").trace(scale=scale, seed=1)
+        assert suite.stream.stats() == kernel.stream.stats()
+        assert suite.stream.stats() != CGWorkload().trace(
+            scale=scale, seed=1
+        ).stream.stats()
 
     def test_non_npb_inputs_rejected(self):
         with pytest.raises(ConfigError):
