@@ -269,8 +269,6 @@ def _run_resilient_sweep(args, runner: Runner, workloads) -> int:
         workers=args.workers,
         max_worker_restarts=args.max_worker_restarts,
         poison_threshold=args.poison_threshold,
-        profile_hz=args.profile,
-        profile_memory=args.profile_memory,
     )
     server = None
     if getattr(args, "serve", None) is not None:

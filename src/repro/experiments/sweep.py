@@ -59,8 +59,9 @@ def run_sweep(
     """Evaluate every design on every workload.
 
     Thin fail-fast wrapper over
-    :class:`repro.resilience.executor.SweepExecutor` (shared-prefix
-    batching included): the first cell failure re-raises its original
+    :class:`repro.resilience.executor.SweepExecutor`, whose every cell
+    prices its own design (the runner prices each distinct lower chain
+    once per workload): the first cell failure re-raises its original
     exception. ``workers > 1`` runs the grid on the supervised worker
     pool; the live exception object then cannot cross the process
     boundary, so failures re-raise as :class:`~repro.errors.SweepError`

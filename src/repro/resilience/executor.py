@@ -55,7 +55,6 @@ import numpy  # noqa: F401
 
 import repro.cache.hierarchy  # noqa: F401
 import repro.cache.setassoc  # noqa: F401
-import repro.experiments.simplan  # noqa: F401
 from repro.errors import ConfigError
 from repro.model.evaluate import Evaluation
 from repro.resilience.journal import (
@@ -283,6 +282,11 @@ class SweepExecutor:
         pool_tuning: supervision timing knobs
             (:class:`~repro.resilience.pool.PoolTuning`); None uses
             production defaults.
+
+    Pool workers take their telemetry directory, run context and
+    profiling rate from the campaign's telemetry: workers are profiled
+    when it is (see
+    :meth:`~repro.telemetry.core.Telemetry.enable_profiling`).
     """
 
     def __init__(
@@ -303,13 +307,9 @@ class SweepExecutor:
         poison_threshold: int = 2,
         worker_faults=None,
         pool_tuning=None,
-        profile_hz: float | None = None,
-        profile_memory: bool = False,
     ) -> None:
         if cell_timeout_s is not None and cell_timeout_s <= 0:
             raise ConfigError("cell_timeout_s must be positive")
-        if profile_hz is not None and profile_hz <= 0:
-            raise ConfigError("profile_hz must be positive")
         if workers < 1:
             raise ConfigError("workers must be >= 1")
         if workers > 1 and evaluate is not None:
@@ -335,7 +335,6 @@ class SweepExecutor:
         self.journal = journal
         self.resume = resume
         self._evaluate = evaluate or runner.evaluate
-        self._default_evaluate = evaluate is None
         self._sleep = sleep
         self.telemetry = telemetry
         self.progress = progress
@@ -344,8 +343,6 @@ class SweepExecutor:
         self.poison_threshold = poison_threshold
         self.worker_faults = worker_faults
         self.pool_tuning = pool_tuning
-        self.profile_hz = profile_hz
-        self.profile_memory = profile_memory
         # Populated (and torn down) per run() by _publish_traces: the
         # picklable handles workers use to attach the one shared copy
         # of each workload's trace.
@@ -527,13 +524,9 @@ class SweepExecutor:
         # caller's id or mint a fresh one per resumed execution.
         if isinstance(tel, Telemetry) and tel.run_context is None:
             tel.run_context = RunContext(new_run_id())
-        # Programmatic profile_hz without a pre-enabled session: turn
-        # the parent profiler on here so the serial path is covered too
-        # (the CLI enables it earlier; enable_profiling is idempotent).
-        if self.profile_hz is not None and isinstance(tel, Telemetry):
-            tel.enable_profiling(self.profile_hz, memory=self.profile_memory)
-        run_context = getattr(tel, "run_context", None)
-        run_id = run_context.run_id if run_context is not None else None
+        run_id = (
+            tel.run_context.run_id if tel.run_context is not None else None
+        )
         progress = self.progress
         drain = getattr(self.runner, "drain", False)
         grid = [
@@ -587,12 +580,10 @@ class SweepExecutor:
 
         try:
             if self.workers > 1:
-                stats = self._run_supervised(
-                    grid, journalled, to_run, deliver, tel, run_id
-                )
+                stats = self._run_supervised(grid, journalled, to_run,
+                                             deliver, tel)
             else:
                 stats = PoolStats()
-                self._presim_workloads(grid, journalled, tel)
                 for design, workload, key in to_run:
                     if progress is not None:
                         progress.cell_started(design.name, workload.name)
@@ -671,9 +662,7 @@ class SweepExecutor:
 
     # -- supervised campaign --------------------------------------------
 
-    def _run_supervised(
-        self, grid, journalled, cells, deliver, tel, run_id
-    ):
+    def _run_supervised(self, grid, journalled, cells, deliver, tel):
         """Run ``cells`` on the supervised persistent worker pool.
 
         Cells are dispatched individually (work stealing); ``deliver``
@@ -704,14 +693,8 @@ class SweepExecutor:
             max_worker_restarts=self.max_worker_restarts,
             poison_threshold=self.poison_threshold,
             telemetry=tel,
-            telemetry_root=(
-                tel.directory if isinstance(tel, Telemetry) else None
-            ),
-            run_id=run_id,
             worker_faults=self.worker_faults,
             tuning=self.pool_tuning,
-            profile_hz=self.profile_hz,
-            profile_memory=self.profile_memory,
         )
         workloads = {workload.name: workload for _, workload, _ in grid}
 
@@ -807,51 +790,6 @@ class SweepExecutor:
             return None
         self._arena_handles = arena.handles
         return arena
-
-    # -- shared-prefix batch simulation ---------------------------------
-
-    def _presim_workloads(self, grid, journalled, tel) -> None:
-        """Batch-simulate each workload's to-run designs (best effort).
-
-        Runs :meth:`Runner.simulate_designs`, so config-identical
-        lower-level prefixes simulate once, whenever the default
-        evaluation path is in use and no per-cell deadline is set (a
-        batched simulation cannot be attributed to one cell's deadline).
-        A failure here is swallowed: the affected cells simply simulate
-        individually inside their own fault-isolated evaluation, where
-        errors are retried, journalled, and reported as usual.
-        """
-        if not (
-            self._default_evaluate
-            and self.cell_timeout_s is None
-            and hasattr(self.runner, "simulate_designs")
-        ):
-            return
-        by_workload: dict[str, tuple] = {}
-        for design, workload, key in grid:
-            if _reusable(journalled, key):
-                continue
-            entry = by_workload.setdefault(workload.name, (workload, []))
-            entry[1].append(design)
-        for workload, batch in by_workload.values():
-            if len(batch) < 2:
-                continue
-            try:
-                with tel.span(
-                    "sweep.plan_sim", workload=workload.name,
-                    designs=len(batch),
-                ):
-                    self.runner.simulate_designs(batch, workload)
-            except Exception as exc:
-                tel.event(
-                    "plan_sim_failed", workload=workload.name,
-                    error=format_exception_chain(exc),
-                )
-                logger.warning(
-                    "shared-prefix simulation failed for %s (%s); cells "
-                    "fall back to per-cell simulation",
-                    workload.name, format_exception_chain(exc),
-                )
 
 
 def _reusable(journalled: dict[str, JournalEntry], key: str) -> bool:

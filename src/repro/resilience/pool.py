@@ -42,7 +42,6 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from multiprocessing.connection import wait as _connection_wait
-from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from repro.errors import ConfigError
@@ -58,7 +57,6 @@ from repro.telemetry.core import (
     METRICS_FILE,
     NULL_TELEMETRY,
     NullTelemetry,
-    RunContext,
     Telemetry,
     set_active,
 )
@@ -204,24 +202,17 @@ def _pool_worker(conn, cancel_event, payload: dict) -> None:
     from repro.experiments.runner import Runner
 
     index = payload["worker_index"]
-    context = (
-        RunContext(payload["run_id"]).child(f"worker-{index}")
-        if payload.get("run_id")
-        else None
-    )
     telemetry: Telemetry | NullTelemetry = (
-        Telemetry(payload["telemetry_dir"], run_context=context)
-        if payload.get("telemetry_dir")
+        Telemetry(payload["telemetry_dir"], run_context=payload["run_context"])
+        if payload["telemetry_dir"] is not None
         else NULL_TELEMETRY
     )
     # The parent's active telemetry must not be shared across processes
     # (torn event lines, clobbered snapshots).
     set_active(telemetry)
-    if payload.get("profile_hz") and payload.get("telemetry_dir"):
-        telemetry.enable_profiling(
-            payload["profile_hz"],
-            memory=bool(payload.get("profile_memory")),
-        )
+    if payload["profile"] is not None:
+        hz, memory = payload["profile"]
+        telemetry.enable_profiling(hz, memory=memory)
 
     send_lock = threading.Lock()
 
@@ -394,10 +385,11 @@ class SupervisedPool:
             raising.
         poison_threshold: successive worker deaths one cell may cause
             before it is quarantined as ``poisoned``.
-        telemetry: the parent's telemetry (supervision events/metrics).
-        telemetry_root: directory whose ``worker-K/`` subdirectories
-            receive worker telemetry (None disables worker telemetry).
-        run_id: campaign correlation id stamped into worker contexts.
+        telemetry: the parent's telemetry. It records the supervision
+            events and metrics; its directory's ``worker-K/``
+            subdirectories receive worker telemetry (none without a
+            directory), stamped with its run context, and its profiling
+            session's rate profiles every worker.
         worker_faults: a picklable
             :class:`~repro.resilience.faults.FaultInjector` each worker
             wraps around its evaluate (chaos testing).
@@ -414,17 +406,11 @@ class SupervisedPool:
         max_worker_restarts: int = 3,
         poison_threshold: int = 2,
         telemetry: Telemetry | NullTelemetry | None = None,
-        telemetry_root: Path | None = None,
-        run_id: str | None = None,
         worker_faults: "FaultInjector | None" = None,
         tuning: PoolTuning | None = None,
-        profile_hz: float | None = None,
-        profile_memory: bool = False,
     ) -> None:
         if workers < 1:
             raise ConfigError("workers must be >= 1")
-        if profile_hz is not None and profile_hz <= 0:
-            raise ConfigError("profile_hz must be positive")
         if max_worker_restarts < 0:
             raise ConfigError("max_worker_restarts must be >= 0")
         if poison_threshold < 1:
@@ -436,12 +422,8 @@ class SupervisedPool:
         self.max_worker_restarts = max_worker_restarts
         self.poison_threshold = poison_threshold
         self.tel = telemetry if telemetry is not None else NULL_TELEMETRY
-        self.telemetry_root = telemetry_root
-        self.run_id = run_id
         self.worker_faults = worker_faults
         self.tuning = tuning if tuning is not None else DEFAULT_TUNING
-        self.profile_hz = profile_hz
-        self.profile_memory = profile_memory
         self._ctx = multiprocessing.get_context()
         self._handles: list[_WorkerHandle] = []
         self._pending: deque = deque()
@@ -545,21 +527,26 @@ class SupervisedPool:
         self._next_index += 1
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         cancel = self._ctx.Event()
+        label = f"worker-{index}"
+        directory, context = self.tel.directory, self.tel.run_context
+        profile = self.tel.profile
         payload = {
             "worker_index": index,
-            "run_id": self.run_id,
             "telemetry_dir": (
-                str(self.telemetry_root / f"worker-{index}")
-                if self.telemetry_root is not None
-                else None
+                str(directory / label) if directory is not None else None
+            ),
+            "run_context": (
+                context.child(label) if context is not None else None
+            ),
+            "profile": (
+                (profile.hz, profile.memory is not None)
+                if profile is not None else None
             ),
             "runner_args": self.runner_args,
             "retry": self.retry,
             "worker_faults": self.worker_faults,
             "heartbeat_interval_s": self.tuning.heartbeat_interval_s,
             "cancel_poll_s": self.tuning.cancel_poll_s,
-            "profile_hz": self.profile_hz,
-            "profile_memory": self.profile_memory,
         }
         proc = self._ctx.Process(
             target=_pool_worker,
@@ -795,12 +782,13 @@ class SupervisedPool:
         exitcode = handle.proc.exitcode
         if handle.metrics is None or exitcode is None or exitcode >= 0:
             return
+        context = self.tel.run_context
         labels = (
-            RunContext(self.run_id).child(handle.label).labels()
-            if self.run_id else None
+            context.child(handle.label).labels()
+            if context is not None else None
         )
         atomic_write_text(
-            self.telemetry_root / handle.label / METRICS_FILE,
+            self.tel.directory / handle.label / METRICS_FILE,
             render_snapshot(handle.metrics, labels),
         )
 

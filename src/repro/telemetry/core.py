@@ -44,6 +44,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
+from repro.errors import ConfigError
 from repro.telemetry.exporters import (
     JsonlEventLog,
     write_prometheus,
@@ -497,7 +498,12 @@ class Telemetry:
         ``flame.folded`` and ``memory_watermarks.csv`` are written on
         :meth:`close`. ``session`` overrides the constructed session
         (tests inject deterministic samplers).
+
+        Raises:
+            ConfigError: ``hz`` is not positive.
         """
+        if hz is not None and hz <= 0:
+            raise ConfigError(f"profiling rate must be positive, got {hz:g}")
         if self._profile is not None:
             return self._profile
         if session is None:

@@ -29,7 +29,6 @@ from repro.designs.ndm import NDMDesign
 from repro.designs.nmm import NMMDesign
 from repro.designs.reference import ReferenceDesign
 from repro.experiments.runner import Runner
-from repro.experiments.simplan import SimPlan
 from repro.partition.ranges import AddressRange
 from repro.resilience import Journal, SweepExecutor
 from repro.tech.params import EDRAM, PCM
@@ -105,10 +104,9 @@ def test_prepared_ref_equals_ref_replay(trace_cache, setup, workload_name):
 def test_corrupt_lower_replay_fails_its_cell(trace_cache, tmp_path,
                                             monkeypatch):
     """A lower replay that loses one memory load fails its sweep cell,
-    on the batched SimPlan path and the per-cell path alike, and is
-    journalled as failed and announced as a ``conservation_violated``
+    and is journalled as failed and announced as a ``conservation_violated``
     event; REF, priced by prepare, stays ok."""
-    real_replay, real_execute = Runner._replay_lower, SimPlan.execute
+    real_replay = Runner._replay_lower
 
     def lose_a_load(levels):
         levels[-1].loads -= 1
@@ -119,12 +117,7 @@ def test_corrupt_lower_replay_fails_its_cell(trace_cache, tmp_path,
         levels = real_replay(self, post_l3, segments, factor, lower, memory)
         return lose_a_load(levels) if lower else levels
 
-    def corrupt_execute(self, *args, **kwargs):
-        results = real_execute(self, *args, **kwargs)
-        return {key: lose_a_load(levels) for key, levels in results.items()}
-
     monkeypatch.setattr(Runner, "_replay_lower", corrupt_replay)
-    monkeypatch.setattr(SimPlan, "execute", corrupt_execute)
     telemetry = Telemetry(tmp_path / "telemetry")
     runner = Runner(scale=SCALE, seed=0, trace_cache_dir=trace_cache,
                     telemetry=telemetry)

@@ -115,3 +115,19 @@ class TestGenerateReport:
         assert report.claims
         text = render_markdown(report, SCALE)
         assert text.count("###") >= 14
+
+    def test_paper_claims_hold_on_the_full_suite(self):
+        """Every claim of the scorecard holds on the full suite at
+        1/8192, seed 0 (the scale of the committed reference output)."""
+        report = generate_report(Runner(scale=SCALE, seed=0))
+        verdicts = {claim.claim: claim.holds for claim in report.claims}
+        details = {claim.claim: claim.detail for claim in report.claims}
+        assert verdicts == {
+            "NMM: larger DRAM cache reduces runtime (N1 -> N3)": True,
+            "NMM: sub-4KB pages minimize energy with net savings": True,
+            "4LC: energy grows with page size (EH1 best region)": True,
+            "4LCNVM: 64B pages reach deep energy savings": True,
+            "NDM: every workload pays a runtime overhead": True,
+            "Heat map: 5x read latency costs single-digit % runtime": True,
+            "Heat map: energy-saving cells despite costlier ops": True,
+        }, details

@@ -189,21 +189,21 @@ class TestExactness:
 
 
 def test_sweep_telemetry_names_the_counts_engine(tmp_path, monkeypatch):
-    """A telemetry sweep plans its designs through SimPlan, which prices
-    each private one-cache L4 chain by counts. Those levels never run
-    ``process``, yet each still announces its engine once, as
-    ``lru-counts``, and ``telemetry report``'s engine digest shows it."""
+    """A telemetry sweep prices each cell's private one-cache lower
+    chain by counts. Those levels never run ``process``, yet each still
+    announces its engine once, as ``lru-counts``, and ``telemetry
+    report``'s engine digest shows it."""
     from repro.experiments.cli import main
     from repro.telemetry.observatory import aggregate_run
 
-    planned = []
-    real = SimPlan.execute
+    replayed = []
+    real = Runner._replay_lower
 
-    def recording(plan, *args, **kwargs):
-        planned.extend(design.sim_key() for design in plan.designs)
-        return real(plan, *args, **kwargs)
+    def recording(runner, post_l3, segments, factor, lower, memory):
+        replayed.append([cache.name for cache in lower])
+        return real(runner, post_l3, segments, factor, lower, memory)
 
-    monkeypatch.setattr(SimPlan, "execute", recording)
+    monkeypatch.setattr(Runner, "_replay_lower", recording)
     out = tmp_path / "telemetry"
     code = main([
         "--scale", str(SCALE), "--seed", "5", "--workloads", "CG",
@@ -212,7 +212,7 @@ def test_sweep_telemetry_names_the_counts_engine(tmp_path, monkeypatch):
         "--journal", str(tmp_path / "campaign.jsonl"),
     ])
     assert code == 0
-    assert sorted(planned) == ["4LC-EH4", "NMM-N6"]
+    assert sorted(replayed) == [[], ["DRAM$"], ["L4"]]  # REF, NMM, 4LC
     events = [
         json.loads(line)
         for line in (out / "events.jsonl").read_text().splitlines()

@@ -181,6 +181,21 @@ def test_warm_reproduce_all_loads_no_kernel_simulator_or_numpy(
     assert not extra, f"a warm `reproduce-all` imported: {extra}"
 
 
+def test_warm_serial_sweep_loads_no_simplan(tmp_path):
+    """Each cell of a serial sweep prices its own design, so no sweep
+    batches designs through the shared-prefix planner."""
+    for run in ("cold", "warm"):
+        loaded = cli_modules(
+            "--scale", "0.0001220703125", "--workloads", "CG",
+            "--trace-cache", str(tmp_path / "cache"),
+            "sweep", "--designs", "REF,NMM:PCM:N6",
+            "--journal", str(tmp_path / f"{run}.jsonl"),
+            cwd=tmp_path,
+        )
+    assert "repro.resilience.executor" in loaded
+    assert "repro.experiments.simplan" not in loaded
+
+
 def test_ndm_figure_loads_no_dynamic_planner_or_filters(tmp_path):
     """Figure 7 runs the NDM oracle, yet needs neither the phase-wise
     planner nor the stream filters it alone uses."""

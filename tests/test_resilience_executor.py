@@ -379,6 +379,46 @@ class TestRealRunnerIntegration:
         expected = fresh.evaluate(designs_for(fresh)[0], workloads[0])
         assert result.outcomes[0].evaluation == expected
 
+    def test_serial_sweep_journals_before_it_prices_the_next_workload(
+        self, tmp_path, monkeypatch
+    ):
+        """A serial sweep prices each cell inside that cell, so a kill
+        after the first cell leaves its line: the first journal line is
+        on disk before any lower chain of the second workload runs."""
+        from repro.designs.configs import N_CONFIGS
+        from repro.designs.nmm import NMMDesign
+        from repro.designs.reference import ReferenceDesign
+        from repro.experiments.runner import Runner
+        from repro.tech.params import PCM, STTRAM
+        from repro.workloads.registry import get_workload
+
+        path = tmp_path / "campaign.jsonl"
+        replays = []  # (id of the post-L3 stream, journal lines)
+        real = Runner._replay_lower
+
+        def counting(runner, post_l3, *args, **kwargs):
+            lines = path.read_bytes().count(b"\n") if path.exists() else 0
+            replays.append((id(post_l3), lines))
+            return real(runner, post_l3, *args, **kwargs)
+
+        monkeypatch.setattr(Runner, "_replay_lower", counting)
+        runner = Runner(scale=self.SCALE, seed=2)
+        designs = [
+            NMMDesign(PCM, N_CONFIGS["N6"], scale=self.SCALE,
+                      reference=runner.reference),
+            NMMDesign(STTRAM, N_CONFIGS["N3"], scale=self.SCALE,
+                      reference=runner.reference),
+            ReferenceDesign(scale=self.SCALE, reference=runner.reference),
+        ]
+        workloads = [get_workload("CG"), get_workload("Hashing")]
+        result = SweepExecutor(runner, journal=path).run(designs, workloads)
+        assert result.counts() == {"ok": 6}
+
+        second = id(runner.prepare(workloads[1]).post_l3)
+        seen = [lines for stream, lines in replays if stream == second]
+        assert seen and min(seen) >= 1
+        assert len(seen) == 3  # REF DRAM in prepare, then the two NMMs
+
 
 #: A serial ``sweep`` that SIGKILLs itself right after its
 #: ``KILL_AFTER``-th journal append. Only the first line was fsynced

@@ -412,6 +412,16 @@ class TestProfilingSession:
         assert "profiling_started" in kinds
         assert "profiling_finished" in kinds
 
+    @pytest.mark.parametrize("hz", [0.0, -5.0])
+    def test_enable_profiling_rejects_a_non_positive_rate(self, tmp_path, hz):
+        from repro.errors import ConfigError
+
+        telemetry = Telemetry(tmp_path)
+        with pytest.raises(ConfigError):
+            telemetry.enable_profiling(hz)
+        assert telemetry.profile is None
+        telemetry.close()
+
 
 # ----------------------------------------------------------------------
 # Event spool fast path
@@ -688,9 +698,10 @@ def test_parallel_profiled_sweep_merges_samples(tmp_path):
                   reference=runner.reference),
     ]
     telemetry = Telemetry(tmp_path / "telemetry")
+    telemetry.enable_profiling(400.0)
     executor = SweepExecutor(
         runner, journal=Journal(tmp_path / "journal.jsonl"),
-        telemetry=telemetry, workers=2, profile_hz=400.0,
+        telemetry=telemetry, workers=2,
     )
     result = executor.run(designs, [get_workload("CG")])
     telemetry.close()
