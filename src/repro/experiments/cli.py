@@ -13,8 +13,8 @@ Subcommands:
   result journal (``--journal``), exact resume (``--resume``), bounded
   retries (``--max-retries``), per-cell deadlines (``--cell-timeout``),
   keep-going semantics (``--keep-going``), and process-parallel
-  execution (``--workers N``; serial runs simulate shared lower-level
-  prefixes once per workload). With
+  execution (``--workers N``). Serial or parallel, every cell prices
+  its own design and is journalled as soon as it finishes. With
   ``--screen-analytic K`` the full grid is first triaged by the
   analytic reuse-profile engine and only each workload's top-K
   designs re-simulate exactly. Parallel runs use
@@ -24,11 +24,11 @@ Subcommands:
   SIGTERM drains gracefully to an exact-resume journal.
 
 - ``telemetry report DIR`` — summarize a telemetry directory written
-  by a previous ``--telemetry DIR`` run (span digests, window files,
+  by a previous ``--telemetry DIR`` run (span digests, window stages,
   event counts); a multi-worker run root is aggregated first.
 - ``telemetry merge DIR [--out DIR]`` — merge a run root plus its
-  ``worker-N/`` directories into one ordered run log, one summed
-  ``metrics.prom``, and a provenance-stamped windows CSV.
+  ``worker-N/`` directories into one ordered run log (window events
+  included) and one summed ``metrics.prom``.
 - ``telemetry trace DIR [--out FILE]`` — export a Chrome trace_event
   JSON timeline (Perfetto / chrome://tracing).
 - ``telemetry diff BASELINE CANDIDATE`` — run-to-run regression diff
@@ -437,8 +437,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--telemetry", type=str, default=None, metavar="DIR",
-        help="record telemetry (events.jsonl, metrics.prom, "
-        "windows_*.csv) into DIR for this invocation",
+        help="record telemetry (events.jsonl, with per-level window "
+        "counters as window events, and metrics.prom) into DIR for "
+        "this invocation",
     )
     parser.add_argument(
         "--profile", type=float, nargs="?", const=DEFAULT_HZ,
@@ -617,8 +618,8 @@ def main(argv: list[str] | None = None) -> int:
     telem_merge = telem_sub.add_parser(
         "merge",
         help="merge a run root plus its worker-N/ telemetry into one "
-        "ordered events.jsonl, summed metrics.prom, and a combined "
-        "windows CSV with provenance columns",
+        "ordered events.jsonl (window events included) and a summed "
+        "metrics.prom",
     )
     telem_merge.add_argument("dir", type=str, help="run root to merge")
     telem_merge.add_argument(

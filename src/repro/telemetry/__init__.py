@@ -13,9 +13,10 @@ progress while running. This package is that layer:
   :data:`NULL_TELEMETRY`.
 - :mod:`repro.telemetry.windows` — epoch-windowed per-level
   time-series (:class:`WindowedCollector`) whose window sums equal the
-  final :class:`~repro.cache.stats.HierarchyStats` counters exactly.
-- :mod:`repro.telemetry.exporters` — atomic JSONL / CSV / Prometheus
-  writers and their readers.
+  final :class:`~repro.cache.stats.HierarchyStats` counters exactly,
+  and the codec of the ``window`` events that carry it.
+- :mod:`repro.telemetry.exporters` — the JSONL event log, its readers,
+  and atomic Prometheus / whole-file writers.
 - :mod:`repro.telemetry.progress` — live per-cell sweep progress with
   ETA and the ``--resume`` startup summary.
 - :mod:`repro.telemetry.report` — the ``telemetry report`` summary

@@ -8,8 +8,8 @@ A :class:`Telemetry` bundles the three observability surfaces:
   wall-clock phase timers that nest, feed a per-name duration
   histogram, and emit JSONL events;
 - **window collectors** — per-level time-series of a simulation stage
-  (see :mod:`repro.telemetry.windows`), written as CSV when the stage
-  finishes.
+  (see :mod:`repro.telemetry.windows`), one ``window`` event per
+  window, made durable when the stage finishes.
 
 Instrumented library code does not thread a telemetry object through
 every call; like :mod:`logging`, it asks for the *active* instance via
@@ -35,7 +35,6 @@ already tolerates.
 from __future__ import annotations
 
 import json
-import re
 import threading
 import time
 import uuid
@@ -45,11 +44,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from repro.errors import ConfigError
-from repro.telemetry.exporters import (
-    JsonlEventLog,
-    write_prometheus,
-    write_windows_csv,
-)
+from repro.telemetry.exporters import JsonlEventLog, write_prometheus
 from repro.telemetry.registry import (
     NULL_REGISTRY,
     MetricsRegistry,
@@ -58,6 +53,7 @@ from repro.telemetry.windows import (
     DEFAULT_WINDOW_REFS,
     WindowedCollector,
     WindowRecord,
+    encode_window,
 )
 
 if TYPE_CHECKING:
@@ -81,11 +77,6 @@ METRICS_FILE = "metrics.prom"
 #: many pending events, bounding both memory and the kill-loss window
 #: between span/cell boundary drains.
 DEFAULT_SPOOL_EVENTS = 512
-
-
-def slugify(context: str) -> str:
-    """A context label reduced to a safe file-name fragment."""
-    return re.sub(r"[^A-Za-z0-9_.-]+", "-", context).strip("-") or "unnamed"
 
 
 def new_run_id(wall_clock: Callable[[], float] = time.time) -> str:
@@ -177,10 +168,10 @@ class Telemetry:
     """Live telemetry: registry + spans + events + window collectors.
 
     Args:
-        directory: where to write ``events.jsonl``, ``metrics.prom``
-            and ``windows_*.csv``. None keeps everything in memory
-            (registry and span accounting still work; events and CSVs
-            are dropped).
+        directory: where to write ``events.jsonl`` and
+            ``metrics.prom``. None keeps everything in memory
+            (registry and span accounting still work; events are
+            dropped).
         registry: metrics registry (default: a fresh
             :class:`MetricsRegistry`).
         window_refs: default epoch width for window collectors.
@@ -435,42 +426,20 @@ class Telemetry:
         if self._events is None or not fresh:
             return
         self.event(
-            kind="window",
-            context=collector.context,
-            window=fresh[0].index,
-            start_refs=fresh[0].start_refs,
-            end_refs=fresh[0].end_refs,
-            levels={
-                r.level: {
-                    "accesses": r.accesses,
-                    "hit_rate": round(r.hit_rate, 6),
-                    "bytes": r.bytes_moved,
-                }
-                for r in fresh
-            },
+            kind="window", context=collector.context, **encode_window(fresh)
         )
 
-    def finish_collector(self, collector: WindowedCollector) -> Path | None:
-        """Finalize a collector and write its CSV time-series.
-
-        Returns the CSV path, or None when no directory is configured.
-        """
-        records = collector.finish()
+    def finish_collector(self, collector: WindowedCollector) -> None:
+        """Finalize a collector: emit its last window, then drain the
+        spool and fsync the event log, so a finished stage's windows
+        survive a kill of the process."""
+        collector.finish()
         with self._lock:
             if collector in self._collectors:
                 self._collectors.remove(collector)
-        if self.directory is None:
-            return None
-        path = self.directory / f"windows_{slugify(collector.context)}.csv"
-        write_windows_csv(records, path)
-        self.event(
-            kind="windows_written",
-            context=collector.context,
-            windows=(records[-1].index + 1) if records else 0,
-            refs=collector.refs,
-            path=path.name,
-        )
-        return path
+        if self._events is not None:
+            self._drain_events()
+            self._events.sync()
 
     # -- profiling ------------------------------------------------------
 
@@ -526,9 +495,9 @@ class Telemetry:
     def flush(self) -> None:
         """Drain spooled events and write the Prometheus snapshot.
 
-        The snapshot goes through the same atomic write-and-rename
-        helper as ``windows_*.csv``, so a worker killed mid-flush
-        leaves the previous complete snapshot, never a torn one. With a
+        The snapshot is written atomically (write, fsync, rename), so a
+        worker killed mid-flush leaves the previous complete snapshot,
+        never a torn one. With a
         :class:`RunContext` every sample carries ``run`` / ``worker``
         labels so cross-worker aggregation can join and sum snapshots.
         An active profiling session drains its sample deltas to

@@ -1,10 +1,10 @@
-"""Telemetry exporters: JSONL events, CSV time-series, Prometheus text.
+"""Telemetry exporters: JSONL events and Prometheus text.
 
 All files live alongside the resilience journal and follow the same
 durability discipline:
 
-- whole-file artifacts (the CSV time-series and the Prometheus
-  snapshot) are written atomically — temp file in the same directory,
+- whole-file artifacts (the Prometheus snapshot, merged outputs) are
+  written atomically — temp file in the same directory,
   fsync, ``os.replace`` — so a kill mid-write leaves either the old
   file or the new one, never a torn hybrid;
 - the JSONL event log is append-only with a flush per line, so a kill
@@ -21,17 +21,15 @@ garbage from a stale offset.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import os
 import tempfile
 import threading
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.errors import TelemetryError
-from repro.telemetry.windows import WINDOW_FIELDS, WindowRecord
 
 
 def atomic_write_text(path: str | Path, text: str) -> Path:
@@ -121,6 +119,15 @@ class JsonlEventLog:
         with self._lock:
             if self._handle is not None:
                 self._handle.flush()
+
+    def sync(self) -> None:
+        """Flush, then fsync the log to disk (a no-op on a closed or
+        never-opened log): a durability point, such as a finished
+        window stage."""
+        with self._lock:
+            if self._handle is not None:
+                self._handle.flush()
+                os.fsync(self._handle.fileno())
 
     def close(self) -> None:
         """Close the underlying file (reopened on next append)."""
@@ -213,75 +220,6 @@ def read_jsonl(path: str | Path) -> list[dict]:
             ) from exc
         events.append(payload)
     return events
-
-
-# ----------------------------------------------------------------------
-# CSV window time-series
-# ----------------------------------------------------------------------
-
-#: CSV column order: identity, then the raw counters of WINDOW_FIELDS.
-CSV_COLUMNS: tuple[str, ...] = ("window", "start_refs", "end_refs", "level")
-
-
-def write_windows_csv(
-    records: Sequence[WindowRecord], path: str | Path
-) -> Path:
-    """Write window records as CSV, atomically.
-
-    One row per (window, level); raw counters only, so a read-back
-    reconstructs the records exactly (derived rates are recomputed).
-    """
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(CSV_COLUMNS + WINDOW_FIELDS)
-    for record in records:
-        writer.writerow(
-            [record.index, record.start_refs, record.end_refs, record.level]
-            + [getattr(record, f) for f in WINDOW_FIELDS]
-        )
-    return atomic_write_text(path, buffer.getvalue())
-
-
-def read_windows_csv(path: str | Path) -> list[WindowRecord]:
-    """Load window records written by :func:`write_windows_csv`.
-
-    Raises:
-        TelemetryError: on a missing/reordered header or a bad row.
-    """
-    path = Path(path)
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise TelemetryError(f"empty windows CSV {path}") from None
-        expected = list(CSV_COLUMNS + WINDOW_FIELDS)
-        if header != expected:
-            raise TelemetryError(
-                f"unexpected windows CSV header in {path}: {header!r}"
-            )
-        records = []
-        for row_number, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                records.append(
-                    WindowRecord(
-                        index=int(row[0]),
-                        start_refs=int(row[1]),
-                        end_refs=int(row[2]),
-                        level=row[3],
-                        **{
-                            f: int(v)
-                            for f, v in zip(WINDOW_FIELDS, row[4:])
-                        },
-                    )
-                )
-            except (ValueError, TypeError) as exc:
-                raise TelemetryError(
-                    f"bad windows CSV row {row_number} in {path}: {exc}"
-                ) from exc
-    return records
 
 
 # ----------------------------------------------------------------------

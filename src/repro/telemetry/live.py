@@ -81,6 +81,7 @@ from repro.telemetry.exporters import JsonlTailer
 from repro.telemetry.observatory import ROOT_WORKER, run_events, worker_dirs
 from repro.telemetry.progress import CellTally, format_duration
 from repro.telemetry.report import _SUPERVISION_EVENTS
+from repro.telemetry.windows import decode_window
 
 #: Default bind address: localhost only (see the security note above).
 DEFAULT_HOST = "127.0.0.1"
@@ -250,15 +251,15 @@ def run_progress(events: Iterable[dict]) -> dict[str, dict]:
             )
             per["done"] += 1
             _count(per["by_status"], status)
-        elif kind == "window" and isinstance(event.get("levels"), dict):
-            for level, values in event["levels"].items():
-                if not isinstance(values, dict):
-                    continue
-                rate = values.get("hit_rate")
-                if isinstance(rate, (int, float)):
-                    fold["hit_rates"].setdefault(
-                        str(level), deque(maxlen=HIT_RATE_SAMPLES)
-                    ).append(float(rate))
+        elif kind == "window":
+            try:
+                records = decode_window(event, f"run {run_id}")
+            except TelemetryError:
+                records = []  # a live fold skips what it cannot read
+            for record in records:
+                fold["hit_rates"].setdefault(
+                    record.level, deque(maxlen=HIT_RATE_SAMPLES)
+                ).append(record.hit_rate)
         if kind in _SUPERVISION_EVENTS:
             entry = {"kind": kind}
             for field in ("pool_worker", "cell", "stage", "reason",

@@ -11,12 +11,12 @@ into one coherent story:
   (:func:`run_events`: torn-tolerant, deduplicated by the
   ``(run, worker, seq)`` correlation triple), Prometheus snapshots are
   summed sample-by-sample with the per-worker ``run``/``worker``
-  labels stripped, and window CSVs are concatenated with provenance.
+  labels stripped, and the log's ``window`` events decode into window
+  records that keep their ``run`` / ``worker`` / ``context``.
   The live progress API folds the same run log.
 - :func:`write_merged` persists that view as a directory that is
   itself readable by every telemetry tool (``events.jsonl``,
-  ``metrics.prom``, plus ``run_windows.csv`` with ``run`` / ``worker``
-  / ``context`` provenance columns).
+  ``metrics.prom`` and, when sampled, ``profile.jsonl``).
 - :func:`chrome_trace` renders the merged spans as a Chrome
   ``trace_event`` timeline (``chrome://tracing`` / Perfetto): one
   process track per worker, complete slices for spans, async slices
@@ -36,8 +36,6 @@ time-series already guarantee against ``HierarchyStats``.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import os
 import re
@@ -48,12 +46,7 @@ from typing import Iterable, Sequence
 
 from repro.errors import TelemetryError
 from repro.telemetry.core import DEFAULT_HZ, EVENTS_FILE, METRICS_FILE
-from repro.telemetry.exporters import (
-    CSV_COLUMNS,
-    atomic_write_text,
-    read_jsonl,
-    read_windows_csv,
-)
+from repro.telemetry.exporters import atomic_write_text, read_jsonl
 from repro.telemetry.profiling import (
     PROFILE_FILE,
     HotspotDigest,
@@ -63,11 +56,7 @@ from repro.telemetry.profiling import (
     read_profile,
     total_samples,
 )
-from repro.telemetry.registry import (
-    _escape,
-    _render_value,
-    unescape_label_value,
-)
+from repro.telemetry.registry import render_snapshot, unescape_label_value
 from repro.telemetry.report import (
     HOTSPOT_TOP,
     EngineDigest,
@@ -77,14 +66,10 @@ from repro.telemetry.report import (
     _digest_windows,
     supervision_digest,
 )
-from repro.telemetry.windows import WINDOW_FIELDS, WindowRecord
+from repro.telemetry.windows import WindowRecord, decode_window
 
 #: Provenance label of the coordinating process's directory.
 ROOT_WORKER = "root"
-
-#: Merged window CSV (deliberately *not* matching ``windows_*.csv``,
-#: so a merged directory's combined file is never re-read as a stage).
-MERGED_WINDOWS_FILE = "run_windows.csv"
 
 #: Default Chrome-trace output name.
 TRACE_FILE = "trace.json"
@@ -113,7 +98,7 @@ class WindowRow:
     Attributes:
         run: run id the record belongs to ("" when unknown).
         worker: source directory label (``root`` / ``worker-K``).
-        context: stage label (from the CSV file name).
+        context: stage label (the window event's ``context``).
         record: the raw :class:`WindowRecord`.
     """
 
@@ -311,9 +296,7 @@ def discover_sources(root: str | Path) -> list[tuple[str, Path]]:
     root_has_artifacts = (
         (root / EVENTS_FILE).exists()
         or (root / METRICS_FILE).exists()
-        or (root / MERGED_WINDOWS_FILE).exists()
         or (root / PROFILE_FILE).exists()
-        or any(root.glob("windows_*.csv"))
     )
     if root_has_artifacts:
         sources.append((ROOT_WORKER, root))
@@ -321,7 +304,7 @@ def discover_sources(root: str | Path) -> list[tuple[str, Path]]:
     if not sources:
         raise TelemetryError(
             f"no telemetry artifacts under {root} (expected "
-            f"{EVENTS_FILE}, {METRICS_FILE}, windows_*.csv, or "
+            f"{EVENTS_FILE}, {METRICS_FILE}, {PROFILE_FILE}, or "
             f"worker-*/ directories)"
         )
     return sources
@@ -474,45 +457,6 @@ def _merge_metrics(
     return kinds, merged
 
 
-def _read_merged_windows(path: Path) -> list[WindowRow]:
-    """Load a ``run_windows.csv`` written by :func:`write_merged`."""
-    expected = ["run", "worker", "context"] + list(
-        CSV_COLUMNS + WINDOW_FIELDS
-    )
-    rows: list[WindowRow] = []
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise TelemetryError(f"empty merged windows CSV {path}") from None
-        if header != expected:
-            raise TelemetryError(
-                f"unexpected merged windows CSV header in {path}: {header!r}"
-            )
-        for number, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                record = WindowRecord(
-                    index=int(row[3]), start_refs=int(row[4]),
-                    end_refs=int(row[5]), level=row[6],
-                    **{
-                        f: int(v)
-                        for f, v in zip(WINDOW_FIELDS, row[7:])
-                    },
-                )
-            except (ValueError, TypeError) as exc:
-                raise TelemetryError(
-                    f"bad merged windows CSV row {number} in {path}: {exc}"
-                ) from exc
-            rows.append(
-                WindowRow(run=row[0], worker=row[1], context=row[2],
-                          record=record)
-            )
-    return rows
-
-
 def aggregate_run(root: str | Path) -> RunAggregate:
     """Merge one run's telemetry tree into a :class:`RunAggregate`.
 
@@ -529,22 +473,20 @@ def aggregate_run(root: str | Path) -> RunAggregate:
         run = event.get("run")
         if run is not None and run not in aggregate.run_ids:
             aggregate.run_ids.append(str(run))
+        if event.get("kind") == "window":
+            worker = str(event.get("worker", ROOT_WORKER))
+            aggregate.windows.extend(
+                WindowRow(
+                    run=str(run or ""), worker=worker,
+                    context=str(event.get("context", "")), record=record,
+                )
+                for record in decode_window(event, f"{root} ({worker})")
+            )
 
     aggregate.metric_kinds, aggregate.metrics = _merge_metrics(sources)
 
-    default_run = aggregate.run_id or ""
     profile_records: list[dict] = []
     for label, directory in sources:
-        merged_csv = directory / MERGED_WINDOWS_FILE
-        if merged_csv.exists():
-            aggregate.windows.extend(_read_merged_windows(merged_csv))
-        for csv_path in sorted(directory.glob("windows_*.csv")):
-            context = csv_path.stem[len("windows_"):]
-            for record in read_windows_csv(csv_path):
-                aggregate.windows.append(
-                    WindowRow(run=default_run, worker=label,
-                              context=context, record=record)
-                )
         for record in read_profile(directory / PROFILE_FILE):
             record.setdefault("worker", label)
             profile_records.append(record)
@@ -560,50 +502,34 @@ def aggregate_run(root: str | Path) -> RunAggregate:
 # ----------------------------------------------------------------------
 
 
-def _render_merged_metrics(
+def _snapshot_entries(
     kinds: dict[str, str], metrics: dict[str, dict[tuple, float]]
-) -> str:
-    """Merged samples back in exposition format (stable order)."""
-
-    def base_name(sample: str) -> str:
-        for suffix in ("_bucket", "_sum", "_count"):
-            stem = sample[: -len(suffix)] if sample.endswith(suffix) else None
-            if stem and kinds.get(stem) == "histogram":
-                return stem
-        return sample
-
-    def le_rank(labels: tuple) -> tuple:
-        le = dict(labels).get("le")
-        if le is None:
-            return (0, 0.0)
-        return (1, float("inf") if le == "+Inf" else float(le))
-
-    by_base: dict[str, list[tuple[str, tuple, float]]] = {}
-    for sample, entries in metrics.items():
-        for labels, value in entries.items():
-            by_base.setdefault(base_name(sample), []).append(
-                (sample, labels, value)
+) -> list[dict]:
+    """Merged samples regrouped as :meth:`MetricsRegistry.snapshot`
+    entries (stable order): a histogram's ``_bucket`` / ``_sum`` /
+    ``_count`` samples rejoin one entry per label set."""
+    entries: dict[tuple, dict] = {}
+    for sample, samples in metrics.items():
+        name, part = sample, "value"
+        for suffix in ("bucket", "sum", "count"):
+            stem = sample.removesuffix(f"_{suffix}")
+            if stem != sample and kinds.get(stem) == "histogram":
+                name, part = stem, suffix
+        for key, value in samples.items():
+            labels = dict(key)
+            le = labels.pop("le", None) if part == "bucket" else None
+            entry = entries.setdefault(
+                (name, tuple(sorted(labels.items()))),
+                {"name": name, "kind": kinds.get(name, "untyped"),
+                 "labels": labels},
             )
-
-    lines: list[str] = []
-    for base in sorted(by_base):
-        kind = kinds.get(base)
-        if kind is not None:
-            lines.append(f"# TYPE {base} {kind}")
-        suffix_rank = {base: 0, f"{base}_bucket": 1, f"{base}_sum": 2,
-                       f"{base}_count": 3}
-        for sample, labels, value in sorted(
-            by_base[base],
-            key=lambda entry: (
-                suffix_rank.get(entry[0], 9),
-                tuple((k, v) for k, v in entry[1] if k != "le"),
-                le_rank(entry[1]),
-            ),
-        ):
-            body = ",".join(f'{k}="{_escape(str(v))}"' for k, v in labels)
-            rendered = "{" + body + "}" if body else ""
-            lines.append(f"{sample}{rendered} {_render_value(value)}")
-    return "\n".join(lines) + ("\n" if lines else "")
+            if part == "value":
+                entry["value"] = value
+            elif part == "bucket":
+                entry.setdefault("buckets", {})[le] = int(value)
+            else:
+                entry[part] = int(value) if part == "count" else value
+    return [entries[key] for key in sorted(entries)]
 
 
 def write_merged(
@@ -611,11 +537,11 @@ def write_merged(
 ) -> dict[str, Path]:
     """Persist an aggregate as a merged telemetry directory.
 
-    Writes ``events.jsonl`` (the ordered run log), ``metrics.prom``
-    (summed snapshot), and ``run_windows.csv`` (all window records
-    with ``run`` / ``worker`` / ``context`` provenance columns). The
-    result is itself a valid input to :func:`aggregate_run`,
-    :func:`chrome_trace`, :func:`diff_runs`, and ``telemetry report``.
+    Writes ``events.jsonl`` (the ordered run log, window events
+    included), ``metrics.prom`` (summed snapshot) and, when sampled,
+    ``profile.jsonl``. The result is itself a valid input to
+    :func:`aggregate_run`, :func:`chrome_trace`, :func:`diff_runs`,
+    and ``telemetry report``.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -629,22 +555,9 @@ def write_merged(
 
     paths["metrics"] = atomic_write_text(
         out_dir / METRICS_FILE,
-        _render_merged_metrics(aggregate.metric_kinds, aggregate.metrics),
-    )
-
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(
-        ["run", "worker", "context"] + list(CSV_COLUMNS + WINDOW_FIELDS)
-    )
-    for row in aggregate.windows:
-        writer.writerow(
-            [row.run, row.worker, row.context, row.record.index,
-             row.record.start_refs, row.record.end_refs, row.record.level]
-            + [getattr(row.record, f) for f in WINDOW_FIELDS]
-        )
-    paths["windows"] = atomic_write_text(
-        out_dir / MERGED_WINDOWS_FILE, buffer.getvalue()
+        render_snapshot(
+            _snapshot_entries(aggregate.metric_kinds, aggregate.metrics)
+        ),
     )
 
     if aggregate.profiles:
@@ -838,14 +751,10 @@ def chrome_trace(aggregate: RunAggregate) -> dict:
             })
 
     for ts, pid, event in counters:
-        levels = event.get("levels")
-        if not isinstance(levels, dict):
-            continue
         context = str(event.get("context", "?"))
         values = {
-            str(level): float(data.get("hit_rate", 0.0))
-            for level, data in levels.items()
-            if isinstance(data, dict)
+            record.level: record.hit_rate
+            for record in decode_window(event, str(aggregate.root))
         }
         if not values:
             continue

@@ -18,7 +18,7 @@ Two low-overhead observers that ride along with a live
   the previous boundary is attributed to *all* open phases (inclusive
   semantics) and then reset, yielding a true per-phase peak despite
   tracemalloc's single global counter. Written as
-  ``memory_watermarks.csv`` alongside the windows CSVs.
+  ``memory_watermarks.csv`` in the telemetry directory.
 
 Both are bundled by :class:`ProfilingSession`, enabled via
 ``Telemetry.enable_profiling(hz)`` or the CLI's ``--profile [HZ]``.

@@ -72,7 +72,7 @@ class StageWindows:
     """One stage's window time-series digest.
 
     Attributes:
-        context: stage label (from the CSV file name).
+        context: stage label (its window events' ``context``).
         windows: number of emitted windows.
         refs: top-level references covered.
         levels: per-level digests, top to bottom.

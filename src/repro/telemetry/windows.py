@@ -17,7 +17,9 @@ is crossed. Windows therefore quantize to chunk boundaries (windows
 are *at least* ``window_refs`` wide), and because every window is an
 exact delta of the cumulative counters, the per-level sums over all
 windows equal the final totals **exactly** — the conservation property
-the exporter tests assert. When no observer is attached the hook costs
+the tests assert. Each window travels as one ``window`` event
+(:func:`encode_window` / :func:`decode_window`), the only on-disk form
+of the series. When no observer is attached the hook costs
 one ``is not None`` check per chunk, which is the provably-negligible
 disabled path.
 """
@@ -117,8 +119,8 @@ class WindowedCollector:
     """Collects per-level window records from a running simulation.
 
     Args:
-        context: label for the observed stage (becomes part of the CSV
-            file name, e.g. ``"upper:CG"`` or ``"design:NMM-PCM-N6:CG"``).
+        context: label for the observed stage (the ``context`` of its
+            ``window`` events, e.g. ``"upper-CG"``).
         levels_fn: zero-argument callable returning the current
             per-level :class:`~repro.cache.stats.LevelStats`, top to
             bottom. Called once at construction (baseline) and once per
@@ -224,26 +226,14 @@ class WindowedCollector:
             self._finished = True
         return self.records
 
-    # ------------------------------------------------------------------
-
-    def totals(self) -> dict[str, dict[str, int]]:
-        """Per-level field sums over all emitted windows.
-
-        After :meth:`finish`, these equal the observed run's final
-        counters exactly (conservation).
-        """
-        out: dict[str, dict[str, int]] = {}
-        for record in self.records:
-            level = out.setdefault(
-                record.level, {field: 0 for field in WINDOW_FIELDS}
-            )
-            for field in WINDOW_FIELDS:
-                level[field] += getattr(record, field)
-        return out
-
 
 def sum_windows(records: Sequence[WindowRecord]) -> dict[str, dict[str, int]]:
-    """Per-level field sums of arbitrary window records (e.g. CSV reads)."""
+    """Per-level field sums of window records.
+
+    After :meth:`WindowedCollector.finish`, the sums over a collector's
+    records (or over the records decoded from its ``window`` events)
+    equal the observed run's final counters exactly (conservation).
+    """
     out: dict[str, dict[str, int]] = {}
     for record in records:
         level = out.setdefault(
@@ -252,3 +242,61 @@ def sum_windows(records: Sequence[WindowRecord]) -> dict[str, dict[str, int]]:
         for field in WINDOW_FIELDS:
             level[field] += getattr(record, field)
     return out
+
+
+def encode_window(records: Sequence[WindowRecord]) -> dict:
+    """One window's per-level records as a ``window`` event payload.
+
+    ``levels`` is a list, top level first, of each level's name and raw
+    :data:`WINDOW_FIELDS` counters: a list keeps the hierarchy order
+    through the event log's sorted-key serialization, and raw counters
+    let :func:`decode_window` rebuild the records exactly.
+    """
+    first = records[0]
+    return {
+        "window": first.index,
+        "start_refs": first.start_refs,
+        "end_refs": first.end_refs,
+        "levels": [
+            {"level": r.level, **{f: getattr(r, f) for f in WINDOW_FIELDS}}
+            for r in records
+        ],
+    }
+
+
+def decode_window(event: dict, source: str) -> list[WindowRecord]:
+    """The :class:`WindowRecord` list a ``window`` event carries.
+
+    Raises:
+        TelemetryError: a level entry, its name or an integer field is
+            missing or malformed; the message names ``source`` and the
+            event's ``seq``.
+    """
+    where = f"window event seq {event.get('seq')} in {source}"
+
+    def integer(mapping: dict, key: str) -> int:
+        value = mapping.get(key)
+        if type(value) is not int:  # a bool is no counter
+            raise TelemetryError(
+                f"{where}: {key} is {value!r}, not an integer"
+            )
+        return value
+
+    levels = event.get("levels")
+    if not isinstance(levels, list):
+        raise TelemetryError(f"{where}: levels is not a list of counters")
+    records = []
+    for entry in levels:
+        name = entry.get("level") if isinstance(entry, dict) else None
+        if not isinstance(name, str):
+            raise TelemetryError(f"{where}: bad level entry {entry!r}")
+        records.append(
+            WindowRecord(
+                index=integer(event, "window"),
+                start_refs=integer(event, "start_refs"),
+                end_refs=integer(event, "end_refs"),
+                level=name,
+                **{f: integer(entry, f) for f in WINDOW_FIELDS},
+            )
+        )
+    return records

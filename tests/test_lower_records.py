@@ -193,10 +193,13 @@ class TestWarmEqualsCold:
         ).value
         telemetry.close()
         assert hits == 4
-        assert not list((tmp_path / "telemetry").glob("windows_design-*"))
         events = [
             json.loads(line) for line in
             (tmp_path / "telemetry" / "events.jsonl").read_text().splitlines()
+        ]
+        assert not [
+            e for e in events
+            if e["kind"] == "window" and e["context"].startswith("design-")
         ]
         (prepared,) = [e for e in events if e["kind"] == "workload_prepared"]
         assert prepared["lower_records"] == 4
@@ -654,7 +657,10 @@ class TestPoolSweeps:
             assert counted == len(prepared) + 2
         spans = {e["name"] for e in run.events if e["kind"] == "span"}
         assert "runner.design_sim" not in spans
-        assert not list(telemetry.rglob("windows_design-*"))
+        assert not [
+            e for e in run.events
+            if e["kind"] == "window" and e["context"].startswith("design-")
+        ]
 
 
 #: Fast supervision for the killed-worker campaigns.

@@ -509,8 +509,14 @@ class TestUpperRecordTelemetry:
 
         assert "runner.upper_sim" in spans(cold_events)
         assert "runner.upper_sim" not in spans(warm_events)
-        assert (cold_dir / "windows_upper-CG.csv").exists()
-        assert not (warm_dir / "windows_upper-CG.csv").exists()
+        def upper_windows(events):
+            return [
+                e for e in events
+                if e["kind"] == "window" and e["context"] == "upper-CG"
+            ]
+
+        assert upper_windows(cold_events)
+        assert not upper_windows(warm_events)
         assert cold_refs > 0 and warm_refs == 0
         assert prepared(cold_events)["upper_cached"] is False
         assert prepared(warm_events)["upper_cached"] is True

@@ -1,4 +1,4 @@
-"""Exporters: JSONL events, CSV windows, Prometheus text, durability."""
+"""Exporters: JSONL events, Prometheus text, durability."""
 
 from __future__ import annotations
 
@@ -20,13 +20,10 @@ from repro.telemetry.exporters import (
     JsonlEventLog,
     atomic_write_text,
     read_jsonl,
-    read_windows_csv,
     write_prometheus,
-    write_windows_csv,
 )
 from repro.telemetry.progress import ProgressReporter, format_duration
 from repro.telemetry.registry import MetricsRegistry
-from repro.telemetry.windows import WINDOW_FIELDS, WindowRecord
 
 pytestmark = pytest.mark.telemetry
 
@@ -103,51 +100,6 @@ class TestJsonl:
         path = tmp_path / "events.jsonl"
         path.write_text('{"n": 1}\n\n{"n": 2}\n')
         assert [e["n"] for e in read_jsonl(path)] == [1, 2]
-
-
-def make_records() -> list[WindowRecord]:
-    counters = {field: i for i, field in enumerate(WINDOW_FIELDS)}
-    return [
-        WindowRecord(index=0, start_refs=0, end_refs=100, level="L1",
-                     **counters),
-        WindowRecord(index=0, start_refs=0, end_refs=100, level="MEM",
-                     **{field: 0 for field in WINDOW_FIELDS}),
-        WindowRecord(index=1, start_refs=100, end_refs=150, level="L1",
-                     **counters),
-        WindowRecord(index=1, start_refs=100, end_refs=150, level="MEM",
-                     **counters),
-    ]
-
-
-class TestWindowsCsv:
-    def test_exact_round_trip(self, tmp_path):
-        records = make_records()
-        path = write_windows_csv(records, tmp_path / "w.csv")
-        assert read_windows_csv(path) == records
-
-    def test_empty_records_round_trip(self, tmp_path):
-        path = write_windows_csv([], tmp_path / "w.csv")
-        assert read_windows_csv(path) == []
-
-    def test_empty_file_raises(self, tmp_path):
-        path = tmp_path / "w.csv"
-        path.write_text("")
-        with pytest.raises(TelemetryError, match="empty"):
-            read_windows_csv(path)
-
-    def test_wrong_header_raises(self, tmp_path):
-        path = tmp_path / "w.csv"
-        path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(TelemetryError, match="header"):
-            read_windows_csv(path)
-
-    def test_bad_row_raises(self, tmp_path):
-        records = make_records()
-        path = write_windows_csv(records, tmp_path / "w.csv")
-        with open(path, "a") as handle:
-            handle.write("not,a,valid,row,x,x,x,x,x,x,x,x,x,x\n")
-        with pytest.raises(TelemetryError, match="row"):
-            read_windows_csv(path)
 
 
 class TestPrometheusFile:

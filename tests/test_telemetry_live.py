@@ -34,6 +34,7 @@ from repro.telemetry.registry import (
     escape_label_value,
     unescape_label_value,
 )
+from repro.telemetry.windows import WINDOW_FIELDS, WindowRecord, encode_window
 
 pytestmark = pytest.mark.telemetry
 
@@ -50,6 +51,17 @@ def append_events(path, events):
             handle.write(json.dumps(event) + "\n")
 
 
+def l1_window(index, hits):
+    """A window payload whose one level, L1, hits ``hits`` of 100
+    loads."""
+    counters = dict.fromkeys(WINDOW_FIELDS, 0)
+    counters.update(loads=100, load_hits=hits, load_misses=100 - hits)
+    return encode_window([WindowRecord(
+        index=index, start_refs=100 * index, end_refs=100 * (index + 1),
+        level="L1", **counters,
+    )])
+
+
 def make_run(tmp_path, run="r1"):
     """A synthetic finished 2-worker run directory."""
     append_events(tmp_path / "events.jsonl", [
@@ -63,9 +75,7 @@ def make_run(tmp_path, run="r1"):
          "run": run, "worker": "root", "seq": 2, "ts": 12.0},
     ])
     append_events(tmp_path / "worker-0" / "events.jsonl", [
-        {"kind": "window", "context": "CG", "window": 0,
-         "levels": {"L1": {"accesses": 100, "hit_rate": 0.9,
-                           "bytes": 64}},
+        {"kind": "window", "context": "CG", **l1_window(0, hits=90),
          "run": run, "worker": "worker-0", "seq": 0, "ts": 11.0},
         {"kind": "cell_finished", "cell": "b", "design": "NMM",
          "workload": "SP", "status": "failed", "duration_s": 1.0,
@@ -296,9 +306,7 @@ class TestProgressTracker:
         # A root window between worker-0's: the rolling hit rates must
         # follow the run log's time order, wherever the events landed.
         append_events(root / "events.jsonl", [
-            {"kind": "window", "context": "CG", "window": 1,
-             "levels": {"L1": {"accesses": 100, "hit_rate": 0.5,
-                               "bytes": 64}},
+            {"kind": "window", "context": "CG", **l1_window(1, hits=50),
              "run": "r1", "worker": "root", "seq": 3, "ts": 11.5},
         ])
         merged = tmp_path / "merged"

@@ -14,7 +14,7 @@ from repro.model.evaluate import Evaluation
 from repro.resilience import FaultInjector, Journal, SweepExecutor
 from repro.telemetry import observatory
 from repro.telemetry.core import RunContext, Telemetry, new_run_id
-from repro.telemetry.exporters import write_prometheus, write_windows_csv
+from repro.telemetry.exporters import write_prometheus
 from repro.telemetry.observatory import (
     DiffThresholds,
     aggregate_run,
@@ -29,7 +29,7 @@ from repro.telemetry.observatory import (
     write_merged,
 )
 from repro.telemetry.registry import MetricsRegistry
-from repro.telemetry.windows import WINDOW_FIELDS, WindowRecord
+from repro.telemetry.windows import WINDOW_FIELDS, WindowRecord, encode_window
 
 pytestmark = pytest.mark.telemetry
 
@@ -98,6 +98,12 @@ def ev(worker, seq, ts, **fields):
     return payload
 
 
+def window_ev(worker, seq, ts, context, records):
+    """One synthetic ``window`` event carrying ``records``."""
+    return {"run": RUN, "worker": worker, "seq": seq, "ts": ts,
+            "kind": "window", "context": context, **encode_window(records)}
+
+
 def make_synthetic_run(root):
     """A run root: coordinator artifacts plus two worker directories.
 
@@ -124,10 +130,14 @@ def make_synthetic_run(root):
     write_prometheus(registry, root / "metrics.prom",
                      extra_labels={"run": RUN, "worker": "root"})
 
+    counters = {field: i for i, field in enumerate(WINDOW_FIELDS)}
+    sim = [WindowRecord(index=0, start_refs=0, end_refs=100, level="L1",
+                        **counters)]
     w0 = [
         ev("worker-0", 0, 110.0, duration_s=2.0),
         ev("worker-0", 1, 120.0, duration_s=3.0),
         ev("worker-0", 2, 115.0, duration_s=1.0),  # out-of-order append
+        window_ev("worker-0", 3, 126.0, "sim", sim),
     ]
     write_events(root / "worker-0" / "events.jsonl", w0, torn_tail=True)
     reg0 = MetricsRegistry()
@@ -141,6 +151,7 @@ def make_synthetic_run(root):
     w1 = [
         ev("worker-1", 0, 105.0, duration_s=4.0),
         ev("worker-1", 1, 125.0, duration_s=2.5),
+        window_ev("worker-1", 2, 127.0, "sim", sim),
     ]
     write_events(root / "worker-1" / "events.jsonl", w1, torn_tail=True)
     reg1 = MetricsRegistry()
@@ -150,18 +161,6 @@ def make_synthetic_run(root):
                    name="sweep.cell").observe(4.0)
     write_prometheus(reg1, root / "worker-1" / "metrics.prom",
                      extra_labels={"run": RUN, "worker": "worker-1"})
-
-    counters = {field: i for i, field in enumerate(WINDOW_FIELDS)}
-    write_windows_csv(
-        [WindowRecord(index=0, start_refs=0, end_refs=100, level="L1",
-                      **counters)],
-        root / "worker-0" / "windows_sim.csv",
-    )
-    write_windows_csv(
-        [WindowRecord(index=0, start_refs=0, end_refs=100, level="L1",
-                      **counters)],
-        root / "worker-1" / "windows_sim.csv",
-    )
     return root
 
 
@@ -287,11 +286,11 @@ class TestEventMerge:
         root = make_synthetic_run(tmp_path)
         aggregate = aggregate_run(root)
 
-        # Loss-free: all 8 distinct valid lines survive; the root's
+        # Loss-free: all 10 distinct valid lines survive; the root's
         # duplicated (run, worker, seq) line collapses to one; both
         # torn trailing lines are dropped rather than corrupting the
         # merge.
-        assert len(aggregate.events) == 8
+        assert len(aggregate.events) == 10
         keys = [(e["run"], e["worker"], e["seq"]) for e in aggregate.events]
         assert len(set(keys)) == len(keys)
         assert not any(
@@ -526,7 +525,7 @@ class TestDiff:
         big = aggregate_run(root)
         big.events = [dict(e) for e in base.events]
         for event in big.events:
-            if event.get("worker", "").startswith("worker"):
+            if event["kind"] == "span" and event["worker"] != "root":
                 event["duration_s"] = float(event["duration_s"]) + 2.0
         diff = diff_runs(base, big)
         assert [e.name for e in diff.regressions] == ["sweep.cell"]
@@ -673,9 +672,20 @@ def make_plain_run(directory):
     """A single-process telemetry directory written from fixed artifacts.
 
     Everything ``telemetry report`` reads: an event log without
-    duplicates (spans, engine selections, supervision events), two
-    window stages, a Prometheus snapshot and a sampled profile.
+    duplicates (spans, engine selections, window events of two stages,
+    supervision events), a Prometheus snapshot and a sampled profile.
     """
+
+    def window(index, level, loads, load_hits):
+        return WindowRecord(
+            index=index, start_refs=100 * index, end_refs=100 * (index + 1),
+            level=level, loads=loads, stores=loads // 4,
+            load_hits=load_hits, load_misses=loads - load_hits,
+            store_hits=loads // 8, store_misses=loads // 4 - loads // 8,
+            writebacks=index + 1, fills=loads - load_hits,
+            load_bits=512 * loads, store_bits=512 * (loads // 4),
+        )
+
     events = [
         ev("root", 0, 100.0, kind="run_started", name="run"),
         ev("root", 1, 100.5, kind="engine_selected", level="L1",
@@ -685,10 +695,16 @@ def make_plain_run(directory):
         ev("root", 3, 101.0, name="runner.prepare", duration_s=0.25),
         ev("root", 4, 102.0, name="runner.simulate", duration_s=1.5),
         ev("root", 5, 103.0, name="runner.simulate", duration_s=0.75),
-        ev("root", 6, 104.0, kind="worker_spawned", pool_worker="worker-0"),
-        ev("root", 7, 105.0, kind="worker_died", pool_worker="worker-0"),
-        ev("root", 8, 106.0, kind="cell_requeued", pool_worker="worker-0"),
-        ev("root", 9, 107.0, kind="cell_finished", name="cell",
+        window_ev("root", 6, 103.1, "CG-REF",
+                  [window(0, "L1", 80, 70), window(0, "L2", 10, 4)]),
+        window_ev("root", 7, 103.2, "CG-REF",
+                  [window(1, "L1", 80, 60), window(1, "L2", 20, 15)]),
+        window_ev("root", 8, 103.3, "CG-NMM",
+                  [window(0, "L1", 40, 39), window(0, "L2", 1, 0)]),
+        ev("root", 9, 104.0, kind="worker_spawned", pool_worker="worker-0"),
+        ev("root", 10, 105.0, kind="worker_died", pool_worker="worker-0"),
+        ev("root", 11, 106.0, kind="cell_requeued", pool_worker="worker-0"),
+        ev("root", 12, 107.0, kind="cell_finished", name="cell",
            design="D1", workload="W1", status="ok", duration_s=2.5,
            cell="c-1"),
     ]
@@ -707,26 +723,6 @@ def make_plain_run(directory):
     spans.observe(0.75)
     write_prometheus(registry, directory / "metrics.prom",
                      extra_labels={"run": RUN, "worker": "root"})
-
-    def window(index, level, loads, load_hits):
-        return WindowRecord(
-            index=index, start_refs=100 * index, end_refs=100 * (index + 1),
-            level=level, loads=loads, stores=loads // 4,
-            load_hits=load_hits, load_misses=loads - load_hits,
-            store_hits=loads // 8, store_misses=loads // 4 - loads // 8,
-            writebacks=index + 1, fills=loads - load_hits,
-            load_bits=512 * loads, store_bits=512 * (loads // 4),
-        )
-
-    write_windows_csv(
-        [window(0, "L1", 80, 70), window(0, "L2", 10, 4),
-         window(1, "L1", 80, 60), window(1, "L2", 20, 15)],
-        directory / "windows_CG-REF.csv",
-    )
-    write_windows_csv(
-        [window(0, "L1", 40, 39), window(0, "L2", 1, 0)],
-        directory / "windows_CG-NMM.csv",
-    )
 
     profile = [
         {"kind": "profile", "hz": 97.0, "count": 7, "run": RUN,
@@ -790,7 +786,7 @@ class TestCli:
         merged = root / "merged"
         assert (merged / "events.jsonl").exists()
         assert (merged / "metrics.prom").exists()
-        assert (merged / "run_windows.csv").exists()
+        assert not list(merged.glob("*.csv"))
 
         assert main(["telemetry", "trace", str(merged),
                      "--out", str(tmp_path / "trace.json")]) == 0

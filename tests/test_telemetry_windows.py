@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,10 +17,14 @@ from repro.cache.mainmem import MainMemory
 from repro.cache.setassoc import SetAssociativeCache
 from repro.errors import TelemetryError
 from repro.telemetry.core import Telemetry, activate
-from repro.telemetry.exporters import read_windows_csv
+from repro.telemetry.exporters import read_jsonl
+from repro.telemetry.observatory import aggregate_run
 from repro.telemetry.windows import (
     WINDOW_FIELDS,
     WindowedCollector,
+    WindowRecord,
+    decode_window,
+    encode_window,
     sum_windows,
 )
 from repro.trace.stream import AddressStream
@@ -23,6 +33,8 @@ from repro.units import KiB
 pytestmark = pytest.mark.telemetry
 
 TINY_SCALE = 1.0 / 4096
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def small_hierarchy() -> Hierarchy:
@@ -77,6 +89,18 @@ def attach_collector(
     return collector
 
 
+def logged_windows(directory, context_prefix: str = ""):
+    """The window records of every ``window`` event in ``directory``'s
+    log whose context starts with ``context_prefix``."""
+    return [
+        record
+        for event in read_jsonl(directory / "events.jsonl")
+        if event["kind"] == "window"
+        and event["context"].startswith(context_prefix)
+        for record in decode_window(event, str(directory))
+    ]
+
+
 class TestConservation:
     def test_window_sums_equal_final_stats_exactly(self):
         hierarchy = small_hierarchy()
@@ -85,7 +109,7 @@ class TestConservation:
         stats = hierarchy.stats()
         collector.finish()
         assert len(collector.records) > len(stats.levels)  # several windows
-        totals = collector.totals()
+        totals = sum_windows(collector.records)
         for level in stats.levels:
             for field in WINDOW_FIELDS:
                 assert totals[level.name][field] == getattr(level, field), (
@@ -107,12 +131,12 @@ class TestConservation:
         assert collector.records[-1].index == windows_before_drain + 1
         final = collector.records[-1]
         assert final.start_refs == final.end_refs  # zero-width: drain only
-        totals = collector.totals()
+        totals = sum_windows(collector.records)
         for level in stats.levels:
             for field in WINDOW_FIELDS:
                 assert totals[level.name][field] == getattr(level, field)
 
-    def test_csv_round_trip_preserves_conservation(self, tmp_path):
+    def test_event_round_trip_preserves_conservation(self, tmp_path):
         telemetry = Telemetry(tmp_path, window_refs=256)
         hierarchy = small_hierarchy()
         collector = telemetry.window_collector(
@@ -122,13 +146,63 @@ class TestConservation:
         run_in_batches(hierarchy, mixed_stream())
         hierarchy.drain()
         stats = hierarchy.stats()
-        path = telemetry.finish_collector(collector)
-        read_back = read_windows_csv(path)
+        telemetry.finish_collector(collector)
+        read_back = logged_windows(tmp_path)
         assert read_back == collector.records
         totals = sum_windows(read_back)
         for level in stats.levels:
             for field in WINDOW_FIELDS:
                 assert totals[level.name][field] == getattr(level, field)
+
+
+def make_records() -> list[WindowRecord]:
+    counters = {field: i for i, field in enumerate(WINDOW_FIELDS)}
+    return [
+        WindowRecord(index=0, start_refs=0, end_refs=100, level="L1",
+                     **counters),
+        WindowRecord(index=0, start_refs=0, end_refs=100, level="MEM",
+                     **{field: 0 for field in WINDOW_FIELDS}),
+        WindowRecord(index=1, start_refs=100, end_refs=150, level="L1",
+                     **counters),
+        WindowRecord(index=1, start_refs=100, end_refs=150, level="MEM",
+                     **counters),
+    ]
+
+
+def through_log(payload: dict, seq: int = 0) -> dict:
+    """A window payload as a reader gets it back from the event log."""
+    return json.loads(
+        json.dumps({"kind": "window", "seq": seq, **payload}, sort_keys=True)
+    )
+
+
+class TestWindowEventCodec:
+    def test_exact_round_trip(self):
+        records = make_records()
+        decoded = []
+        for index in (0, 1):
+            window = [r for r in records if r.index == index]
+            decoded += decode_window(through_log(encode_window(window)), "t")
+        assert decoded == records  # level order survives sorted keys
+
+    def test_empty_levels_decode_to_no_records(self):
+        event = through_log({"window": 0, "start_refs": 0, "end_refs": 0,
+                             "levels": []})
+        assert decode_window(event, "t") == []
+
+    def test_missing_levels_raises(self):
+        with pytest.raises(TelemetryError, match="seq 3 in src.*levels"):
+            decode_window(through_log({"window": 0}, seq=3), "src")
+
+    def test_bad_counter_raises(self):
+        for bad in (None, "7", 7.0, True):  # None: the counter is missing
+            payload = encode_window(make_records()[:2])
+            if bad is None:
+                del payload["levels"][1]["fills"]
+            else:
+                payload["levels"][1]["fills"] = bad
+            with pytest.raises(TelemetryError, match="seq 9 in src: fills"):
+                decode_window(through_log(payload, seq=9), "src")
 
 
 class TestWindowing:
@@ -209,7 +283,8 @@ class TestValidation:
 
 
 class TestRunnerIntegration:
-    """The acceptance property: CSV sums equal final HierarchyStats."""
+    """The acceptance property: window-event sums equal final
+    HierarchyStats."""
 
     def test_lower_replay_is_priced_by_counts_without_windows(
         self, tmp_path
@@ -251,8 +326,8 @@ class TestRunnerIntegration:
         }
         assert engines[l4.name] == "lru-counts"
         assert stats == priced(None)[1]
-        assert not list(tmp_path.glob("windows_design-*"))
-        assert (tmp_path / "windows_upper-Hashing.csv").exists()
+        assert not logged_windows(tmp_path, "design-")
+        assert logged_windows(tmp_path, "upper-Hashing")
 
     def test_upper_windows_match_shared_sram_stats(self, tmp_path):
         from repro.experiments.runner import Runner
@@ -265,11 +340,54 @@ class TestRunnerIntegration:
         trace = runner.prepare(get_workload("Hashing"))
         telemetry.close()
 
-        totals = sum_windows(
-            read_windows_csv(tmp_path / "windows_upper-Hashing.csv")
-        )
+        totals = sum_windows(logged_windows(tmp_path, "upper-Hashing"))
         # With local_factor=0 nothing is injected, so the upper stats
         # are exactly what the windows observed (L1/L2/L3 + CAPTURE).
+        for level in trace.upper_stats:
+            for field in WINDOW_FIELDS:
+                assert totals[level.name][field] == getattr(level, field)
+
+    def test_finished_stage_survives_a_kill(self, tmp_path):
+        """A process SIGKILLed as soon as the upper stage's collector
+        finishes still leaves that stage's every window on disk."""
+        from repro.experiments.runner import Runner
+        from repro.workloads.registry import get_workload
+
+        script = f"""
+import os, signal, sys
+from repro.experiments.runner import Runner
+from repro.telemetry.core import Telemetry
+from repro.workloads.registry import get_workload
+
+finish = Telemetry.finish_collector
+
+def finish_then_die(self, collector):
+    finish(self, collector)
+    os.kill(os.getpid(), signal.SIGKILL)
+
+Telemetry.finish_collector = finish_then_die
+telemetry = Telemetry(sys.argv[1], window_refs=1 << 14)
+Runner(scale={TINY_SCALE!r}, seed=7, telemetry=telemetry,
+       local_factor=0).prepare(get_workload("Hashing"))
+"""
+        out = tmp_path / "killed"
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(out)],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == -9, done.stderr
+
+        trace = Runner(scale=TINY_SCALE, seed=7, local_factor=0).prepare(
+            get_workload("Hashing")
+        )
+        aggregate = aggregate_run(out)
+        windows = [
+            row.record for row in aggregate.windows
+            if row.context == "upper-Hashing"
+        ]
+        assert windows
+        totals = sum_windows(windows)
         for level in trace.upper_stats:
             for field in WINDOW_FIELDS:
                 assert totals[level.name][field] == getattr(level, field)
