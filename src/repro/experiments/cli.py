@@ -25,17 +25,14 @@ Subcommands:
 
 - ``telemetry report DIR`` — summarize a telemetry directory written
   by a previous ``--telemetry DIR`` run (span digests, window stages,
-  event counts); a multi-worker run root is aggregated first.
-- ``telemetry merge DIR [--out DIR]`` — merge a run root plus its
-  ``worker-N/`` directories into one ordered run log (window events
-  included) and one summed ``metrics.prom``.
+  event counts); a pool run's report opens with a per-worker overview.
 - ``telemetry trace DIR [--out FILE]`` — export a Chrome trace_event
   JSON timeline (Perfetto / chrome://tracing).
 - ``telemetry diff BASELINE CANDIDATE`` — run-to-run regression diff
   with configurable thresholds (including the sampled-hotspot shift
   gate); exits 1 on regressions.
-- ``telemetry flame DIR [--out FILE]`` — merge a profiled run's
-  ``profile.jsonl`` files (root + workers) into one collapsed-stack
+- ``telemetry flame DIR [--out FILE]`` — collapse a profiled run's
+  ``profile.jsonl`` (root and workers) into one collapsed-stack
   ``flame.folded`` flamegraph file.
 - ``telemetry serve DIR [--host H] [--port P]`` — HTTP/SSE service
   over a telemetry directory (finished or still running): /metrics,
@@ -561,14 +558,13 @@ def main(argv: list[str] | None = None) -> int:
     )
     telem = sub.add_parser(
         "telemetry",
-        help="inspect, merge, export, or diff telemetry from "
-        "--telemetry runs",
+        help="inspect, export, or diff telemetry from --telemetry runs",
     )
     telem_sub = telem.add_subparsers(dest="action", required=True)
     telem_report = telem_sub.add_parser(
         "report",
-        help="summarize a telemetry directory (run-aware: a sweep root "
-        "with worker-N/ subdirectories is aggregated first)",
+        help="summarize a telemetry directory (run-aware: a pool "
+        "sweep's report opens with a per-worker overview)",
     )
     telem_report.add_argument("dir", type=str,
                               help="telemetry directory to summarize")
@@ -615,17 +611,6 @@ def main(argv: list[str] | None = None) -> int:
         help="render a single frame without ANSI control codes and "
         "exit (scripting / CI)",
     )
-    telem_merge = telem_sub.add_parser(
-        "merge",
-        help="merge a run root plus its worker-N/ telemetry into one "
-        "ordered events.jsonl (window events included) and a summed "
-        "metrics.prom",
-    )
-    telem_merge.add_argument("dir", type=str, help="run root to merge")
-    telem_merge.add_argument(
-        "--out", type=str, default=None,
-        help="output directory (default DIR/merged)",
-    )
     telem_trace = telem_sub.add_parser(
         "trace",
         help="export a Chrome trace_event JSON timeline (one track per "
@@ -633,7 +618,7 @@ def main(argv: list[str] | None = None) -> int:
         "chrome://tracing",
     )
     telem_trace.add_argument("dir", type=str,
-                             help="run root or merged directory")
+                             help="telemetry directory")
     telem_trace.add_argument(
         "--out", type=str, default=None,
         help="output file (default DIR/trace.json)",
@@ -644,9 +629,9 @@ def main(argv: list[str] | None = None) -> int:
         "vector fractions, cell failures); exits 1 on regressions",
     )
     telem_diff.add_argument("baseline", type=str,
-                            help="baseline run root or merged directory")
+                            help="baseline telemetry directory")
     telem_diff.add_argument("candidate", type=str,
-                            help="candidate run root or merged directory")
+                            help="candidate telemetry directory")
     telem_diff.add_argument(
         "--span-pct", type=float, default=None, metavar="PCT",
         help="span regression: grew by more than PCT percent "
@@ -680,12 +665,12 @@ def main(argv: list[str] | None = None) -> int:
     )
     telem_flame = telem_sub.add_parser(
         "flame",
-        help="merge a profiled run's profile.jsonl files (root + "
-        "worker-N/) into one collapsed-stack flame.folded file "
+        help="collapse a profiled run's profile.jsonl (root and "
+        "workers) into one collapsed-stack flame.folded file "
         "(flamegraph.pl / speedscope input)",
     )
     telem_flame.add_argument("dir", type=str,
-                             help="run root or merged directory")
+                             help="telemetry directory")
     telem_flame.add_argument(
         "--out", type=str, default=None,
         help="output file (default DIR/flame.folded)",
@@ -744,7 +729,7 @@ def _telemetry_command(args) -> int:
                 print(json_mod.dumps(summary_to_dict(summary), indent=2))
                 return 0
             if any(
-                observatory.worker_index(source) is not None
+                source != observatory.ROOT_WORKER
                 for source in aggregate.sources
             ):
                 print(observatory.render_run_overview(aggregate))
@@ -791,16 +776,6 @@ def _telemetry_command(args) -> int:
             return watch(
                 args.target, interval_s=args.interval, once=args.once
             )
-
-        if args.action == "merge":
-            root = Path(args.dir)
-            out_dir = Path(args.out) if args.out else root / "merged"
-            aggregate = observatory.aggregate_run(root)
-            written = observatory.write_merged(aggregate, out_dir)
-            print(observatory.render_run_overview(aggregate))
-            for path in written.values():
-                print(f"wrote {path}")
-            return 0
 
         if args.action == "trace":
             root = Path(args.dir)

@@ -45,16 +45,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-# Pool workers fork from this process and simulate whatever their
-# cells' records miss, so the simulation layer is imported here, once,
-# before any fork, rather than in every worker after it. Importing it
-# at module load, before the campaign allocates anything, keeps a warm
-# pool parent's peak RSS ~1 MiB below importing it just before the
-# fork.
-import numpy  # noqa: F401
-
-import repro.cache.hierarchy  # noqa: F401
-import repro.cache.setassoc  # noqa: F401
 from repro.errors import ConfigError
 from repro.model.evaluate import Evaluation
 from repro.resilience.journal import (
@@ -676,7 +666,19 @@ class SweepExecutor:
         never abort it. Returns the pool's
         :class:`~repro.resilience.pool.PoolStats`.
         """
+        # Pool workers fork from this process and simulate whatever
+        # their cells' records miss, so the simulation layer (and, with
+        # telemetry, the window collectors watching it) is imported
+        # here, once, before any fork, rather than in every worker after
+        # it; a serial sweep priced from records never loads it.
+        import numpy  # noqa: F401
+
+        import repro.cache.hierarchy  # noqa: F401
+        import repro.cache.setassoc  # noqa: F401
         from repro.resilience.pool import SupervisedPool
+
+        if tel.enabled:
+            import repro.telemetry.windows  # noqa: F401
 
         arena = self._publish_traces(grid, journalled, tel)
         tel.event(

@@ -40,8 +40,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
-import numpy as np
-
 from repro.errors import ConfigError, ReproError
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
@@ -377,6 +375,8 @@ def bitflip_file(path: str | Path, *, seed: int = 0) -> int:
     is drawn from a seeded RNG so the same (file size, seed) pair
     always damages the same position.
     """
+    import numpy as np
+
     path = Path(path)
     data = bytearray(path.read_bytes())
     if not data:

@@ -28,8 +28,10 @@ EOF doubles as a death signal. Every supervision event flows through
 the parent's RunContext-stamped telemetry (``worker_spawned`` /
 ``worker_died`` / ``worker_respawned`` / ``cell_requeued`` /
 ``cell_poisoned`` / ``worker_hung`` / ``pool_drain`` /
-``pool_exhausted``) so ``telemetry report``/``merge``/``diff`` see the
-supervision story alongside the simulation one.
+``pool_exhausted``) so ``telemetry report``/``diff`` see the
+supervision story alongside the simulation one. Workers write no
+files: their telemetry rides their acks into the parent's one run
+directory.
 """
 
 from __future__ import annotations
@@ -54,14 +56,11 @@ from repro.resilience.executor import (
 )
 from repro.resilience.journal import evaluation_record
 from repro.telemetry.core import (
-    METRICS_FILE,
     NULL_TELEMETRY,
     NullTelemetry,
     Telemetry,
     set_active,
 )
-from repro.telemetry.exporters import atomic_write_text
-from repro.telemetry.registry import render_snapshot
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
     from repro.resilience.faults import FaultInjector
@@ -176,8 +175,8 @@ def _pool_worker(conn, cancel_event, payload: dict) -> None:
 
     Protocol (worker -> parent, all tuples): ``("heartbeat", ts)``,
     ``("cell_started", key, ts)``, ``("cell_finished", record)``,
-    ``("cell_abandoned", key)``, ``("drained",)``. Parent -> worker:
-    a ``(design, workload, key)`` cell, or ``None`` to drain.
+    ``("cell_abandoned", key)``, ``("drained", telemetry)``. Parent ->
+    worker: a ``(design, workload, key)`` cell, or ``None`` to drain.
 
     A ``cell_finished`` record's ``chains`` are the lower chains the
     worker's runner priced since its previous ack, for the cell's
@@ -186,12 +185,14 @@ def _pool_worker(conn, cancel_event, payload: dict) -> None:
     parent adds them to its runner's lower record, so only acked cells
     persist chains, through one writer.
 
-    Its ``metrics`` are the worker registry's full
-    :meth:`~repro.telemetry.registry.MetricsRegistry.snapshot` (None
-    with telemetry off). The worker writes its own ``metrics.prom``
-    only at close; the parent keeps the latest snapshot and writes it
-    for a worker that died by a signal, so no acked cell's metrics are
-    lost to a SIGKILL.
+    Its ``telemetry`` is what the worker's directory-less telemetry
+    recorded since its previous ack (:meth:`Telemetry.ship
+    <repro.telemetry.core.Telemetry.ship>`: event lines, profile
+    records, the registry's full metrics snapshot; None with telemetry
+    off), and the ``drained`` message carries the rest, memory
+    watermarks included, after the worker closes its telemetry. The
+    parent writes both into its own run directory, so no acked cell's
+    telemetry is lost to a SIGKILL and no worker writes a file.
     """
     # Forked workers inherit the parent's drain handlers; reset them so
     # Ctrl-C to the process group cannot kill workers mid-drain and the
@@ -203,8 +204,8 @@ def _pool_worker(conn, cancel_event, payload: dict) -> None:
 
     index = payload["worker_index"]
     telemetry: Telemetry | NullTelemetry = (
-        Telemetry(payload["telemetry_dir"], run_context=payload["run_context"])
-        if payload["telemetry_dir"] is not None
+        Telemetry.for_worker(*payload["telemetry"])
+        if payload["telemetry"] is not None
         else NULL_TELEMETRY
     )
     # The parent's active telemetry must not be shared across processes
@@ -257,7 +258,8 @@ def _pool_worker(conn, cancel_event, payload: dict) -> None:
             except (EOFError, OSError):
                 break
             if task is None:
-                send(("drained",))
+                telemetry.close()
+                send(("drained", telemetry.ship()))
                 break
             design, workload, key = task
             send(("cell_started", key, time.monotonic()))
@@ -294,10 +296,6 @@ def _pool_worker(conn, cancel_event, payload: dict) -> None:
                 fatal = True
                 break
             outcome = box["outcome"]
-            profile = telemetry.profile
-            if profile is not None:
-                # Samples drain per ack, before the snapshot counts them.
-                profile.flush()
             record = {
                 "key": outcome.key,
                 "design": outcome.design,
@@ -308,13 +306,7 @@ def _pool_worker(conn, cancel_event, payload: dict) -> None:
                 "error": outcome.error,
                 "evaluation": evaluation_record(outcome.evaluation),
                 "chains": runner.unsent_lower_chains(workload.name),
-                # The parent writes these if a signal kills this worker
-                # before its close() does (merge conservation across
-                # restarts).
-                "metrics": (
-                    telemetry.registry.snapshot()
-                    if telemetry.enabled else None
-                ),
+                "telemetry": telemetry.ship(),
             }
             send(("cell_finished", record))
     except BaseException:
@@ -341,7 +333,7 @@ class _WorkerHandle:
     __slots__ = (
         "index", "proc", "conn", "cancel", "inflight", "anchor",
         "last_beat", "stage", "stage_deadline", "abandoned",
-        "sentinel_sent", "drained", "eof", "closed", "metrics",
+        "sentinel_sent", "drained", "eof", "closed",
     )
 
     def __init__(self, index: int, proc, conn, cancel) -> None:
@@ -359,9 +351,6 @@ class _WorkerHandle:
         self.drained = False
         self.eof = False
         self.closed = False
-        #: The metrics snapshot of the worker's latest ack (replaced,
-        #: never merged, so nothing counts twice).
-        self.metrics: list[dict] | None = None
 
     @property
     def label(self) -> str:
@@ -386,10 +375,10 @@ class SupervisedPool:
         poison_threshold: successive worker deaths one cell may cause
             before it is quarantined as ``poisoned``.
         telemetry: the parent's telemetry. It records the supervision
-            events and metrics; its directory's ``worker-K/``
-            subdirectories receive worker telemetry (none without a
-            directory), stamped with its run context, and its profiling
-            session's rate profiles every worker.
+            events and metrics, and receives what each worker's
+            telemetry ships on its acks (workers record none unless it
+            has a directory and a run context, which stamps every
+            worker); its profiling session's rate profiles every worker.
         worker_faults: a picklable
             :class:`~repro.resilience.faults.FaultInjector` each worker
             wraps around its evaluate (chaos testing).
@@ -528,15 +517,14 @@ class SupervisedPool:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         cancel = self._ctx.Event()
         label = f"worker-{index}"
-        directory, context = self.tel.directory, self.tel.run_context
-        profile = self.tel.profile
+        tel = self.tel
+        context, profile = tel.run_context, tel.profile
         payload = {
             "worker_index": index,
-            "telemetry_dir": (
-                str(directory / label) if directory is not None else None
-            ),
-            "run_context": (
-                context.child(label) if context is not None else None
+            "telemetry": (
+                (context.child(label), tel.next_seq)
+                if tel.directory is not None and context is not None
+                else None
             ),
             "profile": (
                 (profile.hz, profile.memory is not None)
@@ -679,7 +667,7 @@ class SupervisedPool:
                 handle.anchor = time.monotonic()
             elif kind == "cell_finished":
                 handle.inflight = None
-                handle.metrics = message[1].pop("metrics", None)
+                self._receive(handle, message[1].pop("telemetry", None))
                 if handle.stage:
                     # The cell finished inside an escalation grace
                     # window: de-escalate and keep the worker.
@@ -699,6 +687,12 @@ class SupervisedPool:
                     )
             elif kind == "drained":
                 handle.drained = True
+                self._receive(handle, message[1])
+
+    def _receive(self, handle: _WorkerHandle, shipment: dict | None) -> None:
+        """Write what a worker's telemetry shipped into the parent's."""
+        if shipment is not None:
+            self.tel.receive(handle.label, shipment)
 
     def _finish(self, record: dict) -> None:
         self._on_result(record)
@@ -740,7 +734,6 @@ class SupervisedPool:
             pass
         if handle.drained:
             return  # clean sentinel exit, not a death
-        self._write_dead_worker_metrics(handle)
         cell = handle.inflight
         handle.inflight = None
         escalated = handle.stage > 0 or handle.abandoned
@@ -771,26 +764,6 @@ class SupervisedPool:
             and self._stats.respawns < self.max_worker_restarts
         ):
             self._spawn(replaces=handle.index)
-
-    def _write_dead_worker_metrics(self, handle: _WorkerHandle) -> None:
-        """Write ``worker-K/metrics.prom`` from the latest acked
-        snapshot of a reaped worker that a signal killed.
-
-        Such a worker never ran its own ``close()``, so the parent is
-        the file's one writer; every other exit writes it in the worker.
-        """
-        exitcode = handle.proc.exitcode
-        if handle.metrics is None or exitcode is None or exitcode >= 0:
-            return
-        context = self.tel.run_context
-        labels = (
-            context.child(handle.label).labels()
-            if context is not None else None
-        )
-        atomic_write_text(
-            self.tel.directory / handle.label / METRICS_FILE,
-            render_snapshot(handle.metrics, labels),
-        )
 
     def _crash_cell(
         self, cell: tuple, handle: _WorkerHandle, now: float
@@ -921,13 +894,19 @@ class SupervisedPool:
         for handle in self._handles:
             if handle.closed:
                 continue
+            # Read the worker's ``drained`` shipment: it sends it after
+            # the sentinel, and may block on a full pipe until read.
+            while not (force or handle.drained or handle.eof):
+                remaining = deadline - time.monotonic()
+                if remaining <= 0 or not handle.conn.poll(remaining):
+                    break
+                self._pump(handle)
             handle.proc.join(
                 timeout=max(0.0, deadline - time.monotonic())
             )
             if handle.proc.is_alive():
                 handle.proc.kill()
                 handle.proc.join(timeout=1.0)
-            self._write_dead_worker_metrics(handle)
             handle.closed = True
             self.tel.gauge("repro_pool_workers_alive").dec()
             try:

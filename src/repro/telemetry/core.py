@@ -8,8 +8,9 @@ A :class:`Telemetry` bundles the three observability surfaces:
   wall-clock phase timers that nest, feed a per-name duration
   histogram, and emit JSONL events;
 - **window collectors** — per-level time-series of a simulation stage
-  (see :mod:`repro.telemetry.windows`), one ``window`` event per
-  window, made durable when the stage finishes.
+  (see :mod:`repro.telemetry.windows`, imported only when a collector
+  is made), one ``window`` event per window, made durable when the
+  stage finishes.
 
 Instrumented library code does not thread a telemetry object through
 every call; like :mod:`logging`, it asks for the *active* instance via
@@ -30,6 +31,13 @@ and whenever the spool fills. A kill between drains loses only the
 not-yet-drained tail; the batch write itself can tear at most the
 final line, which :func:`~repro.telemetry.exporters.read_jsonl`
 already tolerates.
+
+**One writer per run directory.** A sweep's pool workers keep no
+directory: each worker's telemetry spools into memory, and every ack
+ships what it drained since the previous one (:meth:`Telemetry.ship`).
+The parent writes the shipment through its own logs
+(:meth:`Telemetry.receive`) and renders every worker's latest metrics
+snapshot beside its own registry into the one ``metrics.prom``.
 """
 
 from __future__ import annotations
@@ -41,23 +49,19 @@ import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from repro.errors import ConfigError
-from repro.telemetry.exporters import JsonlEventLog, write_prometheus
+from repro.telemetry.exporters import JsonlEventLog, atomic_write_text
 from repro.telemetry.registry import (
     NULL_REGISTRY,
     MetricsRegistry,
-)
-from repro.telemetry.windows import (
-    DEFAULT_WINDOW_REFS,
-    WindowedCollector,
-    WindowRecord,
-    encode_window,
+    render_snapshots,
 )
 
 if TYPE_CHECKING:
     from repro.telemetry.profiling import ProfilingSession
+    from repro.telemetry.windows import WindowedCollector, WindowRecord
 
 #: Default profiler sampling rate (samples per second). Prime-ish on
 #: purpose: a rate that divides common loop periods would alias with
@@ -72,6 +76,9 @@ SPAN_SECONDS_BUCKETS: tuple[float, ...] = (
 #: File names inside a telemetry directory.
 EVENTS_FILE = "events.jsonl"
 METRICS_FILE = "metrics.prom"
+
+#: Default window width in top-level references.
+DEFAULT_WINDOW_REFS: int = 1 << 20
 
 #: Event-spool capacity: the spool drains early when it reaches this
 #: many pending events, bounding both memory and the kill-loss window
@@ -95,18 +102,19 @@ class RunContext:
     """Correlation identity stamped into a run's artifacts.
 
     One sweep campaign is one *run*; with ``workers=N`` it spans N+1
-    processes, each writing its own telemetry directory. A
-    :class:`RunContext` makes those artifacts joinable afterwards:
-    every event (and span event) carries ``run`` / ``worker`` / ``seq``
-    fields, the Prometheus snapshot carries ``run`` / ``worker``
-    sample labels, and journal entries record the ``run_id`` that
-    produced them.
+    processes, whose telemetry the coordinating process writes into
+    one directory. A :class:`RunContext` keeps each process's share
+    distinguishable there: every event (and span event) carries
+    ``run`` / ``worker`` / ``seq`` fields, every Prometheus sample
+    carries ``run`` / ``worker`` labels, and journal entries record
+    the ``run_id`` that produced them.
 
     Attributes:
         run_id: campaign identifier, shared by every process of the
             run (see :func:`new_run_id`).
-        worker_id: which process wrote the artifact — ``"root"`` for
-            the coordinating process, ``"worker-N"`` for pool workers.
+        worker_id: which process recorded the artifact — ``"root"``
+            for the coordinating process, ``"worker-N"`` for pool
+            workers.
         cell_key: the sweep cell being evaluated, when inside one
             (stamped via :meth:`Telemetry.cell_scope`).
     """
@@ -164,6 +172,41 @@ class Span:
             telemetry._exit_span(self, failed=exc_type is not None)
 
 
+class _Outbox:
+    """A pool worker's stand-in for a telemetry directory.
+
+    Event lines (through the :class:`JsonlEventLog` surface the spool
+    drains to), profile records (through ``append_many``, as the
+    profiling session writes them) and memory watermarks wait here
+    until :meth:`Telemetry.ship` hands them to the worker's next ack.
+    """
+
+    def __init__(self) -> None:
+        self.events: list[str] = []
+        self.profile: list[dict] = []
+        self.memory: list = []
+
+    def append_lines(self, lines: Iterable[str]) -> None:
+        self.events.extend(lines)
+
+    def append_many(self, records: Iterable[dict]) -> None:
+        self.profile.extend(records)
+
+    def flush(self) -> None:
+        pass
+
+    sync = close = flush
+
+    def take(self) -> dict:
+        """Everything held, as a shipment; the outbox starts empty."""
+        shipment = {
+            "events": self.events, "profile": self.profile,
+            "memory": self.memory,
+        }
+        self.events, self.profile, self.memory = [], [], []
+        return shipment
+
+
 class Telemetry:
     """Live telemetry: registry + spans + events + window collectors.
 
@@ -171,7 +214,8 @@ class Telemetry:
         directory: where to write ``events.jsonl`` and
             ``metrics.prom``. None keeps everything in memory
             (registry and span accounting still work; events are
-            dropped).
+            dropped, except in a pool worker's :meth:`for_worker`
+            telemetry, which ships them to its parent).
         registry: metrics registry (default: a fresh
             :class:`MetricsRegistry`).
         window_refs: default epoch width for window collectors.
@@ -233,6 +277,33 @@ class Telemetry:
         self._thread_spans: dict[int, tuple[str, ...]] = {}
         self._thread_cells: dict[int, str] = {}
         self._profile: ProfilingSession | None = None
+        #: A pool worker's unshipped telemetry (see :meth:`for_worker`).
+        self._outbox: _Outbox | None = None
+        #: Each pool worker's latest metrics snapshot, by worker label
+        #: (see :meth:`receive`).
+        self._worker_metrics: dict[str, list[dict]] = {}
+
+    @classmethod
+    def for_worker(
+        cls, run_context: RunContext, first_seq: int
+    ) -> "Telemetry":
+        """A pool worker's telemetry: no directory; its events, profile
+        records and memory watermarks wait in memory for :meth:`ship`.
+
+        ``first_seq`` is the parent's :attr:`next_seq` at spawn, so a
+        worker label that a later pool, or a resumed run, reuses never
+        repeats a ``(worker, seq)`` already in the parent's log.
+        """
+        telemetry = cls(run_context=run_context)
+        telemetry._seq = first_seq
+        telemetry._outbox = telemetry._events = _Outbox()
+        return telemetry
+
+    @property
+    def next_seq(self) -> int:
+        """The ``seq`` of the next event: past every line of the log,
+        the worker lines :meth:`receive` wrote included."""
+        return self._seq
 
     # -- spans ----------------------------------------------------------
 
@@ -341,7 +412,11 @@ class Telemetry:
             else:
                 fragment = ""
             lines = []
-            for ts, kind, seq, cell, fields in pending:
+            for item in pending:
+                if isinstance(item, str):  # a worker's line, shipped whole
+                    lines.append(item)
+                    continue
+                ts, kind, seq, cell, fields = item
                 payload: dict = {"ts": ts, "kind": kind}
                 if cell is None:
                     cell = context_cell
@@ -410,6 +485,8 @@ class Telemetry:
         window_refs: int | None = None,
     ) -> WindowedCollector:
         """Create (and track) a window collector for one stage."""
+        from repro.telemetry.windows import WindowedCollector
+
         collector = WindowedCollector(
             context,
             levels_fn,
@@ -425,6 +502,8 @@ class Telemetry:
     ) -> None:
         if self._events is None or not fresh:
             return
+        from repro.telemetry.windows import encode_window
+
         self.event(
             kind="window", context=collector.context, **encode_window(fresh)
         )
@@ -490,16 +569,53 @@ class Telemetry:
         )
         return session
 
+    # -- pool workers ---------------------------------------------------
+
+    def ship(self) -> dict:
+        """What a :meth:`for_worker` telemetry recorded since its last
+        shipment, for the next ack: ``events`` (lines already stamped
+        ``run`` / ``worker`` / ``seq``), ``profile`` records, ``memory``
+        watermarks, and the registry's full ``metrics`` snapshot."""
+        profile = self._profile
+        if profile is not None:
+            # Samples drain before the snapshot counts them.
+            profile.flush()
+        self._drain_events()
+        shipment = self._outbox.take()
+        shipment["metrics"] = self.registry.snapshot()
+        return shipment
+
+    def receive(self, worker: str, shipment: dict) -> None:
+        """Record one pool worker's :meth:`ship` output as this
+        telemetry's own.
+
+        The event lines join the spool in arrival order and advance
+        :attr:`next_seq`; profile records and memory watermarks go to
+        the profiling session; the metrics snapshot replaces the
+        worker's previous one for the next :meth:`flush`.
+        """
+        self._worker_metrics[worker] = shipment["metrics"]
+        lines = shipment["events"]
+        if lines and self._events is not None:
+            with self._lock:
+                self._spool.extend(lines)
+                self._seq += len(lines)
+            self._drain_events()
+        profile = self._profile
+        if profile is not None:
+            profile.receive(worker, shipment["profile"], shipment["memory"])
+
     # -- lifecycle ------------------------------------------------------
 
     def flush(self) -> None:
         """Drain spooled events and write the Prometheus snapshot.
 
         The snapshot is written atomically (write, fsync, rename), so a
-        worker killed mid-flush leaves the previous complete snapshot,
-        never a torn one. With a
+        process killed mid-flush leaves the previous complete snapshot,
+        never a torn one. It renders the registry and every pool
+        worker's latest snapshot as one exposition; with a
         :class:`RunContext` every sample carries ``run`` / ``worker``
-        labels so cross-worker aggregation can join and sum snapshots.
+        labels, which readers strip to sum across workers.
         An active profiling session drains its sample deltas to
         ``profile.jsonl`` first, so a flush is a durability point for
         events, metrics and profiles alike.
@@ -509,13 +625,17 @@ class Telemetry:
             profile.flush()
         self._drain_events()
         if self.directory is not None:
-            extra = (
+            labels = (
                 self.run_context.labels()
-                if self.run_context is not None else None
+                if self.run_context is not None else {}
             )
-            write_prometheus(
-                self.registry, self.directory / METRICS_FILE,
-                extra_labels=extra,
+            snapshots = [(self.registry.snapshot(), labels)]
+            snapshots.extend(
+                (snapshot, dict(labels, worker=worker))
+                for worker, snapshot in sorted(self._worker_metrics.items())
+            )
+            atomic_write_text(
+                self.directory / METRICS_FILE, render_snapshots(snapshots)
             )
 
     def close(self) -> None:
@@ -588,6 +708,9 @@ class NullTelemetry:
 
     def finish_collector(self, collector) -> None:
         pass
+
+    def ship(self) -> None:
+        return None
 
     def flush(self) -> None:
         pass

@@ -17,11 +17,10 @@ directory:
   ``GET /metrics``          Prometheus text: live registry render
                             (in-process) or ``metrics.prom`` bytes
                             (detached).
-  ``GET /events``           SSE stream tailing every ``events.jsonl``
-                            under the directory — torn-tail-tolerant,
-                            following ``worker-K/`` subdirectories as
-                            they appear, resumable via
-                            ``Last-Event-ID``.
+  ``GET /events``           SSE stream tailing the run's
+                            ``events.jsonl`` (workers' events
+                            included) — torn-tail-tolerant, resumable
+                            via ``Last-Event-ID``.
   ``GET /runs``             The run ids observed, with brief progress.
   ``GET /runs/ID/progress`` Cell counts by status, reused / failed /
                             poisoned, per-workload progress, worker
@@ -39,16 +38,16 @@ directory:
   per-workload progress bars, rolling hit-rate gauges from the window
   events, worker liveness, and the last N supervision events.
 
-**Progress is a view over the merged run log.** ``/runs``,
-``/runs/ID/progress`` and ``watch DIR`` re-read the run's merged,
+**Progress is a view over the run log.** ``/runs``,
+``/runs/ID/progress`` and ``watch DIR`` re-read the run's ordered,
 deduplicated event log (:func:`~repro.telemetry.observatory.run_events`,
 the event half of ``aggregate_run``) on every request and fold it with
-:func:`run_progress`, so a run root and its ``telemetry merge`` output
-answer the same documents. Only ``/events`` tails incrementally.
+:func:`run_progress`. Only ``/events`` tails incrementally.
 
 **SSE resume semantics.** Event identity is the existing
 ``(run, worker, seq)`` triple; per-worker ``seq`` is monotone (it
-continues across resumes). A single scalar cannot resume N interleaved
+continues across pools and resumes), and each worker's lines reach the
+one log in ``seq`` order. A single scalar cannot resume N interleaved
 per-worker streams, so each SSE ``id:`` carries a full cursor — comma
 separated ``source=seq`` high-water marks (e.g.
 ``root=41,worker-0=17``). A client reconnecting with ``Last-Event-ID``
@@ -78,7 +77,7 @@ from urllib.parse import parse_qs, urlsplit
 from repro.errors import SweepError, TelemetryError
 from repro.telemetry.core import EVENTS_FILE, METRICS_FILE
 from repro.telemetry.exporters import JsonlTailer
-from repro.telemetry.observatory import ROOT_WORKER, run_events, worker_dirs
+from repro.telemetry.observatory import ROOT_WORKER, run_events
 from repro.telemetry.progress import CellTally, format_duration
 from repro.telemetry.report import _SUPERVISION_EVENTS
 from repro.telemetry.windows import decode_window
@@ -154,49 +153,6 @@ class EventCursor:
 
 
 # ----------------------------------------------------------------------
-# Directory following
-# ----------------------------------------------------------------------
-
-
-class DirectoryFollower:
-    """Tail every ``events.jsonl`` under a telemetry run directory.
-
-    Follows the root log plus each ``worker-K/`` subdirectory's log,
-    re-listing the worker directories
-    (:func:`~repro.telemetry.observatory.worker_dirs`) on every poll —
-    the pool creates them as it spawns workers mid-run. Yields
-    ``(source, event)`` pairs where ``source`` is the directory-derived
-    worker label — stable across reconnects, which is what the SSE
-    cursor keys on.
-    """
-
-    def __init__(self, root: str | Path) -> None:
-        self.root = Path(root)
-        self._tailers: dict[str, JsonlTailer] = {}
-
-    def poll(self) -> list[tuple[str, dict]]:
-        """New complete events since the last poll, per-source ordered."""
-        fresh: list[tuple[str, dict]] = []
-        for source, directory in [
-            (ROOT_WORKER, self.root), *worker_dirs(self.root)
-        ]:
-            tailer = self._tailers.get(source)
-            if tailer is None:
-                tailer = self._tailers[source] = JsonlTailer(
-                    directory / EVENTS_FILE
-                )
-            fresh.extend((source, event) for event in tailer.poll())
-        return fresh
-
-
-def event_source(source: str, event: dict) -> str:
-    """The cursor key for one event: its stamped ``worker`` identity
-    when present, else the directory it was read from."""
-    worker = event.get("worker")
-    return str(worker) if worker else source
-
-
-# ----------------------------------------------------------------------
 # Progress tracking
 # ----------------------------------------------------------------------
 
@@ -204,7 +160,7 @@ def event_source(source: str, event: dict) -> str:
 def run_progress(events: Iterable[dict]) -> dict[str, dict]:
     """Each run's ``/runs/ID/progress`` document, keyed by run id.
 
-    Folds a merged run log
+    Folds a run log
     (:func:`~repro.telemetry.observatory.run_events`), in its order,
     grouped by ``run`` (:data:`UNKNOWN_RUN` when absent): the sweep
     executor's ``sweep_started`` / ``sweep_resume`` / ``cell_finished``
@@ -488,7 +444,7 @@ class _LiveHandler(BaseHTTPRequestHandler):
         if last_id is None and query.get("last_event_id"):
             last_id = query["last_event_id"][0]
         cursor = EventCursor.decode(last_id)
-        follower = DirectoryFollower(self.live.directory)
+        tailer = JsonlTailer(self.live.directory / EVENTS_FILE)
         self.send_response(200)
         self.send_header("Content-Type", "text/event-stream")
         self.send_header("Cache-Control", "no-cache")
@@ -499,8 +455,8 @@ class _LiveHandler(BaseHTTPRequestHandler):
         try:
             while not live.stopping.is_set():
                 wrote = False
-                for source, event in follower.poll():
-                    key = event_source(source, event)
+                for event in tailer.poll():
+                    key = str(event.get("worker") or ROOT_WORKER)
                     seq = event.get("seq")
                     if isinstance(seq, int):
                         if not cursor.admits(key, seq):
@@ -530,8 +486,7 @@ class TelemetryServer:
     """Serve a telemetry directory over HTTP (see module docstring).
 
     Args:
-        directory: the telemetry directory to serve (a run root; its
-            ``worker-K/`` subdirectories are followed automatically).
+        directory: the telemetry directory to serve.
         host: bind address — ``127.0.0.1`` by default; widening it is
             an explicit, trusted-network-only decision.
         port: TCP port; 0 picks an ephemeral one (read :attr:`port`
@@ -642,7 +597,7 @@ class TelemetryServer:
     def progress(self, run_id: str) -> dict | None:
         """One run's ``/runs/ID/progress`` document, or None.
 
-        Re-folded from the merged run log on every request; with a
+        Re-folded from the run log on every request; with a
         journal, its :func:`journal_counts` for the run ride along
         under ``journal`` unless the journal refuses to load.
         """

@@ -1,26 +1,23 @@
-"""The run observatory: correlate, merge, visualize, and diff runs.
+"""The run observatory: aggregate, visualize, and diff runs.
 
-Since sweeps went process-parallel, one campaign ("run") writes N+1
-telemetry directories — the coordinating process's root directory plus
-one ``worker-K/`` subdirectory per pool worker — and a resumed
-campaign appends to the same tree. This module turns that tree back
-into one coherent story:
+One campaign ("run") writes one telemetry directory: the coordinating
+process writes its own events, metrics and profile samples, and those
+its pool workers ship on their acks, each line stamped with the
+``worker`` that recorded it; a resumed campaign appends to the same
+directory. This module reads that directory back as one story:
 
-- :func:`aggregate_run` discovers a run's sources and merges them in
-  memory: ``events.jsonl`` streams become a single ordered run log
-  (:func:`run_events`: torn-tolerant, deduplicated by the
-  ``(run, worker, seq)`` correlation triple), Prometheus snapshots are
-  summed sample-by-sample with the per-worker ``run``/``worker``
-  labels stripped, and the log's ``window`` events decode into window
+- :func:`aggregate_run` reads a run directory into memory:
+  ``events.jsonl`` becomes an ordered run log (:func:`run_events`:
+  torn-tolerant, deduplicated by the ``(run, worker, seq)``
+  correlation triple), the Prometheus snapshot is summed
+  sample-by-sample with the per-worker ``run``/``worker`` labels
+  stripped, and the log's ``window`` events decode into window
   records that keep their ``run`` / ``worker`` / ``context``.
   The live progress API folds the same run log.
-- :func:`write_merged` persists that view as a directory that is
-  itself readable by every telemetry tool (``events.jsonl``,
-  ``metrics.prom`` and, when sampled, ``profile.jsonl``).
-- :func:`chrome_trace` renders the merged spans as a Chrome
-  ``trace_event`` timeline (``chrome://tracing`` / Perfetto): one
-  process track per worker, complete slices for spans, async slices
-  for sweep cells, counter tracks for per-window hit rates.
+- :func:`chrome_trace` renders the spans as a Chrome ``trace_event``
+  timeline (``chrome://tracing`` / Perfetto): one process track per
+  worker, complete slices for spans, async slices for sweep cells,
+  counter tracks for per-window hit rates.
 - :func:`diff_runs` compares two aggregated runs — per-span-name
   duration deltas, per-level hit-rate deltas, engine vector-fraction
   deltas, cell-failure counts, and worker-pool supervision health
@@ -28,21 +25,19 @@ into one coherent story:
   configurable regression thresholds, the contract behind
   ``repro telemetry diff``'s nonzero CI exit code.
 
-Merging is **conservative by construction**: events are concatenated
-(never rewritten), and metric sums over workers equal the merged
-values exactly — the same conservation discipline the window
-time-series already guarantee against ``HierarchyStats``.
+Aggregation is **conservative by construction**: events are read
+(never rewritten), and a summed metric equals the sum of its
+per-worker samples exactly — the same conservation discipline the
+window time-series already guarantee against ``HierarchyStats``.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import re
 from collections import Counter as _TallyCounter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
 
 from repro.errors import TelemetryError
 from repro.telemetry.core import DEFAULT_HZ, EVENTS_FILE, METRICS_FILE
@@ -56,7 +51,7 @@ from repro.telemetry.profiling import (
     read_profile,
     total_samples,
 )
-from repro.telemetry.registry import render_snapshot, unescape_label_value
+from repro.telemetry.registry import unescape_label_value
 from repro.telemetry.report import (
     HOTSPOT_TOP,
     EngineDigest,
@@ -68,7 +63,7 @@ from repro.telemetry.report import (
 )
 from repro.telemetry.windows import WindowRecord, decode_window
 
-#: Provenance label of the coordinating process's directory.
+#: Provenance label of the coordinating process.
 ROOT_WORKER = "root"
 
 #: Default Chrome-trace output name.
@@ -77,17 +72,9 @@ TRACE_FILE = "trace.json"
 #: Labels stripped (and thereby summed over) when merging metrics.
 _PROVENANCE_LABELS = ("run", "worker")
 
-_WORKER_DIR = re.compile(r"^worker-(\d+)$")
-
-
-def worker_index(path: str | Path) -> int | None:
-    """The worker number of a ``worker-K`` directory name, else None."""
-    match = _WORKER_DIR.match(Path(path).name)
-    return int(match.group(1)) if match else None
-
 
 # ----------------------------------------------------------------------
-# Discovery and aggregation
+# Aggregation
 # ----------------------------------------------------------------------
 
 
@@ -97,7 +84,7 @@ class WindowRow:
 
     Attributes:
         run: run id the record belongs to ("" when unknown).
-        worker: source directory label (``root`` / ``worker-K``).
+        worker: the process that recorded it (``root`` / ``worker-K``).
         context: stage label (the window event's ``context``).
         record: the raw :class:`WindowRecord`.
     """
@@ -110,21 +97,21 @@ class WindowRow:
 
 @dataclass
 class RunAggregate:
-    """One run's telemetry, merged across its worker directories.
+    """One run's telemetry, read from its directory.
 
     Attributes:
-        root: the aggregated run root (or merged directory).
+        root: the aggregated run directory.
         run_ids: distinct run ids seen, in first-seen event order.
-        sources: provenance labels aggregated (``root``, ``worker-0``,
-            ...), in discovery order.
-        events: the merged run log — ordered by ``(ts, worker, seq)``
-            and deduplicated by ``(run, worker, seq)``.
+        sources: the processes whose events the log holds (``root``,
+            ``worker-0``, ...): ``root`` first, then workers by number.
+        events: the run log — ordered by ``(ts, worker, seq)`` and
+            deduplicated by ``(run, worker, seq)``.
         metric_kinds: Prometheus base-metric name -> kind.
         metrics: sample name -> {label tuple -> summed value}; bucket/
             sum/count samples of histograms appear under their
             exposition names.
         windows: every window record with provenance.
-        profiles: merged sampled-profiler records (counts summed per
+        profiles: sampled-profiler records (counts summed per
             identical attribution, ``worker`` provenance preserved so
             per-worker sample totals are conserved exactly).
     """
@@ -261,118 +248,41 @@ class RunAggregate:
         }
 
 
-def worker_dirs(root: str | Path) -> list[tuple[str, Path]]:
-    """A run root's ``worker-K/`` directories as ``(label, path)``.
+def run_events(root: str | Path) -> list[dict]:
+    """A run's event log: ``events.jsonl``, deduplicated by
+    ``(run, worker, seq)`` and ordered by ``(ts, worker, seq)``.
 
-    Sorted numerically (worker-2 before worker-10). A missing root, or
-    one the pool has not spawned workers into yet, has none. The one
-    listing of a run's worker directories: aggregation, the live
-    progress fold and the SSE follower all read it.
-    """
-    workers = []
-    try:
-        with os.scandir(root) as entries:
-            for entry in entries:
-                match = _WORKER_DIR.match(entry.name)
-                if match and entry.is_dir():
-                    workers.append((int(match.group(1)), entry.name))
-    except (FileNotFoundError, NotADirectoryError):
-        return []
-    root = Path(root)
-    return [(name, root / name) for _, name in sorted(workers)]
-
-
-def discover_sources(root: str | Path) -> list[tuple[str, Path]]:
-    """A run's telemetry sources: the root itself plus ``worker-K/``.
+    Ordering is wall-clock first (out-of-order appends sort into
+    place), provenance as a stable tiebreak so equal timestamps never
+    shuffle between reads. A line written before run contexts existed
+    carries no ``worker`` / ``seq``; ``root`` and its line index stand
+    in, so the key stays unique without rewriting anything recorded.
+    The event half of :func:`aggregate_run`, and all the live progress
+    API reads. A directory that does not exist yet, or holds no log
+    yet, has an empty log.
 
     Raises:
-        TelemetryError: when ``root`` is not a directory or holds no
-            telemetry artifacts at all.
+        TelemetryError: the log is corrupt before its last line.
     """
-    root = Path(root)
-    if not root.is_dir():
-        raise TelemetryError(f"no telemetry directory at {root}")
-    sources: list[tuple[str, Path]] = []
-    root_has_artifacts = (
-        (root / EVENTS_FILE).exists()
-        or (root / METRICS_FILE).exists()
-        or (root / PROFILE_FILE).exists()
-    )
-    if root_has_artifacts:
-        sources.append((ROOT_WORKER, root))
-    sources.extend(worker_dirs(root))
-    if not sources:
-        raise TelemetryError(
-            f"no telemetry artifacts under {root} (expected "
-            f"{EVENTS_FILE}, {METRICS_FILE}, {PROFILE_FILE}, or "
-            f"worker-*/ directories)"
-        )
-    return sources
-
-
-def _source_events(label: str, directory: Path) -> list[dict]:
-    """One source's events with provenance defaults for legacy logs.
-
-    Events written before run contexts existed carry no ``worker`` /
-    ``seq`` fields; the source directory and line index stand in so
-    the merge key stays unique without rewriting anything recorded.
-    """
-    path = directory / EVENTS_FILE
+    path = Path(root) / EVENTS_FILE
     if not path.exists():
         return []
-    events = read_jsonl(path)  # drops a kill-torn trailing line
-    for index, event in enumerate(events):
-        event.setdefault("worker", label)
-        event.setdefault("seq", index)
-    return events
-
-
-def _merge_events(per_source: Iterable[list[dict]]) -> list[dict]:
-    """Concatenate, deduplicate by (run, worker, seq), order by time.
-
-    Ordering is ``(ts, worker, seq)``: wall-clock first (out-of-order
-    appends within a file sort into place), provenance as a stable
-    tiebreak so equal timestamps never shuffle between merges.
-    """
     seen: set[tuple] = set()
-    merged: list[dict] = []
-    for events in per_source:
-        for event in events:
-            key = (
-                event.get("run"),
-                str(event.get("worker", "")),
-                event.get("seq"),
-            )
-            if key in seen:
-                continue
+    events: list[dict] = []
+    # read_jsonl drops a kill-torn trailing line.
+    for index, event in enumerate(read_jsonl(path)):
+        event.setdefault("worker", ROOT_WORKER)
+        event.setdefault("seq", index)
+        key = (event.get("run"), str(event["worker"]), event["seq"])
+        if key not in seen:
             seen.add(key)
-            merged.append(event)
-    merged.sort(
+            events.append(event)
+    events.sort(
         key=lambda e: (
-            float(e.get("ts", 0.0)),
-            str(e.get("worker", "")),
-            int(e.get("seq", 0)),
+            float(e.get("ts", 0.0)), str(e["worker"]), int(e["seq"]),
         )
     )
-    return merged
-
-
-def run_events(root: str | Path) -> list[dict]:
-    """A run's merged event log: the root's and every worker's
-    ``events.jsonl``, deduplicated and ordered by :func:`_merge_events`.
-
-    The event half of :func:`aggregate_run`, and all the live progress
-    API reads. A root that does not exist yet, or holds no log yet,
-    has an empty log.
-
-    Raises:
-        TelemetryError: a log is corrupt before its last line.
-    """
-    root = Path(root)
-    sources = [(ROOT_WORKER, root), *worker_dirs(root)]
-    return _merge_events(
-        _source_events(label, directory) for label, directory in sources
-    )
+    return events
 
 
 #: ``name{label="a",other="b"} value`` — the exposition-format shape
@@ -411,7 +321,12 @@ def _read_metrics(path: Path) -> tuple[dict[str, str], list[tuple]]:
         if line.startswith("#"):
             parts = line.split()
             if len(parts) == 4 and parts[1] == "TYPE":
-                kinds[parts[2]] = parts[3]
+                previous = kinds.setdefault(parts[2], parts[3])
+                if previous != parts[3]:
+                    raise TelemetryError(
+                        f"metric {parts[2]} is typed both {previous} and "
+                        f"{parts[3]}; refusing to merge {path}"
+                    )
             continue
         parsed = _parse_prom_line(line)
         if parsed is None:
@@ -422,59 +337,58 @@ def _read_metrics(path: Path) -> tuple[dict[str, str], list[tuple]]:
     return kinds, samples
 
 
-def _merge_metrics(
-    sources: Sequence[tuple[str, Path]],
+def _sum_metrics(
+    path: Path,
 ) -> tuple[dict[str, str], dict[str, dict[tuple, float]]]:
-    """Sum every source's samples with provenance labels stripped.
+    """Sum a snapshot's samples with provenance labels stripped.
 
     Counters, histogram buckets, histogram sums/counts, and gauges all
     sum — cross-worker gauges in this codebase are additive queue
     depths, and summing keeps the conservation property exact:
     ``merged == sum(workers)`` for every sample.
     """
-    kinds: dict[str, str] = {}
+    if not path.exists():
+        return {}, {}
+    kinds, samples = _read_metrics(path)
     merged: dict[str, dict[tuple, float]] = {}
-    for _, directory in sources:
-        path = directory / METRICS_FILE
-        if not path.exists():
-            continue
-        file_kinds, samples = _read_metrics(path)
-        for name, kind in file_kinds.items():
-            previous = kinds.setdefault(name, kind)
-            if previous != kind:
-                raise TelemetryError(
-                    f"metric {name} is a {previous} in one worker and "
-                    f"a {kind} in another; refusing to merge {path}"
-                )
-        for name, labels, value in samples:
-            stripped = {
-                k: v for k, v in labels.items()
-                if k not in _PROVENANCE_LABELS
-            }
-            key = tuple(sorted(stripped.items()))
-            bucket = merged.setdefault(name, {})
-            bucket[key] = bucket.get(key, 0.0) + value
+    for name, labels, value in samples:
+        stripped = {
+            k: v for k, v in labels.items() if k not in _PROVENANCE_LABELS
+        }
+        key = tuple(sorted(stripped.items()))
+        bucket = merged.setdefault(name, {})
+        bucket[key] = bucket.get(key, 0.0) + value
     return kinds, merged
 
 
 def aggregate_run(root: str | Path) -> RunAggregate:
-    """Merge one run's telemetry tree into a :class:`RunAggregate`.
+    """Read one run's telemetry directory into a :class:`RunAggregate`.
 
-    Accepts either a live run root (root artifacts + ``worker-K/``
-    subdirectories) or a directory previously written by
-    :func:`write_merged` — aggregation is idempotent across the two.
+    Raises:
+        TelemetryError: when ``root`` is not a directory or holds no
+            telemetry artifacts at all.
     """
     root = Path(root)
-    sources = discover_sources(root)
-    aggregate = RunAggregate(root=root, sources=[s for s, _ in sources])
-
+    if not root.is_dir():
+        raise TelemetryError(f"no telemetry directory at {root}")
+    if not any(
+        (root / name).exists()
+        for name in (EVENTS_FILE, METRICS_FILE, PROFILE_FILE)
+    ):
+        raise TelemetryError(
+            f"no telemetry artifacts under {root} (expected "
+            f"{EVENTS_FILE}, {METRICS_FILE} or {PROFILE_FILE})"
+        )
+    aggregate = RunAggregate(root=root)
     aggregate.events = run_events(root)
+    workers: set[str] = set()
     for event in aggregate.events:
         run = event.get("run")
         if run is not None and run not in aggregate.run_ids:
             aggregate.run_ids.append(str(run))
+        worker = str(event["worker"])
+        workers.add(worker)
         if event.get("kind") == "window":
-            worker = str(event.get("worker", ROOT_WORKER))
             aggregate.windows.extend(
                 WindowRow(
                     run=str(run or ""), worker=worker,
@@ -482,101 +396,30 @@ def aggregate_run(root: str | Path) -> RunAggregate:
                 )
                 for record in decode_window(event, f"{root} ({worker})")
             )
+    # root first, then workers by number (worker-2 before worker-10).
+    aggregate.sources = sorted(
+        workers, key=lambda w: (w != ROOT_WORKER, len(w), w)
+    )
 
-    aggregate.metric_kinds, aggregate.metrics = _merge_metrics(sources)
+    aggregate.metric_kinds, aggregate.metrics = _sum_metrics(
+        root / METRICS_FILE
+    )
 
-    profile_records: list[dict] = []
-    for label, directory in sources:
-        for record in read_profile(directory / PROFILE_FILE):
-            record.setdefault("worker", label)
-            profile_records.append(record)
+    profile_records = read_profile(root / PROFILE_FILE)
+    for record in profile_records:
+        record.setdefault("worker", ROOT_WORKER)
     # Summing per identical (run, worker, spans, cell, stack) key keeps
-    # every worker's sample total exact, and makes re-aggregating a
-    # merged directory a no-op — the metrics conservation discipline.
+    # every worker's sample total exact.
     aggregate.profiles = merge_records(profile_records)
     return aggregate
-
-
-# ----------------------------------------------------------------------
-# Merged-directory output
-# ----------------------------------------------------------------------
-
-
-def _snapshot_entries(
-    kinds: dict[str, str], metrics: dict[str, dict[tuple, float]]
-) -> list[dict]:
-    """Merged samples regrouped as :meth:`MetricsRegistry.snapshot`
-    entries (stable order): a histogram's ``_bucket`` / ``_sum`` /
-    ``_count`` samples rejoin one entry per label set."""
-    entries: dict[tuple, dict] = {}
-    for sample, samples in metrics.items():
-        name, part = sample, "value"
-        for suffix in ("bucket", "sum", "count"):
-            stem = sample.removesuffix(f"_{suffix}")
-            if stem != sample and kinds.get(stem) == "histogram":
-                name, part = stem, suffix
-        for key, value in samples.items():
-            labels = dict(key)
-            le = labels.pop("le", None) if part == "bucket" else None
-            entry = entries.setdefault(
-                (name, tuple(sorted(labels.items()))),
-                {"name": name, "kind": kinds.get(name, "untyped"),
-                 "labels": labels},
-            )
-            if part == "value":
-                entry["value"] = value
-            elif part == "bucket":
-                entry.setdefault("buckets", {})[le] = int(value)
-            else:
-                entry[part] = int(value) if part == "count" else value
-    return [entries[key] for key in sorted(entries)]
-
-
-def write_merged(
-    aggregate: RunAggregate, out_dir: str | Path
-) -> dict[str, Path]:
-    """Persist an aggregate as a merged telemetry directory.
-
-    Writes ``events.jsonl`` (the ordered run log, window events
-    included), ``metrics.prom`` (summed snapshot) and, when sampled,
-    ``profile.jsonl``. The result is itself a valid input to
-    :func:`aggregate_run`, :func:`chrome_trace`, :func:`diff_runs`,
-    and ``telemetry report``.
-    """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths: dict[str, Path] = {}
-
-    events_text = "".join(
-        json.dumps(event, sort_keys=True, default=str) + "\n"
-        for event in aggregate.events
-    )
-    paths["events"] = atomic_write_text(out_dir / EVENTS_FILE, events_text)
-
-    paths["metrics"] = atomic_write_text(
-        out_dir / METRICS_FILE,
-        render_snapshot(
-            _snapshot_entries(aggregate.metric_kinds, aggregate.metrics)
-        ),
-    )
-
-    if aggregate.profiles:
-        profile_text = "".join(
-            json.dumps(record, sort_keys=True, default=str) + "\n"
-            for record in aggregate.profiles
-        )
-        paths["profile"] = atomic_write_text(
-            out_dir / PROFILE_FILE, profile_text
-        )
-    return paths
 
 
 def summary_from_aggregate(aggregate: RunAggregate) -> TelemetrySummary:
     """The :class:`TelemetrySummary` behind ``telemetry report``.
 
-    Every report — plain directory, multi-worker root or merged
-    directory — is this view over :func:`aggregate_run`. Window stages
-    merge by context across workers.
+    Every report — serial run or pool run — is this view over
+    :func:`aggregate_run`. Window stages merge by context across
+    workers.
     """
     summary = TelemetrySummary(directory=aggregate.root)
     for event in aggregate.events:
@@ -592,7 +435,7 @@ def summary_from_aggregate(aggregate: RunAggregate) -> TelemetrySummary:
         for context, records in sorted(by_context.items())
     ]
 
-    # The merged snapshot holds one TYPE line per metric, one per sample.
+    # A summed snapshot holds one TYPE line per metric, one per sample.
     summary.metrics_lines = len(aggregate.metric_kinds) + sum(
         len(samples) for samples in aggregate.metrics.values()
     )
@@ -604,7 +447,7 @@ def summary_from_aggregate(aggregate: RunAggregate) -> TelemetrySummary:
 
 
 def render_run_overview(aggregate: RunAggregate) -> str:
-    """The run header ``telemetry report`` prints for multi-worker runs."""
+    """The run header ``telemetry report`` prints for pool runs."""
     lines = [f"run overview: {aggregate.root}"]
     lines.append(
         f"  run id: {aggregate.run_id or '(none recorded)'}"
@@ -669,7 +512,7 @@ _PROFILE_TID = 2
 
 
 def chrome_trace(aggregate: RunAggregate) -> dict:
-    """The merged run as Chrome ``trace_event`` JSON (object format).
+    """The run as Chrome ``trace_event`` JSON (object format).
 
     Layout: one *process* (``pid``) per worker, named via metadata
     events; spans as complete (``ph: "X"``) slices reconstructed from

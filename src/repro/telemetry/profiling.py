@@ -18,12 +18,14 @@ Two low-overhead observers that ride along with a live
   the previous boundary is attributed to *all* open phases (inclusive
   semantics) and then reset, yielding a true per-phase peak despite
   tracemalloc's single global counter. Written as
-  ``memory_watermarks.csv`` in the telemetry directory.
+  ``memory_watermarks.csv`` in the telemetry directory, one row per
+  phase with the ``worker`` that recorded it.
 
 Both are bundled by :class:`ProfilingSession`, enabled via
 ``Telemetry.enable_profiling(hz)`` or the CLI's ``--profile [HZ]``.
-Per-worker profiles are merged by the observatory with sample-count
-conservation, the same pattern as the metrics merge.
+A sweep's pool workers profile at the parent's rate and ship their
+records and watermarks on their acks; the parent's session writes
+them beside its own, each record keeping its ``worker``.
 
 Determinism for tests: the sampler's clock, thread-stack collector and
 the memory tracker's ``tracemalloc`` module are all injectable, and
@@ -40,7 +42,7 @@ import threading
 import time
 import tracemalloc
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -64,7 +66,7 @@ NO_STAGE = "(no stage)"
 
 #: Column order of ``memory_watermarks.csv``.
 MEMORY_COLUMNS: tuple[str, ...] = (
-    "kind", "name", "enter_bytes", "exit_bytes", "peak_bytes"
+    "kind", "name", "enter_bytes", "exit_bytes", "peak_bytes", "worker"
 )
 
 
@@ -242,6 +244,7 @@ class MemoryWatermark:
     enter_bytes: int
     exit_bytes: int
     peak_bytes: int
+    worker: str = "root"  # the process that recorded it
 
 
 class _OpenPhase:
@@ -345,7 +348,7 @@ def write_memory_csv(
     for record in records:
         writer.writerow([
             record.kind, record.name, record.enter_bytes,
-            record.exit_bytes, record.peak_bytes,
+            record.exit_bytes, record.peak_bytes, record.worker,
         ])
     return atomic_write_text(path, buffer.getvalue())
 
@@ -362,6 +365,7 @@ def read_memory_csv(path: str | Path) -> list[MemoryWatermark]:
                     enter_bytes=int(row["enter_bytes"]),
                     exit_bytes=int(row["exit_bytes"]),
                     peak_bytes=int(row["peak_bytes"]),
+                    worker=row.get("worker") or "root",
                 )
             )
     return records
@@ -520,13 +524,15 @@ def hotspot_digests(
 
 
 class ProfilingSession:
-    """One telemetry directory's profiling lifecycle.
+    """One telemetry's profiling lifecycle.
 
     Owns a :class:`SamplingProfiler` and (optionally) a
     :class:`MemoryTracker`; drains sampler deltas to ``profile.jsonl``
     on every telemetry flush (so per-cell flushes persist samples with
     the same durability as events) and writes ``flame.folded`` +
-    ``memory_watermarks.csv`` on close.
+    ``memory_watermarks.csv`` on close. A pool worker's session keeps
+    both in its telemetry's outbox instead, for the parent's session
+    to :meth:`receive`.
     """
 
     def __init__(
@@ -542,7 +548,9 @@ class ProfilingSession:
         self.hz = float(hz)
         self.profiler = profiler or SamplingProfiler(telemetry, self.hz)
         self.memory = memory_tracker or (MemoryTracker() if memory else None)
-        self._log: JsonlEventLog | None = None
+        #: A pool worker's outbox (see ``Telemetry.for_worker``).
+        self._outbox = getattr(telemetry, "_outbox", None)
+        self._log = self._outbox
         directory = getattr(telemetry, "directory", None)
         if directory is not None:
             self._log = JsonlEventLog(Path(directory) / PROFILE_FILE)
@@ -596,6 +604,19 @@ class ProfilingSession:
         if drained:
             self.telemetry.counter("repro_profile_samples_total").inc(drained)
 
+    def receive(
+        self, worker: str, records: list[dict],
+        watermarks: list[MemoryWatermark],
+    ) -> None:
+        """Write a pool worker's shipped profile records (stamped with
+        their ``worker``) and keep its memory watermarks for the CSV."""
+        if self._log is not None and records:
+            self._log.append_many(records)
+        if self.memory is not None:
+            self.memory.records.extend(
+                replace(watermark, worker=worker) for watermark in watermarks
+            )
+
     def close(self) -> None:
         """Stop sampling, final-drain, and write the derived artifacts."""
         self.profiler.stop()
@@ -604,6 +625,8 @@ class ProfilingSession:
             self._log.close()
         if self.memory is not None:
             self.memory.close()
+            if self._outbox is not None:
+                self._outbox.memory.extend(self.memory.records)
         directory = getattr(self.telemetry, "directory", None)
         if directory is None:
             return

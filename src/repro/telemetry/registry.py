@@ -354,6 +354,21 @@ def render_snapshot(
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def render_snapshots(
+    snapshots: Iterable[tuple[list[dict], dict[str, str] | None]],
+) -> str:
+    """Several snapshots, each with its own extra labels (see
+    :func:`render_snapshot`), as one exposition: a family's samples
+    from every snapshot sit together under its one ``# TYPE`` line."""
+    entries = [
+        dict(entry, labels=dict(extra, **entry["labels"])) if extra else entry
+        for snapshot, extra in snapshots
+        for entry in snapshot
+    ]
+    entries.sort(key=lambda entry: entry["name"])
+    return render_snapshot(entries)
+
+
 def _render_labels(labels: dict[str, str]) -> str:
     if not labels:
         return ""

@@ -1,9 +1,8 @@
 """Summarize a run's telemetry into a human-readable or JSON report.
 
 ``python -m repro.experiments telemetry report DIR`` reads DIR through
-:func:`~repro.telemetry.observatory.aggregate_run` (a plain directory,
-a multi-worker run root and a ``telemetry merge`` output alike) and
-builds its :class:`TelemetrySummary` from that one read model with
+:func:`~repro.telemetry.observatory.aggregate_run` (a serial run and a
+pool run alike: one directory holds every worker's share) and builds its :class:`TelemetrySummary` from that one read model with
 :func:`~repro.telemetry.observatory.summary_from_aggregate`. This
 module holds the summary's digests and renders them: event counts by
 kind, per-span duration statistics, a per-stage window digest

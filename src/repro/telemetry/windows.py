@@ -30,12 +30,10 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.errors import TelemetryError
+from repro.telemetry.core import DEFAULT_WINDOW_REFS
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
     from repro.cache.stats import LevelStats
-
-#: Default window width in top-level references.
-DEFAULT_WINDOW_REFS: int = 1 << 20
 
 #: The raw per-level counters carried by every window (delta values).
 WINDOW_FIELDS: tuple[str, ...] = (

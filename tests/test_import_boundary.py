@@ -61,6 +61,7 @@ WARM_NOT_LOADED = (
     "repro.cache.hierarchy",
     "repro.experiments.simplan",
     "repro.trace.reuse",
+    "repro.telemetry.windows",
 )
 
 #: Runs the CLI on its arguments and prints the modules it loaded.
@@ -183,7 +184,9 @@ def test_warm_reproduce_all_loads_no_kernel_simulator_or_numpy(
 
 def test_warm_serial_sweep_loads_no_simplan(tmp_path):
     """Each cell of a serial sweep prices its own design, so no sweep
-    batches designs through the shared-prefix planner."""
+    batches designs through the shared-prefix planner; a warm one is
+    priced from the records, and only a pool's parent loads the
+    simulator for its workers."""
     for run in ("cold", "warm"):
         loaded = cli_modules(
             "--scale", "0.0001220703125", "--workloads", "CG",
@@ -194,6 +197,8 @@ def test_warm_serial_sweep_loads_no_simplan(tmp_path):
         )
     assert "repro.resilience.executor" in loaded
     assert "repro.experiments.simplan" not in loaded
+    extra = leaked(loaded, WARM_NOT_LOADED)
+    assert not extra, f"a warm serial sweep imported: {extra}"
 
 
 def test_ndm_figure_loads_no_dynamic_planner_or_filters(tmp_path):

@@ -32,7 +32,11 @@ from repro.resilience import (
     acquire_latch,
 )
 from repro.telemetry.core import RunContext, Telemetry, new_run_id
-from repro.telemetry.observatory import aggregate_run, summary_from_aggregate
+from repro.telemetry.observatory import (
+    _read_metrics,
+    aggregate_run,
+    summary_from_aggregate,
+)
 from repro.tech.params import EDRAM, PCM
 from repro.workloads.registry import get_workload
 
@@ -115,7 +119,8 @@ class TestSupervisedHappyPath:
         kinds = event_kinds(tmp_path / "tel")
         assert kinds.count("worker_spawned") == 2
         assert "sweep_supervised" in kinds
-        # Worker directories exist and the whole tree aggregates.
+        # The workers' telemetry rides into the one run directory.
+        assert not list((tmp_path / "tel").glob("worker-*"))
         aggregate = aggregate_run(tmp_path / "tel")
         assert aggregate.cell_status_counts().get("ok") == 4.0
         assert all(
@@ -140,6 +145,41 @@ class TestSupervisedHappyPath:
             assert (entry.status, entry.evaluation) == (
                 sup[key].status, sup[key].evaluation
             )
+
+
+    def test_two_pools_of_one_run_write_one_directory(
+        self, trace_cache, tmp_path
+    ):
+        """``--screen-analytic`` runs an analytic pool, then an exact
+        one, under one run id, and both spawn a ``worker-0``: the run
+        directory still holds one log and one snapshot, no
+        ``(run, worker, seq)`` repeats, and every cell either pool ran
+        kept its worker's ``sweep.cell`` span."""
+        from repro.experiments.cli import main
+
+        root = tmp_path / "tel"
+        assert main([
+            "--scale", str(SCALE), "--seed", "5", "--workloads", "CG",
+            "--trace-cache", trace_cache, "--telemetry", str(root),
+            "sweep", "--designs", "REF,NMM:PCM:N6,4LC:EDRAM:EH4",
+            "--screen-analytic", "1", "--workers", "2",
+            "--journal", str(tmp_path / "j.jsonl"),
+        ]) == 0
+        assert sorted(p.name for p in root.iterdir()) == [
+            "events.jsonl", "metrics.prom",
+        ]
+        events = read_events(root)
+        keys = [(e["run"], e["worker"], e["seq"]) for e in events]
+        assert len(keys) == len(set(keys))
+        assert len({e["run"] for e in events}) == 1
+        spawned = [e for e in events if e["kind"] == "worker_spawned"]
+        assert [e["pool_worker"] for e in spawned].count("worker-0") == 2
+        cells = sum(e["kind"] == "cell_finished" for e in events)
+        worker_cells = [
+            e for e in aggregate_run(root).events
+            if e["worker"] != "root" and e.get("name") == "sweep.cell"
+        ]
+        assert len(worker_cells) == cells > 3
 
 
 class TestCrashRecovery:
@@ -174,7 +214,7 @@ class TestCrashRecovery:
             assert kind in kinds, kinds
         assert "supervision:" in result.report()
 
-        # Merged telemetry conserves the story across the restart.
+        # The run's telemetry conserves the story across the restart.
         aggregate = aggregate_run(tmp_path / "tel")
         assert aggregate.cell_status_counts().get("ok") == 4.0
         counts = aggregate.supervision_counts()
@@ -194,9 +234,10 @@ class TestCrashRecovery:
         self, trace_cache, workloads, tmp_path
     ):
         """A worker SIGKILLed after acking cells loses none of their
-        metrics: its ``metrics.prom`` counts exactly the ``sweep.cell``
-        spans its event log holds, and the merged report conserves
-        spans and cells across the whole tree."""
+        metrics: its samples in the run's ``metrics.prom`` count
+        exactly the ``sweep.cell`` spans its events in the run log
+        hold, the summed report conserves spans and cells across every
+        worker, and no worker wrote a directory of its own."""
         runner = make_runner(trace_cache)
         designs = make_designs(runner.reference, n=3)
         # Six cells over two workers: one worker reaches its third
@@ -212,14 +253,24 @@ class TestCrashRecovery:
         assert all(o.ok for o in result.outcomes), result.report()
         assert result.requeues == 1
 
-        died = [e for e in read_events(root) if e.get("kind") == "worker_died"]
+        assert not list(root.glob("worker-*"))
+        events = read_events(root)
+        died = [e for e in events if e.get("kind") == "worker_died"]
         assert len(died) == 1
-        dead = aggregate_run(root / died[0]["pool_worker"])
-        span_events = {d.name: d.count for d in dead.span_digests()}
-        assert span_events["sweep.cell"] >= 2
-        assert dead.metric_value(
-            "repro_span_seconds_count", name="sweep.cell"
-        ) == span_events["sweep.cell"]
+        dead = died[0]["pool_worker"]
+        dead_spans = sum(
+            1 for e in events
+            if e.get("worker") == dead and e.get("kind") == "span"
+            and e.get("name") == "sweep.cell"
+        )
+        assert dead_spans >= 2
+        _, samples = _read_metrics(root / "metrics.prom")
+        assert sum(
+            value for name, labels, value in samples
+            if name == "repro_span_seconds_count"
+            and labels.get("name") == "sweep.cell"
+            and labels.get("worker") == dead
+        ) == dead_spans
 
         cells = len(result.outcomes)
         merged = aggregate_run(root)

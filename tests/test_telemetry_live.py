@@ -14,7 +14,6 @@ from repro.resilience.journal import JournalEntry
 from repro.telemetry.core import Telemetry
 from repro.telemetry.exporters import JsonlTailer
 from repro.telemetry.live import (
-    DirectoryFollower,
     EventCursor,
     TelemetryServer,
     journal_counts,
@@ -23,12 +22,7 @@ from repro.telemetry.live import (
     run_progress,
     watch,
 )
-from repro.telemetry.observatory import (
-    _parse_prom_line,
-    aggregate_run,
-    run_events,
-    write_merged,
-)
+from repro.telemetry.observatory import _parse_prom_line, run_events
 from repro.telemetry.registry import (
     MetricsRegistry,
     escape_label_value,
@@ -63,7 +57,8 @@ def l1_window(index, hits):
 
 
 def make_run(tmp_path, run="r1"):
-    """A synthetic finished 2-worker run directory."""
+    """A synthetic finished pool run directory: the coordinator's
+    events, then those worker-0 shipped, in one log."""
     append_events(tmp_path / "events.jsonl", [
         {"kind": "sweep_started", "cells": 4, "designs": 2,
          "workloads": 2, "run": run, "worker": "root", "seq": 0,
@@ -74,7 +69,7 @@ def make_run(tmp_path, run="r1"):
          "workload": "CG", "status": "ok", "duration_s": 2.0,
          "run": run, "worker": "root", "seq": 2, "ts": 12.0},
     ])
-    append_events(tmp_path / "worker-0" / "events.jsonl", [
+    append_events(tmp_path / "events.jsonl", [
         {"kind": "window", "context": "CG", **l1_window(0, hits=90),
          "run": run, "worker": "worker-0", "seq": 0, "ts": 11.0},
         {"kind": "cell_finished", "cell": "b", "design": "NMM",
@@ -226,35 +221,12 @@ class TestEventLogFlush:
 
 
 # ----------------------------------------------------------------------
-# DirectoryFollower / progress fold / journal counts
+# progress fold / journal counts
 # ----------------------------------------------------------------------
 
 
-class TestDirectoryFollower:
-    def test_follows_root_and_workers(self, tmp_path):
-        make_run(tmp_path)
-        follower = DirectoryFollower(tmp_path)
-        sources = {source for source, _ in follower.poll()}
-        assert sources == {"root", "worker-0"}
-
-    def test_discovers_worker_dirs_created_later(self, tmp_path):
-        append_events(tmp_path / "events.jsonl", [{"kind": "x", "seq": 0}])
-        follower = DirectoryFollower(tmp_path)
-        assert len(follower.poll()) == 1
-        append_events(tmp_path / "worker-1" / "events.jsonl",
-                      [{"kind": "y", "seq": 0}])
-        assert [s for s, _ in follower.poll()] == ["worker-1"]
-
-    def test_ignores_non_worker_directories(self, tmp_path):
-        append_events(tmp_path / "events.jsonl", [{"kind": "x", "seq": 0}])
-        append_events(tmp_path / "merged" / "events.jsonl",
-                      [{"kind": "y", "seq": 0}])
-        follower = DirectoryFollower(tmp_path)
-        assert [s for s, _ in follower.poll()] == ["root"]
-
-
 class TestProgressTracker:
-    """Per-run progress folded from the merged run log."""
+    """Per-run progress folded from the run log."""
 
     def test_counts_and_eta(self, tmp_path):
         make_run(tmp_path)
@@ -301,22 +273,18 @@ class TestProgressTracker:
                       [{"kind": "span", "seq": 0}])
         assert TelemetryServer(tmp_path).runs()[0]["run"] == "unidentified"
 
-    def test_run_root_equals_its_merge(self, tmp_path):
+    def test_hit_rates_follow_the_run_log_time_order(self, tmp_path):
         root = make_run(tmp_path / "run")
-        # A root window between worker-0's: the rolling hit rates must
-        # follow the run log's time order, wherever the events landed.
+        # A root window timed after worker-0's but appended last: the
+        # rolling hit rates follow the run log's time order, wherever
+        # the events landed.
         append_events(root / "events.jsonl", [
             {"kind": "window", "context": "CG", **l1_window(1, hits=50),
              "run": "r1", "worker": "root", "seq": 3, "ts": 11.5},
         ])
-        merged = tmp_path / "merged"
-        write_merged(aggregate_run(root), merged)
         progress = progress_of(root)
-        assert progress == progress_of(merged)
         assert progress["hit_rates"]["L1"] == [0.9, 0.5]
-        assert (TelemetryServer(root).progress("r1")
-                == TelemetryServer(merged).progress("r1"))
-        assert TelemetryServer(root).runs() == TelemetryServer(merged).runs()
+        assert TelemetryServer(root).progress("r1") == progress
 
 
 class TestJournalProgress:
@@ -489,13 +457,11 @@ class TestTelemetryServer:
             seen = {(e["worker"], e["seq"]) for e in events}
             assert len(seen) == 5
             assert last_id is not None
-            # disconnect happened; append new events to both sources
+            # disconnect happened; append new events of both workers
             append_events(tmp_path / "events.jsonl", [
                 {"kind": "cell_finished", "cell": "c", "workload": "CG",
                  "status": "ok", "duration_s": 1.0, "run": "r1",
                  "worker": "root", "seq": 3, "ts": 14.0},
-            ])
-            append_events(tmp_path / "worker-0" / "events.jsonl", [
                 {"kind": "span", "run": "r1", "worker": "worker-0",
                  "seq": 2, "ts": 14.5},
             ])

@@ -14,21 +14,19 @@ from repro.model.evaluate import Evaluation
 from repro.resilience import FaultInjector, Journal, SweepExecutor
 from repro.telemetry import observatory
 from repro.telemetry.core import RunContext, Telemetry, new_run_id
-from repro.telemetry.exporters import write_prometheus
+from repro.telemetry.exporters import read_jsonl, write_prometheus
 from repro.telemetry.observatory import (
     DiffThresholds,
     aggregate_run,
     chrome_trace,
     diff_runs,
-    discover_sources,
     render_diff,
     render_run_overview,
+    run_events,
     summary_from_aggregate,
-    worker_index,
     write_chrome_trace,
-    write_merged,
 )
-from repro.telemetry.registry import MetricsRegistry
+from repro.telemetry.registry import MetricsRegistry, render_snapshots
 from repro.telemetry.windows import WINDOW_FIELDS, WindowRecord, encode_window
 
 pytestmark = pytest.mark.telemetry
@@ -105,14 +103,25 @@ def window_ev(worker, seq, ts, context, records):
 
 
 def make_synthetic_run(root):
-    """A run root: coordinator artifacts plus two worker directories.
+    """A pool run's directory: the coordinator's events and those its
+    two workers shipped, in one log, and one metrics snapshot.
 
-    Both worker logs end in a kill-torn line, the root log holds a
-    duplicated (run, worker, seq) line (a resume replaying its tail),
-    and worker-1's timestamps interleave out of order.
+    The log ends in a kill-torn line, holds a duplicated
+    (run, worker, seq) line (a resume replaying its tail), and its
+    timestamps interleave out of order across and within workers.
     """
-    root_events = [
+    counters = {field: i for i, field in enumerate(WINDOW_FIELDS)}
+    sim = [WindowRecord(index=0, start_refs=0, end_refs=100, level="L1",
+                        **counters)]
+    events = [
         ev("root", 0, 100.0, kind="run_started", name="run"),
+        ev("worker-1", 0, 105.0, duration_s=4.0),
+        ev("worker-0", 0, 110.0, duration_s=2.0),
+        ev("worker-0", 1, 120.0, duration_s=3.0),
+        ev("worker-0", 2, 115.0, duration_s=1.0),  # out-of-order append
+        ev("worker-1", 1, 125.0, duration_s=2.5),
+        window_ev("worker-0", 3, 126.0, "sim", sim),
+        window_ev("worker-1", 2, 127.0, "sim", sim),
         ev("root", 1, 130.0, kind="cell_finished", name="cell",
            design="D1", workload="W1", status="ok", duration_s=9.0,
            cell="c-1"),
@@ -123,44 +132,25 @@ def make_synthetic_run(root):
            design="D2", workload="W1", status="ok", duration_s=8.0,
            cell="c-2"),
     ]
-    write_events(root / "events.jsonl", root_events)
+    write_events(root / "events.jsonl", events, torn_tail=True)
 
     registry = MetricsRegistry()
     registry.counter("repro_sweep_cells_total", status="ok").inc(2)
-    write_prometheus(registry, root / "metrics.prom",
-                     extra_labels={"run": RUN, "worker": "root"})
-
-    counters = {field: i for i, field in enumerate(WINDOW_FIELDS)}
-    sim = [WindowRecord(index=0, start_refs=0, end_refs=100, level="L1",
-                        **counters)]
-    w0 = [
-        ev("worker-0", 0, 110.0, duration_s=2.0),
-        ev("worker-0", 1, 120.0, duration_s=3.0),
-        ev("worker-0", 2, 115.0, duration_s=1.0),  # out-of-order append
-        window_ev("worker-0", 3, 126.0, "sim", sim),
-    ]
-    write_events(root / "worker-0" / "events.jsonl", w0, torn_tail=True)
     reg0 = MetricsRegistry()
     reg0.counter("repro_engine_runs", level="L1", path="vector").inc(30)
     reg0.counter("repro_engine_runs", level="L1", path="scalar").inc(10)
     reg0.histogram("repro_span_seconds", buckets=(1.0, 10.0),
                    name="sweep.cell").observe(2.0)
-    write_prometheus(reg0, root / "worker-0" / "metrics.prom",
-                     extra_labels={"run": RUN, "worker": "worker-0"})
-
-    w1 = [
-        ev("worker-1", 0, 105.0, duration_s=4.0),
-        ev("worker-1", 1, 125.0, duration_s=2.5),
-        window_ev("worker-1", 2, 127.0, "sim", sim),
-    ]
-    write_events(root / "worker-1" / "events.jsonl", w1, torn_tail=True)
     reg1 = MetricsRegistry()
     reg1.counter("repro_engine_runs", level="L1", path="vector").inc(10)
     reg1.counter("repro_engine_runs", level="L1", path="scalar").inc(10)
     reg1.histogram("repro_span_seconds", buckets=(1.0, 10.0),
                    name="sweep.cell").observe(4.0)
-    write_prometheus(reg1, root / "worker-1" / "metrics.prom",
-                     extra_labels={"run": RUN, "worker": "worker-1"})
+    (root / "metrics.prom").write_text(render_snapshots([
+        (reg.snapshot(), {"run": RUN, "worker": worker})
+        for reg, worker in ((registry, "root"), (reg0, "worker-0"),
+                            (reg1, "worker-1"))
+    ]))
     return root
 
 
@@ -190,7 +180,7 @@ class TestRunContext:
             with telemetry.span("sweep.cell"):
                 pass
         telemetry.close()
-        events = observatory._source_events("worker-1", tmp_path)
+        events = run_events(tmp_path)
         assert [e["seq"] for e in events] == [0, 1]
         assert all(e["run"] == RUN for e in events)
         assert all(e["worker"] == "worker-1" for e in events)
@@ -205,11 +195,31 @@ class TestRunContext:
         resumed = Telemetry(tmp_path, run_context=RunContext(RUN))
         resumed.event(kind="c")
         resumed.close()
-        seqs = [
-            e["seq"]
-            for e in observatory._source_events("root", tmp_path)
-        ]
+        seqs = [e["seq"] for e in run_events(tmp_path)]
         assert seqs == [0, 1, 2]  # no (run, worker, seq) collision
+
+    def test_reused_worker_label_never_repeats_a_seq(self, tmp_path):
+        """Two pools of one run, then a resumed run, each spawn a
+        ``worker-0``: every worker starts numbering at the parent's
+        ``next_seq``, so no shipped line collides with an earlier one
+        and none is dropped as a duplicate."""
+        shipped = 0
+        for run in range(2):  # the second pass resumes the directory
+            parent = Telemetry(tmp_path, run_context=RunContext(RUN))
+            for pool in range(2):
+                worker = Telemetry.for_worker(
+                    parent.run_context.child("worker-0"), parent.next_seq
+                )
+                for _ in range(3):
+                    worker.event(kind="work")
+                parent.receive("worker-0", worker.ship())
+                parent.event(kind="pool_finished")
+                shipped += 3
+            parent.close()
+        events = run_events(tmp_path)
+        keys = [(e["run"], e["worker"], e["seq"]) for e in events]
+        assert len(keys) == len(set(keys)) == 4 * 3 + 4
+        assert sum(e["kind"] == "work" for e in events) == shipped
 
     def test_metrics_snapshot_carries_provenance_labels(self, tmp_path):
         telemetry = Telemetry(
@@ -255,28 +265,26 @@ class TestRunContext:
 
 
 class TestDiscovery:
-    def test_worker_index(self):
-        assert worker_index("worker-3") == 3
-        assert worker_index("worker-12") == 12
-        assert worker_index("worker-x") is None
-        assert worker_index("merged") is None
-
     def test_sources_in_numeric_order(self, tmp_path):
-        root = make_synthetic_run(tmp_path)
-        (root / "worker-10").mkdir()
-        (root / "worker-10" / "events.jsonl").write_text("")
-        labels = [label for label, _ in discover_sources(root)]
-        assert labels == ["root", "worker-0", "worker-1", "worker-10"]
+        write_events(tmp_path / "events.jsonl", [
+            ev(worker, 0, ts)
+            for ts, worker in enumerate(
+                ("worker-10", "worker-1", "root", "worker-2", "worker-0")
+            )
+        ])
+        assert aggregate_run(tmp_path).sources == [
+            "root", "worker-0", "worker-1", "worker-2", "worker-10",
+        ]
 
     def test_missing_directory_raises(self, tmp_path):
         with pytest.raises(TelemetryError, match="no telemetry"):
-            discover_sources(tmp_path / "absent")
+            aggregate_run(tmp_path / "absent")
 
     def test_empty_directory_raises(self, tmp_path):
         from repro.experiments.cli import main
 
         with pytest.raises(TelemetryError, match="no telemetry artifacts"):
-            discover_sources(tmp_path)
+            aggregate_run(tmp_path)
         with pytest.raises(SystemExit, match="no telemetry artifacts"):
             main(["telemetry", "report", str(tmp_path)])
 
@@ -287,9 +295,8 @@ class TestEventMerge:
         aggregate = aggregate_run(root)
 
         # Loss-free: all 10 distinct valid lines survive; the root's
-        # duplicated (run, worker, seq) line collapses to one; both
-        # torn trailing lines are dropped rather than corrupting the
-        # merge.
+        # duplicated (run, worker, seq) line collapses to one; the torn
+        # trailing line is dropped rather than corrupting the read.
         assert len(aggregate.events) == 10
         keys = [(e["run"], e["worker"], e["seq"]) for e in aggregate.events]
         assert len(set(keys)) == len(keys)
@@ -297,8 +304,8 @@ class TestEventMerge:
             e.get("name") == "torn.in.hal" for e in aggregate.events
         )
 
-        # Ordered by wall clock even though worker-0 appended its
-        # ts=115 line after ts=120, and the sources interleave.
+        # Ordered by wall clock even though worker-0 shipped its
+        # ts=115 line after ts=120, and the workers interleave.
         timestamps = [e["ts"] for e in aggregate.events]
         assert timestamps == sorted(timestamps)
         assert [e["worker"] for e in aggregate.events[:3]] == [
@@ -306,21 +313,6 @@ class TestEventMerge:
         ]
         assert aggregate.run_id == RUN
         assert aggregate.sources == ["root", "worker-0", "worker-1"]
-
-    def test_merged_directory_reaggregates_identically(self, tmp_path):
-        root = make_synthetic_run(tmp_path / "run")
-        aggregate = aggregate_run(root)
-        write_merged(aggregate, tmp_path / "merged")
-        again = aggregate_run(tmp_path / "merged")
-        assert again.events == aggregate.events
-        assert again.metrics == aggregate.metrics
-        assert again.metric_kinds == aggregate.metric_kinds
-        assert [
-            (r.run, r.worker, r.context, r.record) for r in again.windows
-        ] == [
-            (r.run, r.worker, r.context, r.record)
-            for r in aggregate.windows
-        ]
 
     def test_legacy_events_without_context_still_merge(self, tmp_path):
         write_events(tmp_path / "events.jsonl", [
@@ -378,13 +370,8 @@ class TestConservation:
 
     def test_kind_conflict_refuses_to_merge(self, tmp_path):
         root = make_synthetic_run(tmp_path)
-        text = (root / "worker-1" / "metrics.prom").read_text()
-        (root / "worker-1" / "metrics.prom").write_text(
-            text.replace(
-                "# TYPE repro_engine_runs counter",
-                "# TYPE repro_engine_runs gauge",
-            )
-        )
+        with open(root / "metrics.prom", "a") as handle:
+            handle.write("# TYPE repro_engine_runs gauge\n")
         with pytest.raises(TelemetryError, match="refusing to merge"):
             aggregate_run(root)
 
@@ -651,10 +638,7 @@ class TestSupervisionReport:
             ev("root", 91, 141.0, kind="cell_requeued",
                pool_worker="worker-0", name="x"),
         ]
-        events = [
-            json.loads(line)
-            for line in (root / "events.jsonl").read_text().splitlines()
-        ]
+        events = read_jsonl(root / "events.jsonl")  # drops the torn tail
         write_events(root / "events.jsonl", events + extra)
         summary = summary_from_aggregate(aggregate_run(root))
         assert summary.supervision.died == 1
@@ -778,17 +762,11 @@ class TestReportGolden:
 
 
 class TestCli:
-    def test_merge_trace_report_diff_round_trip(self, tmp_path, capsys):
+    def test_trace_report_diff_round_trip(self, tmp_path, capsys):
         from repro.experiments.cli import main
 
         root = make_synthetic_run(tmp_path / "run")
-        assert main(["telemetry", "merge", str(root)]) == 0
-        merged = root / "merged"
-        assert (merged / "events.jsonl").exists()
-        assert (merged / "metrics.prom").exists()
-        assert not list(merged.glob("*.csv"))
-
-        assert main(["telemetry", "trace", str(merged),
+        assert main(["telemetry", "trace", str(root),
                      "--out", str(tmp_path / "trace.json")]) == 0
         trace = json.loads((tmp_path / "trace.json").read_text())
         for event in trace["traceEvents"]:
@@ -800,18 +778,10 @@ class TestCli:
         assert "run overview" in out
         assert "worker-1" in out
 
-        # A merged directory reports exactly what its run root does.
-        reports = []
-        for directory in (root, merged):
-            assert main(["telemetry", "report", str(directory),
-                         "--json"]) == 0
-            report = json.loads(capsys.readouterr().out)
-            assert report.pop("directory") == str(directory)
-            reports.append(report)
-        assert reports[0]["stages"]
-        assert reports[0] == reports[1]
+        assert main(["telemetry", "report", str(root), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["stages"]
 
-        assert main(["telemetry", "diff", str(root), str(merged)]) == 0
+        assert main(["telemetry", "diff", str(root), str(root)]) == 0
 
     def test_diff_exit_codes_and_threshold_flags(self, tmp_path, capsys):
         from repro.experiments.cli import main
@@ -841,15 +811,15 @@ class TestCli:
         assert main(["telemetry", "report", str(tmp_path / "t")]) == 0
         out = capsys.readouterr().out
         assert "telemetry report" in out
-        assert "run overview" not in out  # no worker dirs, plain path
+        assert "run overview" not in out  # no worker events, plain path
 
     def test_missing_directory_is_a_clean_error(self, tmp_path):
         from repro.experiments.cli import main
 
         with pytest.raises(SystemExit, match="no telemetry"):
-            main(["telemetry", "merge", str(tmp_path / "nope")])
+            main(["telemetry", "report", str(tmp_path / "nope")])
 
-    @pytest.mark.parametrize("action", ["merge", "trace", "diff", "report"])
+    @pytest.mark.parametrize("action", ["trace", "diff", "report"])
     def test_garbled_metrics_is_a_clean_error(self, tmp_path, action):
         from repro.experiments.cli import main
 
@@ -937,23 +907,20 @@ class TestExecutorIntegration:
         assert result.counts() == {"ok": 2}
 
         root = tmp_path / "telemetry"
-        assert (root / "worker-0").is_dir()
-        assert (root / "worker-1").is_dir()
+        assert not list(root.glob("worker-*"))
         aggregate = aggregate_run(root)
         assert aggregate.run_id == telemetry.run_context.run_id
         assert set(aggregate.sources) == {"root", "worker-0", "worker-1"}
 
-        # Conservation across processes: the merged span histogram
-        # count equals the sum over per-worker snapshots.
+        # Conservation across processes: the summed span counter
+        # equals the sum over the per-worker samples of the snapshot.
         per_worker = 0.0
-        for label, directory in discover_sources(root):
-            kinds, samples = observatory._read_metrics(
-                directory / "metrics.prom"
-            )
-            for name, labels, value in samples:
-                if (name == "repro_spans_total"
-                        and labels.get("name") == "sweep.cell"):
-                    per_worker += value
+        kinds, samples = observatory._read_metrics(root / "metrics.prom")
+        for name, labels, value in samples:
+            if (name == "repro_spans_total"
+                    and labels.get("name") == "sweep.cell"):
+                assert labels["worker"].startswith("worker-")
+                per_worker += value
         assert aggregate.metric_value(
             "repro_spans_total", name="sweep.cell") == per_worker
         assert per_worker == 2.0

@@ -23,7 +23,6 @@ from repro.telemetry.observatory import (
     render_diff,
     render_run_overview,
     summary_from_aggregate,
-    write_merged,
 )
 from repro.telemetry.profiling import (
     FLAME_FILE,
@@ -401,6 +400,49 @@ class TestProfilingSession:
         assert watermarks[0].peak_bytes == 30
         telemetry.close()
 
+    def test_worker_watermarks_ride_the_shipment_into_the_csv(
+        self, tmp_path
+    ):
+        def session_for(telemetry, tracker):
+            return ProfilingSession(
+                telemetry, 50.0,
+                profiler=SamplingProfiler(telemetry, hz=50.0),
+                memory_tracker=tracker,
+            )
+
+        parent = Telemetry(tmp_path, run_context=RunContext(RUN))
+        parent_tracker = MemoryTracker(tracer=FakeTracer())
+        parent.enable_profiling(
+            session=session_for(parent, parent_tracker)
+        )
+        worker = Telemetry.for_worker(
+            parent.run_context.child("worker-0"), parent.next_seq
+        )
+        worker_tracker = MemoryTracker(tracer=FakeTracer())
+        worker.enable_profiling(
+            session=session_for(worker, worker_tracker)
+        )
+        worker.profile.profiler.sample_once({1: ("mod:sim",)})
+        worker_tracker.enter("cell", "c-1")
+        worker_tracker._tracer.set(10, 40)
+        worker_tracker.exit("cell", "c-1")
+        worker.close()
+        parent.receive("worker-0", worker.ship())
+        parent.close()
+
+        assert not list(tmp_path.glob("worker-*"))
+        watermarks = read_memory_csv(tmp_path / MEMORY_FILE)
+        assert [(w.worker, w.name, w.peak_bytes) for w in watermarks] == [
+            ("worker-0", "c-1", 40),
+        ]
+        header = (tmp_path / MEMORY_FILE).read_text().splitlines()[0]
+        assert header.split(",")[-1] == "worker"
+        records = read_profile(tmp_path / PROFILE_FILE)
+        assert [(r["worker"], r["count"]) for r in records] == [
+            ("worker-0", 1),
+        ]
+        assert (tmp_path / FLAME_FILE).read_text() == "mod:sim 1\n"
+
     def test_enable_profiling_is_idempotent_and_emits_event(self, tmp_path):
         telemetry = Telemetry(tmp_path, run_context=RunContext(RUN))
         session = telemetry.enable_profiling(50.0)
@@ -540,20 +582,19 @@ class TestCardinalityGuard:
 
 
 def make_profiled_run(root):
-    """A synthetic run with root + two worker profiles."""
+    """A synthetic run whose one profile holds the root's samples and
+    those two workers shipped."""
     write_profile(root / PROFILE_FILE, [
         profile_record(5, spans=("sweep",), stack=("mod:loop",),
                        worker="root"),
-    ])
-    write_profile(root / "worker-0" / PROFILE_FILE, [
-        profile_record(10, spans=("sweep.cell",), stack=("mod:sim",)),
-        profile_record(4, spans=("sweep.cell",), stack=("mod:sim",)),
+        profile_record(10, spans=("sweep.cell",), stack=("mod:sim",),
+                       worker="worker-0"),
+        profile_record(6, spans=("sweep.cell",), stack=("mod:other",),
+                       worker="worker-1"),
+        profile_record(4, spans=("sweep.cell",), stack=("mod:sim",),
+                       worker="worker-0"),
     ], torn_tail=True)
-    write_profile(root / "worker-1" / PROFILE_FILE, [
-        profile_record(6, spans=("sweep.cell",), stack=("mod:other",)),
-    ])
-    (root / "worker-0" / "events.jsonl").write_text("")
-    (root / "worker-1" / "events.jsonl").write_text("")
+    (root / "events.jsonl").write_text("")
     return root
 
 
@@ -568,17 +609,6 @@ class TestObservatory:
         w0 = [r for r in aggregate.profiles
               if r.get("worker") == "worker-0"]
         assert len(w0) == 1 and w0[0]["count"] == 14
-
-    def test_write_merged_profile_reaggregates_identically(self, tmp_path):
-        aggregate = aggregate_run(make_profiled_run(tmp_path / "run"))
-        paths = write_merged(aggregate, tmp_path / "merged")
-        assert paths["profile"].name == PROFILE_FILE
-        again = aggregate_run(tmp_path / "merged")
-        assert again.profile_samples() == 25
-        assert (
-            again.profile_samples_by_worker()
-            == aggregate.profile_samples_by_worker()
-        )
 
     def test_overview_reports_profile_samples(self, tmp_path):
         aggregate = aggregate_run(make_profiled_run(tmp_path))
@@ -708,18 +738,21 @@ def test_parallel_profiled_sweep_merges_samples(tmp_path):
     assert result.counts() == {"ok": 2}
 
     root = tmp_path / "telemetry"
+    assert not list(root.glob("worker-*"))
     aggregate = aggregate_run(root)
     assert aggregate.profile_samples() > 0
-    # Conservation: the merged per-worker totals equal each worker
-    # directory's own profile.jsonl sum.
-    per_dir = {}
-    for label, directory in observatory.discover_sources(root):
-        count = total_samples(read_profile(directory / PROFILE_FILE))
-        if count:
-            per_dir[label] = count
-    assert aggregate.profile_samples_by_worker() == per_dir
-    assert sum(per_dir.values()) == aggregate.profile_samples()
-    # Both workers were sampled and wrote their own flame files.
-    for worker in ("worker-0", "worker-1"):
-        if per_dir.get(worker):
-            assert (root / worker / FLAME_FILE).exists()
+    # Conservation: each process's records in profile.jsonl sum to the
+    # samples its registry counted, shipped records and snapshots
+    # alike.
+    counted = {}
+    _, samples = observatory._read_metrics(root / "metrics.prom")
+    for name, labels, value in samples:
+        if name == "repro_profile_samples_total" and value:
+            counted[labels["worker"]] = int(value)
+    assert aggregate.profile_samples_by_worker() == counted
+    assert any(worker.startswith("worker-") for worker in counted)
+    # The parent's flame file folds every process's samples.
+    flame = (root / FLAME_FILE).read_text().splitlines()
+    assert sum(int(line.rsplit(" ", 1)[1]) for line in flame) == (
+        aggregate.profile_samples()
+    )
