@@ -250,7 +250,7 @@ def measure_serving(scale: float, reps: int) -> dict:
         stop = threading.Event()
         if serve:
             server = TelemetryServer(
-                directory, registry=telemetry.registry,
+                directory, telemetry=telemetry,
                 poll_interval_s=0.05,
             ).start()
 
@@ -347,7 +347,7 @@ def measure_profiling(scale: float, reps: int) -> dict:
             runner.evaluate(design, workload)
             elapsed = time.perf_counter() - start
         if hz is not None and telemetry.profile is not None:
-            samples = max(samples, telemetry.profile.profiler.samples)
+            samples = max(samples, telemetry.profile.samples)
         telemetry.close()
         shutil.rmtree(directory, ignore_errors=True)
         return elapsed

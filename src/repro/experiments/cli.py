@@ -29,16 +29,18 @@ Subcommands:
 - ``telemetry trace DIR [--out FILE]`` — export a Chrome trace_event
   JSON timeline (Perfetto / chrome://tracing).
 - ``telemetry diff BASELINE CANDIDATE`` — run-to-run regression diff
-  with configurable thresholds (including the sampled-hotspot shift
-  gate); exits 1 on regressions.
+  (span growth gated by ``--span-pct`` / ``--span-min-s``; hit-rate,
+  engine and sampled-hotspot gates at their defaults); exits 1 on
+  regressions.
 - ``telemetry flame DIR [--out FILE]`` — collapse a profiled run's
   ``profile.jsonl`` (root and workers) into one collapsed-stack
-  ``flame.folded`` flamegraph file.
+  ``flame.folded`` flamegraph file; the run itself writes none.
 - ``telemetry serve DIR [--host H] [--port P]`` — HTTP/SSE service
   over a telemetry directory (finished or still running): /metrics,
   /events (resumable SSE tail), /runs, /runs/<id>/progress, /healthz,
   /readyz. ``sweep --serve [PORT]`` starts the same server in-process
-  with a live registry and pool-heartbeat readiness.
+  with the live run's metrics (workers included) and pool-heartbeat
+  readiness.
 - ``telemetry watch URL|DIR [--interval S] [--once]`` — live ANSI
   dashboard over a serve URL or a directory: progress bars, rolling
   hit-rate gauges, worker liveness, recent supervision events.
@@ -49,9 +51,8 @@ Common options: ``--scale`` (capacity/footprint scale), ``--seed``,
 steady-state accounting), ``--telemetry DIR`` (record spans, metrics,
 and windowed time-series for the whole invocation), ``--profile [HZ]``
 (with ``--telemetry``: continuous profiling — sampled wall-clock
-stacks attributed to spans/cells; sweep workers inherit the
-profiler), ``--profile-memory`` (additionally record tracemalloc
-memory watermarks; expensive, opt-in).
+stacks attributed to spans/cells, appended to ``profile.jsonl``; sweep
+workers inherit the profiler).
 """
 
 from __future__ import annotations
@@ -277,17 +278,10 @@ def _run_resilient_sweep(args, runner: Runner, workloads) -> int:
         from repro.telemetry.live import TelemetryServer
 
         active = get_active()
-        live_registry = active.registry if isinstance(active, Telemetry) else None
-        labels = (
-            active.run_context.labels()
-            if isinstance(active, Telemetry) and active.run_context is not None
-            else None
-        )
         server = TelemetryServer(
             args.telemetry,
             port=args.serve,
-            registry=live_registry,
-            extra_labels=labels,
+            telemetry=active if isinstance(active, Telemetry) else None,
             readiness=executor.pool_snapshot,
             journal=args.journal or None,
         ).start()
@@ -444,13 +438,8 @@ def main(argv: list[str] | None = None) -> int:
         help="with --telemetry: continuously profile this invocation — "
         "sample wall-clock stacks at HZ samples/s (default "
         f"{DEFAULT_HZ:g}) attributed to spans/cells "
-        "(profile.jsonl + flame.folded); sweep workers profile too",
-    )
-    parser.add_argument(
-        "--profile-memory", action="store_true",
-        help="with --profile: also record tracemalloc memory "
-        "watermarks (memory_watermarks.csv); tracemalloc hooks every "
-        "allocation and slows simulation ~10x, so this is opt-in",
+        "(profile.jsonl; `telemetry flame DIR` renders the "
+        "flamegraph); sweep workers profile too",
     )
     parser.add_argument(
         "--workloads",
@@ -642,27 +631,6 @@ def main(argv: list[str] | None = None) -> int:
         help="span regression: and grew by more than S seconds "
         "(default 0.05)",
     )
-    telem_diff.add_argument(
-        "--hit-rate-abs", type=float, default=None, metavar="D",
-        help="hit-rate regression: absolute change above D "
-        "(default 0.005)",
-    )
-    telem_diff.add_argument(
-        "--vector-frac-abs", type=float, default=None, metavar="D",
-        help="engine regression: vectorized fraction dropped by more "
-        "than D (default 0.05)",
-    )
-    telem_diff.add_argument(
-        "--hotspot-abs", type=float, default=None, metavar="D",
-        help="hotspot regression: a profiled function's inclusive "
-        "sample share moved by more than D either way "
-        "(default 0.10 = 10 points)",
-    )
-    telem_diff.add_argument(
-        "--hotspot-min-samples", type=int, default=None, metavar="N",
-        help="arm the hotspot gate only when both runs hold at least "
-        "N samples (default 50)",
-    )
     telem_flame = telem_sub.add_parser(
         "flame",
         help="collapse a profiled run's profile.jsonl (root and "
@@ -689,8 +657,6 @@ def main(argv: list[str] | None = None) -> int:
                      "written into the telemetry directory)")
     if args.profile is not None and args.profile <= 0:
         parser.error(f"--profile rate must be positive, got {args.profile:g}")
-    if args.profile_memory and args.profile is None:
-        parser.error("--profile-memory requires --profile")
 
     telemetry = None
     if args.telemetry:
@@ -698,9 +664,7 @@ def main(argv: list[str] | None = None) -> int:
             args.telemetry, run_context=RunContext(new_run_id())
         )
         if args.profile is not None:
-            telemetry.enable_profiling(
-                args.profile, memory=args.profile_memory
-            )
+            telemetry.enable_profiling(args.profile)
         set_active(telemetry)
     try:
         return _dispatch(args, workloads)
@@ -811,18 +775,6 @@ def _telemetry_command(args) -> int:
         if args.span_min_s is not None:
             thresholds = dataclasses.replace(
                 thresholds, span_min_s=args.span_min_s)
-        if args.hit_rate_abs is not None:
-            thresholds = dataclasses.replace(
-                thresholds, hit_rate_abs=args.hit_rate_abs)
-        if args.vector_frac_abs is not None:
-            thresholds = dataclasses.replace(
-                thresholds, vector_fraction_abs=args.vector_frac_abs)
-        if args.hotspot_abs is not None:
-            thresholds = dataclasses.replace(
-                thresholds, hotspot_share_abs=args.hotspot_abs)
-        if args.hotspot_min_samples is not None:
-            thresholds = dataclasses.replace(
-                thresholds, hotspot_min_samples=args.hotspot_min_samples)
         baseline = observatory.aggregate_run(args.baseline)
         candidate = observatory.aggregate_run(args.candidate)
         diff = observatory.diff_runs(baseline, candidate, thresholds)

@@ -273,9 +273,8 @@ class SweepExecutor:
             (:class:`~repro.resilience.pool.PoolTuning`); None uses
             production defaults.
 
-    Pool workers take their telemetry directory, run context and
-    profiling rate from the campaign's telemetry: workers are profiled
-    when it is (see
+    Pool workers take their run context and profiling rate from the
+    campaign's telemetry: workers are profiled when it is (see
     :meth:`~repro.telemetry.core.Telemetry.enable_profiling`).
     """
 

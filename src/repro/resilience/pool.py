@@ -189,8 +189,8 @@ def _pool_worker(conn, cancel_event, payload: dict) -> None:
     recorded since its previous ack (:meth:`Telemetry.ship
     <repro.telemetry.core.Telemetry.ship>`: event lines, profile
     records, the registry's full metrics snapshot; None with telemetry
-    off), and the ``drained`` message carries the rest, memory
-    watermarks included, after the worker closes its telemetry. The
+    off), and the ``drained`` message carries the rest after the
+    worker closes its telemetry. The
     parent writes both into its own run directory, so no acked cell's
     telemetry is lost to a SIGKILL and no worker writes a file.
     """
@@ -212,8 +212,7 @@ def _pool_worker(conn, cancel_event, payload: dict) -> None:
     # (torn event lines, clobbered snapshots).
     set_active(telemetry)
     if payload["profile"] is not None:
-        hz, memory = payload["profile"]
-        telemetry.enable_profiling(hz, memory=memory)
+        telemetry.enable_profiling(payload["profile"])
 
     send_lock = threading.Lock()
 
@@ -378,7 +377,7 @@ class SupervisedPool:
             events and metrics, and receives what each worker's
             telemetry ships on its acks (workers record none unless it
             has a directory and a run context, which stamps every
-            worker); its profiling session's rate profiles every worker.
+            worker); its profiler's rate profiles every worker.
         worker_faults: a picklable
             :class:`~repro.resilience.faults.FaultInjector` each worker
             wraps around its evaluate (chaos testing).
@@ -452,7 +451,9 @@ class SupervisedPool:
         self._handles = []
         self._keep_going = keep_going
         self._failed_fast = False
-        self._next_index = 0
+        # A later pool of the same telemetry numbers on past the labels
+        # an earlier one shipped under.
+        self._next_index = self.tel.next_worker_index
         if on_result is not None:
             self._on_result = on_result
         if not self._pending:
@@ -526,10 +527,7 @@ class SupervisedPool:
                 if tel.directory is not None and context is not None
                 else None
             ),
-            "profile": (
-                (profile.hz, profile.memory is not None)
-                if profile is not None else None
-            ),
+            "profile": profile.hz if profile is not None else None,
             "runner_args": self.runner_args,
             "retry": self.retry,
             "worker_faults": self.worker_faults,

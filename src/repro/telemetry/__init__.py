@@ -22,8 +22,8 @@ progress while running. This package is that layer:
 - :mod:`repro.telemetry.report` — the ``telemetry report`` summary
   and its text / JSON renderers.
 - :mod:`repro.telemetry.profiling` — continuous profiling: a sampled
-  wall-clock stack profiler attributed to spans/cells (``flame.folded``
-  flamegraphs) and tracemalloc memory watermarks.
+  wall-clock stack profiler attributed to spans/cells, and the
+  ``flame.folded`` flamegraphs ``telemetry flame`` renders from it.
 - :mod:`repro.telemetry.live` — the live observability plane:
   :class:`TelemetryServer` (``telemetry serve`` / ``sweep --serve``)
   with Prometheus ``/metrics``, a resumable ``/events`` SSE stream,

@@ -37,7 +37,9 @@ directory: each worker's telemetry spools into memory, and every ack
 ships what it drained since the previous one (:meth:`Telemetry.ship`).
 The parent writes the shipment through its own logs
 (:meth:`Telemetry.receive`) and renders every worker's latest metrics
-snapshot beside its own registry into the one ``metrics.prom``.
+snapshot beside its own registry as one exposition
+(:meth:`Telemetry.render_metrics`): the ``metrics.prom`` it writes and
+the ``/metrics`` a live server answers with.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from repro.telemetry.registry import (
 )
 
 if TYPE_CHECKING:
-    from repro.telemetry.profiling import ProfilingSession
+    from repro.telemetry.profiling import SamplingProfiler
     from repro.telemetry.windows import WindowedCollector, WindowRecord
 
 #: Default profiler sampling rate (samples per second). Prime-ish on
@@ -176,15 +178,14 @@ class _Outbox:
     """A pool worker's stand-in for a telemetry directory.
 
     Event lines (through the :class:`JsonlEventLog` surface the spool
-    drains to), profile records (through ``append_many``, as the
-    profiling session writes them) and memory watermarks wait here
-    until :meth:`Telemetry.ship` hands them to the worker's next ack.
+    drains to) and profile records (through ``append_many``, as the
+    profiler writes them) wait here until :meth:`Telemetry.ship` hands
+    them to the worker's next ack.
     """
 
     def __init__(self) -> None:
         self.events: list[str] = []
         self.profile: list[dict] = []
-        self.memory: list = []
 
     def append_lines(self, lines: Iterable[str]) -> None:
         self.events.extend(lines)
@@ -199,11 +200,8 @@ class _Outbox:
 
     def take(self) -> dict:
         """Everything held, as a shipment; the outbox starts empty."""
-        shipment = {
-            "events": self.events, "profile": self.profile,
-            "memory": self.memory,
-        }
-        self.events, self.profile, self.memory = [], [], []
+        shipment = {"events": self.events, "profile": self.profile}
+        self.events, self.profile = [], []
         return shipment
 
 
@@ -276,7 +274,7 @@ class Telemetry:
         #: attributes each sampled thread's stack through them.
         self._thread_spans: dict[int, tuple[str, ...]] = {}
         self._thread_cells: dict[int, str] = {}
-        self._profile: ProfilingSession | None = None
+        self._profile: SamplingProfiler | None = None
         #: A pool worker's unshipped telemetry (see :meth:`for_worker`).
         self._outbox: _Outbox | None = None
         #: Each pool worker's latest metrics snapshot, by worker label
@@ -287,8 +285,8 @@ class Telemetry:
     def for_worker(
         cls, run_context: RunContext, first_seq: int
     ) -> "Telemetry":
-        """A pool worker's telemetry: no directory; its events, profile
-        records and memory watermarks wait in memory for :meth:`ship`.
+        """A pool worker's telemetry: no directory; its events and
+        profile records wait in memory for :meth:`ship`.
 
         ``first_seq`` is the parent's :attr:`next_seq` at spawn, so a
         worker label that a later pool, or a resumed run, reuses never
@@ -320,9 +318,6 @@ class Telemetry:
         self._thread_spans[threading.get_ident()] = tuple(
             s.name for s in stack
         )
-        profile = self._profile
-        if profile is not None:
-            profile.on_enter("span", span.name)
         return parent
 
     def _exit_span(self, span: Span, failed: bool) -> None:
@@ -334,9 +329,6 @@ class Telemetry:
             self._thread_spans[ident] = tuple(s.name for s in stack)
         else:
             self._thread_spans.pop(ident, None)
-        profile = self._profile
-        if profile is not None:
-            profile.on_exit("span", span.name)
         self.registry.counter("repro_spans_total", name=span.name).inc()
         self.registry.histogram(
             "repro_span_seconds", buckets=SPAN_SECONDS_BUCKETS, name=span.name
@@ -443,9 +435,6 @@ class Telemetry:
         self._stack.cell = cell_key
         ident = threading.get_ident()
         self._thread_cells[ident] = cell_key
-        profile = self._profile
-        if profile is not None:
-            profile.on_enter("cell", cell_key)
         try:
             yield
         finally:
@@ -454,8 +443,6 @@ class Telemetry:
                 self._thread_cells.pop(ident, None)
             else:
                 self._thread_cells[ident] = previous
-            if self._profile is not None:
-                self._profile.on_exit("cell", cell_key)
             self._drain_events()
             if self._events is not None:
                 self._events.flush()
@@ -523,29 +510,18 @@ class Telemetry:
     # -- profiling ------------------------------------------------------
 
     @property
-    def profile(self) -> ProfilingSession | None:
-        """The active profiling session, if one was enabled."""
+    def profile(self) -> SamplingProfiler | None:
+        """The active profiler, if one was enabled."""
         return self._profile
 
-    def enable_profiling(
-        self,
-        hz: float | None = None,
-        *,
-        memory: bool = False,
-        session: ProfilingSession | None = None,
-    ) -> ProfilingSession:
+    def enable_profiling(self, hz: float | None = None) -> SamplingProfiler:
         """Start continuous profiling on this telemetry (idempotent).
 
         Spawns the sampling thread (``hz`` samples/s, default
-        :data:`DEFAULT_HZ`) and, with ``memory=True``, the tracemalloc
-        watermark tracker. Sampling is nearly free (a wait-then-walk
-        thread); tracemalloc hooks every allocation and slows
-        allocation-heavy simulation by an order of magnitude, so memory
-        watermarks are strictly opt-in.
-        Samples drain to ``profile.jsonl`` on every :meth:`flush`;
-        ``flame.folded`` and ``memory_watermarks.csv`` are written on
-        :meth:`close`. ``session`` overrides the constructed session
-        (tests inject deterministic samplers).
+        :data:`DEFAULT_HZ`), a wait-then-walk thread that is nearly
+        free. Samples drain to ``profile.jsonl`` on every
+        :meth:`flush`; ``telemetry flame`` folds them into a
+        flamegraph on demand.
 
         Raises:
             ConfigError: ``hz`` is not positive.
@@ -554,28 +530,21 @@ class Telemetry:
             raise ConfigError(f"profiling rate must be positive, got {hz:g}")
         if self._profile is not None:
             return self._profile
-        if session is None:
-            from repro.telemetry.profiling import ProfilingSession
+        from repro.telemetry.profiling import SamplingProfiler
 
-            session = ProfilingSession(
-                self, hz if hz is not None else DEFAULT_HZ, memory=memory
-            )
-        self._profile = session
-        session.start()
-        self.event(
-            kind="profiling_started",
-            hz=session.hz,
-            memory=session.memory is not None,
-        )
-        return session
+        profiler = SamplingProfiler(self, hz if hz is not None else DEFAULT_HZ)
+        self._profile = profiler
+        profiler.start()
+        self.event(kind="profiling_started", hz=profiler.hz)
+        return profiler
 
     # -- pool workers ---------------------------------------------------
 
     def ship(self) -> dict:
         """What a :meth:`for_worker` telemetry recorded since its last
         shipment, for the next ack: ``events`` (lines already stamped
-        ``run`` / ``worker`` / ``seq``), ``profile`` records, ``memory``
-        watermarks, and the registry's full ``metrics`` snapshot."""
+        ``run`` / ``worker`` / ``seq``), ``profile`` records, and the
+        registry's full ``metrics`` snapshot."""
         profile = self._profile
         if profile is not None:
             # Samples drain before the snapshot counts them.
@@ -590,9 +559,9 @@ class Telemetry:
         telemetry's own.
 
         The event lines join the spool in arrival order and advance
-        :attr:`next_seq`; profile records and memory watermarks go to
-        the profiling session; the metrics snapshot replaces the
-        worker's previous one for the next :meth:`flush`.
+        :attr:`next_seq`; profile records go to the profiler; the
+        metrics snapshot replaces the worker's previous one in
+        :meth:`render_metrics`.
         """
         self._worker_metrics[worker] = shipment["metrics"]
         lines = shipment["events"]
@@ -603,39 +572,51 @@ class Telemetry:
             self._drain_events()
         profile = self._profile
         if profile is not None:
-            profile.receive(worker, shipment["profile"], shipment["memory"])
+            profile.receive(shipment["profile"])
+
+    @property
+    def next_worker_index(self) -> int:
+        """One past the highest ``worker-K`` label received: where a
+        later pool of this telemetry starts numbering its workers, so
+        no two processes share a label (nor a metrics snapshot)."""
+        return 1 + max(
+            (int(label.rpartition("-")[2]) for label in self._worker_metrics),
+            default=-1,
+        )
+
+    def render_metrics(self) -> str:
+        """The run's Prometheus exposition: the registry and every pool
+        worker's latest snapshot. With a :class:`RunContext` every
+        sample carries ``run`` / ``worker`` labels, which readers strip
+        to sum across workers."""
+        labels = (
+            self.run_context.labels() if self.run_context is not None else {}
+        )
+        snapshots = [(self.registry.snapshot(), labels)]
+        snapshots.extend(
+            (snapshot, dict(labels, worker=worker))
+            for worker, snapshot in sorted(self._worker_metrics.items())
+        )
+        return render_snapshots(snapshots)
 
     # -- lifecycle ------------------------------------------------------
 
     def flush(self) -> None:
         """Drain spooled events and write the Prometheus snapshot.
 
-        The snapshot is written atomically (write, fsync, rename), so a
-        process killed mid-flush leaves the previous complete snapshot,
-        never a torn one. It renders the registry and every pool
-        worker's latest snapshot as one exposition; with a
-        :class:`RunContext` every sample carries ``run`` / ``worker``
-        labels, which readers strip to sum across workers.
-        An active profiling session drains its sample deltas to
-        ``profile.jsonl`` first, so a flush is a durability point for
-        events, metrics and profiles alike.
+        The snapshot (:meth:`render_metrics`) is written atomically
+        (write, fsync, rename), so a process killed mid-flush leaves the
+        previous complete snapshot, never a torn one. An active profiler
+        drains its sample deltas to ``profile.jsonl`` first, so a flush
+        is a durability point for events, metrics and profiles alike.
         """
         profile = self._profile
         if profile is not None:
             profile.flush()
         self._drain_events()
         if self.directory is not None:
-            labels = (
-                self.run_context.labels()
-                if self.run_context is not None else {}
-            )
-            snapshots = [(self.registry.snapshot(), labels)]
-            snapshots.extend(
-                (snapshot, dict(labels, worker=worker))
-                for worker, snapshot in sorted(self._worker_metrics.items())
-            )
             atomic_write_text(
-                self.directory / METRICS_FILE, render_snapshots(snapshots)
+                self.directory / METRICS_FILE, self.render_metrics()
             )
 
     def close(self) -> None:
@@ -644,10 +625,7 @@ class Telemetry:
         if profile is not None:
             self._profile = None
             profile.close()
-            self.event(
-                kind="profiling_finished",
-                samples=profile.profiler.samples,
-            )
+            self.event(kind="profiling_finished", samples=profile.samples)
         with self._lock:
             pending = list(self._collectors)
         for collector in pending:
@@ -677,11 +655,12 @@ class NullTelemetry:
     registry = NULL_REGISTRY
     run_context = None
     profile = None
+    next_worker_index = 0
 
     def span(self, name: str, **meta) -> Span:
         return Span(name, meta, None)
 
-    def enable_profiling(self, hz=None, *, memory=False, session=None) -> None:
+    def enable_profiling(self, hz=None) -> None:
         return None
 
     def event(self, kind: str = "event", **fields) -> None:

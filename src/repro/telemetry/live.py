@@ -8,14 +8,16 @@ directory:
 
 - :class:`TelemetryServer` — a stdlib-only (``http.server``) HTTP
   service over a telemetry directory. Started in-process next to a
-  sweep (``sweep --serve [PORT]``) it renders the active registry
-  live and answers readiness from the supervised pool's heartbeats;
+  sweep (``sweep --serve [PORT]``) it renders the run's metrics live
+  and answers readiness from the supervised pool's heartbeats;
   started detached (``telemetry serve DIR``) it serves the on-disk
   artifacts of any run, finished or not. Endpoints:
 
   ========================  ==========================================
-  ``GET /metrics``          Prometheus text: live registry render
-                            (in-process) or ``metrics.prom`` bytes
+  ``GET /metrics``          Prometheus text: the exposition
+                            ``metrics.prom`` holds, rendered live
+                            with every worker's latest snapshot
+                            (in-process) or read from disk
                             (detached).
   ``GET /events``           SSE stream tailing the run's
                             ``events.jsonl`` (workers' events
@@ -416,9 +418,9 @@ class _LiveHandler(BaseHTTPRequestHandler):
         )
 
     def _serve_metrics(self) -> None:
-        registry = self.live.registry
-        if registry is not None:
-            text = registry.render_prometheus(self.live.extra_labels)
+        telemetry = self.live.telemetry
+        if telemetry is not None:
+            text = telemetry.render_metrics()
             self._send_body(200, text.encode(), PROM_CONTENT_TYPE)
             return
         path = self.live.directory / METRICS_FILE
@@ -491,11 +493,11 @@ class TelemetryServer:
             an explicit, trusted-network-only decision.
         port: TCP port; 0 picks an ephemeral one (read :attr:`port`
             after :meth:`start`).
-        registry: a live :class:`MetricsRegistry` to render for
-            ``/metrics`` (in-process mode); None serves the on-disk
-            ``metrics.prom`` instead (detached mode).
-        extra_labels: labels stamped onto live ``/metrics`` renders
-            (a run context's ``run`` / ``worker`` pair).
+        telemetry: the run's live
+            :class:`~repro.telemetry.core.Telemetry`, whose
+            :meth:`~repro.telemetry.core.Telemetry.render_metrics`
+            answers ``/metrics`` (in-process mode); None serves the
+            on-disk ``metrics.prom`` instead (detached mode).
         readiness: zero-arg callable returning a pool heartbeat
             snapshot (or None when idle) — typically
             ``executor.pool_snapshot``; judged by
@@ -512,8 +514,7 @@ class TelemetryServer:
         *,
         host: str = DEFAULT_HOST,
         port: int = 0,
-        registry=None,
-        extra_labels: dict[str, str] | None = None,
+        telemetry=None,
         readiness: Callable[[], dict | None] | None = None,
         journal: str | Path | None = None,
         poll_interval_s: float = 0.1,
@@ -522,8 +523,7 @@ class TelemetryServer:
         self.directory = Path(directory)
         self.host = host
         self.port = int(port)
-        self.registry = registry
-        self.extra_labels = extra_labels
+        self.telemetry = telemetry
         self.readiness = readiness
         self.poll_interval_s = float(poll_interval_s)
         self.keepalive_s = float(keepalive_s)

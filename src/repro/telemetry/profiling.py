@@ -1,50 +1,36 @@
-"""Continuous profiling: sampled wall-clock stacks + memory watermarks.
+"""Continuous profiling: sampled wall-clock stacks.
 
-Two low-overhead observers that ride along with a live
-:class:`~repro.telemetry.core.Telemetry`:
+A :class:`SamplingProfiler` rides along with a live
+:class:`~repro.telemetry.core.Telemetry`: a daemon thread wakes at a
+configurable rate (default :data:`~repro.telemetry.core.DEFAULT_HZ`),
+walks ``sys._current_frames()`` and attributes each thread's stack to
+that thread's active span stack (``runner.prepare`` →
+``hierarchy.run`` → …) and sweep cell. Aggregated counts are drained
+to an append-only ``profile.jsonl`` (same torn-tail discipline as
+``events.jsonl``) at every telemetry flush. Sampling costs nothing on
+the simulate hot loop — the sampled threads never cooperate, they are
+only observed.
 
-- :class:`SamplingProfiler` — a daemon thread wakes at a configurable
-  rate (default :data:`~repro.telemetry.core.DEFAULT_HZ`), walks
-  ``sys._current_frames()`` and attributes each thread's stack to that
-  thread's active span stack (``runner.prepare`` → ``hierarchy.run`` →
-  …) and sweep cell.
-  Aggregated counts are drained to an append-only ``profile.jsonl``
-  (same torn-tail discipline as ``events.jsonl``) at every telemetry
-  flush, and collapsed to a flamegraph-ready ``flame.folded`` on
-  close. Sampling costs nothing on the simulate hot loop — the
-  sampled threads never cooperate, they are only observed.
-- :class:`MemoryTracker` — ``tracemalloc``-based per-phase/per-cell
-  peak watermarks: at every span/cell boundary the global peak since
-  the previous boundary is attributed to *all* open phases (inclusive
-  semantics) and then reset, yielding a true per-phase peak despite
-  tracemalloc's single global counter. Written as
-  ``memory_watermarks.csv`` in the telemetry directory, one row per
-  phase with the ``worker`` that recorded it.
+Enabled via ``Telemetry.enable_profiling(hz)`` or the CLI's
+``--profile [HZ]``. A sweep's pool workers profile at the parent's
+rate and ship their records on their acks; the parent's profiler
+writes them beside its own, each record keeping its ``worker``.
+``telemetry flame DIR`` folds a run's records into a collapsed-stack
+``flame.folded`` on demand (:func:`render_flame`).
 
-Both are bundled by :class:`ProfilingSession`, enabled via
-``Telemetry.enable_profiling(hz)`` or the CLI's ``--profile [HZ]``.
-A sweep's pool workers profile at the parent's rate and ship their
-records and watermarks on their acks; the parent's session writes
-them beside its own, each record keeping its ``worker``.
-
-Determinism for tests: the sampler's clock, thread-stack collector and
-the memory tracker's ``tracemalloc`` module are all injectable, and
-:meth:`SamplingProfiler.sample_once` can be driven directly without
-any background thread.
+Determinism for tests: :meth:`SamplingProfiler.sample_once` takes
+injected thread stacks and can be driven directly without any
+background thread.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import sys
 import threading
-import time
-import tracemalloc
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from repro.telemetry.core import DEFAULT_HZ
 from repro.telemetry.exporters import (
@@ -54,20 +40,14 @@ from repro.telemetry.exporters import (
 )
 
 #: Deepest stack recorded per sample; frames below are dropped.
-DEFAULT_MAX_DEPTH = 64
+MAX_DEPTH = 64
 
 #: File names inside a telemetry directory.
 PROFILE_FILE = "profile.jsonl"
 FLAME_FILE = "flame.folded"
-MEMORY_FILE = "memory_watermarks.csv"
 
 #: Stage label for samples taken outside any span.
 NO_STAGE = "(no stage)"
-
-#: Column order of ``memory_watermarks.csv``.
-MEMORY_COLUMNS: tuple[str, ...] = (
-    "kind", "name", "enter_bytes", "exit_bytes", "peak_bytes", "worker"
-)
 
 
 # ----------------------------------------------------------------------
@@ -100,15 +80,13 @@ def frame_label(code) -> str:
     return label
 
 
-def collect_stacks(
-    max_depth: int = DEFAULT_MAX_DEPTH,
-) -> dict[int, tuple[str, ...]]:
+def collect_stacks() -> dict[int, tuple[str, ...]]:
     """Root-first frame-label stacks of every live thread, by ident."""
     stacks: dict[int, tuple[str, ...]] = {}
     for ident, frame in sys._current_frames().items():
         labels: list[str] = []
         depth = 0
-        while frame is not None and depth < max_depth:
+        while frame is not None and depth < MAX_DEPTH:
             labels.append(frame_label(frame.f_code))
             frame = frame.f_back
             depth += 1
@@ -128,34 +106,24 @@ SampleKey = tuple[tuple[str, ...], "str | None", tuple[str, ...]]
 class SamplingProfiler:
     """Wall-clock stack sampler attributing samples to spans and cells.
 
+    Drains its counts to ``profile.jsonl`` on every telemetry flush, so
+    per-cell flushes persist samples with the same durability as
+    events. A pool worker's profiler keeps its records in the
+    telemetry's outbox instead, for the parent's profiler to
+    :meth:`receive`.
+
     Args:
         telemetry: the owning telemetry; its per-thread span/cell
-            registries provide the attribution.
+            registries provide the attribution, and its directory (or
+            a pool worker's outbox) receives the records.
         hz: samples per second (> 0).
-        max_depth: deepest stack recorded per sample.
-        stacks_fn: stack collector override (tests inject synthetic
-            stacks); default walks ``sys._current_frames()``.
-        clock: monotonic clock for the started/elapsed bookkeeping.
     """
 
-    def __init__(
-        self,
-        telemetry,
-        hz: float = DEFAULT_HZ,
-        *,
-        max_depth: int = DEFAULT_MAX_DEPTH,
-        stacks_fn: Callable[[], Mapping[int, Sequence[str]]] | None = None,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
+    def __init__(self, telemetry, hz: float = DEFAULT_HZ) -> None:
         if hz <= 0:
             raise ValueError(f"profiler hz must be positive, got {hz}")
         self.telemetry = telemetry
         self.hz = float(hz)
-        self.max_depth = int(max_depth)
-        self._stacks_fn = stacks_fn or (
-            lambda: collect_stacks(self.max_depth)
-        )
-        self._clock = clock
         self._counts: Counter = Counter()
         self._samples = 0
         self._lock = threading.Lock()
@@ -163,6 +131,11 @@ class SamplingProfiler:
         self._thread: threading.Thread | None = None
         #: Thread idents never attributed (the sampler itself).
         self._ignore: set[int] = set()
+        #: A pool worker's outbox (see ``Telemetry.for_worker``).
+        self._log = getattr(telemetry, "_outbox", None)
+        directory = getattr(telemetry, "directory", None)
+        if directory is not None:
+            self._log = JsonlEventLog(Path(directory) / PROFILE_FILE)
 
     @property
     def samples(self) -> int:
@@ -180,7 +153,7 @@ class SamplingProfiler:
         telemetry's live per-thread registries.
         """
         if stacks is None:
-            stacks = self._stacks_fn()
+            stacks = collect_stacks()
         spans_by_thread = getattr(self.telemetry, "_thread_spans", {})
         cells_by_thread = getattr(self.telemetry, "_thread_cells", {})
         counted = 0
@@ -229,146 +202,51 @@ class SamplingProfiler:
         thread.join(timeout=10.0)
         self._thread = None
 
+    # -- persistence -----------------------------------------------------
 
-# ----------------------------------------------------------------------
-# Memory watermarks
-# ----------------------------------------------------------------------
+    def _record(self, key: SampleKey, count: int) -> dict:
+        spans, cell, stack = key
+        record: dict = {
+            "kind": "profile",
+            "hz": self.hz,
+            "count": count,
+            "spans": list(spans),
+            "stack": list(stack),
+        }
+        if cell is not None:
+            record["cell"] = cell
+        context = getattr(self.telemetry, "run_context", None)
+        if context is not None:
+            record["run"] = context.run_id
+            record["worker"] = context.worker_id
+        return record
 
+    def flush(self) -> None:
+        """Drain sample deltas to ``profile.jsonl`` + sample counter."""
+        delta, drained = self.drain()
+        if self._log is not None and delta:
+            ordered = sorted(
+                delta.items(),
+                key=lambda kv: (kv[0][0], kv[0][1] or "", kv[0][2]),
+            )
+            self._log.append_many(
+                self._record(key, count) for key, count in ordered
+            )
+        if drained:
+            self.telemetry.counter("repro_profile_samples_total").inc(drained)
 
-@dataclass(frozen=True)
-class MemoryWatermark:
-    """Peak traced memory while one span/cell was open (inclusive)."""
-
-    kind: str  # "span" | "cell"
-    name: str
-    enter_bytes: int
-    exit_bytes: int
-    peak_bytes: int
-    worker: str = "root"  # the process that recorded it
-
-
-class _OpenPhase:
-    __slots__ = ("kind", "name", "enter_bytes", "peak")
-
-    def __init__(self, kind: str, name: str, enter_bytes: int) -> None:
-        self.kind = kind
-        self.name = name
-        self.enter_bytes = enter_bytes
-        self.peak = enter_bytes
-
-
-class MemoryTracker:
-    """``tracemalloc`` watermarks attributed per phase and per cell.
-
-    tracemalloc keeps one *global* peak; per-phase peaks are recovered
-    by resetting it at every span/cell boundary and attributing each
-    interval's peak to every phase open during the interval. That makes
-    the recorded peaks *inclusive* (a parent span's watermark covers
-    its children), matching the sampler's inclusive attribution.
-
-    Args:
-        tracer: the tracemalloc module (tests inject a fake with the
-            same ``start/stop/is_tracing/get_traced_memory/reset_peak``
-            surface).
-    """
-
-    def __init__(self, tracer=tracemalloc) -> None:
-        self._tracer = tracer
-        self._lock = threading.Lock()
-        self._open: list[_OpenPhase] = []
-        self._started_here = False
-        self.records: list[MemoryWatermark] = []
-
-    def start(self) -> None:
-        """Start tracing (no-op if something else already traces)."""
-        if not self._tracer.is_tracing():
-            self._tracer.start()
-            self._started_here = True
-
-    def _boundary(self) -> int:
-        current, peak = self._tracer.get_traced_memory()
-        high = max(current, peak)
-        for phase in self._open:
-            if high > phase.peak:
-                phase.peak = high
-        self._tracer.reset_peak()
-        return current
-
-    def enter(self, kind: str, name: str) -> None:
-        """A span/cell opened."""
-        with self._lock:
-            current = self._boundary()
-            self._open.append(_OpenPhase(kind, name, current))
-
-    def exit(self, kind: str, name: str) -> None:
-        """A span/cell closed: record its inclusive peak watermark."""
-        with self._lock:
-            current = self._boundary()
-            for index in range(len(self._open) - 1, -1, -1):
-                phase = self._open[index]
-                if phase.kind == kind and phase.name == name:
-                    del self._open[index]
-                    self.records.append(
-                        MemoryWatermark(
-                            kind=kind,
-                            name=name,
-                            enter_bytes=phase.enter_bytes,
-                            exit_bytes=current,
-                            peak_bytes=max(phase.peak, current),
-                        )
-                    )
-                    return
+    def receive(self, records: list[dict]) -> None:
+        """Write a pool worker's shipped profile records (already
+        stamped with their ``worker``)."""
+        if self._log is not None and records:
+            self._log.append_many(records)
 
     def close(self) -> None:
-        """Close out any still-open phases and stop tracing if owned."""
-        with self._lock:
-            current = self._boundary()
-            while self._open:
-                phase = self._open.pop()
-                self.records.append(
-                    MemoryWatermark(
-                        kind=phase.kind,
-                        name=phase.name,
-                        enter_bytes=phase.enter_bytes,
-                        exit_bytes=current,
-                        peak_bytes=max(phase.peak, current),
-                    )
-                )
-        if self._started_here and self._tracer.is_tracing():
-            self._tracer.stop()
-
-
-def write_memory_csv(
-    records: Sequence[MemoryWatermark], path: str | Path
-) -> Path:
-    """Write memory watermarks as CSV, atomically (one row per exit)."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(MEMORY_COLUMNS)
-    for record in records:
-        writer.writerow([
-            record.kind, record.name, record.enter_bytes,
-            record.exit_bytes, record.peak_bytes, record.worker,
-        ])
-    return atomic_write_text(path, buffer.getvalue())
-
-
-def read_memory_csv(path: str | Path) -> list[MemoryWatermark]:
-    """Load watermarks written by :func:`write_memory_csv`."""
-    records: list[MemoryWatermark] = []
-    with open(path, newline="") as handle:
-        for row in csv.DictReader(handle):
-            records.append(
-                MemoryWatermark(
-                    kind=row["kind"],
-                    name=row["name"],
-                    enter_bytes=int(row["enter_bytes"]),
-                    exit_bytes=int(row["exit_bytes"]),
-                    peak_bytes=int(row["peak_bytes"]),
-                    worker=row.get("worker") or "root",
-                )
-            )
-    return records
+        """Stop sampling, final-drain and close the log."""
+        self.stop()
+        self.flush()
+        if self._log is not None:
+            self._log.close()
 
 
 # ----------------------------------------------------------------------
@@ -516,123 +394,3 @@ def hotspot_digests(
                 )
             )
     return digests
-
-
-# ----------------------------------------------------------------------
-# Session: sampler + memory tracker + artifact lifecycle
-# ----------------------------------------------------------------------
-
-
-class ProfilingSession:
-    """One telemetry's profiling lifecycle.
-
-    Owns a :class:`SamplingProfiler` and (optionally) a
-    :class:`MemoryTracker`; drains sampler deltas to ``profile.jsonl``
-    on every telemetry flush (so per-cell flushes persist samples with
-    the same durability as events) and writes ``flame.folded`` +
-    ``memory_watermarks.csv`` on close. A pool worker's session keeps
-    both in its telemetry's outbox instead, for the parent's session
-    to :meth:`receive`.
-    """
-
-    def __init__(
-        self,
-        telemetry,
-        hz: float = DEFAULT_HZ,
-        *,
-        memory: bool = True,
-        profiler: SamplingProfiler | None = None,
-        memory_tracker: MemoryTracker | None = None,
-    ) -> None:
-        self.telemetry = telemetry
-        self.hz = float(hz)
-        self.profiler = profiler or SamplingProfiler(telemetry, self.hz)
-        self.memory = memory_tracker or (MemoryTracker() if memory else None)
-        #: A pool worker's outbox (see ``Telemetry.for_worker``).
-        self._outbox = getattr(telemetry, "_outbox", None)
-        self._log = self._outbox
-        directory = getattr(telemetry, "directory", None)
-        if directory is not None:
-            self._log = JsonlEventLog(Path(directory) / PROFILE_FILE)
-
-    def start(self) -> None:
-        """Start the memory tracer and the sampling thread."""
-        if self.memory is not None:
-            self.memory.start()
-        self.profiler.start()
-
-    # -- telemetry hooks -------------------------------------------------
-
-    def on_enter(self, kind: str, name: str) -> None:
-        if self.memory is not None:
-            self.memory.enter(kind, name)
-
-    def on_exit(self, kind: str, name: str) -> None:
-        if self.memory is not None:
-            self.memory.exit(kind, name)
-
-    # -- persistence -----------------------------------------------------
-
-    def _record(self, key: SampleKey, count: int) -> dict:
-        spans, cell, stack = key
-        record: dict = {
-            "kind": "profile",
-            "hz": self.hz,
-            "count": count,
-            "spans": list(spans),
-            "stack": list(stack),
-        }
-        if cell is not None:
-            record["cell"] = cell
-        context = getattr(self.telemetry, "run_context", None)
-        if context is not None:
-            record["run"] = context.run_id
-            record["worker"] = context.worker_id
-        return record
-
-    def flush(self) -> None:
-        """Drain sampler deltas to ``profile.jsonl`` + sample counter."""
-        delta, drained = self.profiler.drain()
-        if self._log is not None and delta:
-            ordered = sorted(
-                delta.items(),
-                key=lambda kv: (kv[0][0], kv[0][1] or "", kv[0][2]),
-            )
-            self._log.append_many(
-                self._record(key, count) for key, count in ordered
-            )
-        if drained:
-            self.telemetry.counter("repro_profile_samples_total").inc(drained)
-
-    def receive(
-        self, worker: str, records: list[dict],
-        watermarks: list[MemoryWatermark],
-    ) -> None:
-        """Write a pool worker's shipped profile records (stamped with
-        their ``worker``) and keep its memory watermarks for the CSV."""
-        if self._log is not None and records:
-            self._log.append_many(records)
-        if self.memory is not None:
-            self.memory.records.extend(
-                replace(watermark, worker=worker) for watermark in watermarks
-            )
-
-    def close(self) -> None:
-        """Stop sampling, final-drain, and write the derived artifacts."""
-        self.profiler.stop()
-        self.flush()
-        if self._log is not None:
-            self._log.close()
-        if self.memory is not None:
-            self.memory.close()
-            if self._outbox is not None:
-                self._outbox.memory.extend(self.memory.records)
-        directory = getattr(self.telemetry, "directory", None)
-        if directory is None:
-            return
-        directory = Path(directory)
-        records = read_profile(directory / PROFILE_FILE)
-        if records:
-            write_flame(records, directory / FLAME_FILE)
-        if self.memory is not None and self.memory.records:
-            write_memory_csv(self.memory.records, directory / MEMORY_FILE)

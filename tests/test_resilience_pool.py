@@ -151,35 +151,51 @@ class TestSupervisedHappyPath:
         self, trace_cache, tmp_path
     ):
         """``--screen-analytic`` runs an analytic pool, then an exact
-        one, under one run id, and both spawn a ``worker-0``: the run
-        directory still holds one log and one snapshot, no
-        ``(run, worker, seq)`` repeats, and every cell either pool ran
-        kept its worker's ``sweep.cell`` span."""
+        one, under one run id, and the exact pool numbers its workers
+        past the analytic pool's: the profiled run's directory holds
+        one log, one snapshot and one profile, no worker label or
+        ``(run, worker, seq)`` repeats, every cell either pool ran
+        kept its worker's ``sweep.cell`` span, and the metrics count
+        every worker's spans and samples."""
         from repro.experiments.cli import main
+        from repro.telemetry.profiling import read_profile, total_samples
 
         root = tmp_path / "tel"
         assert main([
             "--scale", str(SCALE), "--seed", "5", "--workloads", "CG",
             "--trace-cache", trace_cache, "--telemetry", str(root),
+            "--profile", "250",
             "sweep", "--designs", "REF,NMM:PCM:N6,4LC:EDRAM:EH4",
             "--screen-analytic", "1", "--workers", "2",
             "--journal", str(tmp_path / "j.jsonl"),
         ]) == 0
         assert sorted(p.name for p in root.iterdir()) == [
-            "events.jsonl", "metrics.prom",
+            "events.jsonl", "metrics.prom", "profile.jsonl",
         ]
         events = read_events(root)
         keys = [(e["run"], e["worker"], e["seq"]) for e in events]
         assert len(keys) == len(set(keys))
         assert len({e["run"] for e in events}) == 1
         spawned = [e for e in events if e["kind"] == "worker_spawned"]
-        assert [e["pool_worker"] for e in spawned].count("worker-0") == 2
+        labels = [e["pool_worker"] for e in spawned]
+        assert len(labels) == len(set(labels)) > 2, labels
         cells = sum(e["kind"] == "cell_finished" for e in events)
-        worker_cells = [
+        cell_spans = [
             e for e in aggregate_run(root).events
-            if e["worker"] != "root" and e.get("name") == "sweep.cell"
+            if e["kind"] == "span" and e["name"] == "sweep.cell"
         ]
+        worker_cells = [e for e in cell_spans if e["worker"] != "root"]
         assert len(worker_cells) == cells > 3
+        spans_total = samples_total = 0
+        for name, labels, value in _read_metrics(root / "metrics.prom")[1]:
+            if name == "repro_spans_total" and labels["name"] == "sweep.cell":
+                spans_total += value
+            elif name == "repro_profile_samples_total":
+                samples_total += value
+        assert spans_total == len(cell_spans)
+        assert samples_total == total_samples(
+            read_profile(root / "profile.jsonl")
+        )
 
 
 class TestCrashRecovery:

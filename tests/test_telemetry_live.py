@@ -11,7 +11,7 @@ import pytest
 
 from repro.errors import TelemetryError
 from repro.resilience.journal import JournalEntry
-from repro.telemetry.core import Telemetry
+from repro.telemetry.core import RunContext, Telemetry
 from repro.telemetry.exporters import JsonlTailer
 from repro.telemetry.live import (
     EventCursor,
@@ -423,16 +423,29 @@ class TestTelemetryServer:
 
     def test_live_registry_overrides_disk(self, tmp_path):
         make_run(tmp_path)
-        registry = MetricsRegistry()
-        registry.counter("repro_live_probe").inc(7)
-        server = TelemetryServer(
-            tmp_path, registry=registry, extra_labels={"run": "r1"}
-        )
-        with server:
+        telemetry = Telemetry(run_context=RunContext("r1"))
+        telemetry.counter("repro_live_probe").inc(7)
+        with TelemetryServer(tmp_path, telemetry=telemetry) as server:
             status, body = http_get(server.url + "/metrics")
             assert status == 200
-            assert 'repro_live_probe{run="r1"} 7' in body
+            assert 'repro_live_probe{run="r1",worker="root"} 7' in body
             assert "repro_cells" not in body  # disk file not consulted
+
+    def test_live_metrics_include_received_worker_snapshots(self, tmp_path):
+        parent = Telemetry(tmp_path, run_context=RunContext("r1"))
+        worker = Telemetry.for_worker(
+            parent.run_context.child("worker-0"), parent.next_seq
+        )
+        worker.counter("repro_live_probe").inc(3)
+        parent.receive("worker-0", worker.ship())
+        with TelemetryServer(tmp_path, telemetry=parent) as server:
+            status, body = http_get(server.url + "/metrics")
+        assert status == 200
+        assert 'repro_live_probe{run="r1",worker="worker-0"} 3' in body
+        # Live /metrics is the exposition the flush writes.
+        parent.flush()
+        assert (tmp_path / "metrics.prom").read_text() == body
+        parent.close()
 
     def test_readyz_flips_with_pool_state(self, tmp_path):
         make_run(tmp_path)

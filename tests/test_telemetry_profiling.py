@@ -1,4 +1,4 @@
-"""Continuous profiling: sampler, watermarks, merge, spool fast path."""
+"""Continuous profiling: sampler, records, merge, spool fast path."""
 
 from __future__ import annotations
 
@@ -26,23 +26,18 @@ from repro.telemetry.observatory import (
 )
 from repro.telemetry.profiling import (
     FLAME_FILE,
-    MEMORY_FILE,
     NO_STAGE,
     PROFILE_FILE,
-    MemoryTracker,
-    ProfilingSession,
     SamplingProfiler,
     fold_records,
     frame_label,
     function_shares,
     hotspot_digests,
     merge_records,
-    read_memory_csv,
     read_profile,
     render_flame,
     total_samples,
     write_flame,
-    write_memory_csv,
 )
 from repro.telemetry.registry import (
     DROPPED_SERIES_METRIC,
@@ -178,87 +173,6 @@ class TestSamplingProfiler:
 
 
 # ----------------------------------------------------------------------
-# Memory watermarks
-# ----------------------------------------------------------------------
-
-
-class FakeTracer:
-    """tracemalloc stand-in with a scriptable (current, peak) series."""
-
-    def __init__(self):
-        self.current = 0
-        self.peak = 0
-        self.tracing = False
-
-    def is_tracing(self):
-        return self.tracing
-
-    def start(self):
-        self.tracing = True
-
-    def stop(self):
-        self.tracing = False
-
-    def get_traced_memory(self):
-        return self.current, self.peak
-
-    def reset_peak(self):
-        self.peak = self.current
-
-    def set(self, current, peak):
-        self.current, self.peak = current, peak
-
-
-class TestMemoryTracker:
-    def test_inclusive_peaks_across_nested_phases(self):
-        tracer = FakeTracer()
-        tracker = MemoryTracker(tracer=tracer)
-        tracker.start()
-        tracker.enter("span", "outer")
-        tracer.set(100, 150)
-        tracker.enter("span", "inner")
-        tracer.set(120, 500)  # the spike lands while both are open
-        tracker.exit("span", "inner")
-        tracer.set(90, 130)
-        tracker.exit("span", "outer")
-        tracker.close()
-        by_name = {r.name: r for r in tracker.records}
-        assert by_name["inner"].peak_bytes == 500
-        assert by_name["outer"].peak_bytes == 500  # inclusive of child
-        assert by_name["inner"].enter_bytes == 100
-        assert by_name["outer"].exit_bytes == 90
-        assert not tracer.tracing  # owned tracer stopped on close
-
-    def test_close_flushes_still_open_phases(self):
-        tracer = FakeTracer()
-        tracker = MemoryTracker(tracer=tracer)
-        tracker.start()
-        tracker.enter("cell", "c-1")
-        tracer.set(40, 80)
-        tracker.close()
-        assert [r.name for r in tracker.records] == ["c-1"]
-        assert tracker.records[0].peak_bytes == 80
-
-    def test_foreign_tracer_is_left_running(self):
-        tracer = FakeTracer()
-        tracer.start()  # someone else already traces
-        tracker = MemoryTracker(tracer=tracer)
-        tracker.start()
-        tracker.close()
-        assert tracer.tracing
-
-    def test_csv_roundtrip(self, tmp_path):
-        tracer = FakeTracer()
-        tracker = MemoryTracker(tracer=tracer)
-        tracker.start()
-        tracker.enter("span", "s")
-        tracer.set(10, 20)
-        tracker.exit("span", "s")
-        path = write_memory_csv(tracker.records, tmp_path / MEMORY_FILE)
-        assert read_memory_csv(path) == tracker.records
-
-
-# ----------------------------------------------------------------------
 # Profile records: merge, fold, shares, hotspots
 # ----------------------------------------------------------------------
 
@@ -339,23 +253,19 @@ class TestProfileRecords:
 
 
 class TestProfilingSession:
-    def make_session(self, tmp_path, memory=False):
+    def make_session(self, tmp_path):
         telemetry = Telemetry(
             tmp_path, run_context=RunContext(RUN, "worker-0")
         )
-        profiler = SamplingProfiler(telemetry, hz=50.0)
-        session = ProfilingSession(
-            telemetry, 50.0, memory=memory, profiler=profiler
-        )
-        return telemetry, session
+        return telemetry, SamplingProfiler(telemetry, 50.0)
 
     def test_flush_writes_stamped_records_and_counter(self, tmp_path):
-        telemetry, session = self.make_session(tmp_path)
+        telemetry, profiler = self.make_session(tmp_path)
         ident = threading.get_ident()
         with telemetry.span("runner.prepare"):
-            session.profiler.sample_once({ident: ("mod:a",)})
-            session.profiler.sample_once({ident: ("mod:a",)})
-        session.flush()
+            profiler.sample_once({ident: ("mod:a",)})
+            profiler.sample_once({ident: ("mod:a",)})
+        profiler.flush()
         records = read_profile(tmp_path / PROFILE_FILE)
         assert len(records) == 1
         assert records[0]["count"] == 2
@@ -366,93 +276,58 @@ class TestProfilingSession:
         assert telemetry.registry.counter(
             "repro_profile_samples_total"
         ).value == 2
-        session.close()
+        profiler.close()
         telemetry.close()
 
-    def test_flushes_append_deltas_and_close_writes_flame(self, tmp_path):
-        telemetry, session = self.make_session(tmp_path)
+    def test_flushes_append_deltas_and_flame_sums_them(self, tmp_path):
+        from repro.experiments.cli import main
+
+        telemetry, profiler = self.make_session(tmp_path)
         ident = threading.get_ident()
-        session.profiler.sample_once({ident: ("mod:a",)})
-        session.flush()
-        session.profiler.sample_once({ident: ("mod:a",)})
-        session.close()  # final drain + flame.folded
+        profiler.sample_once({ident: ("mod:a",)})
+        profiler.flush()
+        profiler.sample_once({ident: ("mod:a",)})
+        profiler.close()  # final drain; the flamegraph is on demand
+        telemetry.close()
         records = read_profile(tmp_path / PROFILE_FILE)
         assert [r["count"] for r in records] == [1, 1]  # deltas, not totals
+        assert not (tmp_path / FLAME_FILE).exists()
+        assert main(["telemetry", "flame", str(tmp_path)]) == 0
         flame = (tmp_path / FLAME_FILE).read_text()
         assert flame == "mod:a 2\n"  # readers sum the deltas
-        telemetry.close()
 
-    def test_memory_csv_written_on_close(self, tmp_path):
-        telemetry = Telemetry(tmp_path)
-        tracker = MemoryTracker(tracer=FakeTracer())
-        session = ProfilingSession(
-            telemetry, 50.0,
-            profiler=SamplingProfiler(telemetry, hz=50.0),
-            memory_tracker=tracker,
-        )
-        session.start()
-        session.on_enter("span", "s")
-        tracker._tracer.set(10, 30)
-        session.on_exit("span", "s")
-        session.close()
-        watermarks = read_memory_csv(tmp_path / MEMORY_FILE)
-        assert [w.name for w in watermarks] == ["s"]
-        assert watermarks[0].peak_bytes == 30
-        telemetry.close()
-
-    def test_worker_watermarks_ride_the_shipment_into_the_csv(
-        self, tmp_path
-    ):
-        def session_for(telemetry, tracker):
-            return ProfilingSession(
-                telemetry, 50.0,
-                profiler=SamplingProfiler(telemetry, hz=50.0),
-                memory_tracker=tracker,
-            )
-
+    def test_worker_records_ride_the_shipment(self, tmp_path):
         parent = Telemetry(tmp_path, run_context=RunContext(RUN))
-        parent_tracker = MemoryTracker(tracer=FakeTracer())
-        parent.enable_profiling(
-            session=session_for(parent, parent_tracker)
-        )
+        parent.enable_profiling(50.0).stop()
         worker = Telemetry.for_worker(
             parent.run_context.child("worker-0"), parent.next_seq
         )
-        worker_tracker = MemoryTracker(tracer=FakeTracer())
-        worker.enable_profiling(
-            session=session_for(worker, worker_tracker)
-        )
-        worker.profile.profiler.sample_once({1: ("mod:sim",)})
-        worker_tracker.enter("cell", "c-1")
-        worker_tracker._tracer.set(10, 40)
-        worker_tracker.exit("cell", "c-1")
+        worker.enable_profiling(50.0).stop()
+        worker.profile.sample_once({1: ("mod:sim",)})
         worker.close()
         parent.receive("worker-0", worker.ship())
         parent.close()
 
-        assert not list(tmp_path.glob("worker-*"))
-        watermarks = read_memory_csv(tmp_path / MEMORY_FILE)
-        assert [(w.worker, w.name, w.peak_bytes) for w in watermarks] == [
-            ("worker-0", "c-1", 40),
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "events.jsonl", "metrics.prom", PROFILE_FILE,
         ]
-        header = (tmp_path / MEMORY_FILE).read_text().splitlines()[0]
-        assert header.split(",")[-1] == "worker"
         records = read_profile(tmp_path / PROFILE_FILE)
-        assert [(r["worker"], r["count"]) for r in records] == [
-            ("worker-0", 1),
-        ]
-        assert (tmp_path / FLAME_FILE).read_text() == "mod:sim 1\n"
+        assert [
+            (r["worker"], r["count"]) for r in records
+            if r["stack"] == ["mod:sim"]
+        ] == [("worker-0", 1)]
 
     def test_enable_profiling_is_idempotent_and_emits_event(self, tmp_path):
         telemetry = Telemetry(tmp_path, run_context=RunContext(RUN))
         session = telemetry.enable_profiling(50.0)
         assert telemetry.enable_profiling(999.0) is session
         assert telemetry.profile is session
-        assert session.memory is None  # tracemalloc is opt-in
         telemetry.close()
-        kinds = [e["kind"] for e in read_jsonl(tmp_path / "events.jsonl")]
-        assert "profiling_started" in kinds
-        assert "profiling_finished" in kinds
+        events = read_jsonl(tmp_path / "events.jsonl")
+        started = [e for e in events if e["kind"] == "profiling_started"]
+        assert len(started) == 1 and started[0]["hz"] == 50.0
+        assert "memory" not in started[0]
+        assert "profiling_finished" in [e["kind"] for e in events]
 
     @pytest.mark.parametrize("hz", [0.0, -5.0])
     def test_enable_profiling_rejects_a_non_positive_rate(self, tmp_path, hz):
@@ -656,6 +531,60 @@ class TestObservatory:
         assert "hotspots" not in text
 
 
+#: The ``flame.folded`` that closing the profiled run of
+#: :func:`make_shipped_run` wrote before ``telemetry flame`` became the
+#: one writer of the file.
+SHIPPED_RUN_FLAME = (
+    "cli:main 1\n"
+    "sweep;cli:main;mod:loop 2\n"
+    "sweep.cell;pool:work;cache:replay 4\n"
+    "sweep.cell;pool:work;model:price 1\n"
+)
+
+
+def make_shipped_run(root):
+    """A profiled run whose root samples itself and receives two
+    workers' shipments, each worker shipping on an ack and on close."""
+    parent = Telemetry(root, run_context=RunContext(RUN))
+    parent.enable_profiling(50.0).stop()
+    ident = threading.get_ident()
+    with parent.span("sweep"):
+        parent.profile.sample_once({ident: ("cli:main", "mod:loop")})
+        parent.profile.sample_once({ident: ("cli:main", "mod:loop")})
+    parent.flush()
+    parent.profile.sample_once({ident: ("cli:main",)})
+    shipments = (
+        ("worker-0", [("pool:work", "cache:replay")] * 3
+         + [("pool:work", "model:price")]),
+        ("worker-1", [("pool:work", "cache:replay")]),
+    )
+    for label, stacks in shipments:
+        worker = Telemetry.for_worker(
+            parent.run_context.child(label), parent.next_seq
+        )
+        worker.enable_profiling(50.0).stop()
+        with worker.cell_scope("REF/CG"), worker.span("sweep.cell"):
+            for stack in stacks:
+                worker.profile.sample_once({ident: stack})
+        parent.receive(label, worker.ship())
+        worker.close()
+        parent.receive(label, worker.ship())
+    parent.close()
+    return root
+
+
+def test_flame_command_writes_the_flame_close_used_to(tmp_path):
+    from repro.experiments.cli import main
+
+    root = make_shipped_run(tmp_path)
+    assert not (root / FLAME_FILE).exists()
+    assert main(["telemetry", "flame", str(root)]) == 0
+    assert (root / FLAME_FILE).read_text() == SHIPPED_RUN_FLAME
+    assert render_flame(read_profile(root / PROFILE_FILE)) == (
+        SHIPPED_RUN_FLAME
+    )
+
+
 class TestHotspotDiff:
     def run_with_shares(self, root, hot, cold):
         write_profile(root / PROFILE_FILE, [
@@ -751,8 +680,8 @@ def test_parallel_profiled_sweep_merges_samples(tmp_path):
             counted[labels["worker"]] = int(value)
     assert aggregate.profile_samples_by_worker() == counted
     assert any(worker.startswith("worker-") for worker in counted)
-    # The parent's flame file folds every process's samples.
-    flame = (root / FLAME_FILE).read_text().splitlines()
+    # The run's flamegraph folds every process's samples.
+    flame = render_flame(aggregate.profiles).splitlines()
     assert sum(int(line.rsplit(" ", 1)[1]) for line in flame) == (
         aggregate.profile_samples()
     )
