@@ -28,12 +28,12 @@ The pool pulls individual cells from the parent (work stealing) and
 survives worker *process* deaths — respawning killed workers up to a
 budget, requeueing their in-flight cells, quarantining "poison" cells
 that kill ``poison_threshold`` successive workers (recorded as
-``poisoned``), escalating hung workers soft-cancel → SIGTERM → SIGKILL
-past the cell deadline, and draining gracefully on SIGINT/SIGTERM with
-an exact-resume journal. Resume, fault isolation and the degradation
-report are the same for any worker count; only live exception objects
-cannot cross the process boundary (the formatted error chains still
-do).
+``poisoned``), SIGKILLing a worker whose cell passes its deadline (the
+cell is recorded ``timed_out``), and draining gracefully on
+SIGINT/SIGTERM with an exact-resume journal. Resume, fault isolation
+and the degradation report are the same for any worker count; only
+live exception objects cannot cross the process boundary (the
+formatted error chains still do).
 """
 
 from __future__ import annotations
@@ -699,12 +699,12 @@ class SweepExecutor:
         )
         workloads = {workload.name: workload for _, workload, _ in grid}
 
-        def on_result(record: dict) -> None:
-            if record.get("chains"):
+        def on_result(outcome: CellOutcome, chains: dict | None) -> None:
+            if chains:
                 self.runner.absorb_lower_chains(
-                    workloads[record["workload"]], record["chains"]
+                    workloads[outcome.workload], chains
                 )
-            deliver(_outcome_from_record(record))
+            deliver(outcome)
 
         self._active_pool = pool
         try:
@@ -809,15 +809,3 @@ def _skip_error(stats) -> str:
                 f"respawn(s)")
     return "skipped: an earlier cell failed and keep_going is off"
 
-
-def _outcome_from_record(record: dict) -> CellOutcome:
-    """Rebuild a :class:`CellOutcome` from a worker's serialized record."""
-    evaluation = record.get("evaluation")
-    if evaluation is not None:
-        evaluation = Evaluation(**evaluation)
-    return CellOutcome(
-        key=record["key"], design=record["design"],
-        workload=record["workload"], status=record["status"],
-        attempts=record["attempts"], duration_s=record["duration_s"],
-        error=record.get("error"), evaluation=evaluation,
-    )

@@ -323,8 +323,8 @@ class FaultInjector:
     ) -> "FaultInjector":
         """Sleep past any deadline inside one cell (hung worker).
 
-        The supervised pool's watchdog escalates soft-cancel → SIGTERM
-        → SIGKILL on the worker; with a ``latch`` the hang fires once,
+        The supervised pool's watchdog SIGKILLs the worker once the
+        cell passes its deadline; with a ``latch`` the hang fires once,
         so a resumed campaign completes the cell.
         """
         return self._add(

@@ -97,7 +97,7 @@ def cell_key_for(
 
 
 def evaluation_record(evaluation: Evaluation | None) -> dict | None:
-    """The plain dict a journal line or a pool ack carries for an
+    """The plain dict a journal line carries for an
     :class:`Evaluation`. Its fields are all str or float, so a shallow
     copy is the whole serialization."""
     return None if evaluation is None else dict(vars(evaluation))

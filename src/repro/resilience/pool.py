@@ -15,9 +15,10 @@ themselves:
   the worker respawned (up to ``max_worker_restarts``); a cell that
   kills ``poison_threshold`` successive workers is quarantined as
   ``poisoned`` and the campaign continues;
-- **hung-worker watchdog** — a cell past its deadline escalates
-  soft-cancel (cooperative event) → SIGTERM → SIGKILL, de-escalating
-  if the cell finishes inside a grace window;
+- **hung-worker watchdog** — when a cell passes its deadline, or its
+  worker stops sending heartbeats, the watchdog SIGKILLs the worker
+  and records the cell ``timed_out`` (workers write no files, so a
+  kill loses nothing the parent has not already journalled);
 - **graceful drain** — SIGINT/SIGTERM on the parent stops dispatch,
   waits for in-flight cells, flushes journal and telemetry, and leaves
   an exact-resume journal (a second signal force-kills).
@@ -42,19 +43,18 @@ import threading
 import time
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from multiprocessing.connection import wait as _connection_wait
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from repro.errors import ConfigError
 from repro.resilience.executor import (
     STATUS_FAILED,
-    STATUS_OK,
     STATUS_POISONED,
     STATUS_TIMED_OUT,
+    CellOutcome,
     SweepExecutor,
 )
-from repro.resilience.journal import evaluation_record
 from repro.telemetry.core import (
     NULL_TELEMETRY,
     NullTelemetry,
@@ -66,13 +66,6 @@ if TYPE_CHECKING:  # pragma: no cover - hints only
     from repro.resilience.faults import FaultInjector
     from repro.resilience.retry import RetryPolicy
 
-#: Watchdog escalation stages, in order.
-STAGE_SOFT_CANCEL = "soft_cancel"
-STAGE_SIGTERM = "sigterm"
-STAGE_SIGKILL = "sigkill"
-
-_STAGE_NAMES = {1: STAGE_SOFT_CANCEL, 2: STAGE_SIGTERM, 3: STAGE_SIGKILL}
-
 
 @dataclass(frozen=True)
 class PoolTuning:
@@ -81,23 +74,15 @@ class PoolTuning:
     Attributes:
         heartbeat_interval_s: worker heartbeat period.
         heartbeat_timeout_s: beat silence after which an apparently
-            alive worker is treated as wedged and escalated.
-        soft_grace_s: grace after the cooperative cancel before
-            SIGTERM.
-        term_grace_s: grace after SIGTERM before SIGKILL.
+            alive worker holding a cell is treated as wedged and killed.
         tick_s: supervisor loop period (message wait timeout).
-        cancel_poll_s: worker-side poll period for the cancel event
-            while a cell runs.
         shutdown_grace_s: join timeout per worker at pool shutdown
             before force-killing stragglers.
     """
 
     heartbeat_interval_s: float = 0.25
     heartbeat_timeout_s: float = 10.0
-    soft_grace_s: float = 0.5
-    term_grace_s: float = 2.0
     tick_s: float = 0.05
-    cancel_poll_s: float = 0.02
     shutdown_grace_s: float = 5.0
 
 
@@ -110,11 +95,11 @@ class PoolStats:
 
     Attributes:
         spawned: worker processes started (initial + respawns).
-        deaths: worker deaths observed (escalated or not).
+        deaths: worker deaths observed (killed or not).
         respawns: replacement workers started.
         requeues: in-flight cells returned to the queue after a death.
         poisoned: cells quarantined for killing too many workers.
-        escalations: hung-worker escalations begun.
+        escalations: hung workers the watchdog killed.
         drained: a drain signal interrupted the campaign.
         exhausted: the restart budget ran out with cells outstanding.
     """
@@ -170,16 +155,23 @@ def _drain_signals(
 # ----------------------------------------------------------------------
 
 
-def _pool_worker(conn, cancel_event, payload: dict) -> None:
+def _pool_worker(conn, payload: dict) -> None:
     """One pool worker: pull cells, evaluate, ack, repeat.
 
     Protocol (worker -> parent, all tuples): ``("heartbeat", ts)``,
-    ``("cell_started", key, ts)``, ``("cell_finished", record)``,
-    ``("cell_abandoned", key)``, ``("drained", telemetry)``. Parent ->
-    worker: a ``(design, workload, key)`` cell, or ``None`` to drain.
+    ``("cell_finished", outcome, chains, telemetry)``,
+    ``("drained", telemetry)``. Parent -> worker: a
+    ``(design, workload, key)`` cell, or ``None`` to drain.
 
-    A ``cell_finished`` record's ``chains`` are the lower chains the
-    worker's runner priced since its previous ack, for the cell's
+    A cell runs on this process's main thread; the heartbeat thread is
+    the only other one. The worker never stops a cell itself: past its
+    deadline the parent's watchdog SIGKILLs the whole process, which
+    reclaims everything the cell held, and the respawn starts clean.
+
+    A ``cell_finished`` ack carries the cell's
+    :class:`~repro.resilience.executor.CellOutcome` (without its live
+    exception, which need not pickle) and ``chains``: the lower chains
+    the worker's runner priced since its previous ack, for the cell's
     workload (REF DRAM included): chain digest -> level dicts, see
     :meth:`~repro.experiments.runner.Runner.unsent_lower_chains`. The
     parent adds them to its runner's lower record, so only acked cells
@@ -195,8 +187,8 @@ def _pool_worker(conn, cancel_event, payload: dict) -> None:
     telemetry is lost to a SIGKILL and no worker writes a file.
     """
     # Forked workers inherit the parent's drain handlers; reset them so
-    # Ctrl-C to the process group cannot kill workers mid-drain and the
-    # watchdog's SIGTERM actually terminates the process.
+    # Ctrl-C to the process group cannot kill workers mid-drain and a
+    # SIGTERM sent to a worker terminates it.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
@@ -238,10 +230,6 @@ def _pool_worker(conn, cancel_event, payload: dict) -> None:
         runner = Runner(telemetry=telemetry, **payload["runner_args"])
         faults: FaultInjector | None = payload.get("worker_faults")
         evaluate = faults.wrap(runner.evaluate) if faults is not None else None
-        # The per-cell deadline is enforced by the parent's watchdog,
-        # not in here: a worker that abandons a cell to a runaway
-        # daemon thread would keep burning CPU; exiting (below) and
-        # being respawned actually reclaims the resources.
         executor = SweepExecutor(
             runner,
             retry=payload["retry"],
@@ -261,53 +249,17 @@ def _pool_worker(conn, cancel_event, payload: dict) -> None:
                 send(("drained", telemetry.ship()))
                 break
             design, workload, key = task
-            send(("cell_started", key, time.monotonic()))
-            box: dict[str, object] = {}
-
-            def work() -> None:
-                try:
-                    box["outcome"] = executor._evaluate_cell(
-                        design, workload, key
-                    )
-                except BaseException as exc:  # CampaignKill & friends
-                    box["error"] = exc
-
-            thread = threading.Thread(
-                target=work, name=f"pool-cell-{index}", daemon=True
-            )
-            thread.start()
-            abandoned = False
-            while thread.is_alive():
-                thread.join(payload["cancel_poll_s"])
-                if thread.is_alive() and cancel_event.is_set():
-                    # The parent's watchdog gave up on this cell. Exit
-                    # (taking the daemon cell thread down with the
-                    # process) so the respawn starts clean.
-                    send(("cell_abandoned", key))
-                    abandoned = True
-                    break
-            if abandoned:
-                break
-            if "error" in box:
-                # A BaseException escaped fault isolation — the moral
-                # equivalent of the process dying mid-cell. Die for
-                # real; the parent requeues or quarantines the cell.
-                fatal = True
-                break
-            outcome = box["outcome"]
-            record = {
-                "key": outcome.key,
-                "design": outcome.design,
-                "workload": outcome.workload,
-                "status": outcome.status,
-                "attempts": outcome.attempts,
-                "duration_s": outcome.duration_s,
-                "error": outcome.error,
-                "evaluation": evaluation_record(outcome.evaluation),
-                "chains": runner.unsent_lower_chains(workload.name),
-                "telemetry": telemetry.ship(),
-            }
-            send(("cell_finished", record))
+            # A BaseException escaping fault isolation (CampaignKill &
+            # friends) is the moral equivalent of the process dying
+            # mid-cell: it falls through to ``fatal`` below, and the
+            # parent requeues or quarantines the cell.
+            outcome = executor._evaluate_cell(design, workload, key)
+            send((
+                "cell_finished",
+                replace(outcome, exception=None),
+                runner.unsent_lower_chains(workload.name),
+                telemetry.ship(),
+            ))
     except BaseException:
         fatal = True
     finally:
@@ -330,22 +282,18 @@ class _WorkerHandle:
     """Parent-side state for one worker process."""
 
     __slots__ = (
-        "index", "proc", "conn", "cancel", "inflight", "anchor",
-        "last_beat", "stage", "stage_deadline", "abandoned",
-        "sentinel_sent", "drained", "eof", "closed",
+        "index", "proc", "conn", "inflight", "anchor", "last_beat",
+        "killed", "sentinel_sent", "drained", "eof", "closed",
     )
 
-    def __init__(self, index: int, proc, conn, cancel) -> None:
+    def __init__(self, index: int, proc, conn) -> None:
         self.index = index
         self.proc = proc
         self.conn = conn
-        self.cancel = cancel
         self.inflight: tuple | None = None
         self.anchor = 0.0
         self.last_beat = time.monotonic()
-        self.stage = 0
-        self.stage_deadline = 0.0
-        self.abandoned = False
+        self.killed = False
         self.sentinel_sent = False
         self.drained = False
         self.eof = False
@@ -364,9 +312,9 @@ class SupervisedPool:
         runner_args: keyword arguments rebuilding the
             :class:`~repro.experiments.runner.Runner` in each worker.
         retry: per-cell retry policy (applied inside workers).
-        cell_timeout_s: per-cell wall-clock deadline, enforced by the
-            parent's watchdog (None disables deadline escalation;
-            heartbeat silence still escalates).
+        cell_timeout_s: per-cell wall-clock deadline from dispatch,
+            enforced by the parent's watchdog (None disables the
+            deadline; heartbeat silence still kills a worker).
         max_worker_restarts: total replacement workers the campaign may
             spawn; past the budget dead workers stay dead, and if no
             workers remain the pool reports exhaustion instead of
@@ -420,7 +368,9 @@ class SupervisedPool:
         self._keep_going = True
         self._failed_fast = False
         self._next_index = 0
-        self._on_result: Callable[[dict], None] = lambda record: None
+        self._on_result: Callable[[CellOutcome, dict | None], None] = (
+            lambda outcome, chains: None
+        )
 
     # -- public API -----------------------------------------------------
 
@@ -429,13 +379,15 @@ class SupervisedPool:
         cells: Sequence[tuple],
         *,
         keep_going: bool = True,
-        on_result: Callable[[dict], None] | None = None,
+        on_result: Callable[[CellOutcome, dict | None], None] | None = None,
     ) -> tuple[PoolStats, list[tuple]]:
         """Run ``(design, workload, key)`` cells to completion.
 
-        ``on_result`` is invoked in the parent, once per finished cell
-        (worker results, parent-fabricated ``timed_out`` / ``poisoned``
-        / exhaustion ``failed`` records alike), *before* the next cell
+        ``on_result(outcome, chains)`` is invoked in the parent, once
+        per finished cell (worker results, parent-built ``timed_out`` /
+        ``poisoned`` / exhaustion ``failed`` outcomes alike; ``chains``
+        is the lower chains a worker's ack carried, None for the
+        parent's own outcomes), *before* the next cell
         is dispatched to that worker — journal-before-ack ordering: the
         journal line is written by then, though its fsync may trail by
         up to :data:`~repro.resilience.journal.SYNC_INTERVAL_S`.
@@ -478,11 +430,11 @@ class SupervisedPool:
         endpoint folds this through
         :func:`repro.telemetry.live.pool_readiness`: an exhausted pool,
         no live workers, or a live worker silent past the heartbeat
-        timeout (or already under watchdog escalation) flips readiness.
+        timeout (or already killed by the watchdog) flips readiness.
 
         Returns a dict with ``workers`` (one entry per ever-spawned
         worker: label, alive, seconds since the last heartbeat, the
-        in-flight cell key, and the watchdog escalation stage),
+        in-flight cell key, and whether the watchdog killed it),
         ``exhausted`` / ``drained`` flags, and the pool's heartbeat
         timeout so the policy needs no back-channel to the tuning.
         """
@@ -501,7 +453,7 @@ class SupervisedPool:
                     handle.inflight[2]
                     if handle.inflight is not None else None
                 ),
-                "stage": _STAGE_NAMES.get(handle.stage),
+                "killed": handle.killed,
             })
         return {
             "workers": workers,
@@ -516,7 +468,6 @@ class SupervisedPool:
         index = self._next_index
         self._next_index += 1
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        cancel = self._ctx.Event()
         label = f"worker-{index}"
         tel = self.tel
         context, profile = tel.run_context, tel.profile
@@ -532,11 +483,10 @@ class SupervisedPool:
             "retry": self.retry,
             "worker_faults": self.worker_faults,
             "heartbeat_interval_s": self.tuning.heartbeat_interval_s,
-            "cancel_poll_s": self.tuning.cancel_poll_s,
         }
         proc = self._ctx.Process(
             target=_pool_worker,
-            args=(child_conn, cancel, payload),
+            args=(child_conn, payload),
             name=f"repro-pool-{index}",
             daemon=True,
         )
@@ -544,7 +494,7 @@ class SupervisedPool:
         # Close the parent's copy of the child end so a SIGKILLed
         # worker's pipe reads EOF instead of blocking forever.
         child_conn.close()
-        handle = _WorkerHandle(index, proc, parent_conn, cancel)
+        handle = _WorkerHandle(index, proc, parent_conn)
         self._handles.append(handle)
         self._stats.spawned += 1
         self.tel.gauge("repro_pool_workers_alive").inc()
@@ -632,6 +582,7 @@ class SupervisedPool:
             if (
                 handle.closed
                 or handle.eof
+                or handle.killed
                 or handle.sentinel_sent
                 or handle.inflight is not None
                 or not handle.proc.is_alive()
@@ -646,7 +597,6 @@ class SupervisedPool:
                 continue
             handle.inflight = cell
             handle.anchor = now
-            handle.stage = 0
 
     def _pump(self, handle: _WorkerHandle) -> None:
         while True:
@@ -659,30 +609,13 @@ class SupervisedPool:
                 return
             handle.last_beat = time.monotonic()
             kind = message[0]
-            if kind == "heartbeat":
-                continue
-            if kind == "cell_started":
-                handle.anchor = time.monotonic()
-            elif kind == "cell_finished":
+            if kind == "cell_finished":
+                # Delivered even from a worker the watchdog has just
+                # killed: the ack beat the kill, so the cell is done.
+                _, outcome, chains, shipment = message
                 handle.inflight = None
-                self._receive(handle, message[1].pop("telemetry", None))
-                if handle.stage:
-                    # The cell finished inside an escalation grace
-                    # window: de-escalate and keep the worker.
-                    handle.stage = 0
-                    handle.cancel.clear()
-                self._finish(message[1])
-            elif kind == "cell_abandoned":
-                cell = handle.inflight
-                handle.inflight = None
-                handle.abandoned = True
-                if cell is not None:
-                    self._finish(
-                        self._timeout_record(
-                            cell, handle, "worker honoured the soft "
-                            "cancel and exited for respawn",
-                        )
-                    )
+                self._receive(handle, shipment)
+                self._finish(outcome, chains)
             elif kind == "drained":
                 handle.drained = True
                 self._receive(handle, message[1])
@@ -692,31 +625,12 @@ class SupervisedPool:
         if shipment is not None:
             self.tel.receive(handle.label, shipment)
 
-    def _finish(self, record: dict) -> None:
-        self._on_result(record)
-        if record.get("status") != STATUS_OK and not self._keep_going:
+    def _finish(
+        self, outcome: CellOutcome, chains: dict | None = None
+    ) -> None:
+        self._on_result(outcome, chains)
+        if not outcome.ok and not self._keep_going:
             self._failed_fast = True
-
-    def _timeout_record(
-        self, cell: tuple, handle: _WorkerHandle, how: str
-    ) -> dict:
-        design, workload, key = cell
-        deadline = (
-            f"its {self.cell_timeout_s:g}s deadline"
-            if self.cell_timeout_s is not None
-            else f"the {self.tuning.heartbeat_timeout_s:g}s heartbeat "
-            "timeout"
-        )
-        return {
-            "key": key,
-            "design": design.name,
-            "workload": workload.name,
-            "status": STATUS_TIMED_OUT,
-            "attempts": 1,
-            "duration_s": time.monotonic() - handle.anchor,
-            "error": f"cell exceeded {deadline} on {handle.label}; {how}",
-            "evaluation": None,
-        }
 
     # -- death handling -------------------------------------------------
 
@@ -734,27 +648,34 @@ class SupervisedPool:
             return  # clean sentinel exit, not a death
         cell = handle.inflight
         handle.inflight = None
-        escalated = handle.stage > 0 or handle.abandoned
         self._stats.deaths += 1
         self.tel.counter("repro_pool_worker_deaths_total").inc()
         self.tel.event(
             "worker_died",
             pool_worker=handle.label,
             exitcode=handle.proc.exitcode,
-            escalated=escalated,
+            escalated=handle.killed,
             cell=cell[2] if cell is not None else None,
         )
-        if cell is not None:
-            if escalated:
-                stage = _STAGE_NAMES.get(handle.stage, STAGE_SOFT_CANCEL)
-                self._finish(
-                    self._timeout_record(
-                        cell, handle,
-                        f"worker terminated at escalation stage {stage}",
-                    )
-                )
-            else:
-                self._crash_cell(cell, handle, now)
+        if handle.killed and cell is not None:
+            design, workload, key = cell
+            deadline = (
+                f"its {self.cell_timeout_s:g}s deadline"
+                if self.cell_timeout_s is not None
+                else f"the {self.tuning.heartbeat_timeout_s:g}s heartbeat "
+                "timeout"
+            )
+            self._finish(CellOutcome(
+                key=key, design=design.name, workload=workload.name,
+                status=STATUS_TIMED_OUT, attempts=1,
+                duration_s=now - handle.anchor,
+                error=(
+                    f"cell exceeded {deadline} on {handle.label}; the "
+                    f"watchdog killed the worker"
+                ),
+            ))
+        elif cell is not None:
+            self._crash_cell(cell, handle, now)
         stopping = self._stats.drained or self._failed_fast
         if (
             not stopping
@@ -780,20 +701,16 @@ class SupervisedPool:
                 workload=workload.name,
                 worker_kills=kills,
             )
-            self._finish({
-                "key": key,
-                "design": design.name,
-                "workload": workload.name,
-                "status": STATUS_POISONED,
-                "attempts": kills,
-                "duration_s": now - handle.anchor,
-                "error": (
+            self._finish(CellOutcome(
+                key=key, design=design.name, workload=workload.name,
+                status=STATUS_POISONED, attempts=kills,
+                duration_s=now - handle.anchor,
+                error=(
                     f"poisoned: cell killed {kills} successive worker(s) "
                     f"(poison_threshold={self.poison_threshold}); "
                     f"quarantined so the campaign can continue"
                 ),
-                "evaluation": None,
-            })
+            ))
         else:
             self._stats.requeues += 1
             self.tel.counter("repro_pool_requeues_total").inc()
@@ -809,7 +726,7 @@ class SupervisedPool:
     # -- watchdog -------------------------------------------------------
 
     def _watchdog(self, handle: _WorkerHandle, now: float) -> None:
-        if handle.inflight is None or handle.abandoned:
+        if handle.inflight is None or handle.killed:
             return
         overdue = (
             self.cell_timeout_s is not None
@@ -818,33 +735,15 @@ class SupervisedPool:
         silent = now - handle.last_beat > self.tuning.heartbeat_timeout_s
         if not overdue and not silent:
             return
-        reason = "deadline" if overdue else "heartbeat"
-        key = handle.inflight[2]
-        if handle.stage == 0:
-            handle.stage = 1
-            handle.stage_deadline = now + self.tuning.soft_grace_s
-            handle.cancel.set()
-            self._stats.escalations += 1
-            self.tel.counter("repro_pool_escalations_total").inc()
-            self.tel.event(
-                "worker_hung", pool_worker=handle.label,
-                stage=STAGE_SOFT_CANCEL, reason=reason, cell=key,
-            )
-        elif handle.stage == 1 and now >= handle.stage_deadline:
-            handle.stage = 2
-            handle.stage_deadline = now + self.tuning.term_grace_s
-            handle.proc.terminate()
-            self.tel.event(
-                "worker_hung", pool_worker=handle.label,
-                stage=STAGE_SIGTERM, reason=reason, cell=key,
-            )
-        elif handle.stage == 2 and now >= handle.stage_deadline:
-            handle.stage = 3
-            handle.proc.kill()
-            self.tel.event(
-                "worker_hung", pool_worker=handle.label,
-                stage=STAGE_SIGKILL, reason=reason, cell=key,
-            )
+        handle.killed = True
+        handle.proc.kill()
+        self._stats.escalations += 1
+        self.tel.counter("repro_pool_escalations_total").inc()
+        self.tel.event(
+            "worker_hung", pool_worker=handle.label,
+            reason="deadline" if overdue else "heartbeat",
+            cell=handle.inflight[2],
+        )
 
     # -- exhaustion and shutdown ----------------------------------------
 
@@ -860,20 +759,15 @@ class SupervisedPool:
             return  # leftover cells become skipped at the call site
         while self._pending:
             design, workload, key = self._pending.popleft()
-            self._finish({
-                "key": key,
-                "design": design.name,
-                "workload": workload.name,
-                "status": STATUS_FAILED,
-                "attempts": 0,
-                "duration_s": 0.0,
-                "error": (
+            self._finish(CellOutcome(
+                key=key, design=design.name, workload=workload.name,
+                status=STATUS_FAILED, attempts=0, duration_s=0.0,
+                error=(
                     f"worker pool exhausted: every worker died and the "
                     f"restart budget is spent "
                     f"(max_worker_restarts={self.max_worker_restarts})"
                 ),
-                "evaluation": None,
-            })
+            ))
 
     def _shutdown(self, force: bool) -> None:
         for handle in self._handles:

@@ -1,4 +1,4 @@
-"""Telemetry exporters: JSONL events and Prometheus text.
+"""Telemetry exporters: the JSONL event log and atomic file writes.
 
 All files live alongside the resilience journal and follow the same
 durability discipline:
@@ -221,20 +221,3 @@ def read_jsonl(path: str | Path) -> list[dict]:
         events.append(payload)
     return events
 
-
-# ----------------------------------------------------------------------
-# Prometheus snapshot
-# ----------------------------------------------------------------------
-
-
-def write_prometheus(
-    registry, path: str | Path, extra_labels: dict[str, str] | None = None
-) -> Path:
-    """Write a registry's Prometheus text snapshot, atomically.
-
-    ``extra_labels`` are stamped onto every sample at render time (run
-    correlation labels; see :meth:`MetricsRegistry.render_prometheus`).
-    """
-    return atomic_write_text(
-        path, registry.render_prometheus(extra_labels)
-    )

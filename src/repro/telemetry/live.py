@@ -220,8 +220,8 @@ def run_progress(events: Iterable[dict]) -> dict[str, dict]:
                 ).append(record.hit_rate)
         if kind in _SUPERVISION_EVENTS:
             entry = {"kind": kind}
-            for field in ("pool_worker", "cell", "stage", "reason",
-                          "exitcode", "pending"):
+            for field in ("pool_worker", "cell", "reason", "exitcode",
+                          "pending"):
                 if event.get(field) is not None:
                     entry[field] = event[field]
             if isinstance(ts, (int, float)):
@@ -315,7 +315,7 @@ def pool_readiness(snapshot: dict | None) -> tuple[bool, dict]:
     ``None`` (no pool running: serial campaign, detached serving, or
     the pool already finished) is idle-and-ready. A snapshot flips
     readiness when the pool is exhausted, has no live workers left, or
-    any live worker is under watchdog escalation / silent past the
+    any live worker was killed by the watchdog or is silent past the
     heartbeat timeout while holding a cell.
     """
     if snapshot is None:
@@ -330,7 +330,7 @@ def pool_readiness(snapshot: dict | None) -> tuple[bool, dict]:
     hung = [
         str(w.get("worker"))
         for w in live
-        if w.get("stage")
+        if w.get("killed")
         or (w.get("inflight") and float(w.get("beat_age_s", 0.0)) > timeout)
     ]
     if hung:
@@ -727,7 +727,7 @@ def render_dashboard(
         for entry in supervision:
             detail = " ".join(
                 f"{k}={entry[k]}"
-                for k in ("pool_worker", "cell", "stage", "reason")
+                for k in ("pool_worker", "cell", "reason")
                 if entry.get(k) is not None
             )
             lines.append(f"  {entry.get('kind', '?'):<16} {detail}".rstrip())

@@ -300,35 +300,23 @@ class MetricsRegistry:
             out.append(entry)
         return out
 
-    def render_prometheus(
-        self, extra_labels: dict[str, str] | None = None
-    ) -> str:
+    def render_prometheus(self) -> str:
         """The registry in Prometheus text exposition format (see
         :func:`render_snapshot`)."""
-        return render_snapshot(self.snapshot(), extra_labels)
+        return render_snapshot(self.snapshot())
 
 
-def render_snapshot(
-    snapshot: list[dict], extra_labels: dict[str, str] | None = None
-) -> str:
+def render_snapshot(snapshot: list[dict]) -> str:
     """A :meth:`MetricsRegistry.snapshot` in Prometheus text exposition
     format: the one renderer for a live registry and for a snapshot
-    that crossed a process boundary.
-
-    ``extra_labels`` (e.g. a run context's ``run`` / ``worker`` pair)
-    are added to every sample at render time without touching the
-    instruments, so the same registry can be snapshotted with or
-    without provenance. An instrument's own label of the same name
-    wins.
+    that crossed a process boundary. :func:`render_snapshots` adds
+    provenance labels per snapshot.
     """
     lines: list[str] = []
     seen_types: set[str] = set()
     for entry in snapshot:
         name, kind = entry["name"], entry["kind"]
-        base_labels = (
-            dict(extra_labels, **entry["labels"])
-            if extra_labels else entry["labels"]
-        )
+        base_labels = entry["labels"]
         if name not in seen_types:
             lines.append(f"# TYPE {name} {kind}")
             seen_types.add(name)
@@ -357,9 +345,10 @@ def render_snapshot(
 def render_snapshots(
     snapshots: Iterable[tuple[list[dict], dict[str, str] | None]],
 ) -> str:
-    """Several snapshots, each with its own extra labels (see
-    :func:`render_snapshot`), as one exposition: a family's samples
-    from every snapshot sit together under its one ``# TYPE`` line."""
+    """Several snapshots, each with its own extra labels (e.g. a run
+    context's ``run`` / ``worker`` pair; an instrument's own label of
+    the same name wins), as one exposition: a family's samples from
+    every snapshot sit together under its one ``# TYPE`` line."""
     entries = [
         dict(entry, labels=dict(extra, **entry["labels"])) if extra else entry
         for snapshot, extra in snapshots
@@ -475,7 +464,7 @@ class NullRegistry:
     def snapshot(self) -> list[dict]:
         return []
 
-    def render_prometheus(self, extra_labels=None) -> str:
+    def render_prometheus(self) -> str:
         return ""
 
 

@@ -134,7 +134,7 @@ class SupervisionDigest:
         spawned / died / respawned: worker process lifecycle counts.
         requeued: in-flight cells recovered from dead workers.
         poisoned: cells quarantined after killing successive workers.
-        hung: watchdog escalations (soft-cancel / SIGTERM / SIGKILL).
+        hung: hung workers the watchdog SIGKILLed.
         drains: graceful SIGINT/SIGTERM drains.
         exhausted: pool-exhaustion events (restart budget spent).
     """

@@ -665,8 +665,7 @@ class TestPoolSweeps:
 
 #: Fast supervision for the killed-worker campaigns.
 FAST_TUNING = PoolTuning(
-    heartbeat_interval_s=0.05, heartbeat_timeout_s=10.0,
-    soft_grace_s=0.3, term_grace_s=0.5, tick_s=0.02, cancel_poll_s=0.01,
+    heartbeat_interval_s=0.05, heartbeat_timeout_s=10.0, tick_s=0.02,
     shutdown_grace_s=5.0,
 )
 

@@ -48,10 +48,7 @@ SCALE = 1.0 / 8192
 FAST_TUNING = PoolTuning(
     heartbeat_interval_s=0.05,
     heartbeat_timeout_s=10.0,
-    soft_grace_s=0.3,
-    term_grace_s=0.5,
     tick_s=0.02,
-    cancel_poll_s=0.01,
     shutdown_grace_s=5.0,
 )
 
@@ -399,6 +396,81 @@ class TestHungWorker:
         assert [(o.design, o.workload) for o in reran] == [
             (designs[0].name, "CG")
         ]
+
+    def test_watchdog_sigkills_the_hung_worker_once(
+        self, trace_cache, tmp_path
+    ):
+        """Past its deadline a hung cell's worker is SIGKILLed at once:
+        one ``worker_hung`` event (no escalation stage), a
+        ``worker_died`` with the SIGKILL exit code, and a timed-out
+        error naming the kill."""
+        runner = make_runner(trace_cache)
+        design = make_designs(runner.reference, n=1)[0]
+        faults = FaultInjector().worker_hang(design.name, "CG", 60.0)
+        tel = Telemetry(tmp_path / "tel",
+                        run_context=RunContext(new_run_id()))
+        result = SweepExecutor(
+            runner, workers=2, telemetry=tel, worker_faults=faults,
+            cell_timeout_s=1.0, pool_tuning=FAST_TUNING,
+        ).run([design], [get_workload("CG")])
+        tel.close()
+
+        (outcome,) = result.outcomes
+        assert outcome.status == "timed_out"
+        assert "the watchdog killed the worker" in outcome.error
+        events = read_events(tmp_path / "tel")
+        hung = [e for e in events if e["kind"] == "worker_hung"]
+        assert len(hung) == 1, hung
+        assert hung[0]["reason"] == "deadline"
+        assert "stage" not in hung[0]
+        died = [e for e in events if e["kind"] == "worker_died"]
+        assert [e["exitcode"] for e in died] == [-signal.SIGKILL]
+        assert died[0]["cell"] == outcome.key
+
+    def test_ack_that_beat_the_kill_is_delivered(self):
+        """A killed worker whose ack was already in the pipe finished
+        its cell: the result is delivered and no ``timed_out`` outcome
+        is made for it."""
+        from multiprocessing import Pipe
+        from types import SimpleNamespace
+
+        from repro.resilience.executor import CellOutcome
+        from repro.resilience.pool import _WorkerHandle
+        from repro.resilience.retry import NO_RETRY
+
+        class KilledProc:
+            exitcode = -signal.SIGKILL
+
+            def join(self, timeout=None):
+                pass
+
+        results = []
+        pool = SupervisedPool(workers=1, runner_args={}, retry=NO_RETRY)
+        pool._on_result = lambda outcome, chains: results.append(
+            (outcome, chains)
+        )
+        cell = (SimpleNamespace(name="D"), SimpleNamespace(name="W"), "k")
+        ours, theirs = Pipe(duplex=True)
+        handle = _WorkerHandle(0, KilledProc(), ours)
+        handle.inflight, handle.killed = cell, True
+        acked = CellOutcome(key="k", design="D", workload="W",
+                            status="ok", attempts=1, duration_s=0.5)
+        theirs.send(("cell_finished", acked, {"chain": []}, None))
+        theirs.close()
+        pool._handle_death(handle, time.monotonic())
+        assert results == [(acked, {"chain": []})]
+        assert handle.inflight is None and handle.closed
+
+        # Without the ack the same death records the cell timed out.
+        results.clear()
+        ours, theirs = Pipe(duplex=True)
+        handle = _WorkerHandle(1, KilledProc(), ours)
+        handle.inflight, handle.killed = cell, True
+        theirs.close()
+        pool._handle_death(handle, time.monotonic())
+        ((outcome, chains),) = results
+        assert outcome.status == "timed_out" and chains is None
+        assert "the watchdog killed the worker" in outcome.error
 
 
 class TestGracefulDrain:

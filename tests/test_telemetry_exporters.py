@@ -20,10 +20,8 @@ from repro.telemetry.exporters import (
     JsonlEventLog,
     atomic_write_text,
     read_jsonl,
-    write_prometheus,
 )
 from repro.telemetry.progress import ProgressReporter, format_duration
-from repro.telemetry.registry import MetricsRegistry
 
 pytestmark = pytest.mark.telemetry
 
@@ -100,15 +98,6 @@ class TestJsonl:
         path = tmp_path / "events.jsonl"
         path.write_text('{"n": 1}\n\n{"n": 2}\n')
         assert [e["n"] for e in read_jsonl(path)] == [1, 2]
-
-
-class TestPrometheusFile:
-    def test_snapshot_matches_registry(self, tmp_path):
-        registry = MetricsRegistry()
-        registry.counter("repro_cells_total", status="ok").inc(4)
-        registry.histogram("repro_seconds", buckets=(1.0,)).observe(0.5)
-        path = write_prometheus(registry, tmp_path / "metrics.prom")
-        assert path.read_text() == registry.render_prometheus()
 
 
 # ----------------------------------------------------------------------

@@ -351,7 +351,7 @@ class TestPoolReadiness:
         snapshot = {"exhausted": False, "heartbeat_timeout_s": 10.0,
                     "workers": [
                         {"worker": "worker-0", "alive": True,
-                         "beat_age_s": 0.1, "stage": "sigterm",
+                         "beat_age_s": 0.1, "killed": True,
                          "inflight": "cell"},
                     ]}
         ready, detail = pool_readiness(snapshot)
@@ -362,7 +362,7 @@ class TestPoolReadiness:
         snapshot = {"exhausted": False, "heartbeat_timeout_s": 1.0,
                     "workers": [
                         {"worker": "worker-0", "alive": True,
-                         "beat_age_s": 5.0, "stage": None,
+                         "beat_age_s": 5.0, "killed": False,
                          "inflight": "cell"},
                     ]}
         assert not pool_readiness(snapshot)[0]
@@ -371,10 +371,10 @@ class TestPoolReadiness:
         snapshot = {"exhausted": False, "heartbeat_timeout_s": 10.0,
                     "workers": [
                         {"worker": "worker-0", "alive": True,
-                         "beat_age_s": 0.1, "stage": None,
+                         "beat_age_s": 0.1, "killed": False,
                          "inflight": "cell"},
                         {"worker": "worker-1", "alive": True,
-                         "beat_age_s": 0.2, "stage": None,
+                         "beat_age_s": 0.2, "killed": False,
                          "inflight": None},
                     ]}
         ready, detail = pool_readiness(snapshot)
@@ -385,7 +385,7 @@ class TestPoolReadiness:
         snapshot = {"exhausted": False, "heartbeat_timeout_s": 1.0,
                     "workers": [
                         {"worker": "worker-0", "alive": True,
-                         "beat_age_s": 60.0, "stage": None,
+                         "beat_age_s": 60.0, "killed": False,
                          "inflight": None},
                     ]}
         assert pool_readiness(snapshot)[0]

@@ -14,7 +14,7 @@ from repro.model.evaluate import Evaluation
 from repro.resilience import FaultInjector, Journal, SweepExecutor
 from repro.telemetry import observatory
 from repro.telemetry.core import RunContext, Telemetry, new_run_id
-from repro.telemetry.exporters import read_jsonl, write_prometheus
+from repro.telemetry.exporters import read_jsonl
 from repro.telemetry.observatory import (
     DiffThresholds,
     aggregate_run,
@@ -705,8 +705,9 @@ def make_plain_run(directory):
                                name="runner.simulate")
     spans.observe(1.5)
     spans.observe(0.75)
-    write_prometheus(registry, directory / "metrics.prom",
-                     extra_labels={"run": RUN, "worker": "root"})
+    (directory / "metrics.prom").write_text(render_snapshots(
+        [(registry.snapshot(), {"run": RUN, "worker": "root"})]
+    ))
 
     profile = [
         {"kind": "profile", "hz": 97.0, "count": 7, "run": RUN,
