@@ -65,6 +65,8 @@ from repro.workloads.base import TraceResult, Workload
 
 if TYPE_CHECKING:  # pragma: no cover - the simulator loads where it runs
     from repro.cache.hierarchy import Hierarchy
+    from repro.profile.engine import AnalyticEngine
+    from repro.profile.profiler import ChainProfile, Granularities
 
 #: Package logger ("repro" has a NullHandler attached, so the library
 #: is silent by default); enable progress lines on long runs with
@@ -502,7 +504,7 @@ class Runner:
         #: Lower record per workload, for runners that keep them.
         self._lower_records: dict[str, _LowerRecord] = {}
         self._analytic_engines: dict[str, "AnalyticEngine"] = {}
-        self._profiles: dict[tuple[str, int, int], "GranularityProfile"] = {}
+        self._profiles: dict[tuple[str, "Granularities"], "ChainProfile"] = {}
 
     @property
     def sim_engine(self) -> str:
@@ -1093,39 +1095,46 @@ class Runner:
     # Analytic fast path
     # ------------------------------------------------------------------
 
-    def _profile_path(self, workload: Workload, g: int, cg: int) -> Path | None:
+    def _profile_path(
+        self, workload: Workload, granularities: "Granularities"
+    ) -> Path | None:
         upper_key = self.prepare(workload).upper_key
         if upper_key is None:
             return None
-        name = self._cache_name(workload)
+        grains = "-".join(f"g{g}-c{cg}" for g, cg in granularities)
         return Path(self.trace_cache_dir) / (
-            f"{name}.profile-{upper_key}-g{g}-c{cg}.npz"
+            f"{self._cache_name(workload)}.profile-{upper_key}-{grains}.npz"
         )
 
-    def _profile_for(self, workload: Workload, g: int, cg: int):
-        """One reuse profile of the captured post-L3 stream (cached).
+    def _profile_for(
+        self, workload: Workload, granularities: "Granularities"
+    ) -> "ChainProfile":
+        """The reuse profile of the captured post-L3 stream at a lower
+        chain's sorted distinct ``(granularity, chain_granularity)``
+        pairs (cached).
 
         Memoized in-process and persisted next to the trace cache when
         one is configured, under the upper record's key: everything
         that changes the captured stream (trace, SRAM pyramid, drain,
-        sampling) changes the profile's file name too.
+        sampling) changes the profile's file name too. A corrupt,
+        truncated or foreign-version file is discarded and recomputed.
         """
-        mem_key = (workload.name, g, cg)
+        mem_key = (workload.name, granularities)
         if mem_key in self._profiles:
             return self._profiles[mem_key]
-        from repro.errors import TraceIntegrityError
+        from repro.errors import TraceError
         from repro.profile import compute_profile, load_profile, save_profile
 
         telemetry = self._telemetry()
-        path = self._profile_path(workload, g, cg)
+        path = self._profile_path(workload, granularities)
         profile = None
         if path is not None and path.exists():
             try:
                 profile = load_profile(path)
-            except TraceIntegrityError as exc:
+            except TraceError as exc:
                 _discard_artifacts(path)
                 logger.warning(
-                    "discarded corrupt cached profile %s (%s), re-profiling",
+                    "discarded cached profile %s (%s), re-profiling",
                     path.name, exc,
                 )
         cached = profile is not None
@@ -1133,26 +1142,31 @@ class Runner:
             trace = self.prepare(workload)
             with telemetry.span(
                 "runner.profile", workload=workload.name,
-                granularity=g, chain_granularity=cg,
+                granularities=granularities,
             ):
-                profile = compute_profile(trace.post_l3, g, cg)
+                profile = compute_profile(trace.post_l3, granularities)
             if path is not None:
                 save_profile(profile, path)
         self._profiles[mem_key] = profile
-        telemetry.event(
-            "reuse_profile",
-            workload=workload.name,
-            granularity=g,
-            chain_granularity=cg,
-            references=profile.references,
-            footprint_blocks=profile.footprint,
-            stores=profile.n_stores,
-            cached=cached,
-        )
+        for grain, (g, cg) in enumerate(granularities):
+            telemetry.event(
+                "reuse_profile",
+                workload=workload.name,
+                granularity=g,
+                chain_granularity=cg,
+                references=profile.references,
+                footprint_blocks=profile.footprint(grain),
+                stores=profile.n_stores,
+                cached=cached,
+            )
         return profile
 
-    def _analytic_for(self, workload: Workload):
-        """The analytic engine bound to one workload's captured stream."""
+    def _analytic_for(self, workload: Workload) -> "AnalyticEngine":
+        """The analytic engine bound to one workload's captured stream.
+
+        The engine holds no reference to the runner (profiles come in
+        per call), so a runner is freed as soon as it is dropped.
+        """
         key = workload.name
         if key in self._analytic_engines:
             return self._analytic_engines[key]
@@ -1160,11 +1174,7 @@ class Runner:
 
         trace = self.prepare(workload)
         totals = StreamTotals.from_chunks(trace.post_l3.chunks())
-        engine = AnalyticEngine(
-            profiles=lambda g, cg: self._profile_for(workload, g, cg),
-            totals=totals,
-            chunks=trace.post_l3.chunks,
-        )
+        engine = AnalyticEngine(totals=totals, chunks=trace.post_l3.chunks)
         self._analytic_engines[key] = engine
         return engine
 
@@ -1178,7 +1188,9 @@ class Runner:
             workload=workload.name,
         ):
             return engine.lower_stats(
-                design, self.sim_engine, drain=self.drain
+                design, self.sim_engine,
+                lambda granularities: self._profile_for(workload, granularities),
+                drain=self.drain,
             )
 
     # ------------------------------------------------------------------

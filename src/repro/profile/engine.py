@@ -1,14 +1,15 @@
 """The analytic fast-path engine: profiles in, LevelStats out.
 
-Given the reuse profiles of a captured post-L3 stream, the engine
-predicts what every level of a design's *lower* hierarchy would count
-during an exact replay — without replaying anything. Per design the
-cost is O(distinct stack-distance values) when the whole chain shares
-one profile — the common sweep shape — and O(stream) of vectorized
-float math for mixed-granularity chains (the profiles themselves are
-computed once per trace and shared across every design in the sweep),
-versus a full stateful cache simulation per design for the exact
-engines.
+Given the reuse profile of a captured post-L3 stream at a lower chain's
+granularities, the engine predicts what every level of a design's
+*lower* hierarchy would count during an exact replay — without
+replaying anything. Per design the cost is O(profile classes): every
+level's conflict model and the chain's running maxima are evaluated
+once per class of the profile's tables (see
+:mod:`repro.profile.profiler`), never per access. The profiles
+themselves are computed once per trace and chain granularities and
+shared across every design in the sweep, versus a full stateful cache
+simulation per design for the exact engines.
 
 Model, per lower cache level (top-down):
 
@@ -21,9 +22,11 @@ Model, per lower cache level (top-down):
   correction.
 - **Chaining.** Levels below the first see only the miss stream of the
   level above. Capacities grow down the chain, so residency nests:
-  per access, the probability of hitting level i *given* it reached it
-  is ``max(0, P_i - max_j<i P_j)`` — a running maximum over the chain,
-  no inter-level stream ever materialized.
+  per profile class, the probability of hitting level i *given* it
+  reached it is ``max(0, P_i - max_j<i P_j)`` — a running maximum over
+  the chain, no inter-level stream ever materialized. A class is a
+  tuple of one stack distance per chain granularity, so the maximum is
+  exact per access for mixed-granularity chains too.
 - **Writebacks.** A store's dirty data leaves level i iff its
   writeback gap (see :mod:`repro.profile.profiler`) defeats level i's
   retention: expected writebacks are ``sum(1 - P_i(wb_gap))`` over
@@ -52,7 +55,7 @@ import numpy as np
 from repro.cache.partition import PartitionedMemory
 from repro.cache.stats import LevelStats
 from repro.errors import SimulationError
-from repro.profile.profiler import GranularityProfile
+from repro.profile.profiler import ChainProfile, Granularities
 from repro.telemetry.core import get_active
 from repro.trace.events import AccessBatch
 
@@ -91,7 +94,8 @@ class StreamTotals:
 def hit_probability(
     distances: np.ndarray, num_sets: int, ways: int
 ) -> np.ndarray:
-    """Per-access probability of hitting an (S sets, A ways) LRU cache.
+    """Probability that an access at each stack distance hits an
+    (S sets, A ways) LRU cache.
 
     Exact 0/1 indicator for fully-associative geometry (one set); the
     Hill–Smith binomial conflict model otherwise: the d intervening
@@ -138,8 +142,6 @@ class AnalyticEngine:
     """Closed-form lower-hierarchy evaluation for one workload trace.
 
     Args:
-        profiles: ``(granularity, chain_granularity) -> GranularityProfile``
-            provider (the runner caches these in memory and on disk).
         totals: exact arrival totals of the captured post-L3 stream.
         chunks: zero-argument callable yielding the captured stream's
             chunks — used only for the exact no-lower-cache paths
@@ -149,11 +151,9 @@ class AnalyticEngine:
 
     def __init__(
         self,
-        profiles: Callable[[int, int], GranularityProfile],
         totals: StreamTotals,
         chunks: Callable[[], Iterable[AccessBatch]],
     ) -> None:
-        self._profiles = profiles
         self._totals = totals
         self._chunks = chunks
         self._announced: set[tuple] = set()
@@ -178,7 +178,11 @@ class AnalyticEngine:
         )
 
     def lower_stats(
-        self, design: "MemoryDesign", engine: str, drain: bool = False
+        self,
+        design: "MemoryDesign",
+        engine: str,
+        profiles: Callable[[Granularities], ChainProfile],
+        drain: bool = False,
     ) -> list[LevelStats]:
         """Per-level stats for a design's lower caches + terminal memory.
 
@@ -187,7 +191,9 @@ class AnalyticEngine:
         :class:`~repro.cache.stats.HierarchyStats` indistinguishable in
         shape from an exact replay. ``engine`` is the run's exact
         simulation engine, which builds the design's caches; only their
-        configs are read.
+        configs are read. ``profiles`` maps the chain's sorted distinct
+        ``(granularity, chain_granularity)`` pairs to the stream's
+        profile (the runner caches these in memory and on disk).
         """
         lower = design.lower_caches(engine)
         memory = design.memory()
@@ -220,74 +226,37 @@ class AnalyticEngine:
                     f"{config.name!r} uses {config.policy!r}"
                 )
             self._announce(config)
-            chain.append((config, g, cg, self._profiles(g, cg)))
-        # Stack distances repeat heavily (at most footprint + 1
-        # distinct values), and the conflict model is elementwise in
-        # the distance — so evaluate the binomial CDF once per
-        # distinct value. When the whole chain shares one profile (one
-        # granularity pair — every single-level chain, and multi-level
-        # chains at a common page size) the running maxima collapse to
-        # per-*class* arrays too, and an entire cell costs O(classes)
-        # instead of O(stream). Mixed-granularity chains gather the
-        # per-class CDFs out to per-access arrays for the running max.
-        by_class = all(p is chain[0][3] for _, _, _, p in chain)
+            chain.append((config, g, cg))
+        profile = profiles(tuple(sorted({(g, cg) for _, g, cg in chain})))
+        d_loads, d_stores = profile.loads, profile.stores
+        w_counts = profile.wb_counts
+        n_stores = profile.n_stores
 
+        # Everything below is per profile class, weighted by its counts.
         cm_hit: np.ndarray | None = None  # running max hit probability
         cm_wb: np.ndarray | None = None  # running max retention
         levels: list[LevelStats] = []
         prev: dict | None = None  # emission summary of the level above
-        for config, g, cg, profile in chain:
-            d_vals, d_loads, d_stores, d_inv = profile.distance_classes
-            w_vals, w_counts, w_last, w_inv = profile.wb_classes
+        for config, g, cg in chain:
+            grain = profile.grain(g, cg)
             cdf_hit = hit_probability(
-                d_vals, config.num_sets, config.associativity
+                profile.distances[grain], config.num_sets,
+                config.associativity,
             )
             cdf_keep = hit_probability(
-                w_vals, config.num_sets, config.associativity
+                profile.wb_gaps[grain], config.num_sets,
+                config.associativity,
             )
             stats = LevelStats(name=config.name)
-            if by_class:
-                new_cm = (
-                    cdf_hit if cm_hit is None
-                    else np.maximum(cm_hit, cdf_hit)
-                )
-                new_cmw = (
-                    cdf_keep if cm_wb is None
-                    else np.maximum(cm_wb, cdf_keep)
-                )
-                wb_float = float((1.0 - new_cmw) @ w_counts)
-                flush_float = float(new_cmw @ w_last)
-                if prev is None:
-                    load_hits = float(new_cm @ d_loads)
-                    store_hits = float(new_cm @ d_stores)
-                else:
-                    load_hits = float(
-                        (new_cm - cm_hit) @ (d_loads + d_stores)
-                    )
-                    store_hits = (
-                        float((new_cmw - cm_wb) @ w_counts) + prev["flush"]
-                    )
-            else:
-                p_hit = cdf_hit[d_inv]
-                p_keep = cdf_keep[w_inv]
-                new_cm = (
-                    p_hit if cm_hit is None else np.maximum(cm_hit, p_hit)
-                )
-                new_cmw = (
-                    p_keep if cm_wb is None else np.maximum(cm_wb, p_keep)
-                )
-                wb_float = float((1.0 - new_cmw).sum())
-                flush_float = float(new_cmw[profile.last_store].sum())
-                if prev is not None:
-                    load_hits = float((new_cm - cm_hit).sum())
-                    store_hits = (
-                        float((new_cmw - cm_wb).sum()) + prev["flush"]
-                    )
-                else:
-                    store_mask = profile.is_store
-                    load_hits = float(new_cm[~store_mask].sum())
-                    store_hits = float(new_cm[store_mask].sum())
+            new_cm = cdf_hit if cm_hit is None else np.maximum(cm_hit, cdf_hit)
+            new_cmw = (
+                cdf_keep if cm_wb is None else np.maximum(cm_wb, cdf_keep)
+            )
+            wb_float = float((1.0 - new_cmw) @ w_counts)
+            flush_float = float(new_cmw @ profile.wb_last[grain])
             if prev is None:
+                load_hits = float(new_cm @ d_loads)
+                store_hits = float(new_cm @ d_stores)
                 # First lower level: arrivals are the captured accesses
                 # themselves — demand accounting is exact.
                 stats.loads = totals.loads
@@ -295,6 +264,8 @@ class AnalyticEngine:
                 stats.load_bits = totals.load_bits
                 stats.store_bits = totals.store_bits
             else:
+                load_hits = float((new_cm - cm_hit) @ (d_loads + d_stores))
+                store_hits = float((new_cmw - cm_wb) @ w_counts) + prev["flush"]
                 # Arrivals are the level above's fills (loads) and
                 # writebacks (+ drain flushes, which nest and hit).
                 stats.loads = prev["fills"]
@@ -310,10 +281,10 @@ class AnalyticEngine:
             stats.store_hits = sh
             stats.store_misses = stats.stores - sh
             stats.fills = stats.load_misses + stats.store_misses
-            writebacks = _round_clamped(wb_float, profile.n_stores)
+            writebacks = _round_clamped(wb_float, n_stores)
             flush = 0
             if drain:
-                flush = _round_clamped(flush_float, profile.n_stores)
+                flush = _round_clamped(flush_float, n_stores)
             stats.writebacks = writebacks + flush
             levels.append(stats)
             prev = {

@@ -1,29 +1,38 @@
 """Stack-distance reuse profiles of captured address streams.
 
-A profile is computed in one vectorized pass per granularity and holds
-everything the analytic engine needs to predict *any* LRU cache of
-that block size against the same stream:
+A profile answers, for one lower chain, what *any* LRU cache at each of
+the chain's (block, sector) granularities would do with the stream. It
+is built from three per-access quantities, computed in one vectorized
+pass per granularity:
 
-- ``distances`` — the per-access LRU stack distance at block
-  granularity (Mattson): a fully-associative cache of C blocks hits an
-  access iff its distance is in ``[0, C)``, so one array yields the
-  whole miss-ratio curve over capacity.
-- ``wb_gap`` — per store, the *eviction exposure* of the dirty data it
-  creates: the largest block-granularity stack distance among the
-  accesses between this store and the next store to the same dirty
+- the LRU stack distance of every access at block granularity
+  (Mattson): a fully-associative cache of C blocks hits an access iff
+  its distance is in ``[0, C)``, so one table yields the whole
+  miss-ratio curve over capacity;
+- per store, the *writeback gap*, the eviction exposure of the dirty
+  data it creates: the largest block-granularity stack distance among
+  the accesses between this store and the next store to the same dirty
   sector (for the final store of a sector, also counting the distinct
   blocks touched after the block's last access — later traffic can
   still push it out). A fully-associative cache of C blocks writes the
   dirty sector back iff ``wb_gap >= C``; otherwise the next store
   refreshes it in place (or it survives to the end as residual dirty
-  state, flushed only by a drain).
-- ``last_store`` — marks each sector's final store, whose surviving
+  state, flushed only by a drain);
+- per store, whether it is its sector's final store, whose surviving
   dirty instance is what a drain flushes.
 
-Profiles are design-independent — every design whose level matches the
-(block, sector) granularity pair reuses the same profile — and persist
-as ``.npz`` artifacts with SHA-256 sidecars via the same atomic-write
-machinery as the trace cache (:mod:`repro.trace.io`).
+The analytic model only reads per-class sums of these, so a
+:class:`ChainProfile` keeps only its class tables: the distinct tuples
+of per-granularity stack distances, with how many loads and stores have
+each, and the distinct tuples of per-granularity writeback gaps, with
+how many stores have each and how many of those are last stores at each
+granularity (``last_store`` depends on the sector size). The
+per-access arrays exist only while :func:`compute_profile` runs.
+
+Profiles are design-independent — every chain at the same granularities
+reuses the same table — and persist as ``.npz`` artifacts with SHA-256
+sidecars via the same atomic-write machinery as the trace cache
+(:mod:`repro.trace.io`).
 """
 
 from __future__ import annotations
@@ -31,8 +40,8 @@ from __future__ import annotations
 import io as _io
 import zipfile
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -43,114 +52,130 @@ from repro.trace.reuse import COLD_DISTANCE, distances_for_lines
 from repro.trace.stream import AddressStream
 from repro.units import log2_int
 
-#: Format marker stored in every profile file.
-_PROFILE_FORMAT_VERSION = 1
+#: Format marker stored in every profile file (2: class tables).
+_PROFILE_FORMAT_VERSION = 2
+
+#: A chain's distinct ``(granularity, chain_granularity)`` pairs, sorted.
+Granularities = tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
-class GranularityProfile:
-    """Reuse profile of one stream at one block granularity.
+class ChainProfile:
+    """Class tables of one stream at a lower chain's granularities.
+
+    Row ``j`` of the ``(k, ...)`` arrays belongs to ``granularities[j]``
+    (its *grain* index); entry ``r`` along the other axis of
+    ``distances`` (or ``wb_gaps``) is one class, a distinct tuple of
+    per-granularity values. For one granularity the classes are simply
+    the distinct values, in ascending order. The exactness helpers
+    answer for one grain.
 
     Attributes:
-        granularity: block (allocation) size in bytes.
-        chain_granularity: dirty-tracking sector size in bytes
-            (``== granularity`` for unsectored caches).
-        references: number of accesses profiled.
-        distances: int64 per-access stack distance at block
-            granularity (:data:`~repro.trace.reuse.COLD_DISTANCE` for
-            first touches).
-        is_store: bool per-access store flag.
-        wb_gap: int64 per-*store* eviction exposure (see module
-            docstring); aligned with ``distances[is_store]``.
-        last_store: bool per-store flag marking each sector's final
-            store.
-        footprint: distinct blocks touched.
+        granularities: the ``k`` distinct ``(block, sector)`` size
+            pairs in bytes (``sector == block`` for unsectored caches).
+        distances: ``(k, R)`` int64 stack distances of the ``R``
+            distance classes (:data:`~repro.trace.reuse.COLD_DISTANCE`
+            for first touches).
+        loads: ``(R,)`` loads in each distance class.
+        stores: ``(R,)`` stores in each distance class.
+        wb_gaps: ``(k, W)`` int64 writeback gaps of the ``W`` store
+            classes.
+        wb_counts: ``(W,)`` stores in each store class.
+        wb_last: ``(k, W)`` of those, the stores that are their
+            sector's final store at each granularity.
     """
 
-    granularity: int
-    chain_granularity: int
-    references: int
+    granularities: Granularities
     distances: np.ndarray
-    is_store: np.ndarray
-    wb_gap: np.ndarray
-    last_store: np.ndarray
-    footprint: int
+    loads: np.ndarray
+    stores: np.ndarray
+    wb_gaps: np.ndarray
+    wb_counts: np.ndarray
+    wb_last: np.ndarray
+
+    def __post_init__(self) -> None:
+        k, r, w = len(self.granularities), len(self.loads), len(self.wb_counts)
+        if (
+            self.distances.shape != (k, r)
+            or self.stores.shape != (r,)
+            or self.wb_gaps.shape != (k, w)
+            or self.wb_last.shape != (k, w)
+        ):
+            raise ValueError("profile class tables disagree in shape")
+
+    @property
+    def references(self) -> int:
+        """Number of accesses profiled."""
+        return int(self.loads.sum() + self.stores.sum())
 
     @property
     def n_stores(self) -> int:
         """Number of store accesses."""
-        return len(self.wb_gap)
+        return int(self.wb_counts.sum())
 
-    @property
-    def n_loads(self) -> int:
-        """Number of load accesses."""
-        return self.references - self.n_stores
+    def grain(self, granularity: int, chain_granularity: int) -> int:
+        """The grain index (table row) of one (block, sector) pair."""
+        return self.granularities.index((granularity, chain_granularity))
 
-    def hit_count(self, capacity_blocks: int) -> int:
+    def _accesses_where(self, mask: np.ndarray) -> int:
+        return int(self.loads[mask].sum() + self.stores[mask].sum())
+
+    def footprint(self, grain: int = 0) -> int:
+        """Distinct blocks touched (the first touches) at one
+        granularity."""
+        return self._accesses_where(self.distances[grain] == COLD_DISTANCE)
+
+    def hit_count(self, capacity_blocks: int, grain: int = 0) -> int:
         """Exact fully-associative LRU hits at the given capacity."""
-        d = self.distances
-        return int(np.count_nonzero((d >= 0) & (d < capacity_blocks)))
+        d = self.distances[grain]
+        return self._accesses_where((d >= 0) & (d < capacity_blocks))
 
-    def writeback_count(self, capacity_blocks: int) -> int:
+    def writeback_count(self, capacity_blocks: int, grain: int = 0) -> int:
         """Exact fully-associative LRU dirty-eviction writebacks."""
-        return int(np.count_nonzero(self.wb_gap >= capacity_blocks))
+        evicted = self.wb_gaps[grain] >= capacity_blocks
+        return int(self.wb_counts[evicted].sum())
 
-    def residual_dirty(self, capacity_blocks: int) -> int:
+    def residual_dirty(self, capacity_blocks: int, grain: int = 0) -> int:
         """Sectors still dirty at end of stream (drain flush volume)."""
-        return int(
-            np.count_nonzero(self.wb_gap[self.last_store] < capacity_blocks)
-        )
+        kept = self.wb_gaps[grain] < capacity_blocks
+        return int(self.wb_last[grain][kept].sum())
 
-    def miss_ratio_curve(self, capacities: np.ndarray) -> np.ndarray:
+    def miss_ratio_curve(
+        self, capacities: np.ndarray, grain: int = 0
+    ) -> np.ndarray:
         """Fully-associative LRU miss ratio at each capacity (blocks).
 
-        One sorted pass over the distance array answers every capacity
-        at once — the Mattson one-pass property.
+        One sorted pass over the distance classes answers every
+        capacity at once — the Mattson one-pass property.
         """
         caps = np.asarray(capacities, dtype=np.int64)
-        if self.references == 0:
+        references = self.references
+        if references == 0:
             return np.ones(len(caps), dtype=np.float64)
-        warm = np.sort(self.distances[self.distances >= 0])
-        hits = np.searchsorted(warm, caps, side="left")
-        return 1.0 - hits / self.references
+        d = self.distances[grain]
+        warm = d >= 0
+        order = np.argsort(d[warm], kind="stable")
+        counts = (self.loads + self.stores)[warm][order]
+        hits = np.concatenate(([0], np.cumsum(counts)))
+        reached = np.searchsorted(d[warm][order], caps, side="left")
+        return 1.0 - hits[reached] / references
 
-    @cached_property
-    def distance_classes(self) -> tuple[np.ndarray, ...]:
-        """``(values, load_counts, store_counts, inverse)`` of the
-        distance array.
 
-        Stack distances repeat heavily (at most ``footprint + 1``
-        distinct values, usually far fewer), and every conflict-model
-        evaluation is elementwise in the distance — so the engine
-        computes per *class* and weights by these counts instead of
-        touching all ``references`` accesses per design. Computed once
-        per profile and shared across the whole sweep.
-        """
-        values = np.unique(self.distances)
-        inverse = np.searchsorted(values, self.distances)
-        loads = np.bincount(inverse[~self.is_store], minlength=len(values))
-        stores = np.bincount(inverse[self.is_store], minlength=len(values))
-        return values, loads, stores, inverse
+def _classes(arrays: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct tuples across equal-length per-granularity arrays.
 
-    @cached_property
-    def wb_classes(self) -> tuple[np.ndarray, ...]:
-        """``(values, counts, last_counts, inverse)`` of ``wb_gap`` —
-        the writeback analogue of :attr:`distance_classes`, with
-        ``last_counts`` restricted to each sector's final store (the
-        drain-flush candidates)."""
-        values = np.unique(self.wb_gap)
-        inverse = np.searchsorted(values, self.wb_gap)
-        counts = np.bincount(inverse, minlength=len(values))
-        last = np.bincount(inverse[self.last_store], minlength=len(values))
-        return values, counts, last, inverse
-
-    def distance_histogram(self, stores_only: bool = False) -> np.ndarray:
-        """Histogram of warm stack distances (index = distance)."""
-        d = self.distances[self.is_store] if stores_only else self.distances
-        warm = d[d >= 0]
-        if len(warm) == 0:
-            return np.zeros(0, dtype=np.int64)
-        return np.bincount(warm)
+    Returns ``(values, inverse)``: the ``(k, n_classes)`` class tuples,
+    in lexicographic order, and each element's class index.
+    """
+    distinct, key = np.unique(arrays[0], return_inverse=True)
+    if len(arrays) == 1:
+        return distinct[np.newaxis], key
+    for array in arrays[1:]:
+        distinct, inverse = np.unique(array, return_inverse=True)
+        _, first, key = np.unique(
+            key * len(distinct) + inverse, return_index=True, return_inverse=True
+        )
+    return np.stack([array[first] for array in arrays]), key
 
 
 def _range_max(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -264,69 +289,72 @@ def _writeback_gaps(
 
 def compute_profile(
     stream: AddressStream | AccessBatch,
-    granularity: int,
-    chain_granularity: int | None = None,
-) -> GranularityProfile:
-    """Profile a stream at one block granularity (one vectorized pass).
+    granularities: Iterable[tuple[int, int]],
+) -> ChainProfile:
+    """Class tables of a stream at a chain's granularities.
 
     Args:
         stream: the accesses to profile (captured post-L3 stream).
-        granularity: cache block (allocation) size in bytes.
-        chain_granularity: dirty-sector size in bytes for writeback
-            chains (defaults to ``granularity`` — unsectored).
+        granularities: ``(block, sector)`` size pairs in bytes, one per
+            level of the chain (repeats and order do not matter).
     """
     batch = stream.as_batch() if isinstance(stream, AddressStream) else stream
-    cg = granularity if chain_granularity is None else chain_granularity
-    block_shift = np.uint64(log2_int(granularity))
-    sector_shift = np.uint64(log2_int(cg))
-    blocks = (batch.addresses >> block_shift).astype(np.int64)
-    sectors = (batch.addresses >> sector_shift).astype(np.int64)
+    grains = tuple(sorted({(int(g), int(cg)) for g, cg in granularities}))
     is_store = batch.is_store.astype(bool)
-    distances = distances_for_lines(blocks)
-    wb_gap, last_store = _writeback_gaps(blocks, sectors, distances, is_store)
-    return GranularityProfile(
-        granularity=int(granularity),
-        chain_granularity=int(cg),
-        references=len(blocks),
-        distances=distances,
-        is_store=is_store,
-        wb_gap=wb_gap,
-        last_store=last_store,
-        footprint=int(np.count_nonzero(distances == COLD_DISTANCE)),
+    distances, wb_gaps, last_stores = [], [], []
+    for g, cg in grains:
+        blocks = (batch.addresses >> np.uint64(log2_int(g))).astype(np.int64)
+        sectors = (batch.addresses >> np.uint64(log2_int(cg))).astype(np.int64)
+        d = distances_for_lines(blocks)
+        wb_gap, last_store = _writeback_gaps(blocks, sectors, d, is_store)
+        distances.append(d)
+        wb_gaps.append(wb_gap)
+        last_stores.append(last_store)
+    d_values, d_class = _classes(distances)
+    w_values, w_class = _classes(wb_gaps)
+    r, w = d_values.shape[1], w_values.shape[1]
+    return ChainProfile(
+        granularities=grains,
+        distances=d_values,
+        loads=np.bincount(d_class[~is_store], minlength=r),
+        stores=np.bincount(d_class[is_store], minlength=r),
+        wb_gaps=w_values,
+        wb_counts=np.bincount(w_class, minlength=w),
+        wb_last=np.stack([
+            np.bincount(w_class[last], minlength=w) for last in last_stores
+        ]),
     )
 
 
-def save_profile(profile: GranularityProfile, path: str | Path) -> None:
+def save_profile(profile: ChainProfile, path: str | Path) -> None:
     """Write a profile to ``path`` (.npz, SHA-256 sidecar).
 
     Atomic (temp file + rename), same guarantees as the trace cache.
     Uncompressed on purpose: persistence sits inside the analytic
-    screen's first-use path, deflate costs ~30x the raw write for a
-    few MB per profile, and the sidecar already guards integrity.
-    ``load_profile`` reads either format, so caches written before
-    this choice stay valid.
+    screen's first-use path, the class tables are a few hundred
+    distinct values per granularity, and the sidecar already guards
+    integrity.
     """
     buffer = _io.BytesIO()
     np.savez(
         buffer,
         version=np.int64(_PROFILE_FORMAT_VERSION),
-        granularity=np.int64(profile.granularity),
-        chain_granularity=np.int64(profile.chain_granularity),
-        references=np.int64(profile.references),
-        footprint=np.int64(profile.footprint),
+        granularities=np.asarray(profile.granularities, dtype=np.int64),
         distances=profile.distances,
-        is_store=profile.is_store,
-        wb_gap=profile.wb_gap,
-        last_store=profile.last_store,
+        loads=profile.loads,
+        stores=profile.stores,
+        wb_gaps=profile.wb_gaps,
+        wb_counts=profile.wb_counts,
+        wb_last=profile.wb_last,
     )
     _write_artifact(Path(path), buffer.getvalue())
 
 
-def load_profile(path: str | Path) -> GranularityProfile:
+def load_profile(path: str | Path) -> ChainProfile:
     """Read a profile written by :func:`save_profile`.
 
     Raises:
-        TraceError: for missing files or unknown formats.
+        TraceError: for missing files or unknown format versions.
         TraceIntegrityError: for truncated, bit-flipped, or otherwise
             unparseable files (checksum verified when a sidecar
             exists) — the caller should delete the artifact and
@@ -343,15 +371,16 @@ def load_profile(path: str | Path) -> GranularityProfile:
                 raise TraceError(
                     f"unsupported profile format version {version} in {path}"
                 )
-            return GranularityProfile(
-                granularity=int(data["granularity"]),
-                chain_granularity=int(data["chain_granularity"]),
-                references=int(data["references"]),
-                footprint=int(data["footprint"]),
+            return ChainProfile(
+                granularities=tuple(
+                    (int(g), int(cg)) for g, cg in data["granularities"]
+                ),
                 distances=data["distances"],
-                is_store=data["is_store"],
-                wb_gap=data["wb_gap"],
-                last_store=data["last_store"],
+                loads=data["loads"],
+                stores=data["stores"],
+                wb_gaps=data["wb_gaps"],
+                wb_counts=data["wb_counts"],
+                wb_last=data["wb_last"],
             )
     except TraceError:
         raise

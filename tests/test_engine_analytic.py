@@ -18,6 +18,13 @@ traced workloads:
 
 from __future__ import annotations
 
+import gc
+import io
+import pathlib
+import re
+import weakref
+
+import numpy as np
 import pytest
 
 from repro.designs.configs import EH_CONFIGS, N_CONFIGS
@@ -29,9 +36,11 @@ from repro.designs.nmm import NMMDesign
 from repro.designs.reference import ReferenceDesign
 from repro.experiments.runner import Runner
 from repro.partition.ranges import AddressRange
+from repro.profile import load_profile
 from repro.resilience import Journal, SweepExecutor
 from repro.resilience.journal import JournalEntry, cell_key
 from repro.tech.params import EDRAM, PCM
+from repro.trace.io import _write_artifact
 from repro.workloads.registry import get_workload
 
 SCALE = 1.0 / 8192
@@ -55,14 +64,157 @@ def all_designs(reference):
         DeepHybridDesign(EDRAM, PCM, EH_CONFIGS["EH1"], N_CONFIGS["N6"],
                          scale=SCALE, reference=reference),
         # EH4 and N6 share a 512 B page: both lower levels read the
-        # *same* profile, covering the engine's class-decomposed
-        # multi-level chain (the mixed-granularity EH1+N6 pair above
-        # covers the per-access gather path).
+        # one grain of a one-granularity profile (the mixed-granularity
+        # EH1+N6 pair above reads a two-grain profile).
         DeepHybridDesign(EDRAM, PCM, EH_CONFIGS["EH4"], N_CONFIGS["N6"],
                          scale=SCALE, reference=reference),
         NDMDesign(PCM, [AddressRange(0x1000_0000, 0x2000_0000, "hot")],
                   scale=SCALE, reference=reference),
     ]
+
+
+#: Analytic lower-level stats (``LevelStats.as_dict()`` values, first
+#: lower level to memory) of every family above on CG and SP at seed
+#: 5, undrained and drained, as the per-access engine computed them
+#: before profiles became class tables.
+PINNED_LOWER_STATS = {
+    ("CG", False, "REF"): (
+        ("DRAM", 29764, 828, 15239168, 423936, 29764, 0, 828, 0, 0, 0),
+    ),
+    ("CG", False, "NMM-PCM-N6"): (
+        ("DRAM$", 29764, 828, 15239168, 423936, 28939, 825, 828, 0, 426, 825),
+        ("NVM", 825, 426, 3379200, 218112, 825, 0, 426, 0, 0, 0),
+    ),
+    ("CG", False, "4LC-eDRAM-EH4"): (
+        ("L4", 29764, 828, 15239168, 423936, 18002, 11762, 828, 0, 790, 11762),
+        ("DRAM", 11762, 790, 48177152, 404480, 11762, 0, 790, 0, 0, 0),
+    ),
+    ("CG", False, "4LCNVM-eDRAM-PCM-EH4"): (
+        ("L4", 29764, 828, 15239168, 423936, 18002, 11762, 828, 0, 790, 11762),
+        ("NVM", 11762, 790, 48177152, 404480, 11762, 0, 790, 0, 0, 0),
+    ),
+    ("CG", False, "DEEP-eDRAM-PCM-EH1-N6"): (
+        ("L4", 29764, 828, 15239168, 423936, 3511, 26253, 377, 451, 814,
+         26704),
+        ("DRAM$", 26704, 814, 13672448, 416768, 25879, 825, 388, 426, 426,
+         1251),
+        ("NVM", 1251, 426, 5124096, 218112, 1251, 0, 426, 0, 0, 0),
+    ),
+    ("CG", False, "DEEP-eDRAM-PCM-EH4-N6"): (
+        ("L4", 29764, 828, 15239168, 423936, 18002, 11762, 828, 0, 790, 11762),
+        ("DRAM$", 11762, 790, 48177152, 404480, 10937, 825, 364, 426, 426,
+         1251),
+        ("NVM", 1251, 426, 5124096, 218112, 1251, 0, 426, 0, 0, 0),
+    ),
+    ("CG", False, "NDM-PCM"): (
+        ("DRAMpart", 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+        ("NVMpart", 29764, 828, 15239168, 423936, 29764, 0, 828, 0, 0, 0),
+    ),
+    ("SP", False, "REF"): (
+        ("DRAM", 47374, 11642, 24255488, 5960704, 47374, 0, 11642, 0, 0, 0),
+    ),
+    ("SP", False, "NMM-PCM-N6"): (
+        ("DRAM$", 47374, 11642, 24255488, 5960704, 41936, 5438, 11637, 5, 2706,
+         5443),
+        ("NVM", 5443, 2706, 22294528, 1385472, 5443, 0, 2706, 0, 0, 0),
+    ),
+    ("SP", False, "4LC-eDRAM-EH4"): (
+        ("L4", 47374, 11642, 24255488, 5960704, 18662, 28712, 5089, 6553,
+         11639, 35265),
+        ("DRAM", 35265, 11639, 144445440, 5959168, 35265, 0, 11639, 0, 0, 0),
+    ),
+    ("SP", False, "4LCNVM-eDRAM-PCM-EH4"): (
+        ("L4", 47374, 11642, 24255488, 5960704, 18662, 28712, 5089, 6553,
+         11639, 35265),
+        ("NVM", 35265, 11639, 144445440, 5959168, 35265, 0, 11639, 0, 0, 0),
+    ),
+    ("SP", False, "DEEP-eDRAM-PCM-EH1-N6"): (
+        ("L4", 47374, 11642, 24255488, 5960704, 5678, 41696, 5509, 6133, 11628,
+         47829),
+        ("DRAM$", 47829, 11628, 24488448, 5953536, 42386, 5443, 8922, 2706,
+         2706, 8149),
+        ("NVM", 8149, 2706, 33378304, 1385472, 8149, 0, 2706, 0, 0, 0),
+    ),
+    ("SP", False, "DEEP-eDRAM-PCM-EH4-N6"): (
+        ("L4", 47374, 11642, 24255488, 5960704, 18662, 28712, 5089, 6553,
+         11639, 35265),
+        ("DRAM$", 35265, 11639, 144445440, 5959168, 29822, 5443, 8933, 2706,
+         2706, 8149),
+        ("NVM", 8149, 2706, 33378304, 1385472, 8149, 0, 2706, 0, 0, 0),
+    ),
+    ("SP", False, "NDM-PCM"): (
+        ("DRAMpart", 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+        ("NVMpart", 47374, 11642, 24255488, 5960704, 47374, 0, 11642, 0, 0, 0),
+    ),
+    ("CG", True, "REF"): (
+        ("DRAM", 29764, 848, 15239168, 434176, 29764, 0, 848, 0, 0, 0),
+    ),
+    ("CG", True, "NMM-PCM-N6"): (
+        ("DRAM$", 29764, 848, 15239168, 434176, 28939, 825, 848, 0, 791, 825),
+        ("NVM", 825, 791, 3379200, 404992, 825, 0, 791, 0, 0, 0),
+    ),
+    ("CG", True, "4LC-eDRAM-EH4"): (
+        ("L4", 29764, 848, 15239168, 434176, 18002, 11762, 848, 0, 848, 11762),
+        ("DRAM", 11762, 848, 48177152, 434176, 11762, 0, 848, 0, 0, 0),
+    ),
+    ("CG", True, "4LCNVM-eDRAM-PCM-EH4"): (
+        ("L4", 29764, 848, 15239168, 434176, 18002, 11762, 848, 0, 848, 11762),
+        ("NVM", 11762, 848, 48177152, 434176, 11762, 0, 848, 0, 0, 0),
+    ),
+    ("CG", True, "DEEP-eDRAM-PCM-EH1-N6"): (
+        ("L4", 29764, 848, 15239168, 434176, 3511, 26253, 392, 456, 848,
+         26709),
+        ("DRAM$", 26709, 848, 13675008, 434176, 25883, 826, 422, 426, 791,
+         1252),
+        ("NVM", 1252, 791, 5128192, 404992, 1252, 0, 791, 0, 0, 0),
+    ),
+    ("CG", True, "DEEP-eDRAM-PCM-EH4-N6"): (
+        ("L4", 29764, 848, 15239168, 434176, 18002, 11762, 848, 0, 848, 11762),
+        ("DRAM$", 11762, 848, 48177152, 434176, 10937, 825, 422, 426, 791,
+         1251),
+        ("NVM", 1251, 791, 5124096, 404992, 1251, 0, 791, 0, 0, 0),
+    ),
+    ("CG", True, "NDM-PCM"): (
+        ("DRAMpart", 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+        ("NVMpart", 29764, 848, 15239168, 434176, 29764, 0, 848, 0, 0, 0),
+    ),
+    ("SP", True, "REF"): (
+        ("DRAM", 47374, 11662, 24255488, 5970944, 47374, 0, 11662, 0, 0, 0),
+    ),
+    ("SP", True, "NMM-PCM-N6"): (
+        ("DRAM$", 47374, 11662, 24255488, 5970944, 41936, 5438, 11657, 5, 2889,
+         5443),
+        ("NVM", 5443, 2889, 22294528, 1479168, 5443, 0, 2889, 0, 0, 0),
+    ),
+    ("SP", True, "4LC-eDRAM-EH4"): (
+        ("L4", 47374, 11662, 24255488, 5970944, 18662, 28712, 5089, 6573,
+         11662, 35285),
+        ("DRAM", 35285, 11662, 144527360, 5970944, 35285, 0, 11662, 0, 0, 0),
+    ),
+    ("SP", True, "4LCNVM-eDRAM-PCM-EH4"): (
+        ("L4", 47374, 11662, 24255488, 5970944, 18662, 28712, 5089, 6573,
+         11662, 35285),
+        ("NVM", 35285, 11662, 144527360, 5970944, 35285, 0, 11662, 0, 0, 0),
+    ),
+    ("SP", True, "DEEP-eDRAM-PCM-EH1-N6"): (
+        ("L4", 47374, 11662, 24255488, 5970944, 5678, 41696, 5525, 6137, 11656,
+         47833),
+        ("DRAM$", 47833, 11656, 24490496, 5967872, 42390, 5443, 8950, 2706,
+         2889, 8149),
+        ("NVM", 8149, 2889, 33378304, 1479168, 8149, 0, 2889, 0, 0, 0),
+    ),
+    ("SP", True, "DEEP-eDRAM-PCM-EH4-N6"): (
+        ("L4", 47374, 11662, 24255488, 5970944, 18662, 28712, 5089, 6573,
+         11662, 35285),
+        ("DRAM$", 35285, 11662, 144527360, 5970944, 29842, 5443, 8956, 2706,
+         2889, 8149),
+        ("NVM", 8149, 2889, 33378304, 1479168, 8149, 0, 2889, 0, 0, 0),
+    ),
+    ("SP", True, "NDM-PCM"): (
+        ("DRAMpart", 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+        ("NVMpart", 47374, 11662, 24255488, 5970944, 47374, 0, 11662, 0, 0, 0),
+    ),
+}
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +269,61 @@ class TestAnalyticDifferential:
                         assert abs(
                             le.hit_rate - la.hit_rate
                         ) <= SET_ASSOC_HIT_RATE_BOUND, (d_ex.name, le.name)
+
+    @pytest.mark.parametrize("drain", [False, True])
+    def test_lower_stats_match_the_pinned_values(self, trace_cache,
+                                                 workloads, drain):
+        """Class tables change how a profile is kept, not what the
+        engine computes: every family's lower levels equal the pinned
+        values, DeepHybrid's mixed-granularity chain included."""
+        runner = make_runner(trace_cache, "analytic", drain=drain)
+        for workload in workloads:
+            for design in all_designs(runner.reference):
+                pinned = PINNED_LOWER_STATS[(workload.name, drain, design.name)]
+                levels = runner.stats_for(design, workload).levels
+                got = tuple(
+                    tuple(level.as_dict().values())
+                    for level in levels[-len(pinned):]
+                )
+                assert got == pinned, (workload.name, design.name)
+
+    def test_loaded_profile_is_far_smaller_than_its_stream(self, trace_cache,
+                                                           workloads):
+        """A persisted one-granularity profile holds class tables, well
+        under a byte per access, not per-access arrays."""
+        runner = make_runner(trace_cache, "analytic")
+        runner.stats_for(all_designs(runner.reference)[1], workloads[0])
+        paths = [
+            path for path in pathlib.Path(trace_cache).glob("*.profile-*.npz")
+            if len(re.findall(r"-g\d+-c\d+", path.name)) == 1
+        ]
+        assert paths
+        for path in paths:
+            profile = load_profile(path)
+            held = sum(
+                value.nbytes for value in vars(profile).values()
+                if isinstance(value, np.ndarray)
+            )
+            assert 4 * held < profile.references, path.name
+
+    def test_foreign_version_profile_is_recomputed(self, trace_cache,
+                                                   workloads):
+        """A profile file of another format version, with a valid
+        sidecar, is discarded and rewritten, and its cell succeeds."""
+        runner = make_runner(trace_cache, "analytic")
+        workload = workloads[0]
+        upper_key = runner.prepare(workload).upper_key
+        path = pathlib.Path(trace_cache) / (
+            f"{runner._cache_name(workload)}.profile-{upper_key}-g512-c64.npz"
+        )
+        buffer = io.BytesIO()
+        np.savez(buffer, version=np.int64(99))
+        _write_artifact(path, buffer.getvalue())
+        design = all_designs(runner.reference)[1]  # NMM: a 512 B page
+        result = SweepExecutor(runner).run([design], [workload])
+        assert [o.status for o in result.outcomes] == ["ok"]
+        rewritten = load_profile(path)
+        assert rewritten.references == len(runner.prepare(workload).post_l3)
 
     def test_evaluations_flow_through_model(self, trace_cache, workloads):
         """Analytic stats evaluate through the AMAT/energy/EDP model
@@ -210,6 +417,45 @@ class TestScreenAnalyticCLI:
             if line.startswith("analytic screen kept")
         ][0]
         assert winner in kept_line
+
+    def test_screen_runner_is_freed_before_the_exact_confirm(
+        self, trace_cache, tmp_path, monkeypatch
+    ):
+        """The phase-1 runner holds no reference cycle, so refcounting
+        frees it (and its prepared workloads) as soon as the screen
+        returns, before phase 2 prepares them again."""
+        from repro.experiments import cli
+
+        built, alive = [], []
+        real_runner, real_screen = cli.Runner, cli._screen_designs
+
+        def spy_runner(*args, **kwargs):
+            runner = real_runner(*args, **kwargs)
+            built.append(weakref.ref(runner))
+            return runner
+
+        def spy_screen(*args):
+            monkeypatch.setattr(cli, "Runner", spy_runner)
+            try:
+                kept = real_screen(*args)
+            finally:
+                monkeypatch.setattr(cli, "Runner", real_runner)
+            alive.extend(ref() is not None for ref in built)
+            return kept
+
+        monkeypatch.setattr(cli, "_screen_designs", spy_screen)
+        gc.disable()
+        try:
+            code = cli.main([
+                "--scale", str(SCALE), "--seed", "5", "--workloads", "CG",
+                "--trace-cache", trace_cache,
+                "sweep", "--screen-analytic", "2",
+                "--journal", str(tmp_path / "screen.jsonl"),
+            ])
+        finally:
+            gc.enable()
+        assert code == 0
+        assert alive == [False]
 
     def test_screen_rejects_analytic_engine_combo(self, tmp_path):
         from repro.experiments.cli import main

@@ -71,7 +71,7 @@ class TestFullyAssociativeExactness:
         """The ISSUE's headline property: predicted fully-associative
         LRU hits == (reuse_distances(stream) < C).sum(), cold excluded."""
         batch = make_batch(pairs)
-        profile = compute_profile(batch, 64)
+        profile = compute_profile(batch, [(64, 64)])
         stream = AddressStream.from_batches([batch])
         d = reuse_distances(stream, line_size=64)
         warm_hits = int(np.count_nonzero((d != COLD_DISTANCE) & (d < cap)))
@@ -83,7 +83,7 @@ class TestFullyAssociativeExactness:
         self, pairs, cap
     ):
         batch = make_batch(pairs)
-        profile = compute_profile(batch, 64)
+        profile = compute_profile(batch, [(64, 64)])
         hits, writebacks, residual = exact_counts(batch, cap)
         assert profile.hit_count(cap) == hits
         assert profile.writeback_count(cap) == writebacks
@@ -96,13 +96,36 @@ class TestFullyAssociativeExactness:
         the (g=256, cg=64) profile must reproduce the sectored exact
         engine's writeback and residual counts."""
         batch = make_batch(pairs)
-        profile = compute_profile(batch, 256, chain_granularity=64)
+        profile = compute_profile(batch, [(256, 64)])
         hits, writebacks, residual = exact_counts(
             batch, cap, block=256, sector=64
         )
         assert profile.hit_count(cap) == hits
         assert profile.writeback_count(cap) == writebacks
         assert profile.residual_dirty(cap) == residual
+
+    @given(accesses, st.integers(min_value=1, max_value=40))
+    @settings(max_examples=60, deadline=None)
+    def test_each_grain_of_a_chain_profile_is_its_own_profile(
+        self, pairs, cap
+    ):
+        """A mixed-granularity chain's table keeps every granularity's
+        exact counts: each grain answers as that granularity's own
+        one-grain profile does."""
+        batch = make_batch(pairs)
+        grains = [(256, 64), (64, 64), (4096, 64)]
+        chain = compute_profile(batch, grains)
+        assert chain.granularities == tuple(sorted(grains))
+        for g, cg in grains:
+            alone = compute_profile(batch, [(g, cg)])
+            grain = chain.grain(g, cg)
+            for count in ("hit_count", "writeback_count", "residual_dirty"):
+                assert getattr(chain, count)(cap, grain) == getattr(
+                    alone, count
+                )(cap)
+            assert chain.footprint(grain) == alone.footprint()
+        assert chain.references == len(batch)
+        assert chain.n_stores == int(batch.is_store.sum())
 
     @given(accesses)
     @settings(max_examples=60, deadline=None)
@@ -115,7 +138,7 @@ class TestFullyAssociativeExactness:
     @given(accesses)
     @settings(max_examples=40, deadline=None)
     def test_miss_ratio_curve_monotone(self, pairs):
-        profile = compute_profile(make_batch(pairs), 64)
+        profile = compute_profile(make_batch(pairs), [(64, 64)])
         caps = np.arange(1, 65)
         curve = profile.miss_ratio_curve(caps)
         assert (np.diff(curve) <= 1e-12).all()
@@ -161,7 +184,7 @@ class TestSetAssociativeModel:
         addrs = (rng.zipf(1.3, size=n) % 4096).astype(np.uint64) * 64
         kinds = (rng.random(n) < 0.3).astype(np.uint8)
         batch = AccessBatch.from_lists(addrs, 8, kinds)
-        profile = compute_profile(batch, 64)
+        profile = compute_profile(batch, [(64, 64)])
         sets, ways = 16, 8
         cache = SetAssociativeCache(CacheConfig(
             "SA", sets * ways * 64, ways, 64, hashed_sets=True,
@@ -169,7 +192,8 @@ class TestSetAssociativeModel:
         cache.process(batch)
         exact_hits = cache.stats.load_hits + cache.stats.store_hits
         predicted = float(
-            hit_probability(profile.distances, sets, ways).sum()
+            hit_probability(profile.distances[0], sets, ways)
+            @ (profile.loads + profile.stores)
         )
         assert abs(predicted - exact_hits) / n < 0.05
 
@@ -179,22 +203,26 @@ class TestPersistence:
         rng = np.random.default_rng(0)
         addrs = rng.integers(0, 1 << 16, 5000).astype(np.uint64)
         kinds = (rng.random(5000) < 0.4).astype(np.uint8)
-        profile = compute_profile(AccessBatch.from_lists(addrs, 8, kinds), 64)
-        path = tmp_path / "cg.profile-d0-g64-c64.npz"
+        profile = compute_profile(
+            AccessBatch.from_lists(addrs, 8, kinds), [(64, 64), (256, 64)]
+        )
+        path = tmp_path / "cg.profile-d0-g64-c64-g256-c64.npz"
         save_profile(profile, path)
         loaded = load_profile(path)
-        assert loaded.granularity == profile.granularity
-        assert loaded.chain_granularity == profile.chain_granularity
-        assert loaded.references == profile.references
-        assert loaded.footprint == profile.footprint
-        assert np.array_equal(loaded.distances, profile.distances)
-        assert np.array_equal(loaded.is_store, profile.is_store)
-        assert np.array_equal(loaded.wb_gap, profile.wb_gap)
-        assert np.array_equal(loaded.last_store, profile.last_store)
+        assert loaded.granularities == profile.granularities
+        assert loaded.references == profile.references == 5000
+        assert loaded.footprint(1) == profile.footprint(1)
+        for name in ("distances", "loads", "stores", "wb_gaps", "wb_counts",
+                     "wb_last"):
+            assert np.array_equal(
+                getattr(loaded, name), getattr(profile, name)
+            )
 
     def test_corruption_detected(self, tmp_path):
         addrs = np.arange(1000, dtype=np.uint64) * 64
-        profile = compute_profile(AccessBatch.from_lists(addrs, 8, 0), 64)
+        profile = compute_profile(
+            AccessBatch.from_lists(addrs, 8, 0), [(64, 64)]
+        )
         path = tmp_path / "p.npz"
         save_profile(profile, path)
         data = bytearray(path.read_bytes())
