@@ -10,18 +10,20 @@ Subcommands:
 - ``oracle WORKLOAD [--tech PCM]`` — run the NDM placement oracle.
 
 - ``sweep`` — fault-tolerant design-space sweep with an on-disk
-  result journal (``--journal``), exact resume (``--resume``), bounded
-  retries (``--max-retries``), per-cell deadlines (``--cell-timeout``),
-  keep-going semantics (``--keep-going``), and process-parallel
-  execution (``--workers N``). Serial or parallel, every cell prices
-  its own design and is journalled as soon as it finishes. With
-  ``--screen-analytic K`` the full grid is first triaged by the
-  analytic reuse-profile engine and only each workload's top-K
-  designs re-simulate exactly. Parallel runs use
-  the supervised worker pool — dead workers respawn up to
-  ``--max-worker-restarts``, cells that kill ``--poison-threshold``
-  successive workers are quarantined as ``poisoned``, and SIGINT or
-  SIGTERM drains gracefully to an exact-resume journal.
+  result journal (``--journal``), exact resume (``--resume``), per-cell
+  deadlines (``--cell-timeout``), keep-going semantics
+  (``--keep-going``), and process-parallel execution (``--workers N``).
+  Serial or parallel, every cell is evaluated once, prices its own
+  design and is journalled as soon as it finishes; a failed cell
+  re-runs on ``--resume``. With ``--screen-analytic K`` the full grid
+  is first triaged by the analytic reuse-profile engine and only each
+  workload's top-K designs re-simulate exactly. Parallel runs, and any
+  run with ``--cell-timeout``, use the supervised worker pool — its
+  watchdog SIGKILLs the worker of a cell past its deadline, dead
+  workers respawn up to ``--max-worker-restarts``, cells that kill
+  ``--poison-threshold`` successive workers are quarantined as
+  ``poisoned``, and SIGINT or SIGTERM drains gracefully to an
+  exact-resume journal.
 
 - ``telemetry report DIR`` — summarize a telemetry directory written
   by a previous ``--telemetry DIR`` run (span digests, window stages,
@@ -180,7 +182,7 @@ def _screen_designs(args, runner: Runner, designs, workloads, top_k: int):
     journal (analytic cells can never satisfy the exact campaign's
     resume — the engine class is part of every cell key).
     """
-    from repro.resilience import Journal, RetryPolicy, SweepExecutor
+    from repro.resilience import Journal, SweepExecutor
     from repro.telemetry.progress import ProgressReporter
 
     screen_runner = Runner(
@@ -192,7 +194,6 @@ def _screen_designs(args, runner: Runner, designs, workloads, top_k: int):
     journal = Journal(f"{args.journal}.analytic") if args.journal else None
     executor = SweepExecutor(
         screen_runner,
-        retry=RetryPolicy(max_retries=args.max_retries, seed=args.seed),
         keep_going=True,
         journal=journal,
         resume=args.resume,
@@ -225,7 +226,7 @@ def _screen_designs(args, runner: Runner, designs, workloads, top_k: int):
 def _run_resilient_sweep(args, runner: Runner, workloads) -> int:
     """Handler for the ``sweep`` subcommand."""
     from repro.experiments.sweep import summarize
-    from repro.resilience import Journal, RetryPolicy, SweepExecutor
+    from repro.resilience import Journal, SweepExecutor
     from repro.experiments.sweep import SweepRecord
     from repro.workloads.registry import SUITE as suite_names
 
@@ -258,7 +259,6 @@ def _run_resilient_sweep(args, runner: Runner, workloads) -> int:
 
     executor = SweepExecutor(
         runner,
-        retry=RetryPolicy(max_retries=args.max_retries, seed=args.seed),
         cell_timeout_s=args.cell_timeout,
         keep_going=args.keep_going,
         journal=journal,
@@ -482,7 +482,7 @@ def main(argv: list[str] | None = None) -> int:
     sweep = sub.add_parser(
         "sweep",
         help="fault-tolerant design-space sweep with journalling, "
-        "resume, retries, and per-cell deadlines",
+        "resume, and per-cell deadlines",
     )
     sweep.add_argument(
         "--designs", type=str, default=DEFAULT_SWEEP_DESIGNS,
@@ -500,13 +500,10 @@ def main(argv: list[str] | None = None) -> int:
         "of re-evaluating them",
     )
     sweep.add_argument(
-        "--max-retries", type=int, default=0,
-        help="extra attempts per failing cell (exponential backoff with "
-        "seeded jitter; default 0)",
-    )
-    sweep.add_argument(
         "--cell-timeout", type=float, default=None,
-        help="per-cell wall-clock deadline in seconds (default: none)",
+        help="per-cell wall-clock deadline in seconds (default: none); "
+        "runs the supervised worker pool, one worker unless --workers "
+        "says more, whose watchdog kills the worker of a cell past it",
     )
     sweep.add_argument(
         "--keep-going", action="store_true",
@@ -515,9 +512,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     sweep.add_argument(
         "--workers", type=int, default=1,
-        help="worker processes evaluating cells (default 1: in-process; "
-        "N > 1 runs the supervised worker pool: crash recovery, work "
-        "stealing, graceful drain)",
+        help="worker processes evaluating cells (default 1: in-process "
+        "unless --cell-timeout is set; N > 1 runs the supervised worker "
+        "pool: crash recovery, work stealing, graceful drain)",
     )
     sweep.add_argument(
         "--max-worker-restarts", type=int, default=3,

@@ -65,7 +65,7 @@ def run_sweep(
     exception. ``workers > 1`` runs the grid on the supervised worker
     pool; the live exception object then cannot cross the process
     boundary, so failures re-raise as :class:`~repro.errors.SweepError`
-    carrying the formatted chain. For journalling, retries, deadlines, and
+    carrying the formatted chain. For journalling, deadlines, and
     keep-going semantics, use the executor directly.
     """
     designs = list(designs)

@@ -4,17 +4,16 @@ Long sweep campaigns (the paper's 9 workloads × dozens of design
 points) need to survive bad cells, crashes, and corrupt cached
 artifacts. This package provides the resilience layer:
 
-- :mod:`repro.resilience.retry` — bounded retries with deterministic
-  seeded backoff jitter (:class:`RetryPolicy`).
 - :mod:`repro.resilience.journal` — on-disk JSON-lines result journal
   keyed by a content hash of (design, workload, scale, seed), one
   ``O_APPEND`` line per cell, fsynced in groups, enabling exact resume
   (:class:`Journal`).
-- :mod:`repro.resilience.executor` — the fault-isolated sweep executor
-  with per-cell deadlines and a degradation report
+- :mod:`repro.resilience.executor` — the fault-isolated sweep executor:
+  each cell evaluated once, a degradation report
   (:class:`SweepExecutor`, :class:`CampaignResult`).
 - :mod:`repro.resilience.pool` — the supervised persistent worker pool
-  behind ``workers > 1``: per-cell dispatch (work stealing),
+  behind ``workers > 1`` and per-cell deadlines: per-cell dispatch
+  (work stealing),
   heartbeats, dead-worker respawn, poison-cell quarantine, a
   hung-worker watchdog, and graceful SIGINT/SIGTERM drain
   (:class:`SupervisedPool`).
@@ -51,7 +50,6 @@ from repro.resilience.journal import (
     cell_key_for,
 )
 from repro.resilience.pool import PoolStats, PoolTuning, SupervisedPool
-from repro.resilience.retry import NO_RETRY, RetryPolicy, call_with_retries
 
 __all__ = [
     "SweepExecutor",
@@ -71,9 +69,6 @@ __all__ = [
     "SupervisedPool",
     "PoolStats",
     "PoolTuning",
-    "RetryPolicy",
-    "NO_RETRY",
-    "call_with_retries",
     "FaultInjector",
     "InjectedFault",
     "CampaignKill",

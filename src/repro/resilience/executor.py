@@ -4,33 +4,34 @@ The paper's evaluation is a large (design × workload) grid, and each
 cell is expensive because tracing actually runs the workload. The
 executor runs that grid so one bad cell can't sink the campaign:
 
-- every cell runs in **fault isolation**: an exception is captured
-  (with its full chain) and recorded, not propagated;
-- a configurable :class:`~repro.resilience.retry.RetryPolicy` re-tries
-  transient failures with deterministic, seeded backoff;
-- an optional per-cell **wall-clock deadline** abandons runaway cells
-  (the attempt keeps running on a daemon thread, but the campaign
-  moves on and records ``timed_out``);
+- every cell is evaluated **once**, in **fault isolation**: an
+  exception is captured (with its full chain) and recorded, not
+  propagated; a cell is a deterministic function of its design,
+  workload, scale and seed, so a failed cell is re-run by resuming
+  the journal, not by retrying in-process;
+- an optional per-cell **wall-clock deadline** runs the grid on the
+  supervised pool, whose watchdog SIGKILLs the worker of a cell past
+  it and records the cell ``timed_out``;
 - finished cells are appended to an on-disk
   :class:`~repro.resilience.journal.Journal`, so an interrupted
   campaign **resumes** exactly where it stopped and never re-evaluates
   an unchanged, completed cell;
 - the campaign ends with a **degradation report**: which cells
-  succeeded, which needed retries, which were abandoned, and the
-  (seed, cell key) pair that reproduces each failure.
+  succeeded, which were abandoned, and the (seed, cell key) pair that
+  reproduces each failure.
 
 Every cell goes through one path: the same per-cell evaluation (cell
-scope, ``sweep.cell`` span, retries, deadline) runs in-process for
-``workers=1`` and inside each worker of the **supervised worker pool**
-(:mod:`repro.resilience.pool`) for ``workers=N``, and every finished
-cell is journalled, counted and reported by the parent as it arrives.
-The pool pulls individual cells from the parent (work stealing) and
-survives worker *process* deaths — respawning killed workers up to a
-budget, requeueing their in-flight cells, quarantining "poison" cells
-that kill ``poison_threshold`` successive workers (recorded as
-``poisoned``), SIGKILLing a worker whose cell passes its deadline (the
-cell is recorded ``timed_out``), and draining gracefully on
-SIGINT/SIGTERM with an exact-resume journal. Resume, fault isolation
+scope, ``sweep.cell`` span) runs in-process for a serial sweep and
+inside each worker of the **supervised worker pool**
+(:mod:`repro.resilience.pool`) for ``workers > 1`` or a deadline, and
+every finished cell is journalled, counted and reported by the parent
+as it arrives. The pool pulls individual cells from the parent (work
+stealing) and survives worker *process* deaths — respawning killed
+workers up to a budget, requeueing their in-flight cells, quarantining
+"poison" cells that kill ``poison_threshold`` successive workers
+(recorded as ``poisoned``), SIGKILLing a worker whose cell passes its
+deadline (the cell is recorded ``timed_out``), and draining gracefully
+on SIGINT/SIGTERM with an exact-resume journal. Resume, fault isolation
 and the degradation report are the same for any worker count; only
 live exception objects cannot cross the process boundary (the
 formatted error chains still do).
@@ -39,7 +40,6 @@ formatted error chains still do).
 from __future__ import annotations
 
 import logging
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -53,7 +53,6 @@ from repro.resilience.journal import (
     cell_key_for,
     evaluation_record,
 )
-from repro.resilience.retry import NO_RETRY, RetryPolicy
 from repro.telemetry.core import (
     NullTelemetry,
     RunContext,
@@ -104,15 +103,17 @@ class CellOutcome:
         key: journal content hash of the cell.
         design / workload: labels.
         status: one of ``ok`` / ``failed`` / ``skipped`` / ``timed_out``.
-        attempts: evaluation attempts consumed (0 for skipped or
-            journal-reused cells).
-        duration_s: wall-clock spent on this campaign's attempts.
+        attempts: 1 for an evaluated cell, 0 for a skipped,
+            journal-reused or never-run one, and the worker kills for a
+            poisoned one.
+        duration_s: wall-clock spent evaluating the cell.
         error: formatted exception chain for failed cells.
         evaluation: model output for ok cells.
         from_journal: True when the result was reused from a resume
             journal rather than evaluated this run.
-        exception: the live exception object of the *last* attempt
-            (never serialized; lets wrappers re-raise faithfully).
+        exception: the live exception object of a failed in-process
+            evaluation (never serialized; lets wrappers re-raise
+            faithfully).
     """
 
     key: str
@@ -140,7 +141,8 @@ class CampaignResult:
 
     Attributes:
         outcomes: one entry per grid cell, in sweep order.
-        seed: the retry policy's jitter seed (reproduction handle).
+        seed: the runner's seed, which every cell key is built from
+            (with the key, the reproduction handle of a failure).
         restarts: replacement workers the supervised pool spawned.
         requeues: in-flight cells recovered from dead workers.
         drained: a SIGINT/SIGTERM drain interrupted the campaign
@@ -166,11 +168,6 @@ class CampaignResult:
             if o.status in (STATUS_FAILED, STATUS_TIMED_OUT,
                             STATUS_POISONED)
         ]
-
-    @property
-    def retried(self) -> list[CellOutcome]:
-        """Cells that needed more than one attempt (any final status)."""
-        return [o for o in self.outcomes if o.attempts > 1]
 
     def counts(self) -> dict[str, int]:
         """Outcome tally by status."""
@@ -205,13 +202,6 @@ class CampaignResult:
                 "  campaign drained by signal; skipped cells resume "
                 "exactly from the journal"
             )
-        if self.retried:
-            lines.append("  retried cells:")
-            for o in self.retried:
-                lines.append(
-                    f"    {o.design}/{o.workload}: {o.attempts} attempts "
-                    f"-> {o.status}"
-                )
         if self.failures:
             lines.append("  abandoned cells (reproduce with seed + key):")
             for o in self.failures:
@@ -231,10 +221,11 @@ class SweepExecutor:
 
     Args:
         runner: the experiment runner evaluating each cell.
-        retry: retry policy for failing cells (default: no retries).
-        cell_timeout_s: per-cell wall-clock deadline spanning all of a
-            cell's attempts; None disables deadlines (cells then run
-            inline, keeping native tracebacks).
+        cell_timeout_s: per-cell wall-clock deadline. A deadline runs
+            the grid on the supervised pool (one worker unless
+            ``workers`` says more), whose watchdog SIGKILLs the worker
+            of a cell past it; None (default) lets a serial sweep
+            evaluate its cells inline.
         keep_going: when False, the first non-ok cell marks every
             remaining cell ``skipped`` (classic fail-fast); when True
             (default) the campaign always finishes the grid.
@@ -244,21 +235,21 @@ class SweepExecutor:
             the journal are reused instead of re-evaluated.
         evaluate: override for the per-cell evaluation callable
             ``(design, workload) -> Evaluation`` — the hook the
-            fault-injection harness wraps. Incompatible with
-            ``workers > 1`` (the callable cannot cross the process
-            boundary).
-        sleep: override for backoff sleeping (tests pass a stub).
+            fault-injection harness wraps. Incompatible with the pool
+            (``workers > 1`` or a deadline): the callable cannot cross
+            the process boundary.
         telemetry: explicit telemetry instance; None resolves the
             process-wide active instance at :meth:`run` time.
         progress: optional
             :class:`~repro.telemetry.progress.ProgressReporter` for
             live per-cell lines, ETA, and the resume summary.
         workers: processes evaluating cells. 1 (default) runs the grid
-            serially in-process; N > 1 runs it on the supervised
-            worker pool (crash recovery, work stealing, graceful
-            drain — see :mod:`repro.resilience.pool`), which first
-            publishes each workload's trace to a shared arena that
-            every worker attaches.
+            serially in-process unless a deadline is set; N > 1 runs
+            it on the supervised worker pool (crash recovery, work
+            stealing, graceful drain — see
+            :mod:`repro.resilience.pool`), which first publishes each
+            workload's trace to a shared arena that every worker
+            attaches.
         max_worker_restarts: the pool's total respawn budget for
             dead workers; past it the pool degrades (remaining cells
             fail with a pool-exhausted error) instead of raising.
@@ -267,8 +258,9 @@ class SweepExecutor:
         worker_faults: a picklable
             :class:`~repro.resilience.faults.FaultInjector` that every
             worker process wraps around its evaluate callable (chaos
-            testing for the supervisor itself). Requires
-            ``workers > 1``; in-process injection uses ``evaluate=``.
+            testing for the supervisor itself). Requires the pool
+            (``workers > 1`` or a deadline); in-process injection uses
+            ``evaluate=``.
         pool_tuning: supervision timing knobs
             (:class:`~repro.resilience.pool.PoolTuning`); None uses
             production defaults.
@@ -282,13 +274,11 @@ class SweepExecutor:
         self,
         runner: Runner,
         *,
-        retry: RetryPolicy | None = None,
         cell_timeout_s: float | None = None,
         keep_going: bool = True,
         journal: Journal | str | Path | None = None,
         resume: bool = True,
         evaluate: Callable[[MemoryDesign, Workload], Evaluation] | None = None,
-        sleep: Callable[[float], None] = time.sleep,
         telemetry: Telemetry | NullTelemetry | None = None,
         progress: ProgressReporter | None = None,
         workers: int = 1,
@@ -301,22 +291,23 @@ class SweepExecutor:
             raise ConfigError("cell_timeout_s must be positive")
         if workers < 1:
             raise ConfigError("workers must be >= 1")
-        if workers > 1 and evaluate is not None:
+        pooled = workers > 1 or cell_timeout_s is not None
+        if pooled and evaluate is not None:
             raise ConfigError(
                 "a custom evaluate callable cannot cross the process "
-                "boundary; use workers=1 with evaluation overrides"
+                "boundary; use workers=1 without a deadline to override "
+                "evaluation"
             )
         if max_worker_restarts < 0:
             raise ConfigError("max_worker_restarts must be >= 0")
         if poison_threshold < 1:
             raise ConfigError("poison_threshold must be >= 1")
-        if worker_faults is not None and workers == 1:
+        if worker_faults is not None and not pooled:
             raise ConfigError(
-                "worker_faults targets worker processes; with workers=1 "
-                "inject in-process via evaluate=injector.wrap(...)"
+                "worker_faults targets pool worker processes; a serial "
+                "sweep injects in-process via evaluate=injector.wrap(...)"
             )
         self.runner = runner
-        self.retry = retry if retry is not None else NO_RETRY
         self.cell_timeout_s = cell_timeout_s
         self.keep_going = keep_going
         if journal is not None and not isinstance(journal, Journal):
@@ -324,7 +315,6 @@ class SweepExecutor:
         self.journal = journal
         self.resume = resume
         self._evaluate = evaluate or runner.evaluate
-        self._sleep = sleep
         self.telemetry = telemetry
         self.progress = progress
         self.workers = workers
@@ -332,6 +322,9 @@ class SweepExecutor:
         self.poison_threshold = poison_threshold
         self.worker_faults = worker_faults
         self.pool_tuning = pool_tuning
+        # Only the pool can stop a cell past its deadline: it kills the
+        # worker process the cell runs in.
+        self._pooled = pooled
         # Populated (and torn down) per run() by _publish_traces: the
         # picklable handles workers use to attach the one shared copy
         # of each workload's trace.
@@ -365,125 +358,37 @@ class SweepExecutor:
         cell's journal key."""
         return getattr(self.runner, "engine_class", "exact")
 
-    # -- single-attempt plumbing ----------------------------------------
-
-    def _attempt(
-        self,
-        design: MemoryDesign,
-        workload: Workload,
-        deadline: float | None,
-    ) -> tuple[Evaluation | None, BaseException | None, bool]:
-        """One evaluation attempt.
-
-        Returns ``(evaluation, exception, timed_out)``. With no
-        deadline the call runs inline; with one it runs on a daemon
-        thread that is abandoned if the deadline passes.
-        """
-        if deadline is None:
-            try:
-                return self._evaluate(design, workload), None, False
-            except Exception as exc:
-                return None, exc, False
-
-        box: dict[str, object] = {}
-
-        def work() -> None:
-            try:
-                box["value"] = self._evaluate(design, workload)
-            except BaseException as exc:  # delivered to the caller below
-                box["error"] = exc
-
-        thread = threading.Thread(
-            target=work,
-            name=f"sweep-cell-{design.name}-{workload.name}",
-            daemon=True,
-        )
-        thread.start()
-        thread.join(max(0.0, deadline - time.monotonic()))
-        if thread.is_alive():
-            return None, None, True
-        error = box.get("error")
-        if error is not None:
-            if not isinstance(error, Exception):
-                raise error  # KeyboardInterrupt & friends propagate
-            return None, error, False
-        return box["value"], None, False  # type: ignore[return-value]
-
-    def _run_cell(
-        self, design: MemoryDesign, workload: Workload, key: str
-    ) -> CellOutcome:
-        """Evaluate one cell under the retry policy and deadline."""
-        started = time.monotonic()
-        deadline = (
-            started + self.cell_timeout_s
-            if self.cell_timeout_s is not None
-            else None
-        )
-        attempts = 0
-        last_error: BaseException | None = None
-        while attempts < self.retry.max_attempts:
-            attempts += 1
-            evaluation, error, timed_out = self._attempt(
-                design, workload, deadline
-            )
-            duration = time.monotonic() - started
-            if timed_out:
-                message = (
-                    f"cell exceeded its {self.cell_timeout_s:g}s deadline "
-                    f"after {attempts} attempt(s)"
-                )
-                if last_error is not None:
-                    message += (
-                        f"; last failure: {format_exception_chain(last_error)}"
-                    )
-                return CellOutcome(
-                    key=key, design=design.name, workload=workload.name,
-                    status=STATUS_TIMED_OUT, attempts=attempts,
-                    duration_s=duration, error=message,
-                    exception=last_error,
-                )
-            if error is None:
-                return CellOutcome(
-                    key=key, design=design.name, workload=workload.name,
-                    status=STATUS_OK, attempts=attempts, duration_s=duration,
-                    evaluation=evaluation,
-                )
-            if last_error is not None and error.__context__ is None:
-                # Thread-run attempts lose implicit chaining; restore it
-                # so the recorded chain spans all attempts.
-                error.__context__ = last_error
-            last_error = error
-            if attempts < self.retry.max_attempts:
-                delay = self.retry.delay_s(key, attempts)
-                if deadline is not None and (
-                    time.monotonic() + delay >= deadline
-                ):
-                    # No room left for another attempt; report the
-                    # failure rather than sleeping through the deadline.
-                    break
-                self._sleep(delay)
-        assert last_error is not None
-        return CellOutcome(
-            key=key, design=design.name, workload=workload.name,
-            status=STATUS_FAILED, attempts=attempts,
-            duration_s=time.monotonic() - started,
-            error=format_exception_chain(last_error),
-            exception=last_error,
-        )
+    # -- one cell -------------------------------------------------------
 
     def _evaluate_cell(
         self, design: MemoryDesign, workload: Workload, key: str
     ) -> CellOutcome:
-        """Evaluate one cell inside its telemetry cell scope and span.
+        """Evaluate one cell once, inside its telemetry cell scope and span.
 
         The one per-cell path: the serial loop calls it in-process and
-        every pool worker calls it on its own executor.
+        every pool worker calls it on its own executor. An exception
+        fails the cell; anything else (``KeyboardInterrupt``,
+        :class:`~repro.resilience.faults.CampaignKill`) propagates.
         """
         tel = self._telemetry()
+        started = time.monotonic()
         with tel.cell_scope(key), tel.span(
             "sweep.cell", design=design.name, workload=workload.name
         ):
-            return self._run_cell(design, workload, key)
+            try:
+                evaluation = self._evaluate(design, workload)
+            except Exception as exc:
+                return CellOutcome(
+                    key=key, design=design.name, workload=workload.name,
+                    status=STATUS_FAILED, attempts=1,
+                    duration_s=time.monotonic() - started,
+                    error=format_exception_chain(exc), exception=exc,
+                )
+        return CellOutcome(
+            key=key, design=design.name, workload=workload.name,
+            status=STATUS_OK, attempts=1,
+            duration_s=time.monotonic() - started, evaluation=evaluation,
+        )
 
     # -- campaign -------------------------------------------------------
 
@@ -568,7 +473,7 @@ class SweepExecutor:
                 ))
 
         try:
-            if self.workers > 1:
+            if self._pooled:
                 stats = self._run_supervised(grid, journalled, to_run,
                                              deliver, tel)
             else:
@@ -596,7 +501,7 @@ class SweepExecutor:
                 ))
             outcomes.append(results[key])
         result = CampaignResult(
-            outcomes=outcomes, seed=self.retry.seed,
+            outcomes=outcomes, seed=self.runner.seed,
             restarts=stats.respawns, requeues=stats.requeues,
             drained=stats.drained,
         )
@@ -618,10 +523,6 @@ class SweepExecutor:
         ).inc()
         if outcome.from_journal:
             tel.counter("repro_sweep_cells_reused_total").inc()
-        if outcome.attempts > 1:
-            tel.counter("repro_sweep_retries_total").inc(
-                outcome.attempts - 1
-            )
         tel.event(
             "cell_finished", cell=outcome.key, design=outcome.design,
             workload=outcome.workload, status=outcome.status,
@@ -689,7 +590,6 @@ class SweepExecutor:
         pool = SupervisedPool(
             workers=self.workers,
             runner_args=self._runner_args(),
-            retry=self.retry,
             cell_timeout_s=self.cell_timeout_s,
             max_worker_restarts=self.max_worker_restarts,
             poison_threshold=self.poison_threshold,

@@ -1,8 +1,8 @@
 """Deterministic fault injection for testing the resilience paths.
 
-Retry, resume, deadline, and supervision handling are only trustworthy
-if they are themselves exercised; this module makes the failure modes
-reproducible on demand:
+Fault isolation, resume, deadline, and supervision handling are only
+trustworthy if they are themselves exercised; this module makes the
+failure modes reproducible on demand:
 
 - **cell faults** — wrap the executor's evaluate callable so the Nth
   evaluation raises, a given (design, workload) cell always (or k

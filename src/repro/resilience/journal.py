@@ -112,8 +112,9 @@ class JournalEntry:
         design / workload: labels, for humans and reports.
         scale / seed: the runner parameters the key was derived from.
         status: ``ok`` / ``failed`` / ``skipped`` / ``timed_out``.
-        attempts: evaluation attempts consumed.
-        duration_s: wall-clock spent on the cell (all attempts).
+        attempts: 1 for an evaluated cell, the worker kills for a
+            poisoned one, 0 for one an exhausted pool never ran.
+        duration_s: wall-clock spent on the cell.
         error: formatted exception chain for non-ok cells, else None.
         evaluation: the serialized :class:`Evaluation` for ok cells.
         run_id: telemetry run that produced the entry (None for

@@ -1,16 +1,17 @@
 """Supervised persistent worker pool with work stealing.
 
-Every ``workers > 1`` sweep runs on this pool. Per-cell fault isolation
-catches exceptions inside a process, but not a worker *process* dying
-(OOM killer, scheduler SIGKILL). This module supervises the processes
-themselves:
+Every ``workers > 1`` sweep, and every sweep with a per-cell deadline,
+runs on this pool. Per-cell fault isolation catches exceptions inside
+a process, but not a worker *process* dying (OOM killer, scheduler
+SIGKILL). This module supervises the processes themselves:
 
 - **work stealing** — workers pull *individual cells* from the
   parent's dispatch queue over per-worker pipes, so a fast worker
   drains the tail instead of idling behind a static split;
 - **heartbeats** — each worker emits a heartbeat from a dedicated
   thread; silence past a timeout marks the process wedged even when
-  the OS still reports it alive;
+  the OS still reports it alive. The same thread ends its worker once
+  the parent is gone, so a SIGKILLed sweep leaves no worker behind;
 - **crash recovery** — a dead worker's in-flight cell is requeued and
   the worker respawned (up to ``max_worker_restarts``); a cell that
   kills ``poison_threshold`` successive workers is quarantined as
@@ -38,6 +39,7 @@ directory.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import signal
 import threading
 import time
@@ -64,7 +66,6 @@ from repro.telemetry.core import (
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
     from repro.resilience.faults import FaultInjector
-    from repro.resilience.retry import RetryPolicy
 
 
 @dataclass(frozen=True)
@@ -167,6 +168,10 @@ def _pool_worker(conn, payload: dict) -> None:
     the only other one. The worker never stops a cell itself: past its
     deadline the parent's watchdog SIGKILLs the whole process, which
     reclaims everything the cell held, and the respawn starts clean.
+    The heartbeat thread also ends the process once the parent it
+    started under is gone (its parent pid changes): the fork leaves
+    the parent's end of the pipe open in the worker too, so ``recv``
+    never sees EOF when the parent dies.
 
     A ``cell_finished`` ack carries the cell's
     :class:`~repro.resilience.executor.CellOutcome` (without its live
@@ -186,6 +191,7 @@ def _pool_worker(conn, payload: dict) -> None:
     parent writes both into its own run directory, so no acked cell's
     telemetry is lost to a SIGKILL and no worker writes a file.
     """
+    parent = os.getppid()  # first, so a parent dying later is seen
     # Forked workers inherit the parent's drain handlers; reset them so
     # Ctrl-C to the process group cannot kill workers mid-drain and a
     # SIGTERM sent to a worker terminates it.
@@ -219,6 +225,8 @@ def _pool_worker(conn, payload: dict) -> None:
 
     def beat() -> None:
         while not stop_beats.wait(payload["heartbeat_interval_s"]):
+            if os.getppid() != parent:
+                os._exit(1)  # orphaned: nobody is left to ack
             send(("heartbeat", time.monotonic()))
 
     threading.Thread(
@@ -232,7 +240,6 @@ def _pool_worker(conn, payload: dict) -> None:
         evaluate = faults.wrap(runner.evaluate) if faults is not None else None
         executor = SweepExecutor(
             runner,
-            retry=payload["retry"],
             keep_going=True,
             journal=None,
             resume=False,
@@ -311,7 +318,6 @@ class SupervisedPool:
         workers: worker processes to keep running.
         runner_args: keyword arguments rebuilding the
             :class:`~repro.experiments.runner.Runner` in each worker.
-        retry: per-cell retry policy (applied inside workers).
         cell_timeout_s: per-cell wall-clock deadline from dispatch,
             enforced by the parent's watchdog (None disables the
             deadline; heartbeat silence still kills a worker).
@@ -337,7 +343,6 @@ class SupervisedPool:
         *,
         workers: int,
         runner_args: dict,
-        retry: "RetryPolicy",
         cell_timeout_s: float | None = None,
         max_worker_restarts: int = 3,
         poison_threshold: int = 2,
@@ -353,7 +358,6 @@ class SupervisedPool:
             raise ConfigError("poison_threshold must be >= 1")
         self.workers = workers
         self.runner_args = runner_args
-        self.retry = retry
         self.cell_timeout_s = cell_timeout_s
         self.max_worker_restarts = max_worker_restarts
         self.poison_threshold = poison_threshold
@@ -480,7 +484,6 @@ class SupervisedPool:
             ),
             "profile": profile.hz if profile is not None else None,
             "runner_args": self.runner_args,
-            "retry": self.retry,
             "worker_faults": self.worker_faults,
             "heartbeat_interval_s": self.tuning.heartbeat_interval_s,
         }

@@ -424,8 +424,8 @@ class Telemetry:
     def cell_scope(self, cell_key: str) -> Iterator[None]:
         """Stamp ``cell`` into every event emitted inside the block.
 
-        Thread-local, so parallel in-process cells (deadline threads)
-        never cross-stamp each other's events. The spool drains — and
+        Thread-local, so events from other threads (the live server,
+        the profiler) are never stamped with the cell. The spool drains — and
         the event log flushes — when the scope closes, so cell
         boundaries are durability points *and* visibility points for
         live tailers (``telemetry serve`` readers see every cell's

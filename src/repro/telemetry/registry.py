@@ -4,7 +4,7 @@ Three instrument kinds, mirroring the Prometheus data model the HPC
 monitoring stacks this reproduction targets already speak:
 
 - :class:`Counter` — monotonically increasing count (cells evaluated,
-  retries consumed, references simulated);
+  workers restarted, references simulated);
 - :class:`Gauge` — a value that goes up and down (sweep queue depth);
 - :class:`Histogram` — fixed-bucket distribution (span durations,
   per-cell wall time).
@@ -18,9 +18,8 @@ simulate loop does not even pay that (see
 :mod:`repro.telemetry.windows`: the observer hook is a single
 ``is not None`` check per chunk).
 
-All mutation is guarded by a registry-wide lock: sweep cells may run on
-daemon threads under a deadline, and abandoned attempts can outlive
-their cell.
+All mutation is guarded by a registry-wide lock: the live server reads
+the registry from its own thread while cells update it.
 """
 
 from __future__ import annotations

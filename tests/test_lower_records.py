@@ -44,11 +44,9 @@ from repro.experiments.simplan import SimPlan
 from repro.partition.profiler import select_ranges
 from repro.partition.ranges import AddressRange
 from repro.resilience import (
-    NO_RETRY,
     FaultInjector,
     Journal,
     PoolTuning,
-    RetryPolicy,
     SweepExecutor,
 )
 from repro.tech.params import DRAM, EDRAM, FERAM, PCM, STTRAM
@@ -364,7 +362,7 @@ class TestConservation:
         assert (nmm.sim_key(), "CG") not in runner._design_stats
         assert (chain, "CG") not in runner._chain_stats
         assert not record.exists()  # the whole record is suspect
-        # The retry re-simulates and prices the design correctly.
+        # Asking again re-simulates and prices the design correctly.
         assert runner.stats_for(nmm, workload).as_dict() == expected[1]
         telemetry.close()
         events = [
@@ -379,27 +377,31 @@ class TestConservation:
         assert violation["engine_class"] == "exact"
         assert violation["source"] == "record"
 
-    @pytest.mark.parametrize(
-        "retry", [NO_RETRY, RetryPolicy(max_retries=1, backoff_base_s=0.0)]
-    )
-    def test_violating_record_fails_its_sweep_cell(self, tmp_path, retry):
-        """Without retries the cell fails; a retry re-simulates, since
-        the violating record was discarded."""
+    @pytest.mark.parametrize("reruns", [0, 1], ids=lambda n: f"retry{n}")
+    def test_violating_record_fails_its_sweep_cell(self, tmp_path, reruns):
+        """The cell fails; retrying it by resuming the journal
+        re-simulates it, since the violating record was discarded."""
         cold_record(tmp_path)
         runner = make_runner(tmp_path)
         nmm = recordable(runner)[1]
         self._lose_a_load(tmp_path, nmm)
         journal = Journal(tmp_path / "campaign.jsonl")
-        result = SweepExecutor(runner, retry=retry, journal=journal).run(
-            [nmm], [get_workload("CG")]
-        )
+        workloads = [get_workload("CG")]
+        result = SweepExecutor(runner, journal=journal).run([nmm], workloads)
         ((design, status),) = [(o.design, o.status) for o in result.outcomes]
-        assert design == nmm.name
-        assert status == ("failed" if retry is NO_RETRY else "ok")
+        assert (design, status) == (nmm.name, "failed")
         (entry,) = journal.load().values()
-        if retry is NO_RETRY:
-            assert entry.evaluation is None
-            assert "conservation violated" in entry.error
+        assert entry.evaluation is None
+        assert "conservation violated" in entry.error
+        if not reruns:
+            return
+
+        resumed = SweepExecutor(
+            make_runner(tmp_path), journal=journal, resume=True
+        ).run([nmm], workloads)
+        (outcome,) = resumed.outcomes
+        assert outcome.status == "ok" and not outcome.from_journal
+        assert journal.load()[outcome.key].status == "ok"
 
     def test_violating_ref_record_fails_prepare(self, tmp_path):
         cold_record(tmp_path)

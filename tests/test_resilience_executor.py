@@ -1,4 +1,4 @@
-"""Sweep executor: fault isolation, retries, deadlines, resume.
+"""Sweep executor: fault isolation, one evaluation per cell, resume.
 
 Most tests drive the executor with a fake runner so the resilience
 machinery is exercised in milliseconds; one integration test runs a
@@ -20,7 +20,6 @@ from repro.resilience import (
     FaultInjector,
     InjectedFault,
     Journal,
-    RetryPolicy,
     SweepExecutor,
     cell_key_for,
 )
@@ -52,9 +51,9 @@ class FakeWorkload:
 class FakeRunner:
     """Duck-typed stand-in: scale, seed, and an evaluate counter."""
 
-    def __init__(self):
+    def __init__(self, seed=0):
         self.scale = 0.001
-        self.seed = 0
+        self.seed = seed
         self.calls = 0
 
     def evaluate(self, design, workload):
@@ -81,6 +80,14 @@ class TestValidation:
         with pytest.raises(ConfigError):
             SweepExecutor(FakeRunner(), cell_timeout_s=0.0)
 
+    def test_custom_evaluate_rejected_with_a_deadline(self):
+        """A deadline runs the grid on the pool, which a custom evaluate
+        callable cannot cross into."""
+        runner = FakeRunner()
+        with pytest.raises(ConfigError, match="process boundary"):
+            SweepExecutor(runner, evaluate=runner.evaluate,
+                          cell_timeout_s=30.0)
+
 
 class TestFaultIsolation:
     def test_clean_campaign(self):
@@ -97,6 +104,8 @@ class TestFaultIsolation:
         result = executor.run(DESIGNS, WORKLOADS)
         by_cell = {(o.design, o.workload): o for o in result.outcomes}
         assert by_cell[("D1", "W2")].status == "failed"
+        assert injector.calls == 4  # every cell evaluated exactly once
+        assert all(o.attempts == 1 for o in result.outcomes)
         # Every other cell still completed.
         ok = [o for o in result.outcomes if o.ok]
         assert len(ok) == 3
@@ -133,65 +142,6 @@ class TestFaultIsolation:
             "ok", "failed", "skipped", "skipped"
         ]
         assert injector.calls == 2  # skipped cells never evaluated
-
-
-class TestRetries:
-    def test_transient_failure_retried_to_success(self):
-        runner = FakeRunner()
-        injector = FaultInjector().fail_cell("D1", "W1", times=2)
-        executor = SweepExecutor(
-            runner,
-            evaluate=injector.wrap(runner.evaluate),
-            retry=RetryPolicy(max_retries=2, backoff_base_s=0.0),
-            sleep=lambda s: None,
-        )
-        result = executor.run(DESIGNS, WORKLOADS)
-        flaky = result.outcomes[0]
-        assert flaky.status == "ok"
-        assert flaky.attempts == 3
-        assert result.retried == [flaky]
-
-    def test_retries_exhausted_reports_failure(self):
-        runner = FakeRunner()
-        injector = FaultInjector().fail_cell("D1", "W1")
-        slept = []
-        executor = SweepExecutor(
-            runner,
-            evaluate=injector.wrap(runner.evaluate),
-            retry=RetryPolicy(max_retries=2, backoff_base_s=0.01, seed=3),
-            sleep=slept.append,
-        )
-        result = executor.run(DESIGNS, WORKLOADS)
-        failed = result.outcomes[0]
-        assert failed.status == "failed"
-        assert failed.attempts == 3
-        assert len(slept) == 2
-        # Backoff delays are the policy's deterministic schedule.
-        key = failed.key
-        policy = executor.retry
-        assert slept == [policy.delay_s(key, 1), policy.delay_s(key, 2)]
-
-
-class TestDeadlines:
-    def test_slow_cell_times_out(self):
-        runner = FakeRunner()
-        injector = FaultInjector().delay_cell("D1", "W1", seconds=5.0)
-        executor = SweepExecutor(
-            runner,
-            evaluate=injector.wrap(runner.evaluate),
-            cell_timeout_s=0.1,
-        )
-        result = executor.run(DESIGNS, WORKLOADS)
-        assert result.outcomes[0].status == "timed_out"
-        assert "deadline" in result.outcomes[0].error
-        # The campaign still finished the rest of the grid.
-        assert sum(1 for o in result.outcomes if o.ok) == 3
-
-    def test_fast_cells_unaffected_by_deadline(self):
-        result = SweepExecutor(FakeRunner(), cell_timeout_s=30.0).run(
-            DESIGNS, WORKLOADS
-        )
-        assert all(o.ok for o in result.outcomes)
 
 
 class TestJournalResume:
@@ -263,6 +213,62 @@ class TestJournalResume:
         assert changed.calls == 4
 
 
+class TestDeadlines:
+    """A deadline runs the grid on a one-worker supervised pool: the
+    watchdog stops a cell past it, and cells inside it come back as
+    they do inline."""
+
+    SCALE = 1.0 / 8192
+
+    def designs_for(self, runner):
+        from repro.designs.configs import N_CONFIGS
+        from repro.designs.nmm import NMMDesign
+        from repro.designs.reference import ReferenceDesign
+        from repro.tech.params import PCM
+
+        return [
+            NMMDesign(PCM, N_CONFIGS["N6"], scale=self.SCALE,
+                      reference=runner.reference),
+            ReferenceDesign(scale=self.SCALE, reference=runner.reference),
+        ]
+
+    def test_slow_cell_times_out(self, tmp_path):
+        from repro.experiments.runner import Runner
+        from repro.workloads.registry import get_workload
+
+        runner = Runner(scale=self.SCALE, seed=2,
+                        trace_cache_dir=str(tmp_path / "traces"))
+        designs = self.designs_for(runner)
+        faults = FaultInjector().worker_hang(designs[0].name, "CG", 60.0)
+        result = SweepExecutor(
+            runner, worker_faults=faults, cell_timeout_s=5.0
+        ).run(designs, [get_workload("CG"), get_workload("SP")])
+        assert result.outcomes[0].status == "timed_out"
+        assert "deadline" in result.outcomes[0].error
+        # The campaign still finished the rest of the grid.
+        assert sum(1 for o in result.outcomes if o.ok) == 3
+
+    def test_fast_cells_unaffected_by_deadline(self, tmp_path):
+        from repro.experiments.runner import Runner
+        from repro.workloads.registry import get_workload
+
+        def sweep(journal, **kwargs):
+            runner = Runner(scale=self.SCALE, seed=2,
+                            trace_cache_dir=str(tmp_path / "traces"))
+            SweepExecutor(runner, journal=journal, **kwargs).run(
+                self.designs_for(runner), [get_workload("CG")]
+            )
+            return {
+                key: (e.status, e.attempts, e.evaluation)
+                for key, e in Journal(journal).load().items()
+            }
+
+        inline = sweep(tmp_path / "inline.jsonl")
+        pooled = sweep(tmp_path / "pooled.jsonl", cell_timeout_s=600.0)
+        assert pooled == inline
+        assert all(v[:2] == ("ok", 1) for v in pooled.values())
+
+
 class TestJournalDurability:
     """Appends fsync in groups, and ``run`` leaves nothing unsynced
     however it ends."""
@@ -306,23 +312,21 @@ class TestJournalDurability:
 
 class TestDegradationReport:
     def test_report_names_failures_and_reproduction_handle(self):
-        runner = FakeRunner()
+        """The reproduction handle is the seed the cell key was built
+        from, next to that key."""
+        runner = FakeRunner(seed=3)
         injector = FaultInjector().fail_cell("D2", "W2")
         executor = SweepExecutor(
-            runner,
-            evaluate=injector.wrap(runner.evaluate),
-            retry=RetryPolicy(max_retries=1, backoff_base_s=0.0, seed=11),
-            sleep=lambda s: None,
+            runner, evaluate=injector.wrap(runner.evaluate)
         )
         result = executor.run(DESIGNS, WORKLOADS)
         report = result.report()
-        key = cell_key_for(
-            DESIGNS[1], WORKLOADS[1], runner.scale, runner.seed
-        )
+        key = cell_key_for(DESIGNS[1], WORKLOADS[1], runner.scale, 3)
+        assert result.seed == 3
         assert "3 ok" in report
         assert "1 failed" in report
         assert "D2/W2" in report
-        assert f"seed=11 key={key}" in report
+        assert f"seed=3 key={key}" in report
         assert "InjectedFault" in report
 
     def test_clean_report(self):

@@ -12,8 +12,11 @@ import json
 import os
 import pickle
 import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +25,7 @@ from repro.designs.fourlc import FourLCDesign
 from repro.designs.fourlcnvm import FourLCNVMDesign
 from repro.designs.nmm import NMMDesign
 from repro.errors import ConfigError
-from repro.experiments.runner import Runner
+from repro.experiments.runner import Runner, _chain_digest
 from repro.resilience import (
     FaultInjector,
     Journal,
@@ -349,7 +352,7 @@ class TestPoisonQuarantine:
         assert entry.status == "poisoned"
         assert "1 poisoned" in result.report()
 
-        # The quarantined cell is retried on resume (it is not ok)
+        # The quarantined cell re-runs on resume (it is not ok)
         # and completes once the fault is gone.
         again = SweepExecutor(
             make_runner(trace_cache), journal=journal, workers=2,
@@ -397,6 +400,42 @@ class TestHungWorker:
             (designs[0].name, "CG")
         ]
 
+    def test_deadline_without_workers_runs_a_one_worker_pool(
+        self, trace_cache, workloads, tmp_path
+    ):
+        """A deadline on a ``workers=1`` sweep runs the pool: the
+        watchdog times out the hung cell, the rest finish ok, no cell
+        runs on a thread of this process, and the parent runner
+        memoizes nothing for the timed-out cell."""
+        runner = make_runner(trace_cache)
+        designs = make_designs(runner.reference)
+        faults = FaultInjector().worker_hang(
+            designs[0].name, "CG", 60.0, latch=tmp_path / "hang.latch"
+        )
+        executor = SweepExecutor(
+            runner, worker_faults=faults, cell_timeout_s=3.0,
+            pool_tuning=FAST_TUNING,
+        )
+        result = executor.run(designs, workloads)
+
+        by_cell = {(o.design, o.workload): o for o in result.outcomes}
+        hung = by_cell[(designs[0].name, "CG")]
+        assert hung.status == "timed_out"
+        assert "the watchdog killed the worker" in hung.error
+        others = [o for o in result.outcomes if o is not hung]
+        assert len(others) == 3 and all(o.ok for o in others)
+        assert result.restarts == 1
+        assert not [
+            t.name for t in threading.enumerate()
+            if t.name.startswith("sweep-cell-")
+        ]
+        assert (designs[0].sim_key(), "CG") not in runner._design_stats
+        assert (designs[0].chain_key(), "CG") not in runner._chain_stats
+        record = runner._lower_records.get("CG")
+        assert record is None or (
+            _chain_digest(designs[0].chain_key()) not in record.gained
+        )
+
     def test_watchdog_sigkills_the_hung_worker_once(
         self, trace_cache, tmp_path
     ):
@@ -436,7 +475,6 @@ class TestHungWorker:
 
         from repro.resilience.executor import CellOutcome
         from repro.resilience.pool import _WorkerHandle
-        from repro.resilience.retry import NO_RETRY
 
         class KilledProc:
             exitcode = -signal.SIGKILL
@@ -445,7 +483,7 @@ class TestHungWorker:
                 pass
 
         results = []
-        pool = SupervisedPool(workers=1, runner_args={}, retry=NO_RETRY)
+        pool = SupervisedPool(workers=1, runner_args={})
         pool._on_result = lambda outcome, chains: results.append(
             (outcome, chains)
         )
@@ -778,6 +816,9 @@ class TestValidation:
             SweepExecutor(
                 make_runner(trace_cache), worker_faults=FaultInjector()
             )
+        # A deadline runs the pool, so it takes worker faults.
+        SweepExecutor(make_runner(trace_cache), cell_timeout_s=1.0,
+                      worker_faults=FaultInjector())
 
     def test_restart_budget_must_be_non_negative(self, trace_cache):
         with pytest.raises(ConfigError):
@@ -790,21 +831,76 @@ class TestValidation:
                           poison_threshold=0)
 
     def test_pool_rejects_bad_arguments(self):
-        from repro.resilience.retry import NO_RETRY
-
         with pytest.raises(ConfigError):
-            SupervisedPool(workers=0, runner_args={}, retry=NO_RETRY)
+            SupervisedPool(workers=0, runner_args={})
         with pytest.raises(ConfigError):
-            SupervisedPool(workers=1, runner_args={}, retry=NO_RETRY,
+            SupervisedPool(workers=1, runner_args={},
                            max_worker_restarts=-1)
         with pytest.raises(ConfigError):
-            SupervisedPool(workers=1, runner_args={}, retry=NO_RETRY,
-                           poison_threshold=0)
+            SupervisedPool(workers=1, runner_args={}, poison_threshold=0)
 
     def test_empty_cell_list_is_a_no_op(self):
-        from repro.resilience.retry import NO_RETRY
-
-        pool = SupervisedPool(workers=2, runner_args={}, retry=NO_RETRY)
+        pool = SupervisedPool(workers=2, runner_args={})
         stats, leftover = pool.run([])
         assert stats.spawned == 0
         assert leftover == []
+
+
+def processes_naming(text: str) -> list[int]:
+    """Live processes whose command line contains ``text``."""
+    found = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            cmdline = (entry / "cmdline").read_bytes()
+        except OSError:  # exited meanwhile
+            continue
+        if text.encode() in cmdline:
+            found.append(int(entry.name))
+    return found
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="reads /proc"
+)
+class TestOrphanedWorkers:
+    DESIGNS = (
+        "REF,NMM:PCM:N1,NMM:PCM:N3,NMM:PCM:N6,NMM:PCM:N9,NMM:STTRAM:N6,"
+        "NMM:FERAM:N6,4LC:EDRAM:EH1,4LC:EDRAM:EH4,4LC:EDRAM:EH8,"
+        "4LC:HMC:EH1,4LC:HMC:EH4"
+    )
+
+    def test_sigkilled_sweep_leaves_no_worker_running(self, tmp_path):
+        """Pool workers fork with their parent's command line; once a
+        SIGKILL ends the parent mid-campaign, every worker exits."""
+        journal = tmp_path / "orphans.jsonl"
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.experiments",
+                "--scale", "0.0001220703125", "--engine", "scalar",
+                "sweep", "--designs", self.DESIGNS, "--workers", "2",
+                "--journal", str(journal), "--keep-going",
+            ],
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        try:
+            deadline = time.monotonic() + 120.0
+            while proc.poll() is None and time.monotonic() < deadline:
+                if journal.exists() and (
+                    journal.read_bytes().count(b"\n") >= 10
+                ):
+                    break
+                time.sleep(0.002)
+            proc.kill()
+            assert proc.wait() == -signal.SIGKILL  # killed mid-campaign
+            gone_by = time.monotonic() + 3.0
+            while processes_naming(str(journal)) and (
+                time.monotonic() < gone_by
+            ):
+                time.sleep(0.05)
+            assert processes_naming(str(journal)) == []
+        finally:
+            for pid in processes_naming(str(journal)):
+                os.kill(pid, signal.SIGKILL)
