@@ -946,6 +946,35 @@ class Runner:
             and _chain_digest(chain) in records.loaded
         )
 
+    def priced_from_records(
+        self, design: MemoryDesign, workload: Workload
+    ) -> bool:
+        """Whether evaluating ``design`` on ``workload`` would simulate
+        nothing: the workload's trace is cached, its upper record exists,
+        and its lower record holds both the REF DRAM chain and the
+        design's chain.
+
+        False without a trace cache, for an ``analytic`` runner (it keeps
+        no lower record) and for a keyless design. A record that turns
+        out corrupt when loaded is still discarded and re-simulated.
+        The upper record is looked up until the workload's lower record
+        is open: a runner opens that only once its upper record exists.
+        """
+        if workload.name not in self._lower_records:
+            upper_key = self.upper_key(workload)
+            if upper_key is None or not self._upper_paths(
+                workload, upper_key
+            )[0].exists():
+                return False
+            if self._load_lower_records(workload, upper_key) is None:
+                return False
+        ref_chain = ReferenceDesign(
+            scale=self.scale, reference=self.reference
+        ).chain_key()
+        return self._is_recorded(
+            ref_chain, workload.name
+        ) and self._is_recorded(design.chain_key(), workload.name)
+
     def _recorded(
         self, chain: tuple | None, workload: str
     ) -> list[LevelStats] | None:

@@ -13,7 +13,7 @@ artifacts. This package provides the resilience layer:
   (:class:`SweepExecutor`, :class:`CampaignResult`).
 - :mod:`repro.resilience.pool` — the supervised persistent worker pool
   behind ``workers > 1`` and per-cell deadlines: per-cell dispatch
-  (work stealing),
+  (workload-affine, then work stealing),
   heartbeats, dead-worker respawn, poison-cell quarantine, a
   hung-worker watchdog, and graceful SIGINT/SIGTERM drain
   (:class:`SupervisedPool`).

@@ -25,13 +25,14 @@ scope, ``sweep.cell`` span) runs in-process for a serial sweep and
 inside each worker of the **supervised worker pool**
 (:mod:`repro.resilience.pool`) for ``workers > 1`` or a deadline, and
 every finished cell is journalled, counted and reported by the parent
-as it arrives. The pool pulls individual cells from the parent (work
-stealing) and survives worker *process* deaths — respawning killed
-workers up to a budget, requeueing their in-flight cells, quarantining
-"poison" cells that kill ``poison_threshold`` successive workers
-(recorded as ``poisoned``), SIGKILLing a worker whose cell passes its
-deadline (the cell is recorded ``timed_out``), and draining gracefully
-on SIGINT/SIGTERM with an exact-resume journal. Resume, fault isolation
+as it arrives. The pool pulls individual cells from the parent (each
+worker keeps to its workloads, then steals) and survives worker
+*process* deaths — respawning killed workers up to a budget,
+requeueing their in-flight cells, quarantining "poison" cells that
+kill ``poison_threshold`` successive workers (recorded as
+``poisoned``), SIGKILLing a worker whose cell passes its deadline (the
+cell is recorded ``timed_out``), and draining gracefully on
+SIGINT/SIGTERM with an exact-resume journal. Resume, fault isolation
 and the degradation report are the same for any worker count; only
 live exception objects cannot cross the process boundary (the
 formatted error chains still do).
@@ -555,32 +556,38 @@ class SweepExecutor:
     def _run_supervised(self, grid, journalled, cells, deliver, tel):
         """Run ``cells`` on the supervised persistent worker pool.
 
-        Cells are dispatched individually (work stealing); ``deliver``
-        journals every result in the parent as it arrives — before the
-        next cell is dispatched to that worker — so a crash at any point
-        leaves an exact-resume journal. The lower chains an ack carries
-        go to the runner's lower record (see
+        Cells are dispatched individually (workload-affine, then work
+        stealing); ``deliver`` journals every result in the parent as it
+        arrives — before the next cell is dispatched to that worker — so
+        a crash at any point leaves an exact-resume journal. The lower
+        chains an ack carries go to the runner's lower record (see
         :meth:`~repro.experiments.runner.Runner.absorb_lower_chains`),
         for its ``save_lower_records`` to write. Worker deaths degrade
         the campaign (requeue / poison / pool-exhausted failures) but
         never abort it. Returns the pool's
         :class:`~repro.resilience.pool.PoolStats`.
         """
-        # Pool workers fork from this process and simulate whatever
-        # their cells' records miss, so the simulation layer (and, with
-        # telemetry, the window collectors watching it) is imported
-        # here, once, before any fork, rather than in every worker after
-        # it; a serial sweep priced from records never loads it.
-        import numpy  # noqa: F401
-
-        import repro.cache.hierarchy  # noqa: F401
-        import repro.cache.setassoc  # noqa: F401
         from repro.resilience.pool import SupervisedPool
 
-        if tel.enabled:
-            import repro.telemetry.windows  # noqa: F401
-
         arena = self._publish_traces(grid, journalled, tel)
+        # Pool workers fork from this process. When some cell will
+        # simulate (its records miss), the simulation layer (and, with
+        # telemetry, the window collectors watching it) is imported
+        # here, once, before any fork, rather than in every worker after
+        # it; a pool priced wholly from records never loads it. A worker
+        # that finds a record corrupt imports it itself.
+        if not all(
+            self.runner.priced_from_records(design, workload)
+            for design, workload, _ in cells
+        ):
+            import numpy  # noqa: F401
+
+            import repro.cache.hierarchy  # noqa: F401
+            import repro.cache.setassoc  # noqa: F401
+
+            if tel.enabled:
+                import repro.telemetry.windows  # noqa: F401
+
         tel.event(
             "sweep_supervised", workers=self.workers,
             cells=len(cells),

@@ -1,13 +1,17 @@
-"""Supervised persistent worker pool with work stealing.
+"""Supervised persistent worker pool with workload-affine dispatch.
 
 Every ``workers > 1`` sweep, and every sweep with a per-cell deadline,
 runs on this pool. Per-cell fault isolation catches exceptions inside
 a process, but not a worker *process* dying (OOM killer, scheduler
 SIGKILL). This module supervises the processes themselves:
 
-- **work stealing** — workers pull *individual cells* from the
-  parent's dispatch queue over per-worker pipes, so a fast worker
-  drains the tail instead of idling behind a static split;
+- **workload affinity, then work stealing** — workers pull
+  *individual cells* from the parent's dispatch queue over per-worker
+  pipes. A free worker takes the next cell of the workload it already
+  prepared, else the first cell of a workload no other worker holds,
+  and only then the head of the queue, so each worker prepares few
+  workloads and a fast worker still drains the tail instead of idling
+  behind a static split;
 - **heartbeats** — each worker emits a heartbeat from a dedicated
   thread; silence past a timeout marks the process wedged even when
   the OS still reports it alive. The same thread ends its worker once
@@ -113,6 +117,75 @@ class PoolStats:
     escalations: int = 0
     drained: bool = False
     exhausted: bool = False
+
+
+class _CellQueue:
+    """The pool's pending cells, one lane per workload.
+
+    Each lane keeps its cells in queue order, tagged with their place in
+    that order; a requeued cell goes to the front of its lane with a
+    place ahead of every other cell, so it is also the queue's head.
+    Choosing a cell costs O(workloads) (see :func:`_pick_lane`).
+    """
+
+    def __init__(self, cells: Sequence[tuple] = ()) -> None:
+        self._lanes: dict[str, deque] = {}
+        for place, cell in enumerate(cells):
+            self._lanes.setdefault(cell[1].name, deque()).append(
+                (place, cell)
+            )
+        self._front = 0
+
+    def __len__(self) -> int:
+        return sum(map(len, self._lanes.values()))
+
+    def requeue(self, cell: tuple) -> None:
+        """Put ``cell`` back at the head of the queue and of its lane."""
+        self._front -= 1
+        self._lanes.setdefault(cell[1].name, deque()).appendleft(
+            (self._front, cell)
+        )
+
+    def take(self, previous: str | None, held: set[str | None]) -> tuple:
+        """Pop the cell a free worker whose previous cell was of
+        workload ``previous`` takes, while other workers hold the
+        workloads in ``held``."""
+        name = _pick_lane(
+            {name: lane[0][0] for name, lane in self._lanes.items()},
+            previous, held,
+        )
+        lane = self._lanes[name]
+        _, cell = lane.popleft()
+        if not lane:
+            del self._lanes[name]
+        return cell
+
+    def drain(self) -> list[tuple]:
+        """Remove and return every pending cell, in queue order."""
+        tagged = sorted(
+            (item for lane in self._lanes.values() for item in lane),
+            key=lambda item: item[0],
+        )
+        self._lanes.clear()
+        return [cell for _, cell in tagged]
+
+
+def _pick_lane(heads: dict[str, int], previous: str | None,
+               held: set[str | None]) -> str:
+    """The workload whose head cell a free worker takes next.
+
+    ``heads`` maps each workload with pending cells to its head cell's
+    place in the queue. The worker stays on ``previous``, its previous
+    cell's workload, while that has cells; else it moves to the
+    workload whose head comes first among those no other worker holds;
+    else it steals the head of the queue.
+    """
+    if previous in heads:
+        return previous
+    unheld = {name: place for name, place in heads.items()
+              if name not in held}
+    candidates = unheld or heads
+    return min(candidates, key=candidates.__getitem__)
 
 
 @contextmanager
@@ -289,8 +362,8 @@ class _WorkerHandle:
     """Parent-side state for one worker process."""
 
     __slots__ = (
-        "index", "proc", "conn", "inflight", "anchor", "last_beat",
-        "killed", "sentinel_sent", "drained", "eof", "closed",
+        "index", "proc", "conn", "inflight", "workload", "anchor",
+        "last_beat", "killed", "sentinel_sent", "drained", "eof", "closed",
     )
 
     def __init__(self, index: int, proc, conn) -> None:
@@ -298,6 +371,9 @@ class _WorkerHandle:
         self.proc = proc
         self.conn = conn
         self.inflight: tuple | None = None
+        #: The workload of the last cell dispatched to this worker,
+        #: which it has prepared.
+        self.workload: str | None = None
         self.anchor = 0.0
         self.last_beat = time.monotonic()
         self.killed = False
@@ -312,7 +388,7 @@ class _WorkerHandle:
 
 
 class SupervisedPool:
-    """A supervised, work-stealing pool of persistent cell workers.
+    """A supervised pool of persistent cell workers.
 
     Args:
         workers: worker processes to keep running.
@@ -366,7 +442,7 @@ class SupervisedPool:
         self.tuning = tuning if tuning is not None else DEFAULT_TUNING
         self._ctx = multiprocessing.get_context()
         self._handles: list[_WorkerHandle] = []
-        self._pending: deque = deque()
+        self._pending = _CellQueue()
         self._kills: dict[str, int] = {}
         self._stats = PoolStats()
         self._keep_going = True
@@ -402,7 +478,7 @@ class SupervisedPool:
         mark skipped. Never raises for worker failures.
         """
         stats = self._stats = PoolStats()
-        self._pending = deque(cells)
+        self._pending = _CellQueue(cells)
         self._kills = {}
         self._handles = []
         self._keep_going = keep_going
@@ -423,7 +499,7 @@ class SupervisedPool:
                 self._loop(drain, force)
             finally:
                 self._shutdown(force.is_set())
-        return stats, list(self._pending)
+        return stats, self._pending.drain()
 
     def heartbeat_snapshot(self) -> dict:
         """Point-in-time worker liveness for the readiness probe.
@@ -533,7 +609,7 @@ class SupervisedPool:
                 self._stats.drained = True
                 for handle in self._live():
                     if handle.inflight is not None:
-                        self._pending.appendleft(handle.inflight)
+                        self._pending.requeue(handle.inflight)
                         handle.inflight = None
                 return
             if drain.is_set() and not self._stats.drained:
@@ -579,6 +655,8 @@ class SupervisedPool:
                 return
 
     def _dispatch(self, now: float) -> None:
+        """Give each free worker one cell, workload-affine first (see
+        :func:`_pick_lane`)."""
         for handle in self._handles:
             if not self._pending:
                 return
@@ -591,14 +669,18 @@ class SupervisedPool:
                 or not handle.proc.is_alive()
             ):
                 continue
-            cell = self._pending.popleft()
+            held = {
+                other.workload for other in self._live() if other is not handle
+            }
+            cell = self._pending.take(handle.workload, held)
             try:
                 handle.conn.send(cell)
             except (BrokenPipeError, OSError):
-                self._pending.appendleft(cell)
+                self._pending.requeue(cell)
                 handle.eof = True
                 continue
             handle.inflight = cell
+            handle.workload = cell[1].name
             handle.anchor = now
 
     def _pump(self, handle: _WorkerHandle) -> None:
@@ -724,7 +806,7 @@ class SupervisedPool:
                 workload=workload.name,
                 worker_kills=kills,
             )
-            self._pending.appendleft(cell)
+            self._pending.requeue(cell)
 
     # -- watchdog -------------------------------------------------------
 
@@ -760,8 +842,7 @@ class SupervisedPool:
         )
         if not self._keep_going:
             return  # leftover cells become skipped at the call site
-        while self._pending:
-            design, workload, key = self._pending.popleft()
+        for design, workload, key in self._pending.drain():
             self._finish(CellOutcome(
                 key=key, design=design.name, workload=workload.name,
                 status=STATUS_FAILED, attempts=0, duration_s=0.0,

@@ -20,6 +20,7 @@ from repro.designs.fourlc import FourLCDesign
 from repro.designs.fourlcnvm import FourLCNVMDesign
 from repro.designs.ndm import NDMDesign
 from repro.designs.nmm import NMMDesign
+from repro.designs.reference import ReferenceDesign
 from repro.experiments.runner import Runner
 from repro.experiments.simplan import SimPlan
 from repro.partition.ranges import AddressRange
@@ -274,3 +275,47 @@ def test_simulate_designs_plans_each_chain_once(trace_cache, monkeypatch):
         assert (design.sim_key(), "CG") in runner._design_stats
         alone = make_runner(trace_cache, "auto").stats_for(design, workload)
         assert runner.stats_for(design, workload).as_dict() == alone.as_dict()
+
+
+def test_priced_from_records_only_when_nothing_would_simulate(
+    tmp_path, monkeypatch
+):
+    """A pool imports the simulator before it forks unless every cell
+    is priced from records: the cached trace, its upper record, and a
+    lower record holding both the REF chain and the design's."""
+    workload = get_workload("CG")
+    cache = str(tmp_path)
+    designs = [
+        ReferenceDesign(scale=SCALE),
+        NMMDesign(PCM, N_CONFIGS["N6"], scale=SCALE),
+        FourLCDesign(EDRAM, EH_CONFIGS["EH4"], scale=SCALE),
+    ]
+
+    def priced(runner, design):
+        return runner.priced_from_records(design, workload)
+
+    assert not priced(Runner(scale=SCALE, seed=0), designs[1])  # no cache
+    cold = Runner(scale=SCALE, seed=0, trace_cache_dir=cache)
+    assert not priced(cold, designs[0])  # nothing cached yet
+    cold.trace_only(workload)
+    assert not any(priced(cold, design) for design in designs)  # no upper
+    for design in designs:
+        cold.stats_for(design, workload)
+    cold.save_lower_records()
+
+    warm = Runner(scale=SCALE, seed=0, trace_cache_dir=cache)
+    assert all(priced(warm, design) for design in designs)
+    analytic = Runner(scale=SCALE, seed=0, trace_cache_dir=cache,
+                      engine="analytic")
+    assert not priced(analytic, designs[1])
+    assert not priced(warm, OddVariantL4(None, None, scale=SCALE))  # keyless
+    unrecorded = FourLCDesign(EDRAM, EH_CONFIGS["EH1"], scale=SCALE)
+    assert not priced(warm, unrecorded)
+
+    # The predicate agrees with what pricing then does.
+    pricings = count_pricings(monkeypatch)
+    for design in designs:
+        warm.stats_for(design, workload)
+    assert pricings == []
+    warm.stats_for(unrecorded, workload)
+    assert pricings == ["_replay_lower"]

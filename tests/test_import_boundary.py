@@ -186,7 +186,7 @@ def test_warm_serial_sweep_loads_no_simplan(tmp_path):
     """Each cell of a serial sweep prices its own design, so no sweep
     batches designs through the shared-prefix planner; a warm one is
     priced from the records, and only a pool's parent loads the
-    simulator for its workers."""
+    simulator for its workers, when a cell will simulate."""
     for run in ("cold", "warm"):
         loaded = cli_modules(
             "--scale", "0.0001220703125", "--workloads", "CG",
@@ -235,6 +235,37 @@ def test_pool_workers_import_no_repro_module_the_parent_skipped(tmp_path):
             if name == "repro" or name.startswith("repro.")
         )
         assert not extra, f"{path.stem} imported after the fork: {extra}"
+
+
+def test_warm_pool_sweep_loads_no_simulator_or_numpy(tmp_path):
+    """Every cell of a warm pool sweep is priced from the records a cold
+    one left, so neither the parent at its first fork nor any worker
+    after its first cell loads numpy or the cache simulator."""
+    args = [
+        "--scale", "0.0001220703125", "--workloads", "CG,Hashing",
+        "--trace-cache", str(tmp_path / "cache"),
+        "--telemetry", str(tmp_path / "telemetry"),
+        "sweep", "--designs", "REF,NMM:PCM:N6,4LC:EDRAM:EH4",
+        "--workers", "2",
+    ]
+    snapshots = {}
+    for run in ("cold", "warm"):
+        out = tmp_path / run
+        out.mkdir()
+        proc = run_python(
+            POOL_PROBE, str(out), *args,
+            "--journal", str(tmp_path / f"{run}.jsonl"), cwd=tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        snapshots[run] = sorted(out.glob("*.json"))
+    cold = json.loads((tmp_path / "cold" / "parent.json").read_text())
+    assert {"numpy", "repro.cache.hierarchy"} <= set(cold)  # it simulated
+    warm = snapshots["warm"]
+    assert [path.stem for path in warm].count("parent") == 1
+    assert any(path.stem.startswith("worker-") for path in warm)
+    for path in warm:
+        extra = leaked(json.loads(path.read_text()), WARM_NOT_LOADED)
+        assert not extra, f"a warm pool sweep's {path.stem} imported: {extra}"
 
 
 def test_exact_runner_on_a_warm_cache_loads_no_sampling(tmp_path):

@@ -846,6 +846,56 @@ class TestValidation:
         assert leftover == []
 
 
+class TestWorkloadAffinity:
+    """A free worker takes the next cell of the workload it prepared,
+    else the first cell of a workload no other worker holds, else the
+    head of the queue; a requeued cell goes first."""
+
+    @staticmethod
+    def queue(*names):
+        from types import SimpleNamespace
+
+        from repro.resilience.pool import _CellQueue
+
+        cells = [
+            (SimpleNamespace(name=f"D{i}"), SimpleNamespace(name=name),
+             f"{name}{i}")
+            for i, name in enumerate(names)
+        ]
+        return _CellQueue(cells)
+
+    def test_worker_stays_on_its_workload(self):
+        queue = self.queue("A", "B", "A", "B")
+        assert queue.take("B", {"A"})[2] == "B1"
+        assert queue.take("B", {"A"})[2] == "B3"
+        assert len(queue) == 2
+
+    def test_worker_moves_to_an_unheld_workload(self):
+        queue = self.queue("A", "B", "C", "C")
+        assert queue.take(None, {"A"})[2] == "B1"
+        # Its own workload is done: the first unheld one, not the head.
+        assert queue.take("B", {"A"})[2] == "C2"
+
+    def test_worker_steals_the_head_only_when_nothing_else_is_left(self):
+        queue = self.queue("A", "B", "A", "B")
+        assert queue.take("C", {"A", "B"})[2] == "A0"
+        assert queue.take(None, {"A", "B"})[2] == "B1"
+        assert [cell[2] for cell in queue.drain()] == ["A2", "B3"]
+        assert len(queue) == 0
+
+    def test_requeued_cell_goes_first(self):
+        queue = self.queue("A", "B", "A", "B")
+        taken = queue.take("B", set())
+        assert taken[2] == "B1"
+        queue.requeue(taken)
+        assert queue.take("B", {"A"})[2] == "B1"
+        queue.requeue(taken)
+        # Also the head of the queue, and first among the leftovers.
+        assert queue.take("C", {"A", "B"})[2] == "B1"
+        queue.requeue(taken)
+        assert [cell[2] for cell in queue.drain()] == ["B1", "A0", "A2", "B3"]
+
+
 def processes_naming(text: str) -> list[int]:
     """Live processes whose command line contains ``text``."""
     found = []
